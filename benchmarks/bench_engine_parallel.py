@@ -160,9 +160,9 @@ def test_eng2_lookahead_drives_epoch_count(benchmark, report, save_csv):
         assert result.epochs >= 1
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_eng2_backend_wall_time(benchmark, backend, report):
-    """Wall-time of the three execution backends (GIL caveat recorded)."""
+    """Wall-time of the two execution backends."""
 
     def run():
         psim = build_parallel(machine(), SIM_RANKS, strategy="bfs",

@@ -99,7 +99,7 @@ def main() -> None:
                              "parallel lookahead)")
     parser.add_argument("--ranks", type=int, default=1)
     parser.add_argument("--backend", default="processes",
-                        choices=["serial", "threads", "processes"])
+                        choices=["serial", "processes"])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--checkpoint-every", default=None,
                         help="snapshot interval for long runs, e.g. 30s "

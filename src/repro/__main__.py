@@ -709,13 +709,13 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategy", default="linear",
                      choices=["linear", "round_robin", "bfs", "kl"])
     run.add_argument("--backend", default="serial",
-                     choices=["serial", "threads", "processes"],
+                     choices=["serial", "processes"],
                      help="execution substrate for --ranks > 1 "
                           "(processes = one forked worker per rank)")
     run.add_argument("--transport", default="pipe", choices=["pipe", "shm"],
-                     help="processes-backend data plane: pickled pipe "
-                          "batches, or shared-memory rings with the flat "
-                          "event codec (control stays on pipes)")
+                     help="processes-backend data plane: the same epoch "
+                          "frames over pipes, or over shared-memory "
+                          "rings (control stays on pipes)")
     run.add_argument("--sync", default="conservative",
                      choices=["conservative", "adaptive"],
                      help="epoch-window strategy: fixed lookahead, or "
@@ -789,7 +789,7 @@ def make_parser() -> argparse.ArgumentParser:
                      help="instructions simulated per design point")
     swp.add_argument("--seed", type=int, default=1)
     swp.add_argument("--backend", default="serial",
-                     choices=["serial", "threads", "processes"],
+                     choices=["serial", "processes"],
                      help="job-pool substrate for evaluating points")
     swp.add_argument("--jobs", type=_positive_int, default=None,
                      help="pool width (default: usable CPU count)")
@@ -949,7 +949,7 @@ def make_parser() -> argparse.ArgumentParser:
                       help="restore onto this many ranks (default: the "
                            "snapshot's own layout)")
     cres.add_argument("--backend", default=None,
-                      choices=["serial", "threads", "processes"],
+                      choices=["serial", "processes"],
                       help="execution substrate (default: the "
                            "snapshot's)")
     cres.add_argument("--queue", default=None, choices=["heap", "binned"],

@@ -53,7 +53,7 @@ def write_shard(path: Union[str, Path], state: Dict[str, Any]) -> Dict[str, Any]
     """Pickle one rank's captured state to ``path`` atomically.
 
     Returns ``{"sha256", "size"}`` for the manifest.  Called in-process
-    for serial/threads snapshots and inside the forked rank worker for
+    for serial-backend snapshots and inside the forked rank worker for
     the processes backend (the worker owns the live queue, so the state
     must be captured — and is most cheaply written — there).
     """
@@ -156,7 +156,7 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
     with no event in flight anywhere else.
 
     Each rank's shard is written where its live queue lives: via
-    ``backend.snapshot_rank`` (in-process for serial/threads, inside
+    ``backend.snapshot_rank`` (in-process for serial, inside
     the forked worker for processes).  The parent then writes the
     pending-send payload plus its own authoritative engine counters,
     and commits the manifest last.  With ``backend=None`` (outside a

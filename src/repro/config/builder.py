@@ -169,10 +169,10 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
     strategy's assignment, so heavy pinning can unbalance ranks).
 
     ``backend`` selects the execution substrate (``serial`` /
-    ``threads`` / ``processes``), ``transport`` the processes-backend
-    data plane (``pipe`` / ``shm``) and ``sync`` the epoch-window
-    strategy (``conservative`` / ``adaptive``); all three are passed
-    straight through to
+    ``processes``), ``transport`` the processes-backend data plane
+    (``pipe`` / ``shm``) and ``sync`` the epoch-window strategy
+    (``conservative`` / ``adaptive``); all three are passed straight
+    through to
     :class:`~repro.core.parallel.ParallelSimulation`.
     """
     graph.validate(resolve_types=True)

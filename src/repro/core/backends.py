@@ -2,18 +2,15 @@
 
 An :class:`ExecutionBackend` executes one conservative-sync epoch on
 every rank of a :class:`~repro.core.parallel.ParallelSimulation` and
-reports a :class:`RankStep` per rank.  Three substrates are provided:
+reports a :class:`RankStep` per rank.  Two substrates are provided:
 
 * :class:`SerialBackend`    — ranks step one after another in the
   calling thread.  Zero concurrency, 100% determinism; the reference
   backend used by the equivalence tests.
-* :class:`ThreadsBackend`   — ranks step concurrently in a thread pool.
-  Deterministic (the exchange is globally sorted), but the CPython GIL
-  means this demonstrates *protocol* scaling, not wall-clock scaling.
 * :class:`ProcessesBackend` — true multi-process PDES: one forked
-  worker per rank, exchanging serialized event batches over pipes.
-  This is the backend that scales past the GIL.  Requirements and
-  caveats:
+  worker per rank, exchanging epoch frames (:func:`encode_step`) over
+  pipes or shared-memory rings.  This is the backend that leaves the
+  GIL.  Requirements and caveats:
 
   - the ``fork`` start method (Linux/macOS); workers inherit the fully
     wired per-rank simulations, so nothing but events and statistics
@@ -26,7 +23,7 @@ reports a :class:`RankStep` per rank.  Three substrates are provided:
     rank-local plan (``psim.rank_plan``, duck-typed — see
     :mod:`repro.obs.rank_stream`): workers re-attach a lightweight
     recorder that writes per-rank JSONL shards or ships bounded record
-    batches back over the pipes, and profiler buckets plus rank
+    batches back inside the step frames, and profiler buckets plus rank
     counters harvest back at ``finalize()``.  Observers no plan entry
     covers raise a one-time :class:`RankObservabilityWarning` instead
     of being silently dropped.  Parent-side epoch observers —
@@ -45,12 +42,14 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 import time as _wall_time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
+from .event import decode_entries, encode_entries
 from .kernel import harvest_engine_stats, harvest_stats, kernel_step
 from .simulation import SimulationError
 from .statistics import adopt_state
@@ -101,10 +100,75 @@ class RankStep:
     primaries_pending: int
     last_event_time: SimTime
     now: SimTime
-    #: bounded batch of rank-local telemetry records riding the pipe
-    #: alongside the step result (processes backend, shard-less mode);
-    #: drained by the parent before the step reaches the sync strategy.
+    #: bounded batch of rank-local telemetry records riding the step
+    #: frame (processes backend, shard-less mode); drained by the
+    #: parent before the step reaches the sync strategy.
     obs_records: Optional[List[Dict[str, Any]]] = None
+
+
+# ----------------------------------------------------------------------
+# epoch frames — what the processes backend moves, on either transport
+# ----------------------------------------------------------------------
+
+_U32 = struct.Struct("<I")
+#: delivery-frame header: the inclusive end of the window to execute
+_EPOCH_END = struct.Struct("<q")
+#: step-frame header: wall_s, events, next_time (-1 = drained),
+#: primaries_pending, last_event_time, now, has_obs
+_STEP_META = struct.Struct("<dqqqqqB")
+
+
+def encode_deliveries(epoch_end: SimTime,
+                      entries: List[OutboxEntry]) -> bytes:
+    """Parent -> worker frame: the window end plus this epoch's
+    exchanged entries for the rank."""
+    return _EPOCH_END.pack(epoch_end) + encode_entries(entries)
+
+
+def decode_deliveries(frame: bytes) -> Tuple[SimTime, List[OutboxEntry]]:
+    (epoch_end,) = _EPOCH_END.unpack_from(frame)
+    entries, _ = decode_entries(frame, _EPOCH_END.size)
+    return epoch_end, entries
+
+
+def encode_step(result: RankStep) -> bytes:
+    """Worker -> parent frame: struct-packed step metadata, the outbox
+    as one entry batch (flattened across destinations — entries carry
+    their dest rank), and an optional pickled batch of rank-local
+    telemetry records."""
+    flat = [entry for bucket in result.outbox for entry in bucket]
+    next_time = -1 if result.next_time is None else result.next_time
+    has_obs = bool(result.obs_records)
+    frame = _STEP_META.pack(result.wall_seconds, result.events, next_time,
+                            result.primaries_pending, result.last_event_time,
+                            result.now, has_obs) + encode_entries(flat)
+    if has_obs:
+        obs_blob = pickle.dumps(result.obs_records, pickle.HIGHEST_PROTOCOL)
+        frame += _U32.pack(len(obs_blob)) + obs_blob
+    return frame
+
+
+def decode_step(frame: bytes, num_ranks: int) -> RankStep:
+    """Inverse of :func:`encode_step`; rebuilds the per-destination
+    outbox buckets (entry order within each destination is preserved —
+    the flatten walked destinations in order)."""
+    (wall, events, next_time, primaries, last_event, now,
+     has_obs) = _STEP_META.unpack_from(frame)
+    entries, offset = decode_entries(frame, _STEP_META.size)
+    outbox: List[List[OutboxEntry]] = []
+    if entries:
+        outbox = [[] for _ in range(num_ranks)]
+        for entry in entries:
+            outbox[entry[3]].append(entry)
+    obs_records = None
+    if has_obs:
+        (obs_len,) = _U32.unpack_from(frame, offset)
+        offset += 4
+        obs_records = pickle.loads(frame[offset:offset + obs_len])
+    return RankStep(wall_seconds=wall, events=events, outbox=outbox,
+                    next_time=None if next_time < 0 else next_time,
+                    primaries_pending=primaries, last_event_time=last_event,
+                    now=now, obs_records=obs_records)
 
 
 def outbox_count(outbox: List[List[OutboxEntry]]) -> int:
@@ -159,6 +223,20 @@ def deliver_cross_rank(psim: "ParallelSimulation", rank: int,
         port = link.port_b if dest_rank == link.rank_b else link.port_a
         record = queue.push(when, priority, port.deliver, event)
         causal.on_cross_recv(record.seq, link_id, send_seq, when, priority)
+
+
+def _write_rank_shard(psim: "ParallelSimulation", rank: int,
+                      shard_path: str) -> Dict[str, Any]:
+    """Capture ``rank``'s live engine state into a checkpoint shard —
+    called in whichever process owns the live rank."""
+    from ..ckpt.state import capture_sim_state
+    from ..ckpt.snapshot import write_shard
+
+    state = capture_sim_state(psim._sims[rank],
+                              send_seq=psim._send_seq[rank][0])
+    meta = write_shard(shard_path, state)
+    meta["now"] = state["meta"]["now"]
+    return meta
 
 
 def _timed_step(sim: "Simulation", epoch_end: SimTime) -> RankStep:
@@ -222,15 +300,7 @@ class ExecutionBackend:
         Returns the shard metadata dict (``sha256``, ``size``) recorded
         in the snapshot manifest.
         """
-        from ..ckpt.state import capture_sim_state
-        from ..ckpt.snapshot import write_shard
-
-        psim = self.psim
-        state = capture_sim_state(psim._sims[rank],
-                                  send_seq=psim._send_seq[rank][0])
-        meta = write_shard(shard_path, state)
-        meta["now"] = state["meta"]["now"]
-        return meta
+        return _write_rank_shard(self.psim, rank, shard_path)
 
     def close(self) -> None:
         """Release execution resources.  Safe to call repeatedly."""
@@ -255,53 +325,11 @@ class SerialBackend(ExecutionBackend):
         return steps
 
 
-class ThreadsBackend(ExecutionBackend):
-    """Ranks step concurrently in a thread pool (protocol scaling only).
-
-    The CPython GIL serialises handler execution, so this demonstrates
-    the sync protocol rather than wall-clock speedup; epoch counts and
-    exchanged-event counts are identical to the serial backend.
-    """
-
-    name = "threads"
-
-    def __init__(self, psim: "ParallelSimulation"):
-        super().__init__(psim)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def start(self) -> None:
-        if self._pool is None and self.psim.num_ranks > 1:
-            self._pool = ThreadPoolExecutor(max_workers=self.psim.num_ranks)
-
-    def step(self, epoch_end: SimTime,
-             deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
-        psim = self.psim
-        # Deliveries and outbox drains stay in the calling thread; only
-        # the kernel windows run concurrently.
-        for rank, entries in enumerate(deliveries):
-            if entries:
-                deliver_cross_rank(psim, rank, entries)
-        if self._pool is None:
-            steps = [_timed_step(sim, epoch_end) for sim in psim._sims]
-        else:
-            futures = [self._pool.submit(_timed_step, sim, epoch_end)
-                       for sim in psim._sims]
-            steps = [f.result() for f in futures]  # re-raise worker exceptions
-        for rank, result in enumerate(steps):
-            result.outbox = drain_outbox(psim, rank)
-        return steps
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 def _send_msg(conn, msg: Any) -> None:
-    """One pickled batch per pipe write (highest pickle protocol).
+    """One pickled message per pipe write (highest pickle protocol).
 
-    Every exchange message — the epoch's whole per-destination entry
-    batch included — crosses the pipe as a single ``send_bytes`` of one
+    Every pipe message — a control command, or under ``transport="pipe"``
+    a whole epoch frame — crosses as a single ``send_bytes`` of one
     pre-pickled buffer, rather than leaving framing and (older-protocol)
     pickling to ``Connection.send``.
     """
@@ -313,25 +341,27 @@ def _recv_msg(conn) -> Any:
 
 
 class ProcessesBackend(ExecutionBackend):
-    """One forked worker process per rank, event batches over pipes or
+    """One forked worker process per rank, epoch frames over pipes or
     shared memory.
 
     The parent process runs the sync strategy and the epoch loop; each
     worker owns one rank's :class:`Simulation` (inherited fully wired
-    via fork) and runs its kernel windows on command.  Only exchanged
-    events, step metadata and the final statistics harvest cross the
-    process boundary.
+    via fork) and runs its kernel windows on command.  Only epoch
+    frames (:func:`encode_deliveries` down, :func:`encode_step` up) and
+    the final statistics harvest cross the process boundary.
 
-    Two data-plane transports (``ParallelSimulation(transport=...)``):
+    The two data-plane transports (``ParallelSimulation(transport=...)``)
+    carry the same frames and differ only in how the bytes move and how
+    the worker waits for them:
 
-    * ``"pipe"`` — one pickled batch per pipe write (the historical
-      path, and the fallback when ``multiprocessing.shared_memory`` is
-      unavailable);
-    * ``"shm"`` — per-rank shared-memory ring buffers carrying
-      flat-encoded entries, with counter-spin epoch barriers
-      (:mod:`repro.core.shm`).  Control commands — snapshots, the final
-      harvest, shutdown, errors — stay on the pipes under either
-      transport.
+    * ``"pipe"`` — each frame is one pipe message; the worker blocks in
+      ``recv_bytes``;
+    * ``"shm"`` — frames stream through per-rank shared-memory rings
+      and the worker spins on an epoch counter, polling the pipe
+      (:mod:`repro.core.shm`).
+
+    Control commands — snapshots, the final harvest, shutdown, errors —
+    are pickled pipe messages under either transport.
     """
 
     name = "processes"
@@ -343,7 +373,7 @@ class ProcessesBackend(ExecutionBackend):
         if "fork" not in mp.get_all_start_methods():
             raise SimulationError(
                 "the 'processes' backend requires the fork start method "
-                "(Linux/macOS); use backend='threads' or 'serial' here"
+                "(Linux/macOS); use backend='serial' here"
             )
         self._ctx = mp.get_context("fork")
         self._procs: List[Any] = []
@@ -418,65 +448,46 @@ class ProcessesBackend(ExecutionBackend):
 
     def step(self, epoch_end: SimTime,
              deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
-        if self._exchange is not None:
-            steps = self._step_shm(epoch_end, deliveries)
-        else:
-            steps = self._step_pipe(epoch_end, deliveries)
-        plan = getattr(self.psim, "rank_plan", None)
-        if plan is not None:
-            # Bounded rank-local record batches ride the transport
-            # alongside the step results (shard-less mode); hand them to
-            # the plan before the sync strategy ever sees the steps.
-            for rank, step in enumerate(steps):
-                if step.obs_records:
-                    plan.deliver(rank, step.obs_records)
-                    step.obs_records = None
-        return steps
-
-    def _step_pipe(self, epoch_end: SimTime,
-                   deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
-        sent = 0
-        for conn, entries in zip(self._conns, deliveries):
-            blob = pickle.dumps(("step", epoch_end, entries),
-                                pickle.HIGHEST_PROTOCOL)
-            conn.send_bytes(blob)
-            sent += len(blob)
-        self.last_exchange_bytes = sent
-        steps = []
-        for rank in range(self.psim.num_ranks):
-            raw = self._recv_raw(rank)
-            self.last_exchange_bytes += len(raw)
-            msg = pickle.loads(raw)
-            if msg[0] == "error":
-                raise msg[1]
-            steps.append(msg[1])
-        return steps
-
-    def _step_shm(self, epoch_end: SimTime,
-                  deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
-        from .event import encode_entries
-        from .shm import decode_step
-
-        exchange = self._exchange
         num_ranks = self.psim.num_ranks
-        before = exchange.bytes_posted + exchange.bytes_collected
+        moved = 0
         for rank in range(num_ranks):
-            exchange.post(rank, epoch_end, encode_entries(deliveries[rank]),
-                          alive_check=self._procs[rank].is_alive)
+            frame = encode_deliveries(epoch_end, deliveries[rank])
+            moved += len(frame)
+            self._post(rank, frame)
+        plan = getattr(self.psim, "rank_plan", None)
         steps = []
         for rank in range(num_ranks):
-            blob = exchange.collect(rank,
-                                    alive_check=self._procs[rank].is_alive)
-            if blob is None:
-                # the worker flagged a failure; the exception itself is
-                # waiting on the control pipe
-                self._recv(rank)
-                raise SimulationError(  # pragma: no cover - _recv raises
-                    f"rank {rank} flagged an error without details")
-            steps.append(decode_step(blob, num_ranks))
-        self.last_exchange_bytes = (exchange.bytes_posted
-                                    + exchange.bytes_collected - before)
+            frame = self._collect(rank)
+            moved += len(frame)
+            step = decode_step(frame, num_ranks)
+            if plan is not None and step.obs_records:
+                # Bounded rank-local record batches ride the step frame
+                # (shard-less mode); hand them to the plan before the
+                # sync strategy ever sees the steps.
+                plan.deliver(rank, step.obs_records)
+                step.obs_records = None
+            steps.append(step)
+        self.last_exchange_bytes = moved
         return steps
+
+    # The two byte movers: everything transport-specific on the parent
+    # side (the worker's half is next_command/run_step in _worker_main).
+    def _post(self, rank: int, frame: bytes) -> None:
+        if self._exchange is None:
+            _send_msg(self._conns[rank], ("step", frame))
+        else:
+            self._exchange.post(rank, frame,
+                                alive_check=self._procs[rank].is_alive)
+
+    def _collect(self, rank: int) -> bytes:
+        if self._exchange is not None:
+            frame = self._exchange.collect(
+                rank, alive_check=self._procs[rank].is_alive)
+            if frame is not None:
+                return frame
+            # the worker flagged a failure: its exception is waiting on
+            # the pipe, and _recv raises it
+        return self._recv(rank)
 
     def finalize(self) -> None:
         """Adopt worker-side results into the parent-side simulations.
@@ -556,19 +567,18 @@ class ProcessesBackend(ExecutionBackend):
             return None
         return request_stack_dump(pid, dump_path, timeout_s=timeout_s)
 
-    def _recv_raw(self, rank: int) -> bytes:
+    def _recv(self, rank: int):
+        """The payload of ``rank``'s next pipe reply; re-raises the
+        worker's exception when the reply is an error."""
         try:
-            return self._conns[rank].recv_bytes()
+            status, payload = _recv_msg(self._conns[rank])
         except (EOFError, OSError) as exc:
             raise SimulationError(
                 f"rank {rank} worker process died unexpectedly"
             ) from exc
-
-    def _recv(self, rank: int):
-        msg = pickle.loads(self._recv_raw(rank))
-        if msg[0] == "error":
-            raise msg[1]
-        return msg[1]
+        if status == "error":
+            raise payload
+        return payload
 
     def close(self) -> None:
         for conn in self._conns:
@@ -611,12 +621,10 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
                  exchange: Any = None) -> None:
     """Per-rank worker loop (runs in a forked child process).
 
-    With ``exchange`` (a :class:`~repro.core.shm.ShmExchange` inherited
-    through fork), epoch steps arrive as shared-memory counter bumps and
-    results return on the rank's up ring; the pipe is polled while
-    idle-spinning so control commands (snapshot / finish / close) keep
-    working mid-run.  Without it, everything — steps included — arrives
-    on the pipe.
+    ``exchange`` is the :class:`~repro.core.shm.ShmExchange` inherited
+    through fork under ``transport="shm"``, ``None`` under ``"pipe"``;
+    it decides only how epoch frames arrive and leave (see
+    ``next_command`` / ``run_step``).
     """
     import traceback
 
@@ -631,7 +639,7 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
     sim._heartbeats = {}
     sim._rebuild_instr()
     # Re-attach the rank-local recorder the plan describes (JSONL shard
-    # or pipe batches, span buckets, heartbeats).  Observability must
+    # or step-frame batches, span buckets, heartbeats).  Observability must
     # never kill a worker: creation failures degrade to a bare rank.
     recorder = None
     plan = getattr(psim, "rank_plan", None)
@@ -669,39 +677,15 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
                 f"rank {rank} worker failed:\n{traceback.format_exc()}"
             )))
 
-    def run_step_pipe(epoch_end, entries) -> None:
-        try:
-            deliver_cross_rank(psim, rank, entries)
-            result = _timed_step(sim, epoch_end)
-        except Exception as exc:
-            send_error(exc)
-            return
-        result.outbox = drain_outbox(psim, rank)
-        nonlocal recorder
-        if recorder is not None:
-            try:
-                recorder.on_step(result, epoch_end)
-            except Exception:  # pragma: no cover - defensive
-                recorder = None
-        try:
-            _send_msg(conn, ("ok", result))
-        except Exception as exc:
-            send_error(SimulationError(
-                f"rank {rank}: a cross-rank event is not "
-                f"serializable (events crossing ranks under the "
-                f"processes backend must be picklable): {exc}"
-            ))
+    def run_step(frame: bytes) -> None:
+        """One epoch: delivery frame in, kernel window, step frame out.
 
-    def run_step_shm() -> None:
-        """One shm-transport epoch: deliveries off the down ring, kernel
-        window, result onto the up ring (errors: flag + pipe)."""
-        from .event import decode_entries
-        from .shm import encode_step
-
+        Any failure takes the one error path: the exception goes to the
+        parent on the pipe, and under shm an empty up-ring frame releases
+        the parent's ``collect``."""
         nonlocal recorder
         try:
-            epoch_end = exchange.epoch_end(rank)
-            entries, _ = decode_entries(exchange.read_deliveries(rank))
+            epoch_end, entries = decode_deliveries(frame)
             deliver_cross_rank(psim, rank, entries)
             result = _timed_step(sim, epoch_end)
             result.outbox = drain_outbox(psim, rank)
@@ -710,96 +694,82 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
                     recorder.on_step(result, epoch_end)
                 except Exception:  # pragma: no cover - defensive
                     recorder = None
-            payload = encode_step(result)
-        except pickle.PicklingError as exc:
-            send_error(SimulationError(
-                f"rank {rank}: a cross-rank event is not serializable "
-                f"(events crossing ranks must be flat-encodable or "
-                f"picklable): {exc}"))
-            exchange.fail(rank)
-            return
+            try:
+                reply = encode_step(result)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise SimulationError(
+                    f"rank {rank}: a cross-rank event is not serializable "
+                    f"(events crossing ranks under the processes backend "
+                    f"must be picklable): {exc}") from None
         except Exception as exc:
             send_error(exc)
-            exchange.fail(rank)
+            if exchange is not None:
+                exchange.fail(rank)
             return
-        exchange.complete(rank, payload)
+        if exchange is None:
+            _send_msg(conn, ("ok", reply))
+        else:
+            exchange.complete(rank, reply)
 
-    def handle_control(msg) -> bool:
-        """Dispatch one pipe control command; False = stop the worker."""
-        cmd = msg[0]
-        if cmd == "snapshot":
-            _, shard_path = msg
+    def finish() -> Dict[str, Any]:
+        nonlocal recorder
+        sim.finish()
+        obs_payload = None
+        if recorder is not None:
             try:
-                from ..ckpt.state import capture_sim_state
-                from ..ckpt.snapshot import write_shard
-
-                state = capture_sim_state(
-                    sim, send_seq=psim._send_seq[rank][0])
-                meta = write_shard(shard_path, state)
-                meta["now"] = state["meta"]["now"]
-                _send_msg(conn, ("ok", meta))
-            except Exception as exc:
-                send_error(exc)
-        elif cmd == "finish":
-            nonlocal recorder
-            try:
-                sim.finish()
+                obs_payload = recorder.finish()
+            except Exception:  # pragma: no cover - defensive
                 obs_payload = None
-                if recorder is not None:
-                    try:
-                        obs_payload = recorder.finish()
-                    except Exception:  # pragma: no cover - defensive
-                        obs_payload = None
-                    recorder = None
-                payload = {
-                    "stats": harvest_stats(sim),
-                    "engine_stats": harvest_engine_stats(sim),
-                    "obs": obs_payload,
-                    "events_executed": sim._events_executed,
-                    "now": sim.now,
-                    "last_event_time": sim.last_event_time,
-                    "primaries_pending": sim.primaries_pending,
-                }
-                _send_msg(conn, ("ok", payload))
-            except Exception as exc:
-                send_error(exc)
-        elif cmd == "close":
-            return False
-        return True
+            recorder = None
+        return {
+            "stats": harvest_stats(sim),
+            "engine_stats": harvest_engine_stats(sim),
+            "obs": obs_payload,
+            "events_executed": sim._events_executed,
+            "now": sim.now,
+            "last_event_time": sim.last_event_time,
+            "primaries_pending": sim.primaries_pending,
+        }
+
+    def next_command() -> tuple:
+        """Block until the parent's next command.
+
+        Everything is a pickled pipe message under ``transport="pipe"``.
+        Under shm an epoch is announced by the rank's command counter
+        and its delivery frame read off the down ring; the pipe is
+        polled between spins so control commands still land mid-run.
+        """
+        if exchange is None:
+            return _recv_msg(conn)
+        spins = 0
+        while True:
+            if exchange.posted(rank):
+                return ("step", exchange.read_deliveries(rank))
+            if conn.poll(0):
+                return _recv_msg(conn)
+            spins += 1
+            _wall_time.sleep(0 if spins < 100 else 0.0002)
 
     try:
-        if exchange is None:
-            while True:
-                try:
-                    msg = _recv_msg(conn)
-                except (EOFError, OSError):
-                    return
-                if msg[0] == "step":
-                    run_step_pipe(msg[1], msg[2])
-                elif not handle_control(msg):
-                    return
-        else:
-            # shm transport: steps arrive as counter bumps; the pipe is
-            # polled between spins so control commands still land.
-            last_cmd = 0
-            spins = 0
-            while True:
-                if exchange.cmd_seq(rank) > last_cmd:
-                    last_cmd += 1
-                    spins = 0
-                    run_step_shm()
-                    continue
-                try:
-                    if conn.poll(0):
-                        msg = _recv_msg(conn)
-                        spins = 0
-                        if not handle_control(msg):
-                            return
-                        continue
-                except (EOFError, OSError):
-                    return
-                spins += 1
-                _wall_time.sleep(0 if spins < 100 else 0.0002)
+        while True:
+            try:
+                msg = next_command()
+            except (EOFError, OSError):
+                return
+            cmd = msg[0]
+            if cmd == "close":
+                return
+            if cmd == "step":
+                run_step(msg[1])
+                continue
+            try:
+                if cmd == "snapshot":
+                    reply = _write_rank_shard(psim, rank, msg[1])
+                else:  # "finish"
+                    reply = finish()
+                _send_msg(conn, ("ok", reply))
+            except Exception as exc:
+                send_error(exc)
     finally:
         if exchange is not None:
             exchange.close()
@@ -812,7 +782,6 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
 #: Registry used by ParallelSimulation(backend="...") and the CLI.
 BACKENDS: Dict[str, Callable[["ParallelSimulation"], ExecutionBackend]] = {
     "serial": SerialBackend,
-    "threads": ThreadsBackend,
     "processes": ProcessesBackend,
 }
 
@@ -846,8 +815,8 @@ class JobPool:
     The coarse-grained sibling of :class:`ExecutionBackend`: where a
     backend parallelises ranks *within* one simulation, a job pool
     parallelises *whole simulations* (design-space sweep points).  The
-    substrate names match (``serial`` / ``threads`` / ``processes``),
-    and ``processes`` is again the one that scales past the GIL.
+    substrate names match (``serial`` / ``processes``), and
+    ``processes`` is again the one that leaves the GIL.
     """
 
     name = "base"
@@ -871,19 +840,6 @@ class SerialJobPool(JobPool):
 
     def map(self, fn, items):
         return [fn(item) for item in items]
-
-
-class ThreadsJobPool(JobPool):
-    name = "threads"
-
-    def __init__(self, jobs: int):
-        self._pool = ThreadPoolExecutor(max_workers=jobs)
-
-    def map(self, fn, items):
-        return list(self._pool.map(fn, items))
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 class ProcessesJobPool(JobPool):
@@ -918,10 +874,8 @@ def make_job_pool(backend: str = "serial",
     jobs = jobs if jobs is not None else default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend == "serial" or jobs == 1 and backend != "processes":
+    if backend == "serial":
         return SerialJobPool()
-    if backend == "threads":
-        return ThreadsJobPool(jobs)
     if backend == "processes":
         return ProcessesJobPool(jobs)
     raise ValueError(

@@ -9,7 +9,6 @@ configuration bit-for-bit deterministic.
 
 from __future__ import annotations
 
-import importlib
 import pickle
 import struct
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
@@ -220,10 +219,6 @@ class EventRecord:
 # kernel paths release after dispatch; the instrumented path never
 # releases, because trace/span observers receive the record's fields and
 # may retain the event, and future observers could retain the record.
-#
-# Thread safety: list.append and list.pop are atomic under the GIL, so
-# concurrent rank threads (ThreadsBackend) may share the pool; the
-# acquire path tolerates losing a race with try/except IndexError.
 
 _RECORD_POOL: List[EventRecord] = []
 #: free-list size cap — beyond this, released records are left to the GC
@@ -271,206 +266,27 @@ def record_pool_size() -> int:
 
 
 # ----------------------------------------------------------------------
-# Flat event codec — the shared-memory exchange fast path
+# Outbox-entry batches — the cross-rank exchange payload
 # ----------------------------------------------------------------------
-# The shm transport (repro.core.shm) moves outbox entries between ranks
-# as framed byte slots.  Pickling every event would reintroduce most of
-# the pipe transport's serialization cost, so the common case — a
-# library event whose payload is a handful of scalar slots — is encoded
-# flat: class token (module:qualname) + one (tag, value) pair per slot.
-# Any event whose class or slot values fall outside that shape falls
-# back to a whole-event pickle, transparently.  Both sides of the codec
-# run in processes forked from the same interpreter, so class resolution
-# by importable name shares pickle's trust and compatibility model.
+# An epoch's entries for one rank cross the process boundary as ONE
+# pickle of the whole list: pickle memoizes the event classes across
+# the batch, which measured both smaller and faster than a per-event
+# hand-written slot encoding (docs/PERFORMANCE.md).  Both sides run in
+# processes forked from the same interpreter, so this only ever
+# unpickles bytes this program wrote.
 
-_EVK_PICKLE = 0  #: event blob kind: length-prefixed pickle
-_EVK_FLAT = 1    #: event blob kind: flat slot encoding
-
-_TAG_NONE = 0
-_TAG_FALSE = 1
-_TAG_TRUE = 2
-_TAG_INT = 3      # fits in a signed 64-bit value
-_TAG_FLOAT = 4
-_TAG_STR = 5
-_TAG_BYTES = 6
-_TAG_MISSING = 7  # slot never assigned on the source event
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-#: outbox entry header: time, priority, link_id, dest_rank, send_seq
-_ENTRY_HEAD = struct.Struct("<qiiiq")
-
-#: class -> (token bytes, slot tuple), or None when not flat-encodable
-_FLAT_ENCODE_CACHE: Dict[type, Optional[Tuple[bytes, Tuple[str, ...]]]] = {}
-#: token bytes -> (class, slot tuple)
-_FLAT_DECODE_CACHE: Dict[bytes, Tuple[type, Tuple[str, ...]]] = {}
-
-
-def _resolve_class(token: str) -> type:
-    module_name, _, qualname = token.partition(":")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def _flat_class_info(cls: type) -> Optional[Tuple[bytes, Tuple[str, ...]]]:
-    """(token, slots) when ``cls`` qualifies for flat encoding, else None.
-
-    Qualifies = resolvable by ``module:qualname`` back to the same class
-    (rules out dynamically created classes), fully ``__slots__``-based
-    (no instance ``__dict__`` whose attributes the slot walk would
-    drop), and at most 255 slots (the wire count is one byte).
-    """
-    try:
-        return _FLAT_ENCODE_CACHE[cls]
-    except KeyError:
-        pass
-    info: Optional[Tuple[bytes, Tuple[str, ...]]] = None
-    token = f"{cls.__module__}:{cls.__qualname__}"
-    try:
-        resolved = _resolve_class(token)
-    except Exception:
-        resolved = None
-    if resolved is cls and getattr(cls, "__dictoffset__", 1) == 0:
-        slots = _SLOTS_BY_CLASS.get(cls) or _collect_slots(cls)
-        if len(slots) <= 255:
-            info = (token.encode("utf-8"), slots)
-    _FLAT_ENCODE_CACHE[cls] = info
-    return info
-
-
-def encode_event(event: Any) -> bytes:
-    """One event as a self-delimiting blob (flat fast path or pickle)."""
-    info = _flat_class_info(type(event))
-    if info is not None:
-        token, slots = info
-        out = bytearray((_EVK_FLAT,))
-        out += _U16.pack(len(token))
-        out += token
-        out.append(len(slots))
-        for name in slots:
-            try:
-                value = getattr(event, name)
-            except AttributeError:
-                out.append(_TAG_MISSING)
-                continue
-            vtype = type(value)
-            if value is None:
-                out.append(_TAG_NONE)
-            elif vtype is bool:
-                out.append(_TAG_TRUE if value else _TAG_FALSE)
-            elif vtype is int and _INT64_MIN <= value <= _INT64_MAX:
-                out.append(_TAG_INT)
-                out += _I64.pack(value)
-            elif vtype is float:
-                out.append(_TAG_FLOAT)
-                out += _F64.pack(value)
-            elif vtype is str:
-                raw = value.encode("utf-8")
-                out.append(_TAG_STR)
-                out += _U32.pack(len(raw))
-                out += raw
-            elif vtype is bytes:
-                out.append(_TAG_BYTES)
-                out += _U32.pack(len(value))
-                out += value
-            else:
-                break  # non-flat slot value: fall through to pickle
-        else:
-            return bytes(out)
-    blob = pickle.dumps(event, pickle.HIGHEST_PROTOCOL)
-    return bytes((_EVK_PICKLE,)) + _U32.pack(len(blob)) + blob
-
-
-def decode_event(buf: bytes, offset: int = 0) -> Tuple[Any, int]:
-    """Inverse of :func:`encode_event`; returns ``(event, next_offset)``."""
-    kind = buf[offset]
-    offset += 1
-    if kind == _EVK_PICKLE:
-        (length,) = _U32.unpack_from(buf, offset)
-        offset += 4
-        event = pickle.loads(buf[offset:offset + length])
-        return event, offset + length
-    if kind != _EVK_FLAT:
-        raise ValueError(f"corrupt event blob: unknown kind {kind}")
-    (token_len,) = _U16.unpack_from(buf, offset)
-    offset += 2
-    token = bytes(buf[offset:offset + token_len])
-    offset += token_len
-    n_slots = buf[offset]
-    offset += 1
-    try:
-        cls, slots = _FLAT_DECODE_CACHE[token]
-    except KeyError:
-        cls = _resolve_class(token.decode("utf-8"))
-        slots = _SLOTS_BY_CLASS.get(cls) or _collect_slots(cls)
-        _FLAT_DECODE_CACHE[token] = (cls, slots)
-    if n_slots != len(slots):
-        raise ValueError(
-            f"flat event {token.decode('utf-8')!r} carries {n_slots} slots, "
-            f"local class has {len(slots)} — sender/receiver class skew")
-    event = cls.__new__(cls)
-    for name in slots:
-        tag = buf[offset]
-        offset += 1
-        if tag == _TAG_MISSING:
-            continue
-        if tag == _TAG_NONE:
-            value: Any = None
-        elif tag == _TAG_FALSE:
-            value = False
-        elif tag == _TAG_TRUE:
-            value = True
-        elif tag == _TAG_INT:
-            (value,) = _I64.unpack_from(buf, offset)
-            offset += 8
-        elif tag == _TAG_FLOAT:
-            (value,) = _F64.unpack_from(buf, offset)
-            offset += 8
-        elif tag == _TAG_STR:
-            (length,) = _U32.unpack_from(buf, offset)
-            offset += 4
-            value = bytes(buf[offset:offset + length]).decode("utf-8")
-            offset += length
-        elif tag == _TAG_BYTES:
-            (length,) = _U32.unpack_from(buf, offset)
-            offset += 4
-            value = bytes(buf[offset:offset + length])
-            offset += length
-        else:
-            raise ValueError(f"corrupt event blob: unknown slot tag {tag}")
-        setattr(event, name, value)
-    return event, offset
+_BATCH_LEN = struct.Struct("<I")
 
 
 def encode_entries(entries: List[Tuple]) -> bytes:
-    """Encode outbox entries ``(time, priority, link_id, dest_rank,
-    send_seq, event)`` as one frame payload."""
-    out = bytearray(_U32.pack(len(entries)))
-    pack_head = _ENTRY_HEAD.pack
-    for (time, priority, link_id, dest_rank, send_seq, event) in entries:
-        out += pack_head(time, priority, link_id, dest_rank, send_seq)
-        out += encode_event(event)
-    return bytes(out)
+    """Outbox entries ``(time, priority, link_id, dest_rank, send_seq,
+    event)`` as one length-prefixed batch pickle."""
+    blob = pickle.dumps(entries, pickle.HIGHEST_PROTOCOL)
+    return _BATCH_LEN.pack(len(blob)) + blob
 
 
 def decode_entries(buf: bytes, offset: int = 0) -> Tuple[List[Tuple], int]:
     """Inverse of :func:`encode_entries`; returns ``(entries, next_offset)``."""
-    (count,) = _U32.unpack_from(buf, offset)
-    offset += 4
-    unpack_head = _ENTRY_HEAD.unpack_from
-    head_size = _ENTRY_HEAD.size
-    entries: List[Tuple] = []
-    append = entries.append
-    for _ in range(count):
-        time, priority, link_id, dest_rank, send_seq = unpack_head(buf, offset)
-        offset += head_size
-        event, offset = decode_event(buf, offset)
-        append((time, priority, link_id, dest_rank, send_seq, event))
-    return entries, offset
+    (length,) = _BATCH_LEN.unpack_from(buf, offset)
+    offset += _BATCH_LEN.size
+    return pickle.loads(buf[offset:offset + length]), offset + length

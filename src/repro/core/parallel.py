@@ -15,10 +15,9 @@ layers (see docs/ARCHITECTURE.md):
 * the **sync strategy** (:mod:`repro.core.sync`) computes epoch windows
   and orders the cross-rank exchange deterministically;
 * the **execution backend** (:mod:`repro.core.backends`) decides where
-  the per-rank kernels run: ``serial`` (reference, calling thread),
-  ``threads`` (GIL-bound, protocol scaling only) or ``processes``
-  (forked per-rank workers exchanging serialized event batches over
-  pipes — true multi-core scaling).
+  the per-rank kernels run: ``serial`` (reference, calling thread) or
+  ``processes`` (forked per-rank workers exchanging epoch frames over
+  pipes or shared memory — true multi-core scaling).
 
 :class:`ParallelSimulation` composes the three: it owns the per-rank
 :class:`Simulation` objects and the cross-rank link table, drives the
@@ -186,8 +185,8 @@ class ParallelSimulation:
             )
         self.num_ranks = num_ranks
         self.backend = backend
-        #: processes-backend data plane: "pipe" (pickled batches) or
-        #: "shm" (shared-memory rings; in-process backends ignore it)
+        #: processes-backend data plane: epoch frames over "pipe" or
+        #: "shm" (shared-memory rings); the serial backend ignores it
         self.transport = transport
         self.sync_name = sync
         self.seed = seed
@@ -222,8 +221,8 @@ class ParallelSimulation:
         self._epoch_observers: List[Callable[[EpochInfo], None]] = []
         # outboxes[src_rank][dest_rank] = list of (time, priority, link_id,
         # dest_rank, send_seq, event) — batched per destination so each
-        # epoch flushes one batch per receiving rank (one pickled pipe
-        # write under the processes backend) instead of per-event sends.
+        # epoch flushes one batch per receiving rank (one frame under
+        # the processes backend) instead of per-event sends.
         self._outboxes: List[List[List[Tuple[SimTime, int, int, int, int, Event]]]] = [
             [[] for _ in range(num_ranks)] for _ in range(num_ranks)
         ]
@@ -422,8 +421,7 @@ class ParallelSimulation:
         per-rank :class:`~repro.core.backends.RankStep` results into
         engine statistics, epoch observers and the final result.  The
         backend is created per run and closed in a ``finally`` block,
-        so a model exception mid-epoch can never leak a thread pool or
-        worker processes.
+        so a model exception mid-epoch can never leak worker processes.
 
         With ``checkpoint_every`` (simulated-time interval), a
         `repro.ckpt` snapshot is written into ``checkpoint_dir`` at the
@@ -441,7 +439,7 @@ class ParallelSimulation:
                 f"cannot resume a processes-backend run stopped on "
                 f"{self._unresumable!r}: per-rank queues died with the "
                 f"worker processes.  Run to completion, or use the "
-                f"'serial'/'threads' backend for resumable limited runs."
+                f"'serial' backend for resumable limited runs."
             )
         if not self._setup_done:
             self.setup()
@@ -647,19 +645,10 @@ class ParallelSimulation:
         return {key: stat.value() for key, stat in self.sync_stats().items()}
 
     def close(self) -> None:
-        """Release the execution substrate (pool / worker processes)."""
+        """Release the execution substrate (worker processes)."""
         if self._backend is not None:
             self._backend.close()
             self._backend = None
-
-    @property
-    def _pool(self):
-        """Back-compat shim for code that poked the old thread pool.
-
-        The pool now lives on the threads execution backend; outside a
-        run (or under other backends) there is none and this is None.
-        """
-        return getattr(self._backend, "_pool", None)
 
     def __enter__(self) -> "ParallelSimulation":
         return self

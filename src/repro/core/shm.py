@@ -1,18 +1,16 @@
 """Shared-memory epoch exchange for the processes backend.
 
-The pipe transport pays one pickled round-trip per rank per epoch —
-wakeup, framing and serialization costs that dominate fine-grained
-epochs.  This module replaces the *data plane* with
-``multiprocessing.shared_memory``:
+The pipe transport pays one blocking pipe round-trip (a wakeup each
+way) per rank per epoch.  This module moves the same epoch frames
+through ``multiprocessing.shared_memory`` instead:
 
 * **one segment for the run**, carved into per-rank regions.  Each
   region holds a control block (epoch counters) plus two single-writer
   byte rings: a *down* ring (parent → worker: this epoch's deliveries)
   and an *up* ring (worker → parent: the step result and outbox);
-* **framed slots** on the rings carry flat-encoded outbox entries
-  ``(time, priority, link_id, dest_rank, send_seq, payload)`` — see the
-  flat event codec in :mod:`repro.core.event` (pickle fallback for
-  arbitrary payloads);
+* **length-prefixed frames** on the rings carry opaque bytes — the
+  epoch frames of :mod:`repro.core.backends`, the same ones the pipe
+  transport sends (this module never looks inside them);
 * **the barrier is a counter spin**: the parent bumps a per-rank
   ``cmd`` counter to open an epoch and waits on the worker's ``done``
   counter — a few dozen shared-memory reads plus a short sleep instead
@@ -40,32 +38,28 @@ monotonic, so each side keeps a process-local copy of the largest
 value it has proven and treats any read below it (or otherwise
 impossible, e.g. a ring occupancy above the capacity) as "no news
 yet": wait and re-read.  A side's *own* counters are never re-read
-from shared memory at all.  ``epoch_end`` is published with a ``+1``
-bias so a transient zero is distinguishable from a real window end.
+from shared memory at all.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import struct
 import time as _wall_time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from .simulation import SimulationError
 
-__all__ = ["RingBuffer", "ShmExchange", "encode_step", "decode_step",
-           "DEFAULT_RING_CAPACITY"]
+__all__ = ["RingBuffer", "ShmExchange", "DEFAULT_RING_CAPACITY"]
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_I64 = struct.Struct("<q")
 
-#: per-direction ring capacity in bytes (``REPRO_SHM_RING_BYTES`` overrides).
+#: per-direction ring capacity in bytes; frames larger than the ring
+#: stream through it, so this bounds memory, not batch size.
 DEFAULT_RING_CAPACITY = 1 << 20
 
-#: control block per rank: cmd_seq(u64), done_seq(u64), epoch_end(i64),
-#: err_flag(u64) — padded to a cache line so ranks never share one.
+#: control block per rank: cmd_seq(u64), done_seq(u64) — padded to a
+#: cache line so ranks never share one.
 _CTRL_SIZE = 64
 #: ring header: head(u64, producer-owned) + tail(u64, consumer-owned),
 #: cache-line padded for the same reason.
@@ -224,12 +218,9 @@ class ShmExchange:
     """
 
     def __init__(self, num_ranks: int,
-                 ring_capacity: Optional[int] = None):
+                 ring_capacity: int = DEFAULT_RING_CAPACITY):
         from multiprocessing import shared_memory
 
-        if ring_capacity is None:
-            ring_capacity = int(os.environ.get("REPRO_SHM_RING_BYTES", 0)
-                                ) or DEFAULT_RING_CAPACITY
         self.num_ranks = num_ranks
         self.ring_capacity = ring_capacity
         self._per_rank = _CTRL_SIZE + 2 * (_RING_HEADER + ring_capacity)
@@ -250,9 +241,6 @@ class ShmExchange:
         self._up = [RingBuffer(self.buf, r * self._per_rank + _CTRL_SIZE
                                + _RING_HEADER + ring_capacity,
                                ring_capacity) for r in range(num_ranks)]
-        #: parent-side traffic counters (bytes of frame payload + framing)
-        self.bytes_posted = 0
-        self.bytes_collected = 0
         # Process-local copies of the counters each side owns: the
         # parent's cmd sequence and the workers' done sequences are
         # written to shared memory for the *other* side and never read
@@ -271,78 +259,53 @@ class ShmExchange:
     def done_seq(self, rank: int) -> int:
         return _U64.unpack_from(self.buf, self._ctrl(rank) + 8)[0]
 
-    def epoch_end(self, rank: int) -> int:
-        """The posted window end (stored ``+1`` so zero means "not yet
-        visible" and a transient zero-page read just retries)."""
-        off = self._ctrl(rank) + 16
-        spins = 0
-        while True:
-            (raw,) = _I64.unpack_from(self.buf, off)
-            if raw:
-                return raw - 1
-            spins += 1
-            _wall_time.sleep(0 if spins < _SPIN_BEFORE_SLEEP else _SLEEP_S)
-
-    def err_flag(self, rank: int) -> int:
-        return _U64.unpack_from(self.buf, self._ctrl(rank) + 24)[0]
-
     # parent side ------------------------------------------------------
-    def post(self, rank: int, epoch_end: int, payload: bytes,
+    def post(self, rank: int, payload: bytes,
              alive_check: Optional[Callable[[], bool]] = None) -> None:
-        """Open an epoch for ``rank``: publish the window end, bump the
-        command counter, then stream the delivery frame (the counter is
-        bumped *first* so the worker consumes concurrently — frames
-        larger than the ring cannot deadlock)."""
-        base = self._ctrl(rank)
-        _I64.pack_into(self.buf, base + 16, epoch_end + 1)
+        """Open an epoch for ``rank``: bump the command counter, then
+        stream the delivery frame (the counter is bumped *first* so the
+        worker consumes concurrently — frames larger than the ring
+        cannot deadlock)."""
         self._cmd[rank] += 1
-        _U64.pack_into(self.buf, base, self._cmd[rank])
+        _U64.pack_into(self.buf, self._ctrl(rank), self._cmd[rank])
         self._down[rank].write_frame(
             payload, _make_waiter(alive_check, f"rank {rank} worker"))
-        self.bytes_posted += len(payload) + 4
 
     def collect(self, rank: int,
                 alive_check: Optional[Callable[[], bool]] = None,
                 ) -> Optional[bytes]:
         """Wait for ``rank``'s epoch completion and return its step
-        frame, or ``None`` when the worker flagged an error (the actual
-        exception is waiting on the control pipe)."""
+        frame, or ``None`` when the worker reported a failure (the
+        actual exception is waiting on the control pipe)."""
         wait = _make_waiter(alive_check, f"rank {rank} worker")
         target = self._cmd[rank]
         while self.done_seq(rank) < target:
             wait()
-        # The frame is read unconditionally: fail() writes an empty
-        # sentinel frame, so a transiently-zero err_flag read cannot
-        # strand the parent waiting for a result that never comes.
-        blob = self._up[rank].read_frame(
-            _make_waiter(alive_check, f"rank {rank} worker"))
-        if self.err_flag(rank) or not blob:
-            _U64.pack_into(self.buf, self._ctrl(rank) + 24, 0)
-            return None
-        self.bytes_collected += len(blob) + 4
-        return blob
+        # An empty frame is fail()'s no-result sentinel.
+        return self._up[rank].read_frame(
+            _make_waiter(alive_check, f"rank {rank} worker")) or None
 
     # worker side ------------------------------------------------------
+    def posted(self, rank: int) -> bool:
+        """True when the parent has opened an epoch this worker has not
+        yet completed (a transient-zero counter read says "not yet")."""
+        return self.cmd_seq(rank) > self._done[rank]
+
     def read_deliveries(self, rank: int) -> bytes:
         return self._down[rank].read_frame(_make_waiter(what="parent"))
 
     def complete(self, rank: int, payload: bytes) -> None:
         """Report epoch completion: bump ``done`` first, then stream the
         result frame (mirror of :meth:`post`, same no-deadlock shape)."""
-        base = self._ctrl(rank)
         self._done[rank] += 1
-        _U64.pack_into(self.buf, base + 8, self._done[rank])
+        _U64.pack_into(self.buf, self._ctrl(rank) + 8, self._done[rank])
         self._up[rank].write_frame(payload, _make_waiter(what="parent"))
 
     def fail(self, rank: int) -> None:
         """Report epoch failure: the error itself travels over the
-        control pipe; the flag (set before the ``done`` bump) plus an
-        empty sentinel frame tell the parent there is no result."""
-        base = self._ctrl(rank)
-        _U64.pack_into(self.buf, base + 24, 1)
-        self._done[rank] += 1
-        _U64.pack_into(self.buf, base + 8, self._done[rank])
-        self._up[rank].write_frame(b"", _make_waiter(what="parent"))
+        control pipe; an empty frame (a step frame never is) tells the
+        parent there is no result."""
+        self.complete(rank, b"")
 
     # lifecycle --------------------------------------------------------
     def close(self, *, unlink: bool = False) -> None:
@@ -363,64 +326,3 @@ class ShmExchange:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover
                 pass
-
-
-# ----------------------------------------------------------------------
-# step-result framing (worker -> parent, rides the up ring)
-# ----------------------------------------------------------------------
-
-#: wall_s, events, next_time (-1 = drained), primaries_pending,
-#: last_event_time, now, has_obs
-_STEP_META = struct.Struct("<dqqqqqB")
-
-
-def encode_step(result) -> bytes:
-    """One :class:`~repro.core.backends.RankStep` as an up-ring frame:
-    struct-packed metadata, the flat-encoded outbox (flattened across
-    destinations — entries carry their dest rank), and an optional
-    pickled batch of rank-local telemetry records."""
-    from .event import encode_entries
-
-    flat = []
-    if result.outbox:
-        for bucket in result.outbox:
-            flat.extend(bucket)
-    obs_blob = b""
-    has_obs = 0
-    if result.obs_records:
-        obs_blob = pickle.dumps(result.obs_records, pickle.HIGHEST_PROTOCOL)
-        has_obs = 1
-    next_time = -1 if result.next_time is None else result.next_time
-    meta = _STEP_META.pack(result.wall_seconds, result.events, next_time,
-                           result.primaries_pending, result.last_event_time,
-                           result.now, has_obs)
-    blob = meta + encode_entries(flat)
-    if has_obs:
-        blob += _U32.pack(len(obs_blob)) + obs_blob
-    return blob
-
-
-def decode_step(blob: bytes, num_ranks: int):
-    """Inverse of :func:`encode_step`; rebuilds the per-destination
-    outbox buckets (entry order within each destination is preserved —
-    the flatten walked destinations in order)."""
-    from .backends import RankStep
-    from .event import decode_entries
-
-    (wall, events, next_time, primaries, last_event, now,
-     has_obs) = _STEP_META.unpack_from(blob)
-    entries, offset = decode_entries(blob, _STEP_META.size)
-    outbox: List[List[Tuple]] = []
-    if entries:
-        outbox = [[] for _ in range(num_ranks)]
-        for entry in entries:
-            outbox[entry[3]].append(entry)
-    obs_records = None
-    if has_obs:
-        (obs_len,) = _U32.unpack_from(blob, offset)
-        offset += 4
-        obs_records = pickle.loads(blob[offset:offset + obs_len])
-    return RankStep(wall_seconds=wall, events=events, outbox=outbox,
-                    next_time=None if next_time < 0 else next_time,
-                    primaries_pending=primaries, last_event_time=last_event,
-                    now=now, obs_records=obs_records)

@@ -253,8 +253,8 @@ def sweep(workloads: Sequence[str] = PAPER_WORKLOADS,
 
     Points are independent simulations, so the sweep rides the engine's
     job-pool layer: ``backend`` selects the substrate (``serial`` /
-    ``threads`` / ``processes``; processes is the one that scales past
-    the GIL) and ``jobs`` bounds its width (default: usable CPU count).
+    ``processes``; processes is the one that leaves the GIL) and
+    ``jobs`` bounds its width (default: usable CPU count).
 
     ``cache_dir`` enables per-point result caching keyed by the
     config-graph hash plus the non-graph evaluation inputs (seed,

@@ -36,7 +36,7 @@ Attachment paths:
 
 * a plain :class:`Simulation` — :class:`CausalCapture` wraps it
   directly (rank 0 shard);
-* a :class:`ParallelSimulation` on the serial/threads backends — one
+* a :class:`ParallelSimulation` on the serial backend — one
   in-process tracer per rank;
 * the processes backend — the capture request travels on the
   :class:`~repro.obs.rank_stream.RankStreamPlan` (``causal_base``) and

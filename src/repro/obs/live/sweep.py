@@ -3,7 +3,7 @@
 A sweep evaluates independent design points on a job pool; this module
 gives the fleet the same live plane a single run gets.  The parent
 creates a ``KIND_SWEEP`` segment with one fixed slot per point; each
-pool worker (same process for serial/threads pools, forked process for
+pool worker (same process for the serial pool, forked process for
 the processes pool — every slot still has exactly one writer, the
 worker evaluating that point) marks its slot *running* at pickup and
 *done*/*failed* with the evaluation wall time at completion.  Readers

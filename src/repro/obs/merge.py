@@ -21,7 +21,7 @@ readings (``mono_s``) — CLOCK_MONOTONIC is system-wide on Linux, so the
 streams share a timebase; the merge subtracts the minimum ``mono_s``
 seen anywhere so the merged trace starts at t=0.
 
-Runs without shards (serial/threads backends, or shard-less pipe mode
+Runs without shards (the serial backend, or shard-less pipe mode
 where rank records land inline in the parent stream) still merge: rank
 lanes are synthesized from the parent's ``per_rank_wall_s`` when no
 rank-local epoch records exist.
@@ -257,7 +257,7 @@ def merge_trace(artifacts: RunArtifacts, *,
                     "args": {"queued": record.get("queued", 0)},
                 })
 
-    # Ranks with no rank-local epoch records (serial/threads backends,
+    # Ranks with no rank-local epoch records (serial backend,
     # missing shard): synthesize their epoch lane from the parent's
     # per-rank walls so every rank still gets a lane.
     parent_epochs = artifacts.epochs
@@ -379,7 +379,7 @@ def _causal_flows(artifacts: RunArtifacts, us, tid) -> Tuple[List[Dict[str, Any]
     simulated time (``window_end_ps``) onto the wall-clock span of the
     epoch that executed it, and the arrow endpoints are pinned inside
     those spans so Perfetto binds them.  Ranks without ``rank_epoch``
-    records (serial/threads backends) have no wall-clock anchor and
+    records (the serial backend) have no wall-clock anchor and
     contribute no arrows.
     """
     from .causal import find_causal_shards

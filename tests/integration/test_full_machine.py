@@ -142,12 +142,12 @@ class TestAppMachineParallel:
         assert par_result.reason == "exit"
         _assert_equivalent(seq.stat_values(), par.stat_values())
 
-    def test_threads_backend_on_app_machine(self):
+    def test_processes_backend_on_app_machine(self):
         graph = build_app_machine("miniapps.Charon", 8, iterations=2)
         seq = build(graph, seed=4)
         seq.run()
         graph2 = build_app_machine("miniapps.Charon", 8, iterations=2)
-        with build_parallel(graph2, 2, backend="threads", seed=4) as par:
+        with build_parallel(graph2, 2, backend="processes", seed=4) as par:
             par.run()
             _assert_equivalent(seq.stat_values(), par.stat_values())
 

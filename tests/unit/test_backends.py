@@ -1,9 +1,9 @@
 """Tests for the engine's layered execution stack.
 
-Covers the three execution backends (serial / threads / processes) and
-the coarse-grained job pools: stat equivalence on the same partitioned
-graph, worker error propagation, resource cleanup on failure, and the
-per-rank engine RNG streams.
+Covers the two execution backends (serial / processes, the latter on
+both transports) and the coarse-grained job pools: stat equivalence on
+the same partitioned graph, worker error propagation, resource cleanup
+on failure, and the per-rank engine RNG streams.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from repro.core import (Component, Event, Params, ParallelSimulation,
                         Simulation, SimulationError)
 from repro.core.backends import (BACKENDS, JobPool, default_jobs,
                                  make_backend, make_job_pool)
+from repro.core.parallel import TRANSPORTS
 from tests.conftest import PingPong, Sink, Source
 
 ALL_BACKENDS = sorted(BACKENDS)
@@ -86,7 +87,8 @@ class TestBackendEquivalence:
 
 
 class TestProcessesBackend:
-    def test_exception_propagates(self):
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_exception_propagates(self, transport):
         class Exploder(Component):
             def setup(self):
                 self.schedule(1000, self._boom)
@@ -94,15 +96,18 @@ class TestProcessesBackend:
             def _boom(self, _):
                 raise RuntimeError("model bug")
 
-        psim = ParallelSimulation(2, seed=1, backend="processes")
+        psim = ParallelSimulation(2, seed=1, backend="processes",
+                                  transport=transport)
         Exploder(psim.rank_sim(0), "x")
         Sink(psim.rank_sim(1), "s")
         with pytest.raises(RuntimeError, match="model bug"):
             psim.run()
         assert psim._backend is None  # workers reaped despite the failure
 
-    def test_unpicklable_cross_rank_event_raises(self):
-        psim = ParallelSimulation(2, seed=1, backend="processes")
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_unpicklable_cross_rank_event_raises(self, transport):
+        psim = ParallelSimulation(2, seed=1, backend="processes",
+                                  transport=transport)
         relay = Relay(psim.rank_sim(0), "relay")
         sink = Sink(psim.rank_sim(1), "sink")
         psim.connect(relay, "out", sink, "in", latency="3ns")
@@ -120,8 +125,8 @@ class TestProcessesBackend:
         with pytest.raises(SimulationError, match="cannot resume"):
             psim.run()
 
-    def test_threads_backend_resumes_after_limit(self):
-        psim = ParallelSimulation(2, seed=1, backend="threads")
+    def test_serial_backend_resumes_after_limit(self):
+        psim = ParallelSimulation(2, seed=1, backend="serial")
         a = PingPong(psim.rank_sim(0), "ping",
                      Params({"initiator": True, "n_round_trips": 12}))
         b = PingPong(psim.rank_sim(1), "pong", Params({}))
@@ -152,7 +157,6 @@ class TestCleanupOnFailure:
         with pytest.raises(RuntimeError, match="model bug"):
             psim.run()
         assert psim._backend is None
-        assert psim._pool is None
 
 
 class TestRankSeeds:
@@ -191,13 +195,10 @@ class TestJobPools:
         with make_job_pool(backend, jobs=2) as pool:
             assert pool.map(_square, range(8)) == [x * x for x in range(8)]
 
-    def test_serial_fallback_for_single_job(self):
-        pool = make_job_pool("threads", jobs=1)
-        assert pool.name == "serial"
-
-    def test_unknown_pool_backend_raises(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unknown_pool_backend_raises(self, jobs):
         with pytest.raises(ValueError, match="unknown job-pool backend"):
-            make_job_pool("gpu", jobs=2)
+            make_job_pool("gpu", jobs=jobs)
 
     def test_invalid_jobs_raises(self):
         with pytest.raises(ValueError, match="jobs must be"):

@@ -8,12 +8,10 @@ on every execution backend.  These tests pin that contract with a mixed
 clocked+link workload:
 
 * run-to-run: the same partitioned graph, run twice per backend, yields
-  bit-identical per-rank pop traces (serial/threads, where the rank
-  engines are observable in-process) and bit-identical final stats
-  (all three backends, including processes where the trace stays in the
-  forked workers);
-* cross-backend: serial and threads produce the *same* trace, and every
-  backend produces the same stats;
+  bit-identical per-rank pop traces (serial, where the rank engines are
+  observable in-process) and bit-identical final stats (both backends,
+  including processes where the trace stays in the forked workers);
+* cross-backend: every backend produces the same stats;
 * arbiter ablation: arbiter-on and arbiter-off runs of one sequential
   simulation agree on everything observable — stats, end time, executed
   events, and the ordered non-tick event sequence — even though their
@@ -99,7 +97,7 @@ def run_parallel_traced(backend: str):
     return traces, psim.stat_values(), summary
 
 
-class TestThreeBackendDeterminism:
+class TestBackendDeterminism:
     def test_run_to_run_traces_and_stats(self):
         """PR 4 acceptance: two runs per backend, identical
         (time, priority, seq) traces and identical final stats."""
@@ -116,12 +114,10 @@ class TestThreeBackendDeterminism:
             else:
                 assert first == second, backend
             runs[backend] = first
-        # Cross-backend: identical stats and result summary everywhere,
-        # identical per-rank traces wherever they are observable.
+        # Cross-backend: identical stats and result summary everywhere.
         for backend in ALL_BACKENDS:
             assert runs[backend][1] == runs["serial"][1], backend
             assert runs[backend][2] == runs["serial"][2], backend
-        assert runs["threads"][0] == runs["serial"][0]
 
     def test_trace_is_nonempty_and_ordered(self):
         """Sanity on the harness itself: the proxy actually records, and
@@ -202,14 +198,21 @@ class TestTransportSyncDeterminism:
                   for sync in ("conservative", "adaptive")]
         combos += [("processes", "shm", "conservative"),
                    ("processes", "shm", "adaptive")]
+        moved = {}
         for backend, transport, sync in combos:
-            traces, stats, inv, _ = self._run(backend, transport, sync)
+            traces, stats, inv, result = self._run(backend, transport, sync)
             assert stats == ref_stats, (backend, transport, sync)
             assert inv == ref_inv, (backend, transport, sync)
             if backend != "processes":
                 # Forked workers keep their traces; in-process engines
                 # must pop the exact reference sequence.
                 assert traces == ref_traces, (backend, transport, sync)
+            else:
+                moved[transport, sync] = result.exchange_bytes
+        # Both transports move the same frames, so they account the
+        # same bytes.
+        for sync in ("conservative", "adaptive"):
+            assert moved["pipe", sync] == moved["shm", sync] > 0, sync
 
     def test_adaptive_never_adds_epochs(self):
         conservative = self._run("serial", sync="conservative")[3]

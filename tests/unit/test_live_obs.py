@@ -217,7 +217,7 @@ class TestLiveMetricsSequential:
         live.detach()
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 class TestLiveMetricsParallel:
     def test_per_rank_slots_match_run(self, tmp_path, backend):
         psim = build_parallel(traffic_graph(), 2, strategy="round_robin",

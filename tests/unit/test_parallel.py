@@ -47,7 +47,7 @@ def build_chain(host, rank_of, n_stages, n_tokens, latency="5ns"):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     @pytest.mark.parametrize("num_ranks", [1, 2, 4])
     def test_pingpong_matches_sequential(self, backend, num_ranks, make_pingpong):
         seq = Simulation(seed=3)
@@ -67,7 +67,7 @@ class TestEquivalence:
         assert psim.stat_values() == seq.stat_values()
         assert par_result.events_executed == seq_result.events_executed
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_chain_across_four_ranks(self, backend):
         n_stages, n_tokens = 6, 15
         seq_sink = build_chain(Simulation(seed=2), lambda i: 0, n_stages, n_tokens)
@@ -174,9 +174,9 @@ class TestProtocol:
             ParallelSimulation(2, backend="gpu")
 
     def test_context_manager_closes(self):
-        with ParallelSimulation(2, backend="threads") as psim:
+        with ParallelSimulation(2) as psim:
             assert psim.num_ranks == 2
-        assert psim._pool is None
+        assert psim._backend is None
 
     def test_per_rank_event_counts_sum(self):
         psim = ParallelSimulation(2, seed=1)

@@ -18,21 +18,6 @@ class TestEdgeCases:
         assert result.reason == "max_epochs"
         assert result.epochs == 7
 
-    def test_exception_in_threads_backend_propagates(self):
-        class Exploder(Component):
-            def setup(self):
-                self.schedule(1000, self._boom)
-
-            def _boom(self, _):
-                raise RuntimeError("model bug")
-
-        psim = ParallelSimulation(2, seed=1, backend="threads")
-        Exploder(psim.rank_sim(0), "x")
-        Sink(psim.rank_sim(1), "s")
-        with pytest.raises(RuntimeError, match="model bug"):
-            psim.run()
-        psim.close()
-
     def test_exception_in_serial_backend_propagates(self):
         class Exploder(Component):
             def setup(self):

@@ -2,9 +2,10 @@
 
 * :class:`repro.core.shm.RingBuffer` — SPSC byte ring: wrap-around,
   full-ring backpressure, frames larger than the whole ring;
-* the flat event codec (:mod:`repro.core.event`) — flat fast path,
-  whole-event pickle fallback, outbox-entry framing;
-* :func:`encode_step` / :func:`decode_step` — the up-ring step frame;
+* :func:`encode_entries` / :func:`decode_entries` — the batch-pickled
+  outbox-entry framing (:mod:`repro.core.event`);
+* :func:`encode_step` / :func:`decode_step` — the worker's step frame
+  (:mod:`repro.core.backends`, the same on both transports);
 * engine snapshots taken *under* ``transport="shm"`` resume exactly
   (the control plane stays on the pipes — satellite regression);
 * ``restore(assignment=...)`` — the pinned repartition restore the
@@ -21,14 +22,11 @@ import time as _wall_time
 import pytest
 
 from repro.config import ConfigGraph, build_parallel
-from repro.core import event as event_mod
-from repro.core.backends import RankStep
-from repro.core.event import (Event, decode_entries, decode_event,
-                              encode_entries, encode_event)
+from repro.core.backends import RankStep, decode_step, encode_step
+from repro.core.event import Event, decode_entries, encode_entries
 from repro.core.partition import (PartitionEdge, PartitionProfile,
                                   partition)
-from repro.core.shm import (_RING_HEADER, RingBuffer, ShmExchange,
-                            decode_step, encode_step)
+from repro.core.shm import _RING_HEADER, RingBuffer, ShmExchange
 from repro.memory.events import MemRequest
 from repro.obs import build_profile
 
@@ -147,11 +145,11 @@ class TestRingBuffer:
 
 
 # ----------------------------------------------------------------------
-# flat event codec
+# outbox-entry batches
 # ----------------------------------------------------------------------
 
-class PickledPayload(Event):
-    """A slot value no flat tag covers (dict) forces the pickle path."""
+class DictPayload(Event):
+    """A slotted event whose one slot holds a nested container."""
 
     __slots__ = ("table",)
 
@@ -159,49 +157,26 @@ class PickledPayload(Event):
         self.table = table if table is not None else {}
 
 
-class TestEventCodec:
-    def test_flat_roundtrip_covers_all_tags(self):
-        req = MemRequest(addr=0xDEAD_BEEF, size=64, is_write=True,
-                         req_id=1234, src_port=None, phase="probe")
-        blob = encode_event(req)
-        assert blob[0] == event_mod._EVK_FLAT
-        out, offset = decode_event(blob)
-        assert offset == len(blob)
-        assert type(out) is MemRequest
-        assert (out.addr, out.size, out.is_write, out.req_id,
-                out.src_port, out.phase) == (req.addr, req.size,
-                                             req.is_write, req.req_id,
-                                             None, "probe")
-
-    def test_nonflat_slot_value_falls_back_to_pickle(self):
-        ev = PickledPayload({"a": [1, 2], "b": {"nested": True}})
-        blob = encode_event(ev)
-        assert blob[0] == event_mod._EVK_PICKLE
-        out, offset = decode_event(blob)
-        assert offset == len(blob)
-        assert out.table == ev.table
-
-    def test_huge_int_falls_back_to_pickle(self):
-        req = MemRequest(addr=1 << 80)  # beyond the i64 flat tag
-        blob = encode_event(req)
-        assert blob[0] == event_mod._EVK_PICKLE
-        out, _ = decode_event(blob)
-        assert out.addr == 1 << 80
-
+class TestEntryBatch:
     def test_entries_roundtrip_mixed_kinds(self):
+        """Slotted scalars, a nested dict payload and an int beyond 64
+        bits all survive one batch, with the entry headers intact."""
         entries = [
-            (1000, 50, 3, 1, 7, MemRequest(addr=64, req_id=1)),
-            (1000, 50, 3, 0, 8, PickledPayload({"k": "v"})),
-            (2500, 40, 9, 1, 9, MemRequest(addr=128, req_id=2,
+            (1000, 50, 3, 1, 7, MemRequest(addr=64, req_id=1, is_write=True,
+                                           src_port=None)),
+            (1000, 50, 3, 0, 8, DictPayload({"k": [1, 2], "n": {"x": True}})),
+            (2500, 40, 9, 1, 9, MemRequest(addr=1 << 80, req_id=2,
                                            phase="x" * 300)),
         ]
         blob = encode_entries(entries)
         out, offset = decode_entries(blob)
         assert offset == len(blob)
         assert [e[:5] for e in out] == [e[:5] for e in entries]
-        assert out[0][5].addr == 64
-        assert out[1][5].table == {"k": "v"}
-        assert out[2][5].phase == "x" * 300
+        assert type(out[0][5]) is MemRequest
+        assert (out[0][5].addr, out[0][5].is_write, out[0][5].src_port) == \
+            (64, True, None)
+        assert out[1][5].table == {"k": [1, 2], "n": {"x": True}}
+        assert (out[2][5].addr, out[2][5].phase) == (1 << 80, "x" * 300)
 
     def test_empty_entries(self):
         blob = encode_entries([])
@@ -211,7 +186,7 @@ class TestEventCodec:
 class TestStepFrame:
     def test_roundtrip_with_outbox_and_obs(self):
         outbox = [[], [(10, 50, 1, 1, 0, MemRequest(addr=8, req_id=3))],
-                  [(10, 50, 2, 2, 1, PickledPayload({"z": 1}))]]
+                  [(10, 50, 2, 2, 1, DictPayload({"z": 1}))]]
         step = RankStep(wall_seconds=0.25, events=42, outbox=outbox,
                         next_time=999, primaries_pending=1,
                         last_event_time=998, now=1000,
@@ -240,28 +215,32 @@ class TestStepFrame:
 # ----------------------------------------------------------------------
 
 class TestShmExchange:
-    def test_epoch_handshake_and_byte_accounting(self):
+    def test_epoch_handshake(self):
         exchange = ShmExchange(2, ring_capacity=4096)
         try:
-            exchange.post(0, 5000, b"deliveries-for-rank0")
+            assert not exchange.posted(0)
+            exchange.post(0, b"deliveries-for-rank0")
             assert exchange.cmd_seq(0) == 1
-            assert exchange.epoch_end(0) == 5000
+            assert exchange.posted(0) and not exchange.posted(1)
             assert exchange.read_deliveries(0) == b"deliveries-for-rank0"
             exchange.complete(0, b"step-result")
+            assert not exchange.posted(0)
             assert exchange.collect(0) == b"step-result"
-            assert exchange.bytes_posted == len(b"deliveries-for-rank0") + 4
-            assert exchange.bytes_collected == len(b"step-result") + 4
         finally:
             exchange.close(unlink=True)
 
-    def test_fail_flag_skips_result_frame(self):
+    def test_fail_reports_no_result(self):
         exchange = ShmExchange(1, ring_capacity=1024)
         try:
-            exchange.post(0, 100, b"")
+            exchange.post(0, b"")
             exchange.read_deliveries(0)
             exchange.fail(0)
             assert exchange.collect(0) is None
-            assert exchange.err_flag(0) == 0  # collect cleared it
+            # the handshake stays usable: the next epoch completes
+            exchange.post(0, b"next")
+            assert exchange.read_deliveries(0) == b"next"
+            exchange.complete(0, b"ok")
+            assert exchange.collect(0) == b"ok"
         finally:
             exchange.close(unlink=True)
 
