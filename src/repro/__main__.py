@@ -711,7 +711,8 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default="serial",
                      choices=["serial", "processes"],
                      help="execution substrate for --ranks > 1 "
-                          "(processes = one forked worker per rank)")
+                          "(processes = rank 0 here, one forked worker "
+                          "per other rank)")
     run.add_argument("--transport", default="pipe", choices=["pipe", "shm"],
                      help="processes-backend data plane: the same epoch "
                           "frames over pipes, or over shared-memory "

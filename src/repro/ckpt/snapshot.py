@@ -52,10 +52,11 @@ def _atomic_write(path: Path, data: bytes) -> None:
 def write_shard(path: Union[str, Path], state: Dict[str, Any]) -> Dict[str, Any]:
     """Pickle one rank's captured state to ``path`` atomically.
 
-    Returns ``{"sha256", "size"}`` for the manifest.  Called in-process
-    for serial-backend snapshots and inside the forked rank worker for
-    the processes backend (the worker owns the live queue, so the state
-    must be captured — and is most cheaply written — there).
+    Returns ``{"sha256", "size"}`` for the manifest.  Called wherever
+    the rank runs: in-process for serial-backend snapshots and for rank
+    0 of the processes backend, inside the forked rank worker for its
+    other ranks (the worker owns the live queue, so the state must be
+    captured — and is most cheaply written — there).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -177,10 +178,11 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
             meta["now"] = state["meta"]["now"]
         shards.append({"file": shard.name, "rank": rank, **meta})
     # Parent-side payload.  Under the processes backend the parent's
-    # sim objects hold stale queues but its sync strategy and sync.*
-    # counters are the live authority — the shard's engine stats are
-    # worker-side (obs.* live, sync.* stale), so a restore applies the
-    # shard first and these overrides after, name by name.
+    # worker-rank sim objects hold stale queues but its sync strategy
+    # and sync.* counters are the live authority — a worker shard's
+    # engine stats are worker-side (obs.* live, sync.* stale), so a
+    # restore applies the shard first and these overrides after, name
+    # by name.
     pending = psim._sync.export_pending(psim._cross_links)
     parallel_state = {
         "pending_blob": dump_refs(psim._sims, pending),
@@ -195,7 +197,7 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
         "schema": SNAPSHOT_SCHEMA,
         "mode": "parallel",
         # From the shard metadata, not the parent's sim objects — under
-        # the processes backend those are stale fork-time copies.
+        # the processes backend worker ranks' are stale fork-time copies.
         "sim_time_ps": max(entry["now"] for entry in shards),
         "seed": psim.seed,
         "queue": psim.queue_kind,

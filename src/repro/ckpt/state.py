@@ -266,8 +266,9 @@ def capture_sim_state(sim: Simulation,
                       send_seq: Optional[int] = None) -> Dict[str, Any]:
     """One rank's complete engine state, ready for :func:`snapshot.write_shard`.
 
-    Must be called where the live rank lives (the forked worker under
-    the processes backend) and only at a quiescent point: an epoch
+    Must be called where the live rank lives (the parent for rank 0,
+    the forked worker for any other rank under the processes backend)
+    and only at a quiescent point: an epoch
     boundary for parallel runs, between kernel segments for sequential
     ones.  ``send_seq`` is the rank's cross-rank send sequence counter
     (None for sequential simulations).

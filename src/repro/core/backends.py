@@ -7,10 +7,12 @@ reports a :class:`RankStep` per rank.  Two substrates are provided:
 * :class:`SerialBackend`    — ranks step one after another in the
   calling thread.  Zero concurrency, 100% determinism; the reference
   backend used by the equivalence tests.
-* :class:`ProcessesBackend` — true multi-process PDES: one forked
-  worker per rank, exchanging epoch frames (:func:`encode_step`) over
-  pipes or shared-memory rings.  This is the backend that leaves the
-  GIL.  Requirements and caveats:
+* :class:`ProcessesBackend` — true multi-process PDES: rank 0 runs in
+  the calling process and ranks 1..N-1 in one forked worker each, so
+  N ranks are N processes.  Workers exchange epoch frames
+  (:func:`encode_step`) with the parent over pipes or shared-memory
+  rings.  This is the backend that leaves the GIL.  Requirements and
+  caveats:
 
   - the ``fork`` start method (Linux/macOS); workers inherit the fully
     wired per-rank simulations, so nothing but events and statistics
@@ -18,20 +20,21 @@ reports a :class:`RankStep` per rank.  Two substrates are provided:
   - events sent over cross-rank links must be picklable (slotted
     payload-only events are; events carrying live object references
     are not, and raise a descriptive error);
-  - per-event observers (trace/span/heartbeat) are detached inside the
-    workers, but observability survives the boundary through the
-    rank-local plan (``psim.rank_plan``, duck-typed — see
-    :mod:`repro.obs.rank_stream`): workers re-attach a lightweight
-    recorder that writes per-rank JSONL shards or ships bounded record
-    batches back inside the step frames, and profiler buckets plus rank
-    counters harvest back at ``finalize()``.  Observers no plan entry
-    covers raise a one-time :class:`RankObservabilityWarning` instead
-    of being silently dropped.  Parent-side epoch observers —
-    telemetry, progress, Chrome trace epoch lanes — keep working
-    regardless;
-  - parent-side component *objects* are not synchronized back, but
-    their registered statistics are (adopted in ``finalize()``), so
-    ``stat_values()`` equivalence holds across all backends.
+  - every rank, rank 0 included, runs through one :class:`RankRunner`:
+    per-event observers (trace/span/heartbeat) are detached for the
+    run, and observability comes from the rank-local plan
+    (``psim.rank_plan``, duck-typed — see :mod:`repro.obs.rank_stream`)
+    whose lightweight recorder writes per-rank JSONL shards or ships
+    bounded record batches back inside the step frames; profiler
+    buckets plus rank counters harvest back at ``finalize()``.
+    Observers no plan entry covers raise a one-time
+    :class:`RankObservabilityWarning` instead of being silently
+    dropped.  Parent-side epoch observers — telemetry, progress,
+    Chrome trace epoch lanes — keep working regardless;
+  - parent-side component *objects* of worker ranks are not
+    synchronized back, but their registered statistics are (adopted in
+    ``finalize()``), so ``stat_values()`` equivalence holds across all
+    backends.
 
 The same substrate names power :class:`JobPool`, the coarse-grained
 variant used by :func:`repro.dse.sweep` to evaluate independent design
@@ -62,13 +65,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class RankObservabilityWarning(UserWarning):
-    """A per-event observer was detached at the process-fork boundary.
+    """A per-event observer was detached for a processes-backend run.
 
     Raised (once per unique observer set) by :class:`ProcessesBackend`
     when a rank simulation carries trace/span/heartbeat observers that
     no rank-local plan covers: their sinks live in the parent process,
-    so inside the forked worker they would silently record into memory
-    that dies with the worker.  Attach through ``repro.obs`` (profiler,
+    so inside a forked worker they would silently record into memory
+    that dies with the worker, and rank 0 — though it runs in the
+    parent — is detached the same way so every rank is observed alike.
+    Attach through ``repro.obs`` (profiler,
     telemetry with a metrics path) to get rank-local re-attachment, and
     use ``python -m repro obs merge`` on the per-rank shards for the
     merged post-hoc view.
@@ -340,25 +345,130 @@ def _recv_msg(conn) -> Any:
     return pickle.loads(conn.recv_bytes())
 
 
-class ProcessesBackend(ExecutionBackend):
-    """One forked worker process per rank, epoch frames over pipes or
-    shared memory.
+#: what pickling a frame raises for an event that cannot cross ranks
+_PICKLE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
 
-    The parent process runs the sync strategy and the epoch loop; each
-    worker owns one rank's :class:`Simulation` (inherited fully wired
-    via fork) and runs its kernel windows on command.  Only epoch
-    frames (:func:`encode_deliveries` down, :func:`encode_step` up) and
-    the final statistics harvest cross the process boundary.
+
+def _not_serializable(where: str, exc: BaseException) -> SimulationError:
+    return SimulationError(
+        f"{where}: a cross-rank event is not serializable (events "
+        f"crossing ranks under the processes backend must be "
+        f"picklable): {exc}")
+
+
+class RankRunner:
+    """One rank's side of a processes-backend run, wherever it executes.
+
+    Forked workers drive a runner from their command loop; the parent
+    drives rank 0's directly.  Either way the rank is observed the same
+    way: the per-event observers attached to its simulation are
+    detached for the run (the parent warned about any the rank plan
+    does not cover) and the plan's rank-local recorder is attached in
+    their place.  :meth:`close` puts the original observers back — it
+    matters only in the parent, a worker simply exits.
+    """
+
+    def __init__(self, psim: "ParallelSimulation", rank: int):
+        self.psim = psim
+        self.rank = rank
+        self.sim = sim = psim._sims[rank]
+        self._detached = (sim._trace_fn, sim._trace_observers,
+                          sim._span_observers, sim._heartbeats)
+        sim._trace_fn = None
+        sim._trace_observers = []
+        sim._span_observers = []
+        sim._heartbeats = {}
+        sim._rebuild_instr()
+        # Re-attach the rank-local recorder the plan describes (JSONL
+        # shard or step-frame batches, span buckets, heartbeats, live
+        # slot, causal shard).  Observability must never kill a rank:
+        # creation failures degrade to a bare rank.
+        self.recorder = None
+        plan = getattr(psim, "rank_plan", None)
+        if plan is not None:
+            try:
+                self.recorder = plan.worker_recorder(psim, rank)
+            except Exception:  # pragma: no cover - defensive
+                import sys
+                import traceback
+
+                print(f"repro: rank {rank} telemetry recorder failed to "
+                      f"start; continuing without it:\n"
+                      f"{traceback.format_exc()}", file=sys.stderr)
+
+    def step(self, epoch_end: SimTime,
+             entries: Sequence[OutboxEntry]) -> RankStep:
+        """One epoch: deliver, run the kernel window, drain the outbox."""
+        deliver_cross_rank(self.psim, self.rank, entries)
+        result = _timed_step(self.sim, epoch_end)
+        result.outbox = drain_outbox(self.psim, self.rank)
+        if self.recorder is not None:
+            try:
+                self.recorder.on_step(result, epoch_end)
+            except Exception:  # pragma: no cover - defensive
+                self.recorder = None
+        return result
+
+    def finish(self) -> Optional[Dict[str, Any]]:
+        """Run the rank's finish hooks with its live state, then close
+        the recorder; returns the recorder's harvest for the plan."""
+        self.sim.finish()
+        return self._finish_recorder()
+
+    def _finish_recorder(self) -> Optional[Dict[str, Any]]:
+        recorder, self.recorder = self.recorder, None
+        if recorder is None:
+            return None
+        try:
+            return recorder.finish()
+        except Exception:  # pragma: no cover - defensive
+            return None
+
+    def close(self) -> None:
+        """Close the recorder (if a failed run never finished it) and
+        restore the observers detached at construction."""
+        self._finish_recorder()
+        sim = self.sim
+        (sim._trace_fn, sim._trace_observers, sim._span_observers,
+         sim._heartbeats) = self._detached
+        sim._rebuild_instr()
+
+
+def _harvest(runner: RankRunner) -> Dict[str, Any]:
+    """A worker's ``finish`` reply: everything the parent adopts."""
+    obs = runner.finish()
+    sim = runner.sim
+    return {
+        "stats": harvest_stats(sim),
+        "engine_stats": harvest_engine_stats(sim),
+        "obs": obs,
+        "events_executed": sim._events_executed,
+        "now": sim.now,
+        "last_event_time": sim.last_event_time,
+        "primaries_pending": sim.primaries_pending,
+    }
+
+
+class ProcessesBackend(ExecutionBackend):
+    """Rank 0 in the parent, one forked worker per other rank, epoch
+    frames over pipes or shared memory.
+
+    The parent process runs the sync strategy, the epoch loop and rank
+    0's kernel windows; each worker owns one rank's :class:`Simulation`
+    (inherited fully wired via fork) and runs its kernel windows on
+    command.  An epoch posts every worker its delivery frame, runs rank
+    0 inline while the workers run, then collects their step frames —
+    so a 2-rank run is two processes, both busy.  Only epoch frames
+    (:func:`encode_deliveries` down, :func:`encode_step` up) and the
+    final statistics harvest cross the process boundary.
 
     The two data-plane transports (``ParallelSimulation(transport=...)``)
-    carry the same frames and differ only in how the bytes move and how
-    the worker waits for them:
+    carry the same frames and differ only in how the bytes move; both
+    block while waiting:
 
-    * ``"pipe"`` — each frame is one pipe message; the worker blocks in
-      ``recv_bytes``;
-    * ``"shm"`` — frames stream through per-rank shared-memory rings
-      and the worker spins on an epoch counter, polling the pipe
-      (:mod:`repro.core.shm`).
+    * ``"pipe"`` — each frame is one pipe message;
+    * ``"shm"`` — frames stream through per-rank shared-memory rings,
+      announced by a one-byte doorbell pipe (:mod:`repro.core.shm`).
 
     Control commands — snapshots, the final harvest, shutdown, errors —
     are pickled pipe messages under either transport.
@@ -376,40 +486,49 @@ class ProcessesBackend(ExecutionBackend):
                 "(Linux/macOS); use backend='serial' here"
             )
         self._ctx = mp.get_context("fork")
-        self._procs: List[Any] = []
-        self._conns: List[Any] = []
+        #: worker ranks (1..N-1) -> process / parent end of its pipe
+        self._procs: Dict[int, Any] = {}
+        self._conns: Dict[int, Any] = {}
+        #: rank 0, run in this process
+        self._local: Optional[RankRunner] = None
         self.transport = getattr(psim, "transport", "pipe")
         self._exchange: Optional[Any] = None
 
     def start(self) -> None:
-        if self._procs:
+        if self._local is not None:
             return
         self._warn_uncovered_observers()
-        if self.transport == "shm" and self._exchange is None:
+        if self.transport == "shm":
             from .shm import ShmExchange
 
             # Created before the fork so every worker inherits the
-            # mapped segment — nothing is re-attached by name.
+            # mapped segment and bells — nothing is re-attached by name.
             self._exchange = ShmExchange(self.psim.num_ranks)
         # Fork AFTER setup(): workers inherit wired graphs, queued
         # setup events and registered primaries.  The parent keeps the
         # setup-time outbox entries (workers clear their copies).
-        for rank in range(self.psim.num_ranks):
+        for rank in range(1, self.psim.num_ranks):
             parent_conn, child_conn = self._ctx.Pipe()
+            # The worker closes every parent-side end it inherits, so
+            # the parent going away reads as EOF in the worker.
+            parent_ends = [*self._conns.values(), parent_conn]
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(self.psim, rank, child_conn, self._exchange),
+                args=(self.psim, rank, child_conn, self._exchange,
+                      parent_ends),
                 name=f"repro-rank{rank}", daemon=True,
             )
             proc.start()
             child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
+            self._procs[rank] = proc
+            self._conns[rank] = parent_conn
+        # After the forks: rank 0's recorder may start threads.
+        self._local = RankRunner(self.psim, 0)
 
     def _warn_uncovered_observers(self) -> None:
         """Satellite guard: detaching an observer must not be silent.
 
-        Workers strip every per-event observer at the fork boundary.
+        Every rank runner strips the per-event observers of its rank.
         Observers attached through ``repro.obs`` carry a
         ``__rank_local__`` marker ("profile" re-attaches always; "span"
         re-attaches when the rank plan has a record sink) and keep
@@ -449,24 +568,32 @@ class ProcessesBackend(ExecutionBackend):
     def step(self, epoch_end: SimTime,
              deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
         num_ranks = self.psim.num_ranks
-        moved = 0
-        for rank in range(num_ranks):
-            frame = encode_deliveries(epoch_end, deliveries[rank])
-            moved += len(frame)
+        # Encode every frame before posting any: an event that cannot
+        # be pickled fails the epoch before a worker has started it.
+        frames = {}
+        for rank in self._conns:
+            try:
+                frames[rank] = encode_deliveries(epoch_end, deliveries[rank])
+            except _PICKLE_ERRORS as exc:
+                raise _not_serializable(f"delivery to rank {rank}",
+                                        exc) from None
+        for rank, frame in frames.items():
             self._post(rank, frame)
-        plan = getattr(self.psim, "rank_plan", None)
-        steps = []
-        for rank in range(num_ranks):
+        steps = [self._local.step(epoch_end, deliveries[0])]
+        moved = sum(len(frame) for frame in frames.values())
+        for rank in range(1, num_ranks):
             frame = self._collect(rank)
             moved += len(frame)
-            step = decode_step(frame, num_ranks)
-            if plan is not None and step.obs_records:
-                # Bounded rank-local record batches ride the step frame
-                # (shard-less mode); hand them to the plan before the
-                # sync strategy ever sees the steps.
-                plan.deliver(rank, step.obs_records)
-                step.obs_records = None
-            steps.append(step)
+            steps.append(decode_step(frame, num_ranks))
+        plan = getattr(self.psim, "rank_plan", None)
+        if plan is not None:
+            # Bounded rank-local record batches ride the steps
+            # (shard-less mode); hand them to the plan before the sync
+            # strategy ever sees the steps.
+            for rank, step in enumerate(steps):
+                if step.obs_records:
+                    plan.deliver(rank, step.obs_records)
+                    step.obs_records = None
         self.last_exchange_bytes = moved
         return steps
 
@@ -490,71 +617,87 @@ class ProcessesBackend(ExecutionBackend):
         return self._recv(rank)
 
     def finalize(self) -> None:
-        """Adopt worker-side results into the parent-side simulations.
+        """Finish every rank and adopt worker results into the parent.
 
-        Workers run ``finish()`` (so component finish hooks see their
-        true final state) and ship their statistic collectors back; the
-        parent copies collector state into its own objects in place, so
-        existing references (``component.stats``, merged harvests)
-        observe the worker's results.  Component attributes other than
-        statistics are *not* synchronized — use stats, that's what they
-        are for.
+        Rank 0 finishes in place.  Workers run ``finish()`` (so
+        component finish hooks see their true final state) and ship
+        their statistic collectors back; the parent copies collector
+        state into its own objects in place, so existing references
+        (``component.stats``, merged harvests) observe the worker's
+        results.  Component attributes other than statistics are *not*
+        synchronized — use stats, that's what they are for.
         """
-        if not self._procs:
+        if self._local is None:
             return
-        for conn in self._conns:
+        for conn in self._conns.values():
             _send_msg(conn, ("finish",))
+        plan = getattr(self.psim, "rank_plan", None)
         for rank in range(self.psim.num_ranks):
-            payload = self._recv(rank)
-            sim = self.psim._sims[rank]
-            sim.now = payload["now"]
-            sim.last_event_time = payload["last_event_time"]
-            sim._events_executed = payload["events_executed"]
-            sim._primaries_pending = payload["primaries_pending"]
-            # comp.finish() already ran worker-side with live state;
-            # running it again on the stale parent copy would corrupt
-            # the adopted statistics.
-            sim._finished = True
-            for comp_name, stats in payload["stats"].items():
-                group = sim._components[comp_name].stats.all()
-                for stat_name, remote in stats.items():
-                    _adopt_stat(group[stat_name], remote)
-            # Engine stats are adopted *additively only*: names the
-            # parent already tracks (sync.* — maintained parent-side
-            # during the epoch loop) keep their live values; names only
-            # the worker registered (obs.* rank-telemetry counters) are
-            # adopted wholesale so harvest_stats-style merging sees
-            # them.  _register returns the existing collector untouched
-            # when the name is taken, which is exactly that rule.
-            for name, remote in (payload.get("engine_stats") or {}).items():
-                sim.engine_stats._register(name, remote)
-            plan = getattr(self.psim, "rank_plan", None)
+            if rank == 0:
+                obs = self._local.finish()
+            else:
+                obs = self._adopt(rank, self._recv(rank))
             if plan is not None:
-                plan.absorb(rank, payload.get("obs"))
+                plan.absorb(rank, obs)
+
+    def _adopt(self, rank: int,
+               payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """Copy worker ``rank``'s harvest into the parent's simulation;
+        returns its observability payload."""
+        sim = self.psim._sims[rank]
+        sim.now = payload["now"]
+        sim.last_event_time = payload["last_event_time"]
+        sim._events_executed = payload["events_executed"]
+        sim._primaries_pending = payload["primaries_pending"]
+        # comp.finish() already ran worker-side with live state;
+        # running it again on the stale parent copy would corrupt
+        # the adopted statistics.
+        sim._finished = True
+        for comp_name, stats in payload["stats"].items():
+            group = sim._components[comp_name].stats.all()
+            for stat_name, remote in stats.items():
+                _adopt_stat(group[stat_name], remote)
+        # Engine stats are adopted *additively only*: names the
+        # parent already tracks (sync.* — maintained parent-side
+        # during the epoch loop) keep their live values; names only
+        # the worker registered (obs.* rank-telemetry counters) are
+        # adopted wholesale so harvest_stats-style merging sees
+        # them.  _register returns the existing collector untouched
+        # when the name is taken, which is exactly that rule.
+        for name, remote in (payload.get("engine_stats") or {}).items():
+            sim.engine_stats._register(name, remote)
+        return payload.get("obs")
 
     def snapshot_rank(self, rank: int, shard_path: str) -> Dict[str, Any]:
-        """Ask the worker that owns ``rank`` to write its own shard.
+        """Write ``rank``'s shard where the rank lives.
 
-        The parent's rank simulations are stale copies under this
-        backend (frozen at fork time); the live state is in the worker,
-        so the shard is captured and written worker-side and only the
-        checksum metadata crosses the pipe.
+        Rank 0 is captured in this process.  The parent's other rank
+        simulations are stale copies (frozen at fork time); their live
+        state is in the workers, so those shards are captured and
+        written worker-side and only the checksum metadata crosses the
+        pipe.
         """
+        if rank == 0:
+            return super().snapshot_rank(rank, shard_path)
         _send_msg(self._conns[rank], ("snapshot", shard_path))
         return self._recv(rank)
 
     def worker_pid(self, rank: int) -> Optional[int]:
-        """The pid of the forked worker that owns ``rank`` (or None)."""
-        if rank < len(self._procs):
-            return self._procs[rank].pid
-        return None
+        """The pid of the process that runs ``rank`` (this process for
+        rank 0; None for a worker not forked yet)."""
+        if rank == 0:
+            return os.getpid()
+        proc = self._procs.get(rank)
+        return proc.pid if proc is not None else None
 
     def request_stack_dump(self, rank: int, dump_path: str, *,
                            timeout_s: float = 2.0) -> Optional[str]:
-        """Extract a stack dump from rank ``rank``'s worker via SIGUSR1.
+        """Extract a stack dump from the process that runs ``rank``.
 
-        Only works when the run's plan carried ``live_dump_base`` (the
-        worker registered the faulthandler signal at startup — see
+        Rank 0 dumps this process directly.  A worker is signalled with
+        SIGUSR1, which only works when the run's plan carried
+        ``live_dump_base`` (the worker registered the faulthandler
+        signal at startup — see
         :func:`repro.obs.live.watchdog.enable_stack_dump_signal`).  The
         pipe command channel is deliberately not used: a wedged worker
         never returns to the command loop, while the signal path dumps
@@ -581,7 +724,10 @@ class ProcessesBackend(ExecutionBackend):
         return payload
 
     def close(self) -> None:
-        for conn in self._conns:
+        if self._local is not None:
+            self._local.close()
+            self._local = None
+        for conn in self._conns.values():
             try:
                 _send_msg(conn, ("close",))
             except (OSError, ValueError, BrokenPipeError):
@@ -590,13 +736,13 @@ class ProcessesBackend(ExecutionBackend):
                 conn.close()
             except OSError:
                 pass
-        for proc in self._procs:
+        for proc in self._procs.values():
             proc.join(timeout=5)
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
                 proc.join(timeout=1)
-        self._procs = []
-        self._conns = []
+        self._procs = {}
+        self._conns = {}
         if self._exchange is not None:
             self._exchange.close(unlink=True)
             self._exchange = None
@@ -618,56 +764,40 @@ def _adopt_stat(local, remote) -> None:
 
 
 def _worker_main(psim: "ParallelSimulation", rank: int, conn,
-                 exchange: Any = None) -> None:
-    """Per-rank worker loop (runs in a forked child process).
+                 exchange: Any, parent_ends: Sequence[Any]) -> None:
+    """Worker command loop for one rank (runs in a forked child).
 
     ``exchange`` is the :class:`~repro.core.shm.ShmExchange` inherited
     through fork under ``transport="shm"``, ``None`` under ``"pipe"``;
     it decides only how epoch frames arrive and leave (see
-    ``next_command`` / ``run_step``).
+    ``next_command`` / ``run_step``).  Everything else a rank does is
+    the :class:`RankRunner`'s.  The worker exits on ``close`` or as soon
+    as its pipe reads EOF (the parent closed its end or is gone).
     """
+    import select
     import traceback
 
-    sim = psim._sims[rank]
-    # Per-event observers cannot usefully cross the process boundary
-    # (their sinks — files, aggregation dicts — live in the parent);
-    # detach them so the kernel loop takes the bare path.  The parent
-    # warned about any observer the rank plan does not cover.
-    sim._trace_fn = None
-    sim._trace_observers = []
-    sim._span_observers = []
-    sim._heartbeats = {}
-    sim._rebuild_instr()
-    # Re-attach the rank-local recorder the plan describes (JSONL shard
-    # or step-frame batches, span buckets, heartbeats).  Observability must
-    # never kill a worker: creation failures degrade to a bare rank.
-    recorder = None
-    plan = getattr(psim, "rank_plan", None)
-    if plan is not None:
-        try:
-            recorder = plan.worker_recorder(psim, rank)
-        except Exception:  # pragma: no cover - defensive
-            import sys
-            import traceback as _tb
-            print(f"repro: rank {rank} telemetry recorder failed to "
-                  f"start; continuing without it:\n{_tb.format_exc()}",
-                  file=sys.stderr)
-            recorder = None
-        # Watchdog stack dumps: register SIGUSR1 -> faulthandler so the
-        # parent can extract this worker's stack even while it is wedged
-        # inside a handler.
-        dump_base = getattr(plan, "live_dump_base", None)
-        if dump_base:
-            try:
-                from ..obs.live.watchdog import enable_stack_dump_signal
-                enable_stack_dump_signal(f"{dump_base}.stack.rank{rank}")
-            except Exception:  # pragma: no cover - defensive
-                pass
+    # Keep only this worker's end of its pipe: with the parent's copies
+    # closed here, the parent going away reads as EOF, not a silent hang.
+    for end in parent_ends:
+        end.close()
     # Setup-time sends were captured by the parent at fork; drop the
     # inherited copies so they are not delivered twice.
     for by_dest in psim._outboxes:
         for bucket in by_dest:
             bucket.clear()
+    # Watchdog stack dumps: register SIGUSR1 -> faulthandler so the
+    # parent can extract this worker's stack even while it is wedged
+    # inside a handler.
+    dump_base = getattr(getattr(psim, "rank_plan", None),
+                        "live_dump_base", None)
+    if dump_base:
+        try:
+            from ..obs.live.watchdog import enable_stack_dump_signal
+            enable_stack_dump_signal(f"{dump_base}.stack.rank{rank}")
+        except Exception:  # pragma: no cover - defensive
+            pass
+    runner = RankRunner(psim, rank)
 
     def send_error(exc: BaseException) -> None:
         try:
@@ -678,29 +808,18 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
             )))
 
     def run_step(frame: bytes) -> None:
-        """One epoch: delivery frame in, kernel window, step frame out.
+        """One epoch: delivery frame in, step frame out.
 
         Any failure takes the one error path: the exception goes to the
         parent on the pipe, and under shm an empty up-ring frame releases
         the parent's ``collect``."""
-        nonlocal recorder
         try:
             epoch_end, entries = decode_deliveries(frame)
-            deliver_cross_rank(psim, rank, entries)
-            result = _timed_step(sim, epoch_end)
-            result.outbox = drain_outbox(psim, rank)
-            if recorder is not None:
-                try:
-                    recorder.on_step(result, epoch_end)
-                except Exception:  # pragma: no cover - defensive
-                    recorder = None
+            result = runner.step(epoch_end, entries)
             try:
                 reply = encode_step(result)
-            except (pickle.PicklingError, AttributeError, TypeError) as exc:
-                raise SimulationError(
-                    f"rank {rank}: a cross-rank event is not serializable "
-                    f"(events crossing ranks under the processes backend "
-                    f"must be picklable): {exc}") from None
+            except _PICKLE_ERRORS as exc:
+                raise _not_serializable(f"rank {rank}", exc) from None
         except Exception as exc:
             send_error(exc)
             if exchange is not None:
@@ -711,51 +830,23 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
         else:
             exchange.complete(rank, reply)
 
-    def finish() -> Dict[str, Any]:
-        nonlocal recorder
-        sim.finish()
-        obs_payload = None
-        if recorder is not None:
-            try:
-                obs_payload = recorder.finish()
-            except Exception:  # pragma: no cover - defensive
-                obs_payload = None
-            recorder = None
-        return {
-            "stats": harvest_stats(sim),
-            "engine_stats": harvest_engine_stats(sim),
-            "obs": obs_payload,
-            "events_executed": sim._events_executed,
-            "now": sim.now,
-            "last_event_time": sim.last_event_time,
-            "primaries_pending": sim.primaries_pending,
-        }
-
     def next_command() -> tuple:
         """Block until the parent's next command.
 
         Everything is a pickled pipe message under ``transport="pipe"``.
-        Under shm an epoch is announced by the rank's command counter
-        and its delivery frame read off the down ring; the pipe is
-        polled between spins so control commands still land mid-run.
+        Under shm the worker sleeps in ``select`` on its pipe and its
+        doorbell: a rung bell is an epoch, read off the down ring.
         """
         if exchange is None:
             return _recv_msg(conn)
-        spins = 0
-        while True:
-            if exchange.posted(rank):
-                return ("step", exchange.read_deliveries(rank))
-            if conn.poll(0):
-                return _recv_msg(conn)
-            spins += 1
-            _wall_time.sleep(0 if spins < 100 else 0.0002)
+        ready, _, _ = select.select([conn, exchange.bell(rank)], [], [])
+        if conn in ready:
+            return _recv_msg(conn)
+        return ("step", exchange.read_deliveries(rank))
 
     try:
         while True:
-            try:
-                msg = next_command()
-            except (EOFError, OSError):
-                return
+            msg = next_command()
             cmd = msg[0]
             if cmd == "close":
                 return
@@ -766,10 +857,12 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
                 if cmd == "snapshot":
                     reply = _write_rank_shard(psim, rank, msg[1])
                 else:  # "finish"
-                    reply = finish()
+                    reply = _harvest(runner)
                 _send_msg(conn, ("ok", reply))
             except Exception as exc:
                 send_error(exc)
+    except (EOFError, OSError):
+        return  # the parent is gone: nobody to report to
     finally:
         if exchange is not None:
             exchange.close()

@@ -16,8 +16,9 @@ layers (see docs/ARCHITECTURE.md):
   and orders the cross-rank exchange deterministically;
 * the **execution backend** (:mod:`repro.core.backends`) decides where
   the per-rank kernels run: ``serial`` (reference, calling thread) or
-  ``processes`` (forked per-rank workers exchanging epoch frames over
-  pipes or shared memory — true multi-core scaling).
+  ``processes`` (rank 0 in the calling process, forked workers for the
+  other ranks, exchanging epoch frames over pipes or shared memory —
+  true multi-core scaling).
 
 :class:`ParallelSimulation` composes the three: it owns the per-rank
 :class:`Simulation` objects and the cross-rank link table, drives the
@@ -240,7 +241,7 @@ class ParallelSimulation:
         #: :class:`repro.obs.rank_stream.RankStreamPlan`).  Instruments
         #: that know how to survive the process boundary register here;
         #: the processes backend re-attaches a rank-local recorder from
-        #: it inside every forked worker and harvests results back at
+        #: it wherever each rank runs and harvests results back at
         #: finalize.  None = nothing to re-attach (per-event observers
         #: are then detached with a RankObservabilityWarning).
         self.rank_plan: Optional[Any] = None

@@ -31,6 +31,7 @@ before partitioning — the profile-guided repartitioning loop driven by
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -261,18 +262,29 @@ def _bfs_grow(nodes: Sequence[NodeId], edges: List[PartitionEdge],
     assignment: Dict[NodeId, int] = {}
     unassigned = list(nodes)  # preserves deterministic order
     unassigned_set = set(nodes)
+    # Nodes only ever leave unassigned_set, so the first still-unassigned
+    # node in configuration order is found by a cursor that never moves
+    # back: every seed/jump lookup together is one pass over the nodes.
+    cursor = 0
+
+    def first_unassigned() -> Optional[NodeId]:
+        nonlocal cursor
+        while cursor < len(unassigned) and unassigned[cursor] not in unassigned_set:
+            cursor += 1
+        return unassigned[cursor] if cursor < len(unassigned) else None
+
     for rank in range(num_ranks):
         if not unassigned_set:
             break
         remaining_ranks = num_ranks - rank
         quota = ideal if rank < num_ranks - 1 else float("inf")
         # Seed from the first unassigned node (deterministic).
-        seed = next(n for n in unassigned if n in unassigned_set)
-        frontier = [seed]
+        seed = first_unassigned()
+        frontier = deque([seed])
         acc = 0.0
         seen = {seed}
         while frontier and (acc < quota or remaining_ranks == 1):
-            node = frontier.pop(0)
+            node = frontier.popleft()
             if node not in unassigned_set:
                 continue
             assignment[node] = rank
@@ -287,7 +299,7 @@ def _bfs_grow(nodes: Sequence[NodeId], edges: List[PartitionEdge],
             # If the region ran out of frontier but quota is unmet,
             # jump to the next unassigned node (disconnected graphs).
             if not frontier and acc < quota:
-                jump = next((n for n in unassigned if n in unassigned_set), None)
+                jump = first_unassigned()
                 if jump is not None:
                     frontier.append(jump)
                     seen.add(jump)

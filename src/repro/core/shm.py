@@ -1,48 +1,54 @@
 """Shared-memory epoch exchange for the processes backend.
 
-The pipe transport pays one blocking pipe round-trip (a wakeup each
-way) per rank per epoch.  This module moves the same epoch frames
-through ``multiprocessing.shared_memory`` instead:
+The pipe transport pays one pickled pipe message each way per worker
+rank per epoch.  This module moves the same epoch frames through
+``multiprocessing.shared_memory`` instead:
 
 * **one segment for the run**, carved into per-rank regions.  Each
-  region holds a control block (epoch counters) plus two single-writer
-  byte rings: a *down* ring (parent → worker: this epoch's deliveries)
-  and an *up* ring (worker → parent: the step result and outbox);
+  region holds two single-writer byte rings: a *down* ring (parent →
+  worker: this epoch's deliveries) and an *up* ring (worker → parent:
+  the step result and outbox);
 * **length-prefixed frames** on the rings carry opaque bytes — the
   epoch frames of :mod:`repro.core.backends`, the same ones the pipe
   transport sends (this module never looks inside them);
-* **the barrier is a counter spin**: the parent bumps a per-rank
-  ``cmd`` counter to open an epoch and waits on the worker's ``done``
-  counter — a few dozen shared-memory reads plus a short sleep instead
-  of a pipe round-trip per rank.
+* **the barrier is a doorbell**: each direction of each rank has a
+  one-byte wake-up pipe (``os.pipe``, created before the fork).  The
+  sender rings it, then streams the frame; the receiver blocks in
+  ``select`` on it.  Nobody spins, so a waiting side leaves the CPU to
+  the rank that is still executing.  Ringing *before* streaming lets
+  the receiver drain while the sender writes, so a frame larger than
+  the ring cannot deadlock.  Bells are pure wake-ups: the parent's
+  waits still check every 0.1 s that the worker is alive, and a worker
+  exits when its control pipe reads EOF.
 
 The *control plane* stays on the pipes: snapshot requests, the final
 statistics harvest (``finish``), shutdown and error reporting all use
 the existing pickled pipe commands, so ``repro.ckpt`` snapshots work
 unchanged under ``transport="shm"``.
 
-Memory model: every multi-byte control word (ring head/tail, epoch
-counters) has exactly one writer, is 8-byte aligned, and is written
-with a single ``struct.pack_into`` — the same single-writer seqlock
-discipline the live-metrics segment (:mod:`repro.obs.live.segment`)
-already relies on.  Payload bytes are always written before the counter
-that announces them.
+Memory model: each ring's head and tail word has exactly one writer, is
+8-byte aligned, and is written with a single ``struct.pack_into`` — the
+same single-writer discipline the live-metrics segment
+(:mod:`repro.obs.live.segment`) relies on.  Payload bytes are always
+written before the head that announces them; the bell only says "look
+now", the counters still say what is there.
 
-Cross-process reads of those words are additionally *validated before
-they are trusted*: on some kernels a freshly-forked worker's first
-faults into the shared mapping can transiently observe a zero page
-where the parent has long since written nonzero counters (observed in
-practice as an 8-byte head word reading 0 while the true value was
-~90k — and still 0 on an immediate re-read).  Every counter here is
-monotonic, so each side keeps a process-local copy of the largest
-value it has proven and treats any read below it (or otherwise
-impossible, e.g. a ring occupancy above the capacity) as "no news
-yet": wait and re-read.  A side's *own* counters are never re-read
-from shared memory at all.
+Cross-process reads of the ring counters are additionally *validated
+before they are trusted*: on some kernels a freshly-forked worker's
+first faults into the shared mapping can transiently observe a zero
+page where the parent has long since written nonzero counters (observed
+in practice as an 8-byte head word reading 0 while the true value was
+~90k — and still 0 on an immediate re-read).  Both counters are
+monotonic, so each side keeps a process-local copy of the largest value
+it has proven and treats any read below it (or otherwise impossible,
+e.g. a ring occupancy above the capacity) as "no news yet": wait and
+re-read.  A side's *own* counter is never re-read from shared memory.
 """
 
 from __future__ import annotations
 
+import os
+import select
 import struct
 import time as _wall_time
 from typing import Callable, Optional
@@ -58,11 +64,8 @@ _U64 = struct.Struct("<Q")
 #: stream through it, so this bounds memory, not batch size.
 DEFAULT_RING_CAPACITY = 1 << 20
 
-#: control block per rank: cmd_seq(u64), done_seq(u64) — padded to a
-#: cache line so ranks never share one.
-_CTRL_SIZE = 64
 #: ring header: head(u64, producer-owned) + tail(u64, consumer-owned),
-#: cache-line padded for the same reason.
+#: cache-line padded so neighbouring rings never share one.
 _RING_HEADER = 64
 
 _SPIN_BEFORE_SLEEP = 100
@@ -72,8 +75,11 @@ _ALIVE_CHECK_EVERY_S = 0.1
 
 def _make_waiter(alive_check: Optional[Callable[[], bool]] = None,
                  what: str = "shm transport peer") -> Callable[[], None]:
-    """A backoff callable for spin loops: yield first, then short-sleep,
-    periodically verifying the peer process is still alive."""
+    """Backoff for a wait *inside* a frame — the ring is full, or the
+    reader woke before the writer's next bytes landed: yield first, then
+    short-sleep, periodically verifying the peer process is still alive.
+    Waiting for a frame to start never comes here; that blocks on the
+    doorbell."""
     spins = [0]
     last_alive = [_wall_time.monotonic()]
 
@@ -209,11 +215,12 @@ class RingBuffer:
 
 
 class ShmExchange:
-    """The per-run shared segment: control blocks plus two rings per rank.
+    """The per-run shared segment: two rings and two doorbells per rank.
 
     Created by the parent before forking; workers inherit the mapped
-    segment through ``fork`` (nothing is re-attached by name).  The
-    parent drives :meth:`post`/:meth:`collect`, the workers
+    segment and the bell pipes through ``fork`` (nothing is re-attached
+    by name).  The parent drives :meth:`post`/:meth:`collect`, a worker
+    selects on :meth:`bell` and drives
     :meth:`read_deliveries`/:meth:`complete`.
     """
 
@@ -223,82 +230,69 @@ class ShmExchange:
 
         self.num_ranks = num_ranks
         self.ring_capacity = ring_capacity
-        self._per_rank = _CTRL_SIZE + 2 * (_RING_HEADER + ring_capacity)
+        ring_size = _RING_HEADER + ring_capacity
         self._shm = shared_memory.SharedMemory(
-            create=True, size=num_ranks * self._per_rank)
+            create=True, size=num_ranks * 2 * ring_size)
         self.buf = self._shm.buf
-        # Control words and ring headers start at zero (shm segments are
-        # zero-filled on Linux, but be explicit — correctness hinges on it).
+        self._down = []
+        self._up = []
         for rank in range(num_ranks):
-            base = rank * self._per_rank
-            self.buf[base:base + _CTRL_SIZE] = b"\0" * _CTRL_SIZE
-            down = base + _CTRL_SIZE
-            up = down + _RING_HEADER + ring_capacity
-            self.buf[down:down + _RING_HEADER] = b"\0" * _RING_HEADER
-            self.buf[up:up + _RING_HEADER] = b"\0" * _RING_HEADER
-        self._down = [RingBuffer(self.buf, r * self._per_rank + _CTRL_SIZE,
-                                 ring_capacity) for r in range(num_ranks)]
-        self._up = [RingBuffer(self.buf, r * self._per_rank + _CTRL_SIZE
-                               + _RING_HEADER + ring_capacity,
-                               ring_capacity) for r in range(num_ranks)]
-        # Process-local copies of the counters each side owns: the
-        # parent's cmd sequence and the workers' done sequences are
-        # written to shared memory for the *other* side and never read
-        # back from it (a transient-zero read-back would regress a
-        # counter and wedge the handshake).
-        self._cmd = [0] * num_ranks
-        self._done = [0] * num_ranks
-
-    # control words ----------------------------------------------------
-    def _ctrl(self, rank: int) -> int:
-        return rank * self._per_rank
-
-    def cmd_seq(self, rank: int) -> int:
-        return _U64.unpack_from(self.buf, self._ctrl(rank))[0]
-
-    def done_seq(self, rank: int) -> int:
-        return _U64.unpack_from(self.buf, self._ctrl(rank) + 8)[0]
+            down = 2 * rank * ring_size
+            up = down + ring_size
+            # Ring headers start at zero (shm segments are zero-filled on
+            # Linux, but be explicit — correctness hinges on it).
+            self.buf[down:down + _RING_HEADER] = bytes(_RING_HEADER)
+            self.buf[up:up + _RING_HEADER] = bytes(_RING_HEADER)
+            self._down.append(RingBuffer(self.buf, down, ring_capacity))
+            self._up.append(RingBuffer(self.buf, up, ring_capacity))
+        #: per rank, (read fd, write fd): the down bell is rung by the
+        #: parent, the up bell by the rank's worker.
+        self._down_bell = [os.pipe() for _ in range(num_ranks)]
+        self._up_bell = [os.pipe() for _ in range(num_ranks)]
 
     # parent side ------------------------------------------------------
     def post(self, rank: int, payload: bytes,
              alive_check: Optional[Callable[[], bool]] = None) -> None:
-        """Open an epoch for ``rank``: bump the command counter, then
-        stream the delivery frame (the counter is bumped *first* so the
-        worker consumes concurrently — frames larger than the ring
-        cannot deadlock)."""
-        self._cmd[rank] += 1
-        _U64.pack_into(self.buf, self._ctrl(rank), self._cmd[rank])
+        """Open an epoch for ``rank``: ring its bell, then stream the
+        delivery frame (the worker consumes concurrently — frames
+        larger than the ring cannot deadlock)."""
+        os.write(self._down_bell[rank][1], b"\x01")
         self._down[rank].write_frame(
             payload, _make_waiter(alive_check, f"rank {rank} worker"))
 
     def collect(self, rank: int,
                 alive_check: Optional[Callable[[], bool]] = None,
                 ) -> Optional[bytes]:
-        """Wait for ``rank``'s epoch completion and return its step
+        """Block until ``rank`` rings its up bell and return its step
         frame, or ``None`` when the worker reported a failure (the
-        actual exception is waiting on the control pipe)."""
-        wait = _make_waiter(alive_check, f"rank {rank} worker")
-        target = self._cmd[rank]
-        while self.done_seq(rank) < target:
-            wait()
+        actual exception is waiting on the control pipe).  The wait
+        wakes every 0.1 s to run ``alive_check``."""
+        what = f"rank {rank} worker"
+        fd = self._up_bell[rank][0]
+        while not select.select([fd], [], [], _ALIVE_CHECK_EVERY_S)[0]:
+            if alive_check is not None and not alive_check():
+                raise SimulationError(
+                    f"{what} died while the shm exchange was waiting")
+        os.read(fd, 1)
         # An empty frame is fail()'s no-result sentinel.
         return self._up[rank].read_frame(
-            _make_waiter(alive_check, f"rank {rank} worker")) or None
+            _make_waiter(alive_check, what)) or None
 
     # worker side ------------------------------------------------------
-    def posted(self, rank: int) -> bool:
-        """True when the parent has opened an epoch this worker has not
-        yet completed (a transient-zero counter read says "not yet")."""
-        return self.cmd_seq(rank) > self._done[rank]
+    def bell(self, rank: int) -> int:
+        """The fd ``rank``'s worker selects on: readable once the parent
+        has posted an epoch."""
+        return self._down_bell[rank][0]
 
     def read_deliveries(self, rank: int) -> bytes:
+        """Answer a rung bell with the delivery frame."""
+        os.read(self._down_bell[rank][0], 1)
         return self._down[rank].read_frame(_make_waiter(what="parent"))
 
     def complete(self, rank: int, payload: bytes) -> None:
-        """Report epoch completion: bump ``done`` first, then stream the
+        """Report epoch completion: ring the up bell, then stream the
         result frame (mirror of :meth:`post`, same no-deadlock shape)."""
-        self._done[rank] += 1
-        _U64.pack_into(self.buf, self._ctrl(rank) + 8, self._done[rank])
+        os.write(self._up_bell[rank][1], b"\x01")
         self._up[rank].write_frame(payload, _make_waiter(what="parent"))
 
     def fail(self, rank: int) -> None:
@@ -309,8 +303,13 @@ class ShmExchange:
 
     # lifecycle --------------------------------------------------------
     def close(self, *, unlink: bool = False) -> None:
-        """Unmap the segment (every process); ``unlink`` additionally
-        removes it from the system (creator only, after workers joined)."""
+        """Close the bells and unmap the segment (every process);
+        ``unlink`` additionally removes the segment from the system
+        (creator only, after workers joined)."""
+        for fd in (fd for pair in self._down_bell + self._up_bell
+                   for fd in pair):
+            os.close(fd)
+        self._down_bell = self._up_bell = []
         shm, self._shm = self._shm, None
         if shm is None:
             return

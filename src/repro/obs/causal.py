@@ -40,8 +40,8 @@ Attachment paths:
   in-process tracer per rank;
 * the processes backend — the capture request travels on the
   :class:`~repro.obs.rank_stream.RankStreamPlan` (``causal_base``) and
-  each forked worker's :class:`~repro.obs.rank_stream.RankRecorder`
-  owns its rank's tracer.
+  each rank's :class:`~repro.obs.rank_stream.RankRecorder` (rank 0's in
+  the parent, the others in their forked workers) owns its tracer.
 
 Setup-time cross-rank sends (a component's ``setup()`` emitting before
 any event has dispatched) are causal *roots*: they have no dispatching
@@ -331,8 +331,8 @@ class CausalCapture:
 
     ``base`` is typically the metrics path (the shards then sit next to
     the rank-stream shards); any path works.  On the processes backend
-    the request rides the rank plan and forked workers write their own
-    shards — :meth:`close` then only clears the plan flag.
+    the request rides the rank plan and each rank's recorder writes its
+    own shard — :meth:`close` then only clears the plan flag.
     """
 
     def __init__(self, base: Union[str, Path]):

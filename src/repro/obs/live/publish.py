@@ -19,9 +19,11 @@ untouched — nothing here adds a per-event observer:
   watchdog see a hung handler: the sampler keeps stamping the slot
   while the event count stops advancing).
 
-For the ``processes`` backend the parent only owns the run slot; each
-forked worker re-opens the segment by path and owns its rank slot
-(wired through :class:`~repro.obs.rank_stream.RankStreamPlan`).
+For the ``processes`` backend the parent's epoch loop only owns the
+run slot; each rank's recorder re-opens the segment by path where the
+rank runs (rank 0 in the parent, the others in their forked workers)
+and owns its rank slot (wired through
+:class:`~repro.obs.rank_stream.RankStreamPlan`).
 """
 
 from __future__ import annotations
@@ -151,8 +153,8 @@ class LiveMetrics:
                     pub = RankSlotWriter(self.segment, rank, sim)
                     sim._live_publisher = pub
                     self._publishers.append(pub)
-            # processes: workers open the segment by path and own their
-            # slots (RankRecorder, via the plan fields set above).
+            # processes: each rank's RankRecorder opens the segment by
+            # path and owns its slot (via the plan fields set above).
         else:
             pub = RankSlotWriter(self.segment, 0, target)
             target._live_publisher = pub

@@ -231,8 +231,9 @@ class RankSlotWriter:
     """One rank's publisher into its segment slot (single writer).
 
     Owned by whichever process runs the rank's kernel: the parent for
-    sequential / in-process-backend runs, the forked worker for the
-    processes backend.  Accumulates the cumulative fields (busy time,
+    sequential / in-process-backend runs and for rank 0 of the
+    processes backend, the forked worker for its other ranks.
+    Accumulates the cumulative fields (busy time,
     step-wall histogram, epoch count) locally and republishes the whole
     slot on every :meth:`publish`.
     """

@@ -13,8 +13,9 @@ flags ranks that stopped making progress.  Two independent signals:
   threshold belongs to a rank whose process (or sampler) died.
 
 On a stall the watchdog grabs a stack dump from the owning process.
-For ranks in *this* process it calls ``faulthandler.dump_traceback``
-directly; for processes-backend workers it signals the worker's pid
+For ranks in *this* process (rank 0 of a processes-backend run
+included) it calls ``faulthandler.dump_traceback`` directly; for
+processes-backend workers it signals the worker's pid
 with SIGUSR1, which the worker registered at startup via
 :func:`enable_stack_dump_signal` (``faulthandler.register``) when the
 run was started with watchdog dumps enabled.  The pipe command channel

@@ -9,9 +9,10 @@ worker.  This module is the bridge:
   know how to survive the process boundary (telemetry recorder, handler
   profiler, Chrome trace exporter) register themselves here via
   :func:`ensure_rank_plan`; the plan rides the fork into every worker.
-* :class:`RankRecorder` — the worker-side re-attachment.  Created by
-  ``ProcessesBackend._worker_main`` after the parent-bound observers
-  are stripped, it writes one JSONL shard per rank
+* :class:`RankRecorder` — the rank-side re-attachment.  Created by the
+  backend's ``RankRunner`` wherever the rank runs (rank 0 in the
+  parent, the others in their forked workers) after the parent-bound
+  observers are stripped, it writes one JSONL shard per rank
   (``<metrics>.rank<k>``) or, with no metrics path, ships bounded
   record batches back over the existing pipes alongside the
   :class:`~repro.core.backends.RankStep` results.  Span-profile buckets
@@ -171,7 +172,7 @@ class RankStreamPlan:
     # ------------------------------------------------------------------
     def worker_recorder(self, psim: "ParallelSimulation",
                         rank: int) -> Optional["RankRecorder"]:
-        """Build the rank-local recorder inside a forked worker."""
+        """Build the rank-local recorder where ``rank`` runs."""
         if not self.active:
             return None
         return RankRecorder(self, psim, rank)
@@ -200,9 +201,10 @@ class RankStreamPlan:
 
 
 class RankRecorder:
-    """Worker-side recorder: the rank-local half of the plan.
+    """Rank-side recorder: the rank-local half of the plan.
 
-    Lives entirely inside one forked rank worker.  Opens its own shard
+    Lives wherever the rank runs — rank 0's in the parent, every other
+    rank's inside its forked worker.  Opens its own shard
     file (never the parent's sink), attaches its own span/heartbeat
     observers to the rank's :class:`Simulation`, annotates every
     :class:`RankStep` on its way back to the parent, and packages the

@@ -6,6 +6,11 @@ the same partitioned graph, worker error propagation, resource cleanup
 on failure, and the per-rank engine RNG streams.
 """
 
+import os
+import signal
+import threading
+import time
+
 import pytest
 
 from repro.config import ConfigGraph, build, build_parallel
@@ -136,6 +141,79 @@ class TestProcessesBackend:
         second = psim.run()
         assert second.reason == "exit"
         assert a.received.count == 12
+
+
+class Wedge(Component):
+    """Hangs its rank's first kernel window, so the parent blocks
+    collecting that rank's step."""
+
+    def setup(self):
+        self.schedule(1000, self._hang)
+
+    def _hang(self, _):
+        time.sleep(60)
+
+
+class TestWorkerFaults:
+    """Blocking waits still fail fast on a dead worker, and an idle
+    worker never outlives its parent's end of the pipe."""
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_sigkilled_worker_fails_run_fast_and_clean(self, transport):
+        psim = ParallelSimulation(2, seed=1, backend="processes",
+                                  transport=transport)
+        Sink(psim.rank_sim(0), "sink")
+        Wedge(psim.rank_sim(1), "wedge")
+        seen = {}
+
+        def kill_rank1():
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and "pid" not in seen:
+                backend = psim._backend
+                pid = backend.worker_pid(1) if backend is not None else None
+                if pid is not None:
+                    seen.update(pid=pid, proc=backend._procs[1],
+                                exchange=backend._exchange)
+                time.sleep(0.01)
+            time.sleep(0.3)  # the parent is now blocked in collect
+            exchange = seen.get("exchange")
+            if exchange is not None:
+                seen["segment"] = f"/dev/shm/{exchange._shm.name}"
+                assert os.path.exists(seen["segment"])
+            seen["killed_at"] = time.monotonic()
+            os.kill(seen["pid"], signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_rank1, daemon=True)
+        killer.start()
+        with pytest.raises(SimulationError, match="rank 1") as caught:
+            psim.run()
+        raised_at = time.monotonic()
+        killer.join(timeout=10)
+        assert "died" in str(caught.value)
+        assert raised_at - seen["killed_at"] < 1.0
+        assert psim._backend is None
+        assert seen["proc"].exitcode == -signal.SIGKILL  # reaped
+        if transport == "shm":
+            assert not os.path.exists(seen["segment"])
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_worker_exits_when_parent_closes_its_pipe(self, transport):
+        """An idle worker sleeps in its command wait (``select`` under
+        shm); the parent closing its end of the pipe lets it exit alone."""
+        psim = ParallelSimulation(2, seed=1, backend="processes",
+                                  transport=transport)
+        Sink(psim.rank_sim(0), "a")
+        Sink(psim.rank_sim(1), "b")
+        psim.setup()
+        backend = make_backend("processes", psim)
+        backend.start()
+        proc = backend._procs[1]
+        try:
+            backend._conns[1].close()
+            proc.join(timeout=5)
+            assert proc.exitcode == 0
+        finally:
+            backend.close()
 
 
 class TestCleanupOnFailure:

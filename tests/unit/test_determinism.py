@@ -208,6 +208,9 @@ class TestTransportSyncDeterminism:
                 # must pop the exact reference sequence.
                 assert traces == ref_traces, (backend, transport, sync)
             else:
+                # Rank 0 runs in this process, so its pops are
+                # observable here too; the workers keep theirs.
+                assert traces[0] == ref_traces[0], (backend, transport, sync)
                 moved[transport, sync] = result.exchange_bytes
         # Both transports move the same frames, so they account the
         # same bytes.

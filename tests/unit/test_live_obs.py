@@ -235,8 +235,10 @@ class TestLiveMetricsParallel:
         assert all(s["state"] == STATE_DONE for s in ranks)
         assert all(s["epoch"] > 0 for s in ranks)
         if backend == "processes":
-            # Workers own their slots across the fork boundary.
-            assert all(s["pid"] != os.getpid() for s in ranks)
+            # Whoever runs a rank owns its slot: rank 0 runs in this
+            # process, the others in forked workers.
+            assert ranks[0]["pid"] == os.getpid()
+            assert all(s["pid"] != os.getpid() for s in ranks[1:])
         else:
             assert all(s["pid"] == os.getpid() for s in ranks)
         run = snapshot["run"]

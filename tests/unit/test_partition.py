@@ -66,6 +66,27 @@ class TestBasics:
         result = partition(list(range(6)), [], 2, strategy="round_robin")
         assert [result.assignment[i] for i in range(6)] == [0, 1, 0, 1, 0, 1]
 
+    @pytest.mark.parametrize("ranks, expected", [
+        (2, [("x0", 0), ("a0", 0), ("a1", 0), ("a2", 0), ("b0", 0),
+             ("b1", 0), ("b2", 0), ("x1", 1), ("c0", 1), ("c3", 1),
+             ("c2", 1), ("c1", 1), ("x2", 1), ("x3", 1)]),
+        (3, [("x0", 0), ("a0", 0), ("a1", 0), ("a2", 0), ("b0", 0),
+             ("x1", 1), ("b1", 1), ("b2", 1), ("c0", 1), ("c3", 1),
+             ("x2", 2), ("c1", 2), ("c2", 2), ("x3", 2)]),
+    ])
+    def test_bfs_disconnected_graph_assignment_pinned(self, ranks, expected):
+        """Chains interleaved with isolated nodes exercise the seed and
+        jump-to-next-unassigned paths; the assignment (and its order) is
+        pinned to the output of the original quadratic implementation."""
+        nodes = ["x0", "a0", "b0", "a1", "x1", "a2", "b1", "c0", "x2",
+                 "c1", "c2", "b2", "c3", "x3"]
+        chains = [["a0", "a1", "a2"], ["b2", "b1", "b0"],
+                  ["c1", "c3", "c0", "c2"]]
+        edges = [PartitionEdge(u, v) for chain in chains
+                 for u, v in zip(chain, chain[1:])]
+        result = partition(nodes, edges, ranks, strategy="bfs")
+        assert list(result.assignment.items()) == expected
+
 
 class TestQualityMetrics:
     def test_ring_linear_cut(self):

@@ -16,6 +16,7 @@
 
 from __future__ import annotations
 
+import select
 import threading
 import time as _wall_time
 
@@ -214,18 +215,45 @@ class TestStepFrame:
 # ShmExchange (single-process: parent and "worker" share the mapping)
 # ----------------------------------------------------------------------
 
+def _rung(fd) -> bool:
+    return bool(select.select([fd], [], [], 0)[0])
+
+
 class TestShmExchange:
     def test_epoch_handshake(self):
         exchange = ShmExchange(2, ring_capacity=4096)
         try:
-            assert not exchange.posted(0)
+            assert not _rung(exchange.bell(0))
             exchange.post(0, b"deliveries-for-rank0")
-            assert exchange.cmd_seq(0) == 1
-            assert exchange.posted(0) and not exchange.posted(1)
+            assert _rung(exchange.bell(0)) and not _rung(exchange.bell(1))
             assert exchange.read_deliveries(0) == b"deliveries-for-rank0"
+            assert not _rung(exchange.bell(0))  # answering consumed it
             exchange.complete(0, b"step-result")
-            assert not exchange.posted(0)
             assert exchange.collect(0) == b"step-result"
+        finally:
+            exchange.close(unlink=True)
+
+    def test_waiting_side_blocks_instead_of_spinning(self):
+        """collect() waiting 0.5 s for its peer must sleep in the kernel:
+        a spin-wait would burn most of those 0.5 s as process time."""
+        exchange = ShmExchange(1, ring_capacity=1024)
+        try:
+            exchange.post(0, b"go")
+
+            def peer():
+                assert exchange.read_deliveries(0) == b"go"
+                _wall_time.sleep(0.5)
+                exchange.complete(0, b"done")
+
+            thread = threading.Thread(target=peer)
+            wall0 = _wall_time.perf_counter()
+            cpu0 = _wall_time.process_time()
+            thread.start()
+            assert exchange.collect(0) == b"done"
+            cpu = _wall_time.process_time() - cpu0
+            thread.join(timeout=10)
+            assert _wall_time.perf_counter() - wall0 >= 0.5
+            assert cpu < 0.05, f"waiting side used {cpu:.3f} s of CPU"
         finally:
             exchange.close(unlink=True)
 
