@@ -1,7 +1,8 @@
 """ENG-2 — hot-path ablation: the shared-clock arbiter on and off.
 
-PR 4's kernel optimisations (shared :class:`repro.core.ClockArbiter`,
-event-record pooling, hoisted dispatch loops) target the same-frequency
+The kernel's hot-path design (shared :class:`repro.core.ClockArbiter`,
+tuple queue entries ordered in C, hoisted dispatch loops that unpack
+each entry) targets the same-frequency
 clocked-fabric shape that dominates architectural models: hundreds of
 components all ticking at the core clock.  This bench measures that
 shape — 1000 components x 200 ticks — for both pending-event-set

@@ -12,7 +12,8 @@ to the PR 4 gate of 25%) fails the job.
 Baseline values are deliberately conservative — roughly a quarter of a
 warm local run — because shared CI runners are slower and noisier than a
 developer box; the baseline exists to catch *structural* regressions
-(an accidentally disabled arbiter, a de-pooled hot loop), not to police
+(an accidentally disabled arbiter, a Python-level compare back in the
+heap), not to police
 single-digit-percent drift.  Refresh it with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_engine_throughput.py \

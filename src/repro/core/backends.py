@@ -226,8 +226,8 @@ def deliver_cross_rank(psim: "ParallelSimulation", rank: int,
     for when, priority, link_id, dest_rank, send_seq, event in entries:
         link = cross[link_id]
         port = link.port_b if dest_rank == link.rank_b else link.port_a
-        record = queue.push(when, priority, port.deliver, event)
-        causal.on_cross_recv(record.seq, link_id, send_seq, when, priority)
+        seq = queue.push(when, priority, port.deliver, event)
+        causal.on_cross_recv(seq, link_id, send_seq, when, priority)
 
 
 def _write_rank_shard(psim: "ParallelSimulation", rank: int,

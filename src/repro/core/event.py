@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Tuple,
+                    Type)
 
 from .units import SimTime
 
@@ -157,112 +158,23 @@ class IdSource:
             src._next = max(src._next, value) if merge_max else value
 
 
-class EventRecord:
-    """A queued delivery: ``(time, priority, seq)`` ordering key plus target.
+class EventRecord(NamedTuple):
+    """A queued delivery, as the queue API hands it out.
 
-    Kept as a tiny class (not a namedtuple) with ``__slots__`` and rich
-    comparison on the ordering key only, so heap operations never
-    compare handler objects.
+    The queues store plain ``(time, priority, seq, handler, event)``
+    tuples — this exact field order — so heap ordering is tuple
+    comparison in C: ``seq`` is unique per queue, so two entries never
+    tie far enough to compare handlers.  Only :meth:`EventQueueBase.pop`
+    and :meth:`EventQueueBase.snapshot_records` wrap entries in this
+    class; the kernel loops unpack the raw tuples.  Records are
+    immutable, so observers may keep them.
     """
 
-    __slots__ = ("time", "priority", "seq", "handler", "event", "cause")
-
-    def __init__(
-        self,
-        time: SimTime,
-        priority: int,
-        seq: int,
-        handler: Optional[Handler],
-        event: Optional[Event],
-    ):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.handler = handler
-        self.event = event
-        # Provenance slot (repro.obs.causal): local seq of the event whose
-        # handler scheduled this one, or None for a root.  Stamped only by
-        # the causal tracer's queue proxy — the bare path never writes it.
-        self.cause = None
-
-    def key(self) -> tuple:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "EventRecord") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EventRecord):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"EventRecord(t={self.time}, prio={self.priority}, seq={self.seq})"
-
-
-# ----------------------------------------------------------------------
-# EventRecord free-list pool
-# ----------------------------------------------------------------------
-# Allocation is a dominant cost of the pure-Python hot loop: every queued
-# delivery creates one EventRecord and drops it right after dispatch.
-# The kernel loops recycle records through this free list instead.
-#
-# Aliasing rule (see docs/PERFORMANCE.md): a record is released ONLY at
-# a point where no observer can still hold it — the bare (uninstrumented)
-# kernel paths release after dispatch; the instrumented path never
-# releases, because trace/span observers receive the record's fields and
-# may retain the event, and future observers could retain the record.
-
-_RECORD_POOL: List[EventRecord] = []
-#: free-list size cap — beyond this, released records are left to the GC
-_RECORD_POOL_MAX = 8192
-
-
-def acquire_record(
-    time: SimTime,
-    priority: int,
-    seq: int,
-    handler: Optional[Handler],
-    event: Optional[Event],
-) -> EventRecord:
-    """A filled EventRecord, recycled from the free list when possible."""
-    try:
-        record = _RECORD_POOL.pop()
-    except IndexError:
-        return EventRecord(time, priority, seq, handler, event)
-    record.time = time
-    record.priority = priority
-    record.seq = seq
-    record.handler = handler
-    record.event = event
-    return record
-
-
-def release_record(record: EventRecord) -> None:
-    """Return a dispatched record to the free list.
-
-    Callers must guarantee nothing else references the record (the
-    aliasing rule above).  Handler/event are cleared so the pool never
-    pins components or payloads live.
-    """
-    record.handler = None
-    record.event = None
-    record.cause = None  # provenance must never leak across reuses
-    pool = _RECORD_POOL
-    if len(pool) < _RECORD_POOL_MAX:
-        pool.append(record)
-
-
-def record_pool_size() -> int:
-    """Current free-list length (introspection for tests/diagnostics)."""
-    return len(_RECORD_POOL)
+    time: SimTime
+    priority: int
+    seq: int
+    handler: Optional[Handler]
+    event: Optional[Event]
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Pending-event set implementations.
 
-The simulator's hot loop is ``pop smallest-timestamp record / execute /
+The simulator's hot loop is ``pop smallest-timestamp entry / execute /
 push successors``, so the queue dominates engine throughput.  Two
 interchangeable implementations are provided:
 
@@ -11,6 +11,13 @@ interchangeable implementations are provided:
   event horizon is short relative to the bin width (clocked component
   graphs), but degrades when timestamps are spread widely.
 
+Both store plain ``(time, priority, seq, handler, event)`` tuples
+(:data:`Entry`), the same layout checkpoint shards use.  ``seq`` is
+unique per queue, so ordering is tuple comparison in C and never
+reaches the handler.  The kernel takes raw entries through
+:meth:`EventQueueBase.pop_entry`; :meth:`EventQueueBase.pop` wraps one
+in an :class:`~repro.core.event.EventRecord` for attribute access.
+
 ``benchmarks/bench_engine_throughput.py`` carries the ablation between
 the two (experiment ENG-1 in DESIGN.md).
 """
@@ -18,11 +25,18 @@ the two (experiment ENG-1 in DESIGN.md).
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from functools import partial
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .event import Event, EventRecord, Handler, acquire_record
+from .event import Event, EventRecord, Handler
 from .units import SimTime
+
+#: A queued delivery as stored: ``(time, priority, seq, handler, event)``.
+Entry = Tuple[SimTime, int, int, Optional[Handler], Optional[Event]]
+
+#: ``_new_record(EventRecord, entry)`` wraps an entry without running the
+#: NamedTuple's Python-level ``__new__``.
+_new_record = tuple.__new__
 
 
 class EventQueueBase:
@@ -34,17 +48,20 @@ class EventQueueBase:
         priority: int,
         handler: Optional[Handler],
         event: Optional[Event],
-    ) -> EventRecord:
+    ) -> int:
+        """Queue a delivery; returns the insertion sequence number."""
         raise NotImplementedError
 
-    def push_record(self, record: EventRecord) -> None:
+    def pop_entry(self) -> Entry:
+        """Remove and return the earliest raw entry (the kernel's
+        accessor); raises ``IndexError`` when empty."""
         raise NotImplementedError
 
     def pop(self) -> EventRecord:
-        raise NotImplementedError
+        return _new_record(EventRecord, self.pop_entry())
 
     def peek_time(self) -> Optional[SimTime]:
-        """Timestamp of the earliest record, or None when empty."""
+        """Timestamp of the earliest entry, or None when empty."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -57,7 +74,7 @@ class EventQueueBase:
     # The insertion-sequence counter is part of the determinism contract:
     # a restored queue must hand out exactly the seq values the original
     # would have, so `repro.ckpt` captures it explicitly (the max pending
-    # seq underestimates it whenever the newest records have already been
+    # seq underestimates it whenever the newest entries have already been
     # popped).
 
     @property
@@ -69,12 +86,13 @@ class EventQueueBase:
         """All pending records, non-destructively, in no particular order."""
         raise NotImplementedError
 
-    def restore_records(self, records: List[EventRecord], seq: int) -> None:
+    def restore_records(self, records: Iterable[Entry], seq: int) -> None:
         """Replace the queue's contents and seq counter wholesale.
 
-        Existing records are discarded (a rebuild pushes setup-time
-        events that the snapshot's records supersede).  ``records`` must
-        already carry their final seq values.
+        Existing entries are discarded (a rebuild pushes setup-time
+        events that the snapshot's records supersede).  ``records`` are
+        ``(time, priority, seq, handler, event)`` tuples that already
+        carry their final, distinct seq values.
         """
         raise NotImplementedError
 
@@ -82,11 +100,14 @@ class EventQueueBase:
 class HeapEventQueue(EventQueueBase):
     """Binary-heap pending-event set (the default engine queue)."""
 
-    __slots__ = ("_heap", "_seq")
+    __slots__ = ("_heap", "_seq", "pop_entry")
 
     def __init__(self) -> None:
-        self._heap: List[EventRecord] = []
+        self._heap: List[Entry] = []
         self._seq = 0
+        # Bound to the one heap list for the queue's lifetime (restore
+        # refills it in place): a pop is a C call with no Python frame.
+        self.pop_entry = partial(heapq.heappop, self._heap)
 
     def push(
         self,
@@ -94,27 +115,15 @@ class HeapEventQueue(EventQueueBase):
         priority: int,
         handler: Optional[Handler],
         event: Optional[Event],
-    ) -> EventRecord:
-        record = acquire_record(time, priority, self._seq, handler, event)
-        self._seq += 1
-        heapq.heappush(self._heap, record)
-        return record
-
-    def push_record(self, record: EventRecord) -> None:
-        # Records arriving from another rank already carry a sequence
-        # number; keep the local counter ahead of it so later local
-        # pushes sort after.
-        if record.seq >= self._seq:
-            self._seq = record.seq + 1
-        heapq.heappush(self._heap, record)
-
-    def pop(self) -> EventRecord:
-        return heapq.heappop(self._heap)
+    ) -> int:
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, priority, seq, handler, event))
+        return seq
 
     def peek_time(self) -> Optional[SimTime]:
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -124,20 +133,21 @@ class HeapEventQueue(EventQueueBase):
         return self._seq
 
     def snapshot_records(self) -> List[EventRecord]:
-        return list(self._heap)
+        return [_new_record(EventRecord, entry) for entry in self._heap]
 
-    def restore_records(self, records: List[EventRecord], seq: int) -> None:
-        self._heap = list(records)
-        heapq.heapify(self._heap)
+    def restore_records(self, records: Iterable[Entry], seq: int) -> None:
+        heap = self._heap
+        heap[:] = records
+        heapq.heapify(heap)
         self._seq = seq
 
 
 class BinnedEventQueue(EventQueueBase):
     """Calendar-queue variant: fixed-width bins plus an overflow heap.
 
-    Records within ``horizon = bin_width * n_bins`` of the current front
-    go into per-bin FIFO deques (sorted lazily on first pop from the
-    bin); records beyond the horizon land in an overflow heap that is
+    Entries within ``horizon = bin_width * n_bins`` of the current front
+    go into per-bin FIFO lists (sorted lazily on first pop from the
+    bin); entries beyond the horizon land in an overflow heap that is
     drained as the calendar advances.
 
     Parameters
@@ -158,9 +168,9 @@ class BinnedEventQueue(EventQueueBase):
             raise ValueError("n_bins must be positive")
         self._bin_width = bin_width
         self._n_bins = n_bins
-        self._bins: Dict[int, List[EventRecord]] = {}
+        self._bins: Dict[int, List[Entry]] = {}
         self._base = 0  # index of the first bin in the active window
-        self._overflow: List[EventRecord] = []
+        self._overflow: List[Entry] = []
         self._seq = 0
         self._count = 0
 
@@ -173,20 +183,18 @@ class BinnedEventQueue(EventQueueBase):
         priority: int,
         handler: Optional[Handler],
         event: Optional[Event],
-    ) -> EventRecord:
-        record = acquire_record(time, priority, self._seq, handler, event)
-        self._seq += 1
-        self.push_record(record)
-        return record
+    ) -> int:
+        seq = self._seq
+        self._seq = seq + 1
+        self._insert((time, priority, seq, handler, event))
+        return seq
 
-    def push_record(self, record: EventRecord) -> None:
-        if record.seq >= self._seq:
-            self._seq = record.seq + 1
-        index = self._bin_index(record.time)
+    def _insert(self, entry: Entry) -> None:
+        index = self._bin_index(entry[0])
         if index >= self._base + self._n_bins:
-            heapq.heappush(self._overflow, record)
+            heapq.heappush(self._overflow, entry)
         else:
-            self._bins.setdefault(index, []).append(record)
+            self._bins.setdefault(index, []).append(entry)
         self._count += 1
 
     def _advance(self) -> None:
@@ -197,20 +205,20 @@ class BinnedEventQueue(EventQueueBase):
                 if lowest >= self._base:
                     self._base = lowest
             if self._overflow:
-                over_index = self._bin_index(self._overflow[0].time)
+                over_index = self._bin_index(self._overflow[0][0])
                 if not self._bins or over_index <= min(self._bins):
                     self._base = over_index
-            # Drain overflow records that now fall inside the window.
+            # Drain overflow entries that now fall inside the window.
             horizon = self._base + self._n_bins
             moved = False
-            while self._overflow and self._bin_index(self._overflow[0].time) < horizon:
-                record = heapq.heappop(self._overflow)
-                self._bins.setdefault(self._bin_index(record.time), []).append(record)
+            while self._overflow and self._bin_index(self._overflow[0][0]) < horizon:
+                entry = heapq.heappop(self._overflow)
+                self._bins.setdefault(self._bin_index(entry[0]), []).append(entry)
                 moved = True
             if not moved:
                 return
 
-    def pop(self) -> EventRecord:
+    def pop_entry(self) -> Entry:
         if self._count == 0:
             raise IndexError("pop from empty BinnedEventQueue")
         self._advance()
@@ -219,20 +227,18 @@ class BinnedEventQueue(EventQueueBase):
         # Lazy sort: a bin is sorted only when the window front reaches it.
         if len(bucket) > 1:
             bucket.sort(reverse=True)  # pop() from the end = smallest first
-            record = bucket.pop()
-        else:
-            record = bucket.pop()
+        entry = bucket.pop()
         if not bucket:
             del self._bins[lowest]
         self._count -= 1
-        return record
+        return entry
 
     def peek_time(self) -> Optional[SimTime]:
         if self._count == 0:
             return None
         self._advance()
         lowest = min(self._bins)
-        return min(r.time for r in self._bins[lowest])
+        return min(entry[0] for entry in self._bins[lowest])
 
     def __len__(self) -> int:
         return self._count
@@ -242,17 +248,17 @@ class BinnedEventQueue(EventQueueBase):
         return self._seq
 
     def snapshot_records(self) -> List[EventRecord]:
-        records = [r for bucket in self._bins.values() for r in bucket]
-        records.extend(self._overflow)
-        return records
+        entries = [e for bucket in self._bins.values() for e in bucket]
+        entries.extend(self._overflow)
+        return [_new_record(EventRecord, entry) for entry in entries]
 
-    def restore_records(self, records: List[EventRecord], seq: int) -> None:
+    def restore_records(self, records: Iterable[Entry], seq: int) -> None:
         self._bins = {}
         self._overflow = []
         self._base = 0
         self._count = 0
         for record in records:
-            self.push_record(record)
+            self._insert(record)
         self._seq = seq
 
 

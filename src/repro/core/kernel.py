@@ -12,13 +12,14 @@ events identically.
 
 Layering (see docs/ARCHITECTURE.md):
 
-* **kernel** (this module) — pop the next :class:`EventRecord`, advance
-  ``now``, dispatch through the compiled observability slot.
+* **kernel** (this module) — pop the next raw ``(time, priority, seq,
+  handler, event)`` entry through the queue's ``pop_entry`` accessor,
+  advance ``now``, dispatch bare or through the compiled observability
+  slot.
 * **SyncStrategy** (:mod:`repro.core.sync`) — decides *how far* each
   rank may run (epoch windows, lookahead, cross-rank exchange).
 * **ExecutionBackend** (:mod:`repro.core.backends`) — decides *where*
-  each rank's kernel loop executes (inline, thread pool, forked
-  process).
+  each rank's kernel loop executes (inline or a forked process).
 
 Checkpoint contract (:mod:`repro.ckpt`): snapshots are only taken
 *between* kernel invocations — at conservative-sync epoch boundaries
@@ -26,8 +27,8 @@ for parallel runs, between ``max_time``-bounded segments for
 sequential ones — never from inside a loop body.  Two loop-level facts
 make restored runs bit-identical: (1) the dispatch mode (bare vs
 instrumented) is recomputed at every entry from ``sim._instr``, so a
-restore never has to persist the pooling decision — re-attaching the
-same observers before resuming reproduces it; (2) the total event
+restore never has to persist it — re-attaching the same observers
+before resuming reproduces it; (2) the total event
 order is ``(time, priority, seq)`` and the queue's ``seq`` counter is
 part of the snapshot, so records pushed after a restore tie-break
 exactly as they would have in the uninterrupted run.
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Union
 
 from . import units
-from .event import release_record
 from .units import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,18 +101,18 @@ def kernel_run(sim: "Simulation", ctx: RunContext) -> "RunResult":
 
     The dispatch mode is precomputed at entry (hot-path contract): with
     no observers installed the loop runs *bare* — hoisted queue
-    bindings, no per-event attribute probing, dispatched records
-    recycled through the event-record pool.  Observers attached
-    mid-run from inside a handler therefore take effect at the next
-    ``run()``/``run_step()`` call in bare mode; removing the last
-    observer mid-run is honoured immediately (the instrumented loop
-    re-probes and falls through to the bare loop).  Records dispatched
-    while instrumented are never pooled — observers may retain them
-    (see docs/PERFORMANCE.md, the observer-vs-pool aliasing rule).
+    bindings, each raw entry unpacked into locals, no per-event
+    attribute probing.  Observers attached mid-run from inside a
+    handler therefore take effect at the next ``run()``/``run_step()``
+    call in bare mode; removing the last observer mid-run is honoured
+    immediately (the instrumented loop re-probes and falls through to
+    the bare loop).  The instrumented loop hands the entry tuple to the
+    compiled ``sim._instr`` closure; entries are immutable, so
+    observers may keep what they are given (docs/PERFORMANCE.md).
 
     Causal tracing (:mod:`repro.obs.causal`) rides the same switch: an
     attached tracer forces ``sim._instr`` non-None, and the compiled
-    ``_instr`` closure notes each record and arms/clears the tracer's
+    ``_instr`` closure notes each entry and arms/clears the tracer's
     cause cell around dispatch.  The bare loop is never touched —
     ``--trace-causal`` off means zero added cost here.
     """
@@ -132,8 +132,7 @@ def kernel_run(sim: "Simulation", ctx: RunContext) -> "RunResult":
     # dispatch conditions (exit protocol on/off, events budget).
     queue = sim._queue
     peek = queue.peek_time
-    pop = queue.pop
-    release = release_record
+    pop_entry = queue.pop_entry
     check_exit = not ctx.ignore_exit and bool(sim._primary_components)
     # Records budget (max_events counts popped records, as before);
     # float("inf") turns "no budget" into a single cheap comparison.
@@ -148,9 +147,8 @@ def kernel_run(sim: "Simulation", ctx: RunContext) -> "RunResult":
         while reason is None:
             if sim._instr is not None:
                 # ---------------- instrumented loop -----------------
-                # Identical per-event semantics to the pre-optimisation
-                # loop: per-event _instr probe (observers may detach
-                # mid-run), records counted on sim directly, no pooling.
+                # Per-event _instr probe (observers may detach mid-run),
+                # records counted on sim directly.
                 while True:
                     instr = sim._instr
                     if instr is None:
@@ -163,14 +161,14 @@ def kernel_run(sim: "Simulation", ctx: RunContext) -> "RunResult":
                         reason = "max_time"
                         sim.now = limit
                         break
-                    record = pop()
+                    entry = pop_entry()
                     sim.now = next_time
                     sim.last_event_time = next_time
                     # Counted before dispatch so heartbeat/telemetry
                     # callbacks observe the event that triggered them.
                     sim._events_executed += 1
                     records += 1
-                    instr(record)
+                    instr(entry)
                     if sim._stop_requested:
                         reason = "stopped"
                         break
@@ -186,18 +184,15 @@ def kernel_run(sim: "Simulation", ctx: RunContext) -> "RunResult":
                 try:
                     while True:
                         try:
-                            record = pop()
+                            now, _prio, _seq, handler, event = pop_entry()
                         except IndexError:
                             reason = "exhausted"
                             break
-                        now = record.time
                         sim.now = now
                         sim.last_event_time = now
                         executed += 1
-                        handler = record.handler
                         if handler is not None:
-                            handler(record.event)
-                        release(record)
+                            handler(event)
                         if sim._stop_requested:
                             reason = "stopped"
                             break
@@ -223,14 +218,12 @@ def kernel_run(sim: "Simulation", ctx: RunContext) -> "RunResult":
                             reason = "max_time"
                             sim.now = limit
                             break
-                        record = pop()
+                        _t, _prio, _seq, handler, event = pop_entry()
                         sim.now = next_time
                         sim.last_event_time = next_time
                         executed += 1
-                        handler = record.handler
                         if handler is not None:
-                            handler(record.event)
-                        release(record)
+                            handler(event)
                         if sim._stop_requested:
                             reason = "stopped"
                             break
@@ -271,46 +264,43 @@ def kernel_step(sim: "Simulation", until: SimTime) -> int:
     """
     queue = sim._queue
     peek = queue.peek_time
-    pop = queue.pop
-    release = release_record
+    pop_entry = queue.pop_entry
     start_executed = sim._events_executed
     live = sim._live_publisher
     if live is not None:
         live.on_kernel_enter()
     if sim._instr is not None:
         # Instrumented window: per-event probe (observers may detach
-        # mid-window), no record pooling — observers may retain records.
+        # mid-window).
         while True:
             next_time = peek()
             if next_time is None or next_time > until:
                 break
-            record = pop()
+            entry = pop_entry()
             sim.now = next_time
             sim.last_event_time = next_time
             sim._events_executed += 1
             instr = sim._instr
             if instr is not None:
-                instr(record)
+                instr(entry)
             else:
-                handler = record.handler
+                handler = entry[3]
                 if handler is not None:
-                    handler(record.event)
+                    handler(entry[4])
     else:
-        # Bare window: hoisted bindings, dispatched records recycled.
+        # Bare window: hoisted bindings, raw entries unpacked.
         count = 0
         try:
             while True:
                 next_time = peek()
                 if next_time is None or next_time > until:
                     break
-                record = pop()
+                _t, _prio, _seq, handler, event = pop_entry()
                 sim.now = next_time
                 sim.last_event_time = next_time
                 count += 1
-                handler = record.handler
                 if handler is not None:
-                    handler(record.event)
-                release(record)
+                    handler(event)
         finally:
             sim._events_executed += count
     if sim.now < until:

@@ -40,7 +40,7 @@ from . import units
 from .backends import (BACKENDS, ExecutionBackend, RankStep, make_backend,
                        outbox_count)
 from .component import Component
-from .event import Event, EventRecord
+from .event import Event
 from .link import Link, LinkError, Port
 from .simulation import Simulation, SimulationError
 from .sync import SyncStrategy, make_sync

@@ -28,7 +28,7 @@ from . import units
 from .clock import Clock, ClockArbiter, ClockHandler, _ArbiterTickEvent
 from .component import Component
 from .event import (PRIORITY_CLOCK, PRIORITY_EVENT, CallbackEvent, Event,
-                    EventRecord, Handler)
+                    Handler)
 from .eventqueue import EventQueueBase, make_queue
 from .link import Link, LinkError, Port
 from .statistics import StatisticGroup
@@ -145,7 +145,7 @@ class Simulation:
         self._heartbeats: Dict[Any, int] = {}
         self._instr = None
         #: causal tracer (repro.obs.causal); duck-typed — anything with
-        #: on_dispatch(record) and a `cell` one-slot list.  Folded into
+        #: on_dispatch(entry) and a `cell` one-slot list.  Folded into
         #: the instrumented dispatcher, so with tracing off the bare
         #: path pays nothing and the instrumented path pays one check.
         self._causal = None
@@ -488,14 +488,12 @@ class Simulation:
         causal_note = causal.on_dispatch if causal is not None else None
         causal_cell = causal.cell if causal is not None else None
 
-        def _instr(record) -> None:
-            time = record.time
-            handler = record.handler
-            event = record.event
+        def _instr(entry) -> None:
+            time, _priority, _seq, handler, event = entry
             if causal_note is not None:
                 # Record this node and arm the cause cell: every push the
-                # handler makes is stamped with this record's seq.
-                causal_note(record)
+                # handler makes is mapped to this entry's seq.
+                causal_note(entry)
             if type(event) is _ArbiterTickEvent:
                 # Shared clock chain: let the arbiter fire its members
                 # with per-member trace/span calls, so observers see

@@ -15,6 +15,10 @@ Routing functions:
   (``dest_leaf % spines``), down to the destination leaf.
 * **crossbar** — direct output port.
 
+Every kind but dragonfly routes on the destination alone, so
+``on_message`` memoizes ``dest -> (out port, is_local)`` per router
+(``_routes``, never checkpointed: a restored router refills it).
+
 Per output port, messages serialise at ``link_bandwidth`` and pay
 ``hop_latency`` of pipeline delay (plus the config link's wire
 latency).
@@ -91,6 +95,9 @@ class Router(Component):
                  required=False, event=NetMessage)
 
     _port_free = state(dict, doc="output port -> time it next frees up")
+    _routes = state(dict, save=False,
+                    doc="dest endpoint -> (out port, is_local), memoized "
+                        "route() results (not dragonfly)")
 
     s_forwarded = stat.counter(doc="messages sent to another router")
     s_delivered = stat.counter(doc="messages handed to a local endpoint")
@@ -252,17 +259,27 @@ class Router(Component):
     # ------------------------------------------------------------------
     def on_message(self, event) -> None:
         assert isinstance(event, NetMessage)
-        out_port = self.route(event.dest, event)
-        start = max(self.now + self.hop_latency,
-                    self._port_free.get(out_port, 0))
-        self.s_queue_wait.add(start - self.now)
+        dest = event.dest
+        hop = self._routes.get(dest)
+        if hop is None:
+            out_port = self.route(dest, event)
+            hop = (out_port, out_port.startswith("local"))
+            # Dragonfly routing writes per-message state (via_done) and
+            # Valiant draws from the RNG, so only the other kinds, whose
+            # route depends on the destination alone, are memoized.
+            if self.kind != "dragonfly":
+                self._routes[dest] = hop
+        out_port, is_local = hop
+        now = self.sim.now
+        start = max(now + self.hop_latency, self._port_free.get(out_port, 0))
+        self.s_queue_wait.add(start - now)
         transfer = bytes_time(event.size, self.link_bw)
         done = start + transfer
         self._port_free[out_port] = done
         event.hops += 1
         self.s_bytes.add(event.size)
-        if out_port.startswith("local"):
+        if is_local:
             self.s_delivered.add()
         else:
             self.s_forwarded.add()
-        self.send(out_port, event, extra_delay=done - self.now)
+        self.send(out_port, event, extra_delay=done - now)

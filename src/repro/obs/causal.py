@@ -3,9 +3,10 @@
 Every dispatched event gets a *node id* ``(rank, seq)`` — the queue's
 insertion sequence is already part of the determinism contract (see
 ``tests/unit/test_determinism.py``), which makes the id stable across
-backends.  While a handler runs, every event it schedules is stamped
-with the running event's seq in the :class:`~repro.core.event.EventRecord`
-``cause`` slot; cross-rank link sends are recorded with their
+backends.  While a handler runs, every event it schedules is mapped
+to the running event's seq in the queue proxy's ``{seq: cause}`` map,
+and the entry is popped from the map when the scheduled event
+dispatches; cross-rank link sends are recorded with their
 ``(src_rank, send_seq)`` identity so the receiving rank can stitch the
 edge back together at analysis time.  The result is a causality DAG on
 disk — per-rank JSONL shards next to the metrics stream — that
@@ -92,32 +93,38 @@ def find_causal_shards(base: Union[str, Path]) -> Dict[int, Path]:
 
 
 class _TracedQueue:
-    """Provenance-stamping proxy over the rank's pending-event set.
+    """Provenance-mapping proxy over the rank's pending-event set.
 
     The concrete queues use ``__slots__`` (hot-path layout), so the
     tracer cannot monkeypatch ``push``; instead the tracer swaps
-    ``sim._queue`` for this proxy.  ``pop``/``peek_time`` are re-bound
-    from the inner queue as instance attributes, so the kernel loops —
-    which hoist those bound methods — pay nothing extra; only ``push``
-    (schedule-time, not dispatch-time) takes the detour to stamp
-    ``record.cause`` from the tracer's one-slot cause cell.
+    ``sim._queue`` for this proxy.  ``pop_entry``/``peek_time`` are
+    re-bound from the inner queue as instance attributes, so the kernel
+    loops — which hoist those callables — pay nothing extra; only
+    ``push`` (schedule-time, not dispatch-time) takes the detour to map
+    the new entry's seq to the tracer's one-slot cause cell.  Roots
+    (cause ``None``) get no map entry; :meth:`CausalTracer.on_dispatch`
+    pops each entry's cause, so a drained run leaves the map empty.
     """
 
-    __slots__ = ("_inner", "_cell", "pop", "peek_time")
+    __slots__ = ("_inner", "_cell", "causes", "pop_entry", "peek_time")
 
     def __init__(self, inner, cell: List[Optional[int]]):
         self._inner = inner
         self._cell = cell
-        self.pop = inner.pop
+        #: seq of a pending entry -> seq of the event that scheduled it
+        self.causes: Dict[int, int] = {}
+        self.pop_entry = inner.pop_entry
         self.peek_time = inner.peek_time
 
-    def push(self, time, priority, handler, event):
-        record = self._inner.push(time, priority, handler, event)
-        record.cause = self._cell[0]
-        return record
+    def push(self, time, priority, handler, event) -> int:
+        seq = self._inner.push(time, priority, handler, event)
+        cause = self._cell[0]
+        if cause is not None:
+            self.causes[seq] = cause
+        return seq
 
-    def push_record(self, record) -> None:
-        self._inner.push_record(record)
+    def pop(self):
+        return self._inner.pop()
 
     @property
     def seq(self) -> int:
@@ -192,17 +199,17 @@ class CausalTracer:
         # Splice into the engine: queue proxy + instrumented dispatch.
         self._inner_queue = sim._queue
         sim._queue = _TracedQueue(self._inner_queue, self.cell)
+        self._causes = sim._queue.causes
         sim._causal = self
         sim._rebuild_instr()
         if psim is not None:
             self._wrap_cross_endpoints(psim)
 
     # -- capture hooks -------------------------------------------------
-    def on_dispatch(self, record) -> None:
-        """Record the node for ``record`` and arm the cause cell."""
-        seq = record.seq
-        handler = record.handler
-        event = record.event
+    def on_dispatch(self, entry) -> None:
+        """Record the node for the raw queue ``entry`` and arm the cause
+        cell."""
+        time, priority, seq, handler, event = entry
         # Attribution: cache by the handler's owner object when there is
         # one; CallbackEvents attribute through their callback's owner.
         fn = event.callback if type(event) is CallbackEvent else handler
@@ -222,8 +229,8 @@ class CausalTracer:
             evt_idx = len(self._evts)
             self._evts.append(etype.__name__)
             self._evt_cache[etype] = evt_idx
-        self._nodes.append([seq, record.time, record.priority,
-                            getattr(record, "cause", None), comp_idx, evt_idx])
+        self._nodes.append([seq, time, priority, self._causes.pop(seq, None),
+                            comp_idx, evt_idx])
         self.cell[0] = seq
         if len(self._nodes) >= _FLUSH_ROWS:
             self.flush()

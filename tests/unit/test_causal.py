@@ -4,7 +4,7 @@ The load-bearing contracts:
 
 * capture is **opt-in** — an untraced run never compiles the
   instrumented dispatcher and never writes a shard, and a closed tracer
-  leaves the engine (and the event-record pool) exactly as it found it;
+  leaves the engine exactly as it found it;
 * node ids ``(rank, seq)`` ride the determinism contract, so the
   critical path reported from the per-rank shards is **identical across
   execution backends** — including processes, where causality has to be
@@ -21,7 +21,6 @@ import pytest
 from repro.config import ConfigGraph, build, build_parallel
 from repro.core import Component, Simulation
 from repro.core.backends import BACKENDS
-from repro.core.event import _RECORD_POOL, acquire_record, release_record
 from repro.obs import CausalCapture
 from repro.obs.causal import CausalTracer, causal_shard_path, find_causal_shards
 from repro.obs.critpath import (CausalAnalysisError, analyze, critical_path,
@@ -84,11 +83,38 @@ class TestCaptureLifecycle:
         assert sim._instr is None
         assert sim._queue is queue_before
 
-    def test_released_records_never_leak_provenance(self):
-        record = acquire_record(10, 0, 1, None, None)
-        record.cause = 42
-        release_record(record)
-        assert all(r.cause is None for r in _RECORD_POOL)
+    def test_cause_map_empty_after_drained_run(self, tmp_path, make_pingpong):
+        sim = Simulation(seed=1)
+        make_pingpong(sim, n=8)
+        capture = CausalCapture(tmp_path / "m.jsonl")
+        capture.attach(sim)
+        proxy = sim._queue
+        sim.run()
+        assert len(proxy) == 0
+        # Every mapped cause was popped when its event dispatched.
+        assert proxy.causes == {}
+        capture.close()
+        graph = load_causal(tmp_path / "m.jsonl")
+        assert any(row[2] is not None for row in graph.nodes.values())
+
+    def test_detach_restores_bare_queue_on_every_rank(self, tmp_path):
+        psim = build_parallel(crossed_graph(), 2, strategy="round_robin",
+                              seed=7, backend="serial")
+        bare = [psim.rank_sim(rank)._queue for rank in range(2)]
+        capture = CausalCapture(tmp_path / "m.jsonl").attach(psim)
+        for rank in range(2):
+            sim = psim.rank_sim(rank)
+            assert sim._queue is not bare[rank]
+            assert sim._queue.pop_entry == bare[rank].pop_entry
+            assert sim._instr is not None
+        psim.run()
+        capture.close()
+        for rank in range(2):
+            sim = psim.rank_sim(rank)
+            assert sim._queue is bare[rank]
+            assert sim._instr is None
+            assert sim._causal is None
+        psim.close()
 
     def test_shard_schema_and_batching(self, tmp_path, make_pingpong):
         sim = Simulation(seed=1)

@@ -1,6 +1,6 @@
 """Determinism regression tests for the PR 4 hot-path optimisations.
 
-The shared-clock arbiter, the event-record pool and the batched
+The shared-clock arbiter, the tuple-entry event queues and the batched
 cross-rank exchange all rewrite hot paths whose *correctness contract*
 is deterministic execution order: identical builds must pop identical
 ``(time, priority, seq)`` sequences and land on identical statistics,
@@ -34,23 +34,23 @@ ALL_BACKENDS = sorted(BACKENDS)
 
 
 class RecordingQueue:
-    """Transparent event-queue proxy that logs every pop.
+    """Transparent event-queue proxy that logs every dispatch.
 
-    The kernel hoists ``sim._queue``/``.pop`` once per run, so installing
-    the proxy before ``run()`` captures the full execution order.  The
-    ``(time, priority, seq)`` triple is copied out immediately — pooled
-    records are recycled after dispatch, the tuples are not.
+    The kernel hoists ``sim._queue.pop_entry`` — its one accessor for
+    raw ``(time, priority, seq, handler, event)`` entries — once per
+    run, so installing the proxy before ``run()`` captures the full
+    execution order.
     """
 
     def __init__(self, inner, trace):
         self._inner = inner
         self.trace = trace
 
-    def pop(self):
-        record = self._inner.pop()
-        self.trace.append((record.time, record.priority, record.seq,
-                           type(record.event).__name__))
-        return record
+    def pop_entry(self):
+        entry = self._inner.pop_entry()
+        time, priority, seq, _handler, event = entry
+        self.trace.append((time, priority, seq, type(event).__name__))
+        return entry
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.event import EventRecord
 from repro.core.eventqueue import (BinnedEventQueue, HeapEventQueue,
                                    make_queue)
 
@@ -48,9 +47,9 @@ class TestBasics:
         assert priorities == [25, 50, 90]
 
     def test_insertion_order_breaks_full_ties(self, queue):
-        records = [queue.push(100, 50, None, None) for _ in range(10)]
+        seqs = [queue.push(100, 50, None, None) for _ in range(10)]
         popped = [queue.pop() for _ in range(10)]
-        assert [r.seq for r in popped] == [r.seq for r in records]
+        assert [r.seq for r in popped] == seqs
 
     def test_peek_matches_pop(self, queue):
         for t in (300, 100, 200):
@@ -67,44 +66,22 @@ class TestBasics:
         assert queue.pop().time == 75
         assert queue.pop().time == 100
 
-    def test_push_record_preserves_foreign_seq(self, queue):
-        rec = EventRecord(10, 50, 999, None, None)
-        queue.push_record(rec)
-        later = queue.push(10, 50, None, None)
-        assert later.seq > 999
-        assert queue.pop().seq == 999
+    def test_unorderable_handlers_pop_in_seq_order(self, queue):
+        # Bound methods support no ordering; with every entry at one
+        # (time, priority), only the unique seq may ever be compared.
+        class Sink:
+            def on(self, event):
+                pass
 
+        handlers = [Sink().on for _ in range(20)]
+        seqs = [queue.push(100, 50, handler, None) for handler in handlers]
+        popped = [queue.pop() for _ in range(20)]
+        assert [r.seq for r in popped] == seqs
+        assert [r.handler for r in popped] == handlers
 
-class TestPushRecord:
-    """Records arriving from another rank carry foreign sequence numbers;
-    the local counter must stay ahead so later local pushes sort after
-    them (the cross-rank delivery path of the parallel engine)."""
-
-    def test_counter_advances_past_foreign_seq(self, queue):
-        queue.push_record(EventRecord(100, 50, 7, None, None))
-        local = queue.push(100, 50, None, None)
-        assert local.seq == 8
-        popped = [queue.pop().seq for _ in range(2)]
-        assert popped == [7, 8]
-
-    def test_lower_foreign_seq_keeps_counter(self, queue):
-        first = queue.push(100, 50, None, None)
-        assert first.seq == 0
-        queue.push_record(EventRecord(100, 50, 0, None, None))
-        nxt = queue.push(100, 50, None, None)
-        assert nxt.seq == 1  # foreign seq 0 did not rewind the counter
-
-    def test_interleaved_foreign_batches_stay_ordered(self, queue):
-        # Two foreign batches around a local push, all at one timestamp:
-        # pops must follow seq order regardless of arrival order.
-        queue.push_record(EventRecord(200, 50, 3, None, None))
-        queue.push_record(EventRecord(200, 50, 4, None, None))
-        local = queue.push(200, 50, None, None)
-        assert local.seq == 5
-        queue.push_record(EventRecord(200, 50, 10, None, None))
-        assert [queue.pop().seq for _ in range(4)] == [3, 4, 5, 10]
-        later = queue.push(200, 50, None, None)
-        assert later.seq == 11
+    def test_pop_entry_is_the_raw_tuple(self, queue):
+        seq = queue.push(7, 50, None, "payload")
+        assert queue.pop_entry() == (7, 50, seq, None, "payload")
 
 
 class TestBinnedSpecifics:
@@ -183,10 +160,10 @@ class TestProperties:
             for t, p in batch_a:
                 q.push(t, p, None, None)
             for _ in range(len(batch_a) // 2):
-                out.append(q.pop().key())
+                out.append(q.pop()[:3])
             base = max((t for t, _ in batch_a), default=0)
             for t, p in batch_b:
                 q.push(base + t, p, None, None)
             while q:
-                out.append(q.pop().key())
+                out.append(q.pop()[:3])
         assert out_heap == out_binned

@@ -230,3 +230,73 @@ class TestRouterValidation:
         assert r.route(2) == "dim1_pos"   # router (0,1)
         assert r.route(8) == "dim0_pos"   # router (1,0)
         assert r.route(2 * 12) == "dim0_neg"  # router (3,0): wrap back
+
+
+def _routers(sim):
+    return [comp for comp in sim.components.values()
+            if isinstance(comp, Router)]
+
+
+class TestRouteMemo:
+    """``on_message`` memoizes ``dest -> (out port, is_local)`` for every
+    kind whose route depends on the destination alone."""
+
+    @pytest.mark.parametrize("builder,n,kwargs,kinds", [
+        (build_torus, 16, {"dims": (4, 2, 2), "locals_per_router": 1},
+         {"torus"}),
+        (build_torus, 18, {"dims": (3, 3), "locals_per_router": 2,
+                           "wrap": False}, {"mesh"}),
+        (build_fat_tree, 8, {"leaves": 2, "down_ports": 4, "spines": 2},
+         {"fattree_leaf", "fattree_spine"}),
+        (build_crossbar, 6, {"n": 6}, {"crossbar"}),
+    ], ids=["torus", "mesh", "fattree", "crossbar"])
+    def test_memo_matches_route_for_every_destination(self, builder, n,
+                                                      kwargs, kinds):
+        sim = _network(builder, n, **kwargs)
+        routers = _routers(sim)
+        assert {r.kind for r in routers} == kinds
+        # Every router sees a message for every destination; forwarding
+        # only queues the next hop, so nothing else needs to run.
+        for router in routers:
+            for dest in range(n):
+                router.on_message(NetMessage(src=0, dest=dest, size=64))
+        for router in routers:
+            assert sorted(router._routes) == list(range(n)), router.name
+            for dest, hop in router._routes.items():
+                port = router.route(dest)
+                assert hop == (port, port.startswith("local")), (
+                    router.name, dest)
+
+    @pytest.mark.parametrize("routing", ["minimal", "valiant"])
+    def test_dragonfly_never_memoizes(self, routing):
+        from repro.config import build_dragonfly
+
+        graph = ConfigGraph(f"df-{routing}")
+        topo = build_dragonfly(graph, groups=5, routers_per_group=2,
+                               global_per_router=2, locals_per_router=2,
+                               router_params={"routing": routing})
+        n = topo.num_endpoints
+        for i in range(n):
+            graph.component(f"nic{i}", "network.Nic", {})
+            graph.component(f"ep{i}", "network.PatternEndpoint",
+                            {"endpoint_id": i, "n_endpoints": n,
+                             "pattern": "shift", "count": 2, "size": "1KB",
+                             "gap": "2us", "shift_amount": 4})
+            graph.link(f"ep{i}", "nic", f"nic{i}", "cpu", latency="1ns")
+            topo.attach(graph, i, f"nic{i}", "net", latency="10ns")
+        sim = build(graph, seed=6)
+        assert sim.run().reason == "exit"
+        routers = _routers(sim)
+        assert sum(r.s_forwarded.count for r in routers) > 0
+        assert all(r._routes == {} for r in routers)
+
+    def test_memo_is_not_checkpointed(self):
+        sim = _network(build_torus, 8, pattern="uniform", dims=(8,),
+                       locals_per_router=1)
+        sim.run()
+        routers = _routers(sim)
+        assert any(r._routes for r in routers)
+        for router in routers:
+            state = router.capture_state()
+            assert "_routes" not in state
+            assert "_port_free" in state
