@@ -5,7 +5,7 @@ itself a service under traffic: a `cluster.JobSource` in burst mode
 drops `burst_size` simultaneous submissions on the pending-event set,
 a shape the fabric benches (steady clock ticks, balanced ping-pong)
 never produce.  This bench measures sustained engine throughput under
-that flood on the heap queue — the `cluster_arrivals/heap` key of the
+that flood — the `cluster_arrivals/heap` key of the
 CI regression gate — and pins the family's headline model claim on the
 same workload: EASY backfill ends the identical trace with strictly
 higher machine utilization than plain FCFS.
@@ -23,7 +23,7 @@ JOBS = 4_000
 NODES = 32
 
 
-def cluster_machine(policy: str, jobs: int = JOBS, queue: str = "heap",
+def cluster_machine(policy: str, jobs: int = JOBS,
                     saturated: bool = False) -> object:
     """Burst shape floods the event queue (throughput bench); the
     ``saturated`` Poisson shape keeps a deep standing queue so packing
@@ -44,18 +44,18 @@ def cluster_machine(policy: str, jobs: int = JOBS, queue: str = "heap",
     g.link("src", "out", "sched", "submit", latency="10ns")
     g.link("sched", "pool", "pool", "sched", latency="10ns")
     g.link("sched", "report", "slo", "report", latency="10ns")
-    return build(g, seed=7, queue=queue)
+    return build(g, seed=7)
 
 
 def test_eng7_cluster_arrival_throughput(benchmark, report, perf_fields):
-    """Sustained events/s of the full scheduling pipeline (heap queue)."""
+    """Sustained events/s of the full scheduling pipeline."""
 
     def run():
         sim = cluster_machine("cluster.EASYBackfill")
         return sim.run()
 
     result = benchmark(run)
-    report(f"ENG-7 cluster arrivals [heap]: {result.events_executed} events, "
+    report(f"ENG-7 cluster arrivals: {result.events_executed} events, "
            f"{result.events_per_second:,.0f} events/s "
            f"({JOBS} jobs through source->scheduler->pool->slo)")
     perf_fields(result, workload="cluster_arrivals", queue="heap")

@@ -42,7 +42,7 @@ _BASELINE_FILE = Path(__file__).parent / "throughput_baseline.json"
 
 
 def big_fabric(n_components=N_COMPONENTS, n_ticks=N_TICKS):
-    sim = Simulation(seed=1, queue="heap")
+    sim = Simulation(seed=1)
 
     class Ticker(Component):
         def __init__(self, s, name, params=None):

@@ -5,11 +5,10 @@ tuple queue entries ordered in C, hoisted dispatch loops that unpack
 each entry) targets the same-frequency
 clocked-fabric shape that dominates architectural models: hundreds of
 components all ticking at the core clock.  This bench measures that
-shape — 1000 components x 200 ticks — for both pending-event-set
-implementations with the arbiter enabled (the default) and disabled
-(``REPRO_CLOCK_ARBITER=0``, the pre-PR per-clock scheduling path), and
-asserts the headline claim: the arbiter is at least 2x faster on the
-heap queue.  Records append to the ``engine_throughput`` trajectory
+shape — 1000 components x 200 ticks — with the arbiter enabled (the
+default) and disabled (``Simulation(clock_arbiter=False)``, the
+per-clock scheduling path), and asserts the headline claim: the arbiter
+is at least 2x faster.  Records append to the ``engine_throughput`` trajectory
 (``BENCH_engine_throughput.json``) alongside ENG-1's, distinguished by
 their ``workload``/``arbiter`` fields.
 
@@ -28,14 +27,9 @@ N_COMPONENTS = 1_000
 N_TICKS = 200
 
 
-def _set_arbiter(monkeypatch, enabled: bool) -> None:
-    monkeypatch.setenv("REPRO_CLOCK_ARBITER", "1" if enabled else "0")
-
-
-def big_fabric(queue, n_components=N_COMPONENTS, n_ticks=N_TICKS):
+def big_fabric(arbiter=True, n_components=N_COMPONENTS, n_ticks=N_TICKS):
     """The 1k-component same-frequency fabric the PR is measured on."""
-    sim = Simulation(seed=1, queue=queue,
-                     queue_kwargs={"bin_width": 1000} if queue == "binned" else None)
+    sim = Simulation(seed=1, clock_arbiter=arbiter)
 
     class Ticker(Component):
         def __init__(self, s, name, params=None):
@@ -52,21 +46,18 @@ def big_fabric(queue, n_components=N_COMPONENTS, n_ticks=N_TICKS):
     return sim
 
 
-@pytest.mark.parametrize("queue", ["heap", "binned"])
 @pytest.mark.parametrize("arbiter", ["on", "off"])
-def test_eng2_fabric_arbiter_ablation(benchmark, queue, arbiter, report,
-                                      perf_fields, monkeypatch):
-    _set_arbiter(monkeypatch, arbiter == "on")
-
+def test_eng2_fabric_arbiter_ablation(benchmark, arbiter, report,
+                                      perf_fields):
     def run():
-        sim = big_fabric(queue)
+        sim = big_fabric(arbiter == "on")
         return sim.run()
 
     result = benchmark(run)
-    report(f"ENG-2 fabric [{queue}, arbiter {arbiter}]: "
+    report(f"ENG-2 fabric [arbiter {arbiter}]: "
            f"{result.events_executed} events, "
            f"{result.events_per_second:,.0f} events/s")
-    perf_fields(result, workload="hotpath_fabric", queue=queue,
+    perf_fields(result, workload="hotpath_fabric", queue="heap",
                 arbiter=arbiter)
     assert result.reason == "exhausted"
     # Events = handler invocations, identical either way (the arbiter
@@ -74,19 +65,18 @@ def test_eng2_fabric_arbiter_ablation(benchmark, queue, arbiter, report,
     assert result.events_executed == N_COMPONENTS * N_TICKS
 
 
-def test_eng2_arbiter_speedup(report, perf_fields, monkeypatch):
+def test_eng2_arbiter_speedup(report, perf_fields):
     """The PR 4 acceptance gate: >= 2x events/s, arbiter on vs off.
 
     Machine-independent (a ratio of two runs on the same box), so it can
-    assert a floor.  Local headroom is ~10x on the heap queue; 2x keeps
-    the gate robust on slow shared CI runners.
+    assert a floor.  Local headroom is ~10x; 2x keeps the gate robust on
+    slow shared CI runners.
     """
 
     def best_eps(enabled: bool) -> float:
-        _set_arbiter(monkeypatch, enabled)
         best = 0.0
         for _ in range(3):
-            sim = big_fabric("heap")
+            sim = big_fabric(enabled)
             result = sim.run()
             assert result.events_executed == N_COMPONENTS * N_TICKS
             best = max(best, result.events_per_second)
@@ -97,7 +87,7 @@ def test_eng2_arbiter_speedup(report, perf_fields, monkeypatch):
     eps_off = best_eps(False)
     eps_on = best_eps(True)
     speedup = eps_on / eps_off
-    report(f"ENG-2 arbiter speedup [heap]: {eps_off:,.0f} -> "
+    report(f"ENG-2 arbiter speedup: {eps_off:,.0f} -> "
            f"{eps_on:,.0f} events/s ({speedup:.2f}x)")
     perf_fields(workload="hotpath_speedup", queue="heap",
                 events_per_second=eps_on,
@@ -109,7 +99,7 @@ def test_eng2_arbiter_speedup(report, perf_fields, monkeypatch):
     )
 
 
-def test_eng2_pingpong_no_regression(report, perf_fields, monkeypatch):
+def test_eng2_pingpong_no_regression(report, perf_fields):
     """Arbiter machinery must not tax clock-free workloads.
 
     A pure link-event ping-pong never touches the arbiter; on/off should
@@ -120,10 +110,9 @@ def test_eng2_pingpong_no_regression(report, perf_fields, monkeypatch):
     from bench_engine_throughput import pingpong_machine
 
     def best_eps(enabled: bool) -> float:
-        _set_arbiter(monkeypatch, enabled)
         best = 0.0
         for _ in range(3):
-            sim = pingpong_machine("heap", 20_000)
+            sim = pingpong_machine(20_000, arbiter=enabled)
             result = sim.run()
             best = max(best, result.events_per_second)
         return best
@@ -131,7 +120,7 @@ def test_eng2_pingpong_no_regression(report, perf_fields, monkeypatch):
     best_eps(True)  # warm-up
     eps_off = best_eps(False)
     eps_on = best_eps(True)
-    report(f"ENG-2 ping-pong arbiter on/off [heap]: "
+    report(f"ENG-2 ping-pong arbiter on/off: "
            f"{eps_off:,.0f} / {eps_on:,.0f} events/s")
     perf_fields(workload="hotpath_pingpong", queue="heap",
                 events_per_second=eps_on,

@@ -28,7 +28,7 @@ MAX_OVERHEAD = 0.05
 
 
 def big_fabric(n_components=N_COMPONENTS, n_ticks=N_TICKS):
-    sim = Simulation(seed=1, queue="heap")
+    sim = Simulation(seed=1)
 
     class Ticker(Component):
         def __init__(self, s, name, params=None):

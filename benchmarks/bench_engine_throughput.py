@@ -1,16 +1,15 @@
-"""ENG-1 — Discrete-event core throughput and the queue ablation.
+"""ENG-1 — Discrete-event core throughput.
 
 The poster's subject is the toolkit itself, so the engine gets its own
 benchmarks: raw event throughput (events executed per wall-clock
 second) on two canonical workload shapes — a ping-pong pair (minimum
-queue depth) and a many-component clocked fabric (wide queue) — for
-both pending-event-set implementations (binary heap vs binned calendar
-queue).  This is also the experiment that quantifies the repro-band
-caveat ("PDES core far too slow" in pure Python): the measured
-events/second ceiling is printed for the record in EXPERIMENTS.md.
+queue depth) and a many-component clocked fabric (wide queue).  The
+binned calendar queue this once ablated against the heap lost on both
+shapes and was deleted (EXPERIMENTS.md ENG-1).  This is also the
+experiment that quantifies the repro-band caveat ("PDES core far too
+slow" in pure Python): the measured events/second ceiling is printed
+for the record in EXPERIMENTS.md.
 """
-
-import pytest
 
 from repro.analysis import ResultTable
 from repro.core import Component, Event, Params, Simulation
@@ -35,18 +34,17 @@ class _Pinger(Component):
             self.send("io", event)
 
 
-def pingpong_machine(queue, n_events):
+def pingpong_machine(n_events, arbiter=True):
     # Each side receives the ball n_events/2 times: n_events deliveries.
-    sim = Simulation(seed=1, queue=queue)
+    sim = Simulation(seed=1, clock_arbiter=arbiter)
     a = _Pinger(sim, "a", Params({"limit": n_events // 2}))
     b = _Pinger(sim, "b", Params({"limit": n_events // 2}))
     sim.connect(a, "io", b, "io", latency="5ns")
     return sim
 
 
-def clocked_fabric(queue, n_components, n_ticks):
-    sim = Simulation(seed=1, queue=queue,
-                     queue_kwargs={"bin_width": 1000} if queue == "binned" else None)
+def clocked_fabric(n_components, n_ticks):
+    sim = Simulation(seed=1)
 
     class Ticker(Component):
         def __init__(self, s, name, params=None):
@@ -63,58 +61,51 @@ def clocked_fabric(queue, n_components, n_ticks):
     return sim
 
 
-@pytest.mark.parametrize("queue", ["heap", "binned"])
-def test_eng1_pingpong_throughput(benchmark, queue, report, perf_fields):
+def test_eng1_pingpong_throughput(benchmark, report, perf_fields):
     N_EVENTS = 20_000
 
     def run():
-        sim = pingpong_machine(queue, N_EVENTS)
+        sim = pingpong_machine(N_EVENTS)
         result = sim.run()
         return result
 
     result = benchmark(run)
-    report(f"ENG-1 ping-pong [{queue}]: "
+    report(f"ENG-1 ping-pong: "
            f"{result.events_executed} events, "
            f"{result.events_per_second:,.0f} events/s")
-    perf_fields(result, workload="pingpong", queue=queue)
+    perf_fields(result, workload="pingpong", queue="heap")
     assert result.reason == "exit"
     assert result.events_executed >= N_EVENTS
 
 
-@pytest.mark.parametrize("queue", ["heap", "binned"])
-def test_eng1_clocked_fabric_throughput(benchmark, queue, report, perf_fields):
+def test_eng1_clocked_fabric_throughput(benchmark, report, perf_fields):
     N_COMPONENTS, N_TICKS = 200, 50
 
     def run():
-        sim = clocked_fabric(queue, N_COMPONENTS, N_TICKS)
+        sim = clocked_fabric(N_COMPONENTS, N_TICKS)
         return sim.run()
 
     result = benchmark(run)
-    report(f"ENG-1 clocked fabric [{queue}]: "
+    report(f"ENG-1 clocked fabric: "
            f"{result.events_executed} events, "
            f"{result.events_per_second:,.0f} events/s")
-    perf_fields(result, workload="clocked_fabric", queue=queue)
+    perf_fields(result, workload="clocked_fabric", queue="heap")
     assert result.reason == "exhausted"
     assert result.events_executed == N_COMPONENTS * N_TICKS
 
 
 def test_eng1_summary_table(benchmark, report, save_csv):
-    """One-shot comparison table across shapes and queue types."""
+    """One-shot comparison table across shapes."""
 
     def build_table():
-        table = ResultTable(["workload", "queue", "events", "events_per_sec"],
-                            title="ENG-1 — engine throughput by queue type")
-        for queue in ("heap", "binned"):
-            sim = pingpong_machine(queue, 20_000)
-            r = sim.run()
-            table.add_row(workload="pingpong", queue=queue,
-                          events=r.events_executed,
-                          events_per_sec=r.events_per_second)
-            sim = clocked_fabric(queue, 200, 50)
-            r = sim.run()
-            table.add_row(workload="clocked", queue=queue,
-                          events=r.events_executed,
-                          events_per_sec=r.events_per_second)
+        table = ResultTable(["workload", "events", "events_per_sec"],
+                            title="ENG-1 — engine throughput")
+        r = pingpong_machine(20_000).run()
+        table.add_row(workload="pingpong", events=r.events_executed,
+                      events_per_sec=r.events_per_second)
+        r = clocked_fabric(200, 50).run()
+        table.add_row(workload="clocked", events=r.events_executed,
+                      events_per_sec=r.events_per_second)
         return table
 
     table = benchmark.pedantic(build_table, rounds=1, iterations=1)

@@ -78,7 +78,7 @@ def perf_fields(request):
     Call with a RunResult-like object (anything carrying
     ``events_executed`` / ``events_per_second``) and/or keyword fields::
 
-        perf_fields(result, workload="pingpong", queue=queue)
+        perf_fields(result, workload="pingpong", queue="heap")
 
     Fields become top-level keys of the appended perf record.
     """

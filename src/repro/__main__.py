@@ -184,7 +184,6 @@ def _finish_observability(args, result, graph, telemetry, profiler, chrome,
             "backend": args.backend,
             "transport": args.transport,
             "sync": args.sync,
-            "queue": args.queue,
             "seed": args.seed,
         }
         telemetry.finalize(result, graph=graph, invocation=invocation)
@@ -220,8 +219,7 @@ def _cmd_run_impl(args: argparse.Namespace) -> int:
                        "checkpoint_dir": args.checkpoint_dir}
     if args.ranks > 1:
         psim = build_parallel(graph, args.ranks, strategy=args.strategy,
-                              seed=args.seed, queue=args.queue,
-                              backend=args.backend,
+                              seed=args.seed, backend=args.backend,
                               transport=args.transport, sync=args.sync)
         instruments = _make_observability(args, psim)
         result, code = _run_with_live(
@@ -244,7 +242,7 @@ def _cmd_run_impl(args: argparse.Namespace) -> int:
             for key, stat in sorted(psim.sync_stats().items()):
                 print(f"_engine.{key}: {stat.value():.6g}")
     else:
-        sim = build(graph, seed=args.seed, queue=args.queue)
+        sim = build(graph, seed=args.seed)
         trace_log = None
         if args.trace:
             from .core.tracelog import EventTraceLog
@@ -575,8 +573,7 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
                 return 1
         try:
             sim = restore(args.snapshot, backend=args.backend,
-                          ranks=args.ranks, queue=args.queue,
-                          assignment=assignment,
+                          ranks=args.ranks, assignment=assignment,
                           transport=args.transport, sync=args.sync)
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -722,7 +719,6 @@ def make_parser() -> argparse.ArgumentParser:
                      help="epoch-window strategy: fixed lookahead, or "
                           "adaptive widening from per-rank earliest-send "
                           "bounds (same deterministic exchange order)")
-    run.add_argument("--queue", default="heap", choices=["heap", "binned"])
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--stats", action="store_true",
                      help="print the full statistics table")
@@ -953,8 +949,6 @@ def make_parser() -> argparse.ArgumentParser:
                       choices=["serial", "processes"],
                       help="execution substrate (default: the "
                            "snapshot's)")
-    cres.add_argument("--queue", default=None, choices=["heap", "binned"],
-                      help="event-queue kind (default: the snapshot's)")
     cres.add_argument("--assignment", default=None,
                       help="component->rank assignment JSON (a "
                            "partition-advise advice file or a bare map); "

@@ -37,7 +37,7 @@ from ..core import units
 from ..core.clock import _ArbiterTickEvent, _ClockTickEvent
 from ..core.component import Component
 from ..core.event import CallbackEvent
-from ..core.kernel import RunContext, kernel_run
+from ..core.kernel import kernel_run
 from ..core.link import Port
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import RunResult, Simulation, SimulationError
@@ -56,7 +56,6 @@ _TICK_EVENTS = (_ClockTickEvent, _ArbiterTickEvent)
 def restore(path: Union[str, Path], *,
             backend: Optional[str] = None,
             ranks: Optional[int] = None,
-            queue: Optional[str] = None,
             verbose: bool = False,
             assignment: Optional[Dict[str, int]] = None,
             transport: str = "pipe",
@@ -66,8 +65,8 @@ def restore(path: Union[str, Path], *,
 
     Returns a :class:`Simulation` (``ranks=1`` and a sequential
     snapshot, or any snapshot re-partitioned down to one rank) or a
-    :class:`ParallelSimulation` otherwise.  ``backend``/``ranks``/
-    ``queue`` default to the values recorded in the manifest; changing
+    :class:`ParallelSimulation` otherwise.  ``backend``/``ranks``
+    default to the values recorded in the manifest; changing
     the backend keeps the resume bit-identical, changing the rank count
     switches to the stats-equivalent re-partition mode (see module
     docstring).  The result's ``checkpoint_lineage`` records where it
@@ -94,21 +93,20 @@ def restore(path: Union[str, Path], *,
                 f"assignment pins rank "
                 f"{max(assignment.values())} >= ranks {target_ranks}")
         return _restore_repartition(root, manifest, graph, target_ranks,
-                                    backend=backend, queue=queue,
+                                    backend=backend,
                                     verbose=verbose, assignment=assignment,
                                     transport=transport, sync=sync)
     target_ranks = ranks if ranks is not None else manifest["num_ranks"]
     if target_ranks < 1:
         raise CheckpointError(f"ranks must be >= 1, got {target_ranks}")
     if manifest["mode"] == "sequential" and target_ranks == 1:
-        return _restore_sequential(root, manifest, graph, queue=queue,
-                                   verbose=verbose)
+        return _restore_sequential(root, manifest, graph, verbose=verbose)
     if manifest["mode"] == "parallel" and target_ranks == manifest["num_ranks"]:
         return _restore_parallel_exact(root, manifest, graph, backend=backend,
-                                       queue=queue, verbose=verbose,
+                                       verbose=verbose,
                                        transport=transport, sync=sync)
     return _restore_repartition(root, manifest, graph, target_ranks,
-                                backend=backend, queue=queue, verbose=verbose,
+                                backend=backend, verbose=verbose,
                                 transport=transport, sync=sync)
 
 
@@ -156,11 +154,10 @@ def _lineage(root: Path, manifest: Dict[str, Any], restored_ranks: int,
 # ----------------------------------------------------------------------
 
 def _restore_sequential(root: Path, manifest: Dict[str, Any], graph, *,
-                        queue: Optional[str], verbose: bool) -> Simulation:
+                        verbose: bool) -> Simulation:
     from ..config.builder import build
 
-    sim = build(graph, seed=manifest["seed"],
-                queue=queue or manifest["queue"], verbose=verbose,
+    sim = build(graph, seed=manifest["seed"], verbose=verbose,
                 clock_arbiter=manifest["clock_arbiter"])
     sim.setup()
     meta = restore_sim_state(sim, _shard_states(root, manifest)[0])
@@ -170,7 +167,7 @@ def _restore_sequential(root: Path, manifest: Dict[str, Any], graph, *,
 
 
 def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
-                            backend: Optional[str], queue: Optional[str],
+                            backend: Optional[str],
                             verbose: bool, transport: str = "pipe",
                             sync: str = "conservative") -> ParallelSimulation:
     from ..config.builder import build_parallel
@@ -186,7 +183,7 @@ def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
     psim = build_parallel(
         pinned, manifest["num_ranks"],
         strategy=manifest["partition_strategy"] or "linear",
-        seed=manifest["seed"], queue=queue or manifest["queue"],
+        seed=manifest["seed"],
         backend=backend or manifest["backend"] or "serial",
         verbose=verbose, clock_arbiter=manifest["clock_arbiter"],
         transport=transport, sync=sync)
@@ -267,7 +264,7 @@ def _deliver_pending(sims: List[Simulation], pending: List[Tuple]) -> None:
 
 def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
                          target_ranks: int, *, backend: Optional[str],
-                         queue: Optional[str], verbose: bool,
+                         verbose: bool,
                          assignment: Optional[Dict[str, int]] = None,
                          transport: str = "pipe",
                          sync: str = "conservative",
@@ -295,10 +292,9 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
     for comp in stripped_dict["components"]:
         comp["rank"] = (assignment or {}).get(comp["name"])
     stripped = from_dict(stripped_dict)
-    queue_kind = queue or manifest["queue"]
     psim: Optional[ParallelSimulation] = None
     if target_ranks == 1:
-        sim = build(stripped, seed=manifest["seed"], queue=queue_kind,
+        sim = build(stripped, seed=manifest["seed"],
                     verbose=verbose, clock_arbiter=manifest["clock_arbiter"])
         sims = [sim]
         sim.setup()
@@ -307,7 +303,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
         psim = build_parallel(
             stripped, target_ranks,
             strategy=manifest["partition_strategy"] or "linear",
-            seed=manifest["seed"], queue=queue_kind,
+            seed=manifest["seed"],
             backend=backend or manifest["backend"] or "serial",
             verbose=verbose, clock_arbiter=manifest["clock_arbiter"],
             transport=transport, sync=sync)
@@ -495,9 +491,8 @@ def checkpointed_run(sim: Simulation,
     while True:
         stop_at_mark = limit is None or next_mark < limit
         target = next_mark if stop_at_mark else limit
-        result = kernel_run(sim, RunContext.for_sim(
-            sim, max_time=target, max_events=remaining,
-            ignore_exit=ignore_exit, finalize=False))
+        result = kernel_run(sim, max_time=target, max_events=remaining,
+                            ignore_exit=ignore_exit, finalize=False)
         total_events += result.events_executed
         total_wall += result.wall_seconds
         if remaining is not None:
@@ -552,11 +547,10 @@ def replay(path: Union[str, Path], *,
     manifest = load_manifest(root)
     graph = _rebuild_graph(manifest)
     if manifest["mode"] == "sequential":
-        sim = _restore_sequential(root, manifest, graph, queue=None,
-                                  verbose=False)
+        sim = _restore_sequential(root, manifest, graph, verbose=False)
     else:
         target = _restore_repartition(root, manifest, graph, 1,
-                                      backend=None, queue=None, verbose=False)
+                                      backend=None, verbose=False)
         assert isinstance(target, Simulation)
         sim = target
     trace: List[Tuple] = []

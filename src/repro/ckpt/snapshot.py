@@ -130,7 +130,6 @@ def snapshot(sim: Simulation, path: Union[str, Path]) -> Path:
         "mode": "sequential",
         "sim_time_ps": sim.now,
         "seed": sim.seed,
-        "queue": sim.queue_kind,
         "num_ranks": 1,
         "backend": None,
         "partition_strategy": None,
@@ -200,7 +199,6 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
         # the processes backend worker ranks' are stale fork-time copies.
         "sim_time_ps": max(entry["now"] for entry in shards),
         "seed": psim.seed,
-        "queue": psim.queue_kind,
         "num_ranks": psim.num_ranks,
         "backend": psim.backend,
         "partition_strategy": psim.partition_strategy,
@@ -272,7 +270,6 @@ def snapshot_info(path: Union[str, Path],
         "mode": manifest["mode"],
         "sim_time_ps": manifest["sim_time_ps"],
         "seed": manifest["seed"],
-        "queue": manifest["queue"],
         "num_ranks": manifest["num_ranks"],
         "backend": manifest["backend"],
         "graph_name": manifest["graph"].get("name"),

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple, Type
 from ..core import registry
 from ..core.component import Component
 from ..core.describe import SpecError, validate_port_name
+from ..core.eventqueue import require_heap
 from ..core.parallel import ParallelSimulation
 from ..core.params import Params
 from ..core.partition import partition
@@ -118,7 +119,7 @@ def _check_required_ports(instances: Dict[str, Component]) -> None:
 
 def build(graph: ConfigGraph, *, sim: Optional[Simulation] = None,
           seed: int = 1, queue: str = "heap", verbose: bool = False,
-          clock_arbiter: Optional[bool] = None,
+          clock_arbiter: bool = True,
           validate_events: bool = False) -> Simulation:
     """Instantiate every component and link of ``graph`` into one Simulation.
 
@@ -127,13 +128,15 @@ def build(graph: ConfigGraph, *, sim: Optional[Simulation] = None,
     validate identity.  ``validate_events=True`` additionally wraps
     handlers of event-typed declared ports with isinstance checks at
     setup (diagnostics mode; off by default to keep the hot path bare).
+    ``queue`` accepts only ``"heap"``, the one event queue.
     """
+    require_heap(queue)
     graph.validate(resolve_types=True)
     classes = _resolve_classes(graph)
     _validate_ports(graph, classes)
     _validate_slots(graph, classes)
     if sim is None:
-        sim = Simulation(seed=seed, queue=queue, verbose=verbose,
+        sim = Simulation(seed=seed, verbose=verbose,
                          clock_arbiter=clock_arbiter)
     if validate_events:
         sim.validate_events = True
@@ -158,7 +161,7 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
                    strategy: str = "linear", seed: int = 1,
                    queue: str = "heap", backend: str = "serial",
                    verbose: bool = False,
-                   clock_arbiter: Optional[bool] = None,
+                   clock_arbiter: bool = True,
                    validate_events: bool = False,
                    transport: str = "pipe",
                    sync: str = "conservative") -> ParallelSimulation:
@@ -173,8 +176,10 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
     (``pipe`` / ``shm``) and ``sync`` the epoch-window strategy
     (``conservative`` / ``adaptive``); all three are passed straight
     through to
-    :class:`~repro.core.parallel.ParallelSimulation`.
+    :class:`~repro.core.parallel.ParallelSimulation`.  ``queue``
+    accepts only ``"heap"``, as in :func:`build`.
     """
+    require_heap(queue)
     graph.validate(resolve_types=True)
     classes = _resolve_classes(graph)
     _validate_ports(graph, classes)
@@ -191,7 +196,7 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
                 )
             assignment[conf.name] = conf.rank
 
-    psim = ParallelSimulation(num_ranks, seed=seed, queue=queue,
+    psim = ParallelSimulation(num_ranks, seed=seed,
                               backend=backend, verbose=verbose,
                               clock_arbiter=clock_arbiter,
                               transport=transport, sync=sync)

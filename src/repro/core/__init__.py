@@ -18,8 +18,8 @@ from .describe import (ParamSpec, PortSpec, SlotSpec, SpecError, StateSpec,
 from .event import (PRIORITY_CLOCK, PRIORITY_EVENT, PRIORITY_FINAL,
                     PRIORITY_STOP, PRIORITY_SYNC, CallbackEvent, Event,
                     NullEvent)
-from .eventqueue import (BinnedEventQueue, HeapEventQueue, make_queue)
-from .kernel import RunContext, kernel_run, kernel_step
+from .eventqueue import HeapEventQueue, make_queue
+from .kernel import kernel_run
 from .link import Link, LinkError, Port
 from .params import ParamError, Params, UnusedParamsWarning
 from .parallel import ParallelRunResult, ParallelSimulation
@@ -39,7 +39,6 @@ __all__ = [
     "Accumulator",
     "AdaptiveConservativeSync",
     "BACKENDS",
-    "BinnedEventQueue",
     "CallbackEvent",
     "Clock",
     "ClockArbiter",
@@ -70,7 +69,6 @@ __all__ = [
     "PRIORITY_SYNC",
     "PortSpec",
     "RankStep",
-    "RunContext",
     "RunResult",
     "SimTime",
     "Simulation",
@@ -94,7 +92,6 @@ __all__ = [
     "format_time",
     "freq_to_period",
     "kernel_run",
-    "kernel_step",
     "make_backend",
     "make_job_pool",
     "make_queue",

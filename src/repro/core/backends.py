@@ -53,7 +53,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
 from .event import decode_entries, encode_entries
-from .kernel import harvest_engine_stats, harvest_stats, kernel_step
+from .kernel import harvest_engine_stats, harvest_stats
 from .simulation import SimulationError
 from .statistics import adopt_state
 from .sync import OutboxEntry
@@ -253,7 +253,7 @@ def _timed_step(sim: "Simulation", epoch_end: SimTime) -> RankStep:
     """
     perf = _wall_time.perf_counter
     t0 = perf()
-    events = kernel_step(sim, epoch_end)
+    events = sim.run_step(epoch_end)
     wall = perf() - t0
     return RankStep(wall_seconds=wall, events=events, outbox=[],
                     next_time=sim.next_event_time(),

@@ -31,8 +31,7 @@ registration order, hence ascending seq) used to.
 arbiter skips inactive members), reactivate realigns the member's due
 time and at most re-arms the shared chain event.  The per-clock
 generation stamp semantics are preserved for standalone clocks (the
-arbiter can be disabled via ``Simulation(clock_arbiter=False)`` or the
-``REPRO_CLOCK_ARBITER=0`` environment knob).
+arbiter can be disabled via ``Simulation(clock_arbiter=False)``).
 """
 
 from __future__ import annotations

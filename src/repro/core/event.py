@@ -161,11 +161,11 @@ class IdSource:
 class EventRecord(NamedTuple):
     """A queued delivery, as the queue API hands it out.
 
-    The queues store plain ``(time, priority, seq, handler, event)``
+    The queue stores plain ``(time, priority, seq, handler, event)``
     tuples — this exact field order — so heap ordering is tuple
     comparison in C: ``seq`` is unique per queue, so two entries never
-    tie far enough to compare handlers.  Only :meth:`EventQueueBase.pop`
-    and :meth:`EventQueueBase.snapshot_records` wrap entries in this
+    tie far enough to compare handlers.  Only :meth:`HeapEventQueue.pop`
+    and :meth:`HeapEventQueue.snapshot_records` wrap entries in this
     class; the kernel loops unpack the raw tuples.  Records are
     immutable, so observers may keep them.
     """

@@ -170,9 +170,9 @@ class ParallelSimulation:
         result = psim.run(max_time="1ms")
     """
 
-    def __init__(self, num_ranks: int, *, seed: int = 1, queue: str = "heap",
+    def __init__(self, num_ranks: int, *, seed: int = 1,
                  backend: str = "serial", verbose: bool = False,
-                 clock_arbiter: Optional[bool] = None,
+                 clock_arbiter: bool = True,
                  transport: str = "pipe", sync: str = "conservative"):
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
@@ -191,7 +191,6 @@ class ParallelSimulation:
         self.transport = transport
         self.sync_name = sync
         self.seed = seed
-        self.queue_kind = queue
         #: partitioner strategy label; set by config.build_parallel for
         #: run manifests, None for hand-built graphs.
         self.partition_strategy: Optional[str] = None
@@ -201,7 +200,7 @@ class ParallelSimulation:
         # spawn — see Simulation.engine_rng.
         rank_seeds = np.random.SeedSequence(seed).spawn(num_ranks)
         self._sims = [
-            Simulation(queue=queue, seed=seed, rank=r, num_ranks=num_ranks,
+            Simulation(seed=seed, rank=r, num_ranks=num_ranks,
                        rank_seed=int(rank_seeds[r].generate_state(1)[0]),
                        verbose=verbose, clock_arbiter=clock_arbiter)
             for r in range(num_ranks)

@@ -17,7 +17,6 @@ of this from a :class:`~repro.config.graph.ConfigGraph` instead)::
 
 from __future__ import annotations
 
-import os
 import time as _wall_time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -29,7 +28,8 @@ from .clock import Clock, ClockArbiter, ClockHandler, _ArbiterTickEvent
 from .component import Component
 from .event import (PRIORITY_CLOCK, PRIORITY_EVENT, CallbackEvent, Event,
                     Handler)
-from .eventqueue import EventQueueBase, make_queue
+from .eventqueue import HeapEventQueue
+from .kernel import NO_LIMIT, dispatch, kernel_run
 from .link import Link, LinkError, Port
 from .statistics import StatisticGroup
 from .units import SimTime
@@ -71,9 +71,6 @@ class Simulation:
 
     Parameters
     ----------
-    queue:
-        Pending-event set implementation: ``"heap"`` (default) or
-        ``"binned"`` (see :mod:`repro.core.eventqueue`).
     seed:
         Base seed for all per-component random streams.
     rank, num_ranks:
@@ -91,17 +88,14 @@ class Simulation:
         Enables :meth:`Component.debug` tracing.
     clock_arbiter:
         Share one tick chain among same-(period, priority, phase) clocks
-        (see :class:`~repro.core.clock.ClockArbiter`).  Default
-        ``None`` reads the ``REPRO_CLOCK_ARBITER`` environment knob
-        (enabled unless set to ``0``/``off``/``false``/``no``); pass
-        ``True``/``False`` to force it.
+        (see :class:`~repro.core.clock.ClockArbiter`).  On by default;
+        ``False`` schedules every clock separately (the reference path
+        the arbiter is checked against).
     """
 
-    def __init__(self, *, queue: str = "heap", seed: int = 1, rank: int = 0,
+    def __init__(self, *, seed: int = 1, rank: int = 0,
                  num_ranks: int = 1, rank_seed: Optional[int] = None,
-                 verbose: bool = False,
-                 queue_kwargs: Optional[Dict[str, Any]] = None,
-                 clock_arbiter: Optional[bool] = None):
+                 verbose: bool = False, clock_arbiter: bool = True):
         self.now: SimTime = 0
         self.seed = seed
         self.rank = rank
@@ -113,17 +107,11 @@ class Simulation:
         self.rank_seed = rank_seed
         self._engine_rng: Optional[np.random.Generator] = None
         self.verbose = verbose
-        self.queue_kind = queue
-        self._queue: EventQueueBase = make_queue(queue, **(queue_kwargs or {}))
+        self._queue = HeapEventQueue()
         self._components: Dict[str, Component] = {}
         self._links: List[Link] = []
         self._clocks: List[Clock] = []
-        if clock_arbiter is None:
-            clock_arbiter = os.environ.get(
-                "REPRO_CLOCK_ARBITER", "1").strip().lower() not in (
-                    "0", "off", "false", "no")
-        #: shared-tick-chain mode (see ClockArbiter); resolved once here
-        #: so forked rank workers inherit the parent's choice.
+        #: shared-tick-chain mode (see ClockArbiter)
         self.clock_arbiter_enabled = bool(clock_arbiter)
         #: one arbiter per (period, priority, phase residue) clock class
         self._arbiters: Dict[Tuple[SimTime, int, SimTime], ClockArbiter] = {}
@@ -363,8 +351,7 @@ class Simulation:
         sequence (snapshot boundaries are invisible to the models).
         Snapshot paths accumulate in :attr:`checkpoints_written`.
 
-        The loop itself lives in :func:`repro.core.kernel.kernel_run`;
-        this method only assembles the :class:`~repro.core.kernel.RunContext`.
+        The loop itself lives in :func:`repro.core.kernel.kernel_run`.
         """
         if checkpoint_every is not None:
             from ..ckpt import checkpointed_run
@@ -373,24 +360,30 @@ class Simulation:
                 self, checkpoint_every, checkpoint_dir,
                 max_time=max_time, max_events=max_events,
                 finalize=finalize, ignore_exit=ignore_exit)
-        from .kernel import RunContext, kernel_run
-
-        ctx = RunContext.for_sim(self, max_time=max_time,
-                                 max_events=max_events,
-                                 ignore_exit=ignore_exit, finalize=finalize)
-        return kernel_run(self, ctx)
+        return kernel_run(self, max_time=max_time, max_events=max_events,
+                          ignore_exit=ignore_exit, finalize=finalize)
 
     def run_step(self, until: SimTime) -> int:
         """Execute all events with ``time <= until`` (parallel-engine epoch).
 
-        Does not honour max_time/exit protocol — the sync strategy
-        coordinates those globally.  Returns the number of events run.
-        Delegates to :func:`repro.core.kernel.kernel_step`, the same
-        loop every execution backend drives per rank.
+        The same kernel loops as :meth:`run` without a run's stops: no
+        exit protocol, no :meth:`end_simulation`, no event budget — the
+        sync strategy coordinates those globally.  Afterwards ``now ==
+        max(until, last event time)``.  Returns the number of events
+        run; every execution backend steps its ranks through here.
         """
-        from .kernel import kernel_step
-
-        return kernel_step(self, until)
+        start = self._events_executed
+        live = self._live_publisher
+        if live is not None:
+            live.on_kernel_enter()
+        dispatch(self, until, NO_LIMIT, False, False)
+        if self.now < until:
+            self.now = until
+        if live is not None:
+            # No finally: if a handler raised, the rank dies RUNNING and
+            # the watchdog's publish-age signal picks it up.
+            live.on_kernel_exit()
+        return self._events_executed - start
 
     # ------------------------------------------------------------------
     # observability dispatch (repro.obs attaches through these)

@@ -96,7 +96,7 @@ def parse_time(value: Union[str, int, float], default_unit: str = "ps") -> SimTi
 
     The string path is memoized (:func:`functools.lru_cache`): the same
     handful of latency/period strings is parsed per config-graph edge
-    during builds and per ``RunContext.for_sim``, so repeat parses are a
+    during builds and per ``kernel_run``, so repeat parses are a
     dict hit instead of a regex match.
 
     >>> parse_time("1ns")

@@ -95,18 +95,19 @@ def find_causal_shards(base: Union[str, Path]) -> Dict[int, Path]:
 class _TracedQueue:
     """Provenance-mapping proxy over the rank's pending-event set.
 
-    The concrete queues use ``__slots__`` (hot-path layout), so the
+    The concrete queue uses ``__slots__`` (hot-path layout), so the
     tracer cannot monkeypatch ``push``; instead the tracer swaps
-    ``sim._queue`` for this proxy.  ``pop_entry``/``peek_time`` are
-    re-bound from the inner queue as instance attributes, so the kernel
-    loops — which hoist those callables — pay nothing extra; only
+    ``sim._queue`` for this proxy.  ``pop_entry``/``unpop``/``peek_time``
+    are re-bound from the inner queue as instance attributes, so the
+    kernel loops — which hoist those callables — pay nothing extra; only
     ``push`` (schedule-time, not dispatch-time) takes the detour to map
     the new entry's seq to the tracer's one-slot cause cell.  Roots
     (cause ``None``) get no map entry; :meth:`CausalTracer.on_dispatch`
     pops each entry's cause, so a drained run leaves the map empty.
     """
 
-    __slots__ = ("_inner", "_cell", "causes", "pop_entry", "peek_time")
+    __slots__ = ("_inner", "_cell", "causes", "pop_entry", "unpop",
+                 "peek_time")
 
     def __init__(self, inner, cell: List[Optional[int]]):
         self._inner = inner
@@ -114,6 +115,7 @@ class _TracedQueue:
         #: seq of a pending entry -> seq of the event that scheduled it
         self.causes: Dict[int, int] = {}
         self.pop_entry = inner.pop_entry
+        self.unpop = inner.unpop
         self.peek_time = inner.peek_time
 
     def push(self, time, priority, handler, event) -> int:
@@ -192,7 +194,6 @@ class CausalTracer:
             "kind": "causal_start",
             "rank": self.rank,
             "ranks": sim.num_ranks,
-            "queue": sim.queue_kind,
             "links": links,
         })
 

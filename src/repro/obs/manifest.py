@@ -2,7 +2,7 @@
 
 A manifest is the durable perf/provenance record of a simulation run —
 what was simulated (config-graph hash, component/link counts, seed),
-how (queue implementation, rank count, backend, partitioner, lookahead)
+how (rank count, backend, partitioner, lookahead)
 and what came out (stop reason, sim/wall time, events/sec, merged
 sync metrics).  Every future optimization PR is measured against these
 records, so the schema is versioned and append-only: add fields, never
@@ -104,7 +104,6 @@ def build_manifest(target: Union[Simulation, ParallelSimulation], result,
             "mode": "parallel",
             "ranks": target.num_ranks,
             "backend": target.backend,
-            "queue": target.queue_kind,
             "seed": target.seed,
             "partitioner": target.partition_strategy,
             "transport": target.transport,
@@ -120,7 +119,6 @@ def build_manifest(target: Union[Simulation, ParallelSimulation], result,
             "mode": "sequential",
             "ranks": 1,
             "backend": None,
-            "queue": target.queue_kind,
             "seed": target.seed,
             "partitioner": None,
             "lookahead_ps": None,

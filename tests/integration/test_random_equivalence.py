@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (Component, Params, ParallelSimulation, Simulation)
-from tests.conftest import Sink, Source
+from repro.obs.causal import _TracedQueue
+from tests.conftest import Clocked, Sink, Source
 
 
 class Forwarder(Component):
@@ -141,13 +142,16 @@ def test_random_graphs_partition_invariant(spec):
     assert par_result.events_executed == seq_result.events_executed
 
 
-@given(graph_specs(), st.sampled_from(["heap", "binned"]))
+@given(graph_specs(), st.sampled_from(["heap", "traced"]))
 @settings(max_examples=20, deadline=None)
 def test_random_graphs_queue_invariant(spec, queue):
-    """The pending-event-set implementation must not change results."""
+    """The queue object the kernel pops from must not change results:
+    the heap itself, or the causal tracer's proxy over it."""
     results = []
     for kind in ("heap", queue):
-        sim = Simulation(seed=3, queue=kind)
+        sim = Simulation(seed=3)
+        if kind == "traced":
+            sim._queue = _TracedQueue(sim._queue, [None])
         sinks = build_machine(spec, sim, rank_of=lambda key: 0)
         sim.run()
         results.append((
@@ -155,3 +159,91 @@ def test_random_graphs_queue_invariant(spec, queue):
             [tuple(s.arrival_times) for s in sinks],
         ))
     assert results[0] == results[1]
+
+
+class _PopRecorder:
+    """Queue proxy logging every dispatched ``(time, priority, seq)``.
+
+    A loop stopping at a time limit pops the first entry past it and
+    puts it back through ``unpop``; that entry was not dispatched, so
+    ``unpop`` drops it from the trace again.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.trace = []
+
+    def pop_entry(self):
+        entry = self._inner.pop_entry()
+        self.trace.append(entry[:3])
+        return entry
+
+    def unpop(self, entry):
+        self.trace.pop()
+        self._inner.unpop(entry)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def __len__(self):
+        return len(self._inner)
+
+    def __bool__(self):
+        return bool(self._inner)
+
+
+def _recorded_machine(spec, clocks):
+    sim = Simulation(seed=3)
+    sinks = build_machine(spec, sim, rank_of=lambda key: 0)
+    for i, (freq, n_ticks) in enumerate(clocks):
+        Clocked(sim, f"clk{i}", Params({"clock": freq, "n_ticks": n_ticks}))
+    sim._queue = _PopRecorder(sim._queue)
+    return sim, sinks
+
+
+@given(graph_specs(),
+       st.lists(st.tuples(st.sampled_from(["1GHz", "1GHz", "300MHz"]),
+                          st.integers(1, 12)), max_size=3),
+       st.data())
+@settings(max_examples=30, deadline=None)
+def test_random_graphs_segmented_runs_equal_one_run(spec, clocks, data):
+    """A run cut into ``run(max_time=t, finalize=False)`` and
+    ``run_step(until)`` segments pops the exact ``(time, priority,
+    seq)`` trace and lands on the exact stats of one ``run()``.
+
+    Every segment executes precisely the reference events at or before
+    its limit (events *at* a limit run); afterwards ``now`` is the limit
+    for a ``max_time`` stop and ``max(until, last event)`` for a step.
+    """
+    ref, ref_sinks = _recorded_machine(spec, clocks)
+    ref_result = ref.run()
+    assert ref_result.reason == "exhausted"
+    ref_trace = ref._queue.trace
+    times = sorted({entry[0] for entry in ref_trace})
+    limit = st.integers(0, ref.now + 5_000)
+    if times:
+        limit = st.one_of(st.sampled_from(times), limit)
+    limits = sorted(data.draw(st.lists(limit, max_size=6), label="limits"))
+    kinds = data.draw(st.lists(st.sampled_from(["run", "step"]),
+                               min_size=len(limits), max_size=len(limits)),
+                      label="kinds")
+
+    sim, sinks = _recorded_machine(spec, clocks)
+    sim.setup()
+    for kind, until in zip(kinds, limits):
+        if kind == "run":
+            result = sim.run(max_time=until, finalize=False)
+            if result.reason == "max_time":
+                assert sim.now == until
+            else:
+                assert result.reason == "exhausted"
+        else:
+            sim.run_step(until)
+            assert sim.now == max(until, sim.last_event_time)
+        assert sim._queue.trace == \
+            [entry for entry in ref_trace if entry[0] <= until]
+    assert sim.run().reason == "exhausted"
+    assert sim._queue.trace == ref_trace
+    assert sim.stat_values() == ref.stat_values()
+    assert [s.arrival_times for s in sinks] == \
+        [s.arrival_times for s in ref_sinks]

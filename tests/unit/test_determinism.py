@@ -39,7 +39,9 @@ class RecordingQueue:
     The kernel hoists ``sim._queue.pop_entry`` — its one accessor for
     raw ``(time, priority, seq, handler, event)`` entries — once per
     run, so installing the proxy before ``run()`` captures the full
-    execution order.
+    execution order.  A loop stopping at a time limit pops the first
+    entry past it and puts it back through ``unpop``; that entry was
+    not dispatched, so ``unpop`` drops it from the trace again.
     """
 
     def __init__(self, inner, trace):
@@ -51,6 +53,10 @@ class RecordingQueue:
         time, priority, seq, _handler, event = entry
         self.trace.append((time, priority, seq, type(event).__name__))
         return entry
+
+    def unpop(self, entry):
+        self.trace.pop()
+        self._inner.unpop(entry)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -82,10 +88,11 @@ def mixed_graph() -> ConfigGraph:
     return graph
 
 
-def run_parallel_traced(backend: str):
+def run_parallel_traced(backend: str, clock_arbiter: bool = True):
     """One 2-rank run; returns (per-rank traces, stats, result tuple)."""
     psim = build_parallel(mixed_graph(), 2, strategy="round_robin",
-                          seed=7, backend=backend)
+                          seed=7, backend=backend,
+                          clock_arbiter=clock_arbiter)
     traces = []
     for rank in range(psim.num_ranks):
         sim = psim.rank_sim(rank)
@@ -134,16 +141,14 @@ class TestBackendDeterminism:
 
 
 class TestArbiterAblationEquivalence:
-    def test_sequential_observables_identical(self, monkeypatch):
+    def test_sequential_observables_identical(self):
         """Arbiter on vs off: same stats, end time, executed-event count
         and ordered non-tick event stream.  Raw (seq) values differ by
         design — the arbiter collapses N tick records into one — so the
         comparison filters the internal tick bookkeeping."""
 
         def run(arbiter_on: bool):
-            monkeypatch.setenv("REPRO_CLOCK_ARBITER",
-                               "1" if arbiter_on else "0")
-            sim = build(mixed_graph(), seed=7)
+            sim = build(mixed_graph(), seed=7, clock_arbiter=arbiter_on)
             sim._queue = RecordingQueue(sim._queue, [])
             result = sim.run()
             ticks = ("_ClockTickEvent", "_ArbiterTickEvent")
@@ -158,11 +163,9 @@ class TestArbiterAblationEquivalence:
         assert on == off
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_parallel_stats_match_arbiter_off(self, backend, monkeypatch):
+    def test_parallel_stats_match_arbiter_off(self, backend):
         """Every backend lands on the pre-arbiter stats."""
-        monkeypatch.setenv("REPRO_CLOCK_ARBITER", "0")
-        baseline = run_parallel_traced(backend)[1]
-        monkeypatch.setenv("REPRO_CLOCK_ARBITER", "1")
+        baseline = run_parallel_traced(backend, clock_arbiter=False)[1]
         assert run_parallel_traced(backend)[1] == baseline
 
 
@@ -264,6 +267,33 @@ class TestCheckpointResumeBitIdentity:
         assert resumed._queue.trace == suffix
         assert suffix  # the cut really was mid-run
         assert resumed.stat_values() == stats
+
+    def test_binned_era_snapshot_resumes_bit_identically(self, tmp_path):
+        """Snapshots once recorded their queue kind, and a since-deleted
+        binned queue held the same (time, priority, seq, handler, event)
+        tuples as the heap: restore ignores the field and resumes the
+        exact suffix."""
+        import json
+
+        from repro.ckpt import restore, snapshot, snapshot_info
+
+        trace, stats, cold = self._sequential_reference()
+        sim = build(mixed_graph(), seed=7)
+        sim.run(max_time=cold.end_time // 2, finalize=False)
+        path = snapshot(sim, tmp_path / "binned-era")
+        manifest_path = path / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["queue"] = "binned"
+        manifest_path.write_text(json.dumps(manifest))
+        cut = snapshot_info(path)["sim_time_ps"]
+        resumed = restore(path)
+        resumed._queue = RecordingQueue(resumed._queue, [])
+        result = resumed.run()
+        suffix = [entry for entry in trace if entry[0] > cut]
+        assert suffix
+        assert resumed._queue.trace == suffix
+        assert resumed.stat_values() == stats
+        assert (result.reason, result.end_time) == (cold.reason, cold.end_time)
 
     def test_parallel_resume_traces_are_exact_suffixes(self, tmp_path):
         """2-rank exact restore: every rank's resumed pop trace is the

@@ -1,14 +1,19 @@
-"""Unit + property tests for the pending-event set implementations."""
+"""Unit + property tests for the pending-event set.
+
+The queue contract runs on the heap itself and on the causal tracer's
+queue proxy, the other object the kernel pops from.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.eventqueue import (BinnedEventQueue, HeapEventQueue,
-                                   make_queue)
+from repro.config import ConfigGraph, build, build_parallel
+from repro.core.eventqueue import HeapEventQueue, make_queue
+from repro.obs.causal import _TracedQueue
 
-QUEUES = [HeapEventQueue, lambda: BinnedEventQueue(bin_width=100, n_bins=8)]
-QUEUE_IDS = ["heap", "binned"]
+QUEUES = [HeapEventQueue, lambda: _TracedQueue(HeapEventQueue(), [None])]
+QUEUE_IDS = ["heap", "traced"]
 
 
 @pytest.fixture(params=QUEUES, ids=QUEUE_IDS)
@@ -83,36 +88,38 @@ class TestBasics:
         seq = queue.push(7, 50, None, "payload")
         assert queue.pop_entry() == (7, 50, seq, None, "payload")
 
-
-class TestBinnedSpecifics:
-    def test_overflow_beyond_horizon(self):
-        q = BinnedEventQueue(bin_width=10, n_bins=4)  # horizon = 40ps
-        q.push(5, 50, None, None)
-        q.push(1000, 50, None, None)  # far future -> overflow heap
-        q.push(15, 50, None, None)
-        assert [q.pop().time for _ in range(3)] == [5, 15, 1000]
-
-    def test_all_in_overflow(self):
-        q = BinnedEventQueue(bin_width=1, n_bins=1)
-        for t in (30, 10, 20):
-            q.push(t, 50, None, None)
-        assert [q.pop().time for _ in range(3)] == [10, 20, 30]
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            BinnedEventQueue(bin_width=0)
-        with pytest.raises(ValueError):
-            BinnedEventQueue(n_bins=0)
+    def test_unpop_restores_pop_order(self, queue):
+        # The kernel's limit test pops first and puts back an entry past
+        # its window: the same tuple, so the pop order is unchanged.
+        for t in (300, 100, 100, 200):
+            queue.push(t, 50, None, None)
+        entry = queue.pop_entry()
+        queue.unpop(entry)
+        assert queue.seq == 4
+        popped = [queue.pop_entry() for _ in range(4)]
+        assert popped[0] is entry
+        assert [e[:3] for e in popped] == \
+            [(100, 50, 1), (100, 50, 2), (200, 50, 3), (300, 50, 0)]
 
 
 class TestMakeQueue:
     def test_known_kinds(self):
         assert isinstance(make_queue("heap"), HeapEventQueue)
-        assert isinstance(make_queue("binned"), BinnedEventQueue)
+        assert isinstance(make_queue(), HeapEventQueue)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_queue("quantum")
+        for kind in ("quantum", "binned"):
+            with pytest.raises(ValueError, match="only choice is 'heap'"):
+                make_queue(kind)
+
+    def test_builders_accept_only_heap(self):
+        graph = ConfigGraph("one-queue")
+        graph.component("sink", "testlib.Sink", {})
+        assert build(graph, queue="heap").pending_events == 0
+        with pytest.raises(ValueError, match="only choice is 'heap'"):
+            build(graph, queue="binned")
+        with pytest.raises(ValueError, match="only choice is 'heap'"):
+            build_parallel(graph, 2, queue="binned")
 
 
 @st.composite
@@ -133,37 +140,10 @@ class TestProperties:
     @given(_event_batches())
     @settings(max_examples=100)
     def test_heap_pops_fully_sorted(self, batch):
-        self._check_sorted(HeapEventQueue(), batch)
-
-    @given(_event_batches())
-    @settings(max_examples=100)
-    def test_binned_pops_fully_sorted(self, batch):
-        self._check_sorted(BinnedEventQueue(bin_width=64, n_bins=16), batch)
-
-    @staticmethod
-    def _check_sorted(queue, batch):
+        queue = HeapEventQueue()
         for time, priority in batch:
             queue.push(time, priority, None, None)
         popped = [queue.pop() for _ in range(len(batch))]
         keys = [(r.time, r.priority, r.seq) for r in popped]
         assert keys == sorted(keys)
         assert len(queue) == 0
-
-    @given(_event_batches(), _event_batches())
-    @settings(max_examples=50)
-    def test_heap_and_binned_agree(self, batch_a, batch_b):
-        """Both queue types yield the identical pop sequence, including a
-        drain-refill cycle in the middle."""
-        heap, binned = HeapEventQueue(), BinnedEventQueue(bin_width=32, n_bins=8)
-        out_heap, out_binned = [], []
-        for q, out in ((heap, out_heap), (binned, out_binned)):
-            for t, p in batch_a:
-                q.push(t, p, None, None)
-            for _ in range(len(batch_a) // 2):
-                out.append(q.pop()[:3])
-            base = max((t for t, _ in batch_a), default=0)
-            for t, p in batch_b:
-                q.push(base + t, p, None, None)
-            while q:
-                out.append(q.pop()[:3])
-        assert out_heap == out_binned

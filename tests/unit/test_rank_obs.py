@@ -469,12 +469,10 @@ class TestImbalanceArbiterAblation:
         graph.link("ping", "io", "pong", "io", latency="7ns")
         return graph
 
-    def _critical_rank(self, tmp_path, arbiter_on, monkeypatch):
-        monkeypatch.setenv("REPRO_CLOCK_ARBITER",
-                           "1" if arbiter_on else "0")
+    def _critical_rank(self, tmp_path, arbiter_on):
         psim = build_parallel(self._skewed_graph(), 2,
                               strategy="round_robin", seed=3,
-                              backend="serial")
+                              backend="serial", clock_arbiter=arbiter_on)
         metrics = tmp_path / f"arb-{int(arbiter_on)}.jsonl"
         telemetry = TelemetryRecorder(metrics)
         telemetry.attach(psim)
@@ -486,8 +484,7 @@ class TestImbalanceArbiterAblation:
         assert critical is not None
         return critical.rank
 
-    def test_same_straggler_with_and_without_arbiter(self, tmp_path,
-                                                     monkeypatch):
-        with_arbiter = self._critical_rank(tmp_path, True, monkeypatch)
-        without = self._critical_rank(tmp_path, False, monkeypatch)
+    def test_same_straggler_with_and_without_arbiter(self, tmp_path):
+        with_arbiter = self._critical_rank(tmp_path, True)
+        without = self._critical_rank(tmp_path, False)
         assert with_arbiter == without == 0

@@ -353,12 +353,3 @@ class TestDeterminism:
 
         first, second = run_once(), run_once()
         assert first == second
-
-    def test_queue_type_does_not_change_results(self, make_pingpong):
-        results = []
-        for queue in ("heap", "binned"):
-            sim = Simulation(seed=5, queue=queue)
-            make_pingpong(sim, n=20, latency="3ns")
-            sim.run()
-            results.append((sim.stat_values(), sim.now))
-        assert results[0] == results[1]
