@@ -442,8 +442,8 @@ def _fabric_machine(psim, *, components=FABRIC_COMPONENTS, ticks=3,
 
 def test_eng2_parallel_fabric_speedup(benchmark, report):
     """The PR 9 acceptance bench: an 8-rank ~1k-component fabric on the
-    processes backend with the shm transport and adaptive lookahead,
-    against the serial reference.
+    processes backend (shm rings, widening sync windows) against the
+    serial reference.
 
     Records ``workload=parallel_fabric queue=shm`` into
     BENCH_engine_throughput.json so the CI parallel-speedup job can
@@ -458,11 +458,10 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
 
     ROUNDS = 3
 
-    def run_backend(backend, **kwargs):
+    def run_backend(backend):
         stats, best = None, None
         for _ in range(ROUNDS):
-            psim = ParallelSimulation(FABRIC_RANKS, seed=5, backend=backend,
-                                      **kwargs)
+            psim = ParallelSimulation(FABRIC_RANKS, seed=5, backend=backend)
             _fabric_machine(psim)
             result = psim.run()
             assert result.reason == "exhausted"
@@ -474,8 +473,7 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
 
     def run():
         serial_stats, serial_result = run_backend("serial")
-        procs_stats, procs_result = run_backend(
-            "processes", transport="shm", sync="adaptive")
+        procs_stats, procs_result = run_backend("processes")
         assert procs_stats == serial_stats
         return serial_result, procs_result
 
@@ -494,8 +492,6 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
             "kind": "parallel_fabric_speedup",
             "workload": "parallel_fabric",
             "queue": "shm",
-            "transport": "shm",
-            "sync": "adaptive",
             "ranks": FABRIC_RANKS,
             "components": FABRIC_COMPONENTS,
             "usable_cpus": cpus,
@@ -512,10 +508,10 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
         },
     )
     report(f"ENG-2 parallel fabric ({FABRIC_COMPONENTS} components, "
-           f"{FABRIC_RANKS} ranks, shm+adaptive): {speedup:.2f}x vs serial, "
+           f"{FABRIC_RANKS} ranks, processes): {speedup:.2f}x vs serial, "
            f"{eps:,.0f} events/s ({cpus} usable CPUs)")
     if cpus >= FABRIC_RANKS:
         assert speedup >= 3.0, (
-            f"shm+adaptive fabric below the 3x target on a {cpus}-core "
+            f"processes fabric below the 3x target on a {cpus}-core "
             f"host: {speedup:.2f}x"
         )

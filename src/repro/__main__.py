@@ -182,8 +182,6 @@ def _finish_observability(args, result, graph, telemetry, profiler, chrome,
             "ranks": args.ranks,
             "strategy": args.strategy,
             "backend": args.backend,
-            "transport": args.transport,
-            "sync": args.sync,
             "seed": args.seed,
         }
         telemetry.finalize(result, graph=graph, invocation=invocation)
@@ -219,8 +217,7 @@ def _cmd_run_impl(args: argparse.Namespace) -> int:
                        "checkpoint_dir": args.checkpoint_dir}
     if args.ranks > 1:
         psim = build_parallel(graph, args.ranks, strategy=args.strategy,
-                              seed=args.seed, backend=args.backend,
-                              transport=args.transport, sync=args.sync)
+                              seed=args.seed, backend=args.backend)
         instruments = _make_observability(args, psim)
         result, code = _run_with_live(
             args, psim, instruments[0],
@@ -573,8 +570,7 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
                 return 1
         try:
             sim = restore(args.snapshot, backend=args.backend,
-                          ranks=args.ranks, assignment=assignment,
-                          transport=args.transport, sync=args.sync)
+                          ranks=args.ranks, assignment=assignment)
         except CheckpointError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -710,15 +706,6 @@ def make_parser() -> argparse.ArgumentParser:
                      help="execution substrate for --ranks > 1 "
                           "(processes = rank 0 here, one forked worker "
                           "per other rank)")
-    run.add_argument("--transport", default="pipe", choices=["pipe", "shm"],
-                     help="processes-backend data plane: the same epoch "
-                          "frames over pipes, or over shared-memory "
-                          "rings (control stays on pipes)")
-    run.add_argument("--sync", default="conservative",
-                     choices=["conservative", "adaptive"],
-                     help="epoch-window strategy: fixed lookahead, or "
-                          "adaptive widening from per-rank earliest-send "
-                          "bounds (same deterministic exchange order)")
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--stats", action="store_true",
                      help="print the full statistics table")
@@ -953,13 +940,6 @@ def make_parser() -> argparse.ArgumentParser:
                       help="component->rank assignment JSON (a "
                            "partition-advise advice file or a bare map); "
                            "forces a pinned repartition restore")
-    cres.add_argument("--transport", default="pipe",
-                      choices=["pipe", "shm"],
-                      help="processes-backend exchange transport "
-                           "(default: pipe)")
-    cres.add_argument("--sync", default="conservative",
-                      choices=["conservative", "adaptive"],
-                      help="epoch-window strategy (default: conservative)")
     cres.add_argument("--stats", action="store_true",
                       help="print final statistic values")
     cres.add_argument("--stats-json", default=None,

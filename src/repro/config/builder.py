@@ -163,8 +163,8 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
                    verbose: bool = False,
                    clock_arbiter: bool = True,
                    validate_events: bool = False,
-                   transport: str = "pipe",
-                   sync: str = "conservative") -> ParallelSimulation:
+                   transport: str = "shm",
+                   sync: str = "adaptive") -> ParallelSimulation:
     """Partition ``graph`` across ``num_ranks`` and instantiate per rank.
 
     Components carrying a ``rank`` pin are honoured; the partitioner
@@ -172,14 +172,19 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
     strategy's assignment, so heavy pinning can unbalance ranks).
 
     ``backend`` selects the execution substrate (``serial`` /
-    ``processes``), ``transport`` the processes-backend data plane
-    (``pipe`` / ``shm``) and ``sync`` the epoch-window strategy
-    (``conservative`` / ``adaptive``); all three are passed straight
-    through to
-    :class:`~repro.core.parallel.ParallelSimulation`.  ``queue``
-    accepts only ``"heap"``, as in :func:`build`.
+    ``processes``), passed straight through to
+    :class:`~repro.core.parallel.ParallelSimulation`.  ``queue``,
+    ``transport`` and ``sync`` each name the one implementation and
+    accept only it: ``"heap"`` (as in :func:`build`), ``"shm"`` (the
+    shared-memory data plane) and ``"adaptive"`` (the sync policy's
+    widening window).
     """
     require_heap(queue)
+    for option, value, only in (("transport", transport, "shm"),
+                                ("sync strategy", sync, "adaptive")):
+        if value != only:
+            raise ValueError(f"unknown {option} {value!r}; "
+                             f"the only choice is {only!r}")
     graph.validate(resolve_types=True)
     classes = _resolve_classes(graph)
     _validate_ports(graph, classes)
@@ -198,8 +203,7 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
 
     psim = ParallelSimulation(num_ranks, seed=seed,
                               backend=backend, verbose=verbose,
-                              clock_arbiter=clock_arbiter,
-                              transport=transport, sync=sync)
+                              clock_arbiter=clock_arbiter)
     psim.partition_strategy = strategy
     psim.config_graph = graph
     if validate_events:

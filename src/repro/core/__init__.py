@@ -27,8 +27,7 @@ from .partition import (PartitionEdge, PartitionProfile, PartitionResult,
                         partition)
 from .registry import register, registered_types, resolve
 from .simulation import RunResult, Simulation, SimulationError
-from .sync import (SYNC_STRATEGIES, AdaptiveConservativeSync, ConservativeSync,
-                   SyncStrategy, make_sync)
+from .sync import ConservativeSync
 from .statistics import Accumulator, Counter, Histogram, Statistic, StatisticGroup
 from .tracelog import EventTraceLog, describe_handler
 from .units import (SimTime, UnitError, bytes_time, format_bytes, format_time,
@@ -37,7 +36,6 @@ from .units import (SimTime, UnitError, bytes_time, format_bytes, format_time,
 
 __all__ = [
     "Accumulator",
-    "AdaptiveConservativeSync",
     "BACKENDS",
     "CallbackEvent",
     "Clock",
@@ -75,13 +73,11 @@ __all__ = [
     "SimulationError",
     "SlotSpec",
     "SpecError",
-    "SYNC_STRATEGIES",
     "StateSpec",
     "StatSpec",
     "Statistic",
     "StatisticGroup",
     "SubComponent",
-    "SyncStrategy",
     "UnitError",
     "UnusedParamsWarning",
     "bytes_time",
@@ -95,7 +91,6 @@ __all__ = [
     "make_backend",
     "make_job_pool",
     "make_queue",
-    "make_sync",
     "param",
     "parse_bandwidth",
     "parse_freq_hz",

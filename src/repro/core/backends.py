@@ -10,9 +10,9 @@ reports a :class:`RankStep` per rank.  Two substrates are provided:
 * :class:`ProcessesBackend` — true multi-process PDES: rank 0 runs in
   the calling process and ranks 1..N-1 in one forked worker each, so
   N ranks are N processes.  Workers exchange epoch frames
-  (:func:`encode_step`) with the parent over pipes or shared-memory
-  rings.  This is the backend that leaves the GIL.  Requirements and
-  caveats:
+  (:func:`encode_step`) with the parent over shared-memory rings
+  (:mod:`repro.core.shm`); pipes carry only control commands.  This is
+  the backend that leaves the GIL.  Requirements and caveats:
 
   - the ``fork`` start method (Linux/macOS); workers inherit the fully
     wired per-rank simulations, so nothing but events and statistics
@@ -54,6 +54,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 
 from .event import decode_entries, encode_entries
 from .kernel import harvest_engine_stats, harvest_stats
+from .shm import ShmExchange
 from .simulation import SimulationError
 from .statistics import adopt_state
 from .sync import OutboxEntry
@@ -112,7 +113,7 @@ class RankStep:
 
 
 # ----------------------------------------------------------------------
-# epoch frames — what the processes backend moves, on either transport
+# epoch frames — what the processes backend moves through the rings
 # ----------------------------------------------------------------------
 
 _U32 = struct.Struct("<I")
@@ -266,8 +267,8 @@ class ExecutionBackend:
 
     name = "base"
 
-    #: bytes moved by the most recent :meth:`step`'s exchange (transport
-    #: payload both directions); 0 for in-process backends, surfaced per
+    #: bytes moved by the most recent :meth:`step`'s exchange (epoch
+    #: frames, both directions); 0 for in-process backends, surfaced per
     #: epoch through :class:`~repro.core.parallel.EpochInfo`.
     last_exchange_bytes: int = 0
 
@@ -331,13 +332,10 @@ class SerialBackend(ExecutionBackend):
 
 
 def _send_msg(conn, msg: Any) -> None:
-    """One pickled message per pipe write (highest pickle protocol).
-
-    Every pipe message — a control command, or under ``transport="pipe"``
-    a whole epoch frame — crosses as a single ``send_bytes`` of one
-    pre-pickled buffer, rather than leaving framing and (older-protocol)
-    pickling to ``Connection.send``.
-    """
+    """One pickled control message per pipe write (highest pickle
+    protocol), as a single ``send_bytes`` of one pre-pickled buffer
+    rather than leaving framing and (older-protocol) pickling to
+    ``Connection.send``."""
     conn.send_bytes(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
 
 
@@ -451,9 +449,9 @@ def _harvest(runner: RankRunner) -> Dict[str, Any]:
 
 class ProcessesBackend(ExecutionBackend):
     """Rank 0 in the parent, one forked worker per other rank, epoch
-    frames over pipes or shared memory.
+    frames through shared memory.
 
-    The parent process runs the sync strategy, the epoch loop and rank
+    The parent process runs the sync policy, the epoch loop and rank
     0's kernel windows; each worker owns one rank's :class:`Simulation`
     (inherited fully wired via fork) and runs its kernel windows on
     command.  An epoch posts every worker its delivery frame, runs rank
@@ -462,16 +460,13 @@ class ProcessesBackend(ExecutionBackend):
     (:func:`encode_deliveries` down, :func:`encode_step` up) and the
     final statistics harvest cross the process boundary.
 
-    The two data-plane transports (``ParallelSimulation(transport=...)``)
-    carry the same frames and differ only in how the bytes move; both
-    block while waiting:
+    Two planes, one job each:
 
-    * ``"pipe"`` — each frame is one pipe message;
-    * ``"shm"`` — frames stream through per-rank shared-memory rings,
-      announced by a one-byte doorbell pipe (:mod:`repro.core.shm`).
-
-    Control commands — snapshots, the final harvest, shutdown, errors —
-    are pickled pipe messages under either transport.
+    * **data** — epoch frames stream through per-rank shared-memory
+      rings, announced by a one-byte doorbell pipe; waiting sides block
+      (:mod:`repro.core.shm`);
+    * **control** — snapshots, the final harvest, shutdown and errors
+      are pickled messages on one pipe per worker.
     """
 
     name = "processes"
@@ -491,19 +486,15 @@ class ProcessesBackend(ExecutionBackend):
         self._conns: Dict[int, Any] = {}
         #: rank 0, run in this process
         self._local: Optional[RankRunner] = None
-        self.transport = getattr(psim, "transport", "pipe")
-        self._exchange: Optional[Any] = None
+        self._exchange: Optional[ShmExchange] = None
 
     def start(self) -> None:
         if self._local is not None:
             return
         self._warn_uncovered_observers()
-        if self.transport == "shm":
-            from .shm import ShmExchange
-
-            # Created before the fork so every worker inherits the
-            # mapped segment and bells — nothing is re-attached by name.
-            self._exchange = ShmExchange(self.psim.num_ranks)
+        # Created before the fork so every worker inherits the mapped
+        # segment and bells — nothing is re-attached by name.
+        self._exchange = ShmExchange(self.psim.num_ranks)
         # Fork AFTER setup(): workers inherit wired graphs, queued
         # setup events and registered primaries.  The parent keeps the
         # setup-time outbox entries (workers clear their copies).
@@ -597,23 +588,19 @@ class ProcessesBackend(ExecutionBackend):
         self.last_exchange_bytes = moved
         return steps
 
-    # The two byte movers: everything transport-specific on the parent
-    # side (the worker's half is next_command/run_step in _worker_main).
+    # The parent's half of the data plane (the worker's half is
+    # next_command/run_step in _worker_main).
     def _post(self, rank: int, frame: bytes) -> None:
-        if self._exchange is None:
-            _send_msg(self._conns[rank], ("step", frame))
-        else:
-            self._exchange.post(rank, frame,
-                                alive_check=self._procs[rank].is_alive)
+        self._exchange.post(rank, frame,
+                            alive_check=self._procs[rank].is_alive)
 
     def _collect(self, rank: int) -> bytes:
-        if self._exchange is not None:
-            frame = self._exchange.collect(
-                rank, alive_check=self._procs[rank].is_alive)
-            if frame is not None:
-                return frame
-            # the worker flagged a failure: its exception is waiting on
-            # the pipe, and _recv raises it
+        frame = self._exchange.collect(
+            rank, alive_check=self._procs[rank].is_alive)
+        if frame is not None:
+            return frame
+        # the worker flagged a failure: its exception is waiting on the
+        # pipe, and _recv raises it
         return self._recv(rank)
 
     def finalize(self) -> None:
@@ -764,15 +751,15 @@ def _adopt_stat(local, remote) -> None:
 
 
 def _worker_main(psim: "ParallelSimulation", rank: int, conn,
-                 exchange: Any, parent_ends: Sequence[Any]) -> None:
+                 exchange: ShmExchange, parent_ends: Sequence[Any]) -> None:
     """Worker command loop for one rank (runs in a forked child).
 
     ``exchange`` is the :class:`~repro.core.shm.ShmExchange` inherited
-    through fork under ``transport="shm"``, ``None`` under ``"pipe"``;
-    it decides only how epoch frames arrive and leave (see
-    ``next_command`` / ``run_step``).  Everything else a rank does is
-    the :class:`RankRunner`'s.  The worker exits on ``close`` or as soon
-    as its pipe reads EOF (the parent closed its end or is gone).
+    through fork: epoch frames arrive and leave through its rings (see
+    ``next_command`` / ``run_step``), control commands on ``conn``.
+    Everything else a rank does is the :class:`RankRunner`'s.  The
+    worker exits on ``close`` or as soon as its pipe reads EOF (the
+    parent closed its end or is gone).
     """
     import select
     import traceback
@@ -811,8 +798,8 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
         """One epoch: delivery frame in, step frame out.
 
         Any failure takes the one error path: the exception goes to the
-        parent on the pipe, and under shm an empty up-ring frame releases
-        the parent's ``collect``."""
+        parent on the pipe, and an empty up-ring frame releases the
+        parent's ``collect``."""
         try:
             epoch_end, entries = decode_deliveries(frame)
             result = runner.step(epoch_end, entries)
@@ -822,23 +809,14 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
                 raise _not_serializable(f"rank {rank}", exc) from None
         except Exception as exc:
             send_error(exc)
-            if exchange is not None:
-                exchange.fail(rank)
+            exchange.fail(rank)
             return
-        if exchange is None:
-            _send_msg(conn, ("ok", reply))
-        else:
-            exchange.complete(rank, reply)
+        exchange.complete(rank, reply)
 
     def next_command() -> tuple:
-        """Block until the parent's next command.
-
-        Everything is a pickled pipe message under ``transport="pipe"``.
-        Under shm the worker sleeps in ``select`` on its pipe and its
-        doorbell: a rung bell is an epoch, read off the down ring.
-        """
-        if exchange is None:
-            return _recv_msg(conn)
+        """Block until the parent's next command: sleep in ``select`` on
+        the control pipe and the doorbell; a rung bell is an epoch, read
+        off the down ring."""
         ready, _, _ = select.select([conn, exchange.bell(rank)], [], [])
         if conn in ready:
             return _recv_msg(conn)
@@ -864,8 +842,7 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
     except (EOFError, OSError):
         return  # the parent is gone: nobody to report to
     finally:
-        if exchange is not None:
-            exchange.close()
+        exchange.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover

@@ -15,7 +15,7 @@ Layering (see docs/ARCHITECTURE.md):
   handler, event)`` entry through the queue's ``pop_entry`` accessor,
   advance ``now``, dispatch bare or through the compiled observability
   slot.
-* **SyncStrategy** (:mod:`repro.core.sync`) — decides *how far* each
+* **ConservativeSync** (:mod:`repro.core.sync`) — decides *how far* each
   rank may run (epoch windows, lookahead, cross-rank exchange).
 * **ExecutionBackend** (:mod:`repro.core.backends`) — decides *where*
   each rank's kernel loop executes (inline or a forked process).

@@ -12,13 +12,13 @@ layers (see docs/ARCHITECTURE.md):
 
 * the **kernel loop** (:mod:`repro.core.kernel`) executes one rank's
   events inside a window;
-* the **sync strategy** (:mod:`repro.core.sync`) computes epoch windows
+* the **sync policy** (:mod:`repro.core.sync`) computes epoch windows
   and orders the cross-rank exchange deterministically;
 * the **execution backend** (:mod:`repro.core.backends`) decides where
   the per-rank kernels run: ``serial`` (reference, calling thread) or
   ``processes`` (rank 0 in the calling process, forked workers for the
-  other ranks, exchanging epoch frames over pipes or shared memory —
-  true multi-core scaling).
+  other ranks, exchanging epoch frames over shared-memory rings — true
+  multi-core scaling).
 
 :class:`ParallelSimulation` composes the three: it owns the per-rank
 :class:`Simulation` objects and the cross-rank link table, drives the
@@ -43,13 +43,10 @@ from .component import Component
 from .event import Event
 from .link import Link, LinkError, Port
 from .simulation import Simulation, SimulationError
-from .sync import SyncStrategy, make_sync
+from .sync import ConservativeSync
 from .units import SimTime
 
 _INF = float("inf")
-
-#: processes-backend data-plane transports (see repro.core.backends)
-TRANSPORTS = ("pipe", "shm")
 
 
 @dataclass
@@ -77,7 +74,7 @@ class ParallelRunResult:
     #: the run actually advanced through — low values mean the sync
     #: windows are forcing many near-empty epochs
     lookahead_utilization: float = 0.0
-    #: transport payload bytes moved by the cross-rank exchange
+    #: epoch-frame bytes moved by the cross-rank exchange
     #: (both directions; 0 for in-process backends)
     exchange_bytes: int = 0
     #: events executed per wall-clock second (engine throughput)
@@ -130,7 +127,7 @@ class EpochInfo:
     per_rank_barrier_wait: List[float]
     events_total: int  #: cumulative events executed so far in this run
     now: SimTime  #: engine sim-time high-water mark after the epoch
-    #: transport payload bytes this epoch's exchange moved (both
+    #: epoch-frame bytes this epoch's exchange moved (both
     #: directions; 0 for in-process backends)
     exchange_bytes: int = 0
 
@@ -172,24 +169,15 @@ class ParallelSimulation:
 
     def __init__(self, num_ranks: int, *, seed: int = 1,
                  backend: str = "serial", verbose: bool = False,
-                 clock_arbiter: bool = True,
-                 transport: str = "pipe", sync: str = "conservative"):
+                 clock_arbiter: bool = True):
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; options: {sorted(BACKENDS)}"
             )
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; options: {list(TRANSPORTS)}"
-            )
         self.num_ranks = num_ranks
         self.backend = backend
-        #: processes-backend data plane: epoch frames over "pipe" or
-        #: "shm" (shared-memory rings); the serial backend ignores it
-        self.transport = transport
-        self.sync_name = sync
         self.seed = seed
         #: partitioner strategy label; set by config.build_parallel for
         #: run manifests, None for hand-built graphs.
@@ -232,7 +220,7 @@ class ParallelSimulation:
         self._cross_links: Dict[int, _CrossRankLink] = {}
         self._next_link_id = 0
         #: epoch-window / exchange policy (layer 2)
-        self._sync = make_sync(sync)
+        self._sync = ConservativeSync()
         #: execution substrate (layer 3); created per run(), closed in
         #: its finally block so failed runs never leak pools/workers.
         self._backend: Optional[ExecutionBackend] = None
@@ -329,7 +317,7 @@ class ParallelSimulation:
         return self._sync.lookahead
 
     @property
-    def sync_strategy(self) -> SyncStrategy:
+    def sync_strategy(self) -> ConservativeSync:
         """The epoch-window/exchange policy object (layer 2)."""
         return self._sync
 

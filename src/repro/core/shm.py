@@ -1,30 +1,30 @@
-"""Shared-memory epoch exchange for the processes backend.
+"""Shared-memory epoch exchange: the processes backend's data plane.
 
-The pipe transport pays one pickled pipe message each way per worker
-rank per epoch.  This module moves the same epoch frames through
-``multiprocessing.shared_memory`` instead:
+Every epoch frame between the parent and a worker rank moves through
+``multiprocessing.shared_memory``:
 
 * **one segment for the run**, carved into per-rank regions.  Each
   region holds two single-writer byte rings: a *down* ring (parent →
   worker: this epoch's deliveries) and an *up* ring (worker → parent:
   the step result and outbox);
 * **length-prefixed frames** on the rings carry opaque bytes — the
-  epoch frames of :mod:`repro.core.backends`, the same ones the pipe
-  transport sends (this module never looks inside them);
+  epoch frames of :mod:`repro.core.backends` (this module never looks
+  inside them);
 * **the barrier is a doorbell**: each direction of each rank has a
   one-byte wake-up pipe (``os.pipe``, created before the fork).  The
   sender rings it, then streams the frame; the receiver blocks in
   ``select`` on it.  Nobody spins, so a waiting side leaves the CPU to
   the rank that is still executing.  Ringing *before* streaming lets
   the receiver drain while the sender writes, so a frame larger than
-  the ring cannot deadlock.  Bells are pure wake-ups: the parent's
-  waits still check every 0.1 s that the worker is alive, and a worker
-  exits when its control pipe reads EOF.
+  the ring cannot deadlock.  Bells are pure wake-ups: every wait
+  checks every 0.1 s that its peer is alive — the parent that the
+  worker process is, a worker that the process which created the
+  exchange is still its parent — and an idle worker exits when its
+  control pipe reads EOF.
 
-The *control plane* stays on the pipes: snapshot requests, the final
-statistics harvest (``finish``), shutdown and error reporting all use
-the existing pickled pipe commands, so ``repro.ckpt`` snapshots work
-unchanged under ``transport="shm"``.
+The *control plane* is the backend's pickled pipe commands: snapshot
+requests, the final statistics harvest (``finish``), shutdown and error
+reporting.
 
 Memory model: each ring's head and tail word has exactly one writer, is
 8-byte aligned, and is written with a single ``struct.pack_into`` — the
@@ -73,8 +73,8 @@ _SLEEP_S = 0.0002
 _ALIVE_CHECK_EVERY_S = 0.1
 
 
-def _make_waiter(alive_check: Optional[Callable[[], bool]] = None,
-                 what: str = "shm transport peer") -> Callable[[], None]:
+def _make_waiter(alive_check: Optional[Callable[[], bool]],
+                 what: str) -> Callable[[], None]:
     """Backoff for a wait *inside* a frame — the ring is full, or the
     reader woke before the writer's next bytes landed: yield first, then
     short-sleep, periodically verifying the peer process is still alive.
@@ -249,6 +249,8 @@ class ShmExchange:
         #: parent, the up bell by the rank's worker.
         self._down_bell = [os.pipe() for _ in range(num_ranks)]
         self._up_bell = [os.pipe() for _ in range(num_ranks)]
+        #: the parent: workers are forked from the creating process
+        self._parent_pid = os.getpid()
 
     # parent side ------------------------------------------------------
     def post(self, rank: int, payload: bytes,
@@ -284,16 +286,24 @@ class ShmExchange:
         has posted an epoch."""
         return self._down_bell[rank][0]
 
+    def _parent_alive(self) -> bool:
+        """A worker's peer check: a dead parent's children are
+        re-parented, so the parent is alive while it is still ours (or
+        while we are it — a peer thread in the creating process)."""
+        return self._parent_pid in (os.getppid(), os.getpid())
+
     def read_deliveries(self, rank: int) -> bytes:
         """Answer a rung bell with the delivery frame."""
         os.read(self._down_bell[rank][0], 1)
-        return self._down[rank].read_frame(_make_waiter(what="parent"))
+        return self._down[rank].read_frame(
+            _make_waiter(self._parent_alive, "parent"))
 
     def complete(self, rank: int, payload: bytes) -> None:
         """Report epoch completion: ring the up bell, then stream the
         result frame (mirror of :meth:`post`, same no-deadlock shape)."""
         os.write(self._up_bell[rank][1], b"\x01")
-        self._up[rank].write_frame(payload, _make_waiter(what="parent"))
+        self._up[rank].write_frame(
+            payload, _make_waiter(self._parent_alive, "parent"))
 
     def fail(self, rank: int) -> None:
         """Report epoch failure: the error itself travels over the

@@ -1,37 +1,28 @@
-"""Layer 2: synchronization strategies for the parallel engine.
+"""Layer 2: the synchronization policy of the parallel engine.
 
-A :class:`SyncStrategy` is the *policy* half of
+:class:`ConservativeSync` is the *policy* half of
 :class:`~repro.core.parallel.ParallelSimulation` — it decides when
 ranks may run and how far, while an
 :class:`~repro.core.backends.ExecutionBackend` decides where the rank
-kernels execute.  Extracting it from the engine's run loop makes
-conservative sync a replaceable object instead of inlined control flow
-(an optimistic / time-warp strategy would slot in here without touching
-the backends).
-
-Two strategies are implemented.  :class:`ConservativeSync` is SST's
-barrier-epoch protocol:
+kernels execute.  It is SST's barrier-epoch protocol:
 
 * **lookahead** — the smallest latency of any cross-rank link.  An
   event executed at ``t >= gmin`` cannot affect another rank before
   ``t + lookahead``, so every rank may run through
   ``gmin + lookahead - 1`` without coordination.
+* **window** — that bound is the floor.  Each epoch the window widens
+  from each rank's *earliest-possible-send bound*: the earliest time
+  rank ``r`` could execute anything (its queued ``next_time`` or this
+  epoch's earliest delivery to it) plus the smallest latency of any
+  cross-rank link ``r`` can send on.  No send can arrive before
+  ``min`` of those bounds, so the window runs to ``min(bounds) - 1`` —
+  never narrower than ``gmin + lookahead - 1``.
 * **exchange** — cross-rank sends accumulate as outbox entries
   ``(time, priority, link_id, dest_rank, send_seq, event)``; before
   each epoch they are sorted on the global deterministic key
   ``(time, priority, link_id, send_seq)`` and split per destination
   rank, so the receiving queue's tie-breaking is independent of rank
   execution order — and therefore of the execution backend.
-
-:class:`AdaptiveConservativeSync` keeps the same exchange protocol but
-widens the window per epoch from each rank's *earliest-possible-send
-bound*: the earliest time rank ``r`` could execute anything (its queued
-``next_time`` or this epoch's earliest delivery to it) plus the
-smallest latency of any cross-rank link ``r`` can send on.  No send can
-arrive before ``min`` of those bounds, so the window may safely run to
-``min(bounds) - 1`` — never narrower than the conservative
-``gmin + L_min - 1``.  Select a strategy by name through
-:func:`make_sync` (``sync="adaptive"`` on the engine/CLI).
 """
 
 from __future__ import annotations
@@ -48,84 +39,58 @@ _INF = float("inf")
 OutboxEntry = Tuple[SimTime, int, int, int, int, Any]
 
 
-class SyncStrategy:
-    """Interface: epoch-window policy for a multi-rank simulation."""
-
-    name = "base"
-
-    #: conservative window width (ps); engines expose this as .lookahead
-    lookahead: SimTime
-
-    def note_cross_link(self, latency: SimTime,
-                        rank_a: Optional[int] = None,
-                        rank_b: Optional[int] = None) -> None:
-        """Observe a new rank-crossing link of the given latency.
-
-        ``rank_a``/``rank_b`` name the two endpoint ranks; strategies
-        that reason per rank (adaptive lookahead) use them, the base
-        conservative policy ignores them.
-        """
-        raise NotImplementedError
-
-    def describe(self) -> Dict[str, Any]:
-        """Self-description embedded in telemetry streams and manifests.
-
-        Post-hoc tools (``python -m repro obs``) read this back from run
-        artifacts to label sync lanes and normalize epoch windows, so
-        the keys are part of the telemetry schema: ``strategy`` and
-        ``lookahead_ps`` are always present; strategies may add more.
-        """
-        return {"strategy": self.name, "lookahead_ps": self.lookahead}
-
-    def add_pending(self, entries: List[OutboxEntry]) -> None:
-        """Queue cross-rank sends awaiting delivery."""
-        raise NotImplementedError
-
-    def global_min(self) -> float:
-        """Earliest pending work anywhere (``inf`` when idle)."""
-        raise NotImplementedError
-
-    def window_end(self, global_min: SimTime,
-                   limit: Optional[SimTime]) -> SimTime:
-        """Inclusive end of the next safe window."""
-        raise NotImplementedError
-
-    def exchange(self, num_ranks: int) -> Tuple[List[List[OutboxEntry]], int]:
-        """Sort pending sends and split them per destination rank."""
-        raise NotImplementedError
-
-
-class ConservativeSync(SyncStrategy):
+class ConservativeSync:
     """SST's conservative barrier-epoch protocol as a policy object.
 
-    Owns the pieces ``ParallelSimulation.run`` used to inline: the
-    lookahead bound, the set of in-flight cross-rank sends, the global
-    earliest-work computation and the deterministic exchange ordering.
-    The engine's run loop asks this object for the next window and
-    feeds back each epoch's :class:`~repro.core.backends.RankStep`
-    results via :meth:`absorb`.
+    Owns the lookahead bound, the per-rank earliest-send bounds that
+    widen each window, the set of in-flight cross-rank sends, the
+    global earliest-work computation and the deterministic exchange
+    ordering.  The engine's run loop asks this object for the next
+    window and feeds back each epoch's
+    :class:`~repro.core.backends.RankStep` results via :meth:`absorb`.
+
+    Widening never changes *what* runs: the exchange key and
+    per-destination ordering are fixed, and a pending send collapses
+    the bound back to the boundary before its arrival, so a widened
+    window only skips exchanges that would have been empty.
     """
 
     name = "conservative"
 
     def __init__(self) -> None:
         self._lookahead: Optional[SimTime] = None
+        #: per-rank min latency among the rank's *outgoing* cross links
+        self._min_out: Dict[int, SimTime] = {}
         #: undelivered cross-rank sends, keyed by destination rank
         #: (setup-time sends land here before the first epoch; epoch
         #: outboxes via absorb()).  Kept per destination so the exchange
-        #: sort and the pipe writes are one batch per receiving rank.
+        #: sort and the frame writes are one batch per receiving rank.
         self.pending: Dict[int, List[OutboxEntry]] = {}
         #: per-rank earliest queued event, refreshed each epoch.
         self.next_times: List[Optional[SimTime]] = []
+        #: per-rank earliest entry time delivered by this epoch's
+        #: exchange (next_times is refreshed only at absorb(), so the
+        #: deliveries are the one piece of "new earliest work" the
+        #: window computation would otherwise miss).
+        self._delivered_min: Dict[int, SimTime] = {}
+        #: how often / how far the earliest-send bound beat the
+        #: lookahead window (ps of extra width), for describe().
+        self.windows_widened = 0
+        self.widened_ps = 0
 
     # ------------------------------------------------------------------
     # lookahead
     # ------------------------------------------------------------------
-    def note_cross_link(self, latency: SimTime,
-                        rank_a: Optional[int] = None,
-                        rank_b: Optional[int] = None) -> None:
+    def note_cross_link(self, latency: SimTime, rank_a: int,
+                        rank_b: int) -> None:
+        """Observe a new rank-crossing link between two ranks."""
         if self._lookahead is None or latency < self._lookahead:
             self._lookahead = latency
+        # Links are bidirectional: either endpoint rank may send on it.
+        for rank in (rank_a, rank_b):
+            current = self._min_out.get(rank)
+            if current is None or latency < current:
+                self._min_out[rank] = latency
 
     @property
     def lookahead(self) -> SimTime:
@@ -136,10 +101,22 @@ class ConservativeSync(SyncStrategy):
         """
         return self._lookahead if self._lookahead is not None else units.PS_PER_SEC
 
+    def describe(self) -> Dict[str, Any]:
+        """Self-description embedded in telemetry streams and manifests.
+
+        Post-hoc tools (``python -m repro obs``) read this back from run
+        artifacts to label sync lanes and normalize epoch windows, so
+        the keys are part of the telemetry schema.
+        """
+        return {"strategy": self.name, "lookahead_ps": self.lookahead,
+                "windows_widened": self.windows_widened,
+                "widened_ps": self.widened_ps}
+
     # ------------------------------------------------------------------
     # epoch-window computation
     # ------------------------------------------------------------------
     def add_pending(self, entries: List[OutboxEntry]) -> None:
+        """Queue cross-rank sends awaiting delivery."""
         pending = self.pending
         for entry in entries:
             dest = entry[3]
@@ -163,11 +140,37 @@ class ConservativeSync(SyncStrategy):
 
     def window_end(self, global_min: SimTime,
                    limit: Optional[SimTime]) -> SimTime:
-        # Safe window: any send made while executing t >= global_min
-        # arrives at >= global_min + lookahead, i.e. after the window.
-        end = int(global_min) + self.lookahead - 1
+        """Inclusive end of the next safe window.
+
+        ``min over ranks of (t_r + min_out_r) - 1``, where ``t_r`` is the
+        earliest time rank ``r`` can execute anything, clamped below by
+        ``gmin + lookahead - 1`` (the bound can only be *wider*:
+        ``t_r >= gmin`` and ``min_out_r >= lookahead``).  Ranks with no
+        outgoing cross-rank links never constrain the window.
+        """
+        conservative = int(global_min) + self.lookahead - 1
+        next_times = self.next_times
+        delivered = self._delivered_min
+        bound: float = _INF
+        for rank, out_latency in self._min_out.items():
+            queued = next_times[rank] if rank < len(next_times) else None
+            earliest: float = queued if queued is not None else _INF
+            arrived = delivered.get(rank)
+            if arrived is not None and arrived < earliest:
+                earliest = arrived
+            if earliest + out_latency < bound:
+                bound = earliest + out_latency
+        if bound == _INF:
+            # No rank can ever send: ranks are (currently) independent,
+            # same unbounded-window convention as the no-cross-link case.
+            bound = int(global_min) + units.PS_PER_SEC
+        end = max(conservative, int(bound) - 1)
         if limit is not None:
+            conservative = min(conservative, limit)
             end = min(end, limit)
+        if end > conservative:
+            self.windows_widened += 1
+            self.widened_ps += end - conservative
         return end
 
     # ------------------------------------------------------------------
@@ -185,6 +188,8 @@ class ConservativeSync(SyncStrategy):
         is exactly the bucket sorted on the same key.
         """
         deliveries: List[List[OutboxEntry]] = [[] for _ in range(num_ranks)]
+        delivered = self._delivered_min
+        delivered.clear()
         if not self.pending:
             return deliveries, 0
         exchanged = 0
@@ -192,6 +197,8 @@ class ConservativeSync(SyncStrategy):
             bucket.sort(key=lambda e: (e[0], e[1], e[2], e[4]))
             deliveries[dest] = bucket
             exchanged += len(bucket)
+            # sorted by (time, ...): the first entry is the earliest
+            delivered[dest] = bucket[0][0]
         self.pending = {}
         return deliveries, exchanged
 
@@ -240,124 +247,3 @@ class ConservativeSync(SyncStrategy):
                                  port.component.name, port.name,
                                  send_seq, event))
         return exported
-
-
-class AdaptiveConservativeSync(ConservativeSync):
-    """Conservative protocol with a per-epoch earliest-send bound.
-
-    The conservative window assumes every rank might send on the
-    globally fastest cross-rank link *right now*.  This strategy keeps
-    that as the floor but computes, per epoch, when the earliest
-    cross-rank send could actually *arrive*:
-
-    * rank ``r`` cannot execute anything before
-      ``t_r = min(next_time_r, earliest delivery to r this epoch)``;
-    * any send ``r`` makes travels over one of its own outgoing
-      cross-rank links, so it arrives no earlier than
-      ``t_r + min_out_latency_r``;
-    * ranks with no outgoing cross-rank links never constrain the
-      window at all.
-
-    The window end is ``min over ranks of (t_r + min_out_r) - 1``,
-    clamped below by the conservative ``gmin + L_min - 1`` (the bound
-    can only be *wider*: ``t_r >= gmin`` and ``min_out_r >= L_min``).
-
-    The exchange key and per-destination ordering are inherited
-    unchanged, so delivery order — and every ``(time, priority, seq)``
-    trace — stays bit-identical to :class:`ConservativeSync` whenever
-    the widened boundaries skip only empty exchanges, which is exactly
-    when widening happens (a pending send collapses the bound back to
-    the boundary before its arrival).
-    """
-
-    name = "adaptive"
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: per-rank min latency among the rank's *outgoing* cross links
-        self._min_out: Dict[int, SimTime] = {}
-        #: per-rank earliest entry time delivered by this epoch's
-        #: exchange (next_times is refreshed only at absorb(), so the
-        #: deliveries are the one piece of "new earliest work" the
-        #: window computation would otherwise miss).
-        self._delivered_min: Dict[int, SimTime] = {}
-        #: how often / how far the adaptive bound beat the conservative
-        #: window (ps of extra width), for describe() and diagnostics.
-        self.windows_widened = 0
-        self.widened_ps = 0
-
-    def note_cross_link(self, latency: SimTime,
-                        rank_a: Optional[int] = None,
-                        rank_b: Optional[int] = None) -> None:
-        super().note_cross_link(latency, rank_a, rank_b)
-        # Links are bidirectional: either endpoint rank may send on it.
-        for rank in (rank_a, rank_b):
-            if rank is None:
-                continue
-            current = self._min_out.get(rank)
-            if current is None or latency < current:
-                self._min_out[rank] = latency
-
-    def describe(self) -> Dict[str, Any]:
-        info = super().describe()
-        info["adaptive"] = True
-        info["windows_widened"] = self.windows_widened
-        info["widened_ps"] = self.widened_ps
-        return info
-
-    def exchange(self, num_ranks: int) -> Tuple[List[List[OutboxEntry]], int]:
-        deliveries, exchanged = super().exchange(num_ranks)
-        delivered = self._delivered_min
-        delivered.clear()
-        if exchanged:
-            for dest, bucket in enumerate(deliveries):
-                if bucket:
-                    # buckets are sorted by (time, ...): first is earliest
-                    delivered[dest] = bucket[0][0]
-        return deliveries, exchanged
-
-    def window_end(self, global_min: SimTime,
-                   limit: Optional[SimTime]) -> SimTime:
-        conservative = int(global_min) + self.lookahead - 1
-        next_times = self.next_times
-        delivered = self._delivered_min
-        bound: float = _INF
-        for rank, out_latency in self._min_out.items():
-            queued = next_times[rank] if rank < len(next_times) else None
-            earliest: float = queued if queued is not None else _INF
-            arrived = delivered.get(rank)
-            if arrived is not None and arrived < earliest:
-                earliest = arrived
-            if earliest + out_latency < bound:
-                bound = earliest + out_latency
-        if bound == _INF:
-            # No rank can ever send: ranks are (currently) independent,
-            # same unbounded-window convention as the no-cross-link case.
-            end = int(global_min) + units.PS_PER_SEC - 1
-        else:
-            end = max(conservative, int(bound) - 1)
-        if limit is not None:
-            conservative = min(conservative, limit)
-            end = min(end, limit)
-        if end > conservative:
-            self.windows_widened += 1
-            self.widened_ps += end - conservative
-        return end
-
-
-#: selectable strategies, by CLI/engine name
-SYNC_STRATEGIES: Dict[str, type] = {
-    "conservative": ConservativeSync,
-    "adaptive": AdaptiveConservativeSync,
-}
-
-
-def make_sync(name: str) -> SyncStrategy:
-    """Instantiate a sync strategy by registry name."""
-    try:
-        cls = SYNC_STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sync strategy {name!r}; expected one of "
-            f"{sorted(SYNC_STRATEGIES)}") from None
-    return cls()

@@ -106,7 +106,6 @@ def build_manifest(target: Union[Simulation, ParallelSimulation], result,
             "backend": target.backend,
             "seed": target.seed,
             "partitioner": target.partition_strategy,
-            "transport": target.transport,
             "lookahead_ps": target.lookahead,
             "cross_rank_links": target.cross_link_count,
             "sync": target.sync_strategy.describe(),

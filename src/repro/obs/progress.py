@@ -19,10 +19,6 @@ from ..core.parallel import EpochInfo, ParallelSimulation
 from ..core.simulation import Simulation
 from .format import fmt_count, fmt_duration, fmt_rate
 
-#: backward-compat alias (the helper moved to repro.obs.format so the
-#: live `obs top` renderer shares it).
-_fmt_count = fmt_count
-
 
 class ProgressReporter:
     """Emit periodic progress lines for a running simulation.

@@ -7,6 +7,8 @@ graphs of sources, forwarders and sinks with random latencies and rank
 counts; the sequential engine is the oracle.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +108,20 @@ def build_machine(spec, host, rank_of):
     return sinks
 
 
+def random_placement(spec):
+    """A ``rank_of`` for :func:`build_machine`: one seeded random rank
+    per component."""
+    rng = random.Random(spec["placement_seed"])
+    placement = {}
+
+    def rank_of(key):
+        if key not in placement:
+            placement[key] = rng.randrange(spec["ranks"])
+        return placement[key]
+
+    return rank_of
+
+
 def count_stats(values):
     """Only the order-insensitive count statistics."""
     return {k: v for k, v in values.items() if not k.endswith("_ps")}
@@ -119,18 +135,8 @@ def test_random_graphs_partition_invariant(spec):
     seq_result = seq.run()
     assert seq_result.reason == "exhausted"
 
-    import random
-
-    placement_rng = random.Random(spec["placement_seed"])
-    placement = {}
-
-    def rank_of(key):
-        if key not in placement:
-            placement[key] = placement_rng.randrange(spec["ranks"])
-        return placement[key]
-
     par = ParallelSimulation(spec["ranks"], seed=3)
-    par_sinks = build_machine(spec, par, rank_of=rank_of)
+    par_sinks = build_machine(spec, par, rank_of=random_placement(spec))
     par_result = par.run()
     assert par_result.reason == "exhausted"
 
@@ -140,6 +146,43 @@ def test_random_graphs_partition_invariant(spec):
         assert sorted(par_sink.arrival_times) == \
             sorted(seq_sink.arrival_times), seq_sink.name
     assert par_result.events_executed == seq_result.events_executed
+
+
+@given(graph_specs(), st.one_of(st.none(), st.integers(1_000, 200_000)))
+@settings(max_examples=30, deadline=None)
+def test_random_graphs_window_rule(spec, max_time):
+    """The one window rule: every epoch window reaches at least
+    ``window_start + lookahead - 1`` unless ``max_time`` clamps it, and
+    widening past that stays safe — no cross-rank event reaches a rank
+    whose clock has passed it — and never changes what the run
+    computes."""
+    seq = Simulation(seed=3)
+    seq_sinks = build_machine(spec, seq, rank_of=lambda key: 0)
+    seq_result = seq.run(max_time=max_time)
+
+    par = ParallelSimulation(spec["ranks"], seed=3)
+    par_sinks = build_machine(spec, par, rank_of=random_placement(spec))
+    recorders = []
+    for rank in range(par.num_ranks):
+        sim = par.rank_sim(rank)
+        sim._queue = _PopRecorder(sim._queue)
+        recorders.append(sim._queue)
+    epochs = []
+    par.add_epoch_observer(epochs.append)
+    par_result = par.run(max_time=max_time)
+
+    for info in epochs:
+        assert (info.window_end >= info.window_start + par.lookahead - 1
+                or info.window_end == max_time), info
+    for recorder in recorders:
+        times = [entry[0] for entry in recorder.trace]
+        assert times == sorted(times)
+    assert count_stats(par.stat_values()) == count_stats(seq.stat_values())
+    for seq_sink, par_sink in zip(seq_sinks, par_sinks):
+        assert sorted(par_sink.arrival_times) == \
+            sorted(seq_sink.arrival_times), seq_sink.name
+    assert par_result.events_executed == seq_result.events_executed
+    assert par_result.end_time == seq.last_event_time
 
 
 @given(graph_specs(), st.sampled_from(["heap", "traced"]))

@@ -1,9 +1,9 @@
 """Tests for the engine's layered execution stack.
 
-Covers the two execution backends (serial / processes, the latter on
-both transports) and the coarse-grained job pools: stat equivalence on
-the same partitioned graph, worker error propagation, resource cleanup
-on failure, and the per-rank engine RNG streams.
+Covers the two execution backends (serial / processes) and the
+coarse-grained job pools: stat equivalence on the same partitioned
+graph, worker error propagation, resource cleanup on failure, and the
+per-rank engine RNG streams.
 """
 
 import os
@@ -18,7 +18,7 @@ from repro.core import (Component, Event, Params, ParallelSimulation,
                         Simulation, SimulationError)
 from repro.core.backends import (BACKENDS, JobPool, default_jobs,
                                  make_backend, make_job_pool)
-from repro.core.parallel import TRANSPORTS
+from repro.core.shm import DEFAULT_RING_CAPACITY
 from tests.conftest import PingPong, Sink, Source
 
 ALL_BACKENDS = sorted(BACKENDS)
@@ -92,8 +92,7 @@ class TestBackendEquivalence:
 
 
 class TestProcessesBackend:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_exception_propagates(self, transport):
+    def test_exception_propagates(self):
         class Exploder(Component):
             def setup(self):
                 self.schedule(1000, self._boom)
@@ -101,18 +100,15 @@ class TestProcessesBackend:
             def _boom(self, _):
                 raise RuntimeError("model bug")
 
-        psim = ParallelSimulation(2, seed=1, backend="processes",
-                                  transport=transport)
+        psim = ParallelSimulation(2, seed=1, backend="processes")
         Exploder(psim.rank_sim(0), "x")
         Sink(psim.rank_sim(1), "s")
         with pytest.raises(RuntimeError, match="model bug"):
             psim.run()
         assert psim._backend is None  # workers reaped despite the failure
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_unpicklable_cross_rank_event_raises(self, transport):
-        psim = ParallelSimulation(2, seed=1, backend="processes",
-                                  transport=transport)
+    def test_unpicklable_cross_rank_event_raises(self):
+        psim = ParallelSimulation(2, seed=1, backend="processes")
         relay = Relay(psim.rank_sim(0), "relay")
         sink = Sink(psim.rank_sim(1), "sink")
         psim.connect(relay, "out", sink, "in", latency="3ns")
@@ -154,14 +150,31 @@ class Wedge(Component):
         time.sleep(60)
 
 
+class Blob(Event):
+    """A payload event of arbitrary size."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data=b""):
+        self.data = data
+
+
+class BigSender(Component):
+    """Sends one event three times the shm ring's size at t=1ns."""
+
+    def setup(self):
+        self.schedule(1000, self._fire)
+
+    def _fire(self, _):
+        self.send("out", Blob(bytes(3 * DEFAULT_RING_CAPACITY)))
+
+
 class TestWorkerFaults:
     """Blocking waits still fail fast on a dead worker, and an idle
     worker never outlives its parent's end of the pipe."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_sigkilled_worker_fails_run_fast_and_clean(self, transport):
-        psim = ParallelSimulation(2, seed=1, backend="processes",
-                                  transport=transport)
+    def test_sigkilled_worker_fails_run_fast_and_clean(self):
+        psim = ParallelSimulation(2, seed=1, backend="processes")
         Sink(psim.rank_sim(0), "sink")
         Wedge(psim.rank_sim(1), "wedge")
         seen = {}
@@ -176,10 +189,8 @@ class TestWorkerFaults:
                                 exchange=backend._exchange)
                 time.sleep(0.01)
             time.sleep(0.3)  # the parent is now blocked in collect
-            exchange = seen.get("exchange")
-            if exchange is not None:
-                seen["segment"] = f"/dev/shm/{exchange._shm.name}"
-                assert os.path.exists(seen["segment"])
+            seen["segment"] = f"/dev/shm/{seen['exchange']._shm.name}"
+            assert os.path.exists(seen["segment"])
             seen["killed_at"] = time.monotonic()
             os.kill(seen["pid"], signal.SIGKILL)
 
@@ -193,15 +204,43 @@ class TestWorkerFaults:
         assert raised_at - seen["killed_at"] < 1.0
         assert psim._backend is None
         assert seen["proc"].exitcode == -signal.SIGKILL  # reaped
-        if transport == "shm":
-            assert not os.path.exists(seen["segment"])
+        assert not os.path.exists(seen["segment"])
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_worker_exits_when_parent_closes_its_pipe(self, transport):
-        """An idle worker sleeps in its command wait (``select`` under
-        shm); the parent closing its end of the pipe lets it exit alone."""
-        psim = ParallelSimulation(2, seed=1, backend="processes",
-                                  transport=transport)
+    def test_dead_worker_fails_a_post_larger_than_the_ring(self):
+        """A delivery frame larger than the ring blocks the parent
+        mid-post until the worker drains it; a worker killed before
+        reading fails that wait, not just the doorbell wait in collect."""
+        psim = ParallelSimulation(2, seed=1, backend="processes")
+        sender = BigSender(psim.rank_sim(0), "big")
+        sink = Sink(psim.rank_sim(1), "sink")
+        psim.connect(sender, "out", sink, "in", latency="5ns")
+        seen = {}
+
+        def kill_rank1_after_first_epoch(info):
+            # the big send is pending: epoch 1 posts it to a dead rank
+            if info.index == 0:
+                backend = psim._backend
+                seen["proc"] = backend._procs[1]
+                seen["segment"] = f"/dev/shm/{backend._exchange._shm.name}"
+                seen["killed_at"] = time.monotonic()
+                os.kill(seen["proc"].pid, signal.SIGKILL)
+
+        psim.add_epoch_observer(kill_rank1_after_first_epoch)
+        with pytest.raises(SimulationError, match="rank 1") as caught:
+            psim.run()
+        raised_at = time.monotonic()
+        assert "died" in str(caught.value)
+        assert "_post" in {entry.name for entry in caught.traceback}
+        assert raised_at - seen["killed_at"] < 1.0
+        assert psim._backend is None
+        assert seen["proc"].exitcode == -signal.SIGKILL  # reaped
+        assert not os.path.exists(seen["segment"])
+
+    def test_worker_exits_when_parent_closes_its_pipe(self):
+        """An idle worker sleeps in ``select`` on its control pipe and
+        doorbell; the parent closing its end of the pipe lets it exit
+        alone."""
+        psim = ParallelSimulation(2, seed=1, backend="processes")
         Sink(psim.rank_sim(0), "a")
         Sink(psim.rank_sim(1), "b")
         psim.setup()

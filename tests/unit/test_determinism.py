@@ -11,7 +11,9 @@ clocked+link workload:
   bit-identical per-rank pop traces (serial, where the rank engines are
   observable in-process) and bit-identical final stats (both backends,
   including processes where the trace stays in the forked workers);
-* cross-backend: every backend produces the same stats;
+* cross-backend: every backend produces the same stats, end time and
+  event count as the sequential engine, and the window rule widens
+  epochs without changing them;
 * arbiter ablation: arbiter-on and arbiter-off runs of one sequential
   simulation agree on everything observable — stats, end time, executed
   events, and the ordered non-tick event sequence — even though their
@@ -169,20 +171,16 @@ class TestArbiterAblationEquivalence:
         assert run_parallel_traced(backend)[1] == baseline
 
 
-class TestTransportSyncDeterminism:
-    """PR 9 acceptance: the shm exchange transport and the adaptive
-    lookahead are pure performance knobs.  Every (backend, transport,
-    sync) combination lands on the serial conservative reference's
-    stats, end time, event count and remote-event count; in-process
-    backends additionally pop bit-identical (time, priority, seq)
-    traces.  Epoch counts are excluded deliberately — widening the
-    window (fewer, fatter epochs) is the adaptive strategy's entire
-    point."""
+class TestParallelDeterminism:
+    """The determinism matrix: both execution backends land on the
+    sequential engine's stats, end time and event count, agree with
+    each other on epochs and remote events, and pop bit-identical
+    (time, priority, seq) traces wherever the rank engines are
+    observable in this process."""
 
-    def _run(self, backend, transport="pipe", sync="conservative"):
+    def _run(self, backend):
         psim = build_parallel(mixed_graph(), 2, strategy="round_robin",
-                              seed=7, backend=backend,
-                              transport=transport, sync=sync)
+                              seed=7, backend=backend)
         traces = []
         for rank in range(psim.num_ranks):
             sim = psim.rank_sim(rank)
@@ -191,40 +189,58 @@ class TestTransportSyncDeterminism:
         result = psim.run()
         stats = psim.stat_values()
         psim.close()
-        invariant = (result.reason, result.end_time,
-                     result.events_executed, result.remote_events)
-        return traces, stats, invariant, result
+        return traces, stats, result
 
-    def test_all_combos_match_serial_conservative_reference(self):
-        ref_traces, ref_stats, ref_inv, _ = self._run("serial")
-        combos = [(backend, "pipe", sync) for backend in ALL_BACKENDS
-                  for sync in ("conservative", "adaptive")]
-        combos += [("processes", "shm", "conservative"),
-                   ("processes", "shm", "adaptive")]
-        moved = {}
-        for backend, transport, sync in combos:
-            traces, stats, inv, result = self._run(backend, transport, sync)
-            assert stats == ref_stats, (backend, transport, sync)
-            assert inv == ref_inv, (backend, transport, sync)
-            if backend != "processes":
-                # Forked workers keep their traces; in-process engines
-                # must pop the exact reference sequence.
-                assert traces == ref_traces, (backend, transport, sync)
-            else:
-                # Rank 0 runs in this process, so its pops are
-                # observable here too; the workers keep theirs.
-                assert traces[0] == ref_traces[0], (backend, transport, sync)
-                moved[transport, sync] = result.exchange_bytes
-        # Both transports move the same frames, so they account the
-        # same bytes.
-        for sync in ("conservative", "adaptive"):
-            assert moved["pipe", sync] == moved["shm", sync] > 0, sync
+    def test_backends_match_sequential_reference(self):
+        seq = build(mixed_graph(), seed=7)
+        ref = seq.run()
+        ref_stats = seq.stat_values()
+        runs = {backend: self._run(backend) for backend in ALL_BACKENDS}
+        for backend, (_traces, stats, result) in runs.items():
+            assert stats == ref_stats, backend
+            assert (result.reason, result.end_time, result.events_executed) \
+                == (ref.reason, ref.end_time, ref.events_executed), backend
+        serial_traces, _, serial = runs["serial"]
+        traces, _, processes = runs["processes"]
+        assert (processes.epochs, processes.remote_events) == \
+            (serial.epochs, serial.remote_events)
+        # Rank 0 runs in this process under both backends, so its pops
+        # are observable here too; the workers keep theirs.
+        assert traces[0] == serial_traces[0]
+        assert serial.exchange_bytes == 0 < processes.exchange_bytes
 
-    def test_adaptive_never_adds_epochs(self):
-        conservative = self._run("serial", sync="conservative")[3]
-        adaptive = self._run("serial", sync="adaptive")[3]
-        assert adaptive.epochs <= conservative.epochs
-        assert adaptive.events_executed == conservative.events_executed
+    def test_windows_widen_past_the_lookahead(self):
+        """The window rule is exercised, not just allowed: once the
+        1 ns flow that sets the lookahead is done, rank 2's only link is
+        20 ns long and the earliest-send bound beats ``gmin + lookahead
+        - 1``.  The widening counters count exactly the wider windows,
+        and the results are the sequential engine's."""
+        graph = ConfigGraph("widening")
+        graph.component("fast_src", "testlib.Source",
+                        {"count": 3, "period": "1ns"}, rank=0)
+        graph.component("fast_sink", "testlib.Sink", {}, rank=1)
+        graph.link("fast_src", "out", "fast_sink", "in", latency="1ns")
+        graph.component("slow_src", "testlib.Source",
+                        {"count": 20, "period": "2ns"}, rank=2)
+        graph.component("slow_sink", "testlib.Sink", {}, rank=0)
+        graph.link("slow_src", "out", "slow_sink", "in", latency="20ns")
+        seq = build(graph, seed=7)
+        ref = seq.run()
+        psim = build_parallel(graph, 3, seed=7)
+        epochs = []
+        psim.add_epoch_observer(epochs.append)
+        result = psim.run()
+        assert psim.stat_values() == seq.stat_values()
+        assert (result.end_time, result.events_executed) == \
+            (ref.end_time, ref.events_executed)
+        described = psim.sync_strategy.describe()
+        widths = [info.window_width for info in epochs]
+        assert min(widths) >= result.lookahead == 1000
+        assert described["windows_widened"] > 0
+        assert described["windows_widened"] == \
+            sum(width > result.lookahead for width in widths)
+        assert described["widened_ps"] == \
+            sum(width - result.lookahead for width in widths)
 
 
 class TestCheckpointResumeBitIdentity:

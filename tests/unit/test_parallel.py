@@ -173,6 +173,26 @@ class TestProtocol:
         with pytest.raises(ValueError):
             ParallelSimulation(2, backend="gpu")
 
+    def test_one_parallel_configuration(self):
+        """One data plane and one window rule: neither is a choice on
+        the engine or on restore, and ``build_parallel`` accepts only
+        the one name for each."""
+        from repro.ckpt import restore
+        from repro.config import ConfigGraph, build_parallel
+
+        with pytest.raises(TypeError):
+            ParallelSimulation(2, transport="pipe")
+        with pytest.raises(TypeError):
+            restore("unused", sync="conservative")
+        graph = ConfigGraph("one-configuration")
+        graph.component("a", "testlib.Sink", {})
+        graph.component("b", "testlib.Sink", {})
+        assert build_parallel(graph, 2, transport="shm", sync="adaptive")
+        with pytest.raises(ValueError, match="only choice is 'shm'"):
+            build_parallel(graph, 2, transport="pipe")
+        with pytest.raises(ValueError, match="only choice is 'adaptive'"):
+            build_parallel(graph, 2, sync="conservative")
+
     def test_context_manager_closes(self):
         with ParallelSimulation(2) as psim:
             assert psim.num_ranks == 2

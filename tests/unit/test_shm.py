@@ -1,13 +1,17 @@
-"""PR 9 unit coverage: the shm exchange transport and its feedback loop.
+"""Unit coverage for the shm data plane and the repartition feedback loop.
 
 * :class:`repro.core.shm.RingBuffer` — SPSC byte ring: wrap-around,
-  full-ring backpressure, frames larger than the whole ring;
+  full-ring backpressure, frames larger than the whole ring, and a
+  property over random capacities and frame sizes;
+* :class:`repro.core.shm.ShmExchange` — the doorbell handshake, and a
+  worker-side wait that fails instead of sleeping forever once the
+  parent is gone;
 * :func:`encode_entries` / :func:`decode_entries` — the batch-pickled
   outbox-entry framing (:mod:`repro.core.event`);
 * :func:`encode_step` / :func:`decode_step` — the worker's step frame
-  (:mod:`repro.core.backends`, the same on both transports);
-* engine snapshots taken *under* ``transport="shm"`` resume exactly
-  (the control plane stays on the pipes — satellite regression);
+  (:mod:`repro.core.backends`);
+* engine snapshots taken mid-run on the processes backend resume
+  exactly (the control plane stays on the pipes);
 * ``restore(assignment=...)`` — the pinned repartition restore the
   ``obs partition-advise`` flow feeds;
 * :class:`PartitionProfile` / :func:`build_profile` / :func:`advise` —
@@ -16,11 +20,15 @@
 
 from __future__ import annotations
 
+import os
 import select
+import signal
 import threading
 import time as _wall_time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ConfigGraph, build_parallel
 from repro.core.backends import RankStep, decode_step, encode_step
@@ -28,6 +36,7 @@ from repro.core.event import Event, decode_entries, encode_entries
 from repro.core.partition import (PartitionEdge, PartitionProfile,
                                   partition)
 from repro.core.shm import _RING_HEADER, RingBuffer, ShmExchange
+from repro.core.simulation import SimulationError
 from repro.memory.events import MemRequest
 from repro.obs import build_profile
 
@@ -46,6 +55,19 @@ def _raise_wait():
 
 def _sleep_wait():
     _wall_time.sleep(0.0001)
+
+
+def _deadline_wait(seconds):
+    """A ring wait that yields, and fails the test instead of hanging
+    once ``seconds`` have passed (say, when the peer thread died)."""
+    deadline = _wall_time.monotonic() + seconds
+
+    def wait():
+        if _wall_time.monotonic() > deadline:
+            raise AssertionError("ring peer stopped making progress")
+        _wall_time.sleep(0.00001)
+
+    return wait
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +166,41 @@ class TestRingBuffer:
         assert out == payload
         assert writer_waits  # the writer really was backpressured
 
+    @given(capacity=st.integers(1, 48), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_frames_arrive_byte_exact_and_in_order(self, capacity,
+                                                          data):
+        """Any capacity down to one byte, any frame sizes — empty,
+        exactly the ring, one either side of it, several rings long:
+        frames a writer thread streams reach the reader byte-exact and
+        in order.  Drawn writer pauses let the reader drain to
+        arbitrary offsets, so chunks straddle the wrap point (a writer
+        that only ever fills the ring keeps both sides aligned to it)."""
+        size = st.one_of(
+            st.sampled_from([0, capacity - 1, capacity, capacity + 1]),
+            st.integers(0, 5 * capacity))
+        sizes = data.draw(st.lists(size, min_size=1, max_size=8),
+                          label="sizes")
+        pauses = data.draw(st.lists(st.booleans(), min_size=len(sizes),
+                                    max_size=len(sizes)), label="pauses")
+        frames = [bytes((7 * i + j) % 251 for j in range(n))
+                  for i, n in enumerate(sizes)]
+        ring = self._ring(capacity)
+        wait = _deadline_wait(10.0)
+
+        def _writer():
+            for frame, pause in zip(frames, pauses):
+                ring.write_frame(frame, wait)
+                if pause:
+                    _wall_time.sleep(0.001)
+
+        thread = threading.Thread(target=_writer, daemon=True)
+        thread.start()
+        received = [ring.read_frame(wait) for _ in frames]
+        thread.join(timeout=10)
+        assert received == frames
+        assert ring.head == ring.tail == sum(4 + n for n in sizes)
+
 
 # ----------------------------------------------------------------------
 # outbox-entry batches
@@ -212,11 +269,27 @@ class TestStepFrame:
 
 
 # ----------------------------------------------------------------------
-# ShmExchange (single-process: parent and "worker" share the mapping)
+# ShmExchange (parent and "worker" share one process unless a test forks)
 # ----------------------------------------------------------------------
 
 def _rung(fd) -> bool:
     return bool(select.select([fd], [], [], 0)[0])
+
+
+def _read_fd(fd, until, timeout=5.0) -> bytes:
+    """Read ``fd`` until ``until`` has arrived (to EOF when None);
+    fails the test instead of hanging after ``timeout`` seconds."""
+    data = b""
+    deadline = _wall_time.monotonic() + timeout
+    while until is None or until not in data:
+        remaining = deadline - _wall_time.monotonic()
+        assert remaining > 0, f"timed out reading a pipe, got {data!r}"
+        if select.select([fd], [], [], remaining)[0]:
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                break
+            data += chunk
+    return data
 
 
 class TestShmExchange:
@@ -257,6 +330,52 @@ class TestShmExchange:
         finally:
             exchange.close(unlink=True)
 
+    def test_worker_wait_fails_once_the_parent_is_killed(self):
+        """A worker streams a step frame 4x the ring; its parent never
+        reads and is SIGKILLed mid-frame.  The worker's ring wait must
+        notice (its parent is no longer the exchange's creator) and
+        raise within about a second instead of sleeping forever."""
+        capacity = 4096
+        read_fd, write_fd = os.pipe()
+        parent = os.fork()
+        if parent == 0:  # the parent rank process: creates the exchange
+            try:
+                os.close(read_fd)
+                exchange = ShmExchange(1, ring_capacity=capacity)
+                if os.fork() == 0:  # its worker
+                    try:
+                        os.write(write_fd, f"{os.getpid()};".encode())
+                        exchange.complete(0, bytes(4 * capacity))
+                    except SimulationError as exc:
+                        os.write(write_fd, f"raised: {exc}".encode())
+                    finally:
+                        os._exit(0)
+                # The worker keeps its own mapping and bells; dropping
+                # the name now leaves no segment behind after the kill.
+                exchange.close(unlink=True)
+                _wall_time.sleep(60)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        worker = None
+        try:
+            worker = int(_read_fd(read_fd, until=b";").rstrip(b";"))
+            _wall_time.sleep(0.3)  # the worker is blocked mid-frame
+            os.kill(parent, signal.SIGKILL)
+            os.waitpid(parent, 0)
+            killed_at = _wall_time.monotonic()
+            report = _read_fd(read_fd, until=None)  # EOF: the worker exited
+            assert _wall_time.monotonic() - killed_at < 1.0
+        finally:
+            os.close(read_fd)
+            if worker is not None:  # never leave an orphan behind a failure
+                try:
+                    os.kill(worker, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert report == (b"raised: parent died while the shm exchange "
+                          b"was waiting")
+
     def test_fail_reports_no_result(self):
         exchange = ShmExchange(1, ring_capacity=1024)
         try:
@@ -274,7 +393,7 @@ class TestShmExchange:
 
 
 # ----------------------------------------------------------------------
-# snapshots under transport="shm" (the control plane stays on pipes)
+# snapshots on the processes backend (the control plane stays on pipes)
 # ----------------------------------------------------------------------
 
 def _ckpt_graph() -> ConfigGraph:
@@ -291,8 +410,7 @@ def _ckpt_graph() -> ConfigGraph:
 
 def _run_shm(graph, **run_kwargs):
     psim = build_parallel(graph, 2, strategy="round_robin", seed=7,
-                          backend="processes", transport="shm",
-                          sync="adaptive")
+                          backend="processes")
     result = psim.run(**run_kwargs)
     stats = psim.stat_values()
     return psim, result, stats
@@ -313,7 +431,7 @@ class TestSnapshotUnderShm:
         mid = psim.checkpoints_written[0]
         psim.close()
 
-        resumed = restore(mid, transport="shm", sync="adaptive")
+        resumed = restore(mid)
         result = resumed.run()
         stats = resumed.stat_values()
         resumed.close()
