@@ -34,9 +34,9 @@ class _Pinger(Component):
             self.send("io", event)
 
 
-def pingpong_machine(n_events, arbiter=True):
+def pingpong_machine(n_events):
     # Each side receives the ball n_events/2 times: n_events deliveries.
-    sim = Simulation(seed=1, clock_arbiter=arbiter)
+    sim = Simulation(seed=1)
     a = _Pinger(sim, "a", Params({"limit": n_events // 2}))
     b = _Pinger(sim, "b", Params({"limit": n_events // 2}))
     sim.connect(a, "io", b, "io", latency="5ns")

@@ -4,7 +4,7 @@
 Reads the freshly-generated ``BENCH_engine_throughput.json`` perf
 records (schema ``repro-bench-record/1``; see docs/OBSERVABILITY.md and
 docs/PERFORMANCE.md), picks the *latest* record per
-``(workload, queue, arbiter)`` key, and compares its
+``(workload, queue)`` key, and compares its
 ``events_per_second`` against ``benchmarks/throughput_baseline.json``.
 A measurement below ``baseline * (1 - tolerance)`` (tolerance defaults
 to the PR 4 gate of 25%) fails the job.
@@ -12,8 +12,8 @@ to the PR 4 gate of 25%) fails the job.
 Baseline values are deliberately conservative — roughly a quarter of a
 warm local run — because shared CI runners are slower and noisier than a
 developer box; the baseline exists to catch *structural* regressions
-(an accidentally disabled arbiter, a Python-level compare back in the
-heap), not to police
+(clock members falling off the shared arbiter chain, a Python-level
+compare back in the heap), not to police
 single-digit-percent drift.  Refresh it with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_engine_throughput.py \
@@ -45,14 +45,11 @@ DEFAULT_TOLERANCE = 0.25
 
 
 def record_key(record: dict) -> str | None:
-    """``workload/queue[/arbiter]`` identity of one throughput record."""
+    """``workload/queue`` identity of one throughput record."""
     workload = record.get("workload")
     if not workload or "events_per_second" not in record:
         return None
-    parts = [workload, record.get("queue", "-")]
-    if record.get("arbiter"):
-        parts.append(record["arbiter"])
-    return "/".join(parts)
+    return f"{workload}/{record.get('queue', '-')}"
 
 
 def latest_measurements(records_path: Path) -> dict[str, float]:

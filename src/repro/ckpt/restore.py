@@ -7,7 +7,7 @@ true for sequential snapshots restored sequentially; for parallel
 snapshots, when the rank count matches — the component→rank assignment
 recorded in the manifest is re-pinned, so even a different partition
 strategy rebuilds the captured layout).  Queue records, sequence
-counters, clock/arbiter chains and RNG streams are adopted verbatim and
+counters, clock arbiter chains and RNG streams are adopted verbatim and
 the resumed run is **bit-identical** to the uninterrupted one: same
 ``(time, priority, seq)`` event order, same statistics.  The execution
 *backend* is free — a snapshot taken under ``processes`` restores under
@@ -16,7 +16,7 @@ construction.
 
 **Re-partition** — the rank count changed (including parallel → 1).
 Component state, statistics, pending events and cross-rank sends are
-re-homed onto the new layout; clock tick chains are re-armed rather
+re-homed onto the new layout; clock arbiter chains are re-armed rather
 than restored (their queue records are partition-local), and each new
 rank's queue is rebuilt by a deterministic merge sort.  The resumed run
 is *stats-equivalent* (models see the same events at the same times)
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..core import units
-from ..core.clock import _ArbiterTickEvent, _ClockTickEvent
+from ..core.clock import _ArbiterTickEvent
 from ..core.component import Component
 from ..core.event import CallbackEvent
 from ..core.kernel import kernel_run
@@ -42,11 +42,10 @@ from ..core.link import Port
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import RunResult, Simulation, SimulationError
 from ..core.statistics import adopt_state
+from ..core.tracelog import describe_handler
 from .snapshot import load_manifest, read_shard, snapshot
 from .state import (CheckpointError, is_dropped, load_refs, merge_id_sources,
                     recompute_exit_state, restore_sim_state)
-
-_TICK_EVENTS = (_ClockTickEvent, _ArbiterTickEvent)
 
 
 # ----------------------------------------------------------------------
@@ -106,10 +105,20 @@ def restore(path: Union[str, Path], *,
 
 
 def _rebuild_graph(manifest: Dict[str, Any]):
-    """The original ConfigGraph, rebuilt and identity-checked."""
+    """The original ConfigGraph, rebuilt and identity-checked.
+
+    Also refuses snapshots of the since-deleted per-clock tick chain: a
+    manifest saying ``"clock_arbiter": false`` holds tick records whose
+    event class no longer exists.  ``true``, or no such field, resumes.
+    """
     from ..config.serialize import from_dict
     from ..obs.manifest import graph_hash
 
+    if manifest.get("clock_arbiter") is False:
+        raise CheckpointError(
+            'snapshot manifest says "clock_arbiter": false — its clocks '
+            'ran on per-clock tick chains, which no longer exist, so it '
+            'cannot be restored')
     graph = from_dict(manifest["graph"])
     rebuilt_hash = graph_hash(graph)
     if rebuilt_hash != manifest["graph_hash"]:
@@ -152,8 +161,7 @@ def _restore_sequential(root: Path, manifest: Dict[str, Any], graph, *,
                         verbose: bool) -> Simulation:
     from ..config.builder import build
 
-    sim = build(graph, seed=manifest["seed"], verbose=verbose,
-                clock_arbiter=manifest["clock_arbiter"])
+    sim = build(graph, seed=manifest["seed"], verbose=verbose)
     sim.setup()
     meta = restore_sim_state(sim, _shard_states(root, manifest)[0])
     merge_id_sources([meta])
@@ -179,7 +187,7 @@ def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
         strategy=manifest["partition_strategy"] or "linear",
         seed=manifest["seed"],
         backend=backend or manifest["backend"] or "serial",
-        verbose=verbose, clock_arbiter=manifest["clock_arbiter"])
+        verbose=verbose)
     # Future snapshots of the restored engine must hash to the same
     # graph, so carry the *original* (unpinned) graph forward.
     psim.config_graph = graph
@@ -285,8 +293,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
     stripped = from_dict(stripped_dict)
     psim: Optional[ParallelSimulation] = None
     if target_ranks == 1:
-        sim = build(stripped, seed=manifest["seed"],
-                    verbose=verbose, clock_arbiter=manifest["clock_arbiter"])
+        sim = build(stripped, seed=manifest["seed"], verbose=verbose)
         sims = [sim]
         sim.setup()
         container: Union[Simulation, ParallelSimulation] = sim
@@ -296,7 +303,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
             strategy=manifest["partition_strategy"] or "linear",
             seed=manifest["seed"],
             backend=backend or manifest["backend"] or "serial",
-            verbose=verbose, clock_arbiter=manifest["clock_arbiter"])
+            verbose=verbose)
         sims = psim._sims
         psim.setup()
         for by_dest in psim._outboxes:
@@ -343,7 +350,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
         for cstate in meta["clocks"]:
             _take_clock(clock_pool, cstate).restore_state(cstate)
         for (time, priority, seq, handler, event) in linked["records"]:
-            if isinstance(event, _TICK_EVENTS):
+            if isinstance(event, _ArbiterTickEvent):
                 continue
             if is_dropped(handler) or is_dropped(event):
                 continue
@@ -396,11 +403,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
                     f"clock {clock.name!r} is due at {clock._next_tick} "
                     f"<= snapshot time {global_now}; the snapshot was not "
                     f"taken at a quiescent boundary")
-            if clock._arbiter is not None:
-                clock._arbiter._ensure_scheduled(clock._next_tick)
-            else:
-                sim._push(clock._next_tick, clock.priority, clock._tick,
-                          _ClockTickEvent(clock._generation))
+            clock._arbiter._ensure_scheduled(clock._next_tick)
         recompute_exit_state(sim)
         sim._stop_requested = False
 
@@ -505,19 +508,6 @@ def checkpointed_run(sim: Simulation,
 # deterministic replay
 # ----------------------------------------------------------------------
 
-def _describe_handler(handler: Any) -> str:
-    owner = getattr(handler, "__self__", None)
-    name = getattr(handler, "__name__", None) or type(handler).__name__
-    if owner is not None:
-        owner_name = getattr(owner, "name", None)
-        if isinstance(owner, Port):
-            owner_name = owner.full_name()
-        if owner_name:
-            return f"{owner_name}.{name}"
-        return f"{type(owner).__name__}.{name}"
-    return name
-
-
 def replay(path: Union[str, Path], *,
            max_time: Optional[Union[str, int]] = None,
            max_events: Optional[int] = None,
@@ -527,7 +517,8 @@ def replay(path: Union[str, Path], *,
 
     The debugging workflow for "it crashed at t=X": restore the last
     snapshot before X and replay toward it, collecting every dispatched
-    event as ``(time_ps, handler_label, event_type)``.  Parallel
+    event as ``(time_ps, handler_label, event_type)``, labelled by
+    :func:`repro.core.tracelog.describe_handler`.  Parallel
     snapshots are re-partitioned onto one rank so the trace is a single
     deterministic stream.  ``observer(time, handler, event)`` is called
     per event when given, in addition to the collected trace.  Returns
@@ -546,7 +537,7 @@ def replay(path: Union[str, Path], *,
     trace: List[Tuple] = []
 
     def _collect(time, handler, event) -> None:
-        trace.append((time, _describe_handler(handler), type(event).__name__))
+        trace.append((time, describe_handler(handler), type(event).__name__))
         if observer is not None:
             observer(time, handler, event)
 

@@ -133,7 +133,6 @@ def snapshot(sim: Simulation, path: Union[str, Path]) -> Path:
         "num_ranks": 1,
         "backend": None,
         "partition_strategy": None,
-        "clock_arbiter": sim.clock_arbiter_enabled,
         "graph": graph_dict,
         "graph_hash": ghash,
         "assignment": {name: 0 for name in sim._components},
@@ -202,7 +201,6 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
         "num_ranks": psim.num_ranks,
         "backend": psim.backend,
         "partition_strategy": psim.partition_strategy,
-        "clock_arbiter": psim._sims[0].clock_arbiter_enabled,
         "graph": graph_dict,
         "graph_hash": ghash,
         "assignment": {name: sim.rank for sim in psim._sims

@@ -31,10 +31,11 @@ pieces:
   ``("simobj", rank)``  the rank's Simulation object
   ====================  ==================================================
 
-  Bound methods (``port.deliver``, ``clock._tick``, a component callback
-  held by a :class:`~repro.core.event.CallbackEvent`) pickle through the
-  same machinery: pickle reduces them to ``getattr(owner, name)`` and
-  the owner is intercepted by ``persistent_id``.
+  Bound methods (``port.deliver``, an arbiter's ``_dispatch``, a
+  component callback held by a :class:`~repro.core.event.CallbackEvent`)
+  pickle through the same machinery: pickle reduces them to
+  ``getattr(owner, name)`` and the owner is intercepted by
+  ``persistent_id``.
 
 Identity that is *not* engine-owned — event payloads, component-private
 containers, numpy generators — pickles by value, which is exactly the
@@ -372,8 +373,8 @@ def restore_sim_state(sim: Simulation, state: Dict[str, Any]) -> Dict[str, Any]:
         if arbiter is None:
             raise CheckpointError(
                 f"snapshot captured clock-arbiter {tuple(key_list)!r} which "
-                f"the rebuilt simulation did not create (clock-arbiter "
-                f"mode mismatch?)"
+                f"the rebuilt simulation did not create — the snapshot "
+                f"does not match this configuration"
             )
         arbiter.restore_state(astate, sim._clocks)
     sim._queue.restore_records(linked["records"], meta["queue_seq"])

@@ -119,7 +119,6 @@ def _check_required_ports(instances: Dict[str, Component]) -> None:
 
 def build(graph: ConfigGraph, *, sim: Optional[Simulation] = None,
           seed: int = 1, queue: str = "heap", verbose: bool = False,
-          clock_arbiter: bool = True,
           validate_events: bool = False) -> Simulation:
     """Instantiate every component and link of ``graph`` into one Simulation.
 
@@ -136,8 +135,7 @@ def build(graph: ConfigGraph, *, sim: Optional[Simulation] = None,
     _validate_ports(graph, classes)
     _validate_slots(graph, classes)
     if sim is None:
-        sim = Simulation(seed=seed, verbose=verbose,
-                         clock_arbiter=clock_arbiter)
+        sim = Simulation(seed=seed, verbose=verbose)
     if validate_events:
         sim.validate_events = True
     sim.config_graph = graph
@@ -161,7 +159,6 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
                    strategy: str = "linear", seed: int = 1,
                    queue: str = "heap", backend: str = "serial",
                    verbose: bool = False,
-                   clock_arbiter: bool = True,
                    validate_events: bool = False,
                    transport: str = "shm",
                    sync: str = "adaptive") -> ParallelSimulation:
@@ -202,8 +199,7 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
             assignment[conf.name] = conf.rank
 
     psim = ParallelSimulation(num_ranks, seed=seed,
-                              backend=backend, verbose=verbose,
-                              clock_arbiter=clock_arbiter)
+                              backend=backend, verbose=verbose)
     psim.partition_strategy = strategy
     psim.config_graph = graph
     if validate_events:

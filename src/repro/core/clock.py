@@ -13,32 +13,26 @@ boundary so a clock that slept keeps its phase.
 Shared clock arbiter
 --------------------
 Real SST drives all same-frequency components from one shared tick
-source.  :class:`ClockArbiter` reproduces that: every clock with the
-same ``(period, priority, phase residue)`` shares ONE queue event per
-tick boundary, and the arbiter fires the registered handlers in
-registration order when it pops.  For a fabric of N same-frequency
-components this turns N heap pushes/pops per cycle into 1 — the single
-biggest win available to a pure-Python PDES core.
+source, and so does this engine: every clock is a member of the
+:class:`ClockArbiter` for its ``(period, priority, phase residue)``
+class, which keeps ONE queue event per tick boundary and fires the due
+members in registration order when it pops.  For a fabric of N
+same-frequency components that is one heap push/pop per cycle, not N.
 
-Determinism: the arbiter's tick event is pushed at the same times and
-with the same priority as the per-clock tick events it replaces, so its
-``(time, priority, seq)`` tie-breaking against link events is
-bit-identical to the unshared scheme; within one boundary, handlers run
-in clock registration order, exactly as the per-clock events (pushed in
-registration order, hence ascending seq) used to.
+Determinism: the chain event carries the members' priority and a seq
+from the simulation's one counter, so ties against link events break
+by push order; within one boundary, members fire in registration order.
 
 ``cancel``/``reactivate`` stay O(1): cancel flips ``active`` (the
 arbiter skips inactive members), reactivate realigns the member's due
-time and at most re-arms the shared chain event.  The per-clock
-generation stamp semantics are preserved for standalone clocks (the
-arbiter can be disabled via ``Simulation(clock_arbiter=False)``).
+time and at most re-arms the shared chain event.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional
 
-from .event import PRIORITY_CLOCK, Event
+from .event import Event
 from .units import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,27 +42,13 @@ if TYPE_CHECKING:  # pragma: no cover
 ClockHandler = Callable[[int], Optional[bool]]
 
 
-class _ClockTickEvent(Event):
-    """Tick token carrying a generation stamp.
-
-    Cancel/reactivate bumps the clock's generation so a stale tick left
-    in the queue from before the cancel is ignored instead of causing a
-    double tick.
-    """
-
-    __slots__ = ("generation",)
-
-    def __init__(self, generation: int):
-        self.generation = generation
-
-
 class _ArbiterTickEvent(Event):
     """Shared tick token for one :class:`ClockArbiter` chain.
 
     Carries the arbiter's generation stamp: re-arming the chain at an
-    earlier boundary (reactivate) bumps the generation, so the
-    superseded chain event left in the queue becomes a no-op — the same
-    stale-tick protocol standalone clocks use per clock.
+    earlier boundary (reactivate, a deferred phase) bumps the
+    generation, so the superseded chain event left in the queue becomes
+    a no-op.
     """
 
     __slots__ = ("generation",)
@@ -80,26 +60,22 @@ class _ArbiterTickEvent(Event):
 class Clock:
     """A recurring tick source bound to one handler.
 
-    Created via :meth:`Simulation.register_clock`.  ``cycle`` counts
-    handler invocations since registration (including while inactive the
-    count does *not* advance — it is a tick count, not wall time).
-
-    With an arbiter the clock is a passive member: the arbiter owns the
-    queue event and calls the handler; without one the clock schedules
-    its own ``_tick`` chain (the pre-arbiter behaviour).
+    Created via :meth:`Simulation.register_clock`, which validates the
+    period and phase and picks the arbiter.  ``cycle`` counts handler
+    invocations since registration (while inactive the count does *not*
+    advance — it is a tick count, not wall time).  The clock is a
+    passive member: its arbiter owns the queue event and calls the
+    handler.  Observers see each member tick with the clock itself as
+    the handler (``clock:<name>``, see
+    :func:`repro.core.tracelog.describe_handler`).
     """
 
     __slots__ = ("sim", "name", "period", "handler", "priority", "cycle",
-                 "active", "_next_tick", "_generation", "_arbiter",
-                 "_in_arbiter")
+                 "active", "_next_tick", "_arbiter", "_in_arbiter")
 
     def __init__(self, sim: "Simulation", name: str, period: SimTime,
-                 handler: ClockHandler, priority: int = PRIORITY_CLOCK,
-                 phase: SimTime = 0, arbiter: Optional["ClockArbiter"] = None):
-        if period <= 0:
-            raise ValueError(f"clock {name!r}: period must be positive")
-        if phase < 0:
-            raise ValueError(f"clock {name!r}: phase must be non-negative")
+                 handler: ClockHandler, priority: int, phase: SimTime,
+                 arbiter: "ClockArbiter"):
         self.sim = sim
         self.name = name
         self.period = period
@@ -107,31 +83,14 @@ class Clock:
         self.priority = priority
         self.cycle = 0
         self.active = True
-        self._generation = 0
-        first = sim.now + phase + period
-        self._next_tick = first
+        self._next_tick = sim.now + phase + period
         self._arbiter = arbiter
         self._in_arbiter = False
-        if arbiter is not None:
-            arbiter.add(self)
-        else:
-            sim._push(first, priority, self._tick, _ClockTickEvent(0))
-
-    def _tick(self, event: _ClockTickEvent) -> None:
-        if not self.active or event.generation != self._generation:
-            return  # cancelled (or cancelled+reactivated) while in flight
-        self.cycle += 1
-        done = self.handler(self.cycle)
-        if done is True:
-            self.active = False
-            return
-        self._next_tick += self.period
-        self.sim._push(self._next_tick, self.priority, self._tick, event)
+        arbiter.add(self)
 
     def cancel(self) -> None:
-        """Deactivate; the in-flight tick (if any) becomes a no-op."""
+        """Deactivate; the arbiter skips the clock until reactivated."""
         self.active = False
-        self._generation += 1
 
     def reactivate(self) -> None:
         """Resume ticking on the next aligned period boundary after `now`."""
@@ -144,11 +103,7 @@ class Clock:
             behind = now - self._next_tick
             steps = behind // self.period + 1
             self._next_tick += steps * self.period
-        if self._arbiter is not None:
-            self._arbiter.rejoin(self)
-        else:
-            self.sim._push(self._next_tick, self.priority, self._tick,
-                           _ClockTickEvent(self._generation))
+        self._arbiter.rejoin(self)
 
     @property
     def next_tick_time(self) -> SimTime:
@@ -159,18 +114,18 @@ class Clock:
         """The clock's mutable scheduling state (`repro.ckpt`).
 
         Period/priority/handler are rebuilt from the configuration; only
-        what advances during a run is captured.  The tick chain event
-        itself lives in the event queue and is captured there.
+        what advances during a run is captured.  The arbiter's chain
+        event lives in the event queue and is captured there.
         """
         return {
             "name": self.name,
             "cycle": self.cycle,
             "active": self.active,
             "next_tick": self._next_tick,
-            "generation": self._generation,
         }
 
     def restore_state(self, state: dict) -> None:
+        """Adopt captured state; older shards' ``generation`` is ignored."""
         if state["name"] != self.name:
             raise ValueError(
                 f"clock state mismatch: captured {state['name']!r}, "
@@ -179,7 +134,6 @@ class Clock:
         self.cycle = state["cycle"]
         self.active = state["active"]
         self._next_tick = state["next_tick"]
-        self._generation = state["generation"]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "active" if self.active else "stopped"
@@ -240,8 +194,7 @@ class ClockArbiter:
 
         A member compacted away while inactive re-enters at the end of
         the member list, so its ordering within a shared boundary is by
-        reactivation time from then on — the same order a standalone
-        clock's freshly pushed tick event (with a later seq) would get.
+        reactivation time from then on.
         """
         if not clock._in_arbiter:
             self._members.append(clock)
@@ -265,8 +218,8 @@ class ClockArbiter:
                 self._resched_hint = when
             return
         if scheduled is not None:
-            # A later chain event is live; supersede it (stale-generation
-            # protocol, same as standalone cancel/reactivate).
+            # A later chain event is live; supersede it (the stale one
+            # fails the generation check when it pops).
             self._generation += 1
         self._scheduled_time = when
         self.sim._push(when, self.priority, self._dispatch,
@@ -275,108 +228,81 @@ class ClockArbiter:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, event: _ArbiterTickEvent) -> None:
-        """Bare-path dispatch: fire due members, re-arm the chain.
+    def _dispatch(self, event: _ArbiterTickEvent, observe=None) -> int:
+        """Fire every member due now, re-arm the chain; return how many fired.
+
+        The kernel's bare loop calls ``_dispatch(event)``.  The compiled
+        ``Simulation._instr`` closure passes ``observe = (traces, spans,
+        perf)``: each fired member is then reported to every trace
+        observer before and every span observer after its handler, with
+        the member :class:`Clock` as the handler and its own measured
+        duration — observers see member ticks, not the shared chain.
 
         The kernel counts the popped record as one executed event; the
-        extra ``fired - 1`` handler invocations are added to the
-        simulation's event counter here so ``events_executed`` keeps
-        meaning "handler deliveries", identical to per-clock scheduling.
+        other ``fired - 1`` handler invocations are added here so
+        ``events_executed`` keeps meaning "handler deliveries".
         """
         if event.generation != self._generation:
-            return  # superseded chain event
+            return 0  # superseded chain event
         sim = self.sim
         now = sim.now
-        self._scheduled_time = None
-        self._dispatching = True
-        self._resched_hint = None
+        period = self.period
         fired = 0
         inactive = 0
         next_due: Optional[SimTime] = None
-        period = self.period
+        self._scheduled_time = None
+        self._dispatching = True
+        self._resched_hint = None
         try:
-            for clock in self._members:
-                if not clock.active:
-                    inactive += 1
-                    continue
-                due = clock._next_tick
-                if due == now:
-                    fired += 1
-                    clock.cycle += 1
-                    if clock.handler(clock.cycle) is True:
-                        clock.active = False
+            if observe is None:
+                for clock in self._members:
+                    if not clock.active:
                         inactive += 1
                         continue
-                    due += period
-                    clock._next_tick = due
-                if next_due is None or due < next_due:
-                    next_due = due
+                    due = clock._next_tick
+                    if due == now:
+                        fired += 1
+                        clock.cycle += 1
+                        if clock.handler(clock.cycle) is True:
+                            clock.active = False
+                            inactive += 1
+                            continue
+                        due += period
+                        clock._next_tick = due
+                    if next_due is None or due < next_due:
+                        next_due = due
+            else:
+                traces, spans, perf = observe
+                for clock in self._members:
+                    if not clock.active:
+                        inactive += 1
+                        continue
+                    due = clock._next_tick
+                    if due == now:
+                        fired += 1
+                        for fn in traces:
+                            fn(now, clock, event)
+                        clock.cycle += 1
+                        if spans:
+                            t0 = perf()
+                            done = clock.handler(clock.cycle)
+                            elapsed = perf() - t0
+                            for fn in spans:
+                                fn(now, clock, event, elapsed)
+                        else:
+                            done = clock.handler(clock.cycle)
+                        if done is True:
+                            clock.active = False
+                            inactive += 1
+                            continue
+                        due += period
+                        clock._next_tick = due
+                    if next_due is None or due < next_due:
+                        next_due = due
         finally:
             self._dispatching = False
         if fired > 1:
             sim._events_executed += fired - 1
-        self._rearm(event, next_due, inactive)
-
-    def _dispatch_instrumented(self, event: _ArbiterTickEvent, traces,
-                               span_fns, perf) -> int:
-        """Observer-visible dispatch: one trace/span per fired member.
-
-        Called by the compiled ``Simulation._instr`` closure instead of
-        :meth:`_dispatch`, so observers see every member tick exactly as
-        they did under per-clock scheduling: the reported handler is the
-        member clock's bound ``_tick`` (which profiler/tracelog already
-        know how to attribute), one span per member with that member's
-        own measured duration.  Returns the number of members fired (the
-        heartbeat increment for this record).
-        """
-        if event.generation != self._generation:
-            return 0
-        sim = self.sim
-        now = sim.now
-        self._scheduled_time = None
-        self._dispatching = True
-        self._resched_hint = None
-        fired = 0
-        inactive = 0
-        next_due: Optional[SimTime] = None
-        period = self.period
-        try:
-            for clock in self._members:
-                if not clock.active:
-                    inactive += 1
-                    continue
-                due = clock._next_tick
-                if due == now:
-                    fired += 1
-                    label = clock._tick  # attribution target, not called
-                    for fn in traces:
-                        fn(now, label, event)
-                    clock.cycle += 1
-                    if span_fns:
-                        t0 = perf()
-                        done = clock.handler(clock.cycle)
-                        elapsed = perf() - t0
-                        for fn in span_fns:
-                            fn(now, label, event, elapsed)
-                    else:
-                        done = clock.handler(clock.cycle)
-                    if done is True:
-                        clock.active = False
-                        inactive += 1
-                        continue
-                    due += period
-                    clock._next_tick = due
-                if next_due is None or due < next_due:
-                    next_due = due
-        finally:
-            self._dispatching = False
-        if fired > 1:
-            sim._events_executed += fired - 1
-        self._rearm(event, next_due, inactive)
-        return fired
-
-    def _rearm(self, event: _ArbiterTickEvent, next_due: Optional[SimTime],
-               inactive: int) -> None:
         hint = self._resched_hint
         if hint is not None and (next_due is None or hint < next_due):
             next_due = hint
@@ -384,17 +310,17 @@ class ClockArbiter:
         if inactive and inactive * 2 > len(members):
             # Compact once the dead weight dominates; removed members
             # re-enter through rejoin() on reactivate.
-            live = [clock for clock in members if clock.active]
             for clock in members:
                 if not clock.active:
                     clock._in_arbiter = False
-            self._members = live
+            self._members = [clock for clock in members if clock.active]
         if next_due is not None:
             self._scheduled_time = next_due
             # Reuse the chain event object: same generation, one live
             # chain event at a time.
             event.generation = self._generation
-            self.sim._push(next_due, self.priority, self._dispatch, event)
+            sim._push(next_due, self.priority, self._dispatch, event)
+        return fired
 
     # ------------------------------------------------------------------
     # checkpoint support

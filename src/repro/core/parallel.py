@@ -168,8 +168,7 @@ class ParallelSimulation:
     """
 
     def __init__(self, num_ranks: int, *, seed: int = 1,
-                 backend: str = "serial", verbose: bool = False,
-                 clock_arbiter: bool = True):
+                 backend: str = "serial", verbose: bool = False):
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
         if backend not in BACKENDS:
@@ -190,7 +189,7 @@ class ParallelSimulation:
         self._sims = [
             Simulation(seed=seed, rank=r, num_ranks=num_ranks,
                        rank_seed=int(rank_seeds[r].generate_state(1)[0]),
-                       verbose=verbose, clock_arbiter=clock_arbiter)
+                       verbose=verbose)
             for r in range(num_ranks)
         ]
         # Per-rank conservative-sync metrics, kept in each rank's

@@ -35,8 +35,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 NodeId = Hashable
 
 
@@ -243,14 +241,21 @@ def _linear(nodes: Sequence[NodeId], node_weight: Dict[NodeId, float],
     return assignment
 
 
-def _build_graph(nodes: Sequence[NodeId], edges: List[PartitionEdge]) -> nx.Graph:
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
+def _build_graph(nodes: Sequence[NodeId], edges: List[PartitionEdge]
+                 ) -> Dict[NodeId, Dict[NodeId, float]]:
+    """Undirected adjacency ``{node: {neighbour: weight}}``.
+
+    Insertion-ordered (``nodes`` first, then nodes seen only in edges),
+    neighbours in first-edge order; parallel edges sum their weights and
+    a self-loop counts once.
+    """
+    graph: Dict[NodeId, Dict[NodeId, float]] = {n: {} for n in nodes}
     for e in edges:
-        if graph.has_edge(e.u, e.v):
-            graph[e.u][e.v]["weight"] += e.weight
-        else:
-            graph.add_edge(e.u, e.v, weight=e.weight)
+        nbrs_u = graph.setdefault(e.u, {})
+        nbrs_v = graph.setdefault(e.v, {})
+        nbrs_u[e.v] = nbrs_u.get(e.v, 0.0) + e.weight
+        if e.u != e.v:
+            nbrs_v[e.u] = nbrs_v.get(e.u, 0.0) + e.weight
     return graph
 
 
@@ -292,7 +297,7 @@ def _bfs_grow(nodes: Sequence[NodeId], edges: List[PartitionEdge],
             acc += node_weight[node]
             if acc >= quota and remaining_ranks > 1:
                 break
-            for nbr in graph.neighbors(node):
+            for nbr in graph[node]:
                 if nbr in unassigned_set and nbr not in seen:
                     seen.add(nbr)
                     frontier.append(nbr)
@@ -330,8 +335,7 @@ def _kl_refine(assignment: Dict[NodeId, int], nodes: Sequence[NodeId],
             home = assignment[node]
             # Tally edge weight toward each rank among neighbours.
             afinity: Dict[int, float] = {}
-            for nbr in graph.neighbors(node):
-                w = graph[node][nbr]["weight"]
+            for nbr, w in graph[node].items():
                 afinity[assignment[nbr]] = afinity.get(assignment[nbr], 0.0) + w
             if not afinity:
                 continue

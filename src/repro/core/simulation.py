@@ -86,16 +86,15 @@ class Simulation:
         sequential and parallel statistics bit-identical.
     verbose:
         Enables :meth:`Component.debug` tracing.
-    clock_arbiter:
-        Share one tick chain among same-(period, priority, phase) clocks
-        (see :class:`~repro.core.clock.ClockArbiter`).  On by default;
-        ``False`` schedules every clock separately (the reference path
-        the arbiter is checked against).
+
+    Clocks sharing a (period, priority, phase residue) class ride one
+    shared tick chain (:class:`~repro.core.clock.ClockArbiter`); that is
+    the only way clocks are scheduled.
     """
 
     def __init__(self, *, seed: int = 1, rank: int = 0,
                  num_ranks: int = 1, rank_seed: Optional[int] = None,
-                 verbose: bool = False, clock_arbiter: bool = True):
+                 verbose: bool = False):
         self.now: SimTime = 0
         self.seed = seed
         self.rank = rank
@@ -111,8 +110,6 @@ class Simulation:
         self._components: Dict[str, Component] = {}
         self._links: List[Link] = []
         self._clocks: List[Clock] = []
-        #: shared-tick-chain mode (see ClockArbiter)
-        self.clock_arbiter_enabled = bool(clock_arbiter)
         #: one arbiter per (period, priority, phase residue) clock class
         self._arbiters: Dict[Tuple[SimTime, int, SimTime], ClockArbiter] = {}
         self._setup_done = False
@@ -248,23 +245,25 @@ class Simulation:
                        phase: SimTime = 0) -> Clock:
         """Register a periodic handler at ``freq`` (string like ``"2GHz"``).
 
-        In arbiter mode (the default) clocks sharing a
-        ``(period, priority, phase residue)`` class ride one shared tick
-        chain — one queue event per boundary instead of one per clock —
-        with handlers fired in registration order (see
-        :class:`~repro.core.clock.ClockArbiter`).
+        Clocks sharing a ``(period, priority, phase residue)`` class ride
+        one shared tick chain — one queue event per boundary instead of
+        one per clock — with handlers fired in registration order (see
+        :class:`~repro.core.clock.ClockArbiter`).  A non-positive period
+        or a negative phase raises ``ValueError`` before any arbiter is
+        created.
         """
         period = units.freq_to_period(freq) if not isinstance(freq, int) else freq
-        arbiter = None
-        if self.clock_arbiter_enabled and period > 0:
-            first = self.now + phase + period
-            key = (period, priority, first % period)
-            arbiter = self._arbiters.get(key)
-            if arbiter is None:
-                arbiter = ClockArbiter(
-                    self, period, priority,
-                    name=f"{period}ps/p{priority}/r{first % period}")
-                self._arbiters[key] = arbiter
+        if period <= 0:
+            raise ValueError(f"clock {name!r}: period must be positive")
+        if phase < 0:
+            raise ValueError(f"clock {name!r}: phase must be non-negative")
+        residue = (self.now + phase) % period
+        key = (period, priority, residue)
+        arbiter = self._arbiters.get(key)
+        if arbiter is None:
+            arbiter = ClockArbiter(self, period, priority,
+                                   name=f"{period}ps/p{priority}/r{residue}")
+            self._arbiters[key] = arbiter
         clock = Clock(self, name, period, handler, priority=priority,
                       phase=phase, arbiter=arbiter)
         self._clocks.append(clock)
@@ -477,6 +476,7 @@ class Simulation:
         traces = tuple(trace_fns)
         hb_counts = [0] * len(heartbeats)
         perf = _wall_time.perf_counter
+        observe = (traces, span_fns, perf)
         sim = self
         causal_note = causal.on_dispatch if causal is not None else None
         causal_cell = causal.cell if causal is not None else None
@@ -488,13 +488,10 @@ class Simulation:
                 # handler makes is mapped to this entry's seq.
                 causal_note(entry)
             if type(event) is _ArbiterTickEvent:
-                # Shared clock chain: let the arbiter fire its members
-                # with per-member trace/span calls, so observers see
-                # every clock tick exactly as under per-clock
-                # scheduling.  Heartbeats advance by the member count.
-                fired = handler.__self__._dispatch_instrumented(
-                    event, traces, span_fns, perf)
-                count = fired if fired > 0 else 1
+                # Shared clock chain: the arbiter reports each fired
+                # member to the observers itself, so they see member
+                # ticks.  Heartbeats advance by the member count.
+                count = handler(event, observe) or 1
             else:
                 for fn in traces:
                     fn(time, handler, event)

@@ -18,6 +18,7 @@ import io
 from pathlib import Path
 from typing import IO, List, Optional, Tuple, Union
 
+from .clock import Clock
 from .simulation import Simulation
 from .units import SimTime
 
@@ -25,12 +26,15 @@ from .units import SimTime
 def describe_handler(handler) -> str:
     """Human-readable identity of an event handler.
 
+    A :class:`~repro.core.clock.Clock` — what observers are handed for
+    each member tick its arbiter fires — becomes ``clock:<name>``.
     Bound methods resolve to their owner: a Port's ``deliver`` becomes
-    ``component.port``, a Clock's ``_tick`` becomes ``clock:<name>``,
-    a component method becomes ``component.method``.
+    ``component.port``, a component method becomes ``component.method``.
     """
     if handler is None:
         return "<none>"
+    if type(handler) is Clock:
+        return f"clock:{handler.name}"
     owner = getattr(handler, "__self__", None)
     name = getattr(handler, "__name__", repr(handler))
     if owner is None:
@@ -38,8 +42,6 @@ def describe_handler(handler) -> str:
     type_name = type(owner).__name__
     if type_name == "Port":
         return owner.full_name()
-    if type_name == "Clock":
-        return f"clock:{owner.name}"
     if type_name == "ClockArbiter":
         return f"arbiter:{owner.name}"
     owner_name = getattr(owner, "name", type_name)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple, Union
 
+from ..core.clock import Clock
 from ..core.event import CallbackEvent
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
@@ -43,6 +44,10 @@ def attribute_event(handler, event) -> Tuple[str, str]:
 def _owner_of(fn, fallback_kind: str) -> Tuple[str, str]:
     if fn is None:
         return "<engine>", "<none>"
+    if type(fn) is Clock:
+        # A member tick: the arbiter reports the Clock as the handler.
+        # Clock names are "<component>.clock" by convention.
+        return fn.name.split(".", 1)[0], f"clock:{fn.name}"
     owner = getattr(fn, "__self__", None)
     name = getattr(fn, "__name__", repr(fn))
     if owner is None:
@@ -50,13 +55,10 @@ def _owner_of(fn, fallback_kind: str) -> Tuple[str, str]:
     type_name = type(owner).__name__
     if type_name == "Port":
         return owner.component.name, f"port:{owner.name}"
-    if type_name == "Clock":
-        # Clock names are "<component>.clock" by convention.
-        return owner.name.split(".", 1)[0], f"clock:{owner.name}"
     if type_name == "ClockArbiter":
-        # Normally unseen: the instrumented dispatch reports per-member
-        # clock handlers.  Shows up only if an arbiter record is handed
-        # to attribution directly (e.g. a raw queue inspection).
+        # Seen only when an arbiter record itself is attributed (the
+        # causal tracer's per-record nodes, a raw queue inspection);
+        # observers are handed the member clocks instead.
         return "<engine>", f"arbiter:{owner.name}"
     return getattr(owner, "name", type_name), name
 

@@ -99,6 +99,10 @@ class TestSequentialCheckpoint:
         assert trace and all(len(entry) == 3 for entry in trace)
         times = [t for (t, _h, _e) in trace]
         assert times == sorted(times)
+        # Labels are tracelog.describe_handler's: ports as component.port,
+        # each arbiter member tick as its own clock.
+        labels = {label for (_t, label, _e) in trace}
+        assert {"ping.io", "clock:clk0.clock", "clock:slow.clock"} <= labels
 
 
 class TestParallelCheckpoint:

@@ -14,10 +14,6 @@ clocked+link workload:
 * cross-backend: every backend produces the same stats, end time and
   event count as the sequential engine, and the window rule widens
   epochs without changing them;
-* arbiter ablation: arbiter-on and arbiter-off runs of one sequential
-  simulation agree on everything observable — stats, end time, executed
-  events, and the ordered non-tick event sequence — even though their
-  internal tick bookkeeping records differ by design;
 * checkpoint/resume (PR 5): a run segmented by engine snapshots pops
   the *same* ``(time, priority, seq)`` sequence as an uninterrupted
   one, and a run resumed from a snapshot pops exactly the suffix the
@@ -90,11 +86,10 @@ def mixed_graph() -> ConfigGraph:
     return graph
 
 
-def run_parallel_traced(backend: str, clock_arbiter: bool = True):
+def run_parallel_traced(backend: str):
     """One 2-rank run; returns (per-rank traces, stats, result tuple)."""
     psim = build_parallel(mixed_graph(), 2, strategy="round_robin",
-                          seed=7, backend=backend,
-                          clock_arbiter=clock_arbiter)
+                          seed=7, backend=backend)
     traces = []
     for rank in range(psim.num_ranks):
         sim = psim.rank_sim(rank)
@@ -140,35 +135,6 @@ class TestBackendDeterminism:
             assert keys == sorted(keys)
         assert any(name == "_ArbiterTickEvent"
                    for trace in traces for (_, _, _, name) in trace)
-
-
-class TestArbiterAblationEquivalence:
-    def test_sequential_observables_identical(self):
-        """Arbiter on vs off: same stats, end time, executed-event count
-        and ordered non-tick event stream.  Raw (seq) values differ by
-        design — the arbiter collapses N tick records into one — so the
-        comparison filters the internal tick bookkeeping."""
-
-        def run(arbiter_on: bool):
-            sim = build(mixed_graph(), seed=7, clock_arbiter=arbiter_on)
-            sim._queue = RecordingQueue(sim._queue, [])
-            result = sim.run()
-            ticks = ("_ClockTickEvent", "_ArbiterTickEvent")
-            visible = [(t, prio, name)
-                       for (t, prio, _seq, name) in sim._queue.trace
-                       if name not in ticks]
-            return (sim.stat_values(), result.reason, result.end_time,
-                    result.events_executed, visible)
-
-        on = run(True)
-        off = run(False)
-        assert on == off
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_parallel_stats_match_arbiter_off(self, backend):
-        """Every backend lands on the pre-arbiter stats."""
-        baseline = run_parallel_traced(backend, clock_arbiter=False)[1]
-        assert run_parallel_traced(backend)[1] == baseline
 
 
 class TestParallelDeterminism:
@@ -289,6 +255,16 @@ class TestCheckpointResumeBitIdentity:
         binned queue held the same (time, priority, seq, handler, event)
         tuples as the heap: restore ignores the field and resumes the
         exact suffix."""
+
+        def edit(manifest):
+            manifest["queue"] = "binned"
+
+        self._resume_edited_manifest(tmp_path, edit)
+
+    def _resume_edited_manifest(self, tmp_path, edit):
+        """Snapshot mid-run, apply ``edit`` to its MANIFEST, restore and
+        finish: the resumed pop trace must be the uninterrupted run's
+        exact suffix, with its stats, stop reason and end time."""
         import json
 
         from repro.ckpt import restore, snapshot, snapshot_info
@@ -296,10 +272,10 @@ class TestCheckpointResumeBitIdentity:
         trace, stats, cold = self._sequential_reference()
         sim = build(mixed_graph(), seed=7)
         sim.run(max_time=cold.end_time // 2, finalize=False)
-        path = snapshot(sim, tmp_path / "binned-era")
+        path = snapshot(sim, tmp_path / "edited")
         manifest_path = path / "MANIFEST.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["queue"] = "binned"
+        edit(manifest)
         manifest_path.write_text(json.dumps(manifest))
         cut = snapshot_info(path)["sim_time_ps"]
         resumed = restore(path)
@@ -310,6 +286,33 @@ class TestCheckpointResumeBitIdentity:
         assert resumed._queue.trace == suffix
         assert resumed.stat_values() == stats
         assert (result.reason, result.end_time) == (cold.reason, cold.end_time)
+
+    @pytest.mark.parametrize("field", [True, None])
+    def test_arbiter_era_snapshot_resumes_bit_identically(self, tmp_path,
+                                                          field):
+        """Snapshots once recorded ``"clock_arbiter": true``; new ones
+        carry no such field.  Both resume the exact suffix."""
+
+        def edit(manifest):
+            assert "clock_arbiter" not in manifest
+            if field is not None:
+                manifest["clock_arbiter"] = field
+
+        self._resume_edited_manifest(tmp_path, edit)
+
+    def test_per_clock_era_snapshot_is_refused(self, tmp_path):
+        """A ``"clock_arbiter": false`` snapshot holds per-clock tick
+        records whose class is gone: restore and replay both refuse it
+        with one CheckpointError naming the field."""
+        from repro.ckpt import CheckpointError, replay
+
+        def edit(manifest):
+            manifest["clock_arbiter"] = False
+
+        with pytest.raises(CheckpointError, match='"clock_arbiter": false'):
+            self._resume_edited_manifest(tmp_path, edit)
+        with pytest.raises(CheckpointError, match='"clock_arbiter": false'):
+            replay(tmp_path / "edited")
 
     def test_parallel_resume_traces_are_exact_suffixes(self, tmp_path):
         """2-rank exact restore: every rank's resumed pop trace is the

@@ -13,7 +13,7 @@ from repro.obs import (ChromeTraceExporter, HandlerProfiler,
                        MANIFEST_SCHEMA, METRICS_SCHEMA, ProgressReporter,
                        TelemetryRecorder, append_json_record,
                        attribute_event, build_manifest, graph_hash)
-from tests.conftest import PingPong, Sink, Source
+from tests.conftest import Clocked, PingPong, Sink, Source
 
 
 def _machine(sim, count=20):
@@ -240,6 +240,21 @@ class TestProfiler:
         component, label = attribute_event(sink.port("in").deliver, None)
         assert component == "sink"
         assert "in" in label
+
+    def test_clock_ticks_attribute_to_their_clock(self):
+        """Two clocks share one arbiter chain; the profiler still sees
+        every member tick as ``(<component>, clock:<name>)``."""
+        sim = Simulation(seed=1)
+        clocked = [Clocked(sim, f"c{i}", Params({"n_ticks": 7}))
+                   for i in range(2)]
+        with HandlerProfiler(sim) as prof:
+            sim.run()
+        rows = {(row.component, row.handler): row.count for row in prof.rows()}
+        assert rows == {("c0", "clock:c0.clock"): 7,
+                        ("c1", "clock:c1.clock"): 7}
+        assert sum(rows.values()) == sim.events_executed
+        assert attribute_event(clocked[0].clock, None) == \
+            ("c0", "clock:c0.clock")
 
 
 class TestChromeTrace:

@@ -1,9 +1,11 @@
 """Unit tests for the sequential engine, clocks, links and components."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (Component, Event, LinkError, Params, Simulation,
-                        SimulationError)
+                        SimulationError, describe_handler)
 from tests.conftest import Clocked, PingPong, Sink, Source, Token
 
 
@@ -260,6 +262,158 @@ class TestClocks:
         sim.run(max_time="2ns")
         assert log == [("b", 500), ("a", 1000), ("b", 1000), ("b", 1500),
                        ("a", 2000), ("b", 2000)]
+
+    @pytest.mark.parametrize("period, phase, field", [
+        (0, 0, "period"), (-1000, 0, "period"), (1000, -5, "phase")])
+    def test_invalid_clock_rejected_before_any_arbiter(self, period, phase,
+                                                       field):
+        sim = Simulation()
+        with pytest.raises(ValueError, match=f"clock 'bad'.*{field}"):
+            sim.register_clock(period, lambda cycle: None, name="bad",
+                               phase=phase)
+        assert sim._arbiters == {}
+        assert sim._clocks == []
+
+    def test_clock_state_ignores_old_generation_key(self):
+        """Shards from before the per-clock chain was deleted carry a
+        ``generation`` stamp; new captures have none and restores skip it."""
+        sim = Simulation()
+        clock = sim.register_clock("1GHz", lambda cycle: None, name="c")
+        state = clock.capture_state()
+        assert "generation" not in state
+        clock.restore_state({**state, "cycle": 4, "next_tick": 5000,
+                             "generation": 3})
+        assert (clock.cycle, clock.next_tick_time) == (4, 5000)
+
+
+# Every clock boundary is a multiple of 100 ps and every scheduled
+# cancel/reactivate lands at 50 mod 100, so no action ever ties with a
+# tick and the reference model needs no priorities.
+_HORIZON = 6000
+_PERIODS = (200, 300, 400, 600)
+
+
+@st.composite
+def _clock_schedules(draw):
+    """``(specs, actions)``: per clock ``(period, phase, stop, wake)`` —
+    the handler returns True on every ``stop``-th cycle and reactivates
+    clock ``wake`` on each tick — plus timed ``(time, clock, op)``.
+
+    A wake target never unregisters itself, so it is inactive at a
+    boundary only if a timed cancel made it so: who fires at a boundary
+    then does not depend on the order its members fire in."""
+    n = draw(st.integers(1, 6))
+    wakes = [draw(st.none() | st.integers(0, n - 1)) for _ in range(n)]
+    specs = [(draw(st.sampled_from(_PERIODS)),
+              draw(st.integers(0, 6)) * 100,
+              None if i in wakes else draw(st.sampled_from([None, 1, 2, 3])),
+              wakes[i])
+             for i in range(n)]
+    actions = draw(st.lists(
+        st.tuples(st.integers(0, _HORIZON // 100 - 1).map(lambda k: k * 100 + 50),
+                  st.integers(0, n - 1),
+                  st.sampled_from(["cancel", "reactivate"])),
+        max_size=12))
+    return specs, sorted(actions)
+
+
+def _reference(specs, actions):
+    """Each clock ticks alone on its aligned boundaries, clocks sharing
+    a boundary fire in registration order: ``[(time, cycle, clock)]``."""
+    due = [phase + period for period, phase, _stop, _wake in specs]
+    cycle = [0] * len(specs)
+    active = [True] * len(specs)
+    log, pending = [], list(actions)
+
+    def reactivate(i, now):
+        if not active[i]:
+            active[i] = True
+            if due[i] <= now:
+                due[i] += ((now - due[i]) // specs[i][0] + 1) * specs[i][0]
+
+    while True:
+        t = min([d for d, on in zip(due, active) if on] + [_HORIZON + 1])
+        if pending and pending[0][0] < t:
+            when, i, op = pending.pop(0)
+            if op == "cancel":
+                active[i] = False
+            else:
+                reactivate(i, when)
+            continue
+        if t > _HORIZON:
+            return log
+        for i, (period, _phase, stop, wake) in enumerate(specs):
+            if active[i] and due[i] == t:
+                cycle[i] += 1
+                log.append((t, cycle[i], i))
+                if wake is not None:
+                    reactivate(wake, t)
+                if stop and cycle[i] % stop == 0:
+                    active[i] = False
+                else:
+                    due[i] += period
+
+
+class TestClockArbiterReference:
+    """The shared-chain arbiter against per-clock semantics: random
+    periods, phases, self-unregistering handlers, timed cancel/reactivate
+    and reactivations made from inside a member's handler (mid-dispatch,
+    the resched-hint path)."""
+
+    @given(_clock_schedules(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    # A member stops while waking a cancelled earlier member of its own
+    # class: only the resched hint re-arms the chain for the woken one.
+    @example(([(200, 0, None, None), (200, 0, 1, 0)], [(50, 0, "cancel")]),
+             False)
+    # Reactivated long after its due time: the realignment skips ahead.
+    @example(([(200, 0, None, None)], [(250, 0, "cancel"),
+                                       (650, 0, "reactivate")]), True)
+    def test_firings_match_per_clock_model(self, schedule, observed):
+        specs, actions = schedule
+        sim = Simulation()
+        log, seen, spans, clocks = [], [], [], []
+
+        def handler(i, stop, wake):
+            def on_tick(cycle):
+                log.append((sim.now, cycle, i))
+                if wake is not None:
+                    clocks[wake].reactivate()
+                return bool(stop) and cycle % stop == 0
+            return on_tick
+
+        for i, (period, phase, stop, wake) in enumerate(specs):
+            clocks.append(sim.register_clock(period, handler(i, stop, wake),
+                                             name=f"c{i}", phase=phase))
+        for when, i, op in actions:
+            sim.schedule_callback(when, lambda _, fn=getattr(clocks[i], op): fn())
+        if observed:
+            sim.add_trace_observer(
+                lambda t, h, e: seen.append((t, describe_handler(h))))
+            sim.add_span_observer(
+                lambda t, h, e, wall: spans.append((t, describe_handler(h))))
+        sim.run(max_time=_HORIZON)
+
+        expected = _reference(specs, actions)
+        for i in range(len(specs)):
+            assert [(t, c) for t, c, j in log if j == i] == \
+                [(t, c) for t, c, j in expected if j == i], f"clock c{i}"
+        # Within one boundary, the never-disturbed members of one
+        # (period, phase residue) class fire in registration order.
+        disturbed = {i for _t, i, _op in actions} | \
+            {wake for *_spec, wake in specs}
+        klass = [(period, phase % period) for period, phase, _s, _w in specs]
+
+        def steady(entries):
+            return sorted(((t, klass[i], i) for t, _c, i in entries
+                           if i not in disturbed),
+                          key=lambda entry: entry[:2])
+
+        assert steady(log) == steady(expected)
+        if observed:
+            ticks = [(t, f"clock:c{i}") for t, _c, i in log]
+            assert [e for e in seen if e[1].startswith("clock:")] == ticks
+            assert [e for e in spans if e[1].startswith("clock:")] == ticks
 
 
 class TestComponentFramework:

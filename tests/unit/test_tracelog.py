@@ -25,10 +25,14 @@ class TestDescribeHandler:
         assert describe_handler(port.deliver) == "sink.in"
 
     def test_clock_handler(self):
+        """Observers are handed the member Clock for each arbiter tick."""
         sim = Simulation()
         comp = Component(sim, "c")
         clock = comp.register_clock("1GHz", lambda cycle: True)
-        assert describe_handler(clock._tick) == "clock:c.clock"
+        assert describe_handler(clock) == "clock:c.clock"
+        log = EventTraceLog(sim)
+        sim.run()
+        assert log.records == [(1000, "clock:c.clock", "_ArbiterTickEvent")]
 
     def test_none(self):
         assert describe_handler(None) == "<none>"
