@@ -398,12 +398,13 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
         for clock in sim._clocks:
             if not clock.active:
                 continue
-            if clock._next_tick <= global_now:
+            due = clock.next_tick_time
+            if due <= global_now:
                 raise CheckpointError(
-                    f"clock {clock.name!r} is due at {clock._next_tick} "
+                    f"clock {clock.name!r} is due at {due} "
                     f"<= snapshot time {global_now}; the snapshot was not "
                     f"taken at a quiescent boundary")
-            clock._arbiter._ensure_scheduled(clock._next_tick)
+            clock._arbiter._ensure_scheduled(due)
         recompute_exit_state(sim)
         sim._stop_requested = False
 

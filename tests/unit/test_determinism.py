@@ -26,6 +26,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ConfigGraph, build, build_parallel
+from repro.core import Component, register
 from repro.core.backends import BACKENDS
 
 ALL_BACKENDS = sorted(BACKENDS)
@@ -340,3 +341,104 @@ class TestCheckpointResumeBitIdentity:
             suffix = [entry for entry in traces[rank] if entry[0] > cut]
             assert resumed_traces[rank] == suffix, rank
             assert suffix, rank
+
+
+#: (time, component, cycle) of every LockstepTicker tick, in call order
+_TICKS = []
+
+
+@register("testlib.LockstepTicker")
+class LockstepTicker(Component):
+    """One LCG step per 1 GHz tick, logged to ``_TICKS``; unregisters
+    after ``ticks`` cycles."""
+
+    def __init__(self, sim, name, params=None):
+        super().__init__(sim, name, params)
+        self.x = self.params.find_int("seed", 1)
+        self.last = self.params.find_int("ticks", 60)
+        self.final = self.stats.counter("final")
+        self.register_clock("1GHz", self.on_tick)
+
+    def on_tick(self, cycle):
+        self.x = (self.x * 1103515245 + 12345) & 0x7FFFFFFF
+        _TICKS.append((self.sim.now, self.name, cycle))
+        return cycle >= self.last
+
+    def finish(self):
+        self.final.add(self.x)
+
+
+def lockstep_fabric() -> ConfigGraph:
+    """200 same-class tickers: one arbiter that runs lockstep between
+    its first boundary and the handoffs at cycles 40 and 60."""
+    graph = ConfigGraph("lockstep")
+    for i in range(200):
+        graph.component(f"t{i}", "testlib.LockstepTicker",
+                        {"seed": i + 1, "ticks": 40 if i % 7 == 3 else 60})
+    return graph
+
+
+class TestLockstepPlanCheckpoint:
+    """A snapshot taken while the arbiter's lockstep plan is live: the
+    shard holds the same clock entries as the member loop would leave,
+    and exact and 1 -> 2-rank restores resume the uninterrupted run."""
+
+    CUT = 20_500  # between the 20th and 21st lockstep boundaries
+
+    def test_snapshot_between_lockstep_boundaries(self, tmp_path):
+        from repro.ckpt import restore, snapshot
+        from repro.ckpt.state import capture_sim_state
+
+        _TICKS.clear()
+        sim = build(lockstep_fabric(), seed=7)
+        sim._queue = RecordingQueue(sim._queue, [])
+        cold = sim.run()
+        trace, ticks, stats = sim._queue.trace, list(_TICKS), sim.stat_values()
+        suffix = [entry for entry in trace if entry[0] > self.CUT]
+        tick_suffix = [entry for entry in ticks if entry[0] > self.CUT]
+        assert len(suffix) == 40 and len(tick_suffix) == 200 * 40 - 29 * 20
+
+        _TICKS.clear()
+        sim = build(lockstep_fabric(), seed=7)
+        sim.run(max_time=self.CUT, finalize=False)
+        (arbiter,) = sim._arbiters.values()
+        assert arbiter._plan is not None
+        clocks = capture_sim_state(sim)["meta"]["clocks"]
+        assert [sorted(entry) for entry in clocks] == \
+            [["active", "cycle", "name", "next_tick"]] * 200
+        assert {(entry["cycle"], entry["active"], entry["next_tick"])
+                for entry in clocks} == {(20, True, 21_000)}
+        path = snapshot(sim, tmp_path / "snap")
+        assert arbiter._plan is not None  # capture reads the derived views
+
+        _TICKS.clear()
+        resumed = restore(path)
+        resumed._queue = RecordingQueue(resumed._queue, [])
+        result = resumed.run()
+        assert resumed._queue.trace == suffix
+        assert _TICKS == tick_suffix
+        assert resumed.stat_values() == stats
+        assert (result.reason, result.end_time) == (cold.reason, cold.end_time)
+
+        _TICKS.clear()
+        resumed = restore(path, ranks=2)
+        try:
+            assert resumed.checkpoint_lineage["mode"] == "repartition"
+            traces = []
+            for rank in range(2):
+                rank_sim = resumed.rank_sim(rank)
+                rank_sim._queue = RecordingQueue(rank_sim._queue, [])
+                traces.append(rank_sim._queue.trace)
+            resumed.run()
+            assert resumed.stat_values() == stats
+        finally:
+            resumed.close()
+        # Each rank's arbiter pops every remaining boundary (sequence
+        # numbers are renumbered by a repartition) and every clock ticks
+        # exactly as in the uninterrupted run.
+        boundaries = [(t, prio, kind) for t, prio, _seq, kind in suffix]
+        for rank_trace in traces:
+            assert [(t, prio, kind) for t, prio, _seq, kind in rank_trace] \
+                == boundaries
+        by_clock = sorted(tick_suffix, key=lambda entry: entry[1])
+        assert sorted(_TICKS, key=lambda entry: entry[1]) == by_clock
