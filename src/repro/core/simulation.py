@@ -490,8 +490,9 @@ class Simulation:
             if type(event) is _ArbiterTickEvent:
                 # Shared clock chain: the arbiter reports each fired
                 # member to the observers itself, so they see member
-                # ticks.  Heartbeats advance by the member count.
-                count = handler(event, observe) or 1
+                # ticks.  Heartbeats advance by the member count (0 for
+                # a superseded or empty chain pop).
+                count = handler(event, observe)
             else:
                 for fn in traces:
                     fn(time, handler, event)
