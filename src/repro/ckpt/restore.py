@@ -542,9 +542,9 @@ def replay(path: Union[str, Path], *,
         if observer is not None:
             observer(time, handler, event)
 
-    sim.set_trace(_collect)
+    sim.add_trace_observer(_collect)
     try:
         result = sim.run(max_time=max_time, max_events=max_events)
     finally:
-        sim.set_trace(None)
+        sim.remove_trace_observer(_collect)
     return sim, result, trace

@@ -24,9 +24,10 @@ reports a :class:`RankStep` per rank.  Two substrates are provided:
     per-event observers (trace/span/heartbeat) are detached for the
     run, and observability comes from the rank-local plan
     (``psim.rank_plan``, duck-typed — see :mod:`repro.obs.rank_stream`)
-    whose lightweight recorder writes per-rank JSONL shards or ships
-    bounded record batches back inside the step frames; profiler
-    buckets plus rank counters harvest back at ``finalize()``.
+    whose lightweight recorder writes per-rank JSONL shards (the only
+    way a rank's records leave the rank — step frames carry no
+    telemetry); profiler buckets plus rank counters harvest back at
+    ``finalize()``.
     Observers no plan entry covers raise a one-time
     :class:`RankObservabilityWarning` instead of being silently
     dropped.  Parent-side epoch observers — telemetry, progress,
@@ -106,22 +107,17 @@ class RankStep:
     primaries_pending: int
     last_event_time: SimTime
     now: SimTime
-    #: bounded batch of rank-local telemetry records riding the step
-    #: frame (processes backend, shard-less mode); drained by the
-    #: parent before the step reaches the sync strategy.
-    obs_records: Optional[List[Dict[str, Any]]] = None
 
 
 # ----------------------------------------------------------------------
 # epoch frames — what the processes backend moves through the rings
 # ----------------------------------------------------------------------
 
-_U32 = struct.Struct("<I")
 #: delivery-frame header: the inclusive end of the window to execute
 _EPOCH_END = struct.Struct("<q")
 #: step-frame header: wall_s, events, next_time (-1 = drained),
-#: primaries_pending, last_event_time, now, has_obs
-_STEP_META = struct.Struct("<dqqqqqB")
+#: primaries_pending, last_event_time, now
+_STEP_META = struct.Struct("<dqqqqq")
 
 
 def encode_deliveries(epoch_end: SimTime,
@@ -138,43 +134,32 @@ def decode_deliveries(frame: bytes) -> Tuple[SimTime, List[OutboxEntry]]:
 
 
 def encode_step(result: RankStep) -> bytes:
-    """Worker -> parent frame: struct-packed step metadata, the outbox
-    as one entry batch (flattened across destinations — entries carry
-    their dest rank), and an optional pickled batch of rank-local
-    telemetry records."""
+    """Worker -> parent frame: struct-packed step metadata, then the
+    outbox as one entry batch (flattened across destinations — entries
+    carry their dest rank)."""
     flat = [entry for bucket in result.outbox for entry in bucket]
     next_time = -1 if result.next_time is None else result.next_time
-    has_obs = bool(result.obs_records)
-    frame = _STEP_META.pack(result.wall_seconds, result.events, next_time,
-                            result.primaries_pending, result.last_event_time,
-                            result.now, has_obs) + encode_entries(flat)
-    if has_obs:
-        obs_blob = pickle.dumps(result.obs_records, pickle.HIGHEST_PROTOCOL)
-        frame += _U32.pack(len(obs_blob)) + obs_blob
-    return frame
+    return _STEP_META.pack(result.wall_seconds, result.events, next_time,
+                           result.primaries_pending, result.last_event_time,
+                           result.now) + encode_entries(flat)
 
 
 def decode_step(frame: bytes, num_ranks: int) -> RankStep:
     """Inverse of :func:`encode_step`; rebuilds the per-destination
     outbox buckets (entry order within each destination is preserved —
     the flatten walked destinations in order)."""
-    (wall, events, next_time, primaries, last_event, now,
-     has_obs) = _STEP_META.unpack_from(frame)
-    entries, offset = decode_entries(frame, _STEP_META.size)
+    (wall, events, next_time, primaries, last_event,
+     now) = _STEP_META.unpack_from(frame)
+    entries, _ = decode_entries(frame, _STEP_META.size)
     outbox: List[List[OutboxEntry]] = []
     if entries:
         outbox = [[] for _ in range(num_ranks)]
         for entry in entries:
             outbox[entry[3]].append(entry)
-    obs_records = None
-    if has_obs:
-        (obs_len,) = _U32.unpack_from(frame, offset)
-        offset += 4
-        obs_records = pickle.loads(frame[offset:offset + obs_len])
     return RankStep(wall_seconds=wall, events=events, outbox=outbox,
                     next_time=None if next_time < 0 else next_time,
                     primaries_pending=primaries, last_event_time=last_event,
-                    now=now, obs_records=obs_records)
+                    now=now)
 
 
 def outbox_count(outbox: List[List[OutboxEntry]]) -> int:
@@ -370,17 +355,16 @@ class RankRunner:
         self.psim = psim
         self.rank = rank
         self.sim = sim = psim._sims[rank]
-        self._detached = (sim._trace_fn, sim._trace_observers,
-                          sim._span_observers, sim._heartbeats)
-        sim._trace_fn = None
+        self._detached = (sim._trace_observers, sim._span_observers,
+                          sim._heartbeats)
         sim._trace_observers = []
         sim._span_observers = []
         sim._heartbeats = {}
         sim._rebuild_instr()
         # Re-attach the rank-local recorder the plan describes (JSONL
-        # shard or step-frame batches, span buckets, heartbeats, live
-        # slot, causal shard).  Observability must never kill a rank:
-        # creation failures degrade to a bare rank.
+        # shard, span buckets, heartbeats, live slot, causal shard).
+        # Observability must never kill a rank: creation failures
+        # degrade to a bare rank.
         self.recorder = None
         plan = getattr(psim, "rank_plan", None)
         if plan is not None:
@@ -427,7 +411,7 @@ class RankRunner:
         restore the observers detached at construction."""
         self._finish_recorder()
         sim = self.sim
-        (sim._trace_fn, sim._trace_observers, sim._span_observers,
+        (sim._trace_observers, sim._span_observers,
          sim._heartbeats) = self._detached
         sim._rebuild_instr()
 
@@ -531,13 +515,8 @@ class ProcessesBackend(ExecutionBackend):
                          and getattr(plan, "has_record_sink", False))
         doomed: List[str] = []
         for rank, sim in enumerate(self.psim._sims):
-            candidates: List[Any] = []
-            if sim._trace_fn is not None:
-                candidates.append(sim._trace_fn)
-            candidates.extend(sim._trace_observers)
-            candidates.extend(sim._span_observers)
-            candidates.extend(sim._heartbeats)
-            for fn in candidates:
+            for fn in (*sim._trace_observers, *sim._span_observers,
+                       *sim._heartbeats):
                 marker = getattr(fn, "__rank_local__", None)
                 if marker == "profile" or (marker == "span" and span_sink):
                     continue
@@ -576,15 +555,6 @@ class ProcessesBackend(ExecutionBackend):
             frame = self._collect(rank)
             moved += len(frame)
             steps.append(decode_step(frame, num_ranks))
-        plan = getattr(self.psim, "rank_plan", None)
-        if plan is not None:
-            # Bounded rank-local record batches ride the steps
-            # (shard-less mode); hand them to the plan before the sync
-            # strategy ever sees the steps.
-            for rank, step in enumerate(steps):
-                if step.obs_records:
-                    plan.deliver(rank, step.obs_records)
-                    step.obs_records = None
         self.last_exchange_bytes = moved
         return steps
 

@@ -90,10 +90,6 @@ class Component:
     #: ``state(..., save=False, reconstruct=...)`` instead.
     STATE_EXCLUDE = frozenset({"sim", "name", "params", "stats", "_ports"})
 
-    #: Escape hatch: a subclass that creates ports dynamically beyond
-    #: its declarations sets this to skip graph-build-time validation.
-    ALLOW_UNDECLARED_PORTS = False
-
     # -- declared-spec tables (rebuilt per subclass) --------------------
     _port_specs: Dict[str, PortSpec] = {}
     _state_specs: Dict[str, StateSpec] = {}

@@ -644,10 +644,9 @@ def validate_port_name(cls: type, port_name: str) -> bool:
     """Graph-build-time check: is ``port_name`` declared on ``cls``?
 
     Classes that declare no port specs (legacy / out-of-tree) accept
-    anything, as does a class opting out via
-    ``ALLOW_UNDECLARED_PORTS = True``.
+    anything.
     """
     specs = getattr(cls, "_port_specs", None)
-    if not specs or getattr(cls, "ALLOW_UNDECLARED_PORTS", False):
+    if not specs:
         return True
     return any(spec.matches(port_name) for spec in specs.values())

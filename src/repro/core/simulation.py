@@ -123,8 +123,6 @@ class Simulation:
         # The hot loop pays a single `self._instr is None` check; the
         # compiled dispatcher below is rebuilt whenever observers change
         # and is None when nothing is installed.
-        #: legacy single observer slot (set_trace); folded into dispatch.
-        self._trace_fn = None
         self._trace_observers: List[Any] = []
         self._span_observers: List[Any] = []
         self._heartbeats: Dict[Any, int] = {}
@@ -387,23 +385,13 @@ class Simulation:
     # ------------------------------------------------------------------
     # observability dispatch (repro.obs attaches through these)
     # ------------------------------------------------------------------
-    def set_trace(self, fn) -> None:
-        """Install the legacy per-event observer ``fn(time, handler, event)``.
-
-        Pass ``None`` to remove (the hot loop then pays nothing).  For
-        coexisting observers use :meth:`add_trace_observer`; see
-        :class:`repro.core.tracelog.EventTraceLog` for a ready-made
-        filtering writer.
-        """
-        self._trace_fn = fn
-        self._rebuild_instr()
-
     def add_trace_observer(self, fn) -> None:
         """Add a per-event observer ``fn(time, handler, event)``.
 
-        Called *before* the handler executes.  Any number may coexist
-        (plus the legacy :meth:`set_trace` slot); with none installed
-        the hot loop pays a single ``is None`` check.
+        Called *before* the handler executes.  Any number may coexist;
+        with none installed the hot loop pays a single ``is None``
+        check.  See :class:`repro.core.tracelog.EventTraceLog` for a
+        ready-made filtering writer.
         """
         if fn not in self._trace_observers:
             self._trace_observers.append(fn)
@@ -458,22 +446,18 @@ class Simulation:
     def _rebuild_instr(self) -> None:
         """(Re)compile the instrumented event executor.
 
-        Folds the legacy trace slot, added trace observers, span
-        observers and heartbeats into one closure so the hot loop only
-        ever checks a single attribute.  With nothing installed the
-        dispatcher is ``None`` and the loop takes the bare path.
+        Folds trace observers, span observers and heartbeats into one
+        closure so the hot loop only ever checks a single attribute.
+        With nothing installed the dispatcher is ``None`` and the loop
+        takes the bare path.
         """
-        trace_fns: List[Any] = []
-        if self._trace_fn is not None:
-            trace_fns.append(self._trace_fn)
-        trace_fns.extend(self._trace_observers)
+        traces = tuple(self._trace_observers)
         span_fns = tuple(self._span_observers)
         heartbeats = tuple(self._heartbeats.items())
         causal = self._causal
-        if not trace_fns and not span_fns and not heartbeats and causal is None:
+        if not traces and not span_fns and not heartbeats and causal is None:
             self._instr = None
             return
-        traces = tuple(trace_fns)
         hb_counts = [0] * len(heartbeats)
         perf = _wall_time.perf_counter
         observe = (traces, span_fns, perf)

@@ -54,7 +54,8 @@ class EventTraceLog:
     Parameters
     ----------
     sim:
-        The simulation to observe (installs itself via ``set_trace``).
+        The simulation to observe (installs itself via
+        ``add_trace_observer``).
     sink:
         A path (opened for writing) or an open text stream.  ``None``
         keeps records in memory only (``records``).

@@ -88,18 +88,19 @@ class ChromeTraceExporter:
         Hard cap on collected span events — busy simulations produce
         millions of spans and the JSON grows linearly.  Once hit, new
         spans are dropped and ``dropped_events`` counts them.
-    min_duration_us:
-        Skip spans shorter than this (0 = keep all); a cheap way to
-        keep files small while preserving the expensive handlers.
+
+    On a processes-backend run handler spans are recorded rank-locally
+    into the telemetry shards (a metrics path is needed) and reach a
+    trace through ``python -m repro obs merge``; this exporter itself
+    keeps only the parent's epoch lanes.
     """
 
     def __init__(self, path: Union[str, Path, None] = None, *,
-                 max_events: int = 1_000_000, min_duration_us: float = 0.0):
+                 max_events: int = 1_000_000):
         if max_events < 1:
             raise ValueError("max_events must be >= 1")
         self.path = Path(path) if path is not None else None
         self.max_events = max_events
-        self.min_duration_us = min_duration_us
         self.events: List[Dict[str, Any]] = []
         self.dropped_events = 0
         self._span_count = 0  # "X" records only; metadata is uncapped
@@ -121,11 +122,10 @@ class ChromeTraceExporter:
             sims = [target.rank_sim(r) for r in range(target.num_ranks)]
             # Under the processes backend the in-process span observers
             # below never fire in the parent; ask the rank plan to write
-            # span records rank-locally instead (shards, or pipe batches
-            # routed back through add_remote_span).
+            # span records into the rank shards instead.
             from .rank_stream import ensure_rank_plan
             self._plan = ensure_rank_plan(target)
-            self._plan.register_exporter(self)
+            self._plan.span_records = True
         else:
             sims = [target]
         for sim in sims:
@@ -145,7 +145,7 @@ class ChromeTraceExporter:
             self._epoch_target.remove_epoch_observer(self._on_epoch)
             self._epoch_target = None
         if self._plan is not None:
-            self._plan.unregister_exporter(self)
+            self._plan.span_records = False
             self._plan = None
 
     # ------------------------------------------------------------------
@@ -173,9 +173,6 @@ class ChromeTraceExporter:
         perf = _wall_time.perf_counter
 
         def observe(time, handler, event, wall_seconds) -> None:
-            dur_us = wall_seconds * 1e6
-            if dur_us < self.min_duration_us:
-                return
             if self._span_count >= self.max_events:
                 self.dropped_events += 1
                 return
@@ -183,6 +180,7 @@ class ChromeTraceExporter:
             component, label = attribute_event(handler, event)
             event_type = type(event).__name__ if event is not None else "-"
             end_us = (perf() - self._t0) * 1e6
+            dur_us = wall_seconds * 1e6
             self.events.append({
                 "ph": "X",
                 "name": f"{component}.{label}",
@@ -223,36 +221,6 @@ class ChromeTraceExporter:
             })
             if serial:
                 offset += wall * 1e6
-
-    def add_remote_span(self, record: Dict[str, Any]) -> None:
-        """Convert one pipe-shipped rank-stream ``span`` record into a
-        trace event.
-
-        Rank workers stamp spans with raw ``perf_counter`` readings
-        (``mono_s``) — CLOCK_MONOTONIC, system-wide on Linux — so
-        subtracting this exporter's own ``_t0`` puts them on the same
-        timeline as the parent's epoch spans.
-        """
-        dur_us = float(record.get("dur_us", 0.0))
-        if dur_us < self.min_duration_us:
-            return
-        if self._span_count >= self.max_events:
-            self.dropped_events += 1
-            return
-        self._span_count += 1
-        rank = int(record.get("rank", 0))
-        component = record.get("component", "<unknown>")
-        event_type = record.get("event", "-")
-        self.events.append({
-            "ph": "X",
-            "name": f"{component}.{record.get('handler', '?')}",
-            "cat": event_type,
-            "ts": (float(record["mono_s"]) - self._t0) * 1e6,
-            "dur": dur_us,
-            "pid": rank,
-            "tid": self._tid(rank, component),
-            "args": {"sim_ps": record.get("sim_ps"), "event": event_type},
-        })
 
     # ------------------------------------------------------------------
     # output

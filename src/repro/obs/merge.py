@@ -21,10 +21,11 @@ readings (``mono_s``) — CLOCK_MONOTONIC is system-wide on Linux, so the
 streams share a timebase; the merge subtracts the minimum ``mono_s``
 seen anywhere so the merged trace starts at t=0.
 
-Runs without shards (the serial backend, or shard-less pipe mode
-where rank records land inline in the parent stream) still merge: rank
-lanes are synthesized from the parent's ``per_rank_wall_s`` when no
-rank-local epoch records exist.
+Runs without shards (the serial backend, or a processes run without a
+metrics path) still merge: rank lanes are synthesized from the parent's
+``per_rank_wall_s`` when no rank-local epoch records exist.  Streams
+recorded by older versions, which could carry rank records inline in
+the parent stream, still load: those records are split out by rank.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class RunArtifacts:
 
     ``main`` is the parent stream (``run_start``/``sample``/``epoch``/
     ``run_end``); ``rank_records`` maps each rank to its rank-stream
-    records, whether they came from a shard file or arrived inline over
-    the pipes in shard-less mode.
+    records, whether they came from a shard file or sit inline in an
+    older parent stream.
     """
 
     def __init__(self, metrics_path: Union[str, Path]):

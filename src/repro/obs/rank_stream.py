@@ -13,11 +13,10 @@ worker.  This module is the bridge:
   backend's ``RankRunner`` wherever the rank runs (rank 0 in the
   parent, the others in their forked workers) after the parent-bound
   observers are stripped, it writes one JSONL shard per rank
-  (``<metrics>.rank<k>``) or, with no metrics path, ships bounded
-  record batches back over the existing pipes alongside the
-  :class:`~repro.core.backends.RankStep` results.  Span-profile buckets
-  and rank counters harvest back to the parent with the final
-  statistics payload.
+  (``<metrics>.rank<k>``).  The shard is the only way a rank's records
+  leave the rank, so rank records need a metrics path: without one a
+  rank keeps only what harvests home with the final statistics payload
+  (span-profile buckets and rank counters).
 
 Shard record kinds (schema ``repro-rank-stream/1``, one JSON object per
 line): ``rank_start``, ``rank_epoch`` (one per conservative-sync epoch
@@ -49,6 +48,10 @@ RANK_STREAM_SCHEMA = "repro-rank-stream/1"
 #: worker profile bucket: (component, handler, event_type) -> [count, timed, wall]
 RankBuckets = Dict[Tuple[str, str, str], List[float]]
 
+#: hard cap on span rows per rank shard; overflow is counted
+#: (``obs.rank_dropped``), not kept.
+SPAN_LIMIT = 200_000
+
 
 def rank_shard_path(metrics_base: Union[str, Path], rank: int) -> Path:
     """The JSONL shard path for ``rank``: ``<metrics>.rank<k>``."""
@@ -70,9 +73,9 @@ class RankStreamPlan:
 
     Parent-side instruments register their needs before the run; the
     plan is inherited at fork, each worker builds a
-    :class:`RankRecorder` from it, and the parent routes everything
-    that comes back (pipe batches mid-run, profile buckets and rank
-    summaries at finalize) to the registered instruments.
+    :class:`RankRecorder` from it, and the parent folds what comes back
+    at finalize (profile buckets, rank summaries) into the registered
+    instruments.
     """
 
     def __init__(self) -> None:
@@ -81,15 +84,12 @@ class RankStreamPlan:
         self.metrics_base: Optional[Path] = None
         #: events between rank_sample heartbeat records inside a worker.
         self.heartbeat_every: int = 5_000
-        #: write per-handler span rows (set by ChromeTraceExporter).
+        #: write per-handler span rows into the shards (set while a
+        #: ChromeTraceExporter is attached).
         self.span_records: bool = False
-        #: hard cap on span rows per rank; overflow is counted, not kept.
-        self.span_limit: int = 200_000
         #: accumulate (component, handler, event type) wall-time buckets
         #: worker-side and merge them into registered profilers.
         self.profile: bool = False
-        #: max records shipped over the pipe per epoch (shard-less mode).
-        self.batch_limit: int = 512
         # --- live plane (repro.obs.live) ------------------------------
         #: live segment path; workers re-open it by path (the mmap file
         #: survives the fork) and own their rank slot.  None = no live
@@ -106,8 +106,6 @@ class RankStreamPlan:
         #: ``<causal_base>.causal.rank<k>``.  None = no capture.
         self.causal_base: Optional[str] = None
         self._profilers: List[Any] = []
-        self._recorders: List[Any] = []
-        self._exporters: List[Any] = []
         #: per-rank summaries harvested at finalize: rank -> dict.
         self.rank_reports: Dict[int, Dict[str, Any]] = {}
 
@@ -124,44 +122,24 @@ class RankStreamPlan:
             self._profilers.remove(profiler)
         self.profile = bool(self._profilers)
 
-    def register_recorder(self, recorder: Any) -> None:
-        """A TelemetryRecorder with a *stream* sink: rank records are
-        shipped over the pipes and emitted inline into its stream."""
-        if recorder not in self._recorders:
-            self._recorders.append(recorder)
-
-    def unregister_recorder(self, recorder: Any) -> None:
-        if recorder in self._recorders:
-            self._recorders.remove(recorder)
-
-    def register_exporter(self, exporter: Any) -> None:
-        if exporter not in self._exporters:
-            self._exporters.append(exporter)
-        self.span_records = True
-
-    def unregister_exporter(self, exporter: Any) -> None:
-        if exporter in self._exporters:
-            self._exporters.remove(exporter)
-        self.span_records = bool(self._exporters)
-
     # ------------------------------------------------------------------
     # state the backend inspects
     # ------------------------------------------------------------------
     @property
     def has_record_sink(self) -> bool:
-        """Can worker records reach durable storage or a live stream?"""
-        return self.metrics_base is not None or bool(self._recorders)
+        """Do rank records have a shard to go to?"""
+        return self.metrics_base is not None
 
     @property
     def active(self) -> bool:
         """Anything at all for a worker to re-attach?"""
         return (self.has_record_sink or self.profile
-                or (self.span_records and self.has_record_sink)
                 or self.live_path is not None
                 or self.causal_base is not None)
 
     def shard_paths(self, num_ranks: int) -> List[str]:
-        """Expected shard paths for a ``num_ranks`` run ([] if shard-less)."""
+        """Expected shard paths for a ``num_ranks`` run ([] without a
+        metrics path)."""
         if self.metrics_base is None:
             return []
         return [str(rank_shard_path(self.metrics_base, r))
@@ -177,15 +155,6 @@ class RankStreamPlan:
             return None
         return RankRecorder(self, psim, rank)
 
-    def deliver(self, rank: int, records: List[Dict[str, Any]]) -> None:
-        """Route a pipe-shipped record batch to the live instruments."""
-        for record in records:
-            for recorder in self._recorders:
-                recorder.emit_record(record)
-            if record.get("kind") == "span":
-                for exporter in self._exporters:
-                    exporter.add_remote_span(record)
-
     def absorb(self, rank: int, payload: Optional[Dict[str, Any]]) -> None:
         """Fold one worker's harvested observability payload back in."""
         if not payload:
@@ -194,9 +163,6 @@ class RankStreamPlan:
         if buckets:
             for profiler in self._profilers:
                 profiler.absorb_remote_buckets(rank, buckets)
-        batch = payload.pop("pending_batch", None)
-        if batch:
-            self.deliver(rank, batch)
         self.rank_reports[rank] = payload
 
 
@@ -206,9 +172,9 @@ class RankRecorder:
     Lives wherever the rank runs — rank 0's in the parent, every other
     rank's inside its forked worker.  Opens its own shard
     file (never the parent's sink), attaches its own span/heartbeat
-    observers to the rank's :class:`Simulation`, annotates every
-    :class:`RankStep` on its way back to the parent, and packages the
-    harvest for the ``finish`` payload.
+    observers to the rank's :class:`Simulation`, records every
+    :class:`RankStep` it executes, and packages the harvest for the
+    ``finish`` payload.
     """
 
     def __init__(self, plan: RankStreamPlan, psim: "ParallelSimulation",
@@ -218,7 +184,6 @@ class RankRecorder:
         self.sim = psim._sims[rank]
         self.shard_path: Optional[str] = None
         self._sink = None
-        self._buffer: Optional[List[Dict[str, Any]]] = None
         self._epoch = 0
         self._span_rows_written = 0
         if plan.metrics_base is not None:
@@ -226,8 +191,6 @@ class RankRecorder:
             path.parent.mkdir(parents=True, exist_ok=True)
             self._sink = open(path, "w", encoding="utf-8")
             self.shard_path = str(path)
-        elif plan._recorders:
-            self._buffer = []
         # Rank-local counters registered in the worker's engine stats;
         # they ride home with harvest_engine_stats and merge across
         # ranks through the ordinary sync_stats() machinery.
@@ -291,7 +254,7 @@ class RankRecorder:
 
     @property
     def _has_sink(self) -> bool:
-        return self._sink is not None or self._buffer is not None
+        return self._sink is not None
 
     # ------------------------------------------------------------------
     # record routing
@@ -299,14 +262,7 @@ class RankRecorder:
     def _emit(self, record: Dict[str, Any]) -> None:
         if self._sink is not None:
             self._sink.write(json.dumps(record) + "\n")
-        elif self._buffer is not None:
-            if len(self._buffer) >= self.plan.batch_limit:
-                self._c_dropped.add()
-                return
-            self._buffer.append(record)
-        else:
-            return
-        self._c_records.add()
+            self._c_records.add()
 
     # ------------------------------------------------------------------
     # observers (attached to the rank's simulation)
@@ -325,7 +281,7 @@ class RankRecorder:
             bucket[1] += 1
             bucket[2] += wall_seconds
         if self._record_spans:
-            if self._span_rows_written >= self.plan.span_limit:
+            if self._span_rows_written >= SPAN_LIMIT:
                 self._c_dropped.add()
                 return
             self._span_rows_written += 1
@@ -357,7 +313,7 @@ class RankRecorder:
     # hooks the worker loop drives
     # ------------------------------------------------------------------
     def on_step(self, step: Any, epoch_end: int) -> None:
-        """Record one executed epoch window; attach pending pipe batch."""
+        """Record one executed epoch window."""
         from ..core.backends import outbox_count
 
         end = _wall_time.perf_counter()
@@ -379,9 +335,6 @@ class RankRecorder:
                 self._live.publish()
             except Exception:  # pragma: no cover - defensive
                 self._live = None
-        if self._buffer:
-            step.obs_records = self._buffer
-            self._buffer = []
         if self._sink is not None:
             self._sink.flush()
         if self._causal is not None:
@@ -432,9 +385,6 @@ class RankRecorder:
         }
         if self._buckets:
             payload["profile"] = self._buckets
-        if self._buffer:
-            payload["pending_batch"] = self._buffer
-            self._buffer = None
         if self._sink is not None:
             self._sink.close()
             self._sink = None

@@ -16,6 +16,10 @@ in flight:
 ``finalize`` additionally builds the run manifest
 (:mod:`repro.obs.manifest`) and writes it next to the stream, giving
 every run a machine-readable perf record.
+
+On a processes-backend run the rank-local records go to per-rank
+shards next to a metrics *path* (:mod:`repro.obs.rank_stream`); a
+recorder without one records the parent stream only.
 """
 
 from __future__ import annotations
@@ -40,24 +44,20 @@ class TelemetryRecorder:
     ----------
     metrics_path:
         Where the JSONL stream goes (path or open text stream); ``None``
-        keeps samples in memory only (``records``).
+        keeps samples in memory only (``records``).  Only a path gets
+        per-rank shards on a processes-backend run.
     manifest_path:
         Where :meth:`finalize` writes the manifest JSON.  Defaults to
         ``<metrics_path>.manifest.json`` when a metrics *path* was
         given; ``None`` otherwise (the manifest dict is still returned).
     sample_every_events:
         Sequential runs: engine heartbeat period in executed events.
-    min_interval_s:
-        Drop samples/epoch records arriving sooner than this many
-        wall-clock seconds after the previous one (0 = keep all).
     """
 
     def __init__(self, metrics_path: Union[str, Path, IO[str], None] = None,
                  manifest_path: Union[str, Path, None] = None, *,
-                 sample_every_events: int = 5_000,
-                 min_interval_s: float = 0.0):
+                 sample_every_events: int = 5_000):
         self.sample_every_events = sample_every_events
-        self.min_interval_s = min_interval_s
         self.records = []  # in-memory copy when no sink was given
         self.manifest: Optional[Dict[str, Any]] = None
         self._owns_sink = False
@@ -104,14 +104,11 @@ class TelemetryRecorder:
             record["backend"] = target.backend
             record["sync"] = target.sync_strategy.describe()
             # Join the rank plan so processes-backend workers write
-            # per-rank shards next to the stream (or, with no file
-            # sink, ship their records back over the pipes).
+            # per-rank shards next to the stream.
             from .rank_stream import ensure_rank_plan
             self._plan = ensure_rank_plan(target)
             if self._path is not None:
                 self._plan.metrics_base = self._path
-            else:
-                self._plan.register_recorder(self)
             self._plan.heartbeat_every = self.sample_every_events
         else:
             target.add_heartbeat(self._on_heartbeat,
@@ -129,11 +126,7 @@ class TelemetryRecorder:
             target.remove_epoch_observer(self._on_epoch)
         elif isinstance(target, Simulation):
             target.remove_heartbeat(self._on_heartbeat)
-        if self._plan is not None:
-            # Shard paths stay on the plan (post-hoc merge reads them);
-            # only the live pipe-record routing is torn down.
-            self._plan.unregister_recorder(self)
-            self._plan = None
+        self._plan = None
 
     # ------------------------------------------------------------------
     # stream records
@@ -148,17 +141,14 @@ class TelemetryRecorder:
     def emit_record(self, record: Dict[str, Any]) -> None:
         """Append an externally produced record to this stream.
 
-        The delivery path for rank-local records shipped over the
-        processes backend's pipes when the recorder has no file sink
-        (:meth:`RankStreamPlan.deliver` routes them here); they appear
-        inline in ``records`` alongside the parent's own samples.
+        The stall watchdog (:mod:`repro.obs.live.watchdog`) writes its
+        ``stall`` records here, so they land in order with the parent's
+        own samples.
         """
         self._emit(record)
 
     def _on_heartbeat(self, sim: Simulation) -> None:
         wall = _wall_time.perf_counter() - self._t0
-        if wall - self._last_wall < self.min_interval_s:
-            return
         events = sim.events_executed
         d_wall = wall - self._last_wall
         d_events = events - self._last_events
@@ -187,8 +177,6 @@ class TelemetryRecorder:
 
     def _on_epoch(self, info: EpochInfo) -> None:
         wall = _wall_time.perf_counter() - self._t0
-        if wall - self._last_wall < self.min_interval_s:
-            return
         self._emit({
             "kind": "epoch",
             "wall_s": wall,
@@ -205,7 +193,6 @@ class TelemetryRecorder:
             "per_rank_wall_s": info.per_rank_wall,
             "per_rank_barrier_wait_s": info.per_rank_barrier_wait,
         })
-        self._last_wall = wall
 
     # ------------------------------------------------------------------
     # finalize

@@ -48,15 +48,14 @@ class TestObserverDispatch:
         assert len(seen) == result.events_executed
         assert seen == sorted(seen)
 
-    def test_multiple_observers_coexist_with_legacy_trace(self, make_pingpong):
+    def test_multiple_observers_coexist(self, make_pingpong):
         sim = Simulation(seed=1)
         make_pingpong(sim, n=3)
-        a, b, legacy = [], [], []
-        sim.set_trace(lambda t, h, e: legacy.append(t))
+        a, b = [], []
         sim.add_trace_observer(lambda t, h, e: a.append(t))
         sim.add_trace_observer(lambda t, h, e: b.append(t))
         result = sim.run()
-        assert len(a) == len(b) == len(legacy) == result.events_executed
+        assert len(a) == len(b) == result.events_executed
 
     def test_remove_observer_restores_bare_path(self):
         sim = Simulation()
@@ -65,7 +64,6 @@ class TestObserverDispatch:
         assert sim.observers_installed
         sim.remove_trace_observer(fn)
         assert not sim.observers_installed
-        assert sim._trace_fn is None
 
     def test_span_observer_measures_wall_time(self, make_pingpong):
         sim = Simulation(seed=1)

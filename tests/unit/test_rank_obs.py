@@ -4,7 +4,7 @@ merge, and sync/load-imbalance diagnostics.
 The load-bearing property: observability output is equivalent across
 both execution backends.  The processes backend cannot share
 memory with the parent, so its coverage flows through the rank plan
-(per-rank JSONL shards or pipe batches, harvested profile buckets) —
+(per-rank JSONL shards, harvested profile buckets) —
 these tests pin that the numbers coming back match what the in-process
 backends record directly.
 """
@@ -140,20 +140,36 @@ class TestBackendEquivalence:
                 # in-process backends keep the parent's epoch telemetry
                 assert artifacts.epochs
 
-    def test_pipe_batches_reach_inmemory_recorder(self):
-        """Shard-less mode: a sink-less TelemetryRecorder still receives
-        rank-local records, shipped over the pipes with the steps."""
+    def test_pathless_recorder_keeps_parent_stream_only(self):
+        """Rank records need a metrics path: without one a processes
+        run records the parent stream and no rank shards."""
         psim = build_parallel(traffic_graph(), 2, strategy="round_robin",
                               seed=9, backend="processes")
         telemetry = TelemetryRecorder(sample_every_events=10)
         telemetry.attach(psim)
         result = psim.run()
-        telemetry.finalize(result)
-        kinds = {r["kind"] for r in telemetry.records}
-        assert "rank_epoch" in kinds
-        by_rank = {r["rank"] for r in telemetry.records
-                   if r["kind"] == "rank_epoch"}
-        assert by_rank == {0, 1}
+        manifest = telemetry.finalize(result)
+        kinds = [r["kind"] for r in telemetry.records]
+        assert kinds[0] == "run_start" and kinds[-1] == "run_end"
+        assert set(kinds) == {"run_start", "epoch", "run_end"}
+        assert kinds.count("epoch") == result.epochs
+        assert manifest["telemetry"]["rank_shards"] == []
+        assert "rank_records" not in manifest["telemetry"]
+
+    def test_pathless_recorder_profiler_matches_serial(self):
+        counts = {}
+        for backend in ALL_BACKENDS:
+            psim = build_parallel(traffic_graph(), 2, strategy="round_robin",
+                                  seed=9, backend=backend)
+            telemetry = TelemetryRecorder(sample_every_events=10)
+            telemetry.attach(psim)
+            profiler = HandlerProfiler(psim)
+            telemetry.finalize(psim.run())
+            counts[backend] = sorted(
+                (row.rank, row.component, row.handler, row.event_type,
+                 row.count) for row in profiler.rows())
+        assert counts["processes"]
+        assert counts["serial"] == counts["processes"]
 
     def test_profiler_counts_match_across_backends(self, tmp_path):
         counts = {}
@@ -186,6 +202,18 @@ class TestObservabilityWarning:
         assert "obs merge" in message
         assert not seen  # the observer's memory died with the worker
 
+    def test_pathless_chrome_exporter_warns_once_by_name(self):
+        psim = build_parallel(traffic_graph(), 2, strategy="round_robin",
+                              seed=9, backend="processes")
+        exporter = ChromeTraceExporter().attach(psim)
+        with pytest.warns(RankObservabilityWarning) as caught:
+            psim.run()
+        exporter.detach()
+        rank_warnings = [w for w in caught
+                         if issubclass(w.category, RankObservabilityWarning)]
+        assert len(rank_warnings) == 1
+        assert "ChromeTraceExporter" in str(rank_warnings[0].message)
+
     def test_plan_covered_instruments_do_not_warn(self, tmp_path):
         with _warnings.catch_warnings():
             _warnings.simplefilter("error", RankObservabilityWarning)
@@ -212,6 +240,22 @@ class TestMerge:
         assert handler_spans
         assert trace["otherData"]["ranks"] == 2
         assert trace["otherData"]["backend"] == "processes"
+
+    def test_inline_rank_records_of_older_streams_still_split(self,
+                                                             tmp_path):
+        """Older streams could carry rank records inline in the parent
+        stream; they split out by rank exactly as the shards do."""
+        metrics, _ = run_with_metrics(tmp_path, "processes")
+        from_shards = RunArtifacts(metrics)
+        inline = tmp_path / "inline.jsonl"
+        lines = metrics.read_text().splitlines()
+        for shard in find_rank_shards(metrics).values():
+            lines[-1:-1] = shard.read_text().splitlines()
+        inline.write_text("\n".join(lines) + "\n")
+        from_stream = RunArtifacts(inline)
+        assert from_stream.shards == {}
+        assert from_stream.main == from_shards.main
+        assert from_stream.rank_records == from_shards.rank_records
 
     def test_merge_works_for_inprocess_backends_too(self, tmp_path):
         metrics, _ = run_with_metrics(tmp_path, "serial")

@@ -31,7 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ConfigGraph, build_parallel
-from repro.core.backends import RankStep, decode_step, encode_step
+from repro.core.backends import (_STEP_META, RankStep, decode_step,
+                                 encode_step)
 from repro.core.event import Event, decode_entries, encode_entries
 from repro.core.partition import (PartitionEdge, PartitionProfile,
                                   partition)
@@ -242,13 +243,12 @@ class TestEntryBatch:
 
 
 class TestStepFrame:
-    def test_roundtrip_with_outbox_and_obs(self):
+    def test_roundtrip_with_outbox(self):
         outbox = [[], [(10, 50, 1, 1, 0, MemRequest(addr=8, req_id=3))],
                   [(10, 50, 2, 2, 1, DictPayload({"z": 1}))]]
         step = RankStep(wall_seconds=0.25, events=42, outbox=outbox,
                         next_time=999, primaries_pending=1,
-                        last_event_time=998, now=1000,
-                        obs_records=[{"kind": "sample", "events": 42}])
+                        last_event_time=998, now=1000)
         out = decode_step(encode_step(step), num_ranks=3)
         assert (out.wall_seconds, out.events, out.next_time,
                 out.primaries_pending, out.last_event_time, out.now) == \
@@ -256,7 +256,6 @@ class TestStepFrame:
         assert [len(b) for b in out.outbox] == [0, 1, 1]
         assert out.outbox[1][0][:5] == (10, 50, 1, 1, 0)
         assert out.outbox[2][0][5].table == {"z": 1}
-        assert out.obs_records == [{"kind": "sample", "events": 42}]
 
     def test_roundtrip_drained_rank(self):
         step = RankStep(wall_seconds=0.0, events=0, outbox=[],
@@ -265,7 +264,20 @@ class TestStepFrame:
         out = decode_step(encode_step(step), num_ranks=2)
         assert out.next_time is None
         assert out.outbox == []
-        assert out.obs_records is None
+
+    def test_frame_is_header_plus_entry_batch(self):
+        """A step frame is the 48-byte header and the flattened outbox
+        batch, nothing after it."""
+        assert _STEP_META.size == 48
+        entries = [(10, 50, 1, 1, 0, MemRequest(addr=8, req_id=3)),
+                   (12, 50, 1, 1, 1, DictPayload({"z": 1}))]
+        for outbox, flat in (([], []), ([[], entries], entries)):
+            step = RankStep(wall_seconds=0.5, events=7, outbox=outbox,
+                            next_time=3, primaries_pending=0,
+                            last_event_time=2, now=3)
+            frame = encode_step(step)
+            assert len(frame) == _STEP_META.size + len(encode_entries(flat))
+            assert frame[_STEP_META.size:] == encode_entries(flat)
 
 
 # ----------------------------------------------------------------------

@@ -100,7 +100,7 @@ class TestEventTraceLog:
 
     def test_no_observer_no_cost_path(self):
         sim, src, sink = _machine(count=3)
-        assert sim._trace_fn is None
+        assert not sim.observers_installed
         sim.run()
         assert sink.received.count == 3
 
