@@ -207,6 +207,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_impl(args: argparse.Namespace) -> int:
+    if args.trace and args.ranks > 1:
+        print("error: --trace is for sequential runs only "
+              "(drop --trace or --ranks)", file=sys.stderr)
+        return 1
     graph = load(args.config)
     warnings = graph.validate(resolve_types=True)
     for warning in warnings:
@@ -663,10 +667,6 @@ def _cmd_component(args: argparse.Namespace) -> int:
                            if spec["choices"] else "")
                 print(f"  {spec['name']:20s} {spec['kind']:8s} "
                       f"default={spec['default']!r}{choices}  {spec['doc']}")
-        if info["legacy_ports"]:
-            print("legacy ports (undeclared):")
-            for name, doc in sorted(info["legacy_ports"].items()):
-                print(f"  {name:20s} {doc}")
         if info["state"]:
             print("state:")
             for spec in info["state"]:
@@ -697,7 +697,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("config")
     run.add_argument("--max-time", default=None,
                      help='simulated-time limit, e.g. "1ms"')
-    run.add_argument("--ranks", type=int, default=1,
+    run.add_argument("--ranks", type=_positive_int, default=1,
                      help="parallel simulation ranks (1 = sequential)")
     run.add_argument("--strategy", default="linear",
                      choices=["linear", "round_robin", "bfs", "kl"])
@@ -869,7 +869,7 @@ def make_parser() -> argparse.ArgumentParser:
     adv.add_argument("-o", "--output", default=None,
                      help="advice JSON path "
                           "(default: <metrics>.advice.json)")
-    adv.add_argument("--ranks", type=int, default=None,
+    adv.add_argument("--ranks", type=_positive_int, default=None,
                      help="target rank count (default: the run's)")
     adv.add_argument("--strategy", default="kl",
                      choices=["linear", "round_robin", "bfs", "kl"],
@@ -929,7 +929,7 @@ def make_parser() -> argparse.ArgumentParser:
     cres.add_argument("snapshot", help="snapshot directory (ckpt-NNNN)")
     cres.add_argument("--max-time", default=None,
                       help='simulated-time limit, e.g. "1ms"')
-    cres.add_argument("--ranks", type=int, default=None,
+    cres.add_argument("--ranks", type=_positive_int, default=None,
                       help="restore onto this many ranks (default: the "
                            "snapshot's own layout)")
     cres.add_argument("--backend", default=None,

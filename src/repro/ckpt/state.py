@@ -165,8 +165,8 @@ def dump_refs(sims: Sequence[Simulation], obj: Any) -> bytes:
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         raise CheckpointError(
             f"component or event state is not snapshotable: {exc}.  "
-            f"Override Component.capture_state() to return a picklable "
-            f"stand-in (see docs/CHECKPOINT.md)."
+            f"Declare an unpicklable component attribute with "
+            f"state(save=False, reconstruct=...) (see docs/CHECKPOINT.md)."
         ) from exc
     return buffer.getvalue()
 

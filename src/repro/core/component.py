@@ -1,4 +1,4 @@
-"""Component base class.
+"""Component and SubComponent: one declarative base.
 
 A PySST component mirrors an SST component:
 
@@ -12,13 +12,20 @@ A PySST component mirrors an SST component:
 
 Interfaces are **declarative** (see :mod:`repro.core.describe` and
 ``docs/COMPONENTS.md``): subclasses declare ports with :func:`port`,
-run state with :func:`state` and statistics with :func:`stat` as class
-attributes.  The base class collects the declarations at class-creation
-time, binds port handlers and registers statistics automatically at
-construction, and the engine services consume them — the config layer
-validates link endpoints at graph-build time, `repro.ckpt` captures and
-restores declared state (with ``reconstruct=`` hooks for unpicklable
-values), and `repro.obs` samples ``gauge=True`` state.
+run state with :func:`state`, statistics with :func:`stat`, typed
+parameters with :func:`param` and subcomponent slots with :func:`slot`
+as class attributes.  The shared base collects the declarations at
+class-creation time and registers statistics, parses parameters and
+fills slots at construction; the engine services consume them — the
+config layer validates every link endpoint against the declared ports
+at graph-build time, `repro.ckpt` captures and restores declared state
+(with ``reconstruct=`` hooks for unpicklable values), and `repro.obs`
+samples ``gauge=True`` state.
+
+That is the only protocol.  A subclass defining ``PORTS``,
+``STATE_EXCLUDE``, ``capture_state`` or ``restore_state`` is refused
+with :class:`SpecError` at class creation, naming the declarative
+replacement.
 
 Lifecycle::
 
@@ -29,23 +36,18 @@ Lifecycle::
     ... event processing ...
     on_finish()                   # run over; finalize statistics
     on_restore()                  # after a checkpoint restore only
-
-The imperative protocol (``PORTS`` doc dicts, ``set_handler``,
-``STATE_EXCLUDE``, ``capture_state``/``restore_state`` overrides and
-overriding ``setup()``/``finish()`` directly) remains supported for
-out-of-tree subclasses but is deprecated for library code — a CI lint
-(``tools/lint_components.py``) keeps it from creeping back in.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .clock import Clock, ClockHandler
 from .describe import (ParamSpec, PortSpec, SlotSpec, SpecError,  # noqa: F401
-                       StateSpec, StatSpec, param, port, slot, state, stat)
+                       StateSpec, StatSpec, collect_specs, param, port, slot,
+                       state, stat)
 from .event import PRIORITY_CLOCK, Event
 from .link import LinkError, Port
 from .params import Params
@@ -70,55 +72,50 @@ def stable_seed(name: str, base_seed: int) -> int:
     return (zlib.crc32(name.encode("utf-8")) ^ (base_seed * 0x9E3779B1)) & 0xFFFFFFFF
 
 
-class Component:
-    """Base class for every simulated hardware/software model.
+#: Class attributes of the imperative protocol, refused at class
+#: creation, mapped to the declarative form that replaces each.
+_IMPERATIVE = {
+    "PORTS": "declare each port with port()",
+    "STATE_EXCLUDE": "declare the attribute with "
+                     "state(save=False, reconstruct=...)",
+    "capture_state": "declare unpicklable attributes with "
+                     "state(save=False, reconstruct=...)",
+    "restore_state": "re-derive caches from restored state in "
+                     "on_restore()",
+}
 
-    Subclasses declare their interface with :func:`port`, :func:`state`
-    and :func:`stat` class attributes; ``PORTS`` (name -> description)
-    is derived from the port declarations when not given explicitly and
-    kept for documentation and legacy subclasses.
+
+class _Declarative:
+    """What :class:`Component` and :class:`SubComponent` share.
+
+    Class creation collects the declared-spec tables, refuses the
+    imperative protocol and checks statistic names; construction
+    (:meth:`_declare`) registers declared statistics, parses declared
+    parameters and fills declared slots; the checkpoint, telemetry and
+    lifecycle protocols are written once here.  A subcomponent is
+    simply a declarative model without ports or slots.
     """
 
-    #: port name -> human description; derived from port() declarations
-    #: (legacy subclasses may still set it directly).
-    PORTS: Dict[str, str] = {}
-
-    #: Attributes owned by the engine/config layer, excluded from the
-    #: default :meth:`capture_state` — a restore rebuilds them from the
-    #: configuration graph rather than from the snapshot.  Deprecated
-    #: for subclasses: declare unpicklable values with
-    #: ``state(..., save=False, reconstruct=...)`` instead.
-    STATE_EXCLUDE = frozenset({"sim", "name", "params", "stats", "_ports"})
-
-    # -- declared-spec tables (rebuilt per subclass) --------------------
-    _port_specs: Dict[str, PortSpec] = {}
-    _state_specs: Dict[str, StateSpec] = {}
-    _stat_specs: Dict[str, StatSpec] = {}
-    _param_specs: Dict[str, ParamSpec] = {}
-    _slot_specs: Dict[str, SlotSpec] = {}
-    _state_skip: frozenset = STATE_EXCLUDE
-    _gauge_specs: tuple = ()
-    _reconstruct_hooks: tuple = ()
-
-    # -- engine-owned run flags (declared for docs/describe; the
-    #    constructor assigns them eagerly, so behaviour is unchanged) --
-    _is_primary = state(False, doc="registered as a primary component")
-    _ok_to_end = state(True, doc="primary component is OK with ending")
-    _rng = state(None, doc="lazily created per-component random stream")
-    _clock_index = state(0, doc="clocks registered so far (names clock, "
-                                "clock1, clock2, ...)")
+    #: Attributes the wiring layer owns, one set per base: a restore
+    #: rebuilds them from the configuration graph, never from the
+    #: snapshot.  The declared-spec tables (``_port_specs``,
+    #: ``_state_skip``, ...) are rebuilt per class below.
+    _ENGINE_OWNED: frozenset
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        from .describe import collect_specs
-
+        for attr, replacement in _IMPERATIVE.items():
+            if attr in cls.__dict__:
+                raise SpecError(
+                    f"{cls.__name__}: defining {attr!r} is not supported "
+                    f"— {replacement}")
         specs = collect_specs(cls)
         cls._port_specs = specs["ports"]
         cls._state_specs = specs["state"]
         cls._stat_specs = specs["stats"]
         cls._param_specs = specs["params"]
         cls._slot_specs = specs["slots"]
-        cls._state_skip = frozenset(cls.STATE_EXCLUDE) | {
+        cls._state_skip = cls._ENGINE_OWNED | {
             attr for attr, spec in cls._state_specs.items() if not spec.save
         }
         cls._gauge_specs = tuple(
@@ -137,42 +134,32 @@ class Component:
                     f"both declare the name {spec.name!r}"
                 )
             by_stat_name[spec.name] = attr
-        stat_names = set(by_stat_name)
         for spec in cls._gauge_specs:
-            if spec.attr in stat_names:
+            if spec.attr in by_stat_name:
                 raise SpecError(
                     f"{cls.__name__}: gauge state {spec.attr!r} collides "
                     f"with a declared statistic of the same name"
                 )
-        # Declared ports supersede a hand-written PORTS dict unless the
-        # class body sets one explicitly (legacy).
-        own_ports = any(isinstance(v, PortSpec) for v in vars(cls).values())
-        if cls._port_specs and (own_ports or "PORTS" not in cls.__dict__):
-            cls.PORTS = {spec.name: spec.doc
-                         for spec in cls._port_specs.values()}
 
-    def __init__(self, sim: "Simulation", name: str, params: Optional[Params] = None):
-        self.sim = sim
-        self.name = name
-        self.params = params if params is not None else Params({})
-        self.stats = StatisticGroup()
-        self._ports: Dict[str, Port] = {}
-        self._is_primary = False
-        self._ok_to_end = True
-        self._rng: Optional[np.random.Generator] = None
-        self._clock_index = 0
-        # Declared statistics come alive before the subclass body runs,
-        # preserving the ``self.s_hits`` fast-access idiom.
-        for attr, spec in type(self)._stat_specs.items():
-            self.__dict__[attr] = spec.instantiate(self.stats)
-        # Declared typed parameters parse next, so the subclass body
-        # (and slot subcomponents) see ``self.<param>`` already set.
-        for attr, spec in type(self)._param_specs.items():
+    def _declare(self, stats: StatisticGroup, prefix: str) -> None:
+        """Bring the declarations alive on a new instance.
+
+        Declared statistics register into ``stats`` under
+        ``<prefix><name>`` before the subclass body runs, preserving
+        the ``self.s_hits`` fast-access idiom.  Declared typed
+        parameters parse next, so the subclass body (and slot
+        subcomponents) see ``self.<param>`` already set.  Declared
+        slots resolve last, through the registry: the selected type
+        name is the slot-named Params key and the subcomponent receives
+        the ``<slot>.``-scoped sub-params.
+        """
+        cls = type(self)
+        for attr, spec in cls._stat_specs.items():
+            self.__dict__[attr] = getattr(stats, spec.kind)(
+                prefix + spec.name, **spec.kwargs)
+        for attr, spec in cls._param_specs.items():
             self.__dict__[attr] = spec.parse(self.params)
-        # Declared subcomponent slots resolve through the registry; the
-        # selected type name is the slot-named Params key and the
-        # subcomponent receives the ``<slot>.``-scoped sub-params.
-        for attr, spec in type(self)._slot_specs.items():
+        for attr, spec in cls._slot_specs.items():
             type_name = spec.configured_type(self.params)
             if type_name is None:
                 continue
@@ -183,6 +170,166 @@ class Component:
             spec.check(type_name, sub_cls)
             self.__dict__[attr] = sub_cls(self, attr,
                                           self.params.scoped(attr))
+
+    def _filled_slots(self) -> List[Tuple[str, "SubComponent"]]:
+        """``(slot, subcomponent)`` for every filled slot, in order."""
+        return [(attr, sub) for attr in type(self)._slot_specs
+                if isinstance(sub := self.__dict__.get(attr), SubComponent)]
+
+    # ------------------------------------------------------------------
+    # simulated time and randomness
+    # ------------------------------------------------------------------
+    @property
+    def now(self) -> SimTime:
+        return self.sim.now
+
+    @property
+    def _seed_name(self) -> str:
+        """The name keying this model's random stream."""
+        return self.name
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """Deterministic random stream (seeded by name + sim seed)."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(
+                stable_seed(self._seed_name, self.sim.seed))
+        return self._rng
+
+    # ------------------------------------------------------------------
+    # checkpoint protocol (repro.ckpt)
+    # ------------------------------------------------------------------
+    def capture_state(self) -> Dict[str, Any]:
+        """The model's mutable run state, for engine checkpointing.
+
+        Every instance attribute except the engine-owned ones and
+        declared state marked ``save=False`` (live generators, open
+        files — anything unpicklable, rebuilt after a restore by the
+        spec's ``reconstruct=`` hook).  Statistics are captured
+        separately by the snapshot layer (references to registered
+        collectors inside the returned dict are preserved by identity,
+        not duplicated).
+
+        Slot subcomponents are captured *through* their parent: the
+        slot attribute is replaced by a marker dict carrying the
+        subcomponent's registered type name and its own
+        ``capture_state()``, so a restore applies the state into the
+        rebuilt subcomponent instance instead of deserialising a
+        detached copy (live events referencing the subcomponent keep
+        identity via the ckpt reference table).
+        """
+        skip = type(self)._state_skip
+        out = {k: v for k, v in self.__dict__.items() if k not in skip}
+        for attr, sub in self._filled_slots():
+            out[attr] = {"__slot__": type(sub).TYPE_NAME,
+                         "state": sub.capture_state()}
+        return out
+
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Apply state captured by :meth:`capture_state`.
+
+        Called on a freshly rebuilt component **after** ``setup()`` ran
+        and after its statistics were adopted, so a fully wired graph
+        and live collectors may be assumed.  After the captured dict is
+        applied, every declared state spec carrying ``reconstruct=``
+        has that method invoked, in declaration order (base classes
+        first), to rebuild ``save=False`` live objects; the ckpt layer
+        then calls :meth:`on_restore` once per model.
+
+        Slot markers produced by :meth:`capture_state` are applied into
+        the already-rebuilt subcomponent instances (identity preserved)
+        after a type check — a snapshot taken with one policy cannot be
+        restored into a graph configured with another.
+        """
+        slot_specs = type(self)._slot_specs
+        markers: Dict[str, Dict[str, Any]] = {}
+        if slot_specs:
+            state = dict(state)
+            for attr in slot_specs:
+                value = state.get(attr)
+                if isinstance(value, dict) and "__slot__" in value:
+                    markers[attr] = state.pop(attr)
+        self.__dict__.update(state)
+        for attr, marker in markers.items():
+            sub = self.__dict__.get(attr)
+            if not isinstance(sub, SubComponent) or \
+                    type(sub).TYPE_NAME != marker["__slot__"]:
+                raise SpecError(
+                    f"{self.name}: snapshot filled slot {attr!r} with "
+                    f"{marker['__slot__']!r} but the rebuilt component "
+                    f"holds {type(sub).__name__!r} — restore into the "
+                    f"same configuration")
+            sub.restore_state(marker["state"])
+        for hook in type(self)._reconstruct_hooks:
+            getattr(self, hook)()
+
+    # ------------------------------------------------------------------
+    # telemetry (repro.obs)
+    # ------------------------------------------------------------------
+    def telemetry_gauges(self) -> Dict[str, float]:
+        """Current values of ``state(..., gauge=True)`` declarations.
+
+        Sampled by :class:`~repro.analysis.timeseries.StatSampler` and
+        the telemetry heartbeat under ``<component>.<attr>`` keys,
+        alongside registered statistics (slot subcomponents' gauges
+        as ``<slot>.<attr>``).  Non-numeric values sample as their
+        length when sized, else are skipped.
+        """
+        out: Dict[str, float] = {}
+        for spec in type(self)._gauge_specs:
+            value = getattr(self, spec.attr, None)
+            if isinstance(value, (int, float)):
+                out[spec.attr] = float(value)
+            elif hasattr(value, "__len__"):
+                out[spec.attr] = float(len(value))
+        for attr, sub in self._filled_slots():
+            for key, value in sub.telemetry_gauges().items():
+                out[f"{attr}.{key}"] = value
+        return out
+
+    # ------------------------------------------------------------------
+    # lifecycle hooks
+    # ------------------------------------------------------------------
+    def on_setup(self) -> None:
+        """Graph fully wired; register work, kick off first events."""
+
+    def on_finish(self) -> None:
+        """Run over; finalize statistics."""
+
+    def on_restore(self) -> None:
+        """Called by `repro.ckpt` after this model's state (and every
+        other one's) has been restored, in component registration order
+        — the place to re-derive caches from restored state."""
+
+
+class Component(_Declarative):
+    """Base class for every simulated hardware/software model.
+
+    Subclasses declare their interface with :func:`port`, :func:`state`,
+    :func:`stat`, :func:`param` and :func:`slot` class attributes.
+    """
+
+    _ENGINE_OWNED = frozenset({"sim", "name", "params", "stats", "_ports"})
+
+    # -- engine-owned run flags (declared for docs/describe; the
+    #    constructor assigns them eagerly, so behaviour is unchanged) --
+    _is_primary = state(False, doc="registered as a primary component")
+    _ok_to_end = state(True, doc="primary component is OK with ending")
+    _rng = state(None, doc="lazily created per-component random stream")
+    _clock_index = state(0, doc="clocks registered so far (names clock, "
+                                "clock1, clock2, ...)")
+
+    def __init__(self, sim: "Simulation", name: str, params: Optional[Params] = None):
+        self.sim = sim
+        self.name = name
+        self.params = params if params is not None else Params({})
+        self.stats = StatisticGroup()
+        self._ports: Dict[str, Port] = {}
+        self._is_primary = False
+        self._ok_to_end = True
+        self._rng = None
+        self._clock_index = 0
+        self._declare(self.stats, "")
         # Declared scalar ports bind their handlers (decorator, explicit
         # name, or on_<port> convention); indexed families are bound by
         # the subclass, which knows the index range.
@@ -305,152 +452,25 @@ class Component:
         return self._is_primary
 
     # ------------------------------------------------------------------
-    # randomness
-    # ------------------------------------------------------------------
-    @property
-    def rng(self) -> np.random.Generator:
-        """Deterministic per-component random stream (seeded by name+sim seed)."""
-        if self._rng is None:
-            self._rng = np.random.default_rng(stable_seed(self.name, self.sim.seed))
-        return self._rng
-
-    # ------------------------------------------------------------------
-    # checkpoint protocol (repro.ckpt)
-    # ------------------------------------------------------------------
-    def capture_state(self) -> Dict[str, Any]:
-        """The component's mutable run state, for engine checkpointing.
-
-        The default covers the whole model library: every instance
-        attribute except the engine-owned ones in :data:`STATE_EXCLUDE`
-        and declared state marked ``save=False`` (live generators, open
-        files — anything unpicklable, rebuilt after a restore by the
-        spec's ``reconstruct=`` hook).  Statistics are captured
-        separately by the snapshot layer (references to registered
-        collectors inside the returned dict are preserved by identity,
-        not duplicated).  Overriding this method is deprecated —
-        declare the offending attribute with
-        ``state(..., save=False, reconstruct=...)`` instead.
-
-        Slot subcomponents are captured *through* their parent: the
-        slot attribute is replaced by a marker dict carrying the
-        subcomponent's registered type name and its own
-        ``capture_state()``, so a restore applies the state into the
-        rebuilt subcomponent instance instead of deserialising a
-        detached copy (live events referencing the subcomponent keep
-        identity via the ckpt reference table).
-        """
-        skip = type(self)._state_skip
-        out = {k: v for k, v in self.__dict__.items() if k not in skip}
-        for attr in type(self)._slot_specs:
-            sub = self.__dict__.get(attr)
-            if isinstance(sub, SubComponent):
-                out[attr] = {"__slot__": type(sub).TYPE_NAME,
-                             "state": sub.capture_state()}
-        return out
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Apply state captured by :meth:`capture_state`.
-
-        Called on a freshly rebuilt component **after** ``setup()`` ran
-        and after its statistics were adopted, so a fully wired graph
-        and live collectors may be assumed.  After the captured dict is
-        applied, every declared state spec carrying ``reconstruct=``
-        has that method invoked, in declaration order (base classes
-        first), to rebuild ``save=False`` live objects; the ckpt layer
-        then calls :meth:`on_restore` once per component.
-
-        Slot markers produced by :meth:`capture_state` are applied into
-        the already-rebuilt subcomponent instances (identity preserved)
-        after a type check — a snapshot taken with one policy cannot be
-        restored into a graph configured with another.
-        """
-        slot_specs = type(self)._slot_specs
-        markers: Dict[str, Dict[str, Any]] = {}
-        if slot_specs:
-            state = dict(state)
-            for attr in slot_specs:
-                value = state.get(attr)
-                if isinstance(value, dict) and "__slot__" in value:
-                    markers[attr] = state.pop(attr)
-        self.__dict__.update(state)
-        for attr, marker in markers.items():
-            sub = self.__dict__.get(attr)
-            if not isinstance(sub, SubComponent) or \
-                    type(sub).TYPE_NAME != marker["__slot__"]:
-                raise SpecError(
-                    f"{self.name}: snapshot filled slot {attr!r} with "
-                    f"{marker['__slot__']!r} but the rebuilt component "
-                    f"holds {type(sub).__name__!r} — restore into the "
-                    f"same configuration")
-            sub.restore_state(marker["state"])
-        for hook in type(self)._reconstruct_hooks:
-            getattr(self, hook)()
-
-    # ------------------------------------------------------------------
-    # telemetry (repro.obs)
-    # ------------------------------------------------------------------
-    def telemetry_gauges(self) -> Dict[str, float]:
-        """Current values of ``state(..., gauge=True)`` declarations.
-
-        Sampled by :class:`~repro.analysis.timeseries.StatSampler` and
-        the telemetry heartbeat under ``<component>.<attr>`` keys,
-        alongside registered statistics.  Non-numeric values sample as
-        their length when sized, else are skipped.
-        """
-        out: Dict[str, float] = {}
-        for spec in type(self)._gauge_specs:
-            value = getattr(self, spec.attr, None)
-            if isinstance(value, (int, float)):
-                out[spec.attr] = float(value)
-            elif hasattr(value, "__len__"):
-                out[spec.attr] = float(len(value))
-        for attr in type(self)._slot_specs:
-            sub = self.__dict__.get(attr)
-            if isinstance(sub, SubComponent):
-                for key, value in sub.telemetry_gauges().items():
-                    out[f"{attr}.{key}"] = value
-        return out
-
-    # ------------------------------------------------------------------
-    # lifecycle hooks
+    # lifecycle
     # ------------------------------------------------------------------
     def setup(self) -> None:
         """Called once after the full graph is wired, before the run.
 
-        Override :meth:`on_setup` instead; overriding ``setup()``
-        itself still works (legacy) but bypasses hook dispatch.  Slot
-        subcomponents receive their ``on_setup`` first, so the parent's
-        hook may already rely on a fully initialised policy.
+        Override :meth:`on_setup` instead; a direct ``setup()``
+        override bypasses hook dispatch.  Slot subcomponents receive
+        their ``on_setup`` first, so the parent's hook may already rely
+        on a fully initialised policy.
         """
-        for sub in self._slot_subcomponents():
+        for _, sub in self._filled_slots():
             sub.on_setup()
         self.on_setup()
 
     def finish(self) -> None:
         """Called once when the run ends.  Override :meth:`on_finish`."""
         self.on_finish()
-        for sub in self._slot_subcomponents():
+        for _, sub in self._filled_slots():
             sub.on_finish()
-
-    def _slot_subcomponents(self) -> list:
-        """The live subcomponents filling this component's slots."""
-        return [sub for attr in type(self)._slot_specs
-                if isinstance(sub := self.__dict__.get(attr), SubComponent)]
-
-    def on_setup(self) -> None:
-        """Graph fully wired; register work, kick off first events."""
-
-    def on_finish(self) -> None:
-        """Run over; finalize statistics."""
-
-    def on_restore(self) -> None:
-        """Called by `repro.ckpt` after this component's state (and every
-        other component's) has been restored, in component registration
-        order — the place to re-derive caches from restored state."""
-
-    @property
-    def now(self) -> SimTime:
-        return self.sim.now
 
     def debug(self, message: str) -> None:
         """Engine-level debug trace, gated on the simulation's verbosity."""
@@ -461,14 +481,14 @@ class Component:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class SubComponent:
+class SubComponent(_Declarative):
     """Base class for slot-loaded subcomponents (SST's SubComponent).
 
     A subcomponent is a swappable strategy object living *inside* a
     component — a scheduler policy, a replacement policy, an arbiter —
     selected by registered type name through a :func:`slot` declaration
     and constructed with ``(parent, slot_name, params)``.  It shares
-    the declarative API of :class:`Component` minus ports and nested
+    the declarative base of :class:`Component` minus ports and nested
     slots: declared :func:`state` participates in the parent's
     checkpoint capture/restore (``reconstruct=`` hooks included),
     declared :func:`stat` statistics register into the **parent's**
@@ -483,109 +503,41 @@ class SubComponent:
     checkpoint restore.
     """
 
-    #: Attributes owned by the wiring layer, excluded from capture.
-    STATE_EXCLUDE = frozenset({"parent", "name", "params"})
-
-    _state_specs: Dict[str, StateSpec] = {}
-    _stat_specs: Dict[str, StatSpec] = {}
-    _param_specs: Dict[str, ParamSpec] = {}
-    _state_skip: frozenset = STATE_EXCLUDE
-    _gauge_specs: tuple = ()
-    _reconstruct_hooks: tuple = ()
+    _ENGINE_OWNED = frozenset({"parent", "name", "params"})
 
     _rng = state(None, doc="lazily created per-subcomponent random stream")
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        from .describe import collect_specs
-
-        specs = collect_specs(cls)
-        if specs["ports"]:
+        if cls._port_specs:
             raise SpecError(
                 f"{cls.__name__}: subcomponents declare no ports — events "
                 f"reach them through their parent component")
-        if specs["slots"]:
+        if cls._slot_specs:
             raise SpecError(
                 f"{cls.__name__}: nested subcomponent slots are not "
                 f"supported")
-        cls._state_specs = specs["state"]
-        cls._stat_specs = specs["stats"]
-        cls._param_specs = specs["params"]
-        cls._state_skip = frozenset(cls.STATE_EXCLUDE) | {
-            attr for attr, spec in cls._state_specs.items() if not spec.save
-        }
-        cls._gauge_specs = tuple(
-            spec for spec in cls._state_specs.values() if spec.gauge
-        )
-        cls._reconstruct_hooks = tuple(
-            spec.reconstruct for spec in cls._state_specs.values()
-            if spec.reconstruct is not None
-        )
 
     def __init__(self, parent: Component, name: str,
                  params: Optional[Params] = None):
         self.parent = parent
         self.name = name
         self.params = params if params is not None else Params({})
-        self._rng: Optional[np.random.Generator] = None
+        self._rng = None
         # Declared statistics register into the parent's group under
         # slot-prefixed names, so every stats consumer (harvest, ckpt
         # meta, parallel merge, OpenMetrics) sees them for free.
-        for attr, spec in type(self)._stat_specs.items():
-            factory = getattr(parent.stats, spec.kind)
-            self.__dict__[attr] = factory(f"{name}.{spec.name}",
-                                          **spec.kwargs)
-        for attr, spec in type(self)._param_specs.items():
-            self.__dict__[attr] = spec.parse(self.params)
+        self._declare(parent.stats, f"{name}.")
 
-    # -- conveniences mirroring Component -------------------------------
     @property
     def sim(self) -> "Simulation":
         return self.parent.sim
 
     @property
-    def now(self) -> SimTime:
-        return self.parent.sim.now
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """Deterministic stream keyed by ``<parent>.<slot>`` + sim seed."""
-        if self._rng is None:
-            self._rng = np.random.default_rng(
-                stable_seed(f"{self.parent.name}.{self.name}",
-                            self.parent.sim.seed))
-        return self._rng
-
-    # -- checkpoint protocol (driven by the parent component) -----------
-    def capture_state(self) -> Dict[str, Any]:
-        skip = type(self)._state_skip
-        return {k: v for k, v in self.__dict__.items() if k not in skip}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        for hook in type(self)._reconstruct_hooks:
-            getattr(self, hook)()
-
-    # -- telemetry -------------------------------------------------------
-    def telemetry_gauges(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for spec in type(self)._gauge_specs:
-            value = getattr(self, spec.attr, None)
-            if isinstance(value, (int, float)):
-                out[spec.attr] = float(value)
-            elif hasattr(value, "__len__"):
-                out[spec.attr] = float(len(value))
-        return out
-
-    # -- lifecycle hooks -------------------------------------------------
-    def on_setup(self) -> None:
-        """Parent graph fully wired (runs before the parent's hook)."""
-
-    def on_finish(self) -> None:
-        """Run over (runs after the parent's hook)."""
-
-    def on_restore(self) -> None:
-        """Called by `repro.ckpt` after every component was restored."""
+    def _seed_name(self) -> str:
+        """``<parent>.<slot>``: swapping policies never perturbs other
+        components' draws."""
+        return f"{self.parent.name}.{self.name}"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<{type(self).__name__} "

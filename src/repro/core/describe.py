@@ -20,8 +20,8 @@ time:
   ``gauge=True`` flag that surfaces the value to the telemetry layer.
 * :func:`stat` (``stat.counter`` / ``stat.accumulator`` /
   ``stat.histogram``) / :class:`StatSpec` — a registered statistic,
-  instantiated automatically in ``Component.__init__`` so subclasses
-  stop hand-plumbing :class:`~repro.core.statistics.StatisticGroup`.
+  instantiated automatically at construction, so subclasses never
+  hand-plumb :class:`~repro.core.statistics.StatisticGroup`.
 * :func:`param` / :class:`ParamSpec` — a typed constructor parameter
   with a default and optional ``choices``; parsed from the component's
   :class:`~repro.core.params.Params` at construction, documented by
@@ -36,9 +36,12 @@ time:
   engine service (checkpointing, telemetry, conformance) through its
   parent.
 
-Everything here runs at class creation or component construction —
-never on the event hot path.  See ``docs/COMPONENTS.md`` for the
-authoring guide and a worked example.
+These declarations are the one component protocol: the shared base of
+``Component`` and ``SubComponent`` refuses the imperative forms
+(``PORTS`` dicts, ``STATE_EXCLUDE``, ``capture_state``/``restore_state``
+overrides) at class creation.  Everything here runs at class creation
+or component construction — never on the event hot path.  See
+``docs/COMPONENTS.md`` for the authoring guide and a worked example.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ class PortSpec:
         Resolution order: an explicit/decorator-recorded handler name,
         then the ``on_<port>`` naming convention.  Indexed families
         return None — their per-index closures are bound by the
-        subclass (see ``Component.bind_indexed_ports``).
+        subclass with ``Component.set_handler``.
         """
         if self.indexed:
             return None
@@ -194,11 +197,11 @@ class StateSpec:
     nothing — the descriptor is off the hot path), and assignments are
     ordinary attribute writes.  Declared state is consumed by:
 
-    * ``repro.ckpt`` — captured by the default
-      ``Component.capture_state`` unless ``save=False``; after a
-      restore, specs carrying ``reconstruct=`` have that method invoked
-      (in declaration order) to rebuild unpicklable live objects from
-      the already-applied picklable state.
+    * ``repro.ckpt`` — captured by ``capture_state`` unless
+      ``save=False``; after a restore, specs carrying ``reconstruct=``
+      have that method invoked (in declaration order) to rebuild
+      unpicklable live objects from the already-applied picklable
+      state.
     * ``repro.obs`` — ``gauge=True`` values appear in
       :meth:`Component.telemetry_gauges` and are sampled by
       :class:`~repro.analysis.timeseries.StatSampler` and the telemetry
@@ -289,8 +292,8 @@ class StatSpec:
     """A declared statistic, registered automatically at construction.
 
     The attribute name minus a leading ``s_`` is the registered name
-    unless ``name=`` overrides it; ``Component.__init__`` instantiates
-    every declared statistic into ``self.<attr>`` (same objects as
+    unless ``name=`` overrides it; construction instantiates every
+    declared statistic into ``self.<attr>`` (same objects as
     ``self.stats.get(name)``), preserving the library's ``self.s_hits``
     fast-access idiom without any per-subclass plumbing.
     """
@@ -311,10 +314,6 @@ class StatSpec:
         self.attr = attr
         if self.name is None:
             self.name = attr[2:] if attr.startswith("s_") else attr
-
-    def instantiate(self, group: Any) -> Any:
-        factory = getattr(group, self.kind)
-        return factory(self.name, **self.kwargs)
 
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
         if obj is None:
@@ -375,7 +374,7 @@ _PARAM_ACCESSORS = {
 class ParamSpec:
     """A declared, typed constructor parameter.
 
-    ``Component.__init__`` (and ``SubComponent.__init__``) parses every
+    Construction (of a component or a subcomponent) parses every
     declared parameter out of the instance's
     :class:`~repro.core.params.Params` with the accessor matching
     ``kind`` and assigns the result to ``self.<attr>`` before the
@@ -634,19 +633,13 @@ def describe_component(cls: type) -> Dict[str, Any]:
         "stats": [spec.describe() for spec in stats.values()],
         "params": [spec.describe() for spec in params.values()],
         "slots": [spec.describe() for spec in slots.values()],
-        "legacy_ports": (
-            dict(cls.PORTS) if not ports and getattr(cls, "PORTS", None)
-            else None),
     }
 
 
 def validate_port_name(cls: type, port_name: str) -> bool:
     """Graph-build-time check: is ``port_name`` declared on ``cls``?
 
-    Classes that declare no port specs (legacy / out-of-tree) accept
-    anything.
+    Every link endpoint must name a declared port; a class declaring
+    no ports accepts no links.
     """
-    specs = getattr(cls, "_port_specs", None)
-    if not specs:
-        return True
-    return any(spec.matches(port_name) for spec in specs.values())
+    return any(spec.matches(port_name) for spec in cls._port_specs.values())

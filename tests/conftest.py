@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Component, Event, Params, register
+from repro.core import Component, Event, Params, port, register
 
 
 class Token(Event):
@@ -26,7 +26,7 @@ class PingPong(Component):
     exit protocol once its quota is met.
     """
 
-    PORTS = {"io": "bidirectional token port"}
+    io = port("bidirectional token port")
 
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
@@ -77,7 +77,8 @@ class Clocked(Component):
 class Sink(Component):
     """Counts everything arriving on its ``in`` port."""
 
-    PORTS = {"in": "token sink"}
+    in_ = port("token sink", name="in", required=False)
+    loop = port("self-link endpoint (never sent on)", required=False)
 
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
@@ -94,7 +95,7 @@ class Sink(Component):
 class Source(Component):
     """Emits ``count`` tokens on its ``out`` port, one per ``period``."""
 
-    PORTS = {"out": "token source"}
+    out = port("token source")
 
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)

@@ -5,7 +5,7 @@ spec collection across inheritance, auto-wired engine services
 (checkpoint capture, reconstruct hooks, telemetry gauges), graph-build
 port validation, the opt-in event type checks, clock naming, the
 ``Params`` unused-key diagnostics, the component catalogue CLI, and
-the component-hygiene lint.
+the class-creation refusal of the imperative protocol.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import ConfigGraph, build
+from repro.config import ConfigGraph, build, build_parallel
 from repro.config.graph import ConfigError
 from repro.core import (Component, Event, Params, Simulation, SpecError,
-                        UnusedParamsWarning, describe_component, port, stat,
-                        state)
+                        SubComponent, UnusedParamsWarning, describe_component,
+                        port, stat, state)
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -52,9 +52,6 @@ class Echo(Component):
 
 
 class TestPortSpec:
-    def test_ports_doc_derived_from_specs(self):
-        assert Echo.PORTS == {"io": "ping in, pong out"}
-
     def test_convention_handler_bound_at_init(self):
         sim = Simulation(seed=1)
         echo = Echo(sim, "e")
@@ -183,6 +180,19 @@ class TestStatSpec:
                 s_x = stat.counter("events")
                 s_y = stat.counter("events")
 
+    def test_subcomponent_duplicate_stat_name_rejected(self):
+        with pytest.raises(SpecError, match="both declare the name 'events'"):
+            class Dup(SubComponent):
+                s_x = stat.counter("events")
+                s_y = stat.counter("events")
+
+    @pytest.mark.parametrize("base", [Component, SubComponent],
+                             ids=lambda base: base.__name__)
+    def test_gauge_colliding_with_stat_rejected(self, base):
+        with pytest.raises(SpecError, match="gauge state 'depth' collides"):
+            type("Clash", (base,), {"depth": state(0, gauge=True),
+                                    "s_depth": stat.counter()})
+
 
 class TestLifecycleHooks:
     def test_on_setup_and_on_finish_called_in_order(self):
@@ -217,6 +227,18 @@ class TestBuilderValidation:
     def test_unknown_port_rejected_before_instantiation(self):
         with pytest.raises(ConfigError, match="declares no such port"):
             build(self._graph(port_b="cpux"), seed=1)
+
+    def test_link_to_portless_class_rejected(self):
+        # testlib.Clocked (tests/conftest.py) declares no ports at all.
+        g = ConfigGraph("portless")
+        g.component("src", "testlib.Source", {"count": 1})
+        g.component("clk", "testlib.Clocked", {"n_ticks": 1})
+        g.link("src", "out", "clk", "in", latency="1ns")
+        match = r"link endpoint clk\.in: .*\(declared: <none>\)"
+        with pytest.raises(ConfigError, match=match):
+            build(g, seed=1)
+        with pytest.raises(ConfigError, match=match):
+            build_parallel(g, 2, seed=1)
 
     def test_required_port_must_be_connected(self):
         g = ConfigGraph("req")
@@ -350,27 +372,27 @@ class TestComponentCLI:
         assert "Traceback" not in proc.stderr
 
 
-class TestComponentLint:
-    def test_library_is_clean(self):
-        sys.path.insert(0, str(REPO / "tools"))
-        try:
-            import lint_components
-        finally:
-            sys.path.pop(0)
-        assert lint_components.main([str(REPO / "src" / "repro")]) == 0
+class TestImperativeProtocolRefused:
+    """The imperative protocol fails at class creation, on both bases."""
 
-    def test_violations_detected(self, tmp_path):
-        sys.path.insert(0, str(REPO / "tools"))
-        try:
-            import lint_components
-        finally:
-            sys.path.pop(0)
-        bad = tmp_path / "lib" / "bad.py"
-        bad.parent.mkdir()
-        bad.write_text(
-            "class Sneaky:\n"
-            "    STATE_EXCLUDE = frozenset({'x'})\n"
-            "    def capture_state(self):\n"
-            "        return {}\n"
-        )
-        assert lint_components.main([str(tmp_path)]) == 1
+    @pytest.mark.parametrize("base", [Component, SubComponent],
+                             ids=lambda base: base.__name__)
+    @pytest.mark.parametrize("attr,value,replacement", [
+        pytest.param("PORTS", {"io": "bidirectional"}, "port()",
+                     id="PORTS"),
+        pytest.param("STATE_EXCLUDE", frozenset({"_it"}),
+                     "state(save=False, reconstruct=...)",
+                     id="STATE_EXCLUDE"),
+        pytest.param("capture_state", lambda self: {},
+                     "state(save=False, reconstruct=...)",
+                     id="capture_state"),
+        pytest.param("restore_state", lambda self, snapshot: None,
+                     "on_restore()", id="restore_state"),
+    ])
+    def test_banned_name_raises_spec_error(self, base, attr, value,
+                                           replacement):
+        with pytest.raises(SpecError) as excinfo:
+            type("Legacy", (base,), {attr: value})
+        message = str(excinfo.value)
+        assert message.startswith("Legacy: ")
+        assert repr(attr) in message and replacement in message

@@ -139,6 +139,30 @@ class TestCli:
         assert "parallel run" in out
         assert "epochs" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "machine.json", "--ranks", "-3"],
+        ["run", "machine.json", "--ranks", "0"],
+        ["ckpt", "resume", "ckpt-0001", "--ranks", "-3"],
+        ["obs", "partition-advise", "m.jsonl", "--config", "machine.json",
+         "--ranks", "0"],
+    ], ids=["run-negative", "run-zero", "ckpt-resume", "partition-advise"])
+    def test_non_positive_ranks_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            make_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "--ranks: must be >= 1" in capsys.readouterr().err
+
+    def test_trace_with_ranks_rejected(self, tmp_path, capsys):
+        path = self._write_machine(tmp_path)
+        trace = tmp_path / "t.log"
+        assert main(["run", str(path), "--ranks", "2",
+                     "--trace", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            "error: --trace is for sequential runs only "
+            "(drop --trace or --ranks)"]
+        assert not trace.exists()
+
     def test_run_stats_csv(self, tmp_path, capsys):
         path = self._write_machine(tmp_path)
         csv_path = tmp_path / "stats.csv"
