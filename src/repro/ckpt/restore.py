@@ -38,7 +38,7 @@ from ..core.clock import _ArbiterTickEvent
 from ..core.component import Component
 from ..core.event import CallbackEvent
 from ..core.kernel import kernel_run
-from ..core.link import Port
+from ..core.link import Port, port_of
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import RunResult, Simulation, SimulationError
 from ..core.statistics import adopt_state
@@ -256,7 +256,7 @@ def _deliver_pending(sims: List[Simulation], pending: List[Tuple]) -> None:
         entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
         queue = entries[0][4].component.sim._queue
         for (time, priority, _link, _seq, port, event) in entries:
-            queue.push(time, priority, port.deliver, event)
+            queue.push(time, priority, port.handler, event)
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +376,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
                     f"{comp_name!r}")
             port = comp.port(port_name)
             merged[comp.sim.rank].append(
-                (time, priority, 1, link_id, send_seq, port.deliver, event))
+                (time, priority, 1, link_id, send_seq, port.handler, event))
 
     for sim in sims:
         entries = merged[sim.rank]
@@ -434,7 +434,7 @@ def _take_clock(pool: Dict[str, List], cstate: Dict[str, Any]):
 
 def _home_sim(handler: Any, event: Any, sims: List[Simulation]) -> Simulation:
     """Which rebuilt rank a surviving queue record belongs to."""
-    owner = getattr(handler, "__self__", None)
+    owner = port_of(handler) or getattr(handler, "__self__", None)
     if owner is None and isinstance(event, CallbackEvent):
         owner = getattr(event.callback, "__self__", None)
     if owner is not None:

@@ -21,6 +21,7 @@ pieces:
   ``("comp", name)``    the component of that name
   ``("subc", c, a)``    the subcomponent filling component ``c``'s slot ``a``
   ``("port", c, p)``    component ``c``'s port ``p``
+  ``("hdl", c, p)``     the handler bound to component ``c``'s port ``p``
   ``("stat", c, s)``    component ``c``'s registered statistic ``s``
   ``("clock", n, i)``   the ``i``-th registered clock named ``n``
   ``("arb", *key)``     the clock arbiter with that (period, priority,
@@ -31,11 +32,17 @@ pieces:
   ``("simobj", rank)``  the rank's Simulation object
   ====================  ==================================================
 
-  Bound methods (``port.deliver``, an arbiter's ``_dispatch``, a
+  A link event's record holds the receiving port's handler itself —
+  a bound method, or a closure for indexed port families (the memory
+  bus's ``cpu<i>``) that would not pickle by value — so every port's
+  handler is tabled as ``("hdl", c, p)`` and resolves to the rebuilt
+  port's handler.  Other bound methods (an arbiter's ``_dispatch``, a
   component callback held by a :class:`~repro.core.event.CallbackEvent`)
   pickle through the same machinery: pickle reduces them to
   ``getattr(owner, name)`` and the owner is intercepted by
-  ``persistent_id``.
+  ``persistent_id``.  Snapshots from before records carried handlers
+  hold ``getattr(port, "deliver")``, which resolves to the same
+  handler (:attr:`~repro.core.link.Port.deliver`).
 
 Identity that is *not* engine-owned — event payloads, component-private
 containers, numpy generators — pickles by value, which is exactly the
@@ -130,6 +137,7 @@ def build_ref_table(sims: Sequence[Simulation]) -> Dict[int, Tuple]:
                     table[id(sub)] = ("subc", name, attr)
             for pname, port in comp._ports.items():
                 table[id(port)] = ("port", name, pname)
+                table[id(port.handler)] = ("hdl", name, pname)
                 endpoint = port.endpoint
                 if endpoint is not None:
                     table[id(endpoint)] = ("lep", name, pname)
@@ -209,6 +217,8 @@ def make_resolver(sims: Sequence[Simulation],
                 return sub
             if kind == "port":
                 return comps[ref[1]].port(ref[2])
+            if kind == "hdl":
+                return comps[ref[1]].port(ref[2]).handler
             if kind == "stat":
                 return comps[ref[1]].stats.all()[ref[2]]
             if kind == "clock":

@@ -194,7 +194,9 @@ def deliver_cross_rank(psim: "ParallelSimulation", rank: int,
     assigns fresh sequence numbers in that order, which keeps
     tie-breaking backend independent.  Destination ports are resolved
     from the link id, so this works identically in-process and inside a
-    forked worker (which inherited the same cross-link table).
+    forked worker (which inherited the same cross-link table).  Each
+    entry carries the destination port's handler, as a local send's
+    does.
     """
     sim = psim._sims[rank]
     queue = sim._queue
@@ -204,7 +206,7 @@ def deliver_cross_rank(psim: "ParallelSimulation", rank: int,
         for when, priority, link_id, dest_rank, _seq, event in entries:
             link = cross[link_id]
             port = link.port_b if dest_rank == link.rank_b else link.port_a
-            queue.push(when, priority, port.deliver, event)
+            queue.push(when, priority, port.handler, event)
         return
     # Causal tracing (repro.obs.causal): record each arrival's local
     # node id against its (link, send_seq) identity so the analyzer can
@@ -212,7 +214,7 @@ def deliver_cross_rank(psim: "ParallelSimulation", rank: int,
     for when, priority, link_id, dest_rank, send_seq, event in entries:
         link = cross[link_id]
         port = link.port_b if dest_rank == link.rank_b else link.port_a
-        seq = queue.push(when, priority, port.deliver, event)
+        seq = queue.push(when, priority, port.handler, event)
         causal.on_cross_recv(seq, link_id, send_seq, when, priority)
 
 

@@ -49,7 +49,7 @@ from .describe import (ParamSpec, PortSpec, SlotSpec, SpecError,  # noqa: F401
                        StateSpec, StatSpec, collect_specs, param, port, slot,
                        state, stat)
 from .event import PRIORITY_CLOCK, Event
-from .link import LinkError, Port
+from .link import LinkError, Port, port_of
 from .params import Params
 from .statistics import StatisticGroup
 from .units import SimTime
@@ -356,20 +356,30 @@ class Component(_Declarative):
 
         Declared scalar ports bind automatically; this remains the
         primitive for indexed port families (``cpu<i>``), whose
-        per-index closures only the subclass can build.
+        per-index closures only the subclass can build.  An event
+        carries the handler bound when it was sent, so bind in
+        ``__init__``.  Under ``validate_events`` a handler bound once
+        setup has begun is wrapped here (earlier ones are wrapped
+        before the first ``setup()`` runs).
         """
         port = self.port(port_name)
-        port.handler = handler
+        sim = self.sim
+        if sim.validate_events and sim._setup_done:
+            handler = self._event_checked(port_name, handler)
+        port.bind(handler)
         return port
 
     def send(self, port_name: str, event: Event, extra_delay: SimTime = 0) -> SimTime:
         """Send ``event`` out of ``port_name``; returns the delivery time."""
-        port = self._ports.get(port_name)
-        if port is None or port.endpoint is None:
+        try:
+            endpoint = self._ports[port_name].endpoint
+        except KeyError:
+            endpoint = None
+        if endpoint is None:
             raise LinkError(
                 f"component {self.name!r}: send on unconnected port {port_name!r}"
             )
-        return port.endpoint.send(event, extra_delay)
+        return endpoint.send(event, extra_delay)
 
     def port_connected(self, port_name: str) -> bool:
         port = self._ports.get(port_name)
@@ -388,13 +398,18 @@ class Component(_Declarative):
         """Wrap handlers of event-typed declared ports with isinstance
         checks (``build(validate_events=True)`` / conformance tests
         only — never on by default, so the hot path stays bare)."""
+        for pname, p in self._ports.items():
+            if port_of(p.handler) is p:  # bound, not the stub
+                p.bind(self._event_checked(pname, p.handler))
+
+    def _event_checked(self, port_name: str,
+                       handler: Callable[[Event], None]) -> Callable[[Event], None]:
+        """``handler`` wrapped with the isinstance check its port's
+        declaration names, or unchanged when it names no event class."""
         for spec in type(self)._port_specs.values():
-            if spec.event is None:
-                continue
-            for pname, p in self._ports.items():
-                if p.handler is None or not spec.matches(pname):
-                    continue
-                p.handler = _checked_handler(self, pname, spec.event, p.handler)
+            if spec.event is not None and spec.matches(port_name):
+                return _checked_handler(self, port_name, spec.event, handler)
+        return handler
 
     # ------------------------------------------------------------------
     # clocks / timers

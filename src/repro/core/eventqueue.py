@@ -15,12 +15,19 @@ reaches the handler.  The kernel takes raw entries through
 past its window with :meth:`HeapEventQueue.unpop`;
 :meth:`HeapEventQueue.pop` wraps an entry in an
 :class:`~repro.core.event.EventRecord` for attribute access.
+
+Link endpoints push without a Python frame: they bind the queue's
+:attr:`~HeapEventQueue.push_entry` and :attr:`~HeapEventQueue.next_seq`
+once and build the entry themselves.  The queue still owns ``seq``:
+``next_seq`` is its one sequence source, and a restore re-seats it in
+place, so senders bound before the restore stay correct.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import partial
+from itertools import count
 from typing import Iterable, List, Optional, Tuple
 
 from .event import Event, EventRecord, Handler
@@ -37,16 +44,22 @@ _new_record = tuple.__new__
 class HeapEventQueue:
     """Binary-heap pending-event set (the engine queue)."""
 
-    __slots__ = ("_heap", "_seq", "pop_entry")
+    __slots__ = ("_heap", "pop_entry", "push_entry", "next_seq")
 
     def __init__(self) -> None:
         self._heap: List[Entry] = []
-        self._seq = 0
         #: Remove and return the earliest raw entry (the kernel's
         #: accessor); raises ``IndexError`` when empty.  Bound to the one
         #: heap list for the queue's lifetime (restore refills it in
         #: place): a pop is a C call with no Python frame.
         self.pop_entry = partial(heapq.heappop, self._heap)
+        #: Insert a raw entry whose seq came from :attr:`next_seq` (the
+        #: link endpoints' push); a C call like :attr:`pop_entry`.
+        self.push_entry = partial(heapq.heappush, self._heap)
+        #: The next insertion sequence number, consumed.  One partial
+        #: object for the queue's lifetime: restore re-seats the counter
+        #: inside it, never replaces it.
+        self.next_seq = partial(next, count())
 
     def push(
         self,
@@ -56,8 +69,7 @@ class HeapEventQueue:
         event: Optional[Event],
     ) -> int:
         """Queue a delivery; returns the insertion sequence number."""
-        seq = self._seq
-        self._seq = seq + 1
+        seq = self.next_seq()
         heapq.heappush(self._heap, (time, priority, seq, handler, event))
         return seq
 
@@ -92,7 +104,14 @@ class HeapEventQueue:
     @property
     def seq(self) -> int:
         """The next insertion sequence number this queue will assign."""
-        return self._seq
+        seq = self.next_seq()
+        self._reseat(seq)
+        return seq
+
+    def _reseat(self, seq: int) -> None:
+        """Make ``seq`` the next number :attr:`next_seq` hands out, in
+        place (``partial.__setstate__``), for every sender bound to it."""
+        self.next_seq.__setstate__((next, (count(seq),), None, None))
 
     def snapshot_records(self) -> List[EventRecord]:
         """All pending records, non-destructively, in no particular order."""
@@ -109,7 +128,7 @@ class HeapEventQueue:
         heap = self._heap
         heap[:] = records
         heapq.heapify(heap)
-        self._seq = seq
+        self._reseat(seq)
 
 
 def make_queue(kind: str = "heap") -> HeapEventQueue:

@@ -106,6 +106,9 @@ class Simulation:
         self.rank_seed = rank_seed
         self._engine_rng: Optional[np.random.Generator] = None
         self.verbose = verbose
+        #: wrap event-typed port handlers with isinstance checks
+        #: (``build(validate_events=True)``); set before setup()
+        self.validate_events = False
         self._queue = HeapEventQueue()
         self._components: Dict[str, Component] = {}
         self._links: List[Link] = []
@@ -300,19 +303,21 @@ class Simulation:
         ``validate_events`` enabled (``build(validate_events=True)`` or
         ``sim.validate_events = True`` before setup), handlers of ports
         whose declaration names an event class are wrapped with
-        isinstance checks — diagnostics only, never on by default, so
-        the bare hot path is unaffected.
+        isinstance checks before the first ``setup()`` runs — events
+        carry the handler bound when they are sent, so sends made in
+        ``setup()`` are checked too.  Diagnostics only, never on by
+        default, so the bare hot path is unaffected.
         """
         if self._setup_done:
             return
         self._setup_done = True
+        if self.validate_events:
+            for comp in self._components.values():
+                comp._install_event_checks()
         for comp in self._components.values():
             comp.setup()
         for comp in self._components.values():
             comp.params.finalize_check(comp.name)
-        if getattr(self, "validate_events", False):
-            for comp in self._components.values():
-                comp._install_event_checks()
 
     def finish(self) -> None:
         if self._finished:

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import IO, List, Optional, Tuple, Union
 
 from .clock import Clock
+from .link import port_of
 from .simulation import Simulation
 from .units import SimTime
 
@@ -27,14 +28,19 @@ def describe_handler(handler) -> str:
     """Human-readable identity of an event handler.
 
     A :class:`~repro.core.clock.Clock` — what observers are handed for
-    each member tick its arbiter fires — becomes ``clock:<name>``.
-    Bound methods resolve to their owner: a Port's ``deliver`` becomes
-    ``component.port``, a component method becomes ``component.method``.
+    each member tick its arbiter fires — becomes ``clock:<name>``.  A
+    handler bound to a port (what a link event's queue entry carries)
+    becomes ``component.port``, as does a port's no-handler stub.
+    Other bound methods resolve to their owner: a component method
+    becomes ``component.method``.
     """
     if handler is None:
         return "<none>"
     if type(handler) is Clock:
         return f"clock:{handler.name}"
+    port = port_of(handler)
+    if port is not None:
+        return port.full_name()
     owner = getattr(handler, "__self__", None)
     name = getattr(handler, "__name__", repr(handler))
     if owner is None:

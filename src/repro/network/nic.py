@@ -40,6 +40,12 @@ class Nic(Component):
 
     _tx_free = state(0, doc="time the injection path next frees up")
     _rx_free = state(0, doc="time the ejection path next frees up")
+    _tx_time = state(dict, save=False,
+                     doc="message size -> injection time, memoized "
+                         "bytes_time()")
+    _rx_time = state(dict, save=False,
+                     doc="message size -> ejection time, memoized "
+                         "bytes_time()")
 
     s_sent = stat.counter(doc="messages injected")
     s_received = stat.counter(doc="messages ejected")
@@ -60,21 +66,31 @@ class Nic(Component):
     def on_send(self, event) -> None:
         """Endpoint handed us a message: throttle, then inject."""
         assert isinstance(event, NetMessage)
-        event.send_time = self.now
-        start = max(self.now + self.send_overhead, self._tx_free)
-        self.s_inj_wait.add(start - self.now)
-        transfer = bytes_time(event.size, self.injection_bw)
+        now = self.sim.now
+        event.send_time = now
+        start = now + self.send_overhead
+        if self._tx_free > start:
+            start = self._tx_free
+        self.s_inj_wait.add(start - now)
+        size = event.size
+        transfer = self._tx_time.get(size)
+        if transfer is None:
+            transfer = self._tx_time[size] = bytes_time(size, self.injection_bw)
         self._tx_free = start + transfer
         self.s_sent.add()
-        self.s_bytes_sent.add(event.size)
-        self.send("net", event, extra_delay=self._tx_free - self.now)
+        self.s_bytes_sent.add(size)
+        self.send("net", event, extra_delay=self._tx_free - now)
 
     def on_deliver(self, event) -> None:
         """Fabric delivered a message: eject and hand to the endpoint."""
         assert isinstance(event, NetMessage)
-        start = max(self.now, self._rx_free)
-        transfer = bytes_time(event.size, self.ejection_bw)
+        now = self.sim.now
+        start = self._rx_free if self._rx_free > now else now
+        size = event.size
+        transfer = self._rx_time.get(size)
+        if transfer is None:
+            transfer = self._rx_time[size] = bytes_time(size, self.ejection_bw)
         self._rx_free = start + transfer
         self.s_received.add()
         done = self._rx_free + self.recv_overhead
-        self.send("cpu", event, extra_delay=done - self.now)
+        self.send("cpu", event, extra_delay=done - now)

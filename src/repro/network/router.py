@@ -17,7 +17,10 @@ Routing functions:
 
 Every kind but dragonfly routes on the destination alone, so
 ``on_message`` memoizes ``dest -> (out port, is_local)`` per router
-(``_routes``, never checkpointed: a restored router refills it).
+(``_routes``), and for every kind ``size -> transfer time`` at the
+router's one link bandwidth (``_transfer``; ``bytes_time`` is a pure
+function of size and bandwidth).  Neither memo is checkpointed: a
+restored router refills them.
 
 Per output port, messages serialise at ``link_bandwidth`` and pay
 ``hop_latency`` of pipeline delay (plus the config link's wire
@@ -98,6 +101,9 @@ class Router(Component):
     _routes = state(dict, save=False,
                     doc="dest endpoint -> (out port, is_local), memoized "
                         "route() results (not dragonfly)")
+    _transfer = state(dict, save=False,
+                      doc="message size -> serialisation time at "
+                          "link_bandwidth, memoized bytes_time()")
 
     s_forwarded = stat.counter(doc="messages sent to another router")
     s_delivered = stat.counter(doc="messages handed to a local endpoint")
@@ -271,13 +277,19 @@ class Router(Component):
                 self._routes[dest] = hop
         out_port, is_local = hop
         now = self.sim.now
-        start = max(now + self.hop_latency, self._port_free.get(out_port, 0))
+        start = now + self.hop_latency
+        free = self._port_free.get(out_port, 0)
+        if free > start:
+            start = free
         self.s_queue_wait.add(start - now)
-        transfer = bytes_time(event.size, self.link_bw)
+        size = event.size
+        transfer = self._transfer.get(size)
+        if transfer is None:
+            transfer = self._transfer[size] = bytes_time(size, self.link_bw)
         done = start + transfer
         self._port_free[out_port] = done
         event.hops += 1
-        self.s_bytes.add(event.size)
+        self.s_bytes.add(size)
         if is_local:
             self.s_delivered.add()
         else:

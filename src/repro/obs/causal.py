@@ -6,7 +6,10 @@ insertion sequence is already part of the determinism contract (see
 backends.  While a handler runs, every event it schedules is mapped
 to the running event's seq in the queue proxy's ``{seq: cause}`` map,
 and the entry is popped from the map when the scheduled event
-dispatches; cross-rank link sends are recorded with their
+dispatches.  Link sends push onto the heap without going through
+``sim._queue``, so the tracer re-targets every local link endpoint
+(``set_remote``) at a sender that pushes through the proxy; cross-rank
+link sends are recorded with their
 ``(src_rank, send_seq)`` identity so the receiving rank can stitch the
 edge back together at analysis time.  The result is a causality DAG on
 disk — per-rank JSONL shards next to the metrics stream — that
@@ -62,6 +65,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.event import CallbackEvent
+from ..core.link import port_of
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
 from .profiler import attribute_event
@@ -98,16 +102,18 @@ class _TracedQueue:
     The concrete queue uses ``__slots__`` (hot-path layout), so the
     tracer cannot monkeypatch ``push``; instead the tracer swaps
     ``sim._queue`` for this proxy.  ``pop_entry``/``unpop``/``peek_time``
-    are re-bound from the inner queue as instance attributes, so the
-    kernel loops — which hoist those callables — pay nothing extra; only
-    ``push`` (schedule-time, not dispatch-time) takes the detour to map
-    the new entry's seq to the tracer's one-slot cause cell.  Roots
-    (cause ``None``) get no map entry; :meth:`CausalTracer.on_dispatch`
-    pops each entry's cause, so a drained run leaves the map empty.
+    and the link endpoints' ``push_entry``/``next_seq`` are re-bound
+    from the inner queue as instance attributes, so the kernel loops —
+    which hoist those callables — pay nothing extra and the inner queue
+    stays the one owner of the seq counter; only ``push``
+    (schedule-time, not dispatch-time) takes the detour to map the new
+    entry's seq to the tracer's one-slot cause cell.  Roots (cause
+    ``None``) get no map entry; :meth:`CausalTracer.on_dispatch` pops
+    each entry's cause, so a drained run leaves the map empty.
     """
 
     __slots__ = ("_inner", "_cell", "causes", "pop_entry", "unpop",
-                 "peek_time")
+                 "peek_time", "push_entry", "next_seq")
 
     def __init__(self, inner, cell: List[Optional[int]]):
         self._inner = inner
@@ -117,6 +123,8 @@ class _TracedQueue:
         self.pop_entry = inner.pop_entry
         self.unpop = inner.unpop
         self.peek_time = inner.peek_time
+        self.push_entry = inner.push_entry
+        self.next_seq = inner.next_seq
 
     def push(self, time, priority, handler, event) -> int:
         seq = self._inner.push(time, priority, handler, event)
@@ -167,9 +175,10 @@ class CausalTracer:
         self._recvs: List[list] = []
         self._counts = {"nodes": 0, "sends": 0, "recvs": 0}
         # Interned attribution tables.  The per-dispatch cache is keyed
-        # by the *owner object's* id (bound-method objects are created
-        # fresh per push, so their own ids recycle); owners are pinned
-        # in _pins so a cached id can never be reused by a new object.
+        # by the id of the handler's port, else of its owner object
+        # (bound-method objects are created fresh per push, so their own
+        # ids recycle); keys are pinned in _pins so a cached id can never
+        # be reused by a new object.
         self._comp_cache: Dict[int, int] = {}
         self._comp_index: Dict[Tuple[str, str], int] = {}
         self._comps: List[Tuple[str, str]] = []
@@ -203,6 +212,7 @@ class CausalTracer:
         self._causes = sim._queue.causes
         sim._causal = self
         sim._rebuild_instr()
+        self._wrap_local_endpoints()
         if psim is not None:
             self._wrap_cross_endpoints(psim)
 
@@ -211,10 +221,11 @@ class CausalTracer:
         """Record the node for the raw queue ``entry`` and arm the cause
         cell."""
         time, priority, seq, handler, event = entry
-        # Attribution: cache by the handler's owner object when there is
-        # one; CallbackEvents attribute through their callback's owner.
+        # Attribution: cache by the handler's port or owner object when
+        # there is one; CallbackEvents attribute through their callback's
+        # owner.
         fn = event.callback if type(event) is CallbackEvent else handler
-        owner = getattr(fn, "__self__", None)
+        owner = port_of(fn) or getattr(fn, "__self__", None)
         if owner is not None:
             key = id(owner)
             comp_idx = self._comp_cache.get(key)
@@ -255,7 +266,28 @@ class CausalTracer:
             self._comp_index[key] = idx
         return idx
 
-    # -- cross-rank send capture ---------------------------------------
+    # -- link send capture ---------------------------------------------
+    def _wrap_local_endpoints(self) -> None:
+        """Re-target this rank's local link endpoints at the queue proxy.
+
+        A bare endpoint pushes onto the heap itself, which the proxy
+        would not see; the wrapper pushes the same entry through
+        ``proxy.push`` so the new seq maps to the cause cell.
+        """
+        push = self.sim._queue.push
+        for comp in self.sim._components.values():
+            for port in comp._ports.values():
+                endpoint = port.endpoint
+                if endpoint is None or endpoint._remote_send is not None:
+                    continue
+
+                def traced(when, priority, event, *,
+                           _peer=endpoint.peer_port):
+                    push(when, priority, _peer.handler, event)
+
+                endpoint.set_remote(traced)
+                self._wrapped.append((endpoint, None))
+
     def _wrap_cross_endpoints(self, psim: ParallelSimulation) -> None:
         """Interpose on this rank's outbound cross-rank senders.
 

@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Tuple, Union
 
 from ..core.clock import Clock
 from ..core.event import CallbackEvent
+from ..core.link import port_of
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
 
@@ -29,10 +30,11 @@ from ..core.simulation import Simulation
 def attribute_event(handler, event) -> Tuple[str, str]:
     """Resolve an executed event to ``(component name, handler label)``.
 
-    Port deliveries attribute to the receiving component, clock ticks to
-    the clock's owner, scheduled callbacks (which the engine runs
-    through a module-level trampoline) to the component whose bound
-    method was scheduled.
+    Port deliveries (the handler bound to the receiving port, or the
+    port's no-handler stub) attribute to the receiving component as
+    ``port:<name>``, clock ticks to the clock's owner, scheduled
+    callbacks (which the engine runs through a module-level
+    trampoline) to the component whose bound method was scheduled.
     """
     # Scheduled callbacks: the handler is the engine trampoline; the
     # real target is the callback captured in the event.
@@ -48,7 +50,7 @@ def _owner_of(fn, fallback_kind: str) -> Tuple[str, str]:
         # A member tick: the arbiter reports the Clock as the handler.
         # Clock names are "<component>.clock" by convention.
         return fn.name.split(".", 1)[0], f"clock:{fn.name}"
-    owner = getattr(fn, "__self__", None)
+    owner = port_of(fn) or getattr(fn, "__self__", None)
     name = getattr(fn, "__name__", repr(fn))
     if owner is None:
         return f"<{fallback_kind}>", name
