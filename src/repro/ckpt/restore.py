@@ -45,7 +45,8 @@ from ..core.statistics import adopt_state
 from ..core.tracelog import describe_handler
 from .snapshot import load_manifest, read_shard, snapshot
 from .state import (CheckpointError, is_dropped, load_refs, merge_id_sources,
-                    recompute_exit_state, restore_sim_state)
+                    recompute_exit_state, restore_rank_state,
+                    restore_sim_state)
 
 
 # ----------------------------------------------------------------------
@@ -197,29 +198,11 @@ def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
     for by_dest in psim._outboxes:
         for bucket in by_dest:
             bucket.clear()
-    metas = []
-    for rank, state in enumerate(_shard_states(root, manifest)):
-        meta = restore_sim_state(psim._sims[rank], state)
-        if meta["rank"] != rank:
-            raise CheckpointError(
-                f"shard {rank} carries state for rank {meta['rank']}")
-        psim._send_seq[rank][0] = meta["send_seq"] or 0
-        metas.append(meta)
-    merge_id_sources(metas)
     pstate = read_shard(root / manifest["parallel_file"]["file"],
                         expect=manifest["parallel_file"])
-    # Engine-stat authority split (processes backend): the shard's
-    # engine stats are worker-side — obs.* live, sync.* stale — while
-    # the parent's sync.* counters are the live authority.  Shards were
-    # applied above; the parent copies override name by name here.
-    for sim, remote_stats in zip(psim._sims, pstate["engine_stats"]):
-        group = sim.engine_stats.all()
-        for name, remote in remote_stats.items():
-            local = group.get(name)
-            if local is None:
-                sim.engine_stats._register(name, remote)
-            else:
-                adopt_state(local, remote)
+    merge_id_sources([
+        restore_rank_state(psim, rank, state, pstate["engine_stats"][rank])
+        for rank, state in enumerate(_shard_states(root, manifest))])
     psim.total_epochs = pstate["engine"]["total_epochs"]
     psim.total_remote_events = pstate["engine"]["total_remote_events"]
     _deliver_pending(psim._sims, load_refs(pstate["pending_blob"], psim._sims))

@@ -34,7 +34,8 @@ from typing import Any, Dict, Optional, Union
 
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
-from .state import CheckpointError, capture_sim_state, dump_refs
+from .state import (CheckpointError, capture_rank_state, capture_sim_state,
+                    dump_refs)
 
 #: on-disk snapshot format identifier; bump on incompatible changes
 SNAPSHOT_SCHEMA = "repro-ckpt/1"
@@ -63,6 +64,17 @@ def write_shard(path: Union[str, Path], state: Dict[str, Any]) -> Dict[str, Any]
     blob = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
     _atomic_write(path, blob)
     return {"sha256": hashlib.sha256(blob).hexdigest(), "size": len(blob)}
+
+
+def write_rank_shard(psim: ParallelSimulation, rank: int,
+                     path: Union[str, Path]) -> Dict[str, Any]:
+    """Capture ``rank``'s live state and write it as a shard; returns
+    the manifest metadata plus the rank's ``now``.  Called in whichever
+    process owns the live rank."""
+    state = capture_rank_state(psim, rank)
+    meta = write_shard(path, state)
+    meta["now"] = state["meta"]["now"]
+    return meta
 
 
 def read_shard(path: Union[str, Path],
@@ -157,9 +169,10 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
     Each rank's shard is written where its live queue lives: via
     ``backend.snapshot_rank`` (in-process for serial, inside
     the forked worker for processes).  The parent then writes the
-    pending-send payload plus its own authoritative engine counters,
-    and commits the manifest last.  With ``backend=None`` (outside a
-    run) ranks are captured directly in-process.
+    pending-send payload plus its own engine counters, and commits the
+    manifest last.  With ``backend=None`` (outside a run) ranks are
+    captured in-process: after any run, on either backend, the parent
+    holds every rank's live state.
     """
     graph_dict, ghash = _graph_payload(psim)
     root = Path(path)
@@ -170,17 +183,11 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
         if backend is not None:
             meta = backend.snapshot_rank(rank, str(shard))
         else:
-            state = capture_sim_state(psim._sims[rank],
-                                      send_seq=psim._send_seq[rank][0])
-            meta = write_shard(shard, state)
-            meta["now"] = state["meta"]["now"]
+            meta = write_rank_shard(psim, rank, shard)
         shards.append({"file": shard.name, "rank": rank, **meta})
-    # Parent-side payload.  Under the processes backend the parent's
-    # worker-rank sim objects hold stale queues but its sync strategy
-    # and sync.* counters are the live authority — a worker shard's
-    # engine stats are worker-side (obs.* live, sync.* stale), so a
-    # restore applies the shard first and these overrides after, name
-    # by name.
+    # Parent-side payload: the sync strategy's pending sends and the
+    # parent's engine stats (a restore takes their sync.* names, see
+    # state.owned_engine_stats).
     pending = psim._sync.export_pending(psim._cross_links)
     parallel_state = {
         "pending_blob": dump_refs(psim._sims, pending),
@@ -194,8 +201,8 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
     manifest = {
         "schema": SNAPSHOT_SCHEMA,
         "mode": "parallel",
-        # From the shard metadata, not the parent's sim objects — under
-        # the processes backend worker ranks' are stale fork-time copies.
+        # From the shard metadata: mid-run, the parent's worker-rank
+        # sim objects are stale fork-time copies.
         "sim_time_ps": max(entry["now"] for entry in shards),
         "seed": psim.seed,
         "num_ranks": psim.num_ranks,

@@ -62,9 +62,10 @@ from __future__ import annotations
 
 import io
 import pickle
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.event import IdSource
+from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
 from ..core.statistics import adopt_state
 
@@ -316,12 +317,19 @@ def capture_sim_state(sim: Simulation,
     return {"meta": meta, "linked": dump_refs([sim], linked)}
 
 
+def capture_rank_state(psim: ParallelSimulation, rank: int) -> Dict[str, Any]:
+    """:func:`capture_sim_state` of one parallel rank, with its
+    cross-rank send counter — call it where the live rank runs."""
+    return capture_sim_state(psim._sims[rank],
+                             send_seq=psim._send_seq[rank][0])
+
+
 # ----------------------------------------------------------------------
 # exact-mode restore (same rank layout)
 # ----------------------------------------------------------------------
 
 def restore_sim_state(sim: Simulation, state: Dict[str, Any]) -> Dict[str, Any]:
-    """Apply a captured shard to a freshly rebuilt, set-up ``sim``.
+    """Apply a captured shard to a set-up ``sim``.
 
     Exact mode only: the target must have the same component set, clock
     registrations and arbiter keys as the capture (guaranteed when both
@@ -396,6 +404,55 @@ def restore_sim_state(sim: Simulation, state: Dict[str, Any]) -> Dict[str, Any]:
     recompute_exit_state(sim)
     sim._stop_requested = False
     return meta
+
+
+def restore_rank_state(psim: ParallelSimulation, rank: int,
+                       state: Dict[str, Any],
+                       parent_stats: Optional[Dict[str, Any]] = None,
+                       ) -> Dict[str, Any]:
+    """Apply a :func:`capture_rank_state` to ``psim``'s rank ``rank``.
+
+    The one way a rank's state reaches a parent ``ParallelSimulation``:
+    an exact restore applies each snapshot shard with it, and the
+    processes backend re-homes every worker rank with it when a run
+    ends.  Engine statistics follow :func:`owned_engine_stats`.
+    Returns the shard's meta dict.
+    """
+    meta = state["meta"]
+    if meta["rank"] != rank:
+        raise CheckpointError(
+            f"shard {rank} carries state for rank {meta['rank']}")
+    engine_stats = owned_engine_stats(meta["engine_stats"], parent_stats)
+    restore_sim_state(psim._sims[rank],
+                      {**state, "meta": {**meta, "engine_stats": engine_stats}})
+    psim._send_seq[rank][0] = meta["send_seq"] or 0
+    return meta
+
+
+#: engine statistics the parent's epoch loop maintains
+#: (``ParallelSimulation._sync_stats``)
+PARENT_STAT_PREFIX = "sync."
+
+
+def owned_engine_stats(rank_stats: Dict[str, Any],
+                       parent_stats: Optional[Dict[str, Any]] = None,
+                       ) -> Dict[str, Any]:
+    """The one engine-statistic authority rule: which captured engine
+    statistics a parent rank adopts.
+
+    ``sync.*`` statistics are the parent's: the epoch loop updates them
+    in the parent process, so a worker rank's copies are stale.  Every
+    other engine statistic (the ``obs.*`` rank-telemetry counters) is
+    the rank's own and comes from ``rank_stats``, captured where the
+    rank ran.  ``sync.*`` values come from ``parent_stats`` (a
+    snapshot's parent payload); with None the parent keeps the
+    collectors it holds (its live ones when a run ends).
+    """
+    owned = {name: stat for name, stat in rank_stats.items()
+             if not name.startswith(PARENT_STAT_PREFIX)}
+    owned.update((name, stat) for name, stat in (parent_stats or {}).items()
+                 if name.startswith(PARENT_STAT_PREFIX))
+    return owned
 
 
 def recompute_exit_state(sim: Simulation) -> None:

@@ -15,8 +15,8 @@ reports a :class:`RankStep` per rank.  Two substrates are provided:
   the backend that leaves the GIL.  Requirements and caveats:
 
   - the ``fork`` start method (Linux/macOS); workers inherit the fully
-    wired per-rank simulations, so nothing but events and statistics
-    ever crosses the process boundary;
+    wired per-rank simulations, so only events cross the process
+    boundary during a run;
   - events sent over cross-rank links must be picklable (slotted
     payload-only events are; events carrying live object references
     are not, and raise a descriptive error);
@@ -26,16 +26,17 @@ reports a :class:`RankStep` per rank.  Two substrates are provided:
     (``psim.rank_plan``, duck-typed — see :mod:`repro.obs.rank_stream`)
     whose lightweight recorder writes per-rank JSONL shards (the only
     way a rank's records leave the rank — step frames carry no
-    telemetry); profiler buckets plus rank counters harvest back at
-    ``finalize()``.
+    telemetry); profiler buckets harvest back at ``finalize()``.
     Observers no plan entry covers raise a one-time
     :class:`RankObservabilityWarning` instead of being silently
     dropped.  Parent-side epoch observers — telemetry, progress,
     Chrome trace epoch lanes — keep working regardless;
-  - parent-side component *objects* of worker ranks are not
-    synchronized back, but their registered statistics are (adopted in
-    ``finalize()``), so ``stat_values()`` equivalence holds across all
-    backends.
+  - when a run ends — completion or a ``max_time``/``max_epochs``
+    stop — ``finalize()`` re-homes every worker rank's full state
+    (queue, clocks, component attributes, statistics) into the parent
+    through the checkpoint protocol, so the parent then holds what the
+    serial backend would: the run can resume, be snapshotted, or be
+    inspected through its component objects.
 
 The same substrate names power :class:`JobPool`, the coarse-grained
 variant used by :func:`repro.dse.sweep` to evaluate independent design
@@ -53,11 +54,9 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from .event import decode_entries, encode_entries
-from .kernel import harvest_engine_stats, harvest_stats
+from .event import IdSource, decode_entries, encode_entries
 from .shm import ShmExchange
 from .simulation import SimulationError
-from .statistics import adopt_state
 from .sync import OutboxEntry
 from .units import SimTime
 
@@ -218,20 +217,6 @@ def deliver_cross_rank(psim: "ParallelSimulation", rank: int,
         causal.on_cross_recv(seq, link_id, send_seq, when, priority)
 
 
-def _write_rank_shard(psim: "ParallelSimulation", rank: int,
-                      shard_path: str) -> Dict[str, Any]:
-    """Capture ``rank``'s live engine state into a checkpoint shard —
-    called in whichever process owns the live rank."""
-    from ..ckpt.state import capture_sim_state
-    from ..ckpt.snapshot import write_shard
-
-    state = capture_sim_state(psim._sims[rank],
-                              send_seq=psim._send_seq[rank][0])
-    meta = write_shard(shard_path, state)
-    meta["now"] = state["meta"]["now"]
-    return meta
-
-
 def _timed_step(sim: "Simulation", epoch_end: SimTime) -> RankStep:
     """Run one rank's kernel window and package the result.
 
@@ -293,7 +278,9 @@ class ExecutionBackend:
         Returns the shard metadata dict (``sha256``, ``size``) recorded
         in the snapshot manifest.
         """
-        return _write_rank_shard(self.psim, rank, shard_path)
+        from ..ckpt.snapshot import write_rank_shard
+
+        return write_rank_shard(self.psim, rank, shard_path)
 
     def close(self) -> None:
         """Release execution resources.  Safe to call repeatedly."""
@@ -394,12 +381,8 @@ class RankRunner:
         return result
 
     def finish(self) -> Optional[Dict[str, Any]]:
-        """Run the rank's finish hooks with its live state, then close
-        the recorder; returns the recorder's harvest for the plan."""
-        self.sim.finish()
-        return self._finish_recorder()
-
-    def _finish_recorder(self) -> Optional[Dict[str, Any]]:
+        """Close the recorder (which also unwraps a causal queue proxy);
+        returns the recorder's harvest for the plan."""
         recorder, self.recorder = self.recorder, None
         if recorder is None:
             return None
@@ -411,26 +394,11 @@ class RankRunner:
     def close(self) -> None:
         """Close the recorder (if a failed run never finished it) and
         restore the observers detached at construction."""
-        self._finish_recorder()
+        self.finish()
         sim = self.sim
         (sim._trace_observers, sim._span_observers,
          sim._heartbeats) = self._detached
         sim._rebuild_instr()
-
-
-def _harvest(runner: RankRunner) -> Dict[str, Any]:
-    """A worker's ``finish`` reply: everything the parent adopts."""
-    obs = runner.finish()
-    sim = runner.sim
-    return {
-        "stats": harvest_stats(sim),
-        "engine_stats": harvest_engine_stats(sim),
-        "obs": obs,
-        "events_executed": sim._events_executed,
-        "now": sim.now,
-        "last_event_time": sim.last_event_time,
-        "primaries_pending": sim.primaries_pending,
-    }
 
 
 class ProcessesBackend(ExecutionBackend):
@@ -443,15 +411,16 @@ class ProcessesBackend(ExecutionBackend):
     command.  An epoch posts every worker its delivery frame, runs rank
     0 inline while the workers run, then collects their step frames —
     so a 2-rank run is two processes, both busy.  Only epoch frames
-    (:func:`encode_deliveries` down, :func:`encode_step` up) and the
-    final statistics harvest cross the process boundary.
+    (:func:`encode_deliveries` down, :func:`encode_step` up), snapshot
+    metadata and each worker rank's final state cross the process
+    boundary.
 
     Two planes, one job each:
 
     * **data** — epoch frames stream through per-rank shared-memory
       rings, announced by a one-byte doorbell pipe; waiting sides block
       (:mod:`repro.core.shm`);
-    * **control** — snapshots, the final harvest, shutdown and errors
+    * **control** — snapshots, the final state, shutdown and errors
       are pickled messages on one pipe per worker.
     """
 
@@ -576,16 +545,18 @@ class ProcessesBackend(ExecutionBackend):
         return self._recv(rank)
 
     def finalize(self) -> None:
-        """Finish every rank and adopt worker results into the parent.
+        """Re-home every worker rank's state into the parent.
 
-        Rank 0 finishes in place.  Workers run ``finish()`` (so
-        component finish hooks see their true final state) and ship
-        their statistic collectors back; the parent copies collector
-        state into its own objects in place, so existing references
-        (``component.stats``, merged harvests) observe the worker's
-        results.  Component attributes other than statistics are *not*
-        synchronized — use stats, that's what they are for.
+        Each worker closes its recorder and replies with its rank's full
+        state (:func:`repro.ckpt.state.capture_rank_state`); the parent
+        applies it to its stale fork-time copy of the rank with
+        :func:`repro.ckpt.state.restore_rank_state`, the same path an
+        exact checkpoint restore takes.  The parent's live ``sync.*``
+        engine stats are kept.  Finish hooks are not run here: the
+        parent runs every rank's, as the serial backend does.
         """
+        from ..ckpt.state import restore_rank_state
+
         if self._local is None:
             return
         for conn in self._conns.values():
@@ -595,37 +566,14 @@ class ProcessesBackend(ExecutionBackend):
             if rank == 0:
                 obs = self._local.finish()
             else:
-                obs = self._adopt(rank, self._recv(rank))
+                reply = self._recv(rank)
+                obs = reply["obs"]
+                meta = restore_rank_state(self.psim, rank, reply["state"])
+                # ranks in separate processes advanced the same global
+                # id counters independently: keep the maximum
+                IdSource.restore_all(meta["id_sources"], merge_max=True)
             if plan is not None:
                 plan.absorb(rank, obs)
-
-    def _adopt(self, rank: int,
-               payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """Copy worker ``rank``'s harvest into the parent's simulation;
-        returns its observability payload."""
-        sim = self.psim._sims[rank]
-        sim.now = payload["now"]
-        sim.last_event_time = payload["last_event_time"]
-        sim._events_executed = payload["events_executed"]
-        sim._primaries_pending = payload["primaries_pending"]
-        # comp.finish() already ran worker-side with live state;
-        # running it again on the stale parent copy would corrupt
-        # the adopted statistics.
-        sim._finished = True
-        for comp_name, stats in payload["stats"].items():
-            group = sim._components[comp_name].stats.all()
-            for stat_name, remote in stats.items():
-                _adopt_stat(group[stat_name], remote)
-        # Engine stats are adopted *additively only*: names the
-        # parent already tracks (sync.* — maintained parent-side
-        # during the epoch loop) keep their live values; names only
-        # the worker registered (obs.* rank-telemetry counters) are
-        # adopted wholesale so harvest_stats-style merging sees
-        # them.  _register returns the existing collector untouched
-        # when the name is taken, which is exactly that rule.
-        for name, remote in (payload.get("engine_stats") or {}).items():
-            sim.engine_stats._register(name, remote)
-        return payload.get("obs")
 
     def snapshot_rank(self, rank: int, shard_path: str) -> Dict[str, Any]:
         """Write ``rank``'s shard where the rank lives.
@@ -707,21 +655,6 @@ class ProcessesBackend(ExecutionBackend):
             self._exchange = None
 
 
-def _adopt_stat(local, remote) -> None:
-    """Copy a worker statistic's state into the parent's collector.
-
-    In-place state copy (not object replacement) so references held by
-    the parent component — ``self.received`` and friends — observe the
-    adopted values too.  Delegates to
-    :func:`repro.core.statistics.adopt_state`, the same primitive the
-    checkpoint layer uses to adopt snapshot statistics.
-    """
-    try:
-        adopt_state(local, remote)
-    except TypeError as exc:
-        raise SimulationError(str(exc)) from None
-
-
 def _worker_main(psim: "ParallelSimulation", rank: int, conn,
                  exchange: ShmExchange, parent_ends: Sequence[Any]) -> None:
     """Worker command loop for one rank (runs in a forked child).
@@ -735,6 +668,9 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
     """
     import select
     import traceback
+
+    from ..ckpt.snapshot import write_rank_shard
+    from ..ckpt.state import capture_rank_state
 
     # Keep only this worker's end of its pipe: with the parent's copies
     # closed here, the parent going away reads as EOF, not a silent hang.
@@ -805,9 +741,10 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
                 continue
             try:
                 if cmd == "snapshot":
-                    reply = _write_rank_shard(psim, rank, msg[1])
-                else:  # "finish"
-                    reply = _harvest(runner)
+                    reply = write_rank_shard(psim, rank, msg[1])
+                else:  # "finish": close the recorder, then capture
+                    reply = {"obs": runner.finish(),
+                             "state": capture_rank_state(psim, rank)}
                 _send_msg(conn, ("ok", reply))
             except Exception as exc:
                 send_error(exc)

@@ -38,7 +38,7 @@ segment boundaries leave the pop order untouched.
 from __future__ import annotations
 
 import time as _wall_time
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from . import units
 from .units import SimTime
@@ -209,28 +209,3 @@ def dispatch(sim: "Simulation", limit: SimTime, budget: int,
                 popped += executed
                 sim._events_executed += executed
     return reason
-
-
-def harvest_stats(sim: "Simulation") -> Dict[str, Dict[str, Any]]:
-    """Per-component statistic objects, keyed ``component -> stat name``.
-
-    The uniform stats-harvest shape shipped across the rank boundary by
-    the process backend (statistic collectors are plain slotted
-    objects, so they pickle cleanly).
-    """
-    return {name: dict(comp.stats.all())
-            for name, comp in sim._components.items()}
-
-
-def harvest_engine_stats(sim: "Simulation") -> Dict[str, Any]:
-    """Engine-level statistics (``sync.*``, ``obs.*``) in harvest shape.
-
-    The engine-stats companion to :func:`harvest_stats`: a flat
-    ``name -> Statistic`` dict of ``sim.engine_stats``.  The process
-    backend ships this across the rank boundary so worker-registered
-    collectors (e.g. the rank-local telemetry counters) survive the
-    worker's death; parent-side the adoption is *additive only* — names
-    the parent already tracks (the ``sync.*`` metrics it maintains
-    itself) are never overwritten by the worker's stale copies.
-    """
-    return dict(sim.engine_stats.all())

@@ -237,9 +237,6 @@ class ParallelSimulation:
         #: marked done even before finalize tears the plane down.
         self.live: Optional[Any] = None
         self._setup_done = False
-        #: set when a processes-backend run stopped on a limit: the
-        #: worker queues died with the workers, so resuming is invalid.
-        self._unresumable: Optional[str] = None
         # counters for ENG-2
         self.total_epochs = 0
         self.total_remote_events = 0
@@ -420,14 +417,6 @@ class ParallelSimulation:
         shard and the parent commits the manifest.
         """
         perf = _wall_time.perf_counter
-
-        if self._unresumable:
-            raise SimulationError(
-                f"cannot resume a processes-backend run stopped on "
-                f"{self._unresumable!r}: per-rank queues died with the "
-                f"worker processes.  Run to completion, or use the "
-                f"'serial' backend for resumable limited runs."
-            )
         if not self._setup_done:
             self.setup()
         limit = units.parse_time(max_time, default_unit="ps") if max_time is not None else None
@@ -543,11 +532,10 @@ class ParallelSimulation:
                         break
             finally:
                 self.total_epochs += epochs
-            # Success path: pull out-of-process rank state (statistics,
-            # clocks, event counts) back into the parent simulations.
+            # Success path: re-home out-of-process rank state into the
+            # parent simulations, so every run — a limit stop included —
+            # leaves them live: resumable and snapshotable.
             backend.finalize()
-            if backend.name == "processes" and reason in ("max_time", "max_epochs"):
-                self._unresumable = reason
         finally:
             # Never leak the execution substrate, even when a model
             # exception unwinds the epoch loop mid-run.

@@ -191,9 +191,9 @@ class RankRecorder:
             path.parent.mkdir(parents=True, exist_ok=True)
             self._sink = open(path, "w", encoding="utf-8")
             self.shard_path = str(path)
-        # Rank-local counters registered in the worker's engine stats;
-        # they ride home with harvest_engine_stats and merge across
-        # ranks through the ordinary sync_stats() machinery.
+        # Rank-local counters registered in the rank's engine stats;
+        # they ride home with the rank's state at finalize and merge
+        # across ranks through the ordinary sync_stats() machinery.
         stats = self.sim.engine_stats
         self._c_records = stats.counter("obs.rank_records")
         self._c_samples = stats.counter("obs.rank_samples")

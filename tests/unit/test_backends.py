@@ -2,7 +2,8 @@
 
 Covers the two execution backends (serial / processes) and the
 coarse-grained job pools: stat equivalence on the same partitioned
-graph, worker error propagation, resource cleanup on failure, and the
+graph, resuming after a limit stop (in place and from a snapshot),
+worker error propagation, resource cleanup on failure, and the
 per-rank engine RNG streams.
 """
 
@@ -12,7 +13,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.ckpt import restore, snapshot_parallel
 from repro.config import ConfigGraph, build, build_parallel
 from repro.core import (Component, Event, Params, ParallelSimulation,
                         Simulation, SimulationError)
@@ -115,17 +119,6 @@ class TestProcessesBackend:
         with pytest.raises(SimulationError, match="not serializable"):
             psim.run()
 
-    def test_resume_after_limit_raises(self):
-        psim = ParallelSimulation(2, seed=1, backend="processes")
-        a = PingPong(psim.rank_sim(0), "ping",
-                     Params({"initiator": True, "n_round_trips": 10**6}))
-        b = PingPong(psim.rank_sim(1), "pong", Params({}))
-        psim.connect(a, "io", b, "io", latency="5ns")
-        result = psim.run(max_epochs=3)
-        assert result.reason == "max_epochs"
-        with pytest.raises(SimulationError, match="cannot resume"):
-            psim.run()
-
     def test_serial_backend_resumes_after_limit(self):
         psim = ParallelSimulation(2, seed=1, backend="serial")
         a = PingPong(psim.rank_sim(0), "ping",
@@ -137,6 +130,90 @@ class TestProcessesBackend:
         second = psim.run()
         assert second.reason == "exit"
         assert a.received.count == 12
+
+
+def outcome(psim, result):
+    """What a finished run computed, read from the parent process:
+    the stop reason, the end time, every statistic and every sink's
+    arrival list (a plain component attribute)."""
+    arrivals = {name: list(comp.arrival_times) for sim in psim._sims
+                for name, comp in sim._components.items()
+                if isinstance(comp, Sink)}
+    return result.reason, result.end_time, psim.stat_values(), arrivals
+
+
+@st.composite
+def stopped_runs(draw):
+    """A small random graph pinned to a random partition of 2-3 ranks,
+    plus 1-3 limit stops (``max_epochs`` or ``max_time``)."""
+    graph = ConfigGraph("limit-stops")
+    links = []
+    for i in range(draw(st.integers(1, 3))):
+        graph.component(f"src{i}", "testlib.Source",
+                        {"count": draw(st.integers(1, 12)),
+                         "period": f"{draw(st.integers(500, 5000))}ps"})
+        graph.component(f"sink{i}", "testlib.Sink", {})
+        links.append((f"src{i}", "out", f"sink{i}", "in"))
+    if draw(st.booleans()):
+        graph.component("ping", "testlib.PingPong",
+                        {"initiator": True,
+                         "n_round_trips": draw(st.integers(1, 15))})
+        graph.component("pong", "testlib.PingPong", {})
+        links.append(("ping", "io", "pong", "io"))
+    for a, port_a, b, port_b in links:
+        graph.link(a, port_a, b, port_b,
+                   latency=f"{draw(st.integers(1000, 20000))}ps")
+    ranks = draw(st.integers(2, min(3, len(graph.components()))))
+    for comp in graph.components():
+        comp.rank = draw(st.integers(0, ranks - 1))
+    stops = draw(st.lists(
+        st.one_of(st.builds(lambda n: {"max_epochs": n}, st.integers(1, 8)),
+                  st.builds(lambda t: {"max_time": t},
+                            st.integers(1000, 60000))),
+        min_size=1, max_size=3))
+    return graph, ranks, stops
+
+
+class TestLimitStopResume:
+    """A run stopped on ``max_epochs``/``max_time`` resumes — in place
+    or from a snapshot taken after it — to exactly the uninterrupted
+    serial run, on every backend: the parent holds every rank's live
+    state once a run ends."""
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_snapshot_after_limit_stop_resumes_exactly(self, backend,
+                                                       tmp_path):
+        reference = build_parallel(paper_style_graph(), 2, seed=9)
+        expected = outcome(reference, reference.run())
+        psim = build_parallel(paper_style_graph(), 2, seed=9,
+                              backend=backend)
+        assert psim.run(max_epochs=4).reason == "max_epochs"
+        snapshot_parallel(psim, tmp_path / "ckpt")
+        resumed = restore(tmp_path / "ckpt")
+        assert resumed.backend == backend
+        assert outcome(resumed, resumed.run()) == expected
+        # the parent's sync.* counters survive both hand-overs
+        counts = ("sync.epochs", "sync.epoch_events", "sync.remote_sends")
+        assert ([resumed.sync_stat_values()[name] for name in counts]
+                == [reference.sync_stat_values()[name] for name in counts])
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=stopped_runs())
+    def test_limit_stops_resume_in_place(self, backend, case):
+        graph, ranks, stops = case
+        reference = build_parallel(graph, ranks, seed=5)
+        expected = outcome(reference, reference.run())
+        psim = build_parallel(graph, ranks, seed=5, backend=backend)
+        result = None
+        for limit in stops:
+            result = psim.run(**limit)
+            if result.reason not in ("max_epochs", "max_time"):
+                break
+        else:
+            result = psim.run()
+        assert outcome(psim, result) == expected
 
 
 class Wedge(Component):

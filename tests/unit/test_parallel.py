@@ -80,10 +80,9 @@ class TestEquivalence:
         psim.close()
 
         assert psim.stat_values() == seq_sim.stat_values()
-        if backend != "processes":
-            # Plain component attributes stay worker-side under the
-            # processes backend; only statistics are synchronized back.
-            assert par_sink.arrival_times == seq_sink.arrival_times
+        # Every rank's state is re-homed into the parent when a run
+        # ends, plain component attributes included.
+        assert par_sink.arrival_times == seq_sink.arrival_times
 
     def test_rank_placement_does_not_change_results(self):
         baselines = None
