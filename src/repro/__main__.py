@@ -71,7 +71,7 @@ def _make_observability(args: argparse.Namespace, target):
     if args.profile:
         from .obs import HandlerProfiler
 
-        profiler = HandlerProfiler(target, sample_every=args.profile_sample)
+        profiler = HandlerProfiler(target)
     if args.trace_chrome:
         from .obs import ChromeTraceExporter
 
@@ -727,8 +727,6 @@ def make_parser() -> argparse.ArgumentParser:
                           "type and print the hot-components table")
     run.add_argument("--profile-top", type=_positive_int, default=15,
                      help="rows to show in the profile table")
-    run.add_argument("--profile-sample", type=_positive_int, default=1,
-                     help="time every Nth event (1 = all)")
     run.add_argument("--trace-chrome", default=None,
                      help="export handler spans + rank epochs as a "
                           "Chrome/Perfetto trace-event JSON file")

@@ -20,23 +20,24 @@ reports a :class:`RankStep` per rank.  Two substrates are provided:
   - events sent over cross-rank links must be picklable (slotted
     payload-only events are; events carrying live object references
     are not, and raise a descriptive error);
-  - every rank, rank 0 included, runs through one :class:`RankRunner`:
-    per-event observers (trace/span/heartbeat) are detached for the
-    run, and observability comes from the rank-local plan
-    (``psim.rank_plan``, duck-typed — see :mod:`repro.obs.rank_stream`)
-    whose lightweight recorder writes per-rank JSONL shards (the only
-    way a rank's records leave the rank — step frames carry no
-    telemetry); profiler buckets harvest back at ``finalize()``.
-    Observers no plan entry covers raise a one-time
-    :class:`RankObservabilityWarning` instead of being silently
-    dropped.  Parent-side epoch observers — telemetry, progress,
-    Chrome trace epoch lanes — keep working regardless;
   - when a run ends — completion or a ``max_time``/``max_epochs``
     stop — ``finalize()`` re-homes every worker rank's full state
     (queue, clocks, component attributes, statistics) into the parent
     through the checkpoint protocol, so the parent then holds what the
     serial backend would: the run can resume, be snapshotted, or be
     inspected through its component objects.
+
+Both backends step every rank through one :class:`RankRunner`, so a
+rank is observed one way wherever it runs: the per-event observers
+(trace/span/heartbeat) attached to a rank simulation are detached for
+the run and named in a one-time :class:`RankObservabilityWarning`, and
+the rank-local recorder of the run's plan (``psim.rank_plan``,
+duck-typed — see :mod:`repro.obs.rank_stream`) is attached in their
+place.  It writes the rank's JSONL shard (the only way a rank's records
+leave the rank — step frames carry no telemetry) and hands its harvest
+(profile buckets, span rows) to the plan at ``finalize()``.
+Parent-side epoch observers — telemetry, progress, the live run slot —
+see every epoch regardless.
 
 The same substrate names power :class:`JobPool`, the coarse-grained
 variant used by :func:`repro.dse.sweep` to evaluate independent design
@@ -66,18 +67,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class RankObservabilityWarning(UserWarning):
-    """A per-event observer was detached for a processes-backend run.
+    """A per-event observer was detached from a rank of a parallel run.
 
-    Raised (once per unique observer set) by :class:`ProcessesBackend`
-    when a rank simulation carries trace/span/heartbeat observers that
-    no rank-local plan covers: their sinks live in the parent process,
-    so inside a forked worker they would silently record into memory
-    that dies with the worker, and rank 0 — though it runs in the
-    parent — is detached the same way so every rank is observed alike.
-    Attach through ``repro.obs`` (profiler,
-    telemetry with a metrics path) to get rank-local re-attachment, and
-    use ``python -m repro obs merge`` on the per-rank shards for the
-    merged post-hoc view.
+    Raised once per run by every backend when a rank simulation carries
+    trace/span/heartbeat observers: each rank is observed only through
+    the rank plan, wherever it runs (in a forked worker an observer's
+    sink would record into memory that dies with the worker, and the
+    in-process ranks are detached the same way so every rank is observed
+    alike).  Attach ``repro.obs`` instruments to the
+    :class:`~repro.core.parallel.ParallelSimulation` instead, and use
+    ``python -m repro obs merge`` on the per-rank shards for the merged
+    post-hoc view.
     """
 
 
@@ -220,9 +220,9 @@ def deliver_cross_rank(psim: "ParallelSimulation", rank: int,
 def _timed_step(sim: "Simulation", epoch_end: SimTime) -> RankStep:
     """Run one rank's kernel window and package the result.
 
-    Wall time is measured inside the worker so concurrent backends see
-    true per-rank durations; the outbox is drained by the caller (it
-    lives on the ParallelSimulation, per source rank).
+    Wall time is measured where the rank runs so concurrent backends
+    see true per-rank durations; the outbox is drained by the caller
+    (it lives on the ParallelSimulation, per source rank).
     """
     perf = _wall_time.perf_counter
     t0 = perf()
@@ -232,6 +232,32 @@ def _timed_step(sim: "Simulation", epoch_end: SimTime) -> RankStep:
                     next_time=sim.next_event_time(),
                     primaries_pending=sim.primaries_pending,
                     last_event_time=sim.last_event_time, now=sim.now)
+
+
+def _warn_detached_observers(psim: "ParallelSimulation") -> None:
+    """Detaching an observer must not be silent.
+
+    Every rank runner strips the per-event observers of its rank, and
+    ``repro.obs`` instruments reach a parallel run's ranks only through
+    the rank plan, so whatever is attached here is about to lose its
+    data: name it in a structured one-time warning.
+    """
+    doomed = {f"rank {rank}: {_describe_observer(fn)}"
+              for rank, sim in enumerate(psim._sims)
+              for fn in (*sim._trace_observers, *sim._span_observers,
+                         *sim._heartbeats)}
+    if doomed:
+        warnings.warn(
+            f"{psim.backend} backend: detaching per-event observers from "
+            "rank simulations — " + "; ".join(sorted(doomed))
+            + ".  A parallel run's ranks are observed only through the "
+            "rank plan.  Attach repro.obs instruments to the "
+            "ParallelSimulation instead — a TelemetryRecorder with a "
+            "metrics path captures per-rank JSONL shards, merged "
+            "post-hoc with 'python -m repro obs merge <metrics.jsonl>'.",
+            RankObservabilityWarning,
+            stacklevel=3,
+        )
 
 
 class ExecutionBackend:
@@ -261,10 +287,10 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def finalize(self) -> None:
-        """Synchronize any out-of-process rank state back to the parent.
+        """Hand every rank's observability harvest to the rank plan and
+        synchronize any out-of-process rank state back to the parent.
 
-        Called once after a run's epoch loop completes normally; a
-        no-op for in-process backends."""
+        Called once after a run's epoch loop completes normally."""
 
     def snapshot_rank(self, rank: int, shard_path: str) -> Dict[str, Any]:
         """Write ``rank``'s engine state as a checkpoint shard file.
@@ -290,19 +316,32 @@ class SerialBackend(ExecutionBackend):
     """Ranks step one after another in the calling thread (reference)."""
 
     name = "serial"
+    #: one runner per rank while a run is in flight
+    _runners: Sequence["RankRunner"] = ()
+
+    def start(self) -> None:
+        if self._runners:
+            return
+        _warn_detached_observers(self.psim)
+        self._runners = [RankRunner(self.psim, rank)
+                         for rank in range(self.psim.num_ranks)]
 
     def step(self, epoch_end: SimTime,
              deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
-        psim = self.psim
-        for rank, entries in enumerate(deliveries):
-            if entries:
-                deliver_cross_rank(psim, rank, entries)
-        steps = []
-        for rank, sim in enumerate(psim._sims):
-            result = _timed_step(sim, epoch_end)
-            result.outbox = drain_outbox(psim, rank)
-            steps.append(result)
-        return steps
+        return [runner.step(epoch_end, entries)
+                for runner, entries in zip(self._runners, deliveries)]
+
+    def finalize(self) -> None:
+        plan = self.psim.rank_plan
+        for runner in self._runners:
+            obs = runner.finish()
+            if plan is not None:
+                plan.absorb(runner.rank, obs)
+
+    def close(self) -> None:
+        for runner in self._runners:
+            runner.close()
+        self._runners = ()
 
 
 def _send_msg(conn, msg: Any) -> None:
@@ -329,13 +368,14 @@ def _not_serializable(where: str, exc: BaseException) -> SimulationError:
 
 
 class RankRunner:
-    """One rank's side of a processes-backend run, wherever it executes.
+    """One rank's side of a parallel run, wherever it executes.
 
-    Forked workers drive a runner from their command loop; the parent
-    drives rank 0's directly.  Either way the rank is observed the same
-    way: the per-event observers attached to its simulation are
-    detached for the run (the parent warned about any the rank plan
-    does not cover) and the plan's rank-local recorder is attached in
+    The serial backend drives one runner per rank in the calling
+    thread; the processes backend drives rank 0's in the parent and
+    every other rank's from its forked worker's command loop.  Either
+    way the rank is observed the same way: the per-event observers
+    attached to its simulation are detached for the run (the backend
+    warned about them) and the plan's rank-local recorder is attached in
     their place.  :meth:`close` puts the original observers back — it
     matters only in the parent, a worker simply exits.
     """
@@ -351,11 +391,11 @@ class RankRunner:
         sim._heartbeats = {}
         sim._rebuild_instr()
         # Re-attach the rank-local recorder the plan describes (JSONL
-        # shard, span buckets, heartbeats, live slot, causal shard).
-        # Observability must never kill a rank: creation failures
-        # degrade to a bare rank.
+        # shard, span buckets and rows, heartbeats, live slot, causal
+        # shard).  Observability must never kill a rank: creation
+        # failures degrade to a bare rank.
         self.recorder = None
-        plan = getattr(psim, "rank_plan", None)
+        plan = psim.rank_plan
         if plan is not None:
             try:
                 self.recorder = plan.worker_recorder(psim, rank)
@@ -369,13 +409,19 @@ class RankRunner:
 
     def step(self, epoch_end: SimTime,
              entries: Sequence[OutboxEntry]) -> RankStep:
-        """One epoch: deliver, run the kernel window, drain the outbox."""
+        """One epoch: deliver, run the kernel window, drain the outbox.
+
+        The recorder brackets the window (its live slot reads *running*
+        inside it, *waiting* outside)."""
         deliver_cross_rank(self.psim, self.rank, entries)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.on_step_start()
         result = _timed_step(self.sim, epoch_end)
         result.outbox = drain_outbox(self.psim, self.rank)
-        if self.recorder is not None:
+        if recorder is not None:
             try:
-                self.recorder.on_step(result, epoch_end)
+                recorder.on_step(result, epoch_end)
             except Exception:  # pragma: no cover - defensive
                 self.recorder = None
         return result
@@ -446,7 +492,7 @@ class ProcessesBackend(ExecutionBackend):
     def start(self) -> None:
         if self._local is not None:
             return
-        self._warn_uncovered_observers()
+        _warn_detached_observers(self.psim)
         # Created before the fork so every worker inherits the mapped
         # segment and bells — nothing is re-attached by name.
         self._exchange = ShmExchange(self.psim.num_ranks)
@@ -470,41 +516,6 @@ class ProcessesBackend(ExecutionBackend):
             self._conns[rank] = parent_conn
         # After the forks: rank 0's recorder may start threads.
         self._local = RankRunner(self.psim, 0)
-
-    def _warn_uncovered_observers(self) -> None:
-        """Satellite guard: detaching an observer must not be silent.
-
-        Every rank runner strips the per-event observers of its rank.
-        Observers attached through ``repro.obs`` carry a
-        ``__rank_local__`` marker ("profile" re-attaches always; "span"
-        re-attaches when the rank plan has a record sink) and keep
-        working rank-locally; anything else is about to lose its data,
-        so name it in a structured one-time warning.
-        """
-        plan = getattr(self.psim, "rank_plan", None)
-        span_sink = bool(plan is not None
-                         and getattr(plan, "has_record_sink", False))
-        doomed: List[str] = []
-        for rank, sim in enumerate(self.psim._sims):
-            for fn in (*sim._trace_observers, *sim._span_observers,
-                       *sim._heartbeats):
-                marker = getattr(fn, "__rank_local__", None)
-                if marker == "profile" or (marker == "span" and span_sink):
-                    continue
-                doomed.append(f"rank {rank}: {_describe_observer(fn)}")
-        if doomed:
-            warnings.warn(
-                "processes backend: detaching per-event observers that "
-                "cannot be re-attached rank-locally — "
-                + "; ".join(sorted(set(doomed)))
-                + ".  Their sinks live in the parent process and would "
-                "record into memory that dies with the workers.  Attach "
-                "a TelemetryRecorder with a metrics path to capture "
-                "per-rank JSONL shards instead, then merge post-hoc "
-                "with 'python -m repro obs merge <metrics.jsonl>'.",
-                RankObservabilityWarning,
-                stacklevel=3,
-            )
 
     def step(self, epoch_end: SimTime,
              deliveries: List[List[OutboxEntry]]) -> List[RankStep]:
@@ -561,7 +572,7 @@ class ProcessesBackend(ExecutionBackend):
             return
         for conn in self._conns.values():
             _send_msg(conn, ("finish",))
-        plan = getattr(self.psim, "rank_plan", None)
+        plan = self.psim.rank_plan
         for rank in range(self.psim.num_ranks):
             if rank == 0:
                 obs = self._local.finish()
@@ -684,8 +695,7 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
     # Watchdog stack dumps: register SIGUSR1 -> faulthandler so the
     # parent can extract this worker's stack even while it is wedged
     # inside a handler.
-    dump_base = getattr(getattr(psim, "rank_plan", None),
-                        "live_dump_base", None)
+    dump_base = getattr(psim.rank_plan, "live_dump_base", None)
     if dump_base:
         try:
             from ..obs.live.watchdog import enable_stack_dump_signal

@@ -225,11 +225,11 @@ class ParallelSimulation:
         self._backend: Optional[ExecutionBackend] = None
         #: rank-local observability plan (duck-typed; in practice a
         #: :class:`repro.obs.rank_stream.RankStreamPlan`).  Instruments
-        #: that know how to survive the process boundary register here;
-        #: the processes backend re-attaches a rank-local recorder from
-        #: it wherever each rank runs and harvests results back at
-        #: finalize.  None = nothing to re-attach (per-event observers
-        #: are then detached with a RankObservabilityWarning).
+        #: reach the ranks only through it: every backend's RankRunner
+        #: attaches a rank-local recorder from it wherever the rank runs
+        #: and harvests results back at finalize.  Per-event observers
+        #: on the rank sims are detached for a run, with a
+        #: RankObservabilityWarning.  None = nothing to re-attach.
         self.rank_plan: Optional[Any] = None
         #: live-plane handle (duck-typed; in practice a
         #: :class:`repro.obs.live.LiveMetrics`).  Set by attach(); run()

@@ -135,10 +135,11 @@ class Simulation:
         #: the instrumented dispatcher, so with tracing off the bare
         #: path pays nothing and the instrumented path pays one check.
         self._causal = None
-        #: live-plane publisher (repro.obs.live); duck-typed — anything
-        #: with on_kernel_enter()/on_kernel_exit().  The kernel loop
-        #: pays one `is not None` check per *invocation* (not per
-        #: event), so the bare hot path stays untouched.
+        #: live-plane publisher of a sequential run (repro.obs.live);
+        #: duck-typed — anything with on_kernel_enter()/on_kernel_exit().
+        #: kernel_run pays one `is not None` check per *invocation* (not
+        #: per event), so the bare hot path stays untouched.  A parallel
+        #: rank's slot is flipped by its RankRunner's recorder instead.
         self._live_publisher = None
         #: engine-level statistics (parallel-sync metrics etc.) — kept
         #: separate from component stats so sequential/parallel stat
@@ -375,16 +376,9 @@ class Simulation:
         run; every execution backend steps its ranks through here.
         """
         start = self._events_executed
-        live = self._live_publisher
-        if live is not None:
-            live.on_kernel_enter()
         dispatch(self, until, NO_LIMIT, False, False)
         if self.now < until:
             self.now = until
-        if live is not None:
-            # No finally: if a handler raised, the rank dies RUNNING and
-            # the watchdog's publish-age signal picks it up.
-            live.on_kernel_exit()
         return self._events_executed - start
 
     # ------------------------------------------------------------------

@@ -15,9 +15,10 @@ the *simulated machine*, which the statistics system covers):
   — the machine-readable perf-record plumbing (also used by the
   benchmark harness for ``BENCH_<exp>.json`` records);
 * :class:`RankStreamPlan` / :class:`RankRecorder`
-  (:mod:`repro.obs.rank_stream`) — per-rank telemetry that survives the
-  process boundary of the ``processes`` execution backend, writing one
-  JSONL shard per rank (``<metrics>.rank<k>``);
+  (:mod:`repro.obs.rank_stream`) — the one way an instrument reaches a
+  parallel run's ranks, on every execution backend: each rank records
+  where it runs (one JSONL shard per rank, ``<metrics>.rank<k>``) and
+  hands profile buckets and span rows home at the end of the run;
 * :func:`merge_trace` / :func:`merge_to_file` (:mod:`repro.obs.merge`)
   — stitch per-rank streams into one Perfetto trace with one lane per
   rank plus a sync lane;
@@ -43,7 +44,12 @@ Everything attaches through the engine's observer dispatch
 (:meth:`Simulation.add_trace_observer` / ``add_span_observer`` /
 ``add_heartbeat`` and :meth:`ParallelSimulation.add_epoch_observer`),
 which costs a single ``is None`` check per event when nothing is
-installed.  See ``docs/OBSERVABILITY.md`` for the schemas and usage.
+installed.  Each instrument has two attachments: a :class:`Simulation`
+directly, a :class:`ParallelSimulation` through its epoch observer and
+the rank plan (``psim.rank_plan``) — never through the rank
+simulations, whose per-event observers every backend detaches for a
+run (:class:`RankObservabilityWarning`).  See ``docs/OBSERVABILITY.md``
+for the schemas and usage.
 """
 
 from ..core.backends import RankObservabilityWarning

@@ -40,21 +40,17 @@ Attachment paths:
 
 * a plain :class:`Simulation` — :class:`CausalCapture` wraps it
   directly (rank 0 shard);
-* a :class:`ParallelSimulation` on the serial backend — one
-  in-process tracer per rank;
-* the processes backend — the capture request travels on the
-  :class:`~repro.obs.rank_stream.RankStreamPlan` (``causal_base``) and
-  each rank's :class:`~repro.obs.rank_stream.RankRecorder` (rank 0's in
-  the parent, the others in their forked workers) owns its tracer.
+* a :class:`ParallelSimulation`, on every backend — the capture request
+  travels on the :class:`~repro.obs.rank_stream.RankStreamPlan`
+  (``causal_base``) and each rank's
+  :class:`~repro.obs.rank_stream.RankRecorder` owns its tracer where
+  the rank runs.
 
 Setup-time cross-rank sends (a component's ``setup()`` emitting before
-any event has dispatched) are causal *roots*: they have no dispatching
-event, so their ``cause`` is ``None``.  Under the processes backend the
-parent performs them pre-fork, so no send row is written at all — the
-receiving rank's join then finds nothing and treats the arrival as a
-root, which is the same conclusion the serial backend's ``cause=None``
-send row leads to.  Critical paths are therefore identical across
-backends even though the shard contents differ by those rows.
+any event has dispatched) are causal *roots*: they happen before the
+rank recorders attach, so no send row is written for them — the
+receiving rank's join finds nothing and treats the arrival as a root.
+The shards, and so the critical paths, are the same on both backends.
 """
 
 from __future__ import annotations
@@ -370,36 +366,30 @@ class CausalCapture:
         capture.close()
 
     ``base`` is typically the metrics path (the shards then sit next to
-    the rank-stream shards); any path works.  On the processes backend
-    the request rides the rank plan and each rank's recorder writes its
-    own shard — :meth:`close` then only clears the plan flag.
+    the rank-stream shards); any path works.  On a parallel run the
+    request rides the rank plan and each rank's recorder writes its own
+    shard — :meth:`close` then only clears the plan field.
     """
 
     def __init__(self, base: Union[str, Path]):
         self.base = Path(base)
-        self._tracers: List[CausalTracer] = []
+        self._tracer: Optional[CausalTracer] = None
         self._plan = None
 
     def attach(self, target: Union[Simulation, ParallelSimulation]) -> "CausalCapture":
         if isinstance(target, ParallelSimulation):
-            if target.backend == "processes":
-                from .rank_stream import ensure_rank_plan
+            from .rank_stream import ensure_rank_plan
 
-                plan = ensure_rank_plan(target)
-                plan.causal_base = str(self.base)
-                self._plan = plan
-            else:
-                for rank_sim in target._sims:
-                    self._tracers.append(
-                        CausalTracer(rank_sim, self.base, psim=target))
+            self._plan = ensure_rank_plan(target)
+            self._plan.causal_base = str(self.base)
         else:
-            self._tracers.append(CausalTracer(target, self.base))
+            self._tracer = CausalTracer(target, self.base)
         return self
 
     def close(self) -> "CausalCapture":
-        for tracer in self._tracers:
-            tracer.close()
-        self._tracers = []
+        if self._tracer is not None:
+            self._tracer.close()
+            self._tracer = None
         if self._plan is not None:
             self._plan.causal_base = None
             self._plan = None

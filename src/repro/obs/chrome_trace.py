@@ -15,10 +15,11 @@ Mapping:
   (``dur`` = measured wall time) and one per rank-epoch execution;
 * **metadata (ph "M")** — process/thread naming.
 
-Timestamps are wall-clock microseconds since the exporter attached.
-Under the ``serial`` parallel backend rank epochs execute one after
-another in the calling thread; their spans reflect that (they do not
-overlap), which is itself a useful visual of the backend.
+Timestamps are wall-clock microseconds since the exporter attached.  A
+parallel run's handler and epoch spans are recorded where each rank
+runs (by the rank plan's recorder) and stamped there, so they show
+what each backend did: under ``serial`` the ranks' epochs follow one
+another, under ``processes`` they overlap.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import time as _wall_time
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
-from ..core.parallel import EpochInfo, ParallelSimulation
+from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
 from .profiler import attribute_event
 
@@ -89,10 +90,10 @@ class ChromeTraceExporter:
         millions of spans and the JSON grows linearly.  Once hit, new
         spans are dropped and ``dropped_events`` counts them.
 
-    On a processes-backend run handler spans are recorded rank-locally
-    into the telemetry shards (a metrics path is needed) and reach a
-    trace through ``python -m repro obs merge``; this exporter itself
-    keeps only the parent's epoch lanes.
+    On a :class:`ParallelSimulation` the exporter registers on the rank
+    plan: each rank records its span and epoch rows where it runs (at
+    most :data:`~repro.obs.rank_stream.SPAN_LIMIT` spans per rank) and
+    they arrive here at the end of the run, on every backend.
     """
 
     def __init__(self, path: Union[str, Path, None] = None, *,
@@ -105,8 +106,7 @@ class ChromeTraceExporter:
         self.dropped_events = 0
         self._span_count = 0  # "X" records only; metadata is uncapped
         self._t0 = _wall_time.perf_counter()
-        self._observers: List[Tuple[Simulation, Any]] = []
-        self._epoch_target: Union[ParallelSimulation, None] = None
+        self._sim: Union[Simulation, None] = None
         self._plan = None
         self._tids: Dict[Tuple[int, str], int] = {}
         self._named_pids: set = set()
@@ -117,35 +117,20 @@ class ChromeTraceExporter:
     def attach(self, target: Union[Simulation, ParallelSimulation]) -> "ChromeTraceExporter":
         self._t0 = _wall_time.perf_counter()
         if isinstance(target, ParallelSimulation):
-            self._epoch_target = target
-            target.add_epoch_observer(self._on_epoch)
-            sims = [target.rank_sim(r) for r in range(target.num_ranks)]
-            # Under the processes backend the in-process span observers
-            # below never fire in the parent; ask the rank plan to write
-            # span records into the rank shards instead.
             from .rank_stream import ensure_rank_plan
             self._plan = ensure_rank_plan(target)
-            self._plan.span_records = True
+            self._plan.register_span_exporter(self)
         else:
-            sims = [target]
-        for sim in sims:
-            fn = self._make_span_observer(sim.rank)
-            # Rank-local coverage exists only when the plan has a record
-            # sink — checked at fork time by the processes backend.
-            fn.__rank_local__ = "span"
-            self._observers.append((sim, fn))
-            sim.add_span_observer(fn)
+            self._sim = target
+            target.add_span_observer(self._on_span)
         return self
 
     def detach(self) -> None:
-        for sim, fn in self._observers:
-            sim.remove_span_observer(fn)
-        self._observers = []
-        if self._epoch_target is not None:
-            self._epoch_target.remove_epoch_observer(self._on_epoch)
-            self._epoch_target = None
+        if self._sim is not None:
+            self._sim.remove_span_observer(self._on_span)
+            self._sim = None
         if self._plan is not None:
-            self._plan.span_records = False
+            self._plan.unregister_span_exporter(self)
             self._plan = None
 
     # ------------------------------------------------------------------
@@ -169,58 +154,50 @@ class ChromeTraceExporter:
             })
         return tid
 
-    def _make_span_observer(self, rank: int):
-        perf = _wall_time.perf_counter
+    def _add(self, pid: int, lane: str, start_s: float, wall_s: float,
+             **fields: Any) -> None:
+        """One "X" span on ``lane`` of ``pid`` (``start_s`` is a raw
+        ``perf_counter`` reading)."""
+        if self._span_count >= self.max_events:
+            self.dropped_events += 1
+            return
+        self._span_count += 1
+        self.events.append({
+            "ph": "X", **fields,
+            "ts": (start_s - self._t0) * 1e6,
+            "dur": wall_s * 1e6,
+            "pid": pid,
+            "tid": self._tid(pid, lane),
+        })
 
-        def observe(time, handler, event, wall_seconds) -> None:
-            if self._span_count >= self.max_events:
-                self.dropped_events += 1
-                return
-            self._span_count += 1
-            component, label = attribute_event(handler, event)
-            event_type = type(event).__name__ if event is not None else "-"
-            end_us = (perf() - self._t0) * 1e6
-            dur_us = wall_seconds * 1e6
-            self.events.append({
-                "ph": "X",
-                "name": f"{component}.{label}",
-                "cat": event_type,
-                "ts": end_us - dur_us,
-                "dur": dur_us,
-                "pid": rank,
-                "tid": self._tid(rank, component),
-                "args": {"sim_ps": time, "event": event_type},
-            })
+    def _on_span(self, time, handler, event, wall_seconds) -> None:
+        component, label = attribute_event(handler, event)
+        event_type = type(event).__name__ if event is not None else "-"
+        self._add_handler_span(self._sim.rank, _wall_time.perf_counter()
+                               - wall_seconds, wall_seconds, component,
+                               label, event_type, time)
 
-        return observe
+    def _add_handler_span(self, rank: int, start_s: float, wall_s: float,
+                          component: str, label: str, event_type: str,
+                          time: int) -> None:
+        self._add(rank, component, start_s, wall_s,
+                  name=f"{component}.{label}", cat=event_type,
+                  args={"sim_ps": time, "event": event_type})
 
-    def _on_epoch(self, info: EpochInfo) -> None:
-        now_us = (_wall_time.perf_counter() - self._t0) * 1e6
-        batch_start = now_us - info.wall_seconds * 1e6
-        offset = 0.0
-        serial = (self._epoch_target is not None
-                  and self._epoch_target.backend == "serial")
-        for rank, wall in enumerate(info.per_rank_wall):
-            if self._span_count >= self.max_events:
-                self.dropped_events += 1
-                continue
-            self._span_count += 1
-            self.events.append({
-                "ph": "X",
-                "name": f"epoch {info.index} [{info.window_start}-{info.window_end}ps]",
-                "cat": "epoch",
-                "ts": batch_start + offset,
-                "dur": wall * 1e6,
-                "pid": rank,
-                "tid": self._tid(rank, "[engine] epochs"),
-                "args": {
-                    "events": info.per_rank_events[rank],
-                    "exchanged": info.exchanged_events,
-                    "barrier_wait_s": info.per_rank_barrier_wait[rank],
-                },
-            })
-            if serial:
-                offset += wall * 1e6
+    def absorb_rank_rows(self, rank: int, spans: List[tuple],
+                         epochs: List[tuple], dropped: int) -> None:
+        """Add one rank's span and epoch rows, harvested at the end of
+        a parallel run (see :class:`~repro.obs.rank_stream.RankRecorder`);
+        ``dropped`` counts the rank's spans over its cap."""
+        for index, (start, wall, events, sent, window_end, now) in \
+                enumerate(epochs):
+            self._add(rank, "[engine] epochs", start, wall,
+                      name=f"epoch {index}", cat="epoch",
+                      args={"events": events, "sent": sent,
+                            "window_end_ps": window_end, "sim_ps": now})
+        for row in spans:
+            self._add_handler_span(rank, *row)
+        self.dropped_events += dropped
 
     # ------------------------------------------------------------------
     # output

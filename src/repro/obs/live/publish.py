@@ -2,27 +2,28 @@
 
 :class:`LiveMetrics` is the attach-side instrument (the live sibling of
 :class:`~repro.obs.telemetry.TelemetryRecorder`): it creates the
-segment, installs per-rank publishers wherever the rank kernels
-actually execute, and keeps the run slot fresh from the epoch observer.
-The publishing points are chosen so the bare-mode hot path stays
-untouched — nothing here adds a per-event observer:
+segment, has every rank publish its own slot wherever the rank kernel
+actually executes, and keeps the run slot fresh.  The publishing
+points are chosen so the bare-mode hot path stays untouched — nothing
+here adds a per-event observer:
 
-* **kernel boundaries** — every rank :class:`Simulation` carries a
-  ``_live_publisher`` slot the kernel loop checks once per invocation
-  (state flips to *running* at entry, *waiting* at exit);
-* **epoch hook** — the parent's epoch observer republishes the run slot
-  and, for in-process backends, folds per-rank window wall time into
-  the rank slots;
-* **sampler thread** — a daemon thread republishing each locally owned
-  rank slot every ``interval_s`` seconds, which is what keeps event
-  counts and queue depths moving *mid-window* (and what lets the
-  watchdog see a hung handler: the sampler keeps stamping the slot
-  while the event count stops advancing).
+* **kernel boundaries** — a rank's state flips to *running* when a
+  kernel window starts and to *waiting* when it ends: for a sequential
+  run through the simulation's ``_live_publisher`` slot (checked once
+  per :func:`~repro.core.kernel.kernel_run`), for a parallel rank
+  through its runner's recorder;
+* **epoch hook** — a parallel run's epoch observer republishes the run
+  slot;
+* **sampler thread** — a daemon thread republishing a rank slot every
+  ``interval_s`` seconds, which is what keeps event counts and queue
+  depths moving *mid-window* (and what lets the watchdog see a hung
+  handler: the sampler keeps stamping the slot while the event count
+  stops advancing).
 
-For the ``processes`` backend the parent's epoch loop only owns the
-run slot; each rank's recorder re-opens the segment by path where the
-rank runs (rank 0 in the parent, the others in their forked workers)
-and owns its rank slot (wired through
+On a parallel run, on every backend, the parent owns only the run slot:
+each rank's recorder re-opens the segment by path where the rank runs
+(in the calling process for the serial backend and rank 0, in its
+forked worker otherwise) and owns its rank slot (wired through
 :class:`~repro.obs.rank_stream.RankStreamPlan`).
 """
 
@@ -38,11 +39,11 @@ from .segment import (KIND_RUN, RANK_SLOT_SIZE, STATE_DONE, STATE_RUNNING,
 
 
 class SlotSampler:
-    """Daemon thread republishing a set of rank slots periodically."""
+    """Daemon thread republishing one rank slot periodically."""
 
-    def __init__(self, publishers: List[RankSlotWriter], interval_s: float,
+    def __init__(self, publisher: RankSlotWriter, interval_s: float,
                  extra_tick: Optional[Any] = None):
-        self._publishers = publishers
+        self._publisher = publisher
         self._interval = max(0.02, interval_s)
         self._extra_tick = extra_tick
         self._stop = threading.Event()
@@ -52,16 +53,12 @@ class SlotSampler:
 
     def _loop(self) -> None:
         while not self._stop.wait(self._interval):
-            for pub in self._publishers:
-                try:
-                    pub.publish()
-                except Exception:  # never let sampling kill anything
-                    return
-            if self._extra_tick is not None:
-                try:
+            try:  # never let sampling kill anything
+                self._publisher.publish()
+                if self._extra_tick is not None:
                     self._extra_tick()
-                except Exception:
-                    return
+            except Exception:
+                return
 
     def stop(self) -> None:
         self._stop.set()
@@ -77,7 +74,7 @@ class LiveMetrics:
         Segment file location (``default_segment_path(metrics)`` is the
         CLI convention: ``<metrics>.live``).
     interval_s:
-        Sampler republish period (per locally owned rank slot).
+        Sampler republish period of each rank slot.
     watchdog_dumps:
         Ask processes-backend workers to register the SIGUSR1
         ``faulthandler`` stack-dump handler at startup, so a watchdog
@@ -97,7 +94,7 @@ class LiveMetrics:
         self.segment: Optional[LiveSegment] = None
         self._target: Optional[Any] = None
         self._parallel = False
-        self._publishers: List[RankSlotWriter] = []
+        self._publisher: Optional[RankSlotWriter] = None
         self._sampler: Optional[SlotSampler] = None
         self._run_mutex = threading.Lock()
         self._start_mono = 0.0
@@ -147,23 +144,14 @@ class LiveMetrics:
             plan.live_interval_s = self.interval_s
             if self.watchdog_dumps:
                 plan.live_dump_base = str(self.path)
-            if backend != "processes":
-                # In-process backends: the parent owns every rank slot.
-                for rank, sim in enumerate(target._sims):
-                    pub = RankSlotWriter(self.segment, rank, sim)
-                    sim._live_publisher = pub
-                    self._publishers.append(pub)
-            # processes: each rank's RankRecorder opens the segment by
-            # path and owns its slot (via the plan fields set above).
+            # Each rank's RankRecorder opens the segment by path and
+            # owns its slot (via the plan fields set above).
         else:
-            pub = RankSlotWriter(self.segment, 0, target)
-            target._live_publisher = pub
-            self._publishers.append(pub)
+            self._publisher = RankSlotWriter(self.segment, 0, target)
+            target._live_publisher = self._publisher
+            self._sampler = SlotSampler(self._publisher, self.interval_s,
+                                        extra_tick=self._sequential_tick)
         self._publish_run()
-        if self._publishers:
-            self._sampler = SlotSampler(self._publishers, self.interval_s,
-                                        extra_tick=self._sequential_tick
-                                        if not self._parallel else None)
         return self
 
     def detach(self) -> None:
@@ -176,15 +164,11 @@ class LiveMetrics:
                 target.remove_epoch_observer(self._on_epoch)
                 if getattr(target, "live", None) is self:
                     target.live = None
-                sims = target._sims
-            else:
-                sims = [target]
-            for sim in sims:
-                if getattr(sim, "_live_publisher", None) in self._publishers:
-                    sim._live_publisher = None
-        for pub in self._publishers:
-            pub.close()
-        self._publishers = []
+            elif target._live_publisher is self._publisher:
+                target._live_publisher = None
+        if self._publisher is not None:
+            self._publisher.close()
+            self._publisher = None
         if self.segment is not None:
             self.segment.close()
             self.segment = None
@@ -225,10 +209,6 @@ class LiveMetrics:
         for rank, wait in enumerate(info.per_rank_barrier_wait):
             if rank < len(self._barrier):
                 self._barrier[rank] += wait
-        for rank, pub in enumerate(self._publishers):
-            if rank < len(info.per_rank_wall):
-                pub.record_step(info.per_rank_wall[rank])
-                pub.publish()
         self._publish_run()
 
     def _sequential_tick(self) -> None:

@@ -1,8 +1,8 @@
 """Cross-rank trace merge: per-rank telemetry shards → one Perfetto trace.
 
-A ``--backend processes`` run with ``--metrics out.jsonl`` leaves
-behind the parent stream plus one rank-local shard per worker
-(``out.jsonl.rank<k>``, written by :mod:`repro.obs.rank_stream`).  Each
+A parallel run with ``--metrics out.jsonl`` leaves behind the parent
+stream plus one rank-local shard per rank (``out.jsonl.rank<k>``,
+written by :mod:`repro.obs.rank_stream` on every backend).  Each
 stream is self-consistent but none shows the whole run.  This module
 stitches them into a single Chrome Trace Event file:
 
@@ -21,11 +21,8 @@ readings (``mono_s``) — CLOCK_MONOTONIC is system-wide on Linux, so the
 streams share a timebase; the merge subtracts the minimum ``mono_s``
 seen anywhere so the merged trace starts at t=0.
 
-Runs without shards (the serial backend, or a processes run without a
-metrics path) still merge: rank lanes are synthesized from the parent's
-``per_rank_wall_s`` when no rank-local epoch records exist.  Streams
-recorded by older versions, which could carry rank records inline in
-the parent stream, still load: those records are split out by rank.
+A rank whose shard is missing still gets a lane: it is synthesized from
+the parent's ``per_rank_wall_s`` when no rank-local epoch records exist.
 """
 
 from __future__ import annotations
@@ -37,8 +34,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .chrome_trace import build_trace_dict, flow_pair
-
-_RANK_KINDS = ("rank_start", "rank_epoch", "rank_sample", "span", "rank_end")
 
 
 def load_stream(path: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -76,35 +71,26 @@ class RunArtifacts:
     """Everything one run left on disk, loaded and split by origin.
 
     ``main`` is the parent stream (``run_start``/``sample``/``epoch``/
-    ``run_end``); ``rank_records`` maps each rank to its rank-stream
-    records, whether they came from a shard file or sit inline in an
-    older parent stream.
+    ``run_end``); ``rank_records`` maps each rank to the records of its
+    shard file.
     """
 
     def __init__(self, metrics_path: Union[str, Path]):
         self.metrics_path = Path(metrics_path)
         if not self.metrics_path.exists():
             raise FileNotFoundError(f"metrics stream not found: {metrics_path}")
-        self.main: List[Dict[str, Any]] = []
-        self.rank_records: Dict[int, List[Dict[str, Any]]] = {}
-        for record in load_stream(self.metrics_path):
-            if record.get("kind") in _RANK_KINDS:
-                rank = int(record.get("rank", 0))
-                self.rank_records.setdefault(rank, []).append(record)
-            else:
-                self.main.append(record)
+        self.main: List[Dict[str, Any]] = load_stream(self.metrics_path)
         self.shards = find_rank_shards(self.metrics_path)
-        for rank, shard in self.shards.items():
-            self.rank_records.setdefault(rank, []).extend(load_stream(shard))
-        # Degraded-run detection: a processes run that streamed rank
-        # records should have a complete stream (ending in rank_end) for
-        # every rank named by run_start.  A crashed or still-running
-        # worker leaves a missing or truncated shard; merge the rest and
-        # say so once, instead of failing (or silently lying about) the
-        # whole merge.
+        self.rank_records: Dict[int, List[Dict[str, Any]]] = {
+            rank: load_stream(shard) for rank, shard in self.shards.items()}
+        # Degraded-run detection: a run that wrote rank shards should
+        # have a complete one (ending in rank_end) for every rank named
+        # by run_start.  A crashed or still-running rank leaves a
+        # missing or truncated shard; merge the rest and say so once,
+        # instead of failing (or silently lying about) the whole merge.
         self.missing_ranks: List[int] = []
         self.truncated_ranks: List[int] = []
-        if self.backend == "processes" and self.rank_records:
+        if self.rank_records:
             expected = int(self.run_start.get("ranks", 0) or 0)
             for rank in range(expected):
                 records = self.rank_records.get(rank)
@@ -258,9 +244,9 @@ def merge_trace(artifacts: RunArtifacts, *,
                     "args": {"queued": record.get("queued", 0)},
                 })
 
-    # Ranks with no rank-local epoch records (serial backend,
-    # missing shard): synthesize their epoch lane from the parent's
-    # per-rank walls so every rank still gets a lane.
+    # Ranks with no rank-local epoch records (a missing shard):
+    # synthesize their epoch lane from the parent's per-rank walls so
+    # every rank still gets a lane.
     parent_epochs = artifacts.epochs
     for rank in range(num_ranks):
         if rank in ranks_with_epochs:
@@ -380,8 +366,8 @@ def _causal_flows(artifacts: RunArtifacts, us, tid) -> Tuple[List[Dict[str, Any]
     simulated time (``window_end_ps``) onto the wall-clock span of the
     epoch that executed it, and the arrow endpoints are pinned inside
     those spans so Perfetto binds them.  Ranks without ``rank_epoch``
-    records (the serial backend) have no wall-clock anchor and
-    contribute no arrows.
+    records (a missing shard) have no wall-clock anchor and contribute
+    no arrows.
     """
     from .causal import find_causal_shards
 

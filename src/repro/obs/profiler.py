@@ -10,9 +10,6 @@ question the end-of-run statistics cannot: which *simulated component*
 partitioning choices for parallel runs.
 
 Overhead: two ``perf_counter()`` calls plus one dict update per event.
-For long runs a ``sample_every=N`` stride times only every Nth matched
-event and scales the reported wall time by the observed hit rate, while
-event *counts* stay exact.
 """
 
 from __future__ import annotations
@@ -92,107 +89,82 @@ class ProfileRow:
         }
 
 
+def bucket_observer(buckets: Dict[Tuple[str, str, str], List[float]]):
+    """A span observer that folds every handler invocation into
+    ``buckets``: ``(component, handler, event type) -> [count, wall]``."""
+
+    def observe(time, handler, event, wall_seconds) -> None:
+        component, label = attribute_event(handler, event)
+        key = (component, label,
+               type(event).__name__ if event is not None else "-")
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [1, wall_seconds]
+        else:
+            bucket[0] += 1
+            bucket[1] += wall_seconds
+
+    return observe
+
+
 class HandlerProfiler:
     """Attribute per-event wall time to components/handlers/event types.
 
-    Parameters
-    ----------
-    target:
-        A :class:`Simulation` or :class:`ParallelSimulation` (attaches
-        to every rank; rows carry the rank index).
-    sample_every:
-        Time every Nth event (1 = all).  Counts stay exact; wall time
-        is scaled up by the stride so totals remain comparable.
+    ``target`` is a :class:`Simulation` (the profiler attaches its span
+    observer directly) or a :class:`ParallelSimulation` (it registers on
+    the rank plan: every rank accumulates its buckets where it runs and
+    they fold in at the end of the run; rows carry the rank index).
     """
 
-    def __init__(self, target: Union[Simulation, ParallelSimulation], *,
-                 sample_every: int = 1):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        self.sample_every = sample_every
+    def __init__(self, target: Union[Simulation, ParallelSimulation]):
         self.target = target
-        # (rank, component, handler, event_type) -> [count, timed, wall]
-        self._buckets: Dict[Tuple[int, str, str, str], List[float]] = {}
-        self._observers = []
+        #: rank -> (component, handler, event_type) -> [count, wall]
+        self._buckets: Dict[int, Dict[Tuple[str, str, str], List[float]]] = {}
+        self._sim = None
+        self._observer = None
         self._plan = None
         if isinstance(target, ParallelSimulation):
-            sims = [target.rank_sim(r) for r in range(target.num_ranks)]
-            # Register on the rank plan so a processes-backend run
-            # rebuilds the buckets rank-locally and harvests them back
-            # (the in-process observers below then never fire there).
             from .rank_stream import ensure_rank_plan
             self._plan = ensure_rank_plan(target)
             self._plan.register_profiler(self)
         else:
-            sims = [target]
-        for sim in sims:
-            fn = self._make_observer(sim.rank)
-            # Covered rank-locally in forked workers — don't warn on it.
-            fn.__rank_local__ = "profile"
-            self._observers.append((sim, fn))
-            sim.add_span_observer(fn)
-
-    def _make_observer(self, rank: int):
-        buckets = self._buckets
-        stride = self.sample_every
-        tick = [0]
-
-        def observe(time, handler, event, wall_seconds) -> None:
-            component, label = attribute_event(handler, event)
-            event_type = type(event).__name__ if event is not None else "-"
-            key = (rank, component, label, event_type)
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = [0, 0, 0.0]
-                buckets[key] = bucket
-            bucket[0] += 1
-            tick[0] += 1
-            if tick[0] >= stride:
-                tick[0] = 0
-                bucket[1] += 1
-                bucket[2] += wall_seconds
-
-        return observe
+            self._sim = target
+            self._observer = bucket_observer(
+                self._buckets.setdefault(target.rank, {}))
+            target.add_span_observer(self._observer)
 
     def detach(self) -> None:
-        for sim, fn in self._observers:
-            sim.remove_span_observer(fn)
-        self._observers = []
+        if self._sim is not None:
+            self._sim.remove_span_observer(self._observer)
+            self._sim = None
         if self._plan is not None:
             self._plan.unregister_profiler(self)
             self._plan = None
 
     def absorb_remote_buckets(self, rank: int, buckets: Dict[Tuple[str, str, str],
                                                              List[float]]) -> None:
-        """Merge a worker's rank-local ``(component, handler, event type)``
-        buckets, harvested over the process boundary, into this profiler.
-
-        Workers time every matched event (no sampling stride), so counts
-        and timed counts arrive equal; merging keeps scaling correct.
-        """
-        for (component, label, event_type), (count, timed, wall) in \
-                buckets.items():
-            key = (rank, component, label, event_type)
-            bucket = self._buckets.get(key)
+        """Merge one rank's ``(component, handler, event type)`` buckets,
+        harvested at the end of a parallel run, into this profiler."""
+        mine = self._buckets.setdefault(rank, {})
+        for key, (count, wall) in buckets.items():
+            bucket = mine.get(key)
             if bucket is None:
-                bucket = [0, 0, 0.0]
-                self._buckets[key] = bucket
-            bucket[0] += count
-            bucket[1] += timed
-            bucket[2] += wall
+                mine[key] = [count, wall]
+            else:
+                bucket[0] += count
+                bucket[1] += wall
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
     def rows(self) -> List[ProfileRow]:
         """All buckets, hottest (most wall time) first."""
-        rows = []
-        for (rank, component, label, event_type), (count, timed, wall) in \
-                self._buckets.items():
-            scaled = wall * (count / timed) if timed else 0.0
-            rows.append(ProfileRow(component=component, handler=label,
-                                   event_type=event_type, rank=rank,
-                                   count=int(count), wall_seconds=scaled))
+        rows = [ProfileRow(component=component, handler=label,
+                           event_type=event_type, rank=rank,
+                           count=int(count), wall_seconds=wall)
+                for rank, buckets in self._buckets.items()
+                for (component, label, event_type), (count, wall)
+                in buckets.items()]
         rows.sort(key=lambda r: r.wall_seconds, reverse=True)
         return rows
 
@@ -216,7 +188,6 @@ class HandlerProfiler:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "sample_every": self.sample_every,
             "total_seconds": self.total_seconds(),
             "rows": [row.as_dict() for row in self.rows()],
             "hot_components": [

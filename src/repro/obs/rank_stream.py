@@ -1,22 +1,23 @@
-"""Per-rank telemetry streams for the processes execution backend.
+"""Per-rank telemetry streams for a parallel run, on every backend.
 
-The parent process of a ``--backend processes`` run cannot observe
-per-event activity inside the forked rank workers: observer closures
-inherited at fork would record into worker memory that dies with the
-worker.  This module is the bridge:
+Every execution backend steps each rank through a ``RankRunner``,
+which detaches the per-event observers of the rank's simulation; an
+instrument reaches a parallel run's ranks only through the rank plan.
+This module is that plan and its rank-side half:
 
-* :class:`RankStreamPlan` — the parent-side registry.  Instruments that
-  know how to survive the process boundary (telemetry recorder, handler
-  profiler, Chrome trace exporter) register themselves here via
-  :func:`ensure_rank_plan`; the plan rides the fork into every worker.
+* :class:`RankStreamPlan` — the parent-side registry.  Instruments
+  (telemetry recorder, handler profiler, Chrome trace exporter, causal
+  capture, live metrics) register their needs here via
+  :func:`ensure_rank_plan`; under the processes backend the plan rides
+  the fork into every worker.
 * :class:`RankRecorder` — the rank-side re-attachment.  Created by the
-  backend's ``RankRunner`` wherever the rank runs (rank 0 in the
-  parent, the others in their forked workers) after the parent-bound
-  observers are stripped, it writes one JSONL shard per rank
-  (``<metrics>.rank<k>``).  The shard is the only way a rank's records
-  leave the rank, so rank records need a metrics path: without one a
-  rank keeps only what harvests home with the final statistics payload
-  (span-profile buckets and rank counters).
+  ``RankRunner`` wherever the rank runs (in the calling process for the
+  serial backend and rank 0, in its forked worker otherwise), it writes
+  one JSONL shard per rank (``<metrics>.rank<k>``) when the plan has a
+  metrics path, and brings home, in the ``finish`` harvest, what the
+  registered instruments fold in: span-profile buckets, span and epoch
+  rows for a Chrome trace exporter (capped at :data:`SPAN_LIMIT`), rank
+  counters.
 
 Shard record kinds (schema ``repro-rank-stream/1``, one JSON object per
 line): ``rank_start``, ``rank_epoch`` (one per conservative-sync epoch
@@ -37,7 +38,7 @@ import time as _wall_time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
-from .profiler import attribute_event
+from .profiler import attribute_event, bucket_observer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.parallel import ParallelSimulation
@@ -45,10 +46,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: bump when a shard record field changes meaning.
 RANK_STREAM_SCHEMA = "repro-rank-stream/1"
 
-#: worker profile bucket: (component, handler, event_type) -> [count, timed, wall]
+#: rank profile bucket: (component, handler, event_type) -> [count, wall]
 RankBuckets = Dict[Tuple[str, str, str], List[float]]
 
-#: hard cap on span rows per rank shard; overflow is counted
+#: hard cap on span rows per rank; overflow is counted
 #: (``obs.rank_dropped``), not kept.
 SPAN_LIMIT = 200_000
 
@@ -69,43 +70,38 @@ def ensure_rank_plan(psim: "ParallelSimulation") -> "RankStreamPlan":
 
 
 class RankStreamPlan:
-    """What each forked rank worker should re-attach, and where results go.
+    """What each rank should re-attach, and where results go.
 
-    Parent-side instruments register their needs before the run; the
-    plan is inherited at fork, each worker builds a
-    :class:`RankRecorder` from it, and the parent folds what comes back
-    at finalize (profile buckets, rank summaries) into the registered
-    instruments.
+    Parent-side instruments register their needs before the run; each
+    rank's runner builds a :class:`RankRecorder` from the plan where the
+    rank runs (a forked worker inherits the plan), and the parent folds
+    what comes back at finalize (profile buckets, span rows, rank
+    summaries) into the registered instruments.
     """
 
     def __init__(self) -> None:
         #: metrics path of the owning TelemetryRecorder; shards land at
         #: ``<metrics_base>.rank<k>``.  None = no shard files.
         self.metrics_base: Optional[Path] = None
-        #: events between rank_sample heartbeat records inside a worker.
+        #: events between rank_sample heartbeat records on a rank.
         self.heartbeat_every: int = 5_000
-        #: write per-handler span rows into the shards (set while a
-        #: ChromeTraceExporter is attached).
-        self.span_records: bool = False
-        #: accumulate (component, handler, event type) wall-time buckets
-        #: worker-side and merge them into registered profilers.
-        self.profile: bool = False
         # --- live plane (repro.obs.live) ------------------------------
-        #: live segment path; workers re-open it by path (the mmap file
-        #: survives the fork) and own their rank slot.  None = no live
-        #: publishing inside workers.
+        #: live segment path; each rank's recorder re-opens it by path
+        #: (the mmap file survives a fork) and owns its rank slot.
+        #: None = no live publishing on the ranks.
         self.live_path: Optional[str] = None
-        #: worker-side sampler republish period (seconds).
+        #: rank-side sampler republish period (seconds).
         self.live_interval_s: float = 0.25
         #: when set, workers register the SIGUSR1 faulthandler stack-dump
         #: handler into ``<live_dump_base>.stack.rank<k>`` at startup so
         #: the stall watchdog can extract stacks from hung workers.
         self.live_dump_base: Optional[str] = None
         # --- causal tracing (repro.obs.causal) ------------------------
-        #: when set, each worker attaches a CausalTracer writing
-        #: ``<causal_base>.causal.rank<k>``.  None = no capture.
+        #: when set, each rank's recorder attaches a CausalTracer
+        #: writing ``<causal_base>.causal.rank<k>``.  None = no capture.
         self.causal_base: Optional[str] = None
         self._profilers: List[Any] = []
+        self._exporters: List[Any] = []
         #: per-rank summaries harvested at finalize: rank -> dict.
         self.rank_reports: Dict[int, Dict[str, Any]] = {}
 
@@ -113,28 +109,44 @@ class RankStreamPlan:
     # parent-side registration (instruments call these)
     # ------------------------------------------------------------------
     def register_profiler(self, profiler: Any) -> None:
+        """Accumulate span-profile buckets on every rank and hand them
+        to ``profiler.absorb_remote_buckets`` at finalize."""
         if profiler not in self._profilers:
             self._profilers.append(profiler)
-        self.profile = True
 
     def unregister_profiler(self, profiler: Any) -> None:
         if profiler in self._profilers:
             self._profilers.remove(profiler)
-        self.profile = bool(self._profilers)
+
+    def register_span_exporter(self, exporter: Any) -> None:
+        """Keep span and epoch rows on every rank (also written to the
+        shards when there is a metrics path) and hand them to
+        ``exporter.absorb_rank_rows`` at finalize."""
+        if exporter not in self._exporters:
+            self._exporters.append(exporter)
+
+    def unregister_span_exporter(self, exporter: Any) -> None:
+        if exporter in self._exporters:
+            self._exporters.remove(exporter)
 
     # ------------------------------------------------------------------
-    # state the backend inspects
+    # state the recorders and instruments inspect
     # ------------------------------------------------------------------
     @property
-    def has_record_sink(self) -> bool:
-        """Do rank records have a shard to go to?"""
-        return self.metrics_base is not None
+    def profile(self) -> bool:
+        """Accumulate (component, handler, event type) buckets?"""
+        return bool(self._profilers)
+
+    @property
+    def span_records(self) -> bool:
+        """Record per-handler span rows (a trace exporter is attached)?"""
+        return bool(self._exporters)
 
     @property
     def active(self) -> bool:
-        """Anything at all for a worker to re-attach?"""
-        return (self.has_record_sink or self.profile
-                or self.live_path is not None
+        """Anything at all for a rank to re-attach?"""
+        return (self.metrics_base is not None or self.profile
+                or self.span_records or self.live_path is not None
                 or self.causal_base is not None)
 
     def shard_paths(self, num_ranks: int) -> List[str]:
@@ -146,7 +158,7 @@ class RankStreamPlan:
                 for r in range(num_ranks)]
 
     # ------------------------------------------------------------------
-    # hooks the processes backend drives (duck-typed from core)
+    # hooks the backends drive (duck-typed from core)
     # ------------------------------------------------------------------
     def worker_recorder(self, psim: "ParallelSimulation",
                         rank: int) -> Optional["RankRecorder"]:
@@ -156,25 +168,30 @@ class RankStreamPlan:
         return RankRecorder(self, psim, rank)
 
     def absorb(self, rank: int, payload: Optional[Dict[str, Any]]) -> None:
-        """Fold one worker's harvested observability payload back in."""
+        """Fold one rank's harvested observability payload back in."""
         if not payload:
             return
         buckets = payload.pop("profile", None)
         if buckets:
             for profiler in self._profilers:
                 profiler.absorb_remote_buckets(rank, buckets)
+        rows = payload.pop("rows", None)
+        if rows is not None:
+            for exporter in self._exporters:
+                exporter.absorb_rank_rows(rank, rows["spans"],
+                                          rows["epochs"], payload["dropped"])
         self.rank_reports[rank] = payload
 
 
 class RankRecorder:
     """Rank-side recorder: the rank-local half of the plan.
 
-    Lives wherever the rank runs — rank 0's in the parent, every other
-    rank's inside its forked worker.  Opens its own shard
-    file (never the parent's sink), attaches its own span/heartbeat
-    observers to the rank's :class:`Simulation`, records every
-    :class:`RankStep` it executes, and packages the harvest for the
-    ``finish`` payload.
+    Lives wherever the rank runs — in the calling process for the
+    serial backend and rank 0, inside its forked worker otherwise.
+    Opens its own shard file (never the parent's sink), attaches its own
+    span/heartbeat observers to the rank's :class:`Simulation`, records
+    every :class:`RankStep` it executes, and packages the harvest for
+    the ``finish`` payload.
     """
 
     def __init__(self, plan: RankStreamPlan, psim: "ParallelSimulation",
@@ -185,7 +202,6 @@ class RankRecorder:
         self.shard_path: Optional[str] = None
         self._sink = None
         self._epoch = 0
-        self._span_rows_written = 0
         if plan.metrics_base is not None:
             path = rank_shard_path(plan.metrics_base, rank)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -205,24 +221,33 @@ class RankRecorder:
             "schema": RANK_STREAM_SCHEMA,
             "rank": rank,
             "ranks": psim.num_ranks,
-            "backend": "processes",
+            "backend": psim.backend,
             "pid": os.getpid(),
             "mono_s": self._t0,
             "created_unix": _wall_time.time(),
         })
-        self._buckets: Optional[RankBuckets] = {} if plan.profile else None
-        self._record_spans = plan.span_records and self._has_sink
-        if self._buckets is not None or self._record_spans:
+        self._buckets: Optional[RankBuckets] = None
+        if plan.profile:
+            self._buckets = {}
+            self.sim.add_span_observer(bucket_observer(self._buckets))
+        # Span rows (mono_s, wall_s, component, handler, event type,
+        # sim_ps) and epoch rows (mono_s, wall_s, events, sent,
+        # window_end_ps, sim_ps) go home for the trace exporters.
+        self._spans: Optional[List[tuple]] = None
+        self._epochs: List[tuple] = []
+        if plan.span_records:
+            self._spans = []
             self.sim.add_span_observer(self._on_span)
-        if plan.heartbeat_every >= 1 and self._has_sink:
+        if plan.heartbeat_every >= 1 and self._sink is not None:
             self.sim.add_heartbeat(self._on_heartbeat,
                                    every_events=plan.heartbeat_every)
         # Live plane: re-open the segment the parent created (by path —
-        # the mmap file survives the fork) and own this rank's slot.
-        # Kernel-boundary state flips come free via sim._live_publisher;
-        # the sampler keeps the slot moving mid-window.  Failures
-        # degrade to a rank without live metrics, never a dead worker.
+        # the mmap file survives a fork) and own this rank's slot.  The
+        # runner flips it running/waiting around each kernel window;
+        # the sampler keeps it moving mid-window.  Failures degrade to a
+        # rank without live metrics, never a dead rank.
         self._live = None
+        self._live_segment = None
         self._live_sampler = None
         if plan.live_path is not None:
             try:
@@ -232,14 +257,12 @@ class RankRecorder:
                 self._live_segment = LiveSegment.open(plan.live_path)
                 self._live = RankSlotWriter(self._live_segment, rank,
                                             self.sim)
-                self.sim._live_publisher = self._live
-                self._live.publish()
-                self._live_sampler = SlotSampler([self._live],
+                self._live_sampler = SlotSampler(self._live,
                                                  plan.live_interval_s)
             except Exception:  # pragma: no cover - defensive
                 self._live = None
                 self._live_sampler = None
-        # Causal tracing: this worker owns its rank's causal shard.
+        # Causal tracing: this recorder owns its rank's causal shard.
         # The tracer splices into the rank sim's queue + instrumented
         # dispatch; failures degrade to a rank without causal capture.
         self._causal = None
@@ -251,10 +274,6 @@ class RankRecorder:
                                             psim=psim)
             except Exception:  # pragma: no cover - defensive
                 self._causal = None
-
-    @property
-    def _has_sink(self) -> bool:
-        return self._sink is not None
 
     # ------------------------------------------------------------------
     # record routing
@@ -269,34 +288,25 @@ class RankRecorder:
     # ------------------------------------------------------------------
     def _on_span(self, time: int, handler: Any, event: Any,
                  wall_seconds: float) -> None:
+        if len(self._spans) >= SPAN_LIMIT:
+            self._c_dropped.add()
+            return
         component, label = attribute_event(handler, event)
         event_type = type(event).__name__ if event is not None else "-"
-        if self._buckets is not None:
-            key = (component, label, event_type)
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = [0, 0, 0.0]
-                self._buckets[key] = bucket
-            bucket[0] += 1
-            bucket[1] += 1
-            bucket[2] += wall_seconds
-        if self._record_spans:
-            if self._span_rows_written >= SPAN_LIMIT:
-                self._c_dropped.add()
-                return
-            self._span_rows_written += 1
-            self._c_spans.add()
-            end = _wall_time.perf_counter()
-            self._emit({
-                "kind": "span",
-                "rank": self.rank,
-                "mono_s": end - wall_seconds,
-                "dur_us": wall_seconds * 1e6,
-                "component": component,
-                "handler": label,
-                "event": event_type,
-                "sim_ps": time,
-            })
+        start = _wall_time.perf_counter() - wall_seconds
+        self._spans.append((start, wall_seconds, component, label,
+                            event_type, time))
+        self._c_spans.add()
+        self._emit({
+            "kind": "span",
+            "rank": self.rank,
+            "mono_s": start,
+            "dur_us": wall_seconds * 1e6,
+            "component": component,
+            "handler": label,
+            "event": event_type,
+            "sim_ps": time,
+        })
 
     def _on_heartbeat(self, sim: Any) -> None:
         self._c_samples.add()
@@ -310,31 +320,37 @@ class RankRecorder:
         })
 
     # ------------------------------------------------------------------
-    # hooks the worker loop drives
+    # hooks the rank runner drives
     # ------------------------------------------------------------------
+    def on_step_start(self) -> None:
+        """A kernel window is about to run."""
+        if self._live is not None:
+            self._live.on_kernel_enter()
+
     def on_step(self, step: Any, epoch_end: int) -> None:
         """Record one executed epoch window."""
         from ..core.backends import outbox_count
 
-        end = _wall_time.perf_counter()
+        start = _wall_time.perf_counter() - step.wall_seconds
+        sent = outbox_count(step.outbox)
+        if self._spans is not None:
+            self._epochs.append((start, step.wall_seconds, step.events,
+                                 sent, epoch_end, step.now))
         self._emit({
             "kind": "rank_epoch",
             "rank": self.rank,
             "epoch": self._epoch,
-            "mono_s": end - step.wall_seconds,
+            "mono_s": start,
             "wall_s": step.wall_seconds,
             "events": step.events,
-            "sent": outbox_count(step.outbox),
+            "sent": sent,
             "window_end_ps": epoch_end,
             "sim_ps": step.now,
         })
         self._epoch += 1
         if self._live is not None:
-            try:
-                self._live.record_step(step.wall_seconds)
-                self._live.publish()
-            except Exception:  # pragma: no cover - defensive
-                self._live = None
+            self._live.record_step(step.wall_seconds)
+            self._live.on_kernel_exit()
         if self._sink is not None:
             self._sink.flush()
         if self._causal is not None:
@@ -352,13 +368,9 @@ class RankRecorder:
                 pass
             self._live_sampler = None
         if self._live is not None:
-            try:
-                if getattr(self.sim, "_live_publisher", None) is self._live:
-                    self.sim._live_publisher = None
-                self._live.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
+            self._live.close()
             self._live = None
+            self._live_segment.close()
         self._emit({
             "kind": "rank_end",
             "rank": self.rank,
@@ -385,6 +397,8 @@ class RankRecorder:
         }
         if self._buckets:
             payload["profile"] = self._buckets
+        if self._spans is not None:
+            payload["rows"] = {"spans": self._spans, "epochs": self._epochs}
         if self._sink is not None:
             self._sink.close()
             self._sink = None

@@ -17,9 +17,9 @@ in flight:
 (:mod:`repro.obs.manifest`) and writes it next to the stream, giving
 every run a machine-readable perf record.
 
-On a processes-backend run the rank-local records go to per-rank
-shards next to a metrics *path* (:mod:`repro.obs.rank_stream`); a
-recorder without one records the parent stream only.
+On a parallel run the rank-local records go to per-rank shards next
+to a metrics *path* (:mod:`repro.obs.rank_stream`), on every backend;
+a recorder without one records the parent stream only.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class TelemetryRecorder:
     metrics_path:
         Where the JSONL stream goes (path or open text stream); ``None``
         keeps samples in memory only (``records``).  Only a path gets
-        per-rank shards on a processes-backend run.
+        per-rank shards on a parallel run.
     manifest_path:
         Where :meth:`finalize` writes the manifest JSON.  Defaults to
         ``<metrics_path>.manifest.json`` when a metrics *path* was
@@ -103,8 +103,8 @@ class TelemetryRecorder:
             record["ranks"] = target.num_ranks
             record["backend"] = target.backend
             record["sync"] = target.sync_strategy.describe()
-            # Join the rank plan so processes-backend workers write
-            # per-rank shards next to the stream.
+            # Join the rank plan so every rank writes its shard next to
+            # the stream.
             from .rank_stream import ensure_rank_plan
             self._plan = ensure_rank_plan(target)
             if self._path is not None:

@@ -102,12 +102,19 @@ class TestCaptureLifecycle:
                               seed=7, backend="serial")
         bare = [psim.rank_sim(rank)._queue for rank in range(2)]
         capture = CausalCapture(tmp_path / "m.jsonl").attach(psim)
-        for rank in range(2):
-            sim = psim.rank_sim(rank)
-            assert sim._queue is not bare[rank]
-            assert sim._queue.pop_entry == bare[rank].pop_entry
-            assert sim._instr is not None
+        traced = []
+
+        def check_traced(_info):
+            # Each rank's recorder wraps its queue for the run.
+            for rank in range(2):
+                sim = psim.rank_sim(rank)
+                traced.append(sim._queue is not bare[rank]
+                              and sim._queue.pop_entry == bare[rank].pop_entry
+                              and sim._instr is not None)
+
+        psim.add_epoch_observer(check_traced)
         psim.run()
+        assert traced and all(traced)
         capture.close()
         for rank in range(2):
             sim = psim.rank_sim(rank)
@@ -212,13 +219,21 @@ class TestCrossBackendIdentity:
         assert path_key(first) == path_key(second)
 
     def test_recv_rows_join_send_rows(self, tmp_path):
+        """Every arrival joins its send row, except the setup()-time
+        sends: they precede the rank recorders, so they carry the lowest
+        send seqs of their rank and no row (the join makes them roots)."""
         graph = load_causal(traced_parallel_run(tmp_path, "serial"))
         assert graph.ranks == [0, 1]
         assert graph.recvs and graph.sends
+        first_recorded = {}
+        for src, send_seq in graph.sends:
+            first_recorded[src] = min(send_seq,
+                                      first_recorded.get(src, send_seq))
         for (rank, _seq), (link_id, send_seq) in graph.recvs.items():
             link = graph.links[link_id]
             src = link["rank_b"] if rank == link["rank_a"] else link["rank_a"]
-            assert (src, send_seq) in graph.sends
+            if (src, send_seq) not in graph.sends:
+                assert send_seq < first_recorded.get(src, send_seq + 1)
 
 
 class TestAnalyzerErrors:
@@ -335,13 +350,15 @@ class TestWorkerSideCapture:
             assert records[-1]["kind"] == "causal_end"
 
     def test_setup_sends_become_roots_under_processes(self, tmp_path):
-        """The parent performs setup()-time sends pre-fork, so the
-        processes shards carry no send row for them; the analyzer must
-        treat the arrival as a root, exactly as the serial backend's
-        cause=None row concludes."""
+        """setup()-time sends happen before any rank recorder attaches,
+        so on both backends the shards carry no send row for them and
+        the analyzer treats the arrival as a root: the serial and the
+        processes shards hold the same nodes, sends and arrivals."""
         serial = load_causal(traced_parallel_run(tmp_path, "serial"))
         procs = load_causal(traced_parallel_run(tmp_path, "processes",
                                                 name="p.jsonl"))
-        assert len(procs.recvs) == len(serial.recvs)
-        missing = set(serial.sends) - set(procs.sends)
-        assert all(serial.sends[key][0] is None for key in missing)
+        assert procs.nodes == serial.nodes
+        assert procs.sends == serial.sends
+        assert procs.recvs == serial.recvs
+        # the setup-time arrivals: received, never sent from a node
+        assert len(serial.recvs) > len(serial.sends)

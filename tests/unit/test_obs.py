@@ -217,14 +217,6 @@ class TestProfiler:
         d = prof.as_dict()
         assert d["rows"] and d["total_seconds"] > 0.0
 
-    def test_sampling_scales_counts(self, make_pingpong):
-        sim = Simulation(seed=1)
-        make_pingpong(sim, n=25)
-        with HandlerProfiler(sim, sample_every=4) as prof:
-            sim.run()
-        # Every event is *counted* even when only every 4th is timed.
-        assert sum(r.count for r in prof.rows()) == sim.events_executed
-
     def test_parallel_rows_carry_ranks(self):
         psim = _parallel_pingpong(n=20)
         with HandlerProfiler(psim) as prof:

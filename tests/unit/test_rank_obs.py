@@ -1,18 +1,20 @@
 """Tests for rank-local telemetry: per-rank streams, cross-rank trace
 merge, and sync/load-imbalance diagnostics.
 
-The load-bearing property: observability output is equivalent across
-both execution backends.  The processes backend cannot share
-memory with the parent, so its coverage flows through the rank plan
-(per-rank JSONL shards, harvested profile buckets) —
-these tests pin that the numbers coming back match what the in-process
-backends record directly.
+The load-bearing property: observability output is equal across both
+execution backends.  Every backend steps its ranks through a
+``RankRunner``, and every instrument reaches a parallel run's ranks
+only through the rank plan (per-rank JSONL shards, harvested profile
+buckets and span rows) — these tests pin that serial and processes runs
+record the same thing.
 """
 
 import json
 import warnings as _warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ConfigGraph, build_parallel, save
 from repro.core import Component, register
@@ -126,19 +128,18 @@ class TestBackendEquivalence:
         assert streams["serial"] == streams["processes"]
 
     def test_heartbeat_samples_delivered_on_every_backend(self, tmp_path):
+        samples = {}
         for backend in ALL_BACKENDS:
             metrics, _ = run_with_metrics(tmp_path, backend,
                                           name=f"hb-{backend}.jsonl",
                                           sample_every=10)
             artifacts = RunArtifacts(metrics)
-            if backend == "processes":
-                samples = [r for records in artifacts.rank_records.values()
-                           for r in records if r["kind"] == "rank_sample"]
-                assert samples, "workers should heartbeat into their shards"
-                assert {s["rank"] for s in samples} == {0, 1}
-            else:
-                # in-process backends keep the parent's epoch telemetry
-                assert artifacts.epochs
+            samples[backend] = [
+                (r["rank"], r["sim_ps"], r["events"], r["queued"])
+                for records in artifacts.rank_records.values()
+                for r in records if r["kind"] == "rank_sample"]
+            assert {s[0] for s in samples[backend]} == {0, 1}, backend
+        assert samples["serial"] == samples["processes"]
 
     def test_pathless_recorder_keeps_parent_stream_only(self):
         """Rank records need a metrics path: without one a processes
@@ -188,9 +189,9 @@ class TestBackendEquivalence:
 
 
 class TestObservabilityWarning:
-    def test_uncovered_observer_warns_once_with_name(self):
-        psim = build_parallel(traffic_graph(), 2, seed=9,
-                              backend="processes")
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_uncovered_observer_warns_once(self, backend):
+        psim = build_parallel(traffic_graph(), 2, seed=9, backend=backend)
         seen = []
         psim.rank_sim(0).add_trace_observer(
             lambda t, h, e: seen.append(t))
@@ -200,25 +201,35 @@ class TestObservabilityWarning:
         message = str(caught[0].message)
         assert "rank 0" in message
         assert "obs merge" in message
-        assert not seen  # the observer's memory died with the worker
+        assert not seen  # detached for the run, wherever the rank ran
+        # ...and put back afterwards
+        assert psim.rank_sim(0).observers_installed
 
-    def test_pathless_chrome_exporter_warns_once_by_name(self):
-        psim = build_parallel(traffic_graph(), 2, strategy="round_robin",
-                              seed=9, backend="processes")
-        exporter = ChromeTraceExporter().attach(psim)
-        with pytest.warns(RankObservabilityWarning) as caught:
-            psim.run()
-        exporter.detach()
-        rank_warnings = [w for w in caught
-                         if issubclass(w.category, RankObservabilityWarning)]
-        assert len(rank_warnings) == 1
-        assert "ChromeTraceExporter" in str(rank_warnings[0].message)
+    def test_pathless_chrome_exporter_spans_arrive(self):
+        spans = {}
+        for backend in ALL_BACKENDS:
+            psim = build_parallel(traffic_graph(), 2,
+                                  strategy="round_robin", seed=9,
+                                  backend=backend)
+            exporter = ChromeTraceExporter().attach(psim)
+            with _warnings.catch_warnings():
+                _warnings.simplefilter("error", RankObservabilityWarning)
+                result = psim.run()
+            exporter.detach()
+            handler = [e for e in exporter.trace_dict()["traceEvents"]
+                       if e["ph"] == "X" and e["cat"] != "epoch"]
+            assert len(handler) == result.events_executed, backend
+            spans[backend] = sorted((e["pid"], e["name"], e["args"]["sim_ps"])
+                                    for e in handler)
+        assert {pid for pid, _, _ in spans["serial"]} == {0, 1}
+        assert spans["serial"] == spans["processes"]
 
     def test_plan_covered_instruments_do_not_warn(self, tmp_path):
         with _warnings.catch_warnings():
             _warnings.simplefilter("error", RankObservabilityWarning)
-            run_with_metrics(tmp_path, "processes", profile=True,
-                             chrome=True)
+            for backend in ALL_BACKENDS:
+                run_with_metrics(tmp_path, backend, name=f"{backend}.jsonl",
+                                 profile=True, chrome=True)
 
 
 class TestMerge:
@@ -241,28 +252,17 @@ class TestMerge:
         assert trace["otherData"]["ranks"] == 2
         assert trace["otherData"]["backend"] == "processes"
 
-    def test_inline_rank_records_of_older_streams_still_split(self,
-                                                             tmp_path):
-        """Older streams could carry rank records inline in the parent
-        stream; they split out by rank exactly as the shards do."""
-        metrics, _ = run_with_metrics(tmp_path, "processes")
-        from_shards = RunArtifacts(metrics)
-        inline = tmp_path / "inline.jsonl"
-        lines = metrics.read_text().splitlines()
-        for shard in find_rank_shards(metrics).values():
-            lines[-1:-1] = shard.read_text().splitlines()
-        inline.write_text("\n".join(lines) + "\n")
-        from_stream = RunArtifacts(inline)
-        assert from_stream.shards == {}
-        assert from_stream.main == from_shards.main
-        assert from_stream.rank_records == from_shards.rank_records
-
     def test_merge_works_for_inprocess_backends_too(self, tmp_path):
-        metrics, _ = run_with_metrics(tmp_path, "serial")
-        trace = merge_trace(RunArtifacts(metrics))
+        metrics, _ = run_with_metrics(tmp_path, "serial", chrome=True)
+        artifacts = RunArtifacts(metrics)
+        assert sorted(artifacts.shards) == [0, 1]
+        trace = merge_trace(artifacts)
         spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        # rank lanes synthesized from the parent's per-rank walls
+        # true rank lanes from the serial run's own shards
         assert {0, 1}.issubset({e["pid"] for e in spans})
+        assert not any(e.get("args", {}).get("synthesized") for e in spans)
+        assert any(e["pid"] in (0, 1) and e["cat"] not in ("epoch", "sync")
+                   for e in spans)
 
     def test_merge_deterministic_event_counts(self, tmp_path):
         """Same seed => identical merged per-rank event counts."""
@@ -425,55 +425,63 @@ class TestObsCliErrors:
 class TestMergeDegradation:
     """Satellite: a missing or truncated rank shard degrades the merge
     gracefully — one warning naming the rank, the remaining lanes still
-    merged, and the gap marked in the trace itself."""
+    merged, and the gap marked in the trace itself — on every backend."""
 
     def test_missing_shard_warns_and_merges_the_rest(self, tmp_path):
-        metrics, _ = run_with_metrics(tmp_path, "processes")
-        find_rank_shards(metrics)[1].unlink()
-        with pytest.warns(RuntimeWarning, match=r"missing rank shard\(s\): 1"):
-            artifacts = RunArtifacts(metrics)
-        assert artifacts.missing_ranks == [1]
-        assert artifacts.truncated_ranks == []
-        trace = merge_trace(artifacts)
-        # rank 0's lane survived
-        assert any(e["ph"] == "X" and e["pid"] == 0
-                   for e in trace["traceEvents"])
-        # the gap is in the trace, not only on stderr
-        markers = [e for e in trace["traceEvents"] if e.get("cat") == "merge"]
-        assert ["rank 1 shard missing — lane incomplete"] == \
-            [m["name"] for m in markers]
-        assert markers[0]["pid"] == 1
-        assert trace["otherData"]["missing_rank_shards"] == [1]
+        for backend in ALL_BACKENDS:
+            metrics, _ = run_with_metrics(tmp_path, backend,
+                                          name=f"{backend}.jsonl")
+            find_rank_shards(metrics)[1].unlink()
+            with pytest.warns(RuntimeWarning,
+                              match=r"missing rank shard\(s\): 1"):
+                artifacts = RunArtifacts(metrics)
+            assert artifacts.missing_ranks == [1]
+            assert artifacts.truncated_ranks == []
+            trace = merge_trace(artifacts)
+            # rank 0's lane survived
+            assert any(e["ph"] == "X" and e["pid"] == 0
+                       for e in trace["traceEvents"])
+            # the gap is in the trace, not only on stderr
+            markers = [e for e in trace["traceEvents"]
+                       if e.get("cat") == "merge"]
+            assert ["rank 1 shard missing — lane incomplete"] == \
+                [m["name"] for m in markers]
+            assert markers[0]["pid"] == 1
+            assert trace["otherData"]["missing_rank_shards"] == [1]
 
     def test_truncated_shard_warns_and_is_marked(self, tmp_path):
-        metrics, _ = run_with_metrics(tmp_path, "processes")
-        shard = find_rank_shards(metrics)[0]
-        kept = [line for line in shard.read_text().splitlines()
-                if json.loads(line)["kind"] != "rank_end"]
-        shard.write_text("\n".join(kept) + "\n")
-        with pytest.warns(RuntimeWarning,
-                          match=r"truncated rank shard\(s\).*: 0"):
-            artifacts = RunArtifacts(metrics)
-        assert artifacts.truncated_ranks == [0]
-        trace = merge_trace(artifacts)
-        assert any(e.get("cat") == "merge"
-                   and e["name"] == "rank 0 shard truncated — lane incomplete"
-                   for e in trace["traceEvents"])
-        assert trace["otherData"]["truncated_rank_shards"] == [0]
-        # rank 0's surviving epoch spans still merged
-        assert any(e["ph"] == "X" and e["pid"] == 0
-                   for e in trace["traceEvents"])
+        for backend in ALL_BACKENDS:
+            metrics, _ = run_with_metrics(tmp_path, backend,
+                                          name=f"{backend}.jsonl")
+            shard = find_rank_shards(metrics)[0]
+            kept = [line for line in shard.read_text().splitlines()
+                    if json.loads(line)["kind"] != "rank_end"]
+            shard.write_text("\n".join(kept) + "\n")
+            with pytest.warns(RuntimeWarning,
+                              match=r"truncated rank shard\(s\).*: 0"):
+                artifacts = RunArtifacts(metrics)
+            assert artifacts.truncated_ranks == [0]
+            trace = merge_trace(artifacts)
+            assert any(e.get("cat") == "merge" and e["name"]
+                       == "rank 0 shard truncated — lane incomplete"
+                       for e in trace["traceEvents"])
+            assert trace["otherData"]["truncated_rank_shards"] == [0]
+            # rank 0's surviving epoch spans still merged
+            assert any(e["ph"] == "X" and e["pid"] == 0
+                       for e in trace["traceEvents"])
 
     def test_intact_run_warns_nothing(self, tmp_path):
-        metrics, _ = run_with_metrics(tmp_path, "processes")
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            artifacts = RunArtifacts(metrics)
-        assert artifacts.missing_ranks == []
-        assert artifacts.truncated_ranks == []
-        other = merge_trace(artifacts)["otherData"]
-        assert "missing_rank_shards" not in other
-        assert "truncated_rank_shards" not in other
+        for backend in ALL_BACKENDS:
+            metrics, _ = run_with_metrics(tmp_path, backend,
+                                          name=f"{backend}.jsonl")
+            with _warnings.catch_warnings():
+                _warnings.simplefilter("error")
+                artifacts = RunArtifacts(metrics)
+            assert artifacts.missing_ranks == []
+            assert artifacts.truncated_ranks == []
+            other = merge_trace(artifacts)["otherData"]
+            assert "missing_rank_shards" not in other
+            assert "truncated_rank_shards" not in other
 
 
 @register("testlib.BusyClocked")
@@ -522,3 +530,96 @@ class TestImbalanceClockedStraggler:
         assert report.attributions
         assert report.critical_rank is not None
         assert report.critical_rank.rank == 0
+
+
+#: wall-clock and process fields: the only shard fields that may differ
+#: between two runs of the same seed
+_WALL_FIELDS = ("mono_s", "wall_s", "dur_us", "pid", "created_unix")
+
+
+@st.composite
+def pinned_graphs(draw):
+    """1-3 source->sink pairs plus an optional cross-link ping-pong,
+    every component pinned to one of 2-3 ranks (each rank gets at least
+    one, so every rank executes events: the ping-pong's exit comes
+    after every sink's first arrival)."""
+    pairs = draw(st.integers(1, 3))
+    pingpong = draw(st.booleans())
+    names = [name for i in range(pairs) for name in (f"src{i}", f"sink{i}")]
+    if pingpong:
+        names += ["ping", "pong"]
+    ranks = draw(st.integers(2, min(3, len(names))))
+    extra = draw(st.lists(st.integers(0, ranks - 1),
+                          min_size=len(names) - ranks,
+                          max_size=len(names) - ranks))
+    pins = draw(st.permutations(list(range(ranks)) + extra))
+    rank_of = dict(zip(names, pins))
+    graph = ConfigGraph("pinned")
+    for i in range(pairs):
+        graph.component(f"src{i}", "testlib.Source",
+                        {"count": draw(st.integers(1, 12)),
+                         "period": f"{draw(st.integers(1, 4))}ns"},
+                        rank=rank_of[f"src{i}"])
+        graph.component(f"sink{i}", "testlib.Sink", {},
+                        rank=rank_of[f"sink{i}"])
+        graph.link(f"src{i}", "out", f"sink{i}", "in",
+                   latency=f"{draw(st.integers(1, 9))}ns")
+    if pingpong:
+        graph.component("ping", "testlib.PingPong",
+                        {"initiator": True,
+                         "n_round_trips": draw(st.integers(10, 20))},
+                        rank=rank_of["ping"])
+        graph.component("pong", "testlib.PingPong", {},
+                        rank=rank_of["pong"])
+        graph.link("ping", "io", "pong", "io",
+                   latency=f"{draw(st.integers(1, 9))}ns")
+    return graph, ranks
+
+
+def observe_everything(tmp_path, graph, ranks, backend):
+    """One run with every plan-borne instrument attached; returns the
+    three views the backends must agree on."""
+    psim = build_parallel(graph, ranks, seed=4, backend=backend)
+    metrics = tmp_path / f"{backend}.jsonl"
+    telemetry = TelemetryRecorder(metrics, sample_every_events=3)
+    telemetry.attach(psim)
+    profiler = HandlerProfiler(psim)
+    exporter = ChromeTraceExporter().attach(psim)
+    with _warnings.catch_warnings():
+        _warnings.simplefilter("error", RankObservabilityWarning)
+        result = telemetry.finalize(psim.run())
+    exporter.detach()
+    profiler.detach()
+    shards = {}
+    for rank, path in find_rank_shards(metrics).items():
+        records = [json.loads(line)
+                   for line in path.read_text().splitlines()]
+        assert records[0].pop("backend") == backend
+        shards[rank] = [{k: v for k, v in r.items() if k not in _WALL_FIELDS}
+                        for r in records]
+    rows = sorted((row.rank, row.component, row.handler, row.event_type,
+                   row.count) for row in profiler.rows())
+    spans = {}
+    for event in exporter.trace_dict()["traceEvents"]:
+        if event["ph"] == "X" and event["cat"] != "epoch":
+            spans[event["pid"]] = spans.get(event["pid"], 0) + 1
+    assert result["run"]["events_executed"] == sum(spans.values())
+    return shards, rows, spans
+
+
+class TestOneWayToObserveARank:
+    @given(case=pinned_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_serial_and_processes_observe_ranks_identically(self, tmp_path_factory,
+                                                            case):
+        graph, ranks = case
+        tmp_path = tmp_path_factory.mktemp("rank-obs")
+        serial = observe_everything(tmp_path, graph, ranks, "serial")
+        procs = observe_everything(tmp_path, graph, ranks, "processes")
+        shards, rows, spans = serial
+        assert sorted(shards) == list(range(ranks))
+        assert shards == procs[0]
+        assert rows and rows == procs[1]
+        assert sorted(spans) == list(range(ranks))
+        assert all(count > 0 for count in spans.values())
+        assert spans == procs[2]
