@@ -36,7 +36,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from ..core import units
 from ..core.clock import _ArbiterTickEvent
 from ..core.component import Component
-from ..core.event import CallbackEvent
 from ..core.kernel import kernel_run
 from ..core.link import Port, port_of
 from ..core.parallel import ParallelSimulation
@@ -44,9 +43,9 @@ from ..core.simulation import RunResult, Simulation, SimulationError
 from ..core.statistics import adopt_state
 from ..core.tracelog import describe_handler
 from .snapshot import load_manifest, read_shard, snapshot
-from .state import (CheckpointError, is_dropped, load_refs, merge_id_sources,
-                    recompute_exit_state, restore_rank_state,
-                    restore_sim_state)
+from .state import (CheckpointError, current_records, is_dropped, load_refs,
+                    merge_id_sources, recompute_exit_state,
+                    restore_rank_state, restore_sim_state)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +204,20 @@ def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
         for rank, state in enumerate(_shard_states(root, manifest))])
     psim.total_epochs = pstate["engine"]["total_epochs"]
     psim.total_remote_events = pstate["engine"]["total_remote_events"]
-    _deliver_pending(psim._sims, load_refs(pstate["pending_blob"], psim._sims))
+    pending = load_refs(pstate["pending_blob"], psim._sims)
+    psim._window_carry = pstate["engine"].get("window_carry")
+    if psim._window_carry is None:
+        _deliver_pending(psim._sims, pending)
+    else:
+        # Mid-window: the window's sends are delivered at its end, by
+        # the exchange, exactly as in the uninterrupted run.
+        ranks = {name: sim.rank for sim in psim._sims
+                 for name in sim._components}
+        for (time, priority, link_id, comp_name, _port, send_seq,
+             event) in pending:
+            dest = ranks[comp_name]
+            psim._sync.pending.setdefault(dest, []).append(
+                (time, priority, link_id, dest, send_seq, event))
     psim.checkpoint_lineage = _lineage(root, manifest, psim.num_ranks, "exact")
     return psim
 
@@ -332,12 +344,13 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
             comps[comp_name].restore_state(comp_state)
         for cstate in meta["clocks"]:
             _take_clock(clock_pool, cstate).restore_state(cstate)
-        for (time, priority, seq, handler, event) in linked["records"]:
+        for (time, priority, seq, handler, event) in \
+                current_records(linked["records"]):
             if isinstance(event, _ArbiterTickEvent):
                 continue
             if is_dropped(handler) or is_dropped(event):
                 continue
-            home = _home_sim(handler, event, sims)
+            home = _home_sim(handler, sims)
             merged[home.rank].append(
                 (time, priority, 0, meta["rank"], seq, handler, event))
     merge_id_sources(metas)
@@ -415,11 +428,9 @@ def _take_clock(pool: Dict[str, List], cstate: Dict[str, Any]):
     return bucket.pop(0)
 
 
-def _home_sim(handler: Any, event: Any, sims: List[Simulation]) -> Simulation:
+def _home_sim(handler: Any, sims: List[Simulation]) -> Simulation:
     """Which rebuilt rank a surviving queue record belongs to."""
     owner = port_of(handler) or getattr(handler, "__self__", None)
-    if owner is None and isinstance(event, CallbackEvent):
-        owner = getattr(event.callback, "__self__", None)
     if owner is not None:
         if isinstance(owner, Port):
             return owner.component.sim

@@ -195,6 +195,7 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
         "engine": {
             "total_epochs": psim.total_epochs,
             "total_remote_events": psim.total_remote_events,
+            "window_carry": psim._window_carry,
         },
     }
     parallel_meta = write_shard(root / PARALLEL_NAME, parallel_state)

@@ -16,8 +16,7 @@ from .describe import (ParamSpec, PortSpec, SlotSpec, SpecError, StateSpec,
                        StatSpec, describe_component, param, port, slot, state,
                        stat, sweep_axes)
 from .event import (PRIORITY_CLOCK, PRIORITY_EVENT, PRIORITY_FINAL,
-                    PRIORITY_STOP, PRIORITY_SYNC, CallbackEvent, Event,
-                    NullEvent)
+                    PRIORITY_STOP, PRIORITY_SYNC, Event, NullEvent)
 from .eventqueue import HeapEventQueue, make_queue
 from .kernel import kernel_run
 from .link import Link, LinkError, Port
@@ -37,7 +36,6 @@ from .units import (SimTime, UnitError, bytes_time, format_bytes, format_time,
 __all__ = [
     "Accumulator",
     "BACKENDS",
-    "CallbackEvent",
     "Clock",
     "ClockArbiter",
     "Component",

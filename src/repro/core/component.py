@@ -48,7 +48,7 @@ from .clock import Clock, ClockHandler
 from .describe import (ParamSpec, PortSpec, SlotSpec, SpecError,  # noqa: F401
                        StateSpec, StatSpec, collect_specs, param, port, slot,
                        state, stat)
-from .event import PRIORITY_CLOCK, Event
+from .event import PRIORITY_CLOCK, PRIORITY_EVENT, Event
 from .link import LinkError, Port, port_of
 from .params import Params
 from .statistics import StatisticGroup
@@ -435,8 +435,16 @@ class Component(_Declarative):
 
     def schedule(self, delay: SimTime, callback: Callable[[Any], None],
                  payload: Any = None) -> None:
-        """One-shot timer: call ``callback(payload)`` after ``delay`` ps."""
-        self.sim.schedule_callback(delay, callback, payload)
+        """One-shot timer: call ``callback(payload)`` after ``delay`` ps.
+
+        :meth:`Simulation.schedule_callback` at the default priority,
+        inlined: the hot timer path of block-stepped models.
+        """
+        if delay < 0:
+            from .simulation import SimulationError
+            raise SimulationError("delay must be non-negative")
+        sim = self.sim
+        sim._queue.push(sim.now + delay, PRIORITY_EVENT, callback, payload)
 
     # ------------------------------------------------------------------
     # termination protocol

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Tuple,
-                    Type)
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from .units import SimTime
 
@@ -78,23 +77,6 @@ class NullEvent(Event):
     """An event with no payload; useful as a pure wake-up token."""
 
     __slots__ = ()
-
-
-class CallbackEvent(Event):
-    """Wraps an arbitrary callback for one-shot scheduling.
-
-    ``Simulation.schedule_callback`` uses this to let components request
-    "call me back at time T" without declaring a self-link.
-    """
-
-    __slots__ = ("callback", "payload")
-
-    def __init__(self, callback: Callable[[Any], None], payload: Any = None):
-        self.callback = callback
-        self.payload = payload
-
-    def invoke(self) -> None:
-        self.callback(self.payload)
 
 
 #: Type of a component-side event handler.

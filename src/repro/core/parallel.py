@@ -240,6 +240,11 @@ class ParallelSimulation:
         # counters for ENG-2
         self.total_epochs = 0
         self.total_remote_events = 0
+        #: inclusive end of the safe window a max_time stop cut short
+        #: while it still held work, or None.  Windows (and the exit
+        #: checks at their ends) are part of the determinism contract:
+        #: a stopped run resumes inside the same window.
+        self._window_carry: Optional[SimTime] = None
         # --- checkpointing (repro.ckpt) -------------------------------
         #: the ConfigGraph this engine was built from (config.build_parallel)
         self.config_graph = None
@@ -470,11 +475,22 @@ class ParallelSimulation:
                     if first_window is None:
                         first_window = int(global_min)
                     ex_t0 = perf()
-                    deliveries, exchanged = sync.exchange(self.num_ranks)
+                    window = self._window_carry
+                    self._window_carry = None
+                    if window is not None and global_min <= window:
+                        # Finish the window a max_time stop cut short.
+                        # Its sends stay pending until it ends, as they
+                        # would have in the uninterrupted window.
+                        deliveries = [[] for _ in range(self.num_ranks)]
+                        exchanged = 0
+                    else:
+                        deliveries, exchanged = sync.exchange(self.num_ranks)
+                        window = sync.window_end(global_min, None)
                     ex_dt = perf() - ex_t0
                     exchange_seconds += ex_dt
                     self.total_remote_events += exchanged
-                    epoch_end = sync.window_end(global_min, limit)
+                    epoch_end = window if limit is None else min(window,
+                                                                 limit)
                     window_total += epoch_end - int(global_min) + 1
                     ep_t0 = perf()
                     steps = backend.step(epoch_end, deliveries)
@@ -483,6 +499,11 @@ class ParallelSimulation:
                     ep_bytes = backend.last_exchange_bytes
                     exchange_bytes_total += ep_bytes
                     sync.absorb(steps)
+                    if epoch_end < window and sync.global_min() <= window:
+                        # The limit cut this window short of work it
+                        # holds: the next run finishes it before any new
+                        # window, and exit waits for its real end.
+                        self._window_carry = window
                     per_rank_wall = [s.wall_seconds for s in steps]
                     per_rank_ev = [s.events for s in steps]
                     slowest = max(per_rank_wall) if per_rank_wall else 0.0
@@ -526,7 +547,8 @@ class ParallelSimulation:
                         while ckpt_next <= epoch_end:
                             ckpt_next += ckpt_interval
                     epochs += 1
-                    if (self._primaries_exist()
+                    if (self._window_carry is None
+                            and self._primaries_exist()
                             and sum(s.primaries_pending for s in steps) == 0):
                         reason = "exit"
                         break

@@ -26,8 +26,7 @@ import numpy as np
 from . import units
 from .clock import Clock, ClockArbiter, ClockHandler, _ArbiterTickEvent
 from .component import Component
-from .event import (PRIORITY_CLOCK, PRIORITY_EVENT, CallbackEvent, Event,
-                    Handler)
+from .event import PRIORITY_CLOCK, PRIORITY_EVENT, Event, Handler
 from .eventqueue import HeapEventQueue
 from .kernel import NO_LIMIT, dispatch, kernel_run
 from .link import Link, LinkError, Port
@@ -236,11 +235,15 @@ class Simulation:
     def schedule_callback(self, delay: SimTime, callback: Callable[[Any], None],
                           payload: Any = None,
                           priority: int = PRIORITY_EVENT) -> None:
-        """Run ``callback(payload)`` ``delay`` picoseconds from now."""
+        """Run ``callback(payload)`` ``delay`` picoseconds from now.
+
+        The queue entry is ``(time, priority, seq, callback, payload)``:
+        the kernel calls ``callback(payload)`` as it calls any handler
+        with its event, so a timer costs one push and one call.
+        """
         if delay < 0:
             raise SimulationError("delay must be non-negative")
-        event = CallbackEvent(callback, payload)
-        self._push(self.now + delay, priority, _invoke_callback, event)
+        self._queue.push(self.now + delay, priority, callback, payload)
 
     def register_clock(self, freq: Any, handler: ClockHandler, *,
                        name: str = "clock", priority: int = PRIORITY_CLOCK,
@@ -566,8 +569,3 @@ class Simulation:
             )
             rows.append(f"{key:<48} {data['type']:<12} {detail}")
         return "\n".join(rows)
-
-
-def _invoke_callback(event: Event) -> None:
-    assert isinstance(event, CallbackEvent)
-    event.invoke()

@@ -17,6 +17,8 @@ to avoid a circular import with the processor package.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from ..core.component import Component, port, stat, state
 from ..core.registry import register
 from ..core.units import SimTime
@@ -41,6 +43,9 @@ class NodeMemory(Component):
 
     dram = state(doc="DRAMModel channel/energy bookkeeping")
     _channel_free = state(0, doc="time the bulk channel next frees up")
+    _bulk = state(dict, save=False,
+                  doc="(nbytes, accesses) -> (transfer time, requests, row "
+                      "misses, row hits, energy), memoized per transfer shape")
 
     s_bytes = stat.counter(doc="bulk bytes transferred")
     s_requests = stat.counter(doc="bulk transfers served")
@@ -55,51 +60,52 @@ class NodeMemory(Component):
         for i in range(self.n_ports):
             self.set_handler(f"core{i}", self._make_handler(i))
 
-    def on_setup(self) -> None:
-        # Advertise the DRAM technology to every attached core that wants
-        # it (MixCore uses this to match its DRAM-latency model to the
-        # memory it talks to).  Duck-typed to avoid importing processor.
-        for i in range(self.n_ports):
-            port = self._ports.get(f"core{i}")
-            if port is None or port.endpoint is None or port.endpoint.peer_port is None:
-                continue
-            peer = port.endpoint.peer_port.component
-            advertise = getattr(peer, "advertise_tech", None)
-            if callable(advertise):
-                advertise(self.dram.tech)
-
     def _make_handler(self, port_index: int):
         from ..processor.core import BulkMemRequest, BulkMemResponse
 
+        port_name = f"core{port_index}"
+
         def handler(event):
             assert isinstance(event, BulkMemRequest)
-            done = self.bulk_completion(self.now, event.nbytes, event.accesses)
+            now = self.now
+            done = self.bulk_completion(now, event.nbytes, event.accesses)
             self.s_bytes.add(event.nbytes)
             self.s_requests.add()
-            self.send(f"core{port_index}", BulkMemResponse(event.req_id),
-                      extra_delay=max(0, done - self.now))
+            self.send(port_name, BulkMemResponse(event.req_id),
+                      extra_delay=max(0, done - now))
 
         return handler
+
+    def _shape(self, nbytes: int, accesses: int) -> Tuple:
+        """What a transfer of this shape costs, whenever it runs:
+        ``(transfer_ps, requests, row_misses, row_hits, energy_pj)``."""
+        tech = self.dram.tech
+        bw = self.dram.peak_bandwidth
+        transfer_ps = int(round(nbytes / bw * 1e12)) if nbytes else 0
+        requests = max(1, accesses)
+        row_misses = int(round(requests * (1.0 - self.row_locality)))
+        energy_pj = (row_misses * tech.activate_energy_pj
+                     + nbytes * 8 * tech.access_energy_pj_per_bit)
+        return (transfer_ps, requests, row_misses, requests - row_misses,
+                energy_pj)
 
     def bulk_completion(self, now_ps: SimTime, nbytes: int,
                         accesses: int) -> SimTime:
         """Serialise a bulk transfer through the channel; returns done time."""
-        tech = self.dram.tech
-        bw = self.dram.peak_bandwidth
-        transfer_ps = int(round(nbytes / bw * 1e12)) if nbytes else 0
+        key = (nbytes, accesses)
+        shape = self._bulk.get(key)
+        if shape is None:
+            shape = self._bulk[key] = self._shape(nbytes, accesses)
+        transfer_ps, requests, row_misses, row_hits, energy_pj = shape
         start = max(now_ps, self._channel_free)
         done = start + transfer_ps
         self._channel_free = done
         # Account energy/stats through the underlying model's bookkeeping.
         stats = self.dram.stats
-        stats.requests += max(1, accesses)
-        row_misses = int(round(max(1, accesses) * (1.0 - self.row_locality)))
+        stats.requests += requests
         stats.row_misses += row_misses
-        stats.row_hits += max(1, accesses) - row_misses
+        stats.row_hits += row_hits
         stats.bytes_moved += nbytes
-        stats.busy_time_ps += done - start
-        stats.dynamic_energy_pj += (
-            row_misses * tech.activate_energy_pj
-            + nbytes * 8 * tech.access_energy_pj_per_bit
-        )
+        stats.busy_time_ps += transfer_ps
+        stats.dynamic_energy_pj += energy_pj
         return done

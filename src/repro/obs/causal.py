@@ -60,7 +60,6 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..core.event import CallbackEvent
 from ..core.link import port_of
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
@@ -218,24 +217,22 @@ class CausalTracer:
         cell."""
         time, priority, seq, handler, event = entry
         # Attribution: cache by the handler's port or owner object when
-        # there is one; CallbackEvents attribute through their callback's
-        # owner.
-        fn = event.callback if type(event) is CallbackEvent else handler
-        owner = port_of(fn) or getattr(fn, "__self__", None)
+        # there is one (a timer's handler is its scheduled callback).
+        owner = port_of(handler) or getattr(handler, "__self__", None)
         if owner is not None:
             key = id(owner)
             comp_idx = self._comp_cache.get(key)
             if comp_idx is None:
-                comp_idx = self._intern_component(handler, event)
+                comp_idx = self._intern_component(handler)
                 self._comp_cache[key] = comp_idx
                 self._pins.append(owner)
         else:
-            comp_idx = self._intern_component(handler, event)
+            comp_idx = self._intern_component(handler)
         etype = type(event)
         evt_idx = self._evt_cache.get(etype)
         if evt_idx is None:
             evt_idx = len(self._evts)
-            self._evts.append(etype.__name__)
+            self._evts.append(etype.__name__ if event is not None else "-")
             self._evt_cache[etype] = evt_idx
         self._nodes.append([seq, time, priority, self._causes.pop(seq, None),
                             comp_idx, evt_idx])
@@ -250,8 +247,8 @@ class CausalTracer:
         if len(self._recvs) >= _FLUSH_ROWS:
             self.flush()
 
-    def _intern_component(self, handler, event) -> int:
-        name, _label = attribute_event(handler, event)
+    def _intern_component(self, handler) -> int:
+        name, _label = attribute_event(handler)
         comp = self.sim._components.get(name)
         cls = type(comp).__name__ if comp is not None else name
         key = (name, cls)

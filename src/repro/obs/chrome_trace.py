@@ -171,7 +171,7 @@ class ChromeTraceExporter:
         })
 
     def _on_span(self, time, handler, event, wall_seconds) -> None:
-        component, label = attribute_event(handler, event)
+        component, label = attribute_event(handler)
         event_type = type(event).__name__ if event is not None else "-"
         self._add_handler_span(self._sim.rank, _wall_time.perf_counter()
                                - wall_seconds, wall_seconds, component,

@@ -18,39 +18,31 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple, Union
 
 from ..core.clock import Clock
-from ..core.event import CallbackEvent
 from ..core.link import port_of
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
 
 
-def attribute_event(handler, event) -> Tuple[str, str]:
-    """Resolve an executed event to ``(component name, handler label)``.
+def attribute_event(handler) -> Tuple[str, str]:
+    """Resolve an executed entry's handler to ``(component name, handler
+    label)``.
 
     Port deliveries (the handler bound to the receiving port, or the
     port's no-handler stub) attribute to the receiving component as
-    ``port:<name>``, clock ticks to the clock's owner, scheduled
-    callbacks (which the engine runs through a module-level
-    trampoline) to the component whose bound method was scheduled.
+    ``port:<name>``, clock ticks to the clock's owner, and scheduled
+    timers (whose entry holds the scheduled callback itself) to the
+    component whose bound method was scheduled.
     """
-    # Scheduled callbacks: the handler is the engine trampoline; the
-    # real target is the callback captured in the event.
-    if isinstance(event, CallbackEvent):
-        return _owner_of(event.callback, "callback")
-    return _owner_of(handler, "handler")
-
-
-def _owner_of(fn, fallback_kind: str) -> Tuple[str, str]:
-    if fn is None:
+    if handler is None:
         return "<engine>", "<none>"
-    if type(fn) is Clock:
+    if type(handler) is Clock:
         # A member tick: the arbiter reports the Clock as the handler.
         # Clock names are "<component>.clock" by convention.
-        return fn.name.split(".", 1)[0], f"clock:{fn.name}"
-    owner = port_of(fn) or getattr(fn, "__self__", None)
-    name = getattr(fn, "__name__", repr(fn))
+        return handler.name.split(".", 1)[0], f"clock:{handler.name}"
+    owner = port_of(handler) or getattr(handler, "__self__", None)
+    name = getattr(handler, "__name__", repr(handler))
     if owner is None:
-        return f"<{fallback_kind}>", name
+        return "<handler>", name
     type_name = type(owner).__name__
     if type_name == "Port":
         return owner.component.name, f"port:{owner.name}"
@@ -94,7 +86,7 @@ def bucket_observer(buckets: Dict[Tuple[str, str, str], List[float]]):
     ``buckets``: ``(component, handler, event type) -> [count, wall]``."""
 
     def observe(time, handler, event, wall_seconds) -> None:
-        component, label = attribute_event(handler, event)
+        component, label = attribute_event(handler)
         key = (component, label,
                type(event).__name__ if event is not None else "-")
         bucket = buckets.get(key)

@@ -291,7 +291,7 @@ class RankRecorder:
         if len(self._spans) >= SPAN_LIMIT:
             self._c_dropped.add()
             return
-        component, label = attribute_event(handler, event)
+        component, label = attribute_event(handler)
         event_type = type(event).__name__ if event is not None else "-"
         start = _wall_time.perf_counter() - wall_seconds
         self._spans.append((start, wall_seconds, component, label,

@@ -27,7 +27,7 @@ Two components are registered:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.component import Component, port, stat, state
 from ..core.event import Event, IdSource
@@ -60,9 +60,10 @@ class CoreConfig:
             raise ValueError("mlp must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockTiming:
-    """Latency decomposition of one instruction block."""
+    """Latency decomposition of one instruction block (shared between
+    the blocks of one shape, hence immutable)."""
 
     n_instructions: int
     compute_ps: SimTime        #: issue-limited time (no memory stalls)
@@ -82,6 +83,12 @@ class CoreTimingModel:
     def __init__(self, config: CoreConfig, spec: WorkloadSpec):
         self.config = config
         self.spec = spec
+        #: (n_instructions, id(dram_tech), row-hit rate) -> BlockTiming.
+        #: Keyed by the technology's identity: hashing the DRAMTech
+        #: dataclass would run its generated ``__hash__`` per block.
+        self._blocks: Dict[Tuple[int, int, float], BlockTiming] = {}
+        #: every technology keyed above, alive so its id stays unique
+        self._techs: List[Optional[DRAMTech]] = []
 
     def effective_issue(self) -> float:
         """Sustained instructions/cycle: harmonic blend of width and ILP.
@@ -98,7 +105,18 @@ class CoreTimingModel:
     def block(self, n_instructions: int,
               dram_tech: Optional[DRAMTech] = None,
               dram_row_hit_rate: float = 0.6) -> BlockTiming:
-        """Timing decomposition for ``n_instructions`` of this workload."""
+        """Timing decomposition for ``n_instructions`` of this workload,
+        computed once per distinct argument triple."""
+        key = (n_instructions, id(dram_tech), dram_row_hit_rate)
+        timing = self._blocks.get(key)
+        if timing is None:
+            timing = self._blocks[key] = self._block(
+                n_instructions, dram_tech, dram_row_hit_rate)
+            self._techs.append(dram_tech)
+        return timing
+
+    def _block(self, n_instructions: int, dram_tech: Optional[DRAMTech],
+               dram_row_hit_rate: float) -> BlockTiming:
         cfg = self.config
         mix = self.spec.mix
         prof = self.spec.memory
@@ -206,8 +224,8 @@ class MixCore(Component):
     _pending_compute_done = state(0, doc="latency-bound finish time of "
                                          "the in-flight block")
     _current_block = state(None, doc="BlockTiming of the in-flight block")
-    _advertised_tech = state(None, doc="DRAMTech advertised by the "
-                                       "attached node memory at setup")
+    _dram_tech = state(None, doc="DRAMTech of the node memory on the mem "
+                                 "port, read at setup")
 
     s_instructions = stat.counter(doc="instructions retired")
     s_blocks = stat.counter(doc="blocks completed")
@@ -235,6 +253,16 @@ class MixCore(Component):
         self.register_as_primary()
 
     def on_setup(self) -> None:
+        # Read the attached memory's technology before the first block,
+        # so that block's DRAM latency does not depend on whether the
+        # memory was declared (and set up) before this core.  Without a
+        # co-located node memory the core is latency-free on DRAM.
+        port = self._ports["mem"]
+        peer = port.endpoint.peer_port if port.endpoint is not None else None
+        if peer is not None:
+            dram = getattr(peer.component, "dram", None)
+            if isinstance(dram, DRAMModel):
+                self._dram_tech = dram.tech
         self._start_block()
 
     # -- block state machine ------------------------------------------------
@@ -247,7 +275,7 @@ class MixCore(Component):
         n = min(self.block_size, remaining)
         # DRAM latency exposure is computed by the memory side; locally we
         # account compute + cache stalls.
-        timing = self.model.block(n, dram_tech=self._dram_tech())
+        timing = self.model.block(n, self._dram_tech)
         self._block_started = self.now
         self._current_block = timing
         compute_done_delay = timing.latency_bound_ps
@@ -257,14 +285,6 @@ class MixCore(Component):
                                             timing.dram_accesses))
         else:
             self.schedule(compute_done_delay, self._finish_block, None)
-
-    def _dram_tech(self) -> Optional[DRAMTech]:
-        # The attached node memory advertises its technology during wiring
-        # (see NodeMemory.on_setup); fall back to latency-free if absent.
-        return self._advertised_tech
-
-    def advertise_tech(self, tech: DRAMTech) -> None:
-        self._advertised_tech = tech
 
     def on_mem_response(self, event) -> None:
         assert isinstance(event, BulkMemResponse)

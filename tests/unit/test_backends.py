@@ -215,6 +215,42 @@ class TestLimitStopResume:
             result = psim.run()
         assert outcome(psim, result) == expected
 
+    @staticmethod
+    def _late_arrival_graph():
+        """The ping-pong primaries finish at 2000 ps, inside the safe
+        window a ``max_time=1000`` stop cuts short; src0's token reaches
+        sink0 at 2001 ps, in the same uninterrupted window."""
+        graph = ConfigGraph("late-arrival")
+        for i, period in enumerate(("1001ps", "500ps")):
+            graph.component(f"src{i}", "testlib.Source",
+                            {"count": 1, "period": period})
+            graph.component(f"sink{i}", "testlib.Sink", {})
+            graph.link(f"src{i}", "out", f"sink{i}", "in", latency="1000ps")
+        graph.component("ping", "testlib.PingPong",
+                        {"initiator": True, "n_round_trips": 1})
+        graph.component("pong", "testlib.PingPong", {})
+        graph.link("ping", "io", "pong", "io", latency="1000ps")
+        for comp in graph.components():
+            comp.rank = 1 if comp.name == "pong" else 0
+        return graph
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_stop_inside_a_window_resumes_that_window(self, backend,
+                                                      tmp_path):
+        """Exit is checked at window ends, so a resumed run must finish
+        the window the stop cut short — in place or from a snapshot —
+        instead of opening a new one."""
+        reference = build_parallel(self._late_arrival_graph(), 2, seed=5)
+        expected = outcome(reference, reference.run())
+        assert expected[1] == 2001 and expected[3]["sink0"] == [2001]
+        psim = build_parallel(self._late_arrival_graph(), 2, seed=5,
+                              backend=backend)
+        assert psim.run(max_time=1000).reason == "max_time"
+        snapshot_parallel(psim, tmp_path / "ckpt")
+        assert outcome(psim, psim.run()) == expected
+        resumed = restore(tmp_path / "ckpt")
+        assert outcome(resumed, resumed.run()) == expected
+
 
 class Wedge(Component):
     """Hangs its rank's first kernel window, so the parent blocks

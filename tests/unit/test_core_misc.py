@@ -5,7 +5,7 @@ import pytest
 from repro.core import (Component, Event, Params, Simulation, format_bytes,
                         format_time)
 from repro.core.event import (PRIORITY_CLOCK, PRIORITY_EVENT, PRIORITY_SYNC,
-                              CallbackEvent, EventRecord, NullEvent)
+                              EventRecord, NullEvent)
 from repro.core.registry import RegistryError, is_registered, resolve
 from tests.conftest import Sink, Source, Token
 
@@ -39,12 +39,6 @@ class TestEventClone:
 
     def test_null_event(self):
         assert isinstance(NullEvent().clone(), NullEvent)
-
-    def test_callback_event_invoke(self):
-        seen = []
-        event = CallbackEvent(seen.append, payload="x")
-        event.invoke()
-        assert seen == ["x"]
 
 
 class TestFormatting:

@@ -318,4 +318,4 @@ class TestNodeMemory:
                                              "n_ports": 1}))
         sim.connect(core, "mem", mem, "core0", latency="1ns")
         sim.setup()
-        assert core._dram_tech().name == "GDDR5"
+        assert core._dram_tech.name == "GDDR5"

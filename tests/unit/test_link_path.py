@@ -118,14 +118,14 @@ class TestEntryCarriesHandler:
         assert entry[3] is sink.port("in").handler
         assert port_of(entry[3]) is sink.port("in")
         assert describe_handler(entry[3]) == "sink.in"
-        assert attribute_event(entry[3], None) == ("sink", "port:in")
+        assert attribute_event(entry[3]) == ("sink", "port:in")
 
     def test_closure_handlers_keep_port_labels(self):
         sim = build(_memory_graph(), seed=3)
         handler = sim.component("sbus").port("cpu1").handler
         assert handler.__name__ != "cpu1"  # a per-index closure
         assert describe_handler(handler) == "sbus.cpu1"
-        assert attribute_event(handler, None) == ("sbus", "port:cpu1")
+        assert attribute_event(handler) == ("sbus", "port:cpu1")
 
     def test_one_callable_on_two_ports_keeps_two_labels(self):
         sim = Simulation(seed=1)

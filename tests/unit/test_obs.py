@@ -227,7 +227,7 @@ class TestProfiler:
     def test_attribute_event_port_handler(self):
         sim = Simulation()
         src, sink = _machine(sim, count=1)
-        component, label = attribute_event(sink.port("in").deliver, None)
+        component, label = attribute_event(sink.port("in").deliver)
         assert component == "sink"
         assert "in" in label
 
@@ -243,7 +243,7 @@ class TestProfiler:
         assert rows == {("c0", "clock:c0.clock"): 7,
                         ("c1", "clock:c1.clock"): 7}
         assert sum(rows.values()) == sim.events_executed
-        assert attribute_event(clocked[0].clock, None) == \
+        assert attribute_event(clocked[0].clock) == \
             ("c0", "clock:c0.clock")
 
 

@@ -1,11 +1,15 @@
 """Tests for processor models: mixes, traces, the abstract core, the GPU."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ConfigGraph, build
 from repro.core import Params, Simulation
 from repro.memory import CacheHierarchy, DRAMModel, LevelSpec, NodeMemory
+from repro.memory.dram import TECHNOLOGIES, DRAMStats
 from repro.processor import (FERMI_M2090, KEPLER_LIKE, WORKLOADS, CoreConfig,
                              CoreTimingModel, GpuTimingModel, InstructionMix,
                              KernelProfile, MemoryProfile, MixCore, TraceSpec,
@@ -186,6 +190,99 @@ class TestMixCoreComponent:
         core, mem = self._run(instructions=1_000_000)
         expected = workload("hpccg").memory.dram_bytes_per_instr * 1_000_000
         assert mem.s_bytes.count == pytest.approx(expected, rel=0.02)
+
+
+def _bulk_formula(mem, channel_free, stats, now, nbytes, accesses):
+    """``NodeMemory.bulk_completion`` as written before it memoized
+    transfer shapes: every float operation in the same order."""
+    tech = mem.dram.tech
+    bw = mem.dram.peak_bandwidth
+    transfer_ps = int(round(nbytes / bw * 1e12)) if nbytes else 0
+    start = max(now, channel_free)
+    done = start + transfer_ps
+    stats.requests += max(1, accesses)
+    row_misses = int(round(max(1, accesses) * (1.0 - mem.row_locality)))
+    stats.row_misses += row_misses
+    stats.row_hits += max(1, accesses) - row_misses
+    stats.bytes_moved += nbytes
+    stats.busy_time_ps += done - start
+    stats.dynamic_energy_pj += (
+        row_misses * tech.activate_energy_pj
+        + nbytes * 8 * tech.access_energy_pj_per_bit
+    )
+    return done
+
+
+_TECHS = st.sampled_from(sorted(TECHNOLOGIES))
+
+
+class TestMemoizedHotPath:
+    """The constant work of a design-point block is done once per block
+    shape; these properties hold the memos to the formulas they replace."""
+
+    @given(name=st.sampled_from(sorted(WORKLOADS)),
+           width=st.integers(1, 8),
+           mlp=st.floats(1.0, 16.0),
+           calls=st.lists(st.tuples(
+               st.sampled_from([100_000, 37_123]),
+               st.one_of(st.none(), _TECHS),
+               st.sampled_from([0.0, 0.6, 0.85])), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_block_memo_matches_fresh_computation(self, name, width, mlp,
+                                                  calls):
+        config = CoreConfig(issue_width=width, mlp=mlp)
+        model = CoreTimingModel(config, workload(name))
+        for n, tech_name, hit_rate in calls:
+            tech = TECHNOLOGIES[tech_name] if tech_name else None
+            fresh = CoreTimingModel(config, workload(name))
+            assert model.block(n, tech, hit_rate) == \
+                fresh.block(n, tech, hit_rate)
+
+    @given(tech_name=_TECHS,
+           channels=st.integers(1, 4),
+           row_locality=st.floats(0.0, 1.0),
+           transfers=st.lists(st.tuples(
+               st.integers(0, 5_000_000),
+               st.sampled_from([0, 64, 500_000, 1_234_567]),
+               st.sampled_from([0, 1, 7, 7_813])), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_completion_matches_formula(self, tech_name, channels,
+                                             row_locality, transfers):
+        mem = NodeMemory(Simulation(), "mem", Params({
+            "technology": tech_name, "channels": channels,
+            "row_locality": row_locality}))
+        stats, channel_free = DRAMStats(), 0
+        for now, nbytes, accesses in transfers:
+            done = mem.bulk_completion(now, nbytes, accesses)
+            channel_free = _bulk_formula(mem, channel_free, stats, now,
+                                         nbytes, accesses)
+            assert done == channel_free == mem._channel_free
+            assert asdict(mem.dram.stats) == asdict(stats)
+            assert mem.dram.stats.dynamic_energy_pj.hex() == \
+                stats.dynamic_energy_pj.hex()
+
+    @staticmethod
+    def _node(mem_first):
+        graph = ConfigGraph("node")
+        mem = ("mem", "memory.NodeMemory",
+               {"technology": "GDDR5", "n_ports": 2})
+        cores = [(f"core{i}", "processor.MixCore",
+                  {"workload": "hpccg", "instructions": 1_000_000,
+                   "issue_width": 2}) for i in range(2)]
+        for comp in ([mem] + cores if mem_first else cores + [mem]):
+            graph.component(*comp)
+        for i in range(2):
+            graph.link(f"core{i}", "mem", "mem", f"core{i}", latency="1ns")
+        sim = build(graph, seed=1)
+        assert sim.run().reason == "exit"
+        return sim.stat_values()
+
+    def test_stats_independent_of_declaration_order(self):
+        """Every core times its first block against its memory's
+        technology, whether the memory is set up before or after it."""
+        first, last = self._node(True), self._node(False)
+        assert first == last
+        assert first["core0.runtime_ps"] == 694_058_730
 
 
 class TestTraceSpec:
