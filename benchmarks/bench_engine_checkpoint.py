@@ -14,12 +14,8 @@ realistic machine (HPCCG on a torus, 2 simulation ranks):
    (the restored engine finishes with the reference statistics);
 3. **warm-start speedup** — a ``dse.sweep(warm_start=...)`` that
    restores per-point prefix snapshots reproduces the cold sweep's
-   design points exactly; the measured speedup is recorded.
-
-Records append to the ``engine_throughput`` trajectory
-(``BENCH_engine_throughput.json``); the overhead guard's events/s is
-gated by ``benchmarks/check_throughput_regression.py`` under the
-``checkpointed_parallel/heap`` key.
+   design points exactly, and restoring an 80% prefix beats re-running
+   it.
 """
 
 import time
@@ -28,9 +24,6 @@ from pathlib import Path
 from repro.ckpt import restore, snapshot_parallel
 from repro.config import build_parallel
 from repro.miniapps import build_app_machine
-
-# Records land in the engine_throughput trajectory next to ENG-1/2's.
-BENCH_RECORD_EXPERIMENT = "engine_throughput"
 
 N_APP_RANKS = 16
 ITERATIONS = 120
@@ -59,7 +52,7 @@ def _run(checkpoint=None):
     return result, wall, stats, written
 
 
-def test_eng4_checkpoint_overhead_guard(report, perf_fields, tmp_path):
+def test_eng4_checkpoint_overhead_guard(report, tmp_path):
     """PR 5 perf gate: <1%-of-epochs checkpointing costs <10% events/s."""
     reference, _, ref_stats, _ = _run()
     interval = reference.end_time // 2
@@ -89,15 +82,10 @@ def test_eng4_checkpoint_overhead_guard(report, perf_fields, tmp_path):
            f"{len(written)} snapshots = {snap_fraction:.2%} of epochs]: "
            f"cold {cold_eps:,.0f} events/s, checkpointed {ckpt_eps:,.0f} "
            f"events/s ({ratio:.1%})")
-    perf_fields(workload="checkpointed_parallel", queue="heap",
-                events_executed=result.events_executed,
-                events_per_second=ckpt_eps,
-                checkpoint_overhead_ratio=ratio,
-                snapshots=len(written))
     assert ratio >= 0.90, f"checkpointing cost {1 - ratio:.1%} of throughput"
 
 
-def test_eng4_snapshot_restore_latency(report, perf_fields, tmp_path):
+def test_eng4_snapshot_restore_latency(report, tmp_path):
     """One mid-run snapshot: write cost, size, rebuild cost, fidelity."""
     reference, _, ref_stats, _ = _run()
     psim = build_parallel(machine(), SIM_RANKS, strategy="bfs", seed=2)
@@ -118,13 +106,11 @@ def test_eng4_snapshot_restore_latency(report, perf_fields, tmp_path):
     report(f"ENG-4 latency: snapshot {snapshot_s * 1e3:.1f} ms "
            f"({size / 1024:.0f} KiB, {SIM_RANKS} shards), "
            f"restore {restore_s * 1e3:.1f} ms")
-    perf_fields(snapshot_seconds=snapshot_s, restore_seconds=restore_s,
-                snapshot_bytes=size)
     assert stats == ref_stats
     assert result.end_time == reference.end_time
 
 
-def test_eng4_warm_start_speedup(report, perf_fields, tmp_path):
+def test_eng4_warm_start_speedup(report, tmp_path):
     """Warm starting: identical sweep results, recorded speedup.
 
     The sweep half pins the correctness claim on the real `dse` flow
@@ -179,7 +165,5 @@ def test_eng4_warm_start_speedup(report, perf_fields, tmp_path):
     report(f"ENG-4 warm start: {len(cold.points)} sweep points identical "
            f"cold/warm; 80%-prefix engine restore {warm_s:.3f}s vs cold "
            f"{cold_s:.3f}s ({speedup:.1f}x)")
-    perf_fields(warm_points=len(cold.points), cold_run_seconds=cold_s,
-                warm_run_seconds=warm_s, warm_start_speedup=speedup)
     # Skipping 80% of the events must win, import noise and all.
     assert speedup > 1.5, speedup

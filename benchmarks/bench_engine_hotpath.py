@@ -5,18 +5,11 @@ tuple queue entries ordered in C, hoisted dispatch loops that unpack
 each entry) targets the same-frequency clocked-fabric shape that
 dominates architectural models: hundreds of components all ticking at
 the core clock.  This bench measures that shape — 1000 components x 200
-ticks.  Records append to the ``engine_throughput`` trajectory
-(``BENCH_engine_throughput.json``) alongside ENG-1's, distinguished by
-their ``workload`` field.
-
-``benchmarks/check_throughput_regression.py`` gates CI on these
-numbers; see docs/PERFORMANCE.md.
+ticks.  The events/s it prints is a one-shot shape reading; speed is
+measured by ``benchmarks/e2e`` (docs/PERFORMANCE.md).
 """
 
 from repro.core import Component, Simulation
-
-# Records land in the engine_throughput trajectory next to ENG-1's.
-BENCH_RECORD_EXPERIMENT = "engine_throughput"
 
 N_COMPONENTS = 1_000
 N_TICKS = 200
@@ -41,7 +34,7 @@ def big_fabric(n_components=N_COMPONENTS, n_ticks=N_TICKS):
     return sim
 
 
-def test_eng2_fabric_hotpath(benchmark, report, perf_fields):
+def test_eng2_fabric_hotpath(benchmark, report):
     def run():
         sim = big_fabric()
         return sim.run()
@@ -49,7 +42,6 @@ def test_eng2_fabric_hotpath(benchmark, report, perf_fields):
     result = benchmark(run)
     report(f"ENG-2 fabric: {result.events_executed} events, "
            f"{result.events_per_second:,.0f} events/s")
-    perf_fields(result, workload="hotpath_fabric", queue="heap")
     assert result.reason == "exhausted"
     # Events = handler invocations: the arbiter compensates its fan-out
     # into the executed-event count.

@@ -7,17 +7,11 @@ tax the hot path.  This bench runs the same 1k-component clocked
 fabric ENG-2 uses, bare and with :class:`repro.obs.live.LiveMetrics`
 attached, and asserts the acceptance gate: live publishing costs at
 most 5% of events/second (best-of-N on both sides to shed scheduler
-noise).  The live-on measurement also lands in the
-``engine_throughput`` trajectory (``BENCH_engine_throughput.json``) as
-``liveobs_fabric/heap``, where
-``benchmarks/check_throughput_regression.py`` gates CI on it.
+noise).
 """
 
 from repro.core import Component, Simulation
 from repro.obs.live import STATE_DONE, LiveMetrics, LiveView
-
-# Records land in the engine_throughput trajectory next to ENG-1/2's.
-BENCH_RECORD_EXPERIMENT = "engine_throughput"
 
 N_COMPONENTS = 1_000
 N_TICKS = 200
@@ -60,15 +54,13 @@ def _best_run(live_path=None, rounds=ROUNDS):
     return best, result
 
 
-def test_eng5_live_publishing_overhead(report, perf_fields, tmp_path):
+def test_eng5_live_publishing_overhead(report, tmp_path):
     bare_eps, bare = _best_run()
     live_eps, live = _best_run(tmp_path / "liveobs.live")
     ratio = live_eps / bare_eps
     report(f"ENG-5 live-obs overhead: bare {bare_eps:,.0f} events/s, "
            f"live {live_eps:,.0f} events/s "
            f"(ratio {ratio:.3f}, gate >= {1 - MAX_OVERHEAD})")
-    perf_fields(live, workload="liveobs_fabric", queue="heap",
-                events_per_second=live_eps, live_over_bare=ratio)
     # Same deterministic workload either way.
     assert bare.events_executed == live.events_executed \
         == N_COMPONENTS * N_TICKS

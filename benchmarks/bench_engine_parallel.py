@@ -14,7 +14,6 @@ torus):
 """
 
 import os
-from pathlib import Path
 
 import pytest
 
@@ -248,19 +247,17 @@ def _heavy_compute_machine(psim, *, ticks=30, work=40_000):
 
 
 def test_eng2_rank_telemetry_overhead(benchmark, tmp_path, report):
-    """Rank-local telemetry cost on the processes backend, recorded to
-    BENCH_engine_parallel.json.
+    """Rank-local telemetry cost on the processes backend.
 
     Runs the compute-bound 4-rank design bare and again with a
     TelemetryRecorder + HandlerProfiler attached (per-rank shards,
     worker-side span buckets), then checks the instrumented run still
-    produced complete artifacts.  The overhead ratio is recorded, not
+    produced complete artifacts.  The overhead ratio is printed, not
     asserted — shard IO cost is host-dependent — but the artifact
     completeness is the regression gate.
     """
     from repro.core import ParallelSimulation
-    from repro.obs import HandlerProfiler, TelemetryRecorder, environment_info
-    from repro.obs.manifest import append_json_record
+    from repro.obs import HandlerProfiler, TelemetryRecorder
     from repro.obs.merge import find_rank_shards
 
     metrics = tmp_path / "eng2-rank.jsonl"
@@ -293,40 +290,22 @@ def test_eng2_rank_telemetry_overhead(benchmark, tmp_path, report):
     assert {row.rank for row in profiler.rows()} == set(range(SIM_RANKS))
     overhead = (instrumented.wall_seconds / bare.wall_seconds
                 if bare.wall_seconds else 1.0)
-    append_json_record(
-        Path(__file__).parent.parent / "BENCH_engine_parallel.json",
-        {
-            "schema": "repro-bench-record/1",
-            "experiment": "engine_parallel",
-            "test": "eng2_rank_telemetry_overhead",
-            "kind": "rank_telemetry_overhead",
-            "ranks": SIM_RANKS,
-            "bare_wall_seconds": bare.wall_seconds,
-            "instrumented_wall_seconds": instrumented.wall_seconds,
-            "overhead_ratio": overhead,
-            "rank_shards": len(shards),
-            "events": instrumented.events_executed,
-            "environment": environment_info(),
-        },
-    )
     report(f"ENG-2 rank telemetry at {SIM_RANKS} ranks: "
            f"{overhead:.2f}x wall overhead, {len(shards)} shards")
 
 
 def test_eng2_processes_speedup(benchmark, report):
     """Wall-clock scaling of the processes backend on a compute-bound
-    4-rank design, recorded to BENCH_engine_parallel.json.
+    4-rank design.
 
     Best-of-3 per backend (forks and page-cache warmup make single
-    shots noisy).  The speedup is always *recorded*, annotated with the
+    shots noisy).  The speedup is always *printed*, annotated with the
     sched-affinity CPU count; it is only *asserted* > 1 when the host
     actually has at least as many usable cores as ranks — gating a
     4-rank fork fleet on a 1- or 2-core container measures
     oversubscription, not the backend.
     """
     from repro.core import ParallelSimulation
-    from repro.obs import environment_info
-    from repro.obs.manifest import append_json_record
 
     ROUNDS = 3
 
@@ -353,24 +332,6 @@ def test_eng2_processes_speedup(benchmark, report):
                                                      iterations=1)
     cpus = _usable_cpus()
     speedup = serial_result.wall_seconds / procs_result.wall_seconds
-    append_json_record(
-        Path(__file__).parent.parent / "BENCH_engine_parallel.json",
-        {
-            "schema": "repro-bench-record/1",
-            "experiment": "engine_parallel",
-            "test": "eng2_processes_speedup",
-            "kind": "backend_speedup",
-            "ranks": SIM_RANKS,
-            "usable_cpus": cpus,
-            "rounds": ROUNDS,
-            "serial_wall_seconds": serial_result.wall_seconds,
-            "processes_wall_seconds": procs_result.wall_seconds,
-            "speedup": speedup,
-            "epochs": procs_result.epochs,
-            "events": procs_result.events_executed,
-            "environment": environment_info(),
-        },
-    )
     report(f"ENG-2 processes speedup over serial at {SIM_RANKS} ranks: "
            f"{speedup:.2f}x (best of {ROUNDS}, {cpus} usable CPUs)")
     if cpus >= SIM_RANKS:
@@ -445,16 +406,11 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
     processes backend (shm rings, widening sync windows) against the
     serial reference.
 
-    Records ``workload=parallel_fabric queue=shm`` into
-    BENCH_engine_throughput.json so the CI parallel-speedup job can
-    gate events/sec through check_throughput_regression.py
-    (``--only parallel_fabric``).  The >= 3x speedup target is asserted
-    only when the host exposes at least FABRIC_RANKS usable CPUs; the
-    measurement is recorded either way.
+    The >= 3x speedup target is asserted only when the host exposes at
+    least FABRIC_RANKS usable CPUs; the measurement is printed either
+    way.
     """
     from repro.core import ParallelSimulation
-    from repro.obs import environment_info
-    from repro.obs.manifest import append_json_record
 
     ROUNDS = 3
 
@@ -483,30 +439,6 @@ def test_eng2_parallel_fabric_speedup(benchmark, report):
     speedup = serial_result.wall_seconds / procs_result.wall_seconds
     eps = (procs_result.events_executed / procs_result.wall_seconds
            if procs_result.wall_seconds else 0.0)
-    append_json_record(
-        Path(__file__).parent.parent / "BENCH_engine_throughput.json",
-        {
-            "schema": "repro-bench-record/1",
-            "experiment": "engine_parallel",
-            "test": "eng2_parallel_fabric_speedup",
-            "kind": "parallel_fabric_speedup",
-            "workload": "parallel_fabric",
-            "queue": "shm",
-            "ranks": FABRIC_RANKS,
-            "components": FABRIC_COMPONENTS,
-            "usable_cpus": cpus,
-            "rounds": ROUNDS,
-            "serial_wall_seconds": serial_result.wall_seconds,
-            "processes_wall_seconds": procs_result.wall_seconds,
-            "speedup": speedup,
-            "events_per_second": eps,
-            "epochs": procs_result.epochs,
-            "exchange_bytes": procs_result.exchange_bytes,
-            "lookahead_utilization": procs_result.lookahead_utilization,
-            "events": procs_result.events_executed,
-            "environment": environment_info(),
-        },
-    )
     report(f"ENG-2 parallel fabric ({FABRIC_COMPONENTS} components, "
            f"{FABRIC_RANKS} ranks, processes): {speedup:.2f}x vs serial, "
            f"{eps:,.0f} events/s ({cpus} usable CPUs)")

@@ -61,7 +61,7 @@ def clocked_fabric(n_components, n_ticks):
     return sim
 
 
-def test_eng1_pingpong_throughput(benchmark, report, perf_fields):
+def test_eng1_pingpong_throughput(benchmark, report):
     N_EVENTS = 20_000
 
     def run():
@@ -73,12 +73,11 @@ def test_eng1_pingpong_throughput(benchmark, report, perf_fields):
     report(f"ENG-1 ping-pong: "
            f"{result.events_executed} events, "
            f"{result.events_per_second:,.0f} events/s")
-    perf_fields(result, workload="pingpong", queue="heap")
     assert result.reason == "exit"
     assert result.events_executed >= N_EVENTS
 
 
-def test_eng1_clocked_fabric_throughput(benchmark, report, perf_fields):
+def test_eng1_clocked_fabric_throughput(benchmark, report):
     N_COMPONENTS, N_TICKS = 200, 50
 
     def run():
@@ -89,7 +88,6 @@ def test_eng1_clocked_fabric_throughput(benchmark, report, perf_fields):
     report(f"ENG-1 clocked fabric: "
            f"{result.events_executed} events, "
            f"{result.events_per_second:,.0f} events/s")
-    perf_fields(result, workload="clocked_fabric", queue="heap")
     assert result.reason == "exhausted"
     assert result.events_executed == N_COMPONENTS * N_TICKS
 

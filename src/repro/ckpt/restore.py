@@ -40,11 +40,11 @@ from ..core.kernel import kernel_run
 from ..core.link import Port, port_of
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import RunResult, Simulation, SimulationError
-from ..core.statistics import adopt_state
 from ..core.tracelog import describe_handler
 from .snapshot import load_manifest, read_shard, snapshot
-from .state import (CheckpointError, current_records, is_dropped, load_refs,
-                    merge_id_sources, recompute_exit_state,
+from .state import (CheckpointError, current_records, fire_restore_hooks,
+                    is_dropped, load_refs, merge_id_sources,
+                    recompute_exit_state, restore_components,
                     restore_rank_state, restore_sim_state)
 
 
@@ -326,22 +326,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
     clock_pool = _clock_pool(sims)
     for state in states:
         meta = state["meta"]
-        linked = load_refs(state["linked"], sims)
-        for comp_name, stats in meta["stats"].items():
-            comp = comps.get(comp_name)
-            if comp is None:
-                raise CheckpointError(
-                    f"snapshot carries component {comp_name!r} which the "
-                    f"rebuilt simulation does not have")
-            group = comp.stats.all()
-            for stat_name, remote in stats.items():
-                local = group.get(stat_name)
-                if local is None:
-                    comp.stats._register(stat_name, remote)
-                else:
-                    adopt_state(local, remote)
-        for comp_name, comp_state in linked["components"].items():
-            comps[comp_name].restore_state(comp_state)
+        linked = restore_components(comps, state, sims)
         for cstate in meta["clocks"]:
             _take_clock(clock_pool, cstate).restore_state(cstate)
         for (time, priority, seq, handler, event) in \
@@ -354,11 +339,9 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
             merged[home.rank].append(
                 (time, priority, 0, meta["rank"], seq, handler, event))
     merge_id_sources(metas)
-    # All shards applied — fire the lifecycle hook once per component,
-    # in each rank's registration order (matching the exact path).
-    for sim in sims:
-        for comp in sim._components.values():
-            comp.on_restore()
+    # All shards applied: hooks in each rank's registration order.
+    fire_restore_hooks(comp for sim in sims
+                       for comp in sim._components.values())
 
     if manifest.get("parallel_file"):
         pstate = read_shard(root / manifest["parallel_file"]["file"],

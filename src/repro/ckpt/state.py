@@ -65,7 +65,8 @@ from __future__ import annotations
 
 import io
 import pickle
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..core.event import IdSource
 from ..core.parallel import ParallelSimulation
@@ -379,40 +380,10 @@ def restore_sim_state(sim: Simulation, state: Dict[str, Any]) -> Dict[str, Any]:
     (send sequence, IdSource counters) upward.
     """
     meta = state["meta"]
-    # Statistics first — Component.restore_state overrides may touch
-    # live collectors (docstring contract).
-    for comp_name, stats in meta["stats"].items():
-        comp = sim._components.get(comp_name)
-        if comp is None:
-            raise CheckpointError(
-                f"snapshot carries component {comp_name!r} which the "
-                f"rebuilt simulation does not have"
-            )
-        group = comp.stats.all()
-        for stat_name, remote in stats.items():
-            local = group.get(stat_name)
-            if local is None:
-                comp.stats._register(stat_name, remote)
-            else:
-                adopt_state(local, remote)
-    for name, remote in meta["engine_stats"].items():
-        local = sim.engine_stats.all().get(name)
-        if local is None:
-            sim.engine_stats._register(name, remote)
-        else:
-            adopt_state(local, remote)
-    linked = load_refs(state["linked"], [sim], rank_hint=sim.rank)
-    for comp_name, comp_state in linked["components"].items():
-        sim._components[comp_name].restore_state(comp_state)
-    # Every component's state is in place (reconstruct= hooks included);
-    # fire the on_restore lifecycle hook in registration order — slot
-    # subcomponents first, so the parent hook sees restored policies.
-    for comp in sim._components.values():
-        for attr in getattr(type(comp), "_slot_specs", {}):
-            sub = comp.__dict__.get(attr)
-            if sub is not None:
-                sub.on_restore()
-        comp.on_restore()
+    _adopt_group(sim.engine_stats, meta["engine_stats"])
+    linked = restore_components(sim._components, state, [sim],
+                                rank_hint=sim.rank)
+    fire_restore_hooks(sim._components.values())
     clock_states = meta["clocks"]
     if len(clock_states) != len(sim._clocks):
         raise CheckpointError(
@@ -441,6 +412,56 @@ def restore_sim_state(sim: Simulation, state: Dict[str, Any]) -> Dict[str, Any]:
     recompute_exit_state(sim)
     sim._stop_requested = False
     return meta
+
+
+def _adopt_group(group, stats: Dict[str, Any]) -> None:
+    """Adopt captured statistic values into ``group`` in place,
+    registering the ones the rebuilt group lacks."""
+    current = group.all()
+    for name, remote in stats.items():
+        local = current.get(name)
+        if local is None:
+            group._register(name, remote)
+        else:
+            adopt_state(local, remote)
+
+
+def restore_components(comps: Dict[str, Any], state: Dict[str, Any],
+                       sims: Sequence[Simulation],
+                       rank_hint: Optional[int] = None) -> Dict[str, Any]:
+    """Apply a shard's component half to ``comps`` (name -> component).
+
+    Statistics first — :meth:`Component.restore_state` overrides may
+    touch live collectors (docstring contract) — then the linked blob is
+    resolved against ``sims`` and every component's state restored.
+    Both restore modes go through here.  Returns the loaded linked dict
+    (its ``records`` are the shard's queue).
+    """
+    for comp_name, stats in state["meta"]["stats"].items():
+        comp = comps.get(comp_name)
+        if comp is None:
+            raise CheckpointError(
+                f"snapshot carries component {comp_name!r} which the "
+                f"rebuilt simulation does not have"
+            )
+        _adopt_group(comp.stats, stats)
+    linked = load_refs(state["linked"], sims, rank_hint=rank_hint)
+    for comp_name, comp_state in linked["components"].items():
+        comps[comp_name].restore_state(comp_state)
+    return linked
+
+
+def fire_restore_hooks(components: Iterable[Any]) -> None:
+    """Fire the ``on_restore`` lifecycle hook once per component, in the
+    given order, each slot subcomponent's before its parent's — so the
+    parent hook sees restored policies.  Call once every shard's state
+    is in place (``reconstruct=`` hooks included)."""
+    for comp in components:
+        for attr in getattr(type(comp), "_slot_specs", {}):
+            sub = comp.__dict__.get(attr)
+            if sub is not None:
+                sub.on_restore()
+        comp.on_restore()
 
 
 def restore_rank_state(psim: ParallelSimulation, rank: int,

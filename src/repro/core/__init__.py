@@ -8,8 +8,7 @@ latency-bearing links.  Everything in :mod:`repro.processor`,
 :mod:`repro.miniapps` is built on these primitives.
 """
 
-from .backends import (BACKENDS, ExecutionBackend, JobPool, RankStep,
-                       default_jobs, make_backend, make_job_pool)
+from .backends import BACKENDS, ExecutionBackend, RankStep, make_backend
 from .clock import Clock, ClockArbiter
 from .component import Component, SubComponent, stable_seed
 from .describe import (ParamSpec, PortSpec, SlotSpec, SpecError, StateSpec,
@@ -46,7 +45,6 @@ __all__ = [
     "ExecutionBackend",
     "HeapEventQueue",
     "Histogram",
-    "JobPool",
     "Link",
     "LinkError",
     "NullEvent",
@@ -79,7 +77,6 @@ __all__ = [
     "UnitError",
     "UnusedParamsWarning",
     "bytes_time",
-    "default_jobs",
     "describe_component",
     "describe_handler",
     "format_bytes",
@@ -87,7 +84,6 @@ __all__ = [
     "freq_to_period",
     "kernel_run",
     "make_backend",
-    "make_job_pool",
     "make_queue",
     "param",
     "parse_bandwidth",

@@ -38,10 +38,6 @@ leave the rank — step frames carry no telemetry) and hands its harvest
 (profile buckets, span rows) to the plan at ``finalize()``.
 Parent-side epoch observers — telemetry, progress, the live run slot —
 see every epoch regardless.
-
-The same substrate names power :class:`JobPool`, the coarse-grained
-variant used by :func:`repro.dse.sweep` to evaluate independent design
-points in parallel.
 """
 
 from __future__ import annotations
@@ -785,89 +781,3 @@ def make_backend(name: str, psim: "ParallelSimulation") -> ExecutionBackend:
         ) from None
     return factory(psim)
 
-
-# ----------------------------------------------------------------------
-# Coarse-grained job pools (the dse.sweep substrate)
-# ----------------------------------------------------------------------
-
-def default_jobs() -> int:
-    """Usable CPU count (affinity-aware), >= 1."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
-
-
-class JobPool:
-    """Evaluate independent jobs on one of the engine's substrates.
-
-    The coarse-grained sibling of :class:`ExecutionBackend`: where a
-    backend parallelises ranks *within* one simulation, a job pool
-    parallelises *whole simulations* (design-space sweep points).  The
-    substrate names match (``serial`` / ``processes``), and
-    ``processes`` is again the one that leaves the GIL.
-    """
-
-    name = "base"
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """``[fn(x) for x in items]`` on this pool's substrate, in order."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "JobPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-class SerialJobPool(JobPool):
-    name = "serial"
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
-class ProcessesJobPool(JobPool):
-    """Fork-based process pool; jobs and results must be picklable."""
-
-    name = "processes"
-
-    def __init__(self, jobs: int):
-        import multiprocessing as mp
-
-        if "fork" not in mp.get_all_start_methods():
-            raise SimulationError(
-                "the 'processes' job pool requires the fork start method"
-            )
-        self._pool = mp.get_context("fork").Pool(processes=jobs)
-
-    def map(self, fn, items):
-        return self._pool.map(fn, list(items))
-
-    def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-
-def make_job_pool(backend: str = "serial",
-                  jobs: Optional[int] = None) -> JobPool:
-    """Instantiate a job pool by substrate name.
-
-    ``jobs`` defaults to the usable CPU count; the serial pool ignores
-    it.  One job per design point is the intended granularity.
-    """
-    jobs = jobs if jobs is not None else default_jobs()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend == "serial":
-        return SerialJobPool()
-    if backend == "processes":
-        return ProcessesJobPool(jobs)
-    raise ValueError(
-        f"unknown job-pool backend {backend!r}; options: "
-        f"{sorted(BACKENDS)}"
-    )

@@ -19,13 +19,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .config import ConfigGraph, build
 from .core import units
-from .core.backends import make_job_pool
+from .core.backends import BACKENDS
+from .core.simulation import SimulationError
 from .core.units import SimTime
 from .power import CorePowerParams, DesignPoint, WaferParams, evaluate_design_point
 
@@ -210,7 +212,7 @@ def _point_cache_key(workload: str, width: int, technology: str,
 
 def _sweep_eval(spec) -> DesignPoint:
     """Evaluate one sweep point (module-level so it pickles for the
-    processes job pool).
+    processes pool).
 
     ``spec`` is ``(workload, width, technology, point_kwargs)`` plus an
     optional fifth element ``(live_path, slot_index)`` marking this
@@ -240,6 +242,32 @@ def _sweep_eval(spec) -> DesignPoint:
     return point
 
 
+def _evaluate(specs: List[Tuple], backend: str,
+              jobs: Optional[int]) -> List[DesignPoint]:
+    """``[_sweep_eval(s) for s in specs]``, in this process (``serial``)
+    or on a fork pool of ``jobs`` workers (``processes``; default: the
+    usable CPU count).  Specs and points must pickle for the pool."""
+    if backend == "serial":
+        return [_sweep_eval(spec) for spec in specs]
+    import multiprocessing as mp
+
+    if "fork" not in mp.get_all_start_methods():
+        raise SimulationError(
+            "the 'processes' job pool requires the fork start method"
+        )
+    if jobs is None:
+        try:
+            jobs = len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - non-Linux
+            jobs = os.cpu_count() or 1
+    pool = mp.get_context("fork").Pool(processes=jobs)
+    try:
+        return pool.map(_sweep_eval, specs)
+    finally:
+        pool.close()
+        pool.join()
+
+
 def sweep(workloads: Sequence[str] = PAPER_WORKLOADS,
           widths: Sequence[int] = PAPER_WIDTHS,
           technologies: Sequence[str] = PAPER_TECHNOLOGIES,
@@ -251,10 +279,11 @@ def sweep(workloads: Sequence[str] = PAPER_WORKLOADS,
           **point_kwargs) -> SweepResult:
     """Run the full cartesian design-space sweep.
 
-    Points are independent simulations, so the sweep rides the engine's
-    job-pool layer: ``backend`` selects the substrate (``serial`` /
-    ``processes``; processes is the one that leaves the GIL) and
-    ``jobs`` bounds its width (default: usable CPU count).
+    Points are independent simulations: ``backend`` selects where they
+    run (``serial`` in this process, ``processes`` on a fork pool, the
+    one that leaves the GIL) and ``jobs`` bounds the pool's width
+    (default: usable CPU count).  Both are validated before any cache
+    lookup, so a fully cached sweep rejects what a cold one rejects.
 
     ``cache_dir`` enables per-point result caching keyed by the
     config-graph hash plus the non-graph evaluation inputs (seed,
@@ -274,6 +303,13 @@ def sweep(workloads: Sequence[str] = PAPER_WORKLOADS,
     running/done in flight, so ``obs top`` and ``sweep
     --serve-metrics`` can show fleet-wide completion and ETA.
     """
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown job-pool backend {backend!r}; options: "
+            f"{sorted(BACKENDS)}"
+        )
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if warm_start is not None:
         warm_root = warm_dir if warm_dir is not None else cache_dir
         if warm_root is None:
@@ -321,9 +357,7 @@ def sweep(workloads: Sequence[str] = PAPER_WORKLOADS,
                 if fleet is not None:
                     spec = spec + ((str(live_path), slot_of[key]),)
                 specs.append(spec)
-            with make_job_pool(backend, jobs) as pool:
-                points = pool.map(_sweep_eval, specs)
-            for key, point in zip(todo, points):
+            for key, point in zip(todo, _evaluate(specs, backend, jobs)):
                 result.points[key] = point
                 if cache is not None:
                     path = cache / f"{cache_keys[key]}.json"

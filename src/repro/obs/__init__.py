@@ -11,9 +11,8 @@ the *simulated machine*, which the statistics system covers):
   Perfetto-loadable ``trace.json``;
 * :class:`ProgressReporter` — periodic events/sec, sim-rate and ETA
   lines for long runs;
-* :func:`build_manifest` / :func:`graph_hash` / :func:`append_json_record`
-  — the machine-readable perf-record plumbing (also used by the
-  benchmark harness for ``BENCH_<exp>.json`` records);
+* :func:`build_manifest` / :func:`graph_hash` / :func:`write_manifest`
+  — the machine-readable run manifest;
 * :class:`RankStreamPlan` / :class:`RankRecorder`
   (:mod:`repro.obs.rank_stream`) — the one way an instrument reaches a
   parallel run's ranks, on every execution backend: each rank records
@@ -66,8 +65,8 @@ from .imbalance import ImbalanceReport, RankSummary, analyze
 from .live import (LiveMetrics, LiveSegment, LiveView, MetricsRegistry,
                    MetricsServer, StallWatchdog, default_segment_path,
                    resolve_segment, run_top)
-from .manifest import (MANIFEST_SCHEMA, append_json_record, build_manifest,
-                       environment_info, graph_hash, write_manifest)
+from .manifest import (MANIFEST_SCHEMA, build_manifest, environment_info,
+                       graph_hash, write_manifest)
 from .merge import RunArtifacts, find_rank_shards, merge_to_file, merge_trace
 from .profiler import HandlerProfiler, ProfileRow, attribute_event
 from .progress import ProgressReporter
@@ -108,7 +107,6 @@ __all__ = [
     "advise_to_file",
     "analyze",
     "analyze_critical_path",
-    "append_json_record",
     "attribute_event",
     "build_manifest",
     "build_profile",

@@ -4,9 +4,8 @@ A manifest is the durable perf/provenance record of a simulation run —
 what was simulated (config-graph hash, component/link counts, seed),
 how (rank count, backend, partitioner, lookahead)
 and what came out (stop reason, sim/wall time, events/sec, merged
-sync metrics).  Every future optimization PR is measured against these
-records, so the schema is versioned and append-only: add fields, never
-repurpose them.
+sync metrics).  The schema is versioned and append-only: add fields,
+never repurpose them.
 """
 
 from __future__ import annotations
@@ -171,33 +170,4 @@ def write_manifest(manifest: Dict[str, Any], path: Union[str, Path]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=False) + "\n",
                     encoding="utf-8")
-    return path
-
-
-def append_json_record(path: Union[str, Path], record: Dict[str, Any]) -> Path:
-    """Append ``record`` to the JSON list stored at ``path``.
-
-    The file holds a plain JSON array so it stays loadable with one
-    ``json.load``; a corrupt or non-list file is preserved under
-    ``<path>.corrupt`` rather than silently overwritten.
-    """
-    path = Path(path)
-    records = []
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(loaded, list):
-                records = loaded
-            else:
-                path.rename(path.with_suffix(path.suffix + ".corrupt"))
-        except (ValueError, OSError):
-            try:
-                path.rename(path.with_suffix(path.suffix + ".corrupt"))
-            except OSError:
-                pass
-    records.append(record)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
-    tmp.replace(path)
     return path

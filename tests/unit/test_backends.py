@@ -1,10 +1,9 @@
 """Tests for the engine's layered execution stack.
 
-Covers the two execution backends (serial / processes) and the
-coarse-grained job pools: stat equivalence on the same partitioned
-graph, resuming after a limit stop (in place and from a snapshot),
-worker error propagation, resource cleanup on failure, and the
-per-rank engine RNG streams.
+Covers the two execution backends (serial / processes): stat
+equivalence on the same partitioned graph, resuming after a limit stop
+(in place and from a snapshot), worker error propagation, resource
+cleanup on failure, and the per-rank engine RNG streams.
 """
 
 import os
@@ -20,8 +19,7 @@ from repro.ckpt import restore, snapshot_parallel
 from repro.config import ConfigGraph, build, build_parallel
 from repro.core import (Component, Event, Params, ParallelSimulation,
                         Simulation, SimulationError)
-from repro.core.backends import (BACKENDS, JobPool, default_jobs,
-                                 make_backend, make_job_pool)
+from repro.core.backends import BACKENDS, make_backend
 from repro.core.shm import DEFAULT_RING_CAPACITY
 from tests.conftest import PingPong, Sink, Source
 
@@ -414,25 +412,3 @@ class TestRankSeeds:
         assert psim.rank_sim(1).seed == 5
         assert psim.rank_sim(0).rank_seed != psim.rank_sim(1).rank_seed
 
-
-def _square(x):
-    return x * x
-
-
-class TestJobPools:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_map_preserves_order(self, backend):
-        with make_job_pool(backend, jobs=2) as pool:
-            assert pool.map(_square, range(8)) == [x * x for x in range(8)]
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_unknown_pool_backend_raises(self, jobs):
-        with pytest.raises(ValueError, match="unknown job-pool backend"):
-            make_job_pool("gpu", jobs=jobs)
-
-    def test_invalid_jobs_raises(self):
-        with pytest.raises(ValueError, match="jobs must be"):
-            make_job_pool("serial", jobs=0)
-
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1

@@ -254,6 +254,37 @@ class TestClusterCheckpoint:
         resumed.run()
         assert resumed.stat_values()["src.emitted"] == cold_emitted
 
+    @pytest.mark.parametrize("captured, restored", [(1, 1), (2, 2), (2, 1),
+                                                    (1, 2)],
+                             ids=["exact-seq", "exact-2rank", "2to1", "1to2"])
+    def test_every_restore_fires_the_policy_hook_first(
+            self, tmp_path, monkeypatch, captured, restored):
+        """Exact and re-partitioned restores alike fire the policy
+        subcomponent's ``on_restore`` once, before the scheduler's."""
+        from repro.ckpt import restore, snapshot, snapshot_parallel
+        from repro.cluster.scheduler import SchedPolicy
+        from repro.config import build_parallel
+
+        graph = cluster_graph("cluster.EASYBackfill", jobs=120)
+        if captured == 1:
+            warm = build(graph, seed=7)
+            warm.run(max_time=50_000_000_000, finalize=False)
+            path = snapshot(warm, tmp_path / "snap")
+        else:
+            warm = build_parallel(graph, 2, seed=7)
+            warm.run(max_time=50_000_000_000)
+            path = snapshot_parallel(warm, tmp_path / "snap")
+            warm.close()
+        calls = []
+        monkeypatch.setattr(SchedPolicy, "on_restore",
+                            lambda self: calls.append(("policy", self.name)))
+        monkeypatch.setattr(Scheduler, "on_restore",
+                            lambda self: calls.append(("sched", self.name)))
+        resumed = restore(path, ranks=restored)
+        assert calls == [("policy", "policy"), ("sched", "sched")]
+        if restored > 1:
+            resumed.close()
+
 
 class TestTraceReader:
     SWF = """\

@@ -95,6 +95,39 @@ class TestParallelSweep:
         assert list(pooled.points) == list(serial.points)
         assert pooled.points == serial.points
 
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_points_keep_grid_order(self, backend):
+        result = sweep(instructions=200_000, backend=backend, jobs=2,
+                       **self.GRID)
+        assert list(result.points) == [
+            ("hpccg", w, t) for w in (1, 4) for t in ("DDR3-1066", "GDDR5")]
+
+    def test_default_jobs_runs_the_pool(self):
+        """``jobs=None`` sizes the pool from the usable CPU count."""
+        serial = sweep(instructions=200_000, **self.GRID)
+        pooled = sweep(instructions=200_000, backend="processes",
+                       **self.GRID)
+        assert pooled.points == serial.points
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["cold", "cached"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unknown_backend_raises(self, tmp_path, cached, jobs):
+        if cached:
+            sweep(instructions=200_000, cache_dir=tmp_path, **self.GRID)
+        with pytest.raises(ValueError, match="unknown job-pool backend"):
+            sweep(instructions=200_000, backend="gpu", jobs=jobs,
+                  cache_dir=tmp_path, **self.GRID)
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["cold", "cached"])
+    def test_invalid_jobs_raises(self, tmp_path, cached):
+        if cached:
+            sweep(instructions=200_000, cache_dir=tmp_path, **self.GRID)
+        with pytest.raises(ValueError, match="jobs must be"):
+            sweep(instructions=200_000, jobs=0, cache_dir=tmp_path,
+                  **self.GRID)
+
     def test_cache_roundtrip(self, tmp_path):
         cold = sweep(instructions=200_000, cache_dir=tmp_path, **self.GRID)
         assert len(list(tmp_path.glob("*.json"))) == 4

@@ -11,8 +11,8 @@ from repro.config import ConfigGraph
 from repro.core import Params, ParallelSimulation, Simulation
 from repro.obs import (ChromeTraceExporter, HandlerProfiler,
                        MANIFEST_SCHEMA, METRICS_SCHEMA, ProgressReporter,
-                       TelemetryRecorder, append_json_record,
-                       attribute_event, build_manifest, graph_hash)
+                       TelemetryRecorder, attribute_event, build_manifest,
+                       graph_hash)
 from tests.conftest import Clocked, PingPong, Sink, Source
 
 
@@ -178,20 +178,6 @@ class TestManifestHelpers:
         assert graph_hash(make(10)) == graph_hash(make(10))
         assert graph_hash(make(10)) != graph_hash(make(11))
         assert len(graph_hash(make(10))) == 16
-
-    def test_append_json_record(self, tmp_path):
-        path = tmp_path / "records.json"
-        append_json_record(path, {"a": 1})
-        append_json_record(path, {"a": 2})
-        data = json.loads(path.read_text())
-        assert data == [{"a": 1}, {"a": 2}]
-
-    def test_append_json_record_recovers_corrupt_file(self, tmp_path):
-        path = tmp_path / "records.json"
-        path.write_text("{not json")
-        append_json_record(path, {"a": 1})
-        assert json.loads(path.read_text()) == [{"a": 1}]
-        assert path.with_suffix(".json.corrupt").exists()
 
 
 class TestProfiler:
