@@ -64,7 +64,10 @@ def test_eng2_partition_quality(benchmark, report, save_csv):
 
     # Locality-aware partitioners beat round-robin on cut.
     assert results["bfs"].edge_cut < results["round_robin"].edge_cut
-    assert results["kl"].edge_cut <= results["bfs"].edge_cut
+    # Lookahead-first bfs cuts no faster link and no more links than
+    # the insertion-order slices.
+    assert results["bfs"].min_cut_latency >= results["linear"].min_cut_latency
+    assert results["bfs"].edge_cut <= results["linear"].edge_cut
     # All stay reasonably balanced.
     for strategy, r in results.items():
         assert r.imbalance < 1.6, (strategy, r.imbalance)

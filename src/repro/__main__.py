@@ -445,24 +445,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             print(f"imbalance report -> {args.json}")
         return 0
 
-    if args.obs_command == "partition-advise":
-        from .obs.advise import AdviseError, advise_to_file
-
-        try:
-            advice, out = advise_to_file(
-                args.metrics, args.config, args.output,
-                num_ranks=args.ranks, original_strategy=args.original_strategy,
-                strategy=args.strategy)
-        except (AdviseError, ConfigError, OSError, ValueError,
-                KeyError) as exc:
-            print(f"error: cannot advise on {args.metrics}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(advice.report())
-        print(f"advised assignment -> {out} "
-              f"(resume with 'ckpt resume <snapshot> --assignment {out}')")
-        return 0
-
     if args.obs_command == "report":
         from .obs.imbalance import analyze_artifacts
 
@@ -558,16 +540,11 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
         if args.assignment:
             try:
                 with open(args.assignment, encoding="utf-8") as fh:
-                    payload = _json.load(fh)
+                    assignment = _json.load(fh)
             except (OSError, ValueError) as exc:
                 print(f"error: cannot read assignment {args.assignment}: "
                       f"{exc}", file=sys.stderr)
                 return 1
-            # Accept both the partition-advise advice document and a
-            # bare {component: rank} map.
-            assignment = payload.get("assignment") \
-                if isinstance(payload, dict) and "assignment" in payload \
-                else payload
             if not isinstance(assignment, dict) or not assignment:
                 print(f"error: {args.assignment} holds no assignment map",
                       file=sys.stderr)
@@ -700,7 +677,7 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--ranks", type=_positive_int, default=1,
                      help="parallel simulation ranks (1 = sequential)")
     run.add_argument("--strategy", default="linear",
-                     choices=["linear", "round_robin", "bfs", "kl"])
+                     choices=["linear", "round_robin", "bfs"])
     run.add_argument("--backend", default="serial",
                      choices=["serial", "processes"],
                      help="execution substrate for --ranks > 1 "
@@ -855,29 +832,6 @@ def make_parser() -> argparse.ArgumentParser:
         "report", help="summarize a recorded run's artifacts")
     rep.add_argument("metrics")
     rep.set_defaults(func=_cmd_obs)
-    adv = obs_sub.add_parser(
-        "partition-advise",
-        help="fold a recorded run's straggler attribution and cut-edge "
-             "traffic into a profile-guided repartition; writes an "
-             "assignment JSON for 'ckpt resume --assignment'")
-    adv.add_argument("metrics", help="the run's JSONL metrics stream")
-    adv.add_argument("--config", required=True,
-                     help="the serialized ConfigGraph the run was built "
-                          "from (same file passed to 'run')")
-    adv.add_argument("-o", "--output", default=None,
-                     help="advice JSON path "
-                          "(default: <metrics>.advice.json)")
-    adv.add_argument("--ranks", type=_positive_int, default=None,
-                     help="target rank count (default: the run's)")
-    adv.add_argument("--strategy", default="kl",
-                     choices=["linear", "round_robin", "bfs", "kl"],
-                     help="partition strategy for the advised split "
-                          "(default: kl, the refining one)")
-    adv.add_argument("--original-strategy", default=None,
-                     choices=["linear", "round_robin", "bfs", "kl"],
-                     help="strategy the recorded run used (default: "
-                          "from the run manifest)")
-    adv.set_defaults(func=_cmd_obs)
     top = obs_sub.add_parser(
         "top", help="live console view of a running simulation "
                     "(attaches read-only to its .live segment)")
@@ -935,9 +889,9 @@ def make_parser() -> argparse.ArgumentParser:
                       help="execution substrate (default: the "
                            "snapshot's)")
     cres.add_argument("--assignment", default=None,
-                      help="component->rank assignment JSON (a "
-                           "partition-advise advice file or a bare map); "
-                           "forces a pinned repartition restore")
+                      help="component->rank assignment JSON (a bare "
+                           "{component: rank} map); forces a pinned "
+                           "repartition restore")
     cres.add_argument("--stats", action="store_true",
                       help="print final statistic values")
     cres.add_argument("--stats-json", default=None,

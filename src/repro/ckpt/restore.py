@@ -39,6 +39,7 @@ from ..core.component import Component
 from ..core.kernel import kernel_run
 from ..core.link import Port, port_of
 from ..core.parallel import ParallelSimulation
+from ..core.partition import STRATEGIES
 from ..core.simulation import RunResult, Simulation, SimulationError
 from ..core.tracelog import describe_handler
 from .snapshot import load_manifest, read_shard, snapshot
@@ -69,11 +70,10 @@ def restore(path: Union[str, Path], *,
     docstring).  The result's ``checkpoint_lineage`` records where it
     came from and flows into run manifests (:mod:`repro.obs.manifest`).
 
-    ``assignment`` — an explicit component→rank map (e.g. the output of
-    ``python -m repro obs partition-advise``) — forces the re-partition
-    path with every listed component pinned, even at the snapshot's own
-    rank count: the feedback loop's "resume under the advised layout"
-    step.  Unlisted components are placed by the partitioner.
+    ``assignment`` — an explicit component→rank map — forces the
+    re-partition path with every listed component pinned, even at the
+    snapshot's own rank count.  Unlisted components are placed by the
+    partitioner.
     """
     root = Path(path)
     manifest = load_manifest(root)
@@ -131,6 +131,24 @@ def _rebuild_graph(manifest: Dict[str, Any]):
     return graph
 
 
+def _rebuild_strategy(manifest: Dict[str, Any], *, pinned_all: bool) -> str:
+    """The partition strategy a parallel rebuild runs.
+
+    A strategy deleted since the snapshot was written (``kl``) places
+    nothing when every component is pinned, so that rebuild runs
+    ``linear``; any rebuild it would have to place fails by name.
+    """
+    name = manifest["partition_strategy"] or "linear"
+    if name in STRATEGIES:
+        return name
+    if pinned_all:
+        return "linear"
+    raise CheckpointError(
+        f"snapshot was partitioned with strategy {name!r}, which no longer "
+        f"exists: restore it at its own {manifest['num_ranks']} ranks, or "
+        f"with an assignment that pins every component")
+
+
 def _shard_states(root: Path, manifest: Dict[str, Any]) -> List[Dict[str, Any]]:
     states = []
     for entry in manifest["shards"]:
@@ -184,7 +202,7 @@ def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
     pinned = from_dict(pinned_dict)
     psim = build_parallel(
         pinned, manifest["num_ranks"],
-        strategy=manifest["partition_strategy"] or "linear",
+        strategy=_rebuild_strategy(manifest, pinned_all=True),
         seed=manifest["seed"],
         backend=backend or manifest["backend"] or "serial",
         verbose=verbose)
@@ -295,7 +313,8 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
     else:
         psim = build_parallel(
             stripped, target_ranks,
-            strategy=manifest["partition_strategy"] or "linear",
+            strategy=_rebuild_strategy(
+                manifest, pinned_all=known <= set(assignment or ())),
             seed=manifest["seed"],
             backend=backend or manifest["backend"] or "serial",
             verbose=verbose)

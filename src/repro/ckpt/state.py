@@ -170,14 +170,33 @@ class _RefPickler(pickle.Pickler):
         return self._table.get(id(obj))
 
 
+_PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
+
+
 def dump_refs(sims: Sequence[Simulation], obj: Any) -> bytes:
-    """Pickle ``obj`` with engine objects replaced by symbolic refs."""
+    """Pickle ``obj`` with engine objects replaced by symbolic refs.
+
+    A failure names the rank of a one-rank parallel capture and, when
+    ``obj`` holds per-component states (:func:`capture_sim_state`), the
+    first component whose state does not pickle.
+    """
+    table = build_ref_table(sims)
     buffer = io.BytesIO()
     try:
-        _RefPickler(buffer, build_ref_table(sims)).dump(obj)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        _RefPickler(buffer, table).dump(obj)
+    except _PICKLE_ERRORS as exc:
+        what = "component or event state"
+        states = obj.get("components", {}) if isinstance(obj, dict) else {}
+        for name, state in states.items():
+            try:
+                _RefPickler(io.BytesIO(), table).dump(state)
+            except _PICKLE_ERRORS:
+                what = f"component {name!r} state"
+                break
+        if len(sims) == 1 and sims[0].num_ranks > 1:
+            what = f"rank {sims[0].rank}: {what}"
         raise CheckpointError(
-            f"component or event state is not snapshotable: {exc}.  "
+            f"{what} is not snapshotable: {exc}.  "
             f"Declare an unpicklable component attribute with "
             f"state(save=False, reconstruct=...) (see docs/CHECKPOINT.md)."
         ) from exc

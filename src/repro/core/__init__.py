@@ -21,8 +21,7 @@ from .kernel import kernel_run
 from .link import Link, LinkError, Port
 from .params import ParamError, Params, UnusedParamsWarning
 from .parallel import ParallelRunResult, ParallelSimulation
-from .partition import (PartitionEdge, PartitionProfile, PartitionResult,
-                        partition)
+from .partition import PartitionEdge, PartitionResult, partition
 from .registry import register, registered_types, resolve
 from .simulation import RunResult, Simulation, SimulationError
 from .sync import ConservativeSync
@@ -54,7 +53,6 @@ __all__ = [
     "ParallelRunResult",
     "ParallelSimulation",
     "PartitionEdge",
-    "PartitionProfile",
     "PartitionResult",
     "PRIORITY_CLOCK",
     "PRIORITY_EVENT",

@@ -1,39 +1,39 @@
 """Component-graph partitioning for parallel simulation.
 
 Before a parallel run, the component graph must be split across ranks.
-The quality of the split matters twice: *balance* determines how evenly
-work is spread, and *edge cut* determines how many events cross rank
-boundaries (each crossing is serialised through the epoch exchange).
-The minimum latency among cut links also fixes the conservative
-lookahead, so a partitioner that avoids cutting low-latency links
-directly buys longer epochs.
+The quality of the split matters three ways: *balance* determines how
+evenly work is spread, *edge cut* determines how many events cross rank
+boundaries (each crossing is serialised through the epoch exchange),
+and the smallest latency among cut links is the conservative
+lookahead, the width of every epoch.  A cut that spares the fastest
+links buys wider, and so fewer, epochs.
 
-Four strategies (experiment ENG-2 ablates them):
+Three strategies:
 
 * ``linear``      — contiguous slices in insertion order.  Matches SST's
   default "self partitioner" behaviour; excellent for configs built
   topology-major (e.g. a torus built plane by plane).
 * ``round_robin`` — node *i* to rank ``i % n``.  Worst-case cut; the
-  control baseline.
-* ``bfs``         — grow regions breadth-first until a weight quota is
-  reached; keeps neighbourhoods together without geometry knowledge.
-* ``kl``          — ``bfs`` followed by Kernighan–Lin-style boundary
-  refinement passes that greedily move nodes to reduce the weighted cut
-  while respecting a balance tolerance.
+  control baseline, and the way tests force cross-rank traffic.
+* ``bfs``         — lookahead-first breadth-first growth.  Plain BFS
+  growth (regions grown from the first unassigned node until a weight
+  quota is reached) is the fallback; on top of it, for each link
+  latency above the fallback's lookahead, largest first, every faster
+  link is contracted into a supernode and the ranks are grown over the
+  supernodes instead.  The first such layout that stays within the
+  balance tolerance (or the fallback's own imbalance, if that is
+  worse) and raises the lookahead wins.  A graph with one latency
+  class, or no links, gets the plain BFS layout.
 
-All strategies also accept a :class:`PartitionProfile` of *observed*
-feedback from a previous run (per-component work multipliers from the
-imbalance report, per-link traffic from the causal tracer's cut-edge
-report) which is folded into the configured node and edge weights
-before partitioning — the profile-guided repartitioning loop driven by
-``python -m repro obs partition-advise``.
+Every strategy is static and deterministic: the same graph, rank count
+and weights give the same assignment.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 NodeId = Hashable
 
@@ -74,48 +74,7 @@ class PartitionResult:
         return groups
 
 
-@dataclass
-class PartitionProfile:
-    """Observed-run feedback folded into a :func:`partition` call.
-
-    Built from a recorded run's telemetry (see
-    :mod:`repro.obs.advise`): per-rank busy time becomes per-component
-    work multipliers — components that lived on straggler ranks look
-    heavier, so balance-aware strategies spread them out — and the
-    causal tracer's cut-edge report becomes extra edge weight, so the
-    KL refinement pulls the endpoints of observed-chatty cut links onto
-    one rank.  Multipliers scale the configured node weights; traffic
-    adds to the configured edge weights (keyed by the unordered
-    endpoint pair).
-    """
-
-    #: node -> observed work multiplier (missing nodes default to 1.0)
-    node_multipliers: Dict[NodeId, float] = field(default_factory=dict)
-    #: frozenset({u, v}) -> observed traffic weight added to the edge
-    edge_traffic: Dict[FrozenSet[NodeId], float] = field(default_factory=dict)
-
-    def scaled_node_weights(
-        self, node_weight: Dict[NodeId, float]
-    ) -> Dict[NodeId, float]:
-        return {n: w * self.node_multipliers.get(n, 1.0)
-                for n, w in node_weight.items()}
-
-    def weighted_edges(
-        self, edges: List[PartitionEdge]
-    ) -> List[PartitionEdge]:
-        if not self.edge_traffic:
-            return edges
-        out: List[PartitionEdge] = []
-        for e in edges:
-            extra = self.edge_traffic.get(frozenset((e.u, e.v)), 0.0)
-            if extra:
-                e = PartitionEdge(u=e.u, v=e.v, weight=e.weight + extra,
-                                  latency=e.latency)
-            out.append(e)
-        return out
-
-
-STRATEGIES = ("linear", "round_robin", "bfs", "kl")
+STRATEGIES = ("linear", "round_robin", "bfs")
 
 
 def partition(
@@ -125,8 +84,6 @@ def partition(
     strategy: str = "linear",
     weights: Optional[Dict[NodeId, float]] = None,
     balance_tolerance: float = 1.10,
-    refine_passes: int = 4,
-    profile: Optional[PartitionProfile] = None,
 ) -> PartitionResult:
     """Partition ``nodes`` into ``num_ranks`` groups.
 
@@ -140,12 +97,9 @@ def partition(
     weights:
         Per-node work estimate (default 1.0 each).
     balance_tolerance:
-        For ``kl``: maximum allowed (rank weight / ideal weight).
-    profile:
-        Observed-run feedback (:class:`PartitionProfile`) multiplied
-        onto node weights and added onto edge weights before
-        partitioning.  The returned result's quality metrics are
-        computed against the profiled weights.
+        For ``bfs``: the largest imbalance (rank weight / ideal weight)
+        a lookahead-raising layout may have, unless plain BFS growth is
+        already less balanced.
     """
     nodes = list(nodes)
     edge_list = list(edges)
@@ -160,9 +114,6 @@ def partition(
     for e in edge_list:
         if e.u not in known or e.v not in known:
             raise ValueError(f"edge {e.u!r}--{e.v!r} references unknown node")
-    if profile is not None:
-        node_weight = profile.scaled_node_weights(node_weight)
-        edge_list = profile.weighted_edges(edge_list)
 
     if num_ranks == 1:
         assignment = {n: 0 for n in nodes}
@@ -171,13 +122,8 @@ def partition(
     elif strategy == "round_robin":
         assignment = {n: i % num_ranks for i, n in enumerate(nodes)}
     elif strategy == "bfs":
-        assignment = _bfs_grow(nodes, edge_list, node_weight, num_ranks)
-    elif strategy == "kl":
-        assignment = _bfs_grow(nodes, edge_list, node_weight, num_ranks)
-        assignment = _kl_refine(
-            assignment, nodes, edge_list, node_weight, num_ranks,
-            balance_tolerance, refine_passes,
-        )
+        return _lookahead_first(nodes, edge_list, node_weight, num_ranks,
+                                balance_tolerance)
     else:
         raise ValueError(f"unknown partition strategy {strategy!r}; options: {STRATEGIES}")
 
@@ -316,45 +262,60 @@ def _bfs_grow(nodes: Sequence[NodeId], edges: List[PartitionEdge],
     return assignment
 
 
-def _kl_refine(assignment: Dict[NodeId, int], nodes: Sequence[NodeId],
-               edges: List[PartitionEdge], node_weight: Dict[NodeId, float],
-               num_ranks: int, balance_tolerance: float,
-               passes: int) -> Dict[NodeId, int]:
-    graph = _build_graph(nodes, edges)
-    assignment = dict(assignment)
-    total = sum(node_weight.values())
-    ideal = total / num_ranks
-    limit = ideal * balance_tolerance
-    rank_weights = [0.0] * num_ranks
-    for n, r in assignment.items():
-        rank_weights[r] += node_weight[n]
+def _lookahead_first(nodes: Sequence[NodeId], edges: List[PartitionEdge],
+                     node_weight: Dict[NodeId, float], num_ranks: int,
+                     balance_tolerance: float) -> PartitionResult:
+    """``bfs``: plain BFS growth, unless a contracted growth keeps the
+    fastest links inside ranks at acceptable balance (module docstring)."""
+    plain = evaluate(_bfs_grow(nodes, edges, node_weight, num_ranks),
+                     edges, node_weight, num_ranks)
+    if plain.min_cut_latency is None:
+        return plain
+    tolerance = max(balance_tolerance, plain.imbalance)
+    for latency in sorted({e.latency for e in edges
+                           if e.latency > plain.min_cut_latency}, reverse=True):
+        # Every link faster than ``latency`` is inside a supernode, so
+        # any cut this yields already beats the plain lookahead.
+        assignment = _contracted_bfs(nodes, edges, node_weight, num_ranks, latency)
+        if assignment is None:
+            continue
+        result = evaluate(assignment, edges, node_weight, num_ranks)
+        if result.imbalance <= tolerance:
+            return result
+    return plain
 
-    for _ in range(passes):
-        moved = False
-        for node in nodes:
-            home = assignment[node]
-            # Tally edge weight toward each rank among neighbours.
-            afinity: Dict[int, float] = {}
-            for nbr, w in graph[node].items():
-                afinity[assignment[nbr]] = afinity.get(assignment[nbr], 0.0) + w
-            if not afinity:
-                continue
-            internal = afinity.get(home, 0.0)
-            # Best candidate rank by gain, deterministic tie-break by rank id.
-            best_rank, best_gain = home, 0.0
-            for rank in sorted(afinity):
-                if rank == home:
-                    continue
-                gain = afinity[rank] - internal
-                if gain > best_gain:
-                    weight = node_weight[node]
-                    if rank_weights[rank] + weight <= limit:
-                        best_rank, best_gain = rank, gain
-            if best_rank != home:
-                assignment[node] = best_rank
-                rank_weights[home] -= node_weight[node]
-                rank_weights[best_rank] += node_weight[node]
-                moved = True
-        if not moved:
-            break
-    return assignment
+
+def _contracted_bfs(nodes: Sequence[NodeId], edges: List[PartitionEdge],
+                    node_weight: Dict[NodeId, float], num_ranks: int,
+                    latency: int) -> Optional[Dict[NodeId, int]]:
+    """BFS growth over the supernodes left by contracting every link
+    faster than ``latency``; None if fewer supernodes than ranks remain.
+
+    Supernodes are numbered in configuration order of their first
+    member and carry their members' summed weight; links between two
+    supernodes keep their weight (parallel ones sum in ``_build_graph``).
+    """
+    parent: Dict[NodeId, NodeId] = {n: n for n in nodes}
+
+    def find(n: NodeId) -> NodeId:
+        while parent[n] != n:
+            parent[n] = parent[parent[n]]
+            n = parent[n]
+        return n
+
+    for e in edges:
+        if e.latency < latency:
+            parent[find(e.u)] = find(e.v)
+    index: Dict[NodeId, int] = {}
+    supernode_of: Dict[NodeId, int] = {}
+    for n in nodes:
+        supernode_of[n] = index.setdefault(find(n), len(index))
+    if len(index) < num_ranks:
+        return None
+    super_weight = dict.fromkeys(range(len(index)), 0.0)
+    for n in nodes:
+        super_weight[supernode_of[n]] += node_weight[n]
+    super_edges = [PartitionEdge(supernode_of[e.u], supernode_of[e.v], e.weight)
+                   for e in edges if supernode_of[e.u] != supernode_of[e.v]]
+    grown = _bfs_grow(range(len(index)), super_edges, super_weight, num_ranks)
+    return {n: grown[supernode_of[n]] for n in nodes}

@@ -24,11 +24,6 @@ the *simulated machine*, which the statistics system covers):
 * :func:`analyze` (:mod:`repro.obs.imbalance`) — post-hoc sync/load
   diagnostics: straggler attribution, busy-vs-barrier wall time,
   events-per-rank skew (``python -m repro obs imbalance``);
-* :func:`advise` (:mod:`repro.obs.advise`) — feedback-driven
-  repartitioning: fold the imbalance report and the cut-edge traffic
-  into a :class:`~repro.core.partition.PartitionProfile` and emit an
-  advised assignment (``python -m repro obs partition-advise``),
-  consumable by ``ckpt resume --assignment``;
 * :class:`CausalCapture` / :class:`CriticalPath`
   (:mod:`repro.obs.causal`, :mod:`repro.obs.critpath`) — opt-in event
   provenance capture and the backward critical-path walk with
@@ -52,8 +47,6 @@ for the schemas and usage.
 """
 
 from ..core.backends import RankObservabilityWarning
-from .advise import (AdviseError, PartitionAdvice, advise, advise_to_file,
-                     build_profile)
 from .causal import (CAUSAL_SCHEMA, CausalCapture, CausalTracer,
                      causal_shard_path, find_causal_shards)
 from .chrome_trace import ChromeTraceExporter, build_trace_dict, flow_pair
@@ -75,7 +68,6 @@ from .rank_stream import (RANK_STREAM_SCHEMA, RankRecorder, RankStreamPlan,
 from .telemetry import METRICS_SCHEMA, TelemetryRecorder
 
 __all__ = [
-    "AdviseError",
     "CAUSAL_SCHEMA",
     "CausalAnalysisError",
     "CausalCapture",
@@ -92,7 +84,6 @@ __all__ = [
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "MetricsServer",
-    "PartitionAdvice",
     "ProfileRow",
     "ProgressReporter",
     "RANK_STREAM_SCHEMA",
@@ -103,13 +94,10 @@ __all__ = [
     "RunArtifacts",
     "StallWatchdog",
     "TelemetryRecorder",
-    "advise",
-    "advise_to_file",
     "analyze",
     "analyze_critical_path",
     "attribute_event",
     "build_manifest",
-    "build_profile",
     "build_trace_dict",
     "causal_shard_path",
     "critical_path",

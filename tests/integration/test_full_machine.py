@@ -129,7 +129,7 @@ def _assert_equivalent(seq_values, par_values, rel=0.02):
 
 
 class TestAppMachineParallel:
-    @pytest.mark.parametrize("strategy", ["linear", "round_robin", "bfs", "kl"])
+    @pytest.mark.parametrize("strategy", ["linear", "round_robin", "bfs"])
     def test_parallel_app_machine_matches_sequential(self, strategy):
         graph = build_app_machine("miniapps.HPCCG", 8, iterations=2)
         seq = build(graph, seed=4)

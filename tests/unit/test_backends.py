@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ckpt import restore, snapshot_parallel
+from repro.ckpt import CheckpointError, restore, snapshot_parallel
 from repro.config import ConfigGraph, build, build_parallel
 from repro.core import (Component, Event, Params, ParallelSimulation,
                         Simulation, SimulationError)
@@ -116,6 +116,21 @@ class TestProcessesBackend:
         psim.connect(relay, "out", sink, "in", latency="3ns")
         with pytest.raises(SimulationError, match="not serializable"):
             psim.run()
+
+    def test_unsnapshotable_rank_state_names_rank_and_component(self):
+        """Re-homing a worker rank pickles its component state; a
+        lambda attribute fails with the rank and component named."""
+        psim = ParallelSimulation(2, seed=1, backend="processes")
+        src = Source(psim.rank_sim(0), "src",
+                     Params({"count": 3, "period": "1ns"}))
+        sink = Sink(psim.rank_sim(1), "sink")
+        sink.on_arrival = lambda: None
+        psim.connect(src, "out", sink, "in", latency="2ns")
+        with pytest.raises(CheckpointError,
+                           match=r"rank 1: component 'sink' state is not "
+                                 r"snapshotable"):
+            psim.run()
+        assert psim._backend is None
 
     def test_serial_backend_resumes_after_limit(self):
         psim = ParallelSimulation(2, seed=1, backend="serial")

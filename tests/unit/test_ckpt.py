@@ -170,6 +170,36 @@ class TestParallelCheckpoint:
             resumed.close()
 
 
+    def test_deleted_strategy_restores_through_recorded_pins(self, tmp_path):
+        """A manifest naming a since-deleted strategy (``kl``) restores
+        wherever the layout is pinned; a rebuild that needs the
+        strategy to place components fails by name."""
+        stats, cold = cold_reference()
+        psim = build_parallel(small_graph(), 2, strategy="round_robin",
+                              seed=7)
+        try:
+            psim.run(max_time="60ns")
+            path = snapshot_parallel(psim, tmp_path / "snap2")
+        finally:
+            psim.close()
+        manifest = json.loads((path / "MANIFEST.json").read_text())
+        manifest["partition_strategy"] = "kl"
+        (path / "MANIFEST.json").write_text(json.dumps(manifest))
+        for kwargs in ({}, {"ranks": 1},
+                       {"assignment": manifest["assignment"]}):
+            resumed = restore(path, **kwargs)
+            try:
+                result = resumed.run()
+                assert resumed.stat_values() == stats, kwargs
+                assert result.end_time == cold.end_time
+            finally:
+                close = getattr(resumed, "close", None)
+                if close:
+                    close()
+        with pytest.raises(CheckpointError, match="strategy 'kl'"):
+            restore(path, ranks=3)
+
+
 class TestSnapshotValidation:
     def _snapshot(self, tmp_path):
         sim = build(small_graph(), seed=7)

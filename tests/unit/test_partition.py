@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition import (STRATEGIES, PartitionEdge, evaluate,
-                                  partition)
+from repro.core.partition import (STRATEGIES, PartitionEdge, _bfs_grow,
+                                  evaluate, partition)
 
 
 def ring_edges(n, latency=10):
@@ -101,11 +101,19 @@ class TestQualityMetrics:
         lin = partition(nodes, edges, 4, strategy="linear")
         assert rr.cut_edges > lin.cut_edges
 
-    def test_kl_not_worse_than_bfs_on_grid(self):
+    def test_bfs_keeps_fast_links_on_grid(self):
+        # Fast rows, slow columns: plain BFS growth cuts rows, the
+        # lookahead-first rule hands each rank whole rows.
         nodes, edges = grid_nodes_edges(8, 8)
+        edges = [PartitionEdge(e.u, e.v, latency=1 if e.u[1] == e.v[1] else 10)
+                 for e in edges]
+        plain = evaluate(_bfs_grow(nodes, edges, {n: 1.0 for n in nodes}, 4),
+                         edges, num_ranks=4)
         bfs = partition(nodes, edges, 4, strategy="bfs")
-        kl = partition(nodes, edges, 4, strategy="kl")
-        assert kl.edge_cut <= bfs.edge_cut
+        assert plain.min_cut_latency == 1
+        assert bfs.min_cut_latency == 10
+        assert bfs.cut_edges == 24
+        assert bfs.imbalance == 1.0
 
     def test_min_cut_latency_reported(self):
         nodes = [0, 1, 2, 3]
@@ -179,6 +187,74 @@ class TestProperties:
     def test_deterministic(self, n, ranks):
         nodes = list(range(n))
         edges = ring_edges(n)
-        a = partition(nodes, edges, ranks, strategy="kl")
-        b = partition(nodes, edges, ranks, strategy="kl")
+        a = partition(nodes, edges, ranks, strategy="bfs")
+        b = partition(nodes, edges, ranks, strategy="bfs")
         assert a.assignment == b.assignment
+
+
+def _lookahead(result):
+    """A cut's lookahead, with no cut at all as unbounded."""
+    if result.min_cut_latency is None:
+        return float("inf")
+    return result.min_cut_latency
+
+
+class TestLookaheadFirst:
+    """``bfs`` against plain BFS growth, its fallback."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        ranks=st.integers(min_value=1, max_value=4),
+        classes=st.lists(st.integers(min_value=1, max_value=50),
+                         min_size=1, max_size=4, unique=True),
+        seed=st.integers(min_value=0, max_value=10_000),
+        density=st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_never_worse_than_plain_bfs(self, n, ranks, classes, seed,
+                                        density):
+        import random
+
+        rng = random.Random(seed)
+        ranks = min(ranks, n)
+        nodes = list(range(n))
+        weights = {v: rng.choice([0.5, 1.0, 1.0, 2.0, 4.0]) for v in nodes}
+        edges = [PartitionEdge(rng.randrange(n), rng.randrange(n),
+                               weight=rng.choice([1.0, 2.0, 5.0]),
+                               latency=rng.choice(classes) * 1000)
+                 for _ in range(int(n * density))]
+        plain = evaluate(_bfs_grow(nodes, edges, weights, ranks), edges,
+                         weights, ranks)
+        result = partition(nodes, edges, ranks, strategy="bfs",
+                           weights=weights)
+        assert _lookahead(result) >= _lookahead(plain)
+        assert result.imbalance <= max(1.10, plain.imbalance)
+        if len({e.latency for e in edges}) <= 1:
+            assert result.assignment == plain.assignment
+        again = partition(nodes, edges, ranks, strategy="bfs",
+                          weights=weights)
+        assert list(again.assignment.items()) == list(result.assignment.items())
+
+    def test_supernodes_grow_in_config_order(self):
+        # A ring of four fast pairs joined by slow links.  Plain BFS
+        # growth from node 0 takes 0, 1, 7, 2 and cuts two fast links;
+        # the rule grows rank 0 from the first pair onwards.
+        nodes = list(range(8))
+        edges = [PartitionEdge(i, (i + 1) % 8, latency=1 if i % 2 == 0 else 10)
+                 for i in range(8)]
+        result = partition(nodes, edges, 2, strategy="bfs")
+        assert result.assignment == {0: 0, 1: 0, 2: 0, 3: 0,
+                                     4: 1, 5: 1, 6: 1, 7: 1}
+        assert result.min_cut_latency == 10
+
+    def test_benchmark_torus_keeps_its_fastest_links(self):
+        """The 2-rank benchmark machine: a 64-rank HPCCG torus (160
+        components; 208 links at 5, 10 and 20 ns)."""
+        from repro.miniapps import build_app_machine
+
+        graph = build_app_machine("miniapps.HPCCG", 64, iterations=2)
+        nodes, edges, weights = graph.partition_inputs()
+        result = partition(nodes, edges, 2, strategy="bfs", weights=weights)
+        assert result.cut_edges == 30
+        assert result.min_cut_latency == 20_000
+        assert result.imbalance == 1.0

@@ -143,9 +143,7 @@ class TestCli:
         ["run", "machine.json", "--ranks", "-3"],
         ["run", "machine.json", "--ranks", "0"],
         ["ckpt", "resume", "ckpt-0001", "--ranks", "-3"],
-        ["obs", "partition-advise", "m.jsonl", "--config", "machine.json",
-         "--ranks", "0"],
-    ], ids=["run-negative", "run-zero", "ckpt-resume", "partition-advise"])
+    ], ids=["run-negative", "run-zero", "ckpt-resume"])
     def test_non_positive_ranks_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             make_parser().parse_args(argv)
