@@ -354,7 +354,7 @@ def _fabric_machine(psim, *, components=FABRIC_COMPONENTS, ticks=3,
 
     Every component self-schedules ``ticks`` compute windows; the first
     component of each rank additionally tokens the next rank over a
-    1 ms ring link each tick, so the shm exchange path carries real
+    1 ms ring link each tick, so the pipe exchange path carries real
     cross-rank traffic while the conservative window stays wide.
     """
     from repro.core import Component, Event, Params
@@ -406,7 +406,7 @@ def _fabric_machine(psim, *, components=FABRIC_COMPONENTS, ticks=3,
 
 def test_eng2_parallel_fabric_speedup(benchmark, report):
     """The PR 9 acceptance bench: an 8-rank ~1k-component fabric on the
-    processes backend (shm rings, widening sync windows) against the
+    processes backend (pipe exchange, widening sync windows) against the
     serial reference.
 
     The >= 3x speedup target is asserted only when the host exposes at

@@ -173,7 +173,8 @@ def build_parallel(graph: ConfigGraph, num_ranks: int, *,
     :class:`~repro.core.parallel.ParallelSimulation`.  ``queue``,
     ``transport`` and ``sync`` each name the one implementation and
     accept only it: ``"heap"`` (as in :func:`build`), ``"shm"`` (the
-    shared-memory data plane) and ``"adaptive"`` (the sync policy's
+    processes backend's one data plane, now pipes; the name stays for
+    callers that still pass it) and ``"adaptive"`` (the sync policy's
     widening window).
     """
     require_heap(queue)

@@ -10,8 +10,9 @@ reports a :class:`RankStep` per rank.  Two substrates are provided:
 * :class:`ProcessesBackend` — true multi-process PDES: rank 0 runs in
   the calling process and ranks 1..N-1 in one forked worker each, so
   N ranks are N processes.  Workers exchange epoch frames
-  (:func:`encode_step`) with the parent over shared-memory rings
-  (:mod:`repro.core.shm`); pipes carry only control commands.  This is
+  (:func:`encode_step`) with the parent over one pipe per rank and
+  direction (:mod:`repro.core.exchange`); one more pipe per worker
+  carries the control commands.  This is
   the backend that leaves the GIL.  Requirements and caveats:
 
   - the ``fork`` start method (Linux/macOS); workers inherit the fully
@@ -52,7 +53,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
 from .event import IdSource, decode_entries, encode_entries
-from .shm import ShmExchange
+from .exchange import PipeExchange
 from .simulation import SimulationError
 from .sync import OutboxEntry
 from .units import SimTime
@@ -105,7 +106,7 @@ class RankStep:
 
 
 # ----------------------------------------------------------------------
-# epoch frames — what the processes backend moves through the rings
+# epoch frames — what the processes backend moves through the pipes
 # ----------------------------------------------------------------------
 
 #: delivery-frame header: the inclusive end of the window to execute
@@ -445,7 +446,7 @@ class RankRunner:
 
 class ProcessesBackend(ExecutionBackend):
     """Rank 0 in the parent, one forked worker per other rank, epoch
-    frames through shared memory.
+    frames through pipes.
 
     The parent process runs the sync policy, the epoch loop and rank
     0's kernel windows; each worker owns one rank's :class:`Simulation`
@@ -459,9 +460,9 @@ class ProcessesBackend(ExecutionBackend):
 
     Two planes, one job each:
 
-    * **data** — epoch frames stream through per-rank shared-memory
-      rings, announced by a one-byte doorbell pipe; waiting sides block
-      (:mod:`repro.core.shm`);
+    * **data** — epoch frames, length-prefixed, through one
+      non-blocking pipe per rank and direction; a waiting side polls
+      briefly, then blocks (:mod:`repro.core.exchange`);
     * **control** — snapshots, the final state, shutdown and errors
       are pickled messages on one pipe per worker.
     """
@@ -483,15 +484,14 @@ class ProcessesBackend(ExecutionBackend):
         self._conns: Dict[int, Any] = {}
         #: rank 0, run in this process
         self._local: Optional[RankRunner] = None
-        self._exchange: Optional[ShmExchange] = None
+        self._exchange: Optional[PipeExchange] = None
 
     def start(self) -> None:
         if self._local is not None:
             return
         _warn_detached_observers(self.psim)
-        # Created before the fork so every worker inherits the mapped
-        # segment and bells — nothing is re-attached by name.
-        self._exchange = ShmExchange(self.psim.num_ranks)
+        # Created before the fork so every worker inherits the pipes.
+        self._exchange = PipeExchange(self.psim.num_ranks)
         # Fork AFTER setup(): workers inherit wired graphs, queued
         # setup events and registered primaries.  The parent keeps the
         # setup-time outbox entries (workers clear their copies).
@@ -658,22 +658,22 @@ class ProcessesBackend(ExecutionBackend):
         self._procs = {}
         self._conns = {}
         if self._exchange is not None:
-            self._exchange.close(unlink=True)
+            self._exchange.close()
             self._exchange = None
 
 
 def _worker_main(psim: "ParallelSimulation", rank: int, conn,
-                 exchange: ShmExchange, parent_ends: Sequence[Any]) -> None:
+                 exchange: PipeExchange, parent_ends: Sequence[Any]) -> None:
     """Worker command loop for one rank (runs in a forked child).
 
-    ``exchange`` is the :class:`~repro.core.shm.ShmExchange` inherited
-    through fork: epoch frames arrive and leave through its rings (see
-    ``next_command`` / ``run_step``), control commands on ``conn``.
+    ``exchange`` is the :class:`~repro.core.exchange.PipeExchange`
+    inherited through fork: epoch frames arrive and leave through its
+    pipes (see ``next_command`` / ``run_step``), control commands on
+    ``conn``.
     Everything else a rank does is the :class:`RankRunner`'s.  The
     worker exits on ``close`` or as soon as its pipe reads EOF (the
     parent closed its end or is gone).
     """
-    import select
     import traceback
 
     from ..ckpt.snapshot import write_rank_shard
@@ -712,7 +712,7 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
         """One epoch: delivery frame in, step frame out.
 
         Any failure takes the one error path: the exception goes to the
-        parent on the pipe, and an empty up-ring frame releases the
+        parent on the control pipe, and an empty up frame releases the
         parent's ``collect``."""
         try:
             epoch_end, entries = decode_deliveries(frame)
@@ -728,10 +728,10 @@ def _worker_main(psim: "ParallelSimulation", rank: int, conn,
         exchange.complete(rank, reply)
 
     def next_command() -> tuple:
-        """Block until the parent's next command: sleep in ``select`` on
-        the control pipe and the doorbell; a rung bell is an epoch, read
-        off the down ring."""
-        ready, _, _ = select.select([conn, exchange.bell(rank)], [], [])
+        """Wait for the parent's next command on the control pipe and
+        the down pipe (polling briefly, then blocking); a readable down
+        pipe is an epoch's delivery frame."""
+        ready = exchange.wait((conn, exchange.down_fd(rank)))
         if conn in ready:
             return _recv_msg(conn)
         return ("step", exchange.read_deliveries(rank))

@@ -17,8 +17,8 @@ layers (see docs/ARCHITECTURE.md):
 * the **execution backend** (:mod:`repro.core.backends`) decides where
   the per-rank kernels run: ``serial`` (reference, calling thread) or
   ``processes`` (rank 0 in the calling process, forked workers for the
-  other ranks, exchanging epoch frames over shared-memory rings — true
-  multi-core scaling).
+  other ranks, exchanging epoch frames over pipes — true multi-core
+  scaling).
 
 :class:`ParallelSimulation` composes the three: it owns the per-rank
 :class:`Simulation` objects and the cross-rank link table, drives the

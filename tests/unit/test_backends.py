@@ -20,7 +20,6 @@ from repro.config import ConfigGraph, build, build_parallel
 from repro.core import (Component, Event, Params, ParallelSimulation,
                         Simulation, SimulationError)
 from repro.core.backends import BACKENDS, make_backend
-from repro.core.shm import DEFAULT_RING_CAPACITY
 from tests.conftest import PingPong, Sink, Source
 
 ALL_BACKENDS = sorted(BACKENDS)
@@ -285,14 +284,37 @@ class Blob(Event):
         self.data = data
 
 
+#: well past any pipe's capacity (64 KiB by default, 1 MiB at most
+#: without privileges)
+_BIG_FRAME_BYTES = 3 << 20
+
+
 class BigSender(Component):
-    """Sends one event three times the shm ring's size at t=1ns."""
+    """Sends one event several pipe capacities large at t=1ns."""
 
     def setup(self):
         self.schedule(1000, self._fire)
 
     def _fire(self, _):
-        self.send("out", Blob(bytes(3 * DEFAULT_RING_CAPACITY)))
+        self.send("out", Blob(bytes(_BIG_FRAME_BYTES)))
+
+
+def _inode(fd):
+    try:
+        return os.fstat(fd).st_ino
+    except OSError:  # not open
+        return None
+
+
+def _open_fds(exchange):
+    """The exchange's fds, each with the pipe inode it is open on: an
+    fd number the process reuses later names a different inode."""
+    return {fd: _inode(fd) for fd in exchange.fds()}
+
+
+def _still_open(fds):
+    """The fds of ``fds`` this process still holds on the same pipe."""
+    return [fd for fd, inode in fds.items() if _inode(fd) == inode]
 
 
 class TestWorkerFaults:
@@ -315,8 +337,8 @@ class TestWorkerFaults:
                                 exchange=backend._exchange)
                 time.sleep(0.01)
             time.sleep(0.3)  # the parent is now blocked in collect
-            seen["segment"] = f"/dev/shm/{seen['exchange']._shm.name}"
-            assert os.path.exists(seen["segment"])
+            seen["fds"] = _open_fds(seen["exchange"])
+            assert _still_open(seen["fds"])
             seen["killed_at"] = time.monotonic()
             os.kill(seen["pid"], signal.SIGKILL)
 
@@ -330,12 +352,12 @@ class TestWorkerFaults:
         assert raised_at - seen["killed_at"] < 1.0
         assert psim._backend is None
         assert seen["proc"].exitcode == -signal.SIGKILL  # reaped
-        assert not os.path.exists(seen["segment"])
+        assert _still_open(seen["fds"]) == []
 
     def test_dead_worker_fails_a_post_larger_than_the_ring(self):
-        """A delivery frame larger than the ring blocks the parent
+        """A delivery frame larger than the pipe buffer blocks the parent
         mid-post until the worker drains it; a worker killed before
-        reading fails that wait, not just the doorbell wait in collect."""
+        reading fails that wait, not just the wait in collect."""
         psim = ParallelSimulation(2, seed=1, backend="processes")
         sender = BigSender(psim.rank_sim(0), "big")
         sink = Sink(psim.rank_sim(1), "sink")
@@ -347,7 +369,7 @@ class TestWorkerFaults:
             if info.index == 0:
                 backend = psim._backend
                 seen["proc"] = backend._procs[1]
-                seen["segment"] = f"/dev/shm/{backend._exchange._shm.name}"
+                seen["fds"] = _open_fds(backend._exchange)
                 seen["killed_at"] = time.monotonic()
                 os.kill(seen["proc"].pid, signal.SIGKILL)
 
@@ -360,11 +382,11 @@ class TestWorkerFaults:
         assert raised_at - seen["killed_at"] < 1.0
         assert psim._backend is None
         assert seen["proc"].exitcode == -signal.SIGKILL  # reaped
-        assert not os.path.exists(seen["segment"])
+        assert _still_open(seen["fds"]) == []
 
     def test_worker_exits_when_parent_closes_its_pipe(self):
         """An idle worker sleeps in ``select`` on its control pipe and
-        doorbell; the parent closing its end of the pipe lets it exit
+        down pipe; the parent closing its end of the pipe lets it exit
         alone."""
         psim = ParallelSimulation(2, seed=1, backend="processes")
         Sink(psim.rank_sim(0), "a")

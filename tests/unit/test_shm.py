@@ -1,11 +1,10 @@
-"""Unit coverage for the shm data plane and snapshot restores over it.
+"""Unit coverage for the pipe data plane and snapshot restores over it.
 
-* :class:`repro.core.shm.RingBuffer` — SPSC byte ring: wrap-around,
-  full-ring backpressure, frames larger than the whole ring, and a
-  property over random capacities and frame sizes;
-* :class:`repro.core.shm.ShmExchange` — the doorbell handshake, and a
-  worker-side wait that fails instead of sleeping forever once the
-  parent is gone;
+* :class:`repro.core.exchange.PipeExchange` — frames byte-exact and in
+  order over the non-blocking pipes (a property over sizes around the
+  pipe capacity), the epoch handshake, waits that spin only while every
+  rank has a CPU of its own and then block, and a worker-side wait that
+  fails instead of sleeping forever once the parent is gone;
 * :func:`encode_entries` / :func:`decode_entries` — the batch-pickled
   outbox-entry framing (:mod:`repro.core.event`);
 * :func:`encode_step` / :func:`decode_step` — the worker's step frame
@@ -17,6 +16,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import os
 import select
 import signal
@@ -28,173 +28,79 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ConfigGraph, build_parallel
+from repro.core import ParallelSimulation, Params
 from repro.core.backends import (_STEP_META, RankStep, decode_step,
                                  encode_step)
 from repro.core.event import Event, decode_entries, encode_entries
-from repro.core.shm import _RING_HEADER, RingBuffer, ShmExchange
+from repro.core.exchange import SPIN_S, PipeExchange
 from repro.core.simulation import SimulationError
 from repro.memory.events import MemRequest
+from tests.conftest import PingPong
 
 
-def _fail_wait():
-    raise AssertionError("ring unexpectedly blocked")
-
-
-class _WouldBlock(Exception):
-    pass
-
-
-def _raise_wait():
-    raise _WouldBlock
-
-
-def _sleep_wait():
-    _wall_time.sleep(0.0001)
-
-
-def _deadline_wait(seconds):
-    """A ring wait that yields, and fails the test instead of hanging
-    once ``seconds`` have passed (say, when the peer thread died)."""
-    deadline = _wall_time.monotonic() + seconds
-
-    def wait():
-        if _wall_time.monotonic() > deadline:
-            raise AssertionError("ring peer stopped making progress")
-        _wall_time.sleep(0.00001)
-
-    return wait
+def _pipe_capacity(fd) -> int:
+    return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
 
 
 # ----------------------------------------------------------------------
-# RingBuffer
+# frames over the pipes
 # ----------------------------------------------------------------------
 
-class TestRingBuffer:
-    def _ring(self, capacity):
-        buf = bytearray(_RING_HEADER + capacity)
-        return RingBuffer(buf, 0, capacity)
-
-    def test_frames_wrap_across_the_boundary(self):
-        """11-byte frames through a 16-byte ring: head/tail wrap inside
-        both the length prefix and the payload within a few frames."""
-        ring = self._ring(16)
-        for i in range(10):
-            payload = bytes([i]) * 7
-            ring.write_frame(payload, _fail_wait)
-            assert ring.read_frame(_fail_wait) == payload
-        assert ring.head == ring.tail == 10 * 11
-        assert ring.head > ring.capacity  # it really wrapped
-
-    def test_full_ring_backpressures_writer(self):
-        ring = self._ring(8)
-        ring.write(b"x" * 8, _fail_wait)
-        with pytest.raises(_WouldBlock):
-            ring.write(b"y", _raise_wait)
-        assert ring.read(8, _fail_wait) == b"x" * 8
-        ring.write(b"y", _fail_wait)  # drained: space again
-        assert ring.read(1, _fail_wait) == b"y"
-
-    def test_empty_ring_backpressures_reader(self):
-        ring = self._ring(8)
-        with pytest.raises(_WouldBlock):
-            ring.read(1, _raise_wait)
-
-    def test_transient_zero_head_read_does_not_desync_reader(self):
-        """Some kernels let a freshly-forked worker's first faults into
-        the shared mapping observe a zero page where the producer long
-        since wrote a nonzero head.  The reader must treat the
-        impossible value as "no news" and retry — trusting it would
-        compute a negative occupancy and walk the tail backwards."""
-        ring = self._ring(64)
-        ring.write_frame(b"first", _fail_wait)
-        assert ring.read_frame(_fail_wait) == b"first"
-        ring.write_frame(b"second", _fail_wait)
-        real_head = bytes(ring._buf[0:8])
-        ring._buf[0:8] = b"\0" * 8  # the transient zero page
-        waits = []
-
-        def restore_wait():
-            waits.append(1)
-            ring._buf[0:8] = real_head
-
-        assert ring.read_frame(restore_wait) == b"second"
-        assert waits  # the zero read was rejected, not trusted
-
-    def test_transient_zero_tail_read_does_not_overrun_writer(self):
-        """Mirror hazard on the producer: a zero tail read would
-        overstate the free space and let the writer clobber unread
-        bytes on a nearly-full ring."""
-        ring = self._ring(8)
-        ring.write(b"abcd", _fail_wait)
-        assert ring.read(4, _fail_wait) == b"abcd"
-        ring.write(b"efgh", _fail_wait)  # head=8, tail=4: 4 bytes free
-        real_tail = bytes(ring._buf[8:16])
-        ring._buf[8:16] = b"\0" * 8
-        waits = []
-
-        def restore_wait():
-            waits.append(1)
-            ring._buf[8:16] = real_tail
-
-        ring.write(b"ijkl", restore_wait)
-        assert waits
-        assert ring.read(8, _fail_wait) == b"efghijkl"
-
-    def test_frame_larger_than_ring_streams_through(self):
-        """A frame 32x the ring capacity completes as long as both
-        sides run concurrently — the no-deadlock property post() and
-        complete() rely on when an epoch's batch outgrows the ring."""
-        ring = self._ring(32)
-        payload = bytes(range(256)) * 4  # 1 KiB through a 32-byte ring
-        writer_waits = []
-
-        def _writer():
-            ring.write_frame(payload,
-                             lambda: (writer_waits.append(1),
-                                      _wall_time.sleep(0.0001)))
-
-        thread = threading.Thread(target=_writer)
-        thread.start()
-        out = ring.read_frame(_sleep_wait)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert out == payload
-        assert writer_waits  # the writer really was backpressured
-
-    @given(capacity=st.integers(1, 48), data=st.data())
+class TestPipeFrames:
+    @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_random_frames_arrive_byte_exact_and_in_order(self, capacity,
-                                                          data):
-        """Any capacity down to one byte, any frame sizes — empty,
-        exactly the ring, one either side of it, several rings long:
-        frames a writer thread streams reach the reader byte-exact and
-        in order.  Drawn writer pauses let the reader drain to
-        arbitrary offsets, so chunks straddle the wrap point (a writer
-        that only ever fills the ring keeps both sides aligned to it)."""
-        size = st.one_of(
-            st.sampled_from([0, capacity - 1, capacity, capacity + 1]),
-            st.integers(0, 5 * capacity))
-        sizes = data.draw(st.lists(size, min_size=1, max_size=8),
-                          label="sizes")
-        pauses = data.draw(st.lists(st.booleans(), min_size=len(sizes),
-                                    max_size=len(sizes)), label="pauses")
-        frames = [bytes((7 * i + j) % 251 for j in range(n))
-                  for i, n in enumerate(sizes)]
-        ring = self._ring(capacity)
-        wait = _deadline_wait(10.0)
+    def test_random_frames_arrive_byte_exact_and_in_order(self, data):
+        """Frames of any size — empty, one byte, the pipe capacity and
+        one either side of it, several pipes long — reach the worker
+        side byte-exact and in order, and its echoes come back the same
+        way.  A frame larger than the pipe only completes while the
+        reader drains it, so this is also the no-deadlock property.
+        Drawn pauses before each post and each echo make the waiting
+        side meet the frame while spinning, after it blocked, or
+        mid-stream; drawn spin budgets cover both wait paths."""
+        exchange = PipeExchange(1)
+        try:
+            capacity = _pipe_capacity(exchange.down_fd(0))
+            size = st.one_of(
+                st.sampled_from([0, 1, capacity - 1, capacity,
+                                 capacity + 1]),
+                st.integers(0, 5 * capacity))
+            sizes = data.draw(st.lists(size, min_size=1, max_size=8),
+                              label="sizes")
+            pause = st.sampled_from([0.0, 0.0002, 0.002])
+            posts = data.draw(st.lists(pause, min_size=len(sizes),
+                                       max_size=len(sizes)), label="posts")
+            echoes = data.draw(st.lists(pause, min_size=len(sizes),
+                                        max_size=len(sizes)),
+                               label="echoes")
+            exchange.spin_s = data.draw(st.sampled_from([0.0, SPIN_S]),
+                                        label="spin_s")
+            frames = [bytes((7 * i + j) % 251 for j in range(n))
+                      for i, n in enumerate(sizes)]
+            received = []
 
-        def _writer():
-            for frame, pause in zip(frames, pauses):
-                ring.write_frame(frame, wait)
-                if pause:
-                    _wall_time.sleep(0.001)
+            def worker():
+                for echo_pause in echoes:
+                    exchange.wait((exchange.down_fd(0),))
+                    received.append(exchange.read_deliveries(0))
+                    _wall_time.sleep(echo_pause)
+                    exchange.complete(0, received[-1])
 
-        thread = threading.Thread(target=_writer, daemon=True)
-        thread.start()
-        received = [ring.read_frame(wait) for _ in frames]
-        thread.join(timeout=10)
-        assert received == frames
-        assert ring.head == ring.tail == sum(4 + n for n in sizes)
+            thread = threading.Thread(target=worker, daemon=True)
+            thread.start()
+            echoed = []
+            for frame, post_pause in zip(frames, posts):
+                _wall_time.sleep(post_pause)
+                exchange.post(0, frame, alive_check=thread.is_alive)
+                # an empty up frame reads as fail()'s no-result None
+                echoed.append(exchange.collect(0, alive_check=thread.is_alive)
+                              or b"")
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert received == frames
+            assert echoed == frames
+        finally:
+            exchange.close()
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +181,7 @@ class TestStepFrame:
 
 
 # ----------------------------------------------------------------------
-# ShmExchange (parent and "worker" share one process unless a test forks)
+# PipeExchange (parent and "worker" share one process unless a test forks)
 # ----------------------------------------------------------------------
 
 def _rung(fd) -> bool:
@@ -298,24 +204,34 @@ def _read_fd(fd, until, timeout=5.0) -> bytes:
     return data
 
 
+def _cpu_seconds(pid) -> float:
+    """User plus system CPU time of process ``pid``, from /proc."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rsplit(")", 1)[1].split()
+    # fields[0] is the state (field 3): utime and stime are fields 14, 15
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
 class TestShmExchange:
     def test_epoch_handshake(self):
-        exchange = ShmExchange(2, ring_capacity=4096)
+        exchange = PipeExchange(2)
         try:
-            assert not _rung(exchange.bell(0))
+            assert not _rung(exchange.down_fd(0))
             exchange.post(0, b"deliveries-for-rank0")
-            assert _rung(exchange.bell(0)) and not _rung(exchange.bell(1))
+            assert _rung(exchange.down_fd(0))
+            assert not _rung(exchange.down_fd(1))
             assert exchange.read_deliveries(0) == b"deliveries-for-rank0"
-            assert not _rung(exchange.bell(0))  # answering consumed it
+            assert not _rung(exchange.down_fd(0))  # reading consumed it
             exchange.complete(0, b"step-result")
             assert exchange.collect(0) == b"step-result"
         finally:
-            exchange.close(unlink=True)
+            exchange.close()
 
     def test_waiting_side_blocks_instead_of_spinning(self):
-        """collect() waiting 0.5 s for its peer must sleep in the kernel:
-        a spin-wait would burn most of those 0.5 s as process time."""
-        exchange = ShmExchange(1, ring_capacity=1024)
+        """collect() waiting 0.5 s for its peer must sleep in the kernel
+        once its spin budget is spent: a spin-wait would burn most of
+        those 0.5 s as process time."""
+        exchange = PipeExchange(1)
         try:
             exchange.post(0, b"go")
 
@@ -334,20 +250,84 @@ class TestShmExchange:
             assert _wall_time.perf_counter() - wall0 >= 0.5
             assert cpu < 0.05, f"waiting side used {cpu:.3f} s of CPU"
         finally:
-            exchange.close(unlink=True)
+            exchange.close()
+
+    def test_idle_worker_blocks_instead_of_spinning(self):
+        """The worker-side twin: while the parent spends 0.5 s in an
+        epoch observer, the idle worker waiting for its next command
+        must sleep in the kernel, not spin."""
+        psim = ParallelSimulation(2, seed=1, backend="processes")
+        ping = PingPong(psim.rank_sim(0), "ping",
+                        Params({"initiator": True, "n_round_trips": 5}))
+        pong = PingPong(psim.rank_sim(1), "pong")
+        psim.connect(ping, "io", pong, "io", latency="5ns")
+        used = []
+
+        def sleep_in_epoch(info):
+            if info.index == 1:
+                pid = psim._backend.worker_pid(1)
+                cpu0 = _cpu_seconds(pid)
+                _wall_time.sleep(0.5)
+                used.append(_cpu_seconds(pid) - cpu0)
+
+        psim.add_epoch_observer(sleep_in_epoch)
+        try:
+            assert psim.run().reason == "exit"
+        finally:
+            psim.close()
+        assert len(used) == 1
+        assert used[0] < 0.05, f"idle worker used {used[0]:.3f} s of CPU"
+
+    @pytest.mark.parametrize("cpus, spins", [({0}, False), ({0, 1}, True)])
+    def test_wait_spins_only_with_a_cpu_per_rank(self, monkeypatch, cpus,
+                                                 spins):
+        """Two ranks on one usable CPU: a collect wait goes straight to
+        a blocking ``select`` (no zero-timeout poll at all); with a CPU
+        per rank it polls first."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        exchange = PipeExchange(2)
+        polls = []
+        real_select = select.select
+        main = threading.get_ident()
+
+        def counting_select(r, w, x, timeout=None):
+            if threading.get_ident() == main:
+                polls.append(timeout)
+            return real_select(r, w, x, timeout)
+
+        try:
+            assert exchange.spin_s == (SPIN_S if spins else 0.0)
+            exchange.post(0, b"go")
+
+            def peer():
+                assert exchange.read_deliveries(0) == b"go"
+                _wall_time.sleep(0.005)
+                exchange.complete(0, b"done")
+
+            monkeypatch.setattr(select, "select", counting_select)
+            thread = threading.Thread(target=peer)
+            thread.start()
+            assert exchange.collect(0) == b"done"
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            monkeypatch.undo()
+            exchange.close()
+        assert (0 in polls) is spins, polls
 
     def test_worker_wait_fails_once_the_parent_is_killed(self):
-        """A worker streams a step frame 4x the ring; its parent never
-        reads and is SIGKILLed mid-frame.  The worker's ring wait must
-        notice (its parent is no longer the exchange's creator) and
-        raise within about a second instead of sleeping forever."""
-        capacity = 4096
+        """A worker streams a step frame 4x the pipe capacity; its
+        parent never reads and is SIGKILLed mid-frame.  The worker's
+        wait must notice (its parent is no longer the exchange's
+        creator) and raise within about a second instead of sleeping
+        forever."""
         read_fd, write_fd = os.pipe()
         parent = os.fork()
         if parent == 0:  # the parent rank process: creates the exchange
             try:
                 os.close(read_fd)
-                exchange = ShmExchange(1, ring_capacity=capacity)
+                exchange = PipeExchange(1)
+                capacity = _pipe_capacity(exchange.down_fd(0))
                 if os.fork() == 0:  # its worker
                     try:
                         os.write(write_fd, f"{os.getpid()};".encode())
@@ -356,9 +336,9 @@ class TestShmExchange:
                         os.write(write_fd, f"raised: {exc}".encode())
                     finally:
                         os._exit(0)
-                # The worker keeps its own mapping and bells; dropping
-                # the name now leaves no segment behind after the kill.
-                exchange.close(unlink=True)
+                # The worker keeps its own pipe ends, so the up pipe
+                # stays open (and full) after the kill.
+                exchange.close()
                 _wall_time.sleep(60)
             finally:
                 os._exit(0)
@@ -379,11 +359,10 @@ class TestShmExchange:
                     os.kill(worker, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
-        assert report == (b"raised: parent died while the shm exchange "
-                          b"was waiting")
+        assert report == b"raised: parent died while the exchange was waiting"
 
     def test_fail_reports_no_result(self):
-        exchange = ShmExchange(1, ring_capacity=1024)
+        exchange = PipeExchange(1)
         try:
             exchange.post(0, b"")
             exchange.read_deliveries(0)
@@ -395,7 +374,7 @@ class TestShmExchange:
             exchange.complete(0, b"ok")
             assert exchange.collect(0) == b"ok"
         finally:
-            exchange.close(unlink=True)
+            exchange.close()
 
 
 # ----------------------------------------------------------------------
