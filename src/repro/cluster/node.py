@@ -15,7 +15,7 @@ how fragmented the machine got under each scheduling policy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..core.component import Component, param, port, stat, state
 from ..core.registry import register
@@ -24,6 +24,9 @@ from ..power.mcpat_lite import CorePowerModel
 from .events import Job, JobCompletion, JobLaunch
 
 PS_PER_S = 1_000_000_000_000
+#: memoized hop-row entries kept per pool before the memo starts over
+#: (bounds it at ~32 MB on pools too large to keep every row)
+_HOP_CACHE_CELLS = 1 << 22
 
 
 def _torus_hops(a: Tuple[int, ...], b: Tuple[int, ...],
@@ -58,6 +61,12 @@ class NodePool(Component):
     freq_hz = param("2GHz", kind="freq", doc="per-node core frequency")
 
     _free = state(list, doc="free node ids (kept placement-sorted)")
+    _coords = state(list, save=False,
+                    doc="node id -> torus coordinates, computed at the "
+                        "first torus placement")
+    _hop_rows = state(dict, save=False,
+                      doc="node id -> hop distance to every node id, "
+                          "memoized per node (torus placement)")
     _allocs = state(dict, doc="job id -> allocated node id tuple")
     _busy = state(0, gauge=True, doc="allocated node count")
     _energy_j = state(0.0, gauge=True, doc="cumulative node energy, J")
@@ -89,25 +98,36 @@ class NodePool(Component):
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
+    def _hop_row(self, node: int) -> List[int]:
+        row = self._hop_rows.get(node)
+        if row is None:
+            if len(self._hop_rows) * self.nodes >= _HOP_CACHE_CELLS:
+                self._hop_rows.clear()
+            dims, coords = self._dims, self._coords
+            if not coords:
+                coords.extend(unflatten(n, dims) for n in range(self.nodes))
+            here = coords[node]
+            row = [_torus_hops(here, there, dims) for there in coords]
+            self._hop_rows[node] = row
+        return row
+
     def _place(self, want: int) -> Tuple[int, ...]:
-        if self.topology == "flat" or want >= len(self._free):
-            chosen = self._free[:want]
+        free = self._free
+        if self.topology == "flat" or want >= len(free):
+            chosen = free[:want]
         else:
-            seed = unflatten(self._free[0], self._dims)
-            chosen = sorted(
-                self._free,
-                key=lambda n: (_torus_hops(unflatten(n, self._dims), seed,
-                                           self._dims), n))[:want]
+            # ``free`` is ascending and the sort stable: equal hop
+            # distances stay in node-id order.
+            chosen = sorted(free, key=self._hop_row(free[0]).__getitem__)[:want]
         taken = set(chosen)
-        self._free = [n for n in self._free if n not in taken]
+        self._free = [n for n in free if n not in taken]
         return tuple(chosen)
 
     def _span(self, alloc: Tuple[int, ...]) -> int:
         if self.topology == "flat" or len(alloc) < 2:
             return 0
-        coords = [unflatten(n, self._dims) for n in alloc]
-        return max(_torus_hops(a, b, self._dims)
-                   for i, a in enumerate(coords) for b in coords[i + 1:])
+        return max(max(map(self._hop_row(a).__getitem__, alloc[i + 1:]))
+                   for i, a in enumerate(alloc[:-1]))
 
     # ------------------------------------------------------------------
     # execution
@@ -127,7 +147,8 @@ class NodePool(Component):
 
     def _complete(self, job: Job) -> None:
         alloc = self._allocs.pop(job.job_id)
-        self._free = sorted(self._free + list(alloc))
+        self._free.extend(alloc)
+        self._free.sort()
         self._busy -= len(alloc)
         secs = job.runtime_ps / PS_PER_S
         instructions = self.issue_width * self.freq_hz * secs

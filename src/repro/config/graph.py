@@ -215,8 +215,9 @@ class ConfigGraph:
         if resolve_types:
             from ..core import registry
 
-            for comp in self._components.values():
-                registry.resolve(comp.type_name)  # raises RegistryError
+            for type_name in dict.fromkeys(
+                    comp.type_name for comp in self._components.values()):
+                registry.resolve(type_name)  # raises RegistryError
         return warnings
 
     # ------------------------------------------------------------------

@@ -115,6 +115,9 @@ class _Declarative:
         cls._stat_specs = specs["stats"]
         cls._param_specs = specs["params"]
         cls._slot_specs = specs["slots"]
+        cls._stat_makers = tuple(
+            (attr, getattr(StatisticGroup, spec.kind), spec.name, spec.kwargs)
+            for attr, spec in cls._stat_specs.items())
         cls._state_skip = cls._ENGINE_OWNED | {
             attr for attr, spec in cls._state_specs.items() if not spec.save
         }
@@ -151,30 +154,32 @@ class _Declarative:
         subcomponents) see ``self.<param>`` already set.  Declared
         slots resolve last, through the registry: the selected type
         name is the slot-named Params key and the subcomponent receives
-        the ``<slot>.``-scoped sub-params.
+        the ``<slot>.``-scoped sub-params.  Every value is stored with
+        ``setattr``: reading ``self.__dict__`` would make CPython trade
+        the instance's inline attribute values for a real dict, and
+        every attribute access of the run would pay for it.
         """
         cls = type(self)
-        for attr, spec in cls._stat_specs.items():
-            self.__dict__[attr] = getattr(stats, spec.kind)(
-                prefix + spec.name, **spec.kwargs)
+        for attr, make, name, kwargs in cls._stat_makers:
+            setattr(self, attr, make(stats, prefix + name, **kwargs))
+        params = self.params
         for attr, spec in cls._param_specs.items():
-            self.__dict__[attr] = spec.parse(self.params)
+            setattr(self, attr, spec.parse(params))
         for attr, spec in cls._slot_specs.items():
-            type_name = spec.configured_type(self.params)
+            type_name = spec.configured_type(params)
             if type_name is None:
                 continue
-            self.params.accept(attr)
+            params.accept(attr)
             from .registry import resolve
 
             sub_cls = resolve(type_name)
             spec.check(type_name, sub_cls)
-            self.__dict__[attr] = sub_cls(self, attr,
-                                          self.params.scoped(attr))
+            setattr(self, attr, sub_cls(self, attr, params.scoped(attr)))
 
     def _filled_slots(self) -> List[Tuple[str, "SubComponent"]]:
         """``(slot, subcomponent)`` for every filled slot, in order."""
         return [(attr, sub) for attr in type(self)._slot_specs
-                if isinstance(sub := self.__dict__.get(attr), SubComponent)]
+                if isinstance(sub := getattr(self, attr), SubComponent)]
 
     # ------------------------------------------------------------------
     # simulated time and randomness

@@ -49,6 +49,8 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Dict, Optional, Type
 
+from .params import ParamError, Params
+
 _MISSING = object()
 
 #: ``<i>``-style placeholder segments in indexed port-family names
@@ -192,8 +194,8 @@ def port(doc: str = "", *, name: Optional[str] = None, required: bool = True,
 class StateSpec:
     """A declared mutable run-state attribute.
 
-    Non-data descriptor: the first read materialises the default into
-    the instance ``__dict__`` (after which plain attribute access costs
+    Non-data descriptor: the first read materialises the default as an
+    instance attribute (after which plain attribute access costs
     nothing — the descriptor is off the hot path), and assignments are
     ordinary attribute writes.  Declared state is consumed by:
 
@@ -230,12 +232,12 @@ class StateSpec:
         self.attr = attr
 
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        # Reached only while the instance has no value of its own (an
+        # instance attribute shadows a non-data descriptor).  Reading
+        # ``obj.__dict__`` would replace CPython's inline attribute
+        # values with a real dict and slow every later access.
         if obj is None:
             return self
-        try:
-            return obj.__dict__[self.attr]
-        except KeyError:
-            pass
         if self.factory is not None:
             value = self.factory()
         elif self.default is not _MISSING:
@@ -245,7 +247,7 @@ class StateSpec:
                 f"{type(obj).__name__}.{self.attr} has no default and was "
                 f"never assigned"
             )
-        obj.__dict__[self.attr] = value
+        setattr(obj, self.attr, value)
         return value
 
     def describe(self) -> Dict[str, Any]:
@@ -383,7 +385,8 @@ class ParamSpec:
     :func:`sweep_axes`.
     """
 
-    __slots__ = ("attr", "name", "doc", "default", "kind", "choices")
+    __slots__ = ("attr", "name", "doc", "default", "kind", "choices",
+                 "_find")
 
     def __init__(self, default: Any, *, kind: Optional[str] = None,
                  choices: Optional[tuple] = None, doc: str = "",
@@ -407,6 +410,8 @@ class ParamSpec:
         self.default = default
         self.kind = kind
         self.choices = tuple(choices) if choices is not None else None
+        #: the accessor, resolved once per declaration, not per instance
+        self._find = getattr(Params, _PARAM_ACCESSORS[kind])
 
     def __set_name__(self, owner: type, attr: str) -> None:
         self.attr = attr
@@ -415,11 +420,8 @@ class ParamSpec:
 
     def parse(self, params: Any) -> Any:
         """Fetch + type this parameter from a Params instance."""
-        value = getattr(params, _PARAM_ACCESSORS[self.kind])(
-            self.name, self.default)
+        value = self._find(params, self.name, self.default)
         if self.choices is not None and value not in self.choices:
-            from .params import ParamError
-
             raise ParamError(
                 f"parameter {self.name!r}={value!r} not one of "
                 f"{list(self.choices)}")

@@ -92,6 +92,8 @@ class Params(Mapping[str, Any]):
 
     def find_int(self, key: str, default: Any = _MISSING) -> int:
         value = self._fetch(key, default, required=True)
+        if type(value) is int:
+            return value
         try:
             return int(str(value), 0) if isinstance(value, str) else int(value)
         except (TypeError, ValueError):

@@ -12,8 +12,11 @@ by the workload's scale.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import JobSource, Scheduler
+from repro.cluster import JobSource, NodePool, Scheduler
+from repro.cluster import node as node_module
 from repro.cluster.scheduler import EASYBackfillPolicy, FCFSPolicy
 from repro.config import ConfigGraph, build
 from repro.config.graph import ConfigError
@@ -321,6 +324,103 @@ class TestTraceReader:
         sim = build(g, seed=7)
         sim.run()
         assert sim.stat_values()["src.emitted"] == 2
+
+
+def _reference_hops(a, b, dims):
+    """Torus hop distance, as NodePool computed it before memoizing."""
+    hops = 0
+    for x, y, size in zip(a, b, dims):
+        d = abs(x - y)
+        hops += min(d, size - d)
+    return hops
+
+
+def _reference_unflatten(index, dims):
+    coords = []
+    for size in reversed(dims):
+        coords.append(index % size)
+        index //= size
+    return tuple(reversed(coords))
+
+
+def _reference_place(free, want, dims):
+    """Old ``NodePool._place``: re-derive every free node's distance."""
+    if want >= len(free):
+        chosen = free[:want]
+    else:
+        seed = _reference_unflatten(free[0], dims)
+        chosen = sorted(
+            free, key=lambda n: (_reference_hops(
+                _reference_unflatten(n, dims), seed, dims), n))[:want]
+    taken = set(chosen)
+    return tuple(chosen), [n for n in free if n not in taken]
+
+
+def _reference_span(alloc, dims):
+    """Old ``NodePool._span``: every pair of the allocation, re-derived."""
+    if len(alloc) < 2:
+        return 0
+    coords = [_reference_unflatten(n, dims) for n in alloc]
+    return max(_reference_hops(a, b, dims)
+               for i, a in enumerate(coords) for b in coords[i + 1:])
+
+
+@st.composite
+def torus_pools(draw):
+    """A torus pool, a sorted free set and a run of launch widths."""
+    x = draw(st.integers(1, 9))
+    y = draw(st.integers(1, 9))
+    nodes = x * y
+    free = sorted(draw(st.sets(st.integers(0, nodes - 1), min_size=1)))
+    widths = draw(st.lists(st.integers(1, nodes), min_size=1, max_size=6))
+    small_memo = draw(st.booleans())
+    return x, nodes, free, widths, small_memo
+
+
+class TestPlacementGeometry:
+    """The memoized placement equals the formulas it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(torus_pools())
+    def test_place_and_span_match_the_old_formulas(self, case):
+        from repro.core import Params, Simulation
+
+        x, nodes, free, widths, small_memo = case
+        saved = node_module._HOP_CACHE_CELLS
+        # A memo smaller than two rows starts over on nearly every miss.
+        node_module._HOP_CACHE_CELLS = nodes if small_memo else saved
+        try:
+            pool = NodePool(Simulation(seed=1), "pool",
+                            Params({"nodes": nodes, "torus_x": x}))
+            dims = pool._dims
+            assert dims == (x, nodes // x)
+            pool._free = list(free)
+            expected_free = list(free)
+            allocs = []
+            for want in widths:
+                if want > len(expected_free):
+                    break
+                alloc, expected_free = _reference_place(
+                    expected_free, want, dims)
+                assert pool._place(want) == alloc
+                assert pool._free == expected_free
+                assert pool._span(alloc) == _reference_span(alloc, dims)
+                allocs.append(alloc)
+            # Again, in reverse node order, from a warm memo.
+            for alloc in allocs:
+                backwards = tuple(reversed(alloc))
+                assert pool._span(backwards) == _reference_span(backwards, dims)
+                assert pool._span(alloc) == _reference_span(alloc, dims)
+        finally:
+            node_module._HOP_CACHE_CELLS = saved
+
+    def test_memoized_geometry_is_not_checkpointed(self):
+        sim = build(cluster_graph(jobs=40), seed=7)
+        sim.run()
+        pool = sim.component("pool")
+        assert pool._hop_rows, "placement never consulted the memo"
+        state = pool.capture_state()
+        assert "_coords" not in state and "_hop_rows" not in state
 
 
 class TestArrivalStress:
