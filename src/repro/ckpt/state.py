@@ -132,7 +132,7 @@ def build_ref_table(sims: Sequence[Simulation]) -> Dict[int, Tuple]:
         for name, comp in sim._components.items():
             table[id(comp)] = ("comp", name)
             for attr in getattr(type(comp), "_slot_specs", {}):
-                sub = comp.__dict__.get(attr)
+                sub = getattr(comp, attr)  # None: unfilled slot
                 if sub is not None:
                     # Slot subcomponents keep identity across a restore
                     # (Component.capture_state snapshots their state
@@ -235,7 +235,7 @@ def make_resolver(sims: Sequence[Simulation],
             if kind == "comp":
                 return comps[ref[1]]
             if kind == "subc":
-                sub = comps[ref[1]].__dict__.get(ref[2])
+                sub = getattr(comps[ref[1]], ref[2], None)
                 if sub is None:
                     raise KeyError(ref[2])
                 return sub
@@ -477,7 +477,7 @@ def fire_restore_hooks(components: Iterable[Any]) -> None:
     is in place (``reconstruct=`` hooks included)."""
     for comp in components:
         for attr in getattr(type(comp), "_slot_specs", {}):
-            sub = comp.__dict__.get(attr)
+            sub = getattr(comp, attr)  # None: unfilled slot
             if sub is not None:
                 sub.on_restore()
         comp.on_restore()

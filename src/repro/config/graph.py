@@ -27,6 +27,9 @@ from ..core import units
 from ..core.partition import PartitionEdge
 from ..core.units import SimTime
 
+#: how many unlinked components validate()'s warning names
+_NAMED_ISOLATED = 3
+
 
 class ConfigError(ValueError):
     """The configuration graph is malformed."""
@@ -207,11 +210,20 @@ class ConfigGraph:
                 raise ConfigError(f"link {link.name!r} has non-positive latency")
             connected.add(link.comp_a)
             connected.add(link.comp_b)
+        isolated: List[str] = []
         for comp in self._components.values():
             if comp.rank is not None and comp.rank < 0:
                 raise ConfigError(f"component {comp.name!r}: negative rank pin")
-            if comp.name not in connected and len(self._components) > 1:
-                warnings.append(f"component {comp.name!r} has no links")
+            if comp.name not in connected:
+                isolated.append(comp.name)
+        if isolated and len(self._components) > 1:
+            # one summary line, not one per component (a 10 000-ticker
+            # fabric has no links at all)
+            named = ", ".join(repr(name) for name in isolated[:_NAMED_ISOLATED])
+            more = len(isolated) - _NAMED_ISOLATED
+            warnings.append(
+                f"{len(isolated)} component(s) have no links: {named}"
+                + (f" and {more} more" if more > 0 else ""))
         if resolve_types:
             from ..core import registry
 

@@ -254,9 +254,14 @@ class _Declarative:
                 value = state.get(attr)
                 if isinstance(value, dict) and "__slot__" in value:
                     markers[attr] = state.pop(attr)
-        self.__dict__.update(state)
+        # setattr, not an update of self.__dict__: reading the instance
+        # dict would trade CPython's inline attribute values for a real
+        # dict and slow every later access of the restored component.
+        for attr, value in state.items():
+            setattr(self, attr, value)
         for attr, marker in markers.items():
-            sub = self.__dict__.get(attr)
+            # an unfilled slot's descriptor reads None
+            sub = getattr(self, attr)
             if not isinstance(sub, SubComponent) or \
                     type(sub).TYPE_NAME != marker["__slot__"]:
                 raise SpecError(

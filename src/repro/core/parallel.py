@@ -61,7 +61,8 @@ class ParallelRunResult:
     lookahead: SimTime
     wall_seconds: float
     per_rank_events: List[int] = field(default_factory=list)
-    #: wall time spent executing rank epoch windows, summed over ranks
+    #: wall time inside the backend's post and collect calls, i.e. the
+    #: epoch phase (the parent's fold of each epoch is not part of it)
     exec_seconds: float = 0.0
     #: wall time ranks spent waiting at the epoch barrier (sum over
     #: ranks of slowest-rank-time minus own time, per epoch)
@@ -121,7 +122,7 @@ class EpochInfo:
     window_end: SimTime  #: inclusive end of the safe window
     exchanged_events: int  #: cross-rank events delivered before the epoch
     exchange_seconds: float
-    wall_seconds: float  #: wall time of the whole epoch execution phase
+    wall_seconds: float  #: wall time of the epoch's post and collect
     per_rank_events: List[int]
     per_rank_wall: List[float]
     per_rank_barrier_wait: List[float]
@@ -152,6 +153,53 @@ class _CrossRankLink:
         self.port_b = port_b
         self.rank_a = rank_a
         self.rank_b = rank_b
+
+
+class _EpochTally:
+    """The per-epoch bookkeeping of a run: every rank's ``sync.*``
+    statistics and the run totals its result reports.
+
+    Off the epoch's critical path: the run loop folds an epoch here
+    after it has posted the next one, while the worker ranks execute —
+    or at once when an observer or a snapshot must see it.
+    """
+
+    __slots__ = ("_adders", "per_rank_barrier", "barrier_wait", "events")
+
+    def __init__(self, sync_stats: List[Dict[str, Any]]):
+        #: per rank, the add() of its epochs, epoch_events, exec_s,
+        #: barrier_wait_s and remote_sends statistics
+        self._adders = [(stats["epochs"].add, stats["epoch_events"].add,
+                         stats["exec_s"].add, stats["barrier_wait_s"].add,
+                         stats["remote_sends"].add) for stats in sync_stats]
+        #: per-rank cumulative barrier-wait seconds
+        self.per_rank_barrier = [0.0] * len(sync_stats)
+        self.barrier_wait = 0.0
+        #: events executed by the folded epochs
+        self.events = 0
+
+    def fold(self, steps: List[RankStep],
+             ) -> Tuple[List[float], List[int], float]:
+        """Fold one epoch's results; returns its per-rank wall times,
+        per-rank event counts and slowest rank's wall time."""
+        per_rank_wall = [s.wall_seconds for s in steps]
+        per_rank_ev = [s.events for s in steps]
+        slowest = max(per_rank_wall) if per_rank_wall else 0.0
+        self.events += sum(per_rank_ev)
+        per_rank_barrier = self.per_rank_barrier
+        for r, (add_epoch, add_events, add_exec, add_wait,
+                add_sends) in enumerate(self._adders):
+            waited = slowest - per_rank_wall[r]
+            per_rank_barrier[r] += waited
+            self.barrier_wait += waited
+            add_epoch()
+            add_events(per_rank_ev[r])
+            add_exec(per_rank_wall[r])
+            add_wait(waited)
+            sent = outbox_count(steps[r].outbox)
+            if sent:
+                add_sends(sent)
+        return per_rank_wall, per_rank_ev, slowest
 
 
 class ParallelSimulation:
@@ -373,12 +421,6 @@ class ParallelSimulation:
             if total:
                 self._sync_stats[rank]["remote_sends"].add(total)
 
-    def _primaries_exist(self) -> bool:
-        return any(sim._primary_components for sim in self._sims)
-
-    def _primaries_pending(self) -> int:
-        return sum(sim.primaries_pending for sim in self._sims)
-
     # ------------------------------------------------------------------
     # run
     # ------------------------------------------------------------------
@@ -411,6 +453,15 @@ class ParallelSimulation:
         engine statistics, epoch observers and the final result.  The
         backend is created per run and closed in a ``finally`` block,
         so a model exception mid-epoch can never leak worker processes.
+
+        Between one epoch's ``collect`` and the next ``post`` the loop
+        does only what the next window needs — absorb, the stop and exit
+        checks, the exchange, the window — so worker ranks idle as
+        little as possible.  It folds an epoch's ``sync.*`` statistics
+        after posting the next one, while the workers run; when epoch
+        observers are attached or a snapshot is due it folds at once,
+        so both always see a completed, folded epoch, and the end of the
+        loop (a stop, an exit or an exception) folds what is left.
 
         With ``checkpoint_every`` (simulated-time interval), a
         `repro.ckpt` snapshot is written into ``checkpoint_dir`` at the
@@ -446,10 +497,11 @@ class ParallelSimulation:
         reason = "exhausted"
         exec_seconds = 0.0
         exchange_seconds = 0.0
-        barrier_wait_total = 0.0
-        per_rank_barrier = [0.0] * self.num_ranks
+        tally = _EpochTally(self._sync_stats)
+        #: the collected epoch whose fold waits for the next post
+        unfolded: Optional[List[RankStep]] = None
+        observers = self._epoch_observers
         first_window: Optional[SimTime] = None
-        run_events = 0
         window_total = 0  #: sum of granted epoch window widths (ps)
         exchange_bytes_total = 0
         backend = make_backend(self.backend, self)
@@ -460,6 +512,9 @@ class ParallelSimulation:
             # per-rank horizon so the first safe window sees everything.
             self._drain_outboxes()
             sync.next_times = backend.initial_next_times()
+            # Primaries register while the graph is built, never during
+            # a run (as kernel_run's check_exit).
+            check_exit = any(sim._primary_components for sim in self._sims)
             try:
                 while True:
                     if max_epochs is not None and epochs >= max_epochs:
@@ -493,8 +548,15 @@ class ParallelSimulation:
                                                                  limit)
                     window_total += epoch_end - int(global_min) + 1
                     ep_t0 = perf()
-                    steps = backend.step(epoch_end, deliveries)
+                    backend.post(epoch_end, deliveries)
                     ep_dt = perf() - ep_t0
+                    if unfolded is not None:
+                        # the previous epoch, while the workers run
+                        tally.fold(unfolded)
+                        unfolded = None
+                    ep_t0 = perf()
+                    steps = backend.collect(epoch_end, deliveries)
+                    ep_dt += perf() - ep_t0
                     exec_seconds += ep_dt
                     ep_bytes = backend.last_exchange_bytes
                     exchange_bytes_total += ep_bytes
@@ -504,22 +566,12 @@ class ParallelSimulation:
                         # holds: the next run finishes it before any new
                         # window, and exit waits for its real end.
                         self._window_carry = window
-                    per_rank_wall = [s.wall_seconds for s in steps]
-                    per_rank_ev = [s.events for s in steps]
-                    slowest = max(per_rank_wall) if per_rank_wall else 0.0
-                    run_events += sum(per_rank_ev)
-                    for r, stats in enumerate(self._sync_stats):
-                        waited = slowest - per_rank_wall[r]
-                        per_rank_barrier[r] += waited
-                        barrier_wait_total += waited
-                        stats["epochs"].add()
-                        stats["epoch_events"].add(per_rank_ev[r])
-                        stats["exec_s"].add(per_rank_wall[r])
-                        stats["barrier_wait_s"].add(waited)
-                        sent = outbox_count(steps[r].outbox)
-                        if sent:
-                            stats["remote_sends"].add(sent)
-                    if self._epoch_observers:
+                    unfolded = steps
+                    ckpt_due = ckpt_next is not None and epoch_end >= ckpt_next
+                    if observers or ckpt_due:
+                        per_rank_wall, per_rank_ev, slowest = tally.fold(steps)
+                        unfolded = None
+                    if observers:
                         info = EpochInfo(
                             index=epochs,
                             window_start=int(global_min),
@@ -530,13 +582,13 @@ class ParallelSimulation:
                             per_rank_events=per_rank_ev,
                             per_rank_wall=per_rank_wall,
                             per_rank_barrier_wait=[slowest - w for w in per_rank_wall],
-                            events_total=run_events,
+                            events_total=tally.events,
                             now=max(s.now for s in steps),
                             exchange_bytes=ep_bytes,
                         )
-                        for fn in self._epoch_observers:
+                        for fn in observers:
                             fn(info)
-                    if ckpt_next is not None and epoch_end >= ckpt_next:
+                    if ckpt_due:
                         from ..ckpt import snapshot_parallel
 
                         path = snapshot_parallel(
@@ -547,12 +599,13 @@ class ParallelSimulation:
                         while ckpt_next <= epoch_end:
                             ckpt_next += ckpt_interval
                     epochs += 1
-                    if (self._window_carry is None
-                            and self._primaries_exist()
+                    if (check_exit and self._window_carry is None
                             and sum(s.primaries_pending for s in steps) == 0):
                         reason = "exit"
                         break
             finally:
+                if unfolded is not None:
+                    tally.fold(unfolded)
                 self.total_epochs += epochs
             # Success path: re-home out-of-process rank state into the
             # parent simulations, so every run — a limit stop included —
@@ -591,9 +644,9 @@ class ParallelSimulation:
             wall_seconds=wall,
             per_rank_events=per_rank,
             exec_seconds=exec_seconds,
-            barrier_wait_seconds=barrier_wait_total,
+            barrier_wait_seconds=tally.barrier_wait,
             exchange_seconds=exchange_seconds,
-            per_rank_barrier_wait=per_rank_barrier,
+            per_rank_barrier_wait=tally.per_rank_barrier,
             lookahead_utilization=utilization,
             exchange_bytes=exchange_bytes_total,
         )

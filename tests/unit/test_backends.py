@@ -264,6 +264,73 @@ class TestLimitStopResume:
         assert outcome(resumed, resumed.run()) == expected
 
 
+class TestEpochFold:
+    """The epoch loop folds an epoch's ``sync.*`` statistics after it
+    posts the next one; observers, snapshots and the end of a run must
+    still see every epoch folded."""
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_observers_see_every_epoch_folded(self, backend):
+        psim = build_parallel(paper_style_graph(), 2, seed=9,
+                              backend=backend)
+        seen = []
+        psim.add_epoch_observer(lambda info: seen.append(
+            (info.index, psim.sync_stat_values()["sync.epochs"])))
+        result = psim.run()
+        assert len(seen) == result.epochs > 1
+        assert [epochs for _, epochs in seen] == [
+            psim.num_ranks * (index + 1) for index, _ in seen]
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("limit", [{}, {"max_epochs": 3},
+                                       {"max_time": "20ns"}],
+                             ids=["exit", "max_epochs", "max_time"])
+    def test_a_run_ends_with_every_epoch_folded(self, backend, limit):
+        psim = build_parallel(paper_style_graph(), 2, seed=9,
+                              backend=backend)
+        result = psim.run(**limit)
+        values = psim.sync_stat_values()
+        assert values["sync.epochs"] == psim.num_ranks * result.epochs
+        assert values["sync.epoch_events"] == result.events_executed
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_a_failed_run_ends_with_every_epoch_folded(self, backend):
+        """A model exception unwinds the loop mid-run; the epochs it
+        completed are folded anyway."""
+
+        class LateExploder(Component):
+            def setup(self):
+                self.schedule(30_000, self._boom)
+
+            def _boom(self, _):
+                raise RuntimeError("model bug")
+
+        psim = ParallelSimulation(2, seed=1, backend=backend)
+        src = Source(psim.rank_sim(0), "src",
+                     Params({"count": 20, "period": "1ns"}))
+        sink = Sink(psim.rank_sim(1), "sink")
+        psim.connect(src, "out", sink, "in", latency="2ns")
+        LateExploder(psim.rank_sim(0), "x")
+        with pytest.raises(RuntimeError, match="model bug"):
+            psim.run()
+        assert psim.total_epochs > 1
+        assert (psim.sync_stat_values()["sync.epochs"]
+                == psim.num_ranks * psim.total_epochs)
+
+    def test_a_failed_post_ends_with_every_epoch_folded(self):
+        """A post that raises leaves the epoch before it unfolded at
+        that moment (its fold waits for the post); the loop's end folds
+        it."""
+        psim = ParallelSimulation(2, seed=1, backend="processes")
+        relay = Relay(psim.rank_sim(0), "relay")
+        sink = Sink(psim.rank_sim(1), "sink")
+        psim.connect(relay, "out", sink, "in", latency="3ns")
+        with pytest.raises(SimulationError, match="not serializable"):
+            psim.run()
+        assert psim.total_epochs == 1
+        assert psim.sync_stat_values()["sync.epochs"] == psim.num_ranks
+
+
 class Wedge(Component):
     """Hangs its rank's first kernel window, so the parent blocks
     collecting that rank's step."""

@@ -7,11 +7,18 @@ tests pin the three promises that come with the pause: every build
 path (``ckpt.restore`` included) leaves the collector as the caller had
 it, also when a constructor raises; a 10 000-component build triggers
 at most two collections; and a dropped machine is still reclaimed.
+
+It also pins that a restored component keeps CPython's inline attribute
+values (3.11 and later): ``Component.restore_state`` applies a snapshot
+with ``setattr``, so neither ``ckpt.restore`` nor the processes
+backend's end-of-run re-homing of worker ranks materialises an instance
+dict.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -132,3 +139,63 @@ class TestCollectionsPerBuild:
         del sim
         gc.collect()
         assert ref() is None
+
+
+def holds_instance_dict(component) -> bool:
+    """Whether ``component`` holds a materialised instance dict.
+
+    Reading ``component.__dict__`` would itself materialise one, so the
+    probe looks at what the collector sees: inline attribute values are
+    traversed one by one, a materialised dict as one dict holding the
+    attribute names."""
+    return any(isinstance(ref, dict) and {"name", "sim"} <= ref.keys()
+               for ref in gc.get_referents(component))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="inline attribute values are CPython 3.11+")
+class TestInlineAttributes:
+    def test_a_built_component_holds_no_instance_dict(self):
+        """The probe's control: a freshly built component has none,
+        and reading ``__dict__`` makes one."""
+        comp = build(ticker_graph(2), seed=3).components["t0"]
+        assert not holds_instance_dict(comp)
+        assert comp.__dict__
+        assert holds_instance_dict(comp)
+
+    def test_restored_components_hold_no_instance_dict(self, snapshot_path):
+        sim = restore(snapshot_path)
+        assert sim.components
+        assert [name for name, comp in sim.components.items()
+                if holds_instance_dict(comp)] == []
+        sim.run()
+        assert sim.components["t0"].s_final.value() > 0
+
+    def test_a_restored_slot_owner_holds_no_instance_dict(self, tmp_path):
+        """The restore walks slot subcomponents (reference table, restore
+        hooks) through ``getattr``, not the instance dict."""
+        graph = ConfigGraph("gc-cluster")
+        graph.component("src", "cluster.JobSource",
+                        {"jobs": 50, "mean_runtime": "20ms", "max_nodes": 4,
+                         "window": 8})
+        graph.component("sched", "cluster.Scheduler",
+                        {"nodes": 8, "policy": "cluster.EASYBackfill"})
+        graph.component("pool", "cluster.NodePool", {"nodes": 8})
+        graph.link("src", "out", "sched", "submit", latency="10ns")
+        graph.link("sched", "pool", "pool", "sched", latency="10ns")
+        sim = build(graph, seed=3)
+        sim.run(max_time="100ms", finalize=False)
+        sched = restore(snapshot(sim, tmp_path / "snap")).components["sched"]
+        assert type(sched)._slot_specs and sched.policy is not None
+        assert not holds_instance_dict(sched)
+
+    def test_rehomed_worker_components_hold_no_instance_dict(self):
+        """The processes backend re-homes every worker rank into the
+        parent through ``restore_state`` when a run ends."""
+        psim = build_parallel(ticker_graph(8), 2, seed=3,
+                              backend="processes")
+        psim.run()
+        rehomed = psim.rank_sim(1).components
+        assert rehomed
+        assert [name for name, comp in rehomed.items()
+                if holds_instance_dict(comp)] == []

@@ -40,6 +40,22 @@ class TestEventClone:
     def test_null_event(self):
         assert isinstance(NullEvent().clone(), NullEvent)
 
+    def test_clone_copies_private_slots(self):
+        """A private slot is stored under its mangled name."""
+
+        class Private(Token):
+            __slots__ = ("__owner",)
+
+            def __init__(self, owner):
+                super().__init__(value=1, hops=2)
+                self.__owner = owner
+
+            def owner(self):
+                return self.__owner
+
+        copy = Private("rank0").clone()
+        assert (copy.value, copy.hops, copy.owner()) == (1, 2, "rank0")
+
 
 class TestFormatting:
     def test_format_time_bands(self):
