@@ -31,7 +31,8 @@ from repro.config import ConfigGraph, build_parallel
 from repro.core import ParallelSimulation, Params
 from repro.core.backends import (_STEP_META, RankStep, decode_step,
                                  encode_step)
-from repro.core.event import Event, decode_entries, encode_entries
+from repro.core.event import (Event, EventTable, decode_entries,
+                              encode_entries)
 from repro.core.exchange import SPIN_S, PipeExchange
 from repro.core.simulation import SimulationError
 from repro.memory.events import MemRequest
@@ -127,8 +128,8 @@ class TestEntryBatch:
             (2500, 40, 9, 1, 9, MemRequest(addr=1 << 80, req_id=2,
                                            phase="x" * 300)),
         ]
-        blob = encode_entries(entries)
-        out, offset = decode_entries(blob)
+        blob = encode_entries(entries, EventTable())
+        out, offset = decode_entries(blob, 0, EventTable())
         assert offset == len(blob)
         assert [e[:5] for e in out] == [e[:5] for e in entries]
         assert type(out[0][5]) is MemRequest
@@ -138,8 +139,8 @@ class TestEntryBatch:
         assert (out[2][5].addr, out[2][5].phase) == (1 << 80, "x" * 300)
 
     def test_empty_entries(self):
-        blob = encode_entries([])
-        assert decode_entries(blob) == ([], len(blob))
+        blob = encode_entries([], EventTable())
+        assert decode_entries(blob, 0, EventTable()) == ([], len(blob))
 
 
 class TestStepFrame:
@@ -149,7 +150,7 @@ class TestStepFrame:
         step = RankStep(wall_seconds=0.25, events=42, outbox=outbox,
                         next_time=999, primaries_pending=1,
                         last_event_time=998, now=1000)
-        out = decode_step(encode_step(step), num_ranks=3)
+        out = decode_step(encode_step(step, EventTable()), 3, EventTable())
         assert (out.wall_seconds, out.events, out.next_time,
                 out.primaries_pending, out.last_event_time, out.now) == \
             (0.25, 42, 999, 1, 998, 1000)
@@ -161,7 +162,7 @@ class TestStepFrame:
         step = RankStep(wall_seconds=0.0, events=0, outbox=[],
                         next_time=None, primaries_pending=0,
                         last_event_time=-1, now=500)
-        out = decode_step(encode_step(step), num_ranks=2)
+        out = decode_step(encode_step(step, EventTable()), 2, EventTable())
         assert out.next_time is None
         assert out.outbox == []
 
@@ -175,9 +176,10 @@ class TestStepFrame:
             step = RankStep(wall_seconds=0.5, events=7, outbox=outbox,
                             next_time=3, primaries_pending=0,
                             last_event_time=2, now=3)
-            frame = encode_step(step)
-            assert len(frame) == _STEP_META.size + len(encode_entries(flat))
-            assert frame[_STEP_META.size:] == encode_entries(flat)
+            frame = encode_step(step, EventTable())
+            batch = encode_entries(flat, EventTable())
+            assert len(frame) == _STEP_META.size + len(batch)
+            assert frame[_STEP_META.size:] == batch
 
 
 # ----------------------------------------------------------------------
