@@ -43,10 +43,9 @@ from ..core.partition import STRATEGIES
 from ..core.simulation import RunResult, Simulation, SimulationError
 from ..core.tracelog import describe_handler
 from .snapshot import load_manifest, read_shard, snapshot
-from .state import (CheckpointError, current_records, fire_restore_hooks,
-                    is_dropped, load_refs, merge_id_sources,
-                    recompute_exit_state, restore_components,
-                    restore_rank_state, restore_sim_state)
+from .state import (CheckpointError, fire_restore_hooks, is_dropped,
+                    load_refs, merge_id_sources, recompute_exit_state,
+                    restore_components, restore_rank_state, restore_sim_state)
 
 
 # ----------------------------------------------------------------------
@@ -107,18 +106,13 @@ def restore(path: Union[str, Path], *,
 def _rebuild_graph(manifest: Dict[str, Any]):
     """The original ConfigGraph, rebuilt and identity-checked.
 
-    Also refuses snapshots of the since-deleted per-clock tick chain: a
-    manifest saying ``"clock_arbiter": false`` holds tick records whose
-    event class no longer exists.  ``true``, or no such field, resumes.
+    Also refuses, on every restore path, a snapshot partitioned by a
+    strategy this engine does not have.
     """
     from ..config.serialize import from_dict
     from ..obs.manifest import graph_hash
 
-    if manifest.get("clock_arbiter") is False:
-        raise CheckpointError(
-            'snapshot manifest says "clock_arbiter": false — its clocks '
-            'ran on per-clock tick chains, which no longer exist, so it '
-            'cannot be restored')
+    _rebuild_strategy(manifest)
     graph = from_dict(manifest["graph"])
     rebuilt_hash = graph_hash(graph)
     if rebuilt_hash != manifest["graph_hash"]:
@@ -131,22 +125,15 @@ def _rebuild_graph(manifest: Dict[str, Any]):
     return graph
 
 
-def _rebuild_strategy(manifest: Dict[str, Any], *, pinned_all: bool) -> str:
-    """The partition strategy a parallel rebuild runs.
-
-    A strategy deleted since the snapshot was written (``kl``) places
-    nothing when every component is pinned, so that rebuild runs
-    ``linear``; any rebuild it would have to place fails by name.
-    """
+def _rebuild_strategy(manifest: Dict[str, Any]) -> str:
+    """The partition strategy a parallel rebuild runs (``linear`` for a
+    sequential snapshot); one this engine does not have is refused."""
     name = manifest["partition_strategy"] or "linear"
-    if name in STRATEGIES:
-        return name
-    if pinned_all:
-        return "linear"
-    raise CheckpointError(
-        f"snapshot was partitioned with strategy {name!r}, which no longer "
-        f"exists: restore it at its own {manifest['num_ranks']} ranks, or "
-        f"with an assignment that pins every component")
+    if name not in STRATEGIES:
+        raise CheckpointError(
+            f"snapshot was partitioned with strategy {name!r}, which this "
+            f"engine does not have")
+    return name
 
 
 def _shard_states(root: Path, manifest: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -202,7 +189,7 @@ def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
     pinned = from_dict(pinned_dict)
     psim = build_parallel(
         pinned, manifest["num_ranks"],
-        strategy=_rebuild_strategy(manifest, pinned_all=True),
+        strategy=_rebuild_strategy(manifest),
         seed=manifest["seed"],
         backend=backend or manifest["backend"] or "serial",
         verbose=verbose)
@@ -223,7 +210,7 @@ def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
     psim.total_epochs = pstate["engine"]["total_epochs"]
     psim.total_remote_events = pstate["engine"]["total_remote_events"]
     pending = load_refs(pstate["pending_blob"], psim._sims)
-    psim._window_carry = pstate["engine"].get("window_carry")
+    psim._window_carry = pstate["engine"]["window_carry"]
     if psim._window_carry is None:
         _deliver_pending(psim._sims, pending)
     else:
@@ -313,8 +300,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
     else:
         psim = build_parallel(
             stripped, target_ranks,
-            strategy=_rebuild_strategy(
-                manifest, pinned_all=known <= set(assignment or ())),
+            strategy=_rebuild_strategy(manifest),
             seed=manifest["seed"],
             backend=backend or manifest["backend"] or "serial",
             verbose=verbose)
@@ -348,8 +334,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
         linked = restore_components(comps, state, sims)
         for cstate in meta["clocks"]:
             _take_clock(clock_pool, cstate).restore_state(cstate)
-        for (time, priority, seq, handler, event) in \
-                current_records(linked["records"]):
+        for (time, priority, seq, handler, event) in linked["records"]:
             if isinstance(event, _ArbiterTickEvent):
                 continue
             if is_dropped(handler) or is_dropped(event):

@@ -1,4 +1,4 @@
-"""Snapshot writing: the ``repro-ckpt/1`` on-disk format.
+"""Snapshot writing: the ``repro-ckpt/2`` on-disk format.
 
 A snapshot is a directory::
 
@@ -37,8 +37,8 @@ from ..core.simulation import Simulation
 from .state import (CheckpointError, capture_rank_state, capture_sim_state,
                     dump_refs)
 
-#: on-disk snapshot format identifier; bump on incompatible changes
-SNAPSHOT_SCHEMA = "repro-ckpt/1"
+#: the one snapshot format written and read; bump on incompatible changes
+SNAPSHOT_SCHEMA = "repro-ckpt/2"
 
 MANIFEST_NAME = "MANIFEST.json"
 PARALLEL_NAME = "parallel.pkl"

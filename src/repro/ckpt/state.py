@@ -40,12 +40,7 @@ pieces:
   component callback a timer record holds in place of a handler)
   pickle through the same machinery: pickle reduces them to
   ``getattr(owner, name)`` and the owner is intercepted by
-  ``persistent_id``.  Snapshots from before records carried handlers
-  hold ``getattr(port, "deliver")``, which resolves to the same
-  handler (:attr:`~repro.core.link.Port.deliver`).  Snapshots from
-  before timers were plain records hold each timer as an engine
-  trampoline plus a wrapper event; they load through
-  :data:`_RETIRED_GLOBALS`, and :func:`current_records` unwraps them.
+  ``persistent_id``.
 
 Identity that is *not* engine-owned — event payloads, component-private
 containers, numpy generators — pickles by value, which is exactly the
@@ -65,16 +60,12 @@ from __future__ import annotations
 
 import io
 import pickle
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..core.event import IdSource
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
 from ..core.statistics import adopt_state
-
-#: bump on incompatible shard layout changes (manifest schema is separate)
-STATE_VERSION = 1
 
 
 class CheckpointError(RuntimeError):
@@ -278,33 +269,6 @@ def make_resolver(sims: Sequence[Simulation],
     return resolve
 
 
-class _TrampolineTimer:
-    """A trampoline-era timer's wrapper event, as it loads."""
-
-    __slots__ = ("callback", "payload")
-
-
-def _trampoline(timer: _TrampolineTimer) -> None:
-    """The handler a trampoline-era timer record loads with."""
-    timer.callback(timer.payload)
-
-
-#: Globals that trampoline-era snapshots name and the engine no longer
-#: defines, and what they load as.
-_RETIRED_GLOBALS = {
-    ("repro.core.event", "CallbackEvent"): _TrampolineTimer,
-    ("repro.core.simulation", "_invoke_callback"): _trampoline,
-}
-
-
-def current_records(records: Sequence[Tuple]) -> List[Tuple]:
-    """Loaded queue records in the current entry shape: a trampoline-era
-    timer becomes ``(time, priority, seq, callback, payload)``."""
-    return [(t, p, s, event.callback, event.payload)
-            if handler is _trampoline else (t, p, s, handler, event)
-            for (t, p, s, handler, event) in records]
-
-
 class _RefUnpickler(pickle.Unpickler):
     def __init__(self, file: io.BytesIO, resolver: Callable[[Tuple], Any]):
         super().__init__(file)
@@ -312,12 +276,6 @@ class _RefUnpickler(pickle.Unpickler):
 
     def persistent_load(self, ref: Tuple) -> Any:
         return self._resolver(ref)
-
-    def find_class(self, module: str, name: str) -> Any:
-        retired = _RETIRED_GLOBALS.get((module, name))
-        if retired is not None:
-            return retired
-        return super().find_class(module, name)
 
 
 def load_refs(blob: bytes, sims: Sequence[Simulation],
@@ -344,7 +302,6 @@ def capture_sim_state(sim: Simulation,
     queue = sim._queue
     clock_index = {id(clock): i for i, clock in enumerate(sim._clocks)}
     meta: Dict[str, Any] = {
-        "version": STATE_VERSION,
         "rank": sim.rank,
         "num_ranks": sim.num_ranks,
         "now": sim.now,
@@ -421,8 +378,7 @@ def restore_sim_state(sim: Simulation, state: Dict[str, Any]) -> Dict[str, Any]:
                 f"does not match this configuration"
             )
         arbiter.restore_state(astate, sim._clocks)
-    sim._queue.restore_records(current_records(linked["records"]),
-                               meta["queue_seq"])
+    sim._queue.restore_records(linked["records"], meta["queue_seq"])
     sim.now = meta["now"]
     sim.last_event_time = meta["last_event_time"]
     sim._events_executed = meta["events_executed"]

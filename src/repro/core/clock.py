@@ -161,7 +161,7 @@ class Clock:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Adopt captured state; older shards' ``generation`` is ignored."""
+        """Adopt captured state."""
         if state["name"] != self.name:
             raise ValueError(
                 f"clock state mismatch: captured {state['name']!r}, "

@@ -140,7 +140,12 @@ class IdSource:
         in separate processes and therefore advanced the same counter
         independently), a counter is only moved forward — the maximum
         over all restored values wins, which preserves uniqueness.
-        Unknown names are ignored so old snapshots load on newer trees.
+
+        Names with no registered counter are skipped, not registered:
+        ``import repro`` loads only :mod:`repro.core`, and a restore's
+        graph rebuild imports just the libraries its components use, so
+        the capture may name counters (``processor.bulk_req_id``) that
+        this process never loaded and no restored state holds ids of.
         """
         for name, value in state.items():
             src = cls._registry.get(name)

@@ -74,16 +74,6 @@ class Port:
             key = id(handler)
             _BOUND[key] = weakref.ref(self, partial(_forget, key))
 
-    @property
-    def deliver(self) -> Callable[[Event], None]:
-        """This port's :attr:`handler`.
-
-        Queue entries once held a ``Port.deliver`` method, and snapshots
-        from then recorded ``getattr(port, "deliver")``; through this
-        property they resolve to the rebuilt port's handler.
-        """
-        return self.handler
-
     def _unhandled(self, event: Event) -> None:
         raise LinkError(
             f"event arrived at port {self.full_name()!r} but no handler is registered"

@@ -468,7 +468,8 @@ class ParallelSimulation:
         first conservative-sync epoch boundary on or past each interval
         mark — the natural globally consistent point: every rank has
         executed all events in the window and undelivered cross-rank
-        sends sit in the sync strategy's pending set.  Works on all
+        sends sit in the sync strategy's pending set.  The epoch that
+        ends the run by exit writes none.  Works on all
         backends; under ``processes`` each rank worker writes its own
         shard and the parent commits the manifest.
         """
@@ -567,7 +568,12 @@ class ParallelSimulation:
                         # window, and exit waits for its real end.
                         self._window_carry = window
                     unfolded = steps
-                    ckpt_due = ckpt_next is not None and epoch_end >= ckpt_next
+                    exited = (check_exit and self._window_carry is None
+                              and sum(s.primaries_pending for s in steps) == 0)
+                    # No snapshot of the epoch that ends the run: a resume
+                    # from it would run on past the exit.
+                    ckpt_due = (not exited and ckpt_next is not None
+                                and epoch_end >= ckpt_next)
                     if observers or ckpt_due:
                         per_rank_wall, per_rank_ev, slowest = tally.fold(steps)
                         unfolded = None
@@ -596,11 +602,10 @@ class ParallelSimulation:
                             backend=backend)
                         self.checkpoints_written.append(str(path))
                         ckpt_seq += 1
-                        while ckpt_next <= epoch_end:
-                            ckpt_next += ckpt_interval
+                        ckpt_next = (epoch_end // ckpt_interval + 1) * \
+                            ckpt_interval
                     epochs += 1
-                    if (check_exit and self._window_carry is None
-                            and sum(s.primaries_pending for s in steps) == 0):
+                    if exited:
                         reason = "exit"
                         break
             finally:

@@ -60,14 +60,15 @@ def _warm_snapshot_path(warm_dir: Union[str, Path], graph: ConfigGraph,
 
     Keyed by the config-graph hash, the seed and the warm prefix
     length — the inputs that determine the simulated-time prefix
-    bit-exactly — so distinct design points never share a snapshot and
-    a changed graph invalidates the warm cache automatically.
+    bit-exactly — so distinct design points never share a snapshot —
+    and by :data:`repro.ckpt.SNAPSHOT_SCHEMA`, so a changed graph or a
+    snapshot format bump invalidates the warm cache automatically.
     """
+    from .ckpt import SNAPSHOT_SCHEMA
     from .obs.manifest import graph_hash
 
-    tag = hashlib.sha256(
-        f"{graph_hash(graph)}/{seed}/{warm_ps}".encode("utf-8")
-    ).hexdigest()[:16]
+    key = f"{SNAPSHOT_SCHEMA}/{graph_hash(graph)}/{seed}/{warm_ps}"
+    tag = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
     return Path(warm_dir) / f"warm-{tag}"
 
 

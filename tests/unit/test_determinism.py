@@ -251,69 +251,21 @@ class TestCheckpointResumeBitIdentity:
         assert suffix  # the cut really was mid-run
         assert resumed.stat_values() == stats
 
-    def test_binned_era_snapshot_resumes_bit_identically(self, tmp_path):
-        """Snapshots once recorded their queue kind, and a since-deleted
-        binned queue held the same (time, priority, seq, handler, event)
-        tuples as the heap: restore ignores the field and resumes the
-        exact suffix."""
-
-        def edit(manifest):
-            manifest["queue"] = "binned"
-
-        self._resume_edited_manifest(tmp_path, edit)
-
-    def _resume_edited_manifest(self, tmp_path, edit):
-        """Snapshot mid-run, apply ``edit`` to its MANIFEST, restore and
-        finish: the resumed pop trace must be the uninterrupted run's
-        exact suffix, with its stats, stop reason and end time."""
-        import json
-
-        from repro.ckpt import restore, snapshot, snapshot_info
-
-        trace, stats, cold = self._sequential_reference()
-        sim = build(mixed_graph(), seed=7)
-        sim.run(max_time=cold.end_time // 2, finalize=False)
-        path = snapshot(sim, tmp_path / "edited")
-        manifest_path = path / "MANIFEST.json"
-        manifest = json.loads(manifest_path.read_text())
-        edit(manifest)
-        manifest_path.write_text(json.dumps(manifest))
-        cut = snapshot_info(path)["sim_time_ps"]
-        resumed = restore(path)
-        resumed._queue = RecordingQueue(resumed._queue, [])
-        result = resumed.run()
-        suffix = [entry for entry in trace if entry[0] > cut]
-        assert suffix
-        assert resumed._queue.trace == suffix
-        assert resumed.stat_values() == stats
-        assert (result.reason, result.end_time) == (cold.reason, cold.end_time)
-
-    @pytest.mark.parametrize("field", [True, None])
-    def test_arbiter_era_snapshot_resumes_bit_identically(self, tmp_path,
-                                                          field):
-        """Snapshots once recorded ``"clock_arbiter": true``; new ones
-        carry no such field.  Both resume the exact suffix."""
-
-        def edit(manifest):
-            assert "clock_arbiter" not in manifest
-            if field is not None:
-                manifest["clock_arbiter"] = field
-
-        self._resume_edited_manifest(tmp_path, edit)
-
     def test_per_clock_era_snapshot_is_refused(self, tmp_path):
-        """A ``"clock_arbiter": false`` snapshot holds per-clock tick
-        records whose class is gone: restore and replay both refuse it
-        with one CheckpointError naming the field."""
-        from repro.ckpt import CheckpointError, replay
+        """A ``repro-ckpt/1`` snapshot may say ``"clock_arbiter": false``
+        and hold per-clock tick records whose class is gone: restore and
+        replay both refuse it by schema, with one CheckpointError naming
+        both schemas."""
+        from repro.ckpt import CheckpointError, replay, restore, snapshot
+        from tests.unit.test_ckpt import OLD_SCHEMA_REFUSED, stamp_schema
 
-        def edit(manifest):
-            manifest["clock_arbiter"] = False
-
-        with pytest.raises(CheckpointError, match='"clock_arbiter": false'):
-            self._resume_edited_manifest(tmp_path, edit)
-        with pytest.raises(CheckpointError, match='"clock_arbiter": false'):
-            replay(tmp_path / "edited")
+        sim = build(mixed_graph(), seed=7)
+        sim.run(max_time="100ns", finalize=False)
+        path = snapshot(sim, tmp_path / "per-clock")
+        stamp_schema(path, "repro-ckpt/1", clock_arbiter=False)
+        for load in (restore, replay):
+            with pytest.raises(CheckpointError, match=OLD_SCHEMA_REFUSED):
+                load(path)
 
     def test_parallel_resume_traces_are_exact_suffixes(self, tmp_path):
         """2-rank exact restore: every rank's resumed pop trace is the

@@ -5,12 +5,15 @@ A link send pushes ``(time, priority, seq, handler, event)`` where
 is one call with no port frame in between.  These tests pin what that
 must not change: the error each misuse raises, the labels observers
 and replays see, validation of sends made in ``setup()``, the queue's
-sole ownership of ``seq``, and bit-identical checkpoint resume when the
-handlers are per-index closures (which do not pickle by value) or the
-``Port.deliver`` methods older snapshots recorded.
+sole ownership of ``seq``, bit-identical checkpoint resume when the
+handlers are per-index closures (which do not pickle by value), and the
+refusal of ``repro-ckpt/1`` snapshots, which may record the
+``Port.deliver`` methods entries once held.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.core.link import LinkError, port_of
 from repro.memory.events import MemRequest
 from repro.obs import attribute_event
 from tests.conftest import Sink, Source, Token
+from tests.unit.test_ckpt import OLD_SCHEMA_REFUSED, stamp_schema
 from tests.unit.test_determinism import RecordingQueue, mixed_graph
 
 
@@ -146,11 +150,6 @@ class TestEntryCarriesHandler:
         assert describe_handler(stub) == "sink.loop"
         with pytest.raises(LinkError, match="'sink.loop'"):
             stub(Token())
-
-    def test_legacy_deliver_name_is_the_handler(self):
-        sim = Simulation(seed=1)
-        sink = Sink(sim, "sink", Params({}))
-        assert sink.port("in").deliver is sink.port("in").handler
 
 
 class TestSeqOwnership:
@@ -349,50 +348,24 @@ class TestClosureHandlerCheckpoint:
                     assert resumed_traces[rank] == suffix, rank
 
 
-class _LegacyDeliver:
-    """Pickles as ``getattr(port, "deliver")``, as ``port.deliver``
-    bound methods did when queue entries held them."""
-
-    def __init__(self, port):
-        self.port = port
-
-    def __reduce__(self):
-        return getattr, (self.port, "deliver")
+#: A linked blob as ``repro-ckpt/1`` snapshots from when entries held
+#: ``Port.deliver`` may hold a record's handler: ``getattr(port,
+#: "deliver")`` with the port ``sink.in`` as a snapshot reference.
+_DELIVER_BLOB = b"cbuiltins\ngetattr\n((Vport\nVsink\nVin\ntQVdeliver\ntR."
 
 
-class _DeliverEraQueue(RecordingQueue):
-    """Queue proxy whose snapshot records hold ``port.deliver`` for
-    every link event, the pre-handler record layout."""
-
-    def snapshot_records(self):
-        records = []
-        for record in self._inner.snapshot_records():
-            owner = port_of(record[3])
-            if owner is not None:
-                record = record._replace(handler=_LegacyDeliver(owner))
-            records.append(record)
-        return records
-
-
-def test_deliver_era_snapshot_resumes_bit_identically(tmp_path):
-    from repro.ckpt import restore, snapshot
-
-    reference = build(mixed_graph(), seed=7)
-    reference._queue = RecordingQueue(reference._queue, [])
-    cold = reference.run()
-    trace, stats = reference._queue.trace, reference.stat_values()
+def test_deliver_era_snapshot_is_refused(tmp_path):
+    """Refused by its schema before the blob is loaded: one
+    CheckpointError naming both schemas, never an AttributeError."""
+    from repro.ckpt import CheckpointError, load_refs, restore, snapshot
 
     sim = build(mixed_graph(), seed=7)
-    sim.run(max_time=cold.end_time // 2, finalize=False)
-    cut = sim.now
-    sim._queue = _DeliverEraQueue(sim._queue, [])
+    sim.run(max_time="100ns", finalize=False)
+    with pytest.raises(AttributeError, match="deliver"):
+        load_refs(_DELIVER_BLOB, [sim])
     path = snapshot(sim, tmp_path / "deliver-era")
-    resumed = restore(path)
-    resumed._queue = RecordingQueue(resumed._queue, [])
-    result = resumed.run()
-    suffix = [entry for entry in trace if entry[0] > cut]
-    assert suffix
-    assert resumed._queue.trace == suffix
-    assert resumed.stat_values() == stats
-    assert (result.reason, result.end_time) == (cold.reason, cold.end_time)
-
+    state = pickle.loads((path / "shard-0000.pkl").read_bytes())
+    state["linked"] = _DELIVER_BLOB
+    stamp_schema(path, "repro-ckpt/1", shard=pickle.dumps(state))
+    with pytest.raises(CheckpointError, match=OLD_SCHEMA_REFUSED):
+        restore(path)

@@ -213,7 +213,7 @@ class TestProfiler:
     def test_attribute_event_port_handler(self):
         sim = Simulation()
         src, sink = _machine(sim, count=1)
-        component, label = attribute_event(sink.port("in").deliver)
+        component, label = attribute_event(sink.port("in").handler)
         assert component == "sink"
         assert "in" in label
 

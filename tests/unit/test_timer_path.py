@@ -7,16 +7,19 @@ tests pin what that must not change: observers attribute a timer to the
 component method that was scheduled, the causal tracer still sees the
 push, and a run snapshotted with timers pending — a ``MixCore`` block
 end, a ``NodePool`` job completion carrying its ``Job`` — resumes
-bit-identically, sequentially and on two ranks of either backend, also
-from a snapshot whose timers were written in the older trampoline form
-(an engine callback plus a wrapper event holding callback and payload).
+bit-identically, sequentially and on two ranks of either backend.  A
+``repro-ckpt/1`` snapshot, whose timers may be in the older trampoline
+form (an engine callback plus a wrapper event holding callback and
+payload), is refused.
 """
 
 from __future__ import annotations
 
-import repro.core.event
-import repro.core.simulation
-from repro.ckpt import restore, snapshot, snapshot_info
+import pickle
+
+import pytest
+
+from repro.ckpt import CheckpointError, restore, snapshot, snapshot_info
 from repro.cluster.events import Job
 from repro.config import ConfigGraph, build, build_parallel
 from repro.core import Component, Params, Simulation
@@ -24,6 +27,7 @@ from repro.core.link import port_of
 from repro.obs import CausalCapture, ChromeTraceExporter, HandlerProfiler
 from repro.obs.critpath import load_causal
 from repro.processor import MixCore
+from tests.unit.test_ckpt import OLD_SCHEMA_REFUSED, stamp_schema
 from tests.unit.test_determinism import RecordingQueue
 
 #: Snapshot time: block ends and job completions are both pending.
@@ -123,8 +127,12 @@ def _reference():
     return sim._queue.trace, sim.stat_values(), result
 
 
-def _resume_and_compare(path, trace, stats, cold):
-    resumed = restore(path)
+def test_sequential_snapshot_with_pending_timers_resumes_exactly(tmp_path):
+    trace, stats, cold = _reference()
+    sim = build(_timer_graph(), seed=3)
+    sim.run(max_time=_CUT_PS, finalize=False)
+    assert _PENDING <= _timers(sim._queue.snapshot_records())
+    resumed = restore(snapshot(sim, tmp_path / "timers"))
     assert _PENDING <= _timers(resumed._queue.snapshot_records())
     resumed._queue = RecordingQueue(resumed._queue, [])
     result = resumed.run()
@@ -133,15 +141,6 @@ def _resume_and_compare(path, trace, stats, cold):
     assert resumed._queue.trace == suffix
     assert resumed.stat_values() == stats
     assert (result.reason, result.end_time) == (cold.reason, cold.end_time)
-
-
-def test_sequential_snapshot_with_pending_timers_resumes_exactly(tmp_path):
-    trace, stats, cold = _reference()
-    sim = build(_timer_graph(), seed=3)
-    sim.run(max_time=_CUT_PS, finalize=False)
-    assert _PENDING <= _timers(sim._queue.snapshot_records())
-    _resume_and_compare(snapshot(sim, tmp_path / "timers"), trace, stats,
-                        cold)
 
 
 def test_two_rank_snapshots_with_pending_timers_resume_exactly(tmp_path):
@@ -173,59 +172,22 @@ def test_two_rank_snapshots_with_pending_timers_resume_exactly(tmp_path):
 # trampoline-era snapshots
 # ----------------------------------------------------------------------
 
-def _trampoline_era_names():
-    """A wrapper-event class and a trampoline that pickle under the names
-    the engine once defined them by (both names are gone from it)."""
-    wrapper = type("CallbackEvent", (), {
-        "__slots__": ("callback", "payload"),
-        "__module__": "repro.core.event", "__qualname__": "CallbackEvent"})
-
-    def trampoline(event):
-        event.callback(event.payload)
-
-    trampoline.__module__ = "repro.core.simulation"
-    trampoline.__name__ = trampoline.__qualname__ = "_invoke_callback"
-    return wrapper, trampoline
+#: A shard naming the timer trampoline, which ``repro-ckpt/1`` snapshots
+#: may hold and the engine no longer defines.
+_TRAMPOLINE_SHARD = b"crepro.core.simulation\n_invoke_callback\n."
 
 
-class _TrampolineEraQueue(RecordingQueue):
-    """Queue proxy whose snapshot records hold every timer in the
-    trampoline layout: ``(.., trampoline, wrapper(callback, payload))``."""
-
-    def __init__(self, inner, wrapper, trampoline):
-        super().__init__(inner, [])
-        self._wrapper, self._trampoline = wrapper, trampoline
-
-    def snapshot_records(self):
-        records = []
-        for record in self._inner.snapshot_records():
-            handler = record[3]
-            if port_of(handler) is None and \
-                    isinstance(getattr(handler, "__self__", None), Component):
-                event = self._wrapper()
-                event.callback, event.payload = handler, record[4]
-                record = record._replace(handler=self._trampoline,
-                                         event=event)
-            records.append(record)
-        return records
-
-
-def test_trampoline_era_snapshot_resumes_bit_identically(tmp_path,
-                                                         monkeypatch):
-    trace, stats, cold = _reference()
+def test_trampoline_era_snapshot_is_refused(tmp_path):
+    """Refused by its schema before the shard is unpickled: one
+    CheckpointError naming both schemas, never an AttributeError."""
+    with pytest.raises(AttributeError, match="_invoke_callback"):
+        pickle.loads(_TRAMPOLINE_SHARD)
     sim = build(_timer_graph(), seed=3)
     sim.run(max_time=_CUT_PS, finalize=False)
-    wrapper, trampoline = _trampoline_era_names()
-    sim._queue = _TrampolineEraQueue(sim._queue, wrapper, trampoline)
-    assert _timers(sim._queue.snapshot_records()) == set()
-    with monkeypatch.context() as names:
-        names.setattr(repro.core.event, "CallbackEvent", wrapper,
-                      raising=False)
-        names.setattr(repro.core.simulation, "_invoke_callback", trampoline,
-                      raising=False)
-        path = snapshot(sim, tmp_path / "trampoline-era")
-    assert not hasattr(repro.core.simulation, "_invoke_callback")
-    _resume_and_compare(path, trace, stats, cold)
+    path = snapshot(sim, tmp_path / "trampoline-era")
+    stamp_schema(path, "repro-ckpt/1", shard=_TRAMPOLINE_SHARD)
+    with pytest.raises(CheckpointError, match=OLD_SCHEMA_REFUSED):
+        restore(path)
 
 
 def test_job_payload_survives_as_the_timer_event(tmp_path):

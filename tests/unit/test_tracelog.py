@@ -22,7 +22,7 @@ class TestDescribeHandler:
     def test_port_handler(self):
         sim, src, sink = _machine()
         port = sink.port("in")
-        assert describe_handler(port.deliver) == "sink.in"
+        assert describe_handler(port.handler) == "sink.in"
 
     def test_clock_handler(self):
         """Observers are handed the member Clock for each arbiter tick."""
