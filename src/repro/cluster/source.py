@@ -3,8 +3,8 @@
 :class:`JobSource` emits :class:`~repro.cluster.events.JobArrival`
 events, scaling to millions of jobs without million-entry state: the
 stream is a Python *generator* declared ``state(..., save=False)`` with
-a ``reconstruct=`` hook, so an engine checkpoint stores only the draw
-counter and the reconstruct replays the deterministic stream up to it —
+a ``reconstruct=`` hook, so an engine checkpoint stores only the arrival
+counters and the reconstruct replays the deterministic stream up to them —
 checkpoints stay kilobytes however long the trace.
 
 Modes (the ``mode`` param, a :func:`~repro.core.describe.param`
@@ -67,7 +67,6 @@ class JobSource(Component):
                        doc="simulated time per trace second")
     window = param(1, doc="arrival events kept scheduled ahead of now")
 
-    _pulled = state(0, doc="jobs drawn from the stream so far")
     _emitted = state(0, gauge=True, doc="arrivals delivered so far")
     _in_flight = state(0, doc="scheduled arrivals not yet delivered")
     _horizon = state(0, doc="absolute time of the newest scheduled arrival")
@@ -154,7 +153,7 @@ class JobSource(Component):
         captured draw position (the stream is deterministic, so the
         resumed sequence is bit-identical)."""
         stream = self._make_stream()
-        for _ in range(self._pulled):
+        for _ in range(self._emitted + self._in_flight):  # jobs drawn
             next(stream, None)
         self._stream = stream
 
@@ -174,7 +173,6 @@ class JobSource(Component):
                 self._exhausted = True
                 break
             gap, job = nxt
-            self._pulled += 1
             self._in_flight += 1
             self._horizon += gap
             job.submit_ps = self._horizon

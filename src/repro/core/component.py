@@ -115,6 +115,9 @@ class _Declarative:
         cls._stat_specs = specs["stats"]
         cls._param_specs = specs["params"]
         cls._slot_specs = specs["slots"]
+        cls._state_defaults = tuple(
+            (attr, spec.factory, spec.default)
+            for attr, spec in cls._state_specs.items() if spec.has_default)
         cls._stat_makers = tuple(
             (attr, getattr(StatisticGroup, spec.kind), spec.name, spec.kwargs)
             for attr, spec in cls._stat_specs.items())
@@ -147,9 +150,12 @@ class _Declarative:
     def _declare(self, stats: StatisticGroup, prefix: str) -> None:
         """Bring the declarations alive on a new instance.
 
-        Declared statistics register into ``stats`` under
-        ``<prefix><name>`` before the subclass body runs, preserving
-        the ``self.s_hits`` fast-access idiom.  Declared typed
+        Declared state with a default is set first, in declaration
+        order, so the first instance puts every key into the class's
+        shared-key table and no instance goes dict-backed later
+        (docs/COMPONENTS.md).  Declared statistics register into
+        ``stats`` under ``<prefix><name>`` next, preserving the
+        ``self.s_hits`` fast-access idiom.  Declared typed
         parameters parse next, so the subclass body (and slot
         subcomponents) see ``self.<param>`` already set.  Declared
         slots resolve last, through the registry: the selected type
@@ -160,6 +166,8 @@ class _Declarative:
         every attribute access of the run would pay for it.
         """
         cls = type(self)
+        for attr, factory, default in cls._state_defaults:
+            setattr(self, attr, default if factory is None else factory())
         for attr, make, name, kwargs in cls._stat_makers:
             setattr(self, attr, make(stats, prefix + name, **kwargs))
         params = self.params
@@ -321,8 +329,7 @@ class Component(_Declarative):
 
     _ENGINE_OWNED = frozenset({"sim", "name", "params", "stats", "_ports"})
 
-    # -- engine-owned run flags (declared for docs/describe; the
-    #    constructor assigns them eagerly, so behaviour is unchanged) --
+    # -- engine-owned run flags --
     _is_primary = state(False, doc="registered as a primary component")
     _ok_to_end = state(True, doc="primary component is OK with ending")
     _rng = state(None, doc="lazily created per-component random stream")
@@ -335,10 +342,6 @@ class Component(_Declarative):
         self.params = params if params is not None else Params({})
         self.stats = StatisticGroup()
         self._ports: Dict[str, Port] = {}
-        self._is_primary = False
-        self._ok_to_end = True
-        self._rng = None
-        self._clock_index = 0
         self._declare(self.stats, "")
         # Declared scalar ports bind their handlers (decorator, explicit
         # name, or on_<port> convention); indexed families are bound by
@@ -556,7 +559,6 @@ class SubComponent(_Declarative):
         self.parent = parent
         self.name = name
         self.params = params if params is not None else Params({})
-        self._rng = None
         # Declared statistics register into the parent's group under
         # slot-prefixed names, so every stats consumer (harvest, ckpt
         # meta, parallel merge, OpenMetrics) sees them for free.

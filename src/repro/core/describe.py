@@ -194,10 +194,12 @@ def port(doc: str = "", *, name: Optional[str] = None, required: bool = True,
 class StateSpec:
     """A declared mutable run-state attribute.
 
-    Non-data descriptor: the first read materialises the default as an
-    instance attribute (after which plain attribute access costs
-    nothing — the descriptor is off the hot path), and assignments are
-    ordinary attribute writes.  Declared state is consumed by:
+    Non-data descriptor.  Construction sets every declared default (a
+    factory is called once per instance) as an instance attribute, in
+    declaration order, so reads and writes never reach the descriptor
+    and CPython keeps the values inline (docs/COMPONENTS.md).  A spec
+    without a default reads as a named ``AttributeError`` until the
+    model assigns it.  Declared state is consumed by:
 
     * ``repro.ckpt`` — captured by ``capture_state`` unless
       ``save=False``; after a restore, specs carrying ``reconstruct=``
@@ -231,24 +233,19 @@ class StateSpec:
     def __set_name__(self, owner: type, attr: str) -> None:
         self.attr = attr
 
+    @property
+    def has_default(self) -> bool:
+        return self.factory is not None or self.default is not _MISSING
+
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
         # Reached only while the instance has no value of its own (an
-        # instance attribute shadows a non-data descriptor).  Reading
-        # ``obj.__dict__`` would replace CPython's inline attribute
-        # values with a real dict and slow every later access.
+        # instance attribute shadows a non-data descriptor).
         if obj is None:
             return self
-        if self.factory is not None:
-            value = self.factory()
-        elif self.default is not _MISSING:
-            value = self.default
-        else:
-            raise AttributeError(
-                f"{type(obj).__name__}.{self.attr} has no default and was "
-                f"never assigned"
-            )
-        setattr(obj, self.attr, value)
-        return value
+        raise AttributeError(
+            f"{type(obj).__name__}.{self.attr} has no default and was "
+            f"never assigned"
+        )
 
     def describe(self) -> Dict[str, Any]:
         if self.factory is not None:
@@ -318,12 +315,11 @@ class StatSpec:
             self.name = attr[2:] if attr.startswith("s_") else attr
 
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        # Construction assigns every declared statistic, which shadows
+        # this non-data descriptor: reaching here means it never ran.
         if obj is None:
             return self
-        try:
-            return obj.__dict__[self.attr]
-        except KeyError:  # pragma: no cover - stats are created in __init__
-            raise AttributeError(self.attr) from None
+        raise AttributeError(self.attr)
 
     def describe(self) -> Dict[str, Any]:
         return {"name": self.name, "kind": self.kind, "doc": self.doc,
@@ -428,12 +424,11 @@ class ParamSpec:
         return value
 
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        # Construction assigns the parsed value, which shadows this
+        # non-data descriptor: reaching here means it never ran.
         if obj is None:
             return self
-        try:
-            return obj.__dict__[self.attr]
-        except KeyError:
-            return self.default
+        return self.default
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -525,7 +520,7 @@ class SlotSpec:
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
         if obj is None:
             return self
-        # The resolved subcomponent lives in the instance __dict__ and
+        # The resolved subcomponent is an instance attribute and
         # shadows this non-data descriptor; reaching here means the
         # slot was never filled (required=False without a default).
         return None

@@ -65,7 +65,8 @@ def kernel_run(sim: "Simulation", *,
     disables the primary-component exit protocol, and ``finalize``
     calls ``sim.finish()`` unless the event budget stopped the run.
     The stop reason is one of ``exhausted``, ``exit``, ``max_time``,
-    ``max_events`` or ``stopped``.
+    ``max_events`` or ``stopped``; ``exit`` before any event when no
+    primary is pending once setup has run (an engine that exited).
     """
     from .simulation import RunResult, SimulationError
 
@@ -87,7 +88,8 @@ def kernel_run(sim: "Simulation", *,
     if live is not None:
         live.on_kernel_enter()
     try:
-        reason = dispatch(sim, limit, budget, True, check_exit)
+        reason = ("exit" if check_exit and sim._primaries_pending == 0
+                  else dispatch(sim, limit, budget, True, check_exit))
     finally:
         sim._running = False
         if live is not None:

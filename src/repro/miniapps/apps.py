@@ -32,12 +32,20 @@ from the statistical workload library on a reference node
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Any, Dict, List, Tuple
 
 from ..core.registry import register
 from ..core.units import SimTime
 from .base import (AllReduce, AppRank, Compute, Exchange, compute_time_ps,
                    grid_dims_3d, halo_neighbors_3d)
+
+
+#: A :class:`HaloApp` rank's per-run constants, held as one value so
+#: the rank stays within CPython's inline-attribute budget
+#: (docs/COMPONENTS.md, "State").
+HaloPlan = namedtuple("HaloPlan", "msg_size msgs_per_neighbor compute_ps "
+                      "allreduces allreduce_size overlap_fraction neighbors")
 
 
 class HaloApp(AppRank):
@@ -48,7 +56,7 @@ class HaloApp(AppRank):
     ``compute_ps`` (per iteration), ``allreduces`` (count per
     iteration), ``allreduce_size``, ``overlap_fraction`` (0 = blocking
     halo, 1 = fully overlapped with compute), ``periodic`` (domain
-    wraparound).
+    wraparound); ``self.plan`` holds the resolved values.
     """
 
     DEFAULTS: Dict[str, Any] = {
@@ -71,13 +79,13 @@ class HaloApp(AppRank):
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
         p = self.params_with_defaults(self.DEFAULTS)
-        self.msg_size = p.find_size_bytes("msg_size")
-        self.msgs_per_neighbor = p.find_int("msgs_per_neighbor")
-        self.compute_ps = p.find_time("compute_ps")
-        self.allreduces = p.find_int("allreduces")
-        self.allreduce_size = p.find_int("allreduce_size")
-        self.overlap_fraction = p.find_float("overlap_fraction")
-        if not 0.0 <= self.overlap_fraction <= 1.0:
+        msg_size = p.find_size_bytes("msg_size")
+        msgs_per_neighbor = p.find_int("msgs_per_neighbor")
+        compute_ps = p.find_time("compute_ps")
+        allreduces = p.find_int("allreduces")
+        allreduce_size = p.find_int("allreduce_size")
+        overlap_fraction = p.find_float("overlap_fraction")
+        if not 0.0 <= overlap_fraction <= 1.0:
             raise ValueError(f"{name}: overlap_fraction must be in [0,1]")
         scaling = p.find_str("scaling")
         if scaling not in ("weak", "strong"):
@@ -85,31 +93,33 @@ class HaloApp(AppRank):
         if scaling == "strong":
             ref = p.find_int("ref_ranks")
             factor = ref / self.n_ranks
-            self.compute_ps = max(1, int(round(self.compute_ps * factor)))
-            self.msg_size = max(64, int(round(self.msg_size
-                                              * factor ** (2.0 / 3.0))))
-        periodic = p.find_bool("periodic")
-        self.dims = grid_dims_3d(self.n_ranks)
-        self.neighbors = halo_neighbors_3d(self.rank, self.dims,
-                                           periodic=periodic)
+            compute_ps = max(1, int(round(compute_ps * factor)))
+            msg_size = max(64, int(round(msg_size * factor ** (2.0 / 3.0))))
+        neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks),
+                                      periodic=p.find_bool("periodic"))
+        self.plan = HaloPlan(msg_size, msgs_per_neighbor, compute_ps,
+                             allreduces, allreduce_size, overlap_fraction,
+                             neighbors)
 
     def program(self):
+        (msg_size, msgs_per_neighbor, compute_ps, allreduces, allreduce_size,
+         overlap_fraction, neighbors) = self.plan
         for it in range(self.iterations):
             sends: List[Tuple[int, int]] = [
-                (nbr, self.msg_size)
-                for nbr in self.neighbors
-                for _ in range(self.msgs_per_neighbor)
+                (nbr, msg_size)
+                for nbr in neighbors
+                for _ in range(msgs_per_neighbor)
             ]
             expect = len(sends)
-            overlap = int(round(self.overlap_fraction * self.compute_ps))
+            overlap = int(round(overlap_fraction * compute_ps))
             if sends:
                 yield Exchange(sends, expect, key=f"halo{it}",
                                overlap_ps=overlap)
-            rest = self.compute_ps - overlap
+            rest = compute_ps - overlap
             if rest > 0:
                 yield Compute(rest)
-            for a in range(self.allreduces):
-                yield AllReduce(self.allreduce_size, key=f"ar{it}_{a}")
+            for a in range(allreduces):
+                yield AllReduce(allreduce_size, key=f"ar{it}_{a}")
             self.iteration_done()
 
 
@@ -187,8 +197,7 @@ class MiniFE(AppRank):
         self.solver_compute_ps = p.find_time("solver_compute_ps")
         self.msg_size = p.find_size_bytes("msg_size")
         self.solver_iterations = p.find_int("solver_iterations")
-        self.dims = grid_dims_3d(self.n_ranks)
-        self.neighbors = halo_neighbors_3d(self.rank, self.dims)
+        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
         self.s_fea_ps = self.stats.counter("fea_ps")
         self.s_solver_ps = self.stats.counter("solver_ps")
 
@@ -237,8 +246,7 @@ class SolverApp(AppRank):
         self.dots = p.find_int("dots")
         self.coarse_levels = p.find_int("coarse_levels")
         self.coarse_msg_size = p.find_size_bytes("coarse_msg_size")
-        self.dims = grid_dims_3d(self.n_ranks)
-        self.neighbors = halo_neighbors_3d(self.rank, self.dims)
+        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
 
     def program(self):
         for it in range(self.iterations):
@@ -305,8 +313,7 @@ class MiniMD(AppRank):
         self.msg_size = p.find_size_bytes("msg_size")
         self.compute_ps = p.find_time("compute_ps")
         self.thermo_every = p.find_int("thermo_every")
-        self.dims = grid_dims_3d(self.n_ranks)
-        self.neighbors = halo_neighbors_3d(self.rank, self.dims)
+        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
 
     def program(self):
         from .base import AllReduce, Compute, Exchange
@@ -402,8 +409,7 @@ class PhdMesh(AppRank):
         self.contact_size = p.find_size_bytes("contact_size")
         self.contact_fraction = p.find_float("contact_fraction")
         self.compute_ps = p.find_time("compute_ps")
-        self.dims = grid_dims_3d(self.n_ranks)
-        self.neighbors = halo_neighbors_3d(self.rank, self.dims)
+        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
 
     def _contact_partners(self, iteration: int):
         """Deterministic 'random' contact pairs, symmetric by design:
@@ -463,8 +469,7 @@ class MiniDSMC(AppRank):
         self.bytes_per_particle = p.find_int("bytes_per_particle")
         self.migration_fraction = p.find_float("migration_fraction")
         self.compute_ps = p.find_time("compute_ps")
-        self.dims = grid_dims_3d(self.n_ranks)
-        self.neighbors = halo_neighbors_3d(self.rank, self.dims)
+        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
 
     def program(self):
         from .base import Barrier, Compute, Exchange

@@ -160,9 +160,8 @@ class AppRank(Component):
     _waiting_quota = state(0, doc="arrivals needed to unblock")
     _comm_started = state(0, doc="start time of the blocking phase")
     _overlap_until = state(0, doc="overlapped compute finishes here")
-    _rounds = state(None, doc="remaining collective rounds in progress")
-    _round_key = state(None, doc="key prefix of the running collective")
-    _round_size = state(0, doc="message size of the running collective")
+    _rounds = state(None, doc="running collective: (key prefix, message "
+                              "size, remaining rounds)")
 
     s_noise = stat.counter("noise_ps", doc="injected OS-noise detour time")
     s_iterations = stat.counter(doc="top-level iterations completed")
@@ -187,10 +186,12 @@ class AppRank(Component):
         # short detours at the same net fraction) is what the Fig. EXT
         # noise experiment sweeps.  Per-rank seeding makes rank detours
         # independent — the source of collective amplification.
-        self.noise_frequency_hz = p.find_float("noise_frequency", 0.0)
-        self.noise_duration = p.find_time("noise_duration", 0)
-        if self.noise_frequency_hz < 0 or self.noise_duration < 0:
+        noise = (p.find_float("noise_frequency", 0.0),
+                 p.find_time("noise_duration", 0))
+        if min(noise) < 0:
             raise ValueError(f"{name}: negative noise parameters")
+        #: (detour frequency Hz, detour duration ps), or None: no noise
+        self.noise = noise if min(noise) > 0 else None
         self.register_as_primary()
 
     # -- subclass interface ------------------------------------------------
@@ -262,11 +263,12 @@ class AppRank(Component):
 
     def _noisy(self, duration_ps: SimTime) -> SimTime:
         """Inflate a compute duration with injected OS-noise detours."""
-        if self.noise_frequency_hz <= 0 or self.noise_duration <= 0:
+        if self.noise is None:
             return duration_ps
-        expected = duration_ps / 1e12 * self.noise_frequency_hz
+        frequency_hz, detour_ps = self.noise
+        expected = duration_ps / 1e12 * frequency_hz
         detours = int(self.rng.poisson(expected))
-        extra = detours * self.noise_duration
+        extra = detours * detour_ps
         if extra:
             self.s_noise.add(extra)
         return duration_ps + extra
@@ -302,9 +304,7 @@ class AppRank(Component):
             else:
                 rounds = self._plan_reduce(phase.root)
                 size = phase.size
-            self._rounds = rounds
-            self._round_key = phase.key
-            self._round_size = size
+            self._rounds = (phase.key, size, rounds)
             self._next_round()
         elif isinstance(phase, AllToAll):
             # Personalised all-to-all is a full exchange.
@@ -342,7 +342,7 @@ class AppRank(Component):
 
     def _finish_comm(self) -> None:
         """An exchange or collective round completed."""
-        if self._rounds:
+        if self._rounds is not None:
             self._next_round()
             return
         self.s_comm.add(max(0, self.now - self._comm_started))
@@ -394,16 +394,16 @@ class AppRank(Component):
         return rounds
 
     def _next_round(self) -> None:
-        rounds = self._rounds
+        key, size, rounds = self._rounds
         if not rounds:
             self._rounds = None
             self._finish_comm()
             return
         op, label, partner = rounds.pop(0)
         lo, hi = min(self.rank, partner), max(self.rank, partner)
-        round_key = f"{self._round_key}/{label}/p{lo}-{hi}"
+        round_key = f"{key}/{label}/p{lo}-{hi}"
         if op in ("s", "sr"):
-            self._send_msg(partner, self._round_size, round_key)
+            self._send_msg(partner, size, round_key)
         if op == "s":
             self._next_round()
         else:

@@ -77,7 +77,7 @@ def run_conformance(make_graph: Callable[[], ConfigGraph],
                     f"{comp.name}.{attr}: gauge sampled {value!r}, "
                     f"expected float")
         for attr, spec in getattr(type(comp), "_slot_specs", {}).items():
-            sub = comp.__dict__.get(attr)
+            sub = getattr(comp, attr)  # an unfilled slot reads None
             if sub is None:
                 if spec.required:
                     raise ConformanceError(

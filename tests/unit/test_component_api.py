@@ -86,13 +86,25 @@ class TestPortSpec:
 
 
 class TestStateSpec:
-    def test_default_and_factory_materialize_lazily(self):
+    def test_defaults_and_factories_materialize_at_construction(self):
+        class Late(Echo):
+            _peer = state(doc="no default: the model must assign it")
+
         sim = Simulation(seed=1)
-        echo = Echo(sim, "e")
-        assert "_seen" not in echo.__dict__
-        assert echo._seen == 0
-        assert echo._log == []
-        assert echo._log is echo._log  # factory result is cached
+        late = Late(sim, "e")
+        values = vars(late)
+        # every declared default is an instance value before first use,
+        # set in declaration order (base classes first)
+        assert values["_seen"] == 0 and values["_log"] == []
+        declared = [a for a in values if a in Late._state_specs]
+        assert declared == [a for a in Late._state_specs if a != "_peer"]
+        assert late._log is late._log  # the factory ran once
+        with pytest.raises(AttributeError,
+                           match=r"Late\._peer has no default and was "
+                                 r"never assigned"):
+            late._peer
+        late._peer = "x"
+        assert late._peer == "x"
 
     def test_distinct_instances_do_not_share_factories(self):
         sim = Simulation(seed=1)

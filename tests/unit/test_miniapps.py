@@ -276,8 +276,8 @@ class TestAppLibrary:
         sim = Simulation()
         small = XNOBEL(sim, "a", Params({"rank": 0, "n_ranks": 16}))
         big = XNOBEL(sim, "b", Params({"rank": 0, "n_ranks": 128}))
-        assert big.compute_ps < small.compute_ps
-        assert big.msg_size < small.msg_size
+        assert big.plan.compute_ps < small.plan.compute_ps
+        assert big.plan.msg_size < small.plan.msg_size
 
     def test_minife_phase_stats_separate(self):
         graph = build_app_machine("miniapps.MiniFE", 8, iterations=1)

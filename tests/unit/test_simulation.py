@@ -85,6 +85,73 @@ class TestBasicRun:
         assert sim.events_executed == 10
 
 
+class TestExitIsFinal:
+    """The exit protocol is checked once at run entry, after setup: an
+    engine with no primary component pending dispatches nothing."""
+
+    @staticmethod
+    def _machine():
+        """A ping-pong that exits at 1 000 ps beside a source that is
+        still sending then (50 tokens, one per 100 ps)."""
+        from repro.config import ConfigGraph
+
+        graph = ConfigGraph("exit-then-run")
+        graph.component("ping", "testlib.PingPong",
+                        {"initiator": True, "n_round_trips": 5})
+        graph.component("pong", "testlib.PingPong", {})
+        graph.link("ping", "io", "pong", "io", latency="100ps")
+        graph.component("src", "testlib.Source",
+                        {"count": 50, "period": "100ps"})
+        graph.component("sink", "testlib.Sink", {})
+        graph.link("src", "out", "sink", "in", latency="100ps")
+        return graph
+
+    def _exited(self):
+        from repro.config import build
+
+        sim = build(self._machine(), seed=3)
+        first = sim.run()
+        assert (first.reason, first.end_time) == ("exit", 1000)
+        return sim
+
+    def test_run_after_exit_dispatches_nothing(self):
+        sim = self._exited()
+        stats = sim.stat_values()
+        again = sim.run()
+        assert (again.reason, again.events_executed, again.end_time) == \
+            ("exit", 0, 1000)
+        assert sim.stat_values() == stats
+
+    def test_restored_post_exit_snapshot_dispatches_nothing(self, tmp_path):
+        from repro.ckpt import restore, snapshot
+
+        sim = self._exited()
+        resumed = restore(snapshot(sim, tmp_path / "after-exit"))
+        result = resumed.run()
+        assert (result.reason, result.events_executed, result.end_time) == \
+            ("exit", 0, 1000)
+        assert resumed.stat_values() == sim.stat_values()
+
+    def test_primaries_ok_to_end_at_setup_exit_before_any_event(self):
+        class Idle(Component):
+            def __init__(self, sim, name, params=None):
+                super().__init__(sim, name, params)
+                self.register_as_primary(ok_to_end=True)
+
+        sim = Simulation(seed=1)
+        Idle(sim, "idle")
+        sink = Sink(sim, "sink")
+        source = Source(sim, "src", Params({"count": 3}))
+        sim.connect(source, "out", sink, "in", latency="1ns")
+        result = sim.run()
+        assert (result.reason, result.events_executed, result.end_time) == \
+            ("exit", 0, 0)
+        assert sink.received.count == 0
+        # the exit protocol off, the same engine drains its queue
+        drained = sim.run(ignore_exit=True)
+        assert drained.reason == "exhausted" and sink.received.count == 3
+
+
 class TestSchedulingRules:
     def test_past_scheduling_rejected(self):
         sim = Simulation()
