@@ -516,8 +516,16 @@ class ParallelSimulation:
             # Primaries register while the graph is built, never during
             # a run (as kernel_run's check_exit).
             check_exit = any(sim._primary_components for sim in self._sims)
+            # Exit is checked at entry and after each epoch: an engine
+            # that already exited dispatches nothing (as kernel_run).
+            exited = (check_exit and self._window_carry is None
+                      and not any(sim._primaries_pending
+                                  for sim in self._sims))
             try:
                 while True:
+                    if exited:
+                        reason = "exit"
+                        break
                     if max_epochs is not None and epochs >= max_epochs:
                         reason = "max_epochs"
                         break
@@ -605,9 +613,6 @@ class ParallelSimulation:
                         ckpt_next = (epoch_end // ckpt_interval + 1) * \
                             ckpt_interval
                     epochs += 1
-                    if exited:
-                        reason = "exit"
-                        break
             finally:
                 if unfolded is not None:
                     tally.fold(unfolded)

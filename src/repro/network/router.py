@@ -133,20 +133,23 @@ class Router(Component):
                 if size > 1:
                     ports += [f"dim{d}_pos", f"dim{d}_neg"]
             ports += [f"local{i}" for i in range(self.locals_per_router)]
-        elif self.kind == "fattree_leaf":
-            self.leaf_index = p.find_int("index")
+        elif self.kind in ("fattree_leaf", "fattree_spine"):
+            # Both kinds set the same attributes in the same order, so
+            # the spines, built after the leaves, share the leaves' key
+            # table and keep their attribute values inline.
+            leaf = self.kind == "fattree_leaf"
+            index = p.find_int("index")
+            self.leaf_index = index if leaf else -1
             self.spines = p.find_int("spines")
-            ports = [f"up{j}" for j in range(self.spines)]
-            ports += [f"local{i}" for i in range(self.locals_per_router)]
-        elif self.kind == "fattree_spine":
-            self.spine_index = p.find_int("index")
-            self.leaves = p.find_int("leaves")
-            self.down_ports = p.find_int("leaves")
-            # endpoints per leaf: shared "locals" param carries down_ports
-            # for leaves; spines learn it from the graph's leaf params via
-            # "down_locals" (builder default) or fall back to 1.
+            # endpoints per leaf: leaves hold them as "locals"; spines
+            # learn them from "down_locals" (builder default) or fall
+            # back to 1.
             self.leaf_locals = p.find_int("down_locals", 0)
-            ports = [f"down{i}" for i in range(self.leaves)]
+            if leaf:
+                ports = [f"up{j}" for j in range(self.spines)]
+                ports += [f"local{i}" for i in range(self.locals_per_router)]
+            else:
+                ports = [f"down{i}" for i in range(p.find_int("leaves"))]
         elif self.kind == "dragonfly":
             self.groups = p.find_int("groups")
             self.routers_per_group = p.find_int("routers_per_group")

@@ -7,8 +7,9 @@ the *simulated machine*, which the statistics system covers):
   for every :meth:`Simulation.run` / :meth:`ParallelSimulation.run`;
 * :class:`HandlerProfiler` — per component/handler/event-type wall-time
   attribution with a sorted "hot components" report;
-* :class:`ChromeTraceExporter` — handler spans and rank epochs as a
-  Perfetto-loadable ``trace.json``;
+* :class:`ChromeTraceExporter` (:mod:`repro.obs.merge`) — handler spans
+  and rank epochs as a Perfetto-loadable ``trace.json``: ``obs merge``'s
+  rank lanes over the records the run kept in memory;
 * :class:`ProgressReporter` — periodic events/sec, sim-rate and ETA
   lines for long runs;
 * :func:`build_manifest` / :func:`graph_hash` / :func:`write_manifest`
@@ -17,7 +18,7 @@ the *simulated machine*, which the statistics system covers):
   (:mod:`repro.obs.rank_stream`) — the one way an instrument reaches a
   parallel run's ranks, on every execution backend: each rank records
   where it runs (one JSONL shard per rank, ``<metrics>.rank<k>``) and
-  hands profile buckets and span rows home at the end of the run;
+  hands profile buckets and its records home at the end of the run;
 * :func:`merge_trace` / :func:`merge_to_file` (:mod:`repro.obs.merge`)
   — stitch per-rank streams into one Perfetto trace with one lane per
   rank plus a sync lane;
@@ -49,7 +50,6 @@ for the schemas and usage.
 from ..core.backends import RankObservabilityWarning
 from .causal import (CAUSAL_SCHEMA, CausalCapture, CausalTracer,
                      causal_shard_path, find_causal_shards)
-from .chrome_trace import ChromeTraceExporter, build_trace_dict, flow_pair
 from .critpath import (CausalAnalysisError, CausalGraph, CriticalPath,
                        critical_path, cut_edge_report, load_causal)
 from .critpath import analyze as analyze_critical_path
@@ -60,7 +60,8 @@ from .live import (LiveMetrics, LiveSegment, LiveView, MetricsRegistry,
                    resolve_segment, run_top)
 from .manifest import (MANIFEST_SCHEMA, build_manifest, environment_info,
                        graph_hash, write_manifest)
-from .merge import RunArtifacts, find_rank_shards, merge_to_file, merge_trace
+from .merge import (ChromeTraceExporter, RunArtifacts, build_trace_dict,
+                    find_rank_shards, flow_pair, merge_to_file, merge_trace)
 from .profiler import HandlerProfiler, ProfileRow, attribute_event
 from .progress import ProgressReporter
 from .rank_stream import (RANK_STREAM_SCHEMA, RankRecorder, RankStreamPlan,

@@ -84,6 +84,11 @@ MACHINES = {
     "torus-hpccg-64": lambda: build_app_machine(
         "miniapps.HPCCG", 64, iterations=2, name="torus-hpccg"),
     "cluster-backfill-machine": cluster_backfill_graph,
+    # 16 leaves, 2 endpoints each, 4 spines: the spines are built after
+    # the leaves and must fit the leaves' key table
+    "fattree-hpccg-32": lambda: build_app_machine(
+        "miniapps.HPCCG", 32, topology="fattree", iterations=2,
+        name="fattree-hpccg"),
 }
 
 

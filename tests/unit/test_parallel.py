@@ -207,3 +207,27 @@ class TestProtocol:
         assert sum(result.per_rank_events) == result.events_executed
         assert result.per_rank_events[0] == 8
         assert result.per_rank_events[1] == 8
+
+
+class TestParallelExitIsFinal:
+    """The parallel twin of ``test_simulation.TestExitIsFinal``: exit is
+    checked at run entry too, so a run on an engine that already exited
+    dispatches nothing, on every backend."""
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_run_after_exit_dispatches_nothing(self, backend):
+        from repro.config import build_parallel
+        from tests.unit import test_simulation
+
+        graph = test_simulation.TestExitIsFinal._machine()
+        # ping | pong and src | sink: a 100 ps lookahead, so the exit
+        # epoch ends at 1 000 ps with the source still sending
+        psim = build_parallel(graph, 2, strategy="round_robin", seed=3,
+                              backend=backend)
+        first = psim.run()
+        assert (first.reason, first.end_time) == ("exit", 1000)
+        stats = psim.stat_values()
+        again = psim.run()
+        assert (again.reason, again.epochs, again.events_executed,
+                again.end_time) == ("exit", 0, 0, 1000)
+        assert psim.stat_values() == stats
