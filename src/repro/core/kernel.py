@@ -190,11 +190,13 @@ def dispatch(sim: "Simulation", limit: SimTime, budget: int,
                     now, _prio, _seq, handler, event = entry
                     if now > limit:
                         unpop(entry)
+                        # the last executed entry's time, not the one
+                        # put back
+                        now = sim.now
                         sim.now = limit
                         reason = "max_time"
                         break
                     sim.now = now
-                    sim.last_event_time = now
                     executed += 1
                     if handler is not None:
                         handler(event)
@@ -208,6 +210,8 @@ def dispatch(sim: "Simulation", limit: SimTime, budget: int,
                         reason = "max_events"
                         break
             finally:
+                if executed:
+                    sim.last_event_time = now
                 popped += executed
                 sim._events_executed += executed
     return reason

@@ -134,11 +134,13 @@ class LinkEndpoint:
     sends go to the rank outbox instead.
     """
 
-    __slots__ = ("link", "local_port", "peer_port", "_sim", "_remote_send",
-                 "_push_entry", "_next_seq")
+    __slots__ = ("link", "latency", "local_port", "peer_port", "_sim",
+                 "_remote_send", "_push_entry", "_next_seq")
 
     def __init__(self, link: "Link", local_port: Port, sim: "Simulation"):
         self.link = link
+        #: the link's latency, held here so a send reads one slot
+        self.latency: SimTime = link.latency
         self.local_port = local_port
         self.peer_port: Optional[Port] = None
         self._sim = sim
@@ -157,7 +159,7 @@ class LinkEndpoint:
         """
         if extra_delay < 0:
             raise LinkError("extra_delay must be non-negative")
-        when = self._sim.now + self.link.latency + extra_delay
+        when = self._sim.now + self.latency + extra_delay
         remote = self._remote_send
         if remote is None:
             # latency >= 1 and extra_delay >= 0 guarantee when > now, so
@@ -177,10 +179,6 @@ class LinkEndpoint:
         (``None`` for a local endpoint) on detach via this same method.
         """
         self._remote_send = sender
-
-    @property
-    def latency(self) -> SimTime:
-        return self.link.latency
 
 
 class Link:

@@ -63,16 +63,21 @@ class NodeMemory(Component):
     def _make_handler(self, port_index: int):
         from ..processor.core import BulkMemRequest, BulkMemResponse
 
-        port_name = f"core{port_index}"
+        # The closure holds its Port and sends through its endpoint,
+        # read per send: links are wired after this handler is built,
+        # and a request arrives only over a wired one.
+        core_port = self.port(f"core{port_index}")
+        sim = self.sim
 
         def handler(event):
             assert isinstance(event, BulkMemRequest)
-            now = self.now
-            done = self.bulk_completion(now, event.nbytes, event.accesses)
-            self.s_bytes.add(event.nbytes)
+            now = sim.now
+            nbytes = event.nbytes
+            done = self.bulk_completion(now, nbytes, event.accesses)
+            self.s_bytes.add(nbytes)
             self.s_requests.add()
-            self.send(port_name, BulkMemResponse(event.req_id),
-                      extra_delay=max(0, done - now))
+            core_port.endpoint.send(BulkMemResponse(event.req_id),
+                                    max(0, done - now))
 
         return handler
 

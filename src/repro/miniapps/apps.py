@@ -37,15 +37,26 @@ from typing import Any, Dict, List, Tuple
 
 from ..core.registry import register
 from ..core.units import SimTime
-from .base import (AllReduce, AppRank, Compute, Exchange, compute_time_ps,
-                   grid_dims_3d, halo_neighbors_3d)
+from .base import (AllReduce, AllToAll, AppRank, Barrier, Compute, Exchange,
+                   compute_time_ps, grid_dims_3d, halo_neighbors_3d)
 
 
-#: A :class:`HaloApp` rank's per-run constants, held as one value so
-#: the rank stays within CPython's inline-attribute budget
-#: (docs/COMPONENTS.md, "State").
+# Each app rank holds its per-run constants as one plan value, which
+# ``program()`` unpacks once: ``AppRank`` alone holds 28 attributes,
+# one short of CPython's inline-attribute budget (docs/COMPONENTS.md,
+# "State").
 HaloPlan = namedtuple("HaloPlan", "msg_size msgs_per_neighbor compute_ps "
                       "allreduces allreduce_size overlap_fraction neighbors")
+FEPlan = namedtuple("FEPlan", "fea_compute_ps solver_compute_ps msg_size "
+                    "solver_iterations neighbors")
+SolverPlan = namedtuple("SolverPlan", "msg_size compute_ps matvecs dots "
+                        "coarse_levels coarse_msg_size neighbors")
+MDPlan = namedtuple("MDPlan", "msg_size compute_ps thermo_every neighbors")
+XycePlan = namedtuple("XycePlan", "msg_size compute_ps dots neighbors")
+MeshPlan = namedtuple("MeshPlan", "msg_size bbox_size contact_size "
+                      "contact_fraction compute_ps neighbors")
+DSMCPlan = namedtuple("DSMCPlan", "particles bytes_per_particle "
+                      "migration_fraction compute_ps neighbors")
 
 
 class HaloApp(AppRank):
@@ -193,28 +204,33 @@ class MiniFE(AppRank):
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
         p = self.params_with_defaults(self.DEFAULTS)
-        self.fea_compute_ps = p.find_time("fea_compute_ps")
-        self.solver_compute_ps = p.find_time("solver_compute_ps")
-        self.msg_size = p.find_size_bytes("msg_size")
-        self.solver_iterations = p.find_int("solver_iterations")
-        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
-        self.s_fea_ps = self.stats.counter("fea_ps")
-        self.s_solver_ps = self.stats.counter("solver_ps")
+        self.plan = FEPlan(
+            p.find_time("fea_compute_ps"), p.find_time("solver_compute_ps"),
+            p.find_size_bytes("msg_size"), p.find_int("solver_iterations"),
+            halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks)))
+        # registered here, held by program(): two more attributes would
+        # take the rank past the inline budget
+        self.stats.counter("fea_ps")
+        self.stats.counter("solver_ps")
 
     def program(self):
+        (fea_compute_ps, solver_compute_ps, msg_size, solver_iterations,
+         neighbors) = self.plan
+        s_fea_ps = self.stats.get("fea_ps")
+        s_solver_ps = self.stats.get("solver_ps")
         for it in range(self.iterations):
             fea_start = self.now
-            yield Compute(self.fea_compute_ps)
-            self.s_fea_ps.add(self.now - fea_start)
+            yield Compute(fea_compute_ps)
+            s_fea_ps.add(self.now - fea_start)
             solver_start = self.now
-            for k in range(self.solver_iterations):
-                sends = [(nbr, self.msg_size) for nbr in self.neighbors]
+            for k in range(solver_iterations):
+                sends = [(nbr, msg_size) for nbr in neighbors]
                 if sends:
                     yield Exchange(sends, len(sends), key=f"mv{it}_{k}")
-                yield Compute(self.solver_compute_ps)
+                yield Compute(solver_compute_ps)
                 yield AllReduce(8, key=f"dot{it}_{k}a")
                 yield AllReduce(8, key=f"dot{it}_{k}b")
-            self.s_solver_ps.add(self.now - solver_start)
+            s_solver_ps.add(self.now - solver_start)
             self.iteration_done()
 
 
@@ -240,25 +256,25 @@ class SolverApp(AppRank):
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
         p = self.params_with_defaults(self.DEFAULTS)
-        self.msg_size = p.find_size_bytes("msg_size")
-        self.compute_ps = p.find_time("compute_ps")
-        self.matvecs = p.find_int("matvecs")
-        self.dots = p.find_int("dots")
-        self.coarse_levels = p.find_int("coarse_levels")
-        self.coarse_msg_size = p.find_size_bytes("coarse_msg_size")
-        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
+        self.plan = SolverPlan(
+            p.find_size_bytes("msg_size"), p.find_time("compute_ps"),
+            p.find_int("matvecs"), p.find_int("dots"),
+            p.find_int("coarse_levels"), p.find_size_bytes("coarse_msg_size"),
+            halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks)))
 
     def program(self):
+        (msg_size, compute_ps, matvecs, dots, coarse_levels, coarse_msg_size,
+         neighbors) = self.plan
         for it in range(self.iterations):
-            for m in range(self.matvecs):
-                sends = [(nbr, self.msg_size) for nbr in self.neighbors]
+            for m in range(matvecs):
+                sends = [(nbr, msg_size) for nbr in neighbors]
                 if sends:
                     yield Exchange(sends, len(sends), key=f"mv{it}_{m}")
-            yield Compute(self.compute_ps)
-            for d in range(self.dots):
+            yield Compute(compute_ps)
+            for d in range(dots):
                 yield AllReduce(8, key=f"dot{it}_{d}")
-            for lvl in range(self.coarse_levels):
-                sends = [(nbr, self.coarse_msg_size) for nbr in self.neighbors]
+            for lvl in range(coarse_levels):
+                sends = [(nbr, coarse_msg_size) for nbr in neighbors]
                 if sends:
                     yield Exchange(sends, len(sends), key=f"ml{it}_{lvl}")
                 yield AllReduce(8, key=f"mlar{it}_{lvl}")
@@ -310,20 +326,19 @@ class MiniMD(AppRank):
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
         p = self.params_with_defaults(self.DEFAULTS)
-        self.msg_size = p.find_size_bytes("msg_size")
-        self.compute_ps = p.find_time("compute_ps")
-        self.thermo_every = p.find_int("thermo_every")
-        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
+        self.plan = MDPlan(
+            p.find_size_bytes("msg_size"), p.find_time("compute_ps"),
+            p.find_int("thermo_every"),
+            halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks)))
 
     def program(self):
-        from .base import AllReduce, Compute, Exchange
-
+        msg_size, compute_ps, thermo_every, neighbors = self.plan
         for it in range(self.iterations):
-            sends = [(nbr, self.msg_size) for nbr in self.neighbors]
+            sends = [(nbr, msg_size) for nbr in neighbors]
             if sends:
                 yield Exchange(sends, len(sends), key=f"ghost{it}")
-            yield Compute(self.compute_ps)
-            if self.thermo_every and (it + 1) % self.thermo_every == 0:
+            yield Compute(compute_ps)
+            if thermo_every and (it + 1) % thermo_every == 0:
                 yield AllReduce(16, key=f"thermo{it}")
             self.iteration_done()
 
@@ -360,24 +375,23 @@ class MiniXyce(AppRank):
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
         p = self.params_with_defaults(self.DEFAULTS)
-        self.msg_size = p.find_size_bytes("msg_size")
-        self.compute_ps = p.find_time("compute_ps")
-        self.dots = p.find_int("dots")
         n = self.n_ranks
-        self.neighbors = []
+        neighbors = []
         if n > 1:
             left, right = (self.rank - 1) % n, (self.rank + 1) % n
-            self.neighbors = sorted({left, right} - {self.rank})
+            neighbors = sorted({left, right} - {self.rank})
+        self.plan = XycePlan(p.find_size_bytes("msg_size"),
+                             p.find_time("compute_ps"), p.find_int("dots"),
+                             neighbors)
 
     def program(self):
-        from .base import AllReduce, Compute, Exchange
-
+        msg_size, compute_ps, dots, neighbors = self.plan
         for it in range(self.iterations):
-            sends = [(nbr, self.msg_size) for nbr in self.neighbors]
+            sends = [(nbr, msg_size) for nbr in neighbors]
             if sends:
                 yield Exchange(sends, len(sends), key=f"ladder{it}")
-            yield Compute(self.compute_ps)
-            for d in range(self.dots):
+            yield Compute(compute_ps)
+            for d in range(dots):
                 yield AllReduce(8, key=f"gmres{it}_{d}")
             self.iteration_done()
 
@@ -404,12 +418,11 @@ class PhdMesh(AppRank):
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
         p = self.params_with_defaults(self.DEFAULTS)
-        self.msg_size = p.find_size_bytes("msg_size")
-        self.bbox_size = p.find_int("bbox_size")
-        self.contact_size = p.find_size_bytes("contact_size")
-        self.contact_fraction = p.find_float("contact_fraction")
-        self.compute_ps = p.find_time("compute_ps")
-        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
+        self.plan = MeshPlan(
+            p.find_size_bytes("msg_size"), p.find_int("bbox_size"),
+            p.find_size_bytes("contact_size"),
+            p.find_float("contact_fraction"), p.find_time("compute_ps"),
+            halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks)))
 
     def _contact_partners(self, iteration: int):
         """Deterministic 'random' contact pairs, symmetric by design:
@@ -424,23 +437,23 @@ class PhdMesh(AppRank):
             lo, hi = min(self.rank, other), max(self.rank, other)
             token = f"{lo}:{hi}:{iteration}".encode()
             draw = (zlib.crc32(token) % 1000) / 1000.0
-            if draw < self.contact_fraction:
+            if draw < self.plan.contact_fraction:
                 partners.append(other)
         return partners
 
     def program(self):
-        from .base import AllToAll, Compute, Exchange
-
+        (msg_size, bbox_size, contact_size, _fraction, compute_ps,
+         neighbors) = self.plan
         for it in range(self.iterations):
-            sends = [(nbr, self.msg_size) for nbr in self.neighbors]
+            sends = [(nbr, msg_size) for nbr in neighbors]
             if sends:
                 yield Exchange(sends, len(sends), key=f"halo{it}")
-            yield Compute(self.compute_ps)
+            yield Compute(compute_ps)
             if self.n_ranks > 1:
-                yield AllToAll(self.bbox_size, key=f"bbox{it}")
+                yield AllToAll(bbox_size, key=f"bbox{it}")
                 contacts = self._contact_partners(it)
                 if contacts:
-                    sends = [(c, self.contact_size) for c in contacts]
+                    sends = [(c, contact_size) for c in contacts]
                     yield Exchange(sends, len(sends), key=f"contact{it}")
             self.iteration_done()
 
@@ -465,25 +478,24 @@ class MiniDSMC(AppRank):
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
         p = self.params_with_defaults(self.DEFAULTS)
-        self.particles = p.find_int("particles_per_rank")
-        self.bytes_per_particle = p.find_int("bytes_per_particle")
-        self.migration_fraction = p.find_float("migration_fraction")
-        self.compute_ps = p.find_time("compute_ps")
-        self.neighbors = halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks))
+        self.plan = DSMCPlan(
+            p.find_int("particles_per_rank"), p.find_int("bytes_per_particle"),
+            p.find_float("migration_fraction"), p.find_time("compute_ps"),
+            halo_neighbors_3d(self.rank, grid_dims_3d(self.n_ranks)))
 
     def program(self):
-        from .base import Barrier, Compute, Exchange
-
+        (particles, bytes_per_particle, migration_fraction, compute_ps,
+         neighbors) = self.plan
         for it in range(self.iterations):
-            yield Compute(self.compute_ps)
-            if self.neighbors:
-                migrating = self.particles * self.migration_fraction
+            yield Compute(compute_ps)
+            if neighbors:
+                migrating = particles * migration_fraction
                 sends = []
-                for nbr in self.neighbors:
-                    share = float(self.rng.random()) * 2.0 / len(self.neighbors)
+                for nbr in neighbors:
+                    share = float(self.rng.random()) * 2.0 / len(neighbors)
                     count = max(1, int(migrating * share))
-                    sends.append((nbr, count * self.bytes_per_particle))
-                yield Exchange(sends, len(self.neighbors), key=f"mig{it}")
+                    sends.append((nbr, count * bytes_per_particle))
+                yield Exchange(sends, len(neighbors), key=f"mig{it}")
             if self.n_ranks > 1:
                 yield Barrier(key=f"step{it}")
             self.iteration_done()

@@ -318,7 +318,8 @@ class AppRank(Component):
     def _send_msg(self, dest: int, size: int, key: str) -> None:
         if dest == self.rank:
             raise ValueError(f"{self.name}: self-send in key {key!r}")
-        self.send("nic", NetMessage(self.rank, dest, size, tag=key))
+        self._ports["nic"].endpoint.send(
+            NetMessage(self.rank, dest, size, tag=key))
         self.s_messages.add()
         self.s_bytes.add(size)
 

@@ -16,11 +16,12 @@ Routing functions:
 * **crossbar** — direct output port.
 
 Every kind but dragonfly routes on the destination alone, so
-``on_message`` memoizes ``dest -> (out port, is_local)`` per router
-(``_routes``), and for every kind ``size -> transfer time`` at the
-router's one link bandwidth (``_transfer``; ``bytes_time`` is a pure
-function of size and bandwidth).  Neither memo is checkpointed: a
-restored router refills them.
+``on_message`` memoizes ``dest -> (out port, is_local, link endpoint)``
+per router (``_routes``; a hop sends through the held endpoint), and
+for every kind ``size -> transfer time`` at the router's one link
+bandwidth (``_transfer``; ``bytes_time`` is a pure function of size
+and bandwidth).  Neither memo is checkpointed: a restored router
+refills them from its rebuilt links.
 
 Per output port, messages serialise at ``link_bandwidth`` and pay
 ``hop_latency`` of pipeline delay (plus the config link's wire
@@ -32,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.component import Component, port, stat, state
+from ..core.link import LinkError
 from ..core.registry import register
 from ..core.units import SimTime, bytes_time
 from .message import NetMessage
@@ -99,8 +101,9 @@ class Router(Component):
 
     _port_free = state(dict, doc="output port -> time it next frees up")
     _routes = state(dict, save=False,
-                    doc="dest endpoint -> (out port, is_local), memoized "
-                        "route() results (not dragonfly)")
+                    doc="dest endpoint -> (out port, is_local, its link "
+                        "endpoint), memoized route() results (not "
+                        "dragonfly)")
     _transfer = state(dict, save=False,
                       doc="message size -> serialisation time at "
                           "link_bandwidth, memoized bytes_time()")
@@ -272,13 +275,17 @@ class Router(Component):
         hop = self._routes.get(dest)
         if hop is None:
             out_port = self.route(dest, event)
-            hop = (out_port, out_port.startswith("local"))
+            port = self._ports.get(out_port)
+            if port is None or port.endpoint is None:
+                raise LinkError(f"component {self.name!r}: send on "
+                                f"unconnected port {out_port!r}")
+            hop = (out_port, out_port.startswith("local"), port.endpoint)
             # Dragonfly routing writes per-message state (via_done) and
             # Valiant draws from the RNG, so only the other kinds, whose
             # route depends on the destination alone, are memoized.
             if self.kind != "dragonfly":
                 self._routes[dest] = hop
-        out_port, is_local = hop
+        out_port, is_local, endpoint = hop
         now = self.sim.now
         start = now + self.hop_latency
         free = self._port_free.get(out_port, 0)
@@ -297,4 +304,4 @@ class Router(Component):
             self.s_delivered.add()
         else:
             self.s_forwarded.add()
-        self.send(out_port, event, extra_delay=done - now)
+        endpoint.send(event, done - now)

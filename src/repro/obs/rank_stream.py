@@ -232,9 +232,10 @@ class RankRecorder:
         self._c_samples = stats.counter("obs.rank_samples")
         self._c_spans = stats.counter("obs.rank_spans")
         self._c_dropped = stats.counter("obs.rank_dropped")
-        # The cap counts this recorder's own spans: the counters above
-        # live in engine_stats, which carry over between runs and restores.
-        self._spans = self._dropped = 0
+        # What this recorder reports, and the span cap, count its own
+        # records: the counters above live in engine_stats, which carry
+        # over between runs and restores.
+        self._records = self._samples = self._spans = self._dropped = 0
         #: every record emitted, kept for the trace exporters
         self._kept: Optional[List[Dict[str, Any]]] = (
             [] if plan.span_records else None)
@@ -300,6 +301,7 @@ class RankRecorder:
             self._kept.append(record)
         if self._sink is not None:
             self._sink.write(json.dumps(record) + "\n")
+            self._records += 1
             self._c_records.add()
 
     # ------------------------------------------------------------------
@@ -317,6 +319,7 @@ class RankRecorder:
                                wall_seconds))
 
     def _on_heartbeat(self, sim: Any) -> None:
+        self._samples += 1
         self._c_samples.add()
         self._emit({
             "kind": "rank_sample",
@@ -380,7 +383,7 @@ class RankRecorder:
             "mono_s": _wall_time.perf_counter(),
             "events": self.sim.events_executed,
             "epochs": self._epoch,
-            "records": self._c_records.count,
+            "records": self._records,
         })
         if self._causal is not None:
             try:
@@ -393,10 +396,10 @@ class RankRecorder:
             "causal_shard": (str(self._causal.path)
                              if self._causal is not None else None),
             "epochs": self._epoch,
-            "records": self._c_records.count,
-            "samples": self._c_samples.count,
-            "spans": self._c_spans.count,
-            "dropped": self._c_dropped.count,
+            "records": self._records,
+            "samples": self._samples,
+            "spans": self._spans,
+            "dropped": self._dropped,
         }
         if self._buckets:
             payload["profile"] = self._buckets

@@ -263,26 +263,33 @@ class MixCore(Component):
             dram = getattr(peer.component, "dram", None)
             if isinstance(dram, DRAMModel):
                 self._dram_tech = dram.tech
-        self._start_block()
+        self._start_block(self.sim.now)
 
     # -- block state machine ------------------------------------------------
-    def _start_block(self) -> None:
+    # The three handlers below run once per block each, the whole of a
+    # design point's run: they read ``sim.now`` once and send through
+    # the ``mem`` endpoint rather than the by-name component API.
+    def _start_block(self, now: SimTime) -> None:
         remaining = self.total_instructions - self._retired
         if remaining <= 0:
-            self.s_runtime.add(self.now - self.s_runtime.count)
+            self.s_runtime.add(now - self.s_runtime.count)
             self.primary_ok_to_end()
             return
         n = min(self.block_size, remaining)
         # DRAM latency exposure is computed by the memory side; locally we
         # account compute + cache stalls.
         timing = self.model.block(n, self._dram_tech)
-        self._block_started = self.now
+        self._block_started = now
         self._current_block = timing
-        compute_done_delay = timing.latency_bound_ps
-        self._pending_compute_done = self.now + compute_done_delay
-        if timing.dram_bytes and self.port_connected("mem"):
-            self.send("mem", BulkMemRequest(timing.dram_bytes,
-                                            timing.dram_accesses))
+        # timing.latency_bound_ps, without the property call
+        compute_done_delay = (timing.compute_ps + timing.cache_stall_ps
+                              + timing.dram_latency_ps)
+        self._pending_compute_done = now + compute_done_delay
+        # no endpoint: no node memory, the latency-only timer path
+        endpoint = self._ports["mem"].endpoint
+        if timing.dram_bytes and endpoint is not None:
+            endpoint.send(BulkMemRequest(timing.dram_bytes,
+                                         timing.dram_accesses))
         else:
             self.schedule(compute_done_delay, self._finish_block, None)
 
@@ -291,23 +298,25 @@ class MixCore(Component):
         # Partial overlap: the block ends after the longer of compute and
         # memory, plus a penalty fraction of the shorter one (imperfect
         # compute/memory overlap in an in-order core).
-        compute_elapsed = self._pending_compute_done - self._block_started
-        memory_elapsed = self.now - self._block_started
+        now = self.sim.now
+        started = self._block_started
+        compute_elapsed = self._pending_compute_done - started
+        memory_elapsed = now - started
         total = max(compute_elapsed, memory_elapsed) + int(round(
             self.overlap_penalty * min(compute_elapsed, memory_elapsed)
         ))
-        finish_at = self._block_started + total
-        self.schedule(max(0, finish_at - self.now), self._finish_block, None)
+        self.schedule(max(0, started + total - now), self._finish_block, None)
 
     def _finish_block(self, _payload) -> None:
+        now = self.sim.now
         timing = self._current_block
         self._retired += timing.n_instructions
         self.s_instructions.add(timing.n_instructions)
         self.s_blocks.add()
         self.s_compute.add(timing.compute_ps)
-        stall = (self.now - self._block_started) - timing.compute_ps
+        stall = (now - self._block_started) - timing.compute_ps
         self.s_stall.add(max(0, stall))
-        self._start_block()
+        self._start_block(now)
 
     @property
     def retired(self) -> int:

@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import dse
 from repro.ckpt import (SNAPSHOT_SCHEMA, CheckpointError, replay, restore,
                         snapshot, snapshot_info, snapshot_parallel)
 from repro.config import ConfigGraph, build, build_parallel
@@ -36,6 +37,7 @@ from repro.core import Component, register
 from repro.core.backends import BACKENDS
 from repro.core.event import IdSource
 from repro.core.partition import STRATEGIES
+from repro.miniapps import build_app_machine
 from tests.unit.test_determinism import RecordingQueue
 
 ALL_BACKENDS = sorted(BACKENDS)
@@ -116,7 +118,7 @@ class TestSequentialCheckpoint:
         sim.run(max_time="50ns", finalize=False)
         path = snapshot(sim, tmp_path / "snap")
         info = snapshot_info(path)
-        assert info["schema"] == "repro-ckpt/4"
+        assert info["schema"] == "repro-ckpt/5"
         assert info["mode"] == "sequential"
         assert info["num_ranks"] == 1
         assert info["sim_time_ps"] == sim.now
@@ -323,7 +325,8 @@ class TestSnapshotValidation:
 
     @pytest.mark.parametrize("surface", ["restore", "replay", "ckpt-info"])
     @pytest.mark.parametrize("schema", ["repro-ckpt/1", "repro-ckpt/2",
-                                        "repro-ckpt/3", "repro-ckpt/999"])
+                                        "repro-ckpt/3", "repro-ckpt/4",
+                                        "repro-ckpt/999"])
     def test_wrong_schema_rejected(self, tmp_path, capsys, schema, surface):
         """Any schema but the engine's is refused before a shard is
         unpickled (this shard is not even a pickle), with one
@@ -617,7 +620,7 @@ class TestCkptCli:
         capsys.readouterr()
         assert main(["ckpt", "info", str(snaps[0])]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["schema"] == "repro-ckpt/4" and info["intact"]
+        assert info["schema"] == "repro-ckpt/5" and info["intact"]
         stats_json = tmp_path / "final.json"
         assert main(["ckpt", "resume", str(snaps[0]),
                      "--stats-json", str(stats_json)]) == 0
@@ -641,3 +644,52 @@ class TestCkptCli:
         capsys.readouterr()
         assert main(["ckpt", "resume", str(path)]) == 1
         assert "corrupt" in capsys.readouterr().err
+
+
+#: the two benchmark model paths whose handlers hold what they send
+#: through: MixCore reads its ``mem`` endpoint per block, each
+#: NodeMemory handler closes over its Port, and every torus Router's
+#: route memo (``save=False``) holds the output endpoint
+HELD_ENDPOINT_MACHINES = {
+    "design-point-4core": lambda: dse.design_point_graph(
+        "hpccg", issue_width=2, technology="GDDR5",
+        instructions=3_000_000, n_cores=4),
+    "hpccg-torus-16": lambda: build_app_machine(
+        "miniapps.HPCCG", 16, iterations=2, name="hpccg"),
+}
+
+
+class TestHeldEndpointsResume:
+    """A resumed run sends through the rebuilt engine's endpoints: a
+    periodic snapshot of either machine, restored, ends with the
+    uninterrupted run's statistics, sequentially and on 2 process
+    ranks."""
+
+    @pytest.mark.parametrize("mode", ["sequential", "processes"])
+    @pytest.mark.parametrize("machine", sorted(HELD_ENDPOINT_MACHINES))
+    def test_checkpointed_resume_ends_with_cold_stats(self, tmp_path,
+                                                      machine, mode):
+        graph = HELD_ENDPOINT_MACHINES[machine]
+        cold = build(graph(), seed=11)
+        end_time = cold.run().end_time
+        stats = cold.stat_values()
+        if mode == "sequential":
+            checkpointed = build(graph(), seed=11)
+        else:
+            checkpointed = build_parallel(graph(), 2, strategy="bfs",
+                                          seed=11, backend=mode)
+        try:
+            checkpointed.run(checkpoint_every=end_time // 3,
+                             checkpoint_dir=str(tmp_path))
+            assert checkpointed.stat_values() == stats
+            written = list(checkpointed.checkpoints_written)
+        finally:
+            _close(checkpointed)
+        assert written
+        for path in written:
+            resumed = restore(path)
+            try:
+                resumed.run()
+                assert resumed.stat_values() == stats, path
+            finally:
+                _close(resumed)

@@ -238,8 +238,9 @@ def _routers(sim):
 
 
 class TestRouteMemo:
-    """``on_message`` memoizes ``dest -> (out port, is_local)`` for every
-    kind whose route depends on the destination alone."""
+    """``on_message`` memoizes ``dest -> (out port, is_local, link
+    endpoint)`` for every kind whose route depends on the destination
+    alone."""
 
     @pytest.mark.parametrize("builder,n,kwargs,kinds", [
         (build_torus, 16, {"dims": (4, 2, 2), "locals_per_router": 1},
@@ -264,8 +265,10 @@ class TestRouteMemo:
             assert sorted(router._routes) == list(range(n)), router.name
             for dest, hop in router._routes.items():
                 port = router.route(dest)
-                assert hop == (port, port.startswith("local")), (
+                assert hop == (port, port.startswith("local"),
+                               router.port(port).endpoint), (
                     router.name, dest)
+                assert hop[2] is not None
 
     @pytest.mark.parametrize("routing", ["minimal", "valiant"])
     def test_dragonfly_never_memoizes(self, routing):

@@ -89,6 +89,12 @@ MACHINES = {
     "fattree-hpccg-32": lambda: build_app_machine(
         "miniapps.HPCCG", 32, topology="fattree", iterations=2,
         name="fattree-hpccg"),
+    # every AppRank outside the HaloApp family, each holding its
+    # constants in one plan value
+    **{f"{app.lower()}-16": (lambda app=app: build_app_machine(
+        f"miniapps.{app}", 16, iterations=2, name=app.lower()))
+       for app in ("MiniFE", "CGSolver", "BiCGStabILU", "MLSolver",
+                   "PhdMesh", "MiniDSMC", "MiniMD", "MiniXyce")},
 }
 
 

@@ -112,6 +112,43 @@ class TestRankShards:
         # parent-maintained sync stats survived the adoption
         assert merged["sync.epochs"].count == 2 * extras["result"].epochs
 
+    def test_rank_counts_are_per_run(self, tmp_path):
+        """A manifest counts the records of this run's shards: two
+        traced runs on one engine, then a traced resume of a snapshot,
+        each report what their own shards hold, although the
+        ``obs.rank_*`` engine counters carry over."""
+        from repro.ckpt import restore, snapshot_parallel
+
+        def traced(psim, name, **run_kwargs):
+            metrics = tmp_path / name
+            telemetry = TelemetryRecorder(metrics, sample_every_events=5)
+            telemetry.attach(psim)
+            manifest = telemetry.finalize(psim.run(**run_kwargs))
+            for rank, shard in find_rank_shards(metrics).items():
+                lines = shard.read_text().splitlines()
+                report = manifest["telemetry"]["rank_records"][str(rank)]
+                assert report["records"] == len(lines), (name, rank)
+                end = json.loads(lines[-1])
+                assert end["kind"] == "rank_end"
+                assert end["records"] == len(lines) - 1, (name, rank)
+                assert report["samples"] == sum(
+                    json.loads(line)["kind"] == "rank_sample"
+                    for line in lines), (name, rank)
+
+        psim = build_parallel(traffic_graph(), 2, strategy="round_robin",
+                              seed=9, backend="serial")
+        try:
+            traced(psim, "first.jsonl", max_time="100ns")
+            traced(psim, "second.jsonl", max_time="200ns")
+            path = snapshot_parallel(psim, tmp_path / "snap")
+        finally:
+            psim.close()
+        resumed = restore(path)
+        try:
+            traced(resumed, "resumed.jsonl")
+        finally:
+            resumed.close()
+
 
 class TestBackendEquivalence:
     def test_epoch_records_identical_shape_across_backends(self, tmp_path):
