@@ -156,4 +156,4 @@ class NodePool(Component):
         self._energy_j += joules
         self.s_energy.add(joules)
         self.s_node_busy_ps.add(len(alloc) * job.runtime_ps)
-        self.send("sched", JobCompletion(job, node_ids=alloc))
+        self._ports["sched"].endpoint.send(JobCompletion(job, node_ids=alloc))

@@ -91,14 +91,15 @@ class EASYBackfillPolicy(SchedPolicy):
 
     def pick(self, queue, free, now, running):
         picked: List[Job] = []
+        n = len(queue)
         i = 0
-        while i < len(queue) and queue[i].nodes <= free:
+        while i < n and queue[i].nodes <= free:
             job = queue[i]
             picked.append(job)
             free -= job.nodes
             i += 1
-        self.s_scheduled.add(len(picked))
-        if i >= len(queue):
+        self.s_scheduled.add(i)
+        if i >= n:
             self._shadow_ps = 0
             return picked
 
@@ -106,44 +107,51 @@ class EASYBackfillPolicy(SchedPolicy):
         # until enough nodes accumulate.  ``extra`` is what the head
         # will leave unused at the shadow time — backfill jobs running
         # past the shadow may consume at most that.
-        head = queue[i]
-        releases = sorted(
-            [(end, n) for end, n in running.values()]
-            + [(now + j.estimate_ps, j.nodes) for j in picked])
+        head_nodes = queue[i].nodes
+        releases = [(now + j.estimate_ps, j.nodes) for j in picked]
+        releases.extend(running.values())
+        releases.sort()
         avail = free
         shadow = None
         extra = 0
-        for end, n in releases:
-            avail += n
-            if avail >= head.nodes:
+        for end, nodes in releases:
+            avail += nodes
+            if avail >= head_nodes:
                 shadow = end
-                extra = avail - head.nodes
+                extra = avail - head_nodes
                 break
         if shadow is None:  # head wider than the machine ever gets
             self._shadow_ps = 0
             return picked
         self._shadow_ps = shadow
 
-        scanned = 0
-        for job in queue[i + 1:]:
-            if scanned >= self.scan_limit or free <= 0:
-                break
-            scanned += 1
-            if job.nodes > free:
+        # At most ``scan_limit`` positions behind the head, by index.
+        before_shadow = shadow - now
+        stop = min(n, i + 1 + self.scan_limit)
+        k = i + 1
+        while k < stop and free > 0:
+            job = queue[k]
+            k += 1
+            nodes = job.nodes
+            if nodes > free:
                 continue
-            ends_before_shadow = now + job.estimate_ps <= shadow
-            if ends_before_shadow or job.nodes <= extra:
-                picked.append(job)
-                free -= job.nodes
-                if not ends_before_shadow:
-                    extra -= job.nodes
-                self.s_backfilled.add()
+            if job.estimate_ps > before_shadow:  # runs past the shadow
+                if nodes > extra:
+                    continue
+                extra -= nodes
+            picked.append(job)
+            free -= nodes
+        self.s_backfilled.add(len(picked) - i)
         return picked
 
 
 @register("cluster.Priority")
 class PriorityPolicy(SchedPolicy):
-    """Highest priority first (ties by arrival), greedy first-fit."""
+    """Highest priority first (ties by arrival), greedy first-fit.
+
+    ``jumped`` counts a launch made while an earlier arrival in the
+    window has not been launched yet in the same pass.
+    """
 
     scan_limit = param(1024, doc="queue prefix considered per pass")
 
@@ -153,15 +161,25 @@ class PriorityPolicy(SchedPolicy):
 
     def pick(self, queue, free, now, running):
         window = queue[:self.scan_limit]
-        order = sorted(window,
-                       key=lambda j: (-j.priority, j.submit_ps, j.job_id))
+        # Window index last: ties on the rest keep arrival order, as a
+        # stable sort on the rest alone would.
+        order = sorted((-j.priority, j.submit_ps, j.job_id, k)
+                       for k, j in enumerate(window))
+        launched = [False] * len(window)
+        waiting = 0  # window index of the earliest arrival not launched
         picked: List[Job] = []
-        for job in order:
+        jumped = 0
+        for *_, k in order:
+            job = window[k]
             if job.nodes <= free:
-                if job is not window[0]:
-                    self.s_jumped.add()
+                if k > waiting:
+                    jumped += 1
+                launched[k] = True
+                while waiting < len(window) and launched[waiting]:
+                    waiting += 1
                 picked.append(job)
                 free -= job.nodes
+        self.s_jumped.add(jumped)
         self.s_scheduled.add(len(picked))
         return picked
 
@@ -222,34 +240,43 @@ class Scheduler(Component):
         self._queue.append(job)
         self._dispatch()
 
+    # ``on_completion`` and ``_dispatch`` run on every completion (and
+    # ``_dispatch`` on every arrival): each reads ``sim.now`` once and
+    # sends through the port endpoints, not the by-name component API.
     def on_completion(self, event: JobCompletion) -> None:
+        now = self.sim.now
         job = event.job
         self._running.pop(job.job_id, None)
         self._free += job.nodes
-        job.end_ps = self.now
+        job.end_ps = now
         self.s_completed.add()
-        if self.port_connected("report"):
-            self.send("report", JobReport(job))
+        report = self._ports.get("report")  # None: no report port
+        if report is not None and report.endpoint is not None:
+            report.endpoint.send(JobReport(job))
         self._dispatch()
         self._maybe_done()
 
     def _dispatch(self) -> None:
-        self.s_queue_depth.add(len(self._queue))
-        if not self._queue or self._free <= 0:
+        queue = self._queue
+        self.s_queue_depth.add(len(queue))
+        free = self._free
+        if not queue or free <= 0:
             return
-        picked = self.policy.pick(self._queue, self._free, self.now,
-                                  self._running)
+        now = self.sim.now
+        running = self._running
+        picked = self.policy.pick(queue, free, now, running)
         if not picked:
             return
-        picked_ids = {id(job) for job in picked}
-        self._queue = [j for j in self._queue if id(j) not in picked_ids]
+        launch = self._ports["pool"].endpoint.send
         for job in picked:
-            job.start_ps = self.now
-            self._free -= job.nodes
-            self._running[job.job_id] = (self.now + job.estimate_ps,
-                                         job.nodes)
-            self.s_started.add()
-            self.send("pool", JobLaunch(job))
+            job.start_ps = now
+            free -= job.nodes
+            running[job.job_id] = (now + job.estimate_ps, job.nodes)
+            launch(JobLaunch(job))
+        self._free = free
+        self.s_started.add(len(picked))
+        # The pass marked what it launched: queued jobs have not started.
+        self._queue = [j for j in queue if j.start_ps is None]
 
     def _maybe_done(self) -> None:
         if (self._stream_done and not self._queue and not self._running

@@ -64,14 +64,15 @@ class SLOStats(Component):
             self.primary_ok_to_end()
             return
         job = event.job
+        wait = job.wait_ps
+        runtime = job.runtime_ps
         self.s_jobs.add()
-        self.s_wait.add(job.wait_ps)
-        denom = max(job.runtime_ps, self.slowdown_tau)
-        self.s_slowdown.add(max(1.0,
-                                (job.wait_ps + job.runtime_ps) / denom))
+        self.s_wait.add(wait)
+        self.s_slowdown.add(max(1.0, (wait + runtime)
+                                / max(runtime, self.slowdown_tau)))
         self.s_submit.add(job.submit_ps)
         self.s_end.add(job.end_ps)
-        self.s_busy.add(job.nodes * job.runtime_ps)
+        self.s_busy.add(job.nodes * runtime)
         self._makespan_ps = int(self.s_end.maximum - self.s_submit.minimum)
         self._utilization = self._compute_utilization()
 

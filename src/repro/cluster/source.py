@@ -101,25 +101,38 @@ class JobSource(Component):
         return self._synthetic_stream()
 
     def _synthetic_stream(self) -> Iterator[Tuple[int, Job]]:
+        # One draw per job for the whole run: parameters are read once
+        # and the generator's methods bound once; the draws, their
+        # arguments and their order are what the goldens pin.
         rng = np.random.default_rng(
             stable_seed(f"{self.name}.jobs", self.sim.seed))
-        wide_floor = max(1, self.max_nodes // 2)
-        narrow_cap = max(1, self.max_nodes // 4)
+        random, integers, exponential = (rng.random, rng.integers,
+                                         rng.exponential)
+        burst = self.mode == "burst"
+        burst_size, burst_gap = self.burst_size, self.burst_gap
+        mean_interarrival = self.mean_interarrival
+        mean_runtime = self.mean_runtime
+        wide_mean = 4 * mean_runtime
+        max_nodes = self.max_nodes
+        wide_fraction = self.wide_fraction
+        estimate_factor = self.estimate_factor
+        wide_floor = max(1, max_nodes // 2)
+        narrow_cap = max(1, max_nodes // 4)
         for i in range(self.jobs):
-            if self.mode == "burst":
-                gap = self.burst_gap if i % self.burst_size == 0 else 0
+            if burst:
+                gap = burst_gap if i % burst_size == 0 else 0
             else:  # poisson
-                gap = max(1, int(rng.exponential(self.mean_interarrival)))
-            if rng.random() < self.wide_fraction:
-                nodes = int(rng.integers(wide_floor, self.max_nodes + 1))
-                runtime = max(1, int(rng.exponential(4 * self.mean_runtime)))
+                gap = max(1, int(exponential(mean_interarrival)))
+            if random() < wide_fraction:
+                nodes = int(integers(wide_floor, max_nodes + 1))
+                runtime = max(1, int(exponential(wide_mean)))
             else:
-                nodes = int(rng.integers(1, narrow_cap + 1))
-                runtime = max(1, int(rng.exponential(self.mean_runtime)))
-            estimate = int(runtime * self.estimate_factor) + 1
-            priority = int(rng.integers(0, 10))
+                nodes = int(integers(1, narrow_cap + 1))
+                runtime = max(1, int(exponential(mean_runtime)))
+            estimate = int(runtime * estimate_factor) + 1
+            priority = int(integers(0, 10))
             yield gap, Job(i + 1, 0, nodes, runtime, estimate,
-                           priority=priority, user=int(rng.integers(0, 16)))
+                           priority=priority, user=int(integers(0, 16)))
 
     def _trace_stream(self) -> Iterator[Tuple[int, Job]]:
         if not self.trace:
@@ -167,6 +180,7 @@ class JobSource(Component):
 
     def _arm(self) -> None:
         """Keep up to ``window`` future arrivals scheduled."""
+        now = self.sim.now
         while not self._exhausted and self._in_flight < self.window:
             nxt = next(self._stream, None)
             if nxt is None:
@@ -176,8 +190,7 @@ class JobSource(Component):
             self._in_flight += 1
             self._horizon += gap
             job.submit_ps = self._horizon
-            self.schedule(max(0, self._horizon - self.now), self._deliver,
-                          job)
+            self.schedule(max(0, self._horizon - now), self._deliver, job)
         if self._exhausted and self._in_flight == 0:
             self._finish_stream()
 
@@ -186,7 +199,7 @@ class JobSource(Component):
         self._emitted += 1
         self.s_emitted.add()
         self.s_nodes_requested.add(job.nodes)
-        self.send("out", JobArrival(job))
+        self._ports["out"].endpoint.send(JobArrival(job))
         self._arm()
 
     def _finish_stream(self) -> None:

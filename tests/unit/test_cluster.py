@@ -4,9 +4,10 @@ Covers the slot mechanics end to end (registry resolution, choices and
 base-class validation at graph build, scoped sub-params, statistics
 registered through the parent), the scheduling pipeline itself
 (conservation, rejection, policy ablation, determinism), checkpointing
-an in-flight backfill queue plus the generator-backed job stream, the
-SWF-style trace reader, and the bursty ≥1M-event heap stress demanded
-by the workload's scale.
+an in-flight backfill queue, a burst on the wire and the generator-backed
+job stream, the SWF-style trace reader, each policy's ``pick`` against
+its old body, and the bursty ≥1M-event heap stress demanded by the
+workload's scale.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import JobSource, NodePool, Scheduler
+from repro.cluster import Job, JobSource, NodePool, Scheduler
 from repro.cluster import node as node_module
 from repro.cluster.scheduler import EASYBackfillPolicy, FCFSPolicy
 from repro.config import ConfigGraph, build
@@ -139,6 +140,19 @@ class TestClusterPipeline:
         # all nodes returned, nothing left allocated
         sched = sim.component("sched")
         assert sched._free == sched.nodes and not sched._running
+
+    def test_scheduler_without_a_report_port_runs_to_exit(self):
+        g = ConfigGraph("no-report")
+        g.component("src", "cluster.JobSource", {"jobs": 120, "window": 4})
+        g.component("sched", "cluster.Scheduler",
+                    {"nodes": 16, "policy": "cluster.EASYBackfill"})
+        g.component("pool", "cluster.NodePool", {"nodes": 16})
+        g.link("src", "out", "sched", "submit", latency="10ns")
+        g.link("sched", "pool", "pool", "sched", latency="10ns")
+        sim = build(g, seed=7)
+        assert "report" not in sim.component("sched")._ports
+        assert sim.run().reason == "exit"
+        assert sim.stat_values()["sched.completed"] == 120
 
     def test_too_wide_jobs_rejected_not_wedged(self):
         # 8-node-wide jobs against a 4-node machine must be dropped
@@ -288,6 +302,57 @@ class TestClusterCheckpoint:
         if restored > 1:
             resumed.close()
 
+    @pytest.mark.parametrize("mode", ["sequential", "processes"])
+    @pytest.mark.parametrize("policy", ["cluster.FCFS",
+                                        "cluster.EASYBackfill",
+                                        "cluster.Priority"])
+    def test_snapshot_mid_burst_restores_bit_identical(self, tmp_path,
+                                                       policy, mode):
+        """A snapshot taken while a whole burst is on the wire — its
+        arrivals share one delivery time — with a backed-up queue and
+        running jobs resumes to the uninterrupted run's statistics."""
+        from repro.ckpt import restore, snapshot, snapshot_parallel
+        from repro.cluster import JobArrival
+        from repro.config import build_parallel
+
+        def make():
+            return cluster_graph(policy, jobs=400, mode="burst")
+
+        cold = build(make(), seed=7)
+        cold_result = cold.run()
+        cold_stats = cold.stat_values()
+
+        # Bursts land every 100ms from 100ms on; the source emits the
+        # fourth one at 400ms and its arrivals cross a 10ns link.
+        cut = 400_000_000_000 + 5_000
+        warm = build(make(), seed=7)
+        warm.run(max_time=cut, finalize=False)
+        sched = warm.component("sched")
+        assert sched._queue and sched._running
+        arrivals = [record.time
+                    for record in warm._queue.snapshot_records()
+                    if isinstance(record.event, JobArrival)]
+        assert len(arrivals) >= 2 and len(set(arrivals)) == 1
+
+        if mode == "sequential":
+            path = snapshot(warm, tmp_path / "mid-burst")
+        else:
+            warm.finish()
+            warm = build_parallel(make(), 2, seed=7, backend=mode)
+            try:
+                warm.run(max_time=cut)
+                path = snapshot_parallel(warm, tmp_path / "mid-burst")
+            finally:
+                warm.close()
+        resumed = restore(path)
+        try:
+            result = resumed.run()
+            assert resumed.stat_values() == cold_stats
+            assert result.end_time == cold_result.end_time
+        finally:
+            if mode != "sequential":
+                resumed.close()
+
 
 class TestTraceReader:
     SWF = """\
@@ -421,6 +486,193 @@ class TestPlacementGeometry:
         assert pool._hop_rows, "placement never consulted the memo"
         state = pool.capture_state()
         assert "_coords" not in state and "_hop_rows" not in state
+
+
+class _ReferenceCounter:
+    def __init__(self):
+        self.count = 0
+
+    def add(self, n=1):
+        self.count += n
+
+
+class _ReferencePolicy:
+    """Stands in for ``self`` in the old ``pick`` bodies below."""
+
+    def __init__(self, scan_limit):
+        self.scan_limit = scan_limit
+        self._shadow_ps = 0
+        self.s_scheduled = _ReferenceCounter()
+        self.s_head_blocked = _ReferenceCounter()
+        self.s_backfilled = _ReferenceCounter()
+        self.s_jumped = _ReferenceCounter()
+
+
+def _reference_fcfs_pick(self, queue, free, now, running):
+    """Old ``FCFSPolicy.pick``."""
+    picked = []
+    for job in queue:
+        if job.nodes > free:
+            self.s_head_blocked.add()
+            break
+        picked.append(job)
+        free -= job.nodes
+    self.s_scheduled.add(len(picked))
+    return picked
+
+
+def _reference_easy_pick(self, queue, free, now, running):
+    """Old ``EASYBackfillPolicy.pick``: concatenated releases through
+    ``sorted``, the scan over a slice of the queue."""
+    picked = []
+    i = 0
+    while i < len(queue) and queue[i].nodes <= free:
+        job = queue[i]
+        picked.append(job)
+        free -= job.nodes
+        i += 1
+    self.s_scheduled.add(len(picked))
+    if i >= len(queue):
+        self._shadow_ps = 0
+        return picked
+    head = queue[i]
+    releases = sorted(
+        [(end, n) for end, n in running.values()]
+        + [(now + j.estimate_ps, j.nodes) for j in picked])
+    avail = free
+    shadow = None
+    extra = 0
+    for end, n in releases:
+        avail += n
+        if avail >= head.nodes:
+            shadow = end
+            extra = avail - head.nodes
+            break
+    if shadow is None:
+        self._shadow_ps = 0
+        return picked
+    self._shadow_ps = shadow
+    scanned = 0
+    for job in queue[i + 1:]:
+        if scanned >= self.scan_limit or free <= 0:
+            break
+        scanned += 1
+        if job.nodes > free:
+            continue
+        ends_before_shadow = now + job.estimate_ps <= shadow
+        if ends_before_shadow or job.nodes <= extra:
+            picked.append(job)
+            free -= job.nodes
+            if not ends_before_shadow:
+                extra -= job.nodes
+            self.s_backfilled.add()
+    return picked
+
+
+def _reference_priority_pick(self, queue, free, now, running):
+    """Old ``PriorityPolicy.pick`` (its ``jumped`` count was wrong)."""
+    window = queue[:self.scan_limit]
+    order = sorted(window,
+                   key=lambda j: (-j.priority, j.submit_ps, j.job_id))
+    picked = []
+    for job in order:
+        if job.nodes <= free:
+            if job is not window[0]:
+                self.s_jumped.add()
+            picked.append(job)
+            free -= job.nodes
+    self.s_scheduled.add(len(picked))
+    return picked
+
+
+REFERENCE_PICKS = {
+    "cluster.FCFS": (_reference_fcfs_pick, ("scheduled", "head_blocked")),
+    "cluster.EASYBackfill": (_reference_easy_pick,
+                             ("scheduled", "backfilled")),
+    "cluster.Priority": (_reference_priority_pick, ("scheduled",)),
+}
+
+
+def make_policy(policy, scan_limit=None):
+    """A fresh policy subcomponent, loaded through a scheduler's slot."""
+    from repro.core import Params, Simulation
+
+    params = {"nodes": 16, "policy": policy}
+    if scan_limit is not None:
+        params["policy.scan_limit"] = scan_limit
+    return Scheduler(Simulation(seed=1), "sched", Params(params)).policy
+
+
+@st.composite
+def pick_passes(draw):
+    """One scheduling pass's inputs: a queue (heads may be wider than
+    the machine ever gets), free nodes, ``now``, a running set whose
+    estimated ends may already have passed, and a ``scan_limit`` that
+    often cuts the queue short."""
+    # Narrow time ranges: a backfill candidate often ends exactly at
+    # the shadow time.
+    n = draw(st.integers(0, 24))
+    widths = st.integers(1, 4) | st.integers(5, 24)
+    jobs = [Job(draw(st.integers(1, 8)), draw(st.integers(0, 4)),
+                draw(widths), 1, draw(st.integers(1, 40)),
+                priority=draw(st.integers(0, 3)))
+            for _ in range(n)]
+    free = draw(st.integers(0, 16))
+    now = draw(st.integers(0, 20))
+    running = {job_id: (draw(st.integers(0, 60)), draw(st.integers(1, 8)))
+               for job_id in draw(st.sets(st.integers(100, 140),
+                                          max_size=10))}
+    scan_limit = draw(st.one_of(st.integers(0, 6), st.just(1024)))
+    return jobs, free, now, running, scan_limit
+
+
+class TestPickMatchesTheOldBodies:
+    """Every policy's ``pick`` launches what its old body launched."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pick_passes(), st.sampled_from(sorted(REFERENCE_PICKS)))
+    def test_same_jobs_shadow_and_counters(self, case, policy):
+        jobs, free, now, running, scan_limit = case
+        reference, counters = REFERENCE_PICKS[policy]
+        old = _ReferencePolicy(scan_limit)
+        new = make_policy(policy, None if policy == "cluster.FCFS"
+                          else scan_limit)
+        queue = list(jobs)
+        expected = reference(old, list(jobs), free, now, dict(running))
+        got = new.pick(queue, free, now, running)
+        assert [id(j) for j in got] == [id(j) for j in expected]
+        assert [id(j) for j in queue] == [id(j) for j in jobs]
+        assert getattr(new, "_shadow_ps", 0) == old._shadow_ps
+        for name in counters:
+            assert (getattr(new, f"s_{name}").count
+                    == getattr(old, f"s_{name}").count), name
+
+
+class TestPriorityJumped:
+    """``jumped`` counts launches made while an earlier arrival in the
+    window was still waiting."""
+
+    def test_in_order_launches_jump_nothing(self):
+        policy = make_policy("cluster.Priority")
+        queue = [Job(k, k, 1, 10, 10, priority=5) for k in (1, 2, 3)]
+        assert policy.pick(queue, 8, 0, {}) == queue
+        assert policy.s_jumped.count == 0
+
+    def test_one_launch_ahead_of_a_waiting_arrival(self):
+        policy = make_policy("cluster.Priority")
+        early, urgent, *rest = [Job(1, 0, 2, 10, 10),
+                                Job(2, 1, 2, 10, 10, priority=9),
+                                Job(3, 2, 1, 10, 10), Job(4, 3, 1, 10, 10)]
+        picked = policy.pick([early, urgent, *rest], 8, 0, {})
+        assert picked == [urgent, early, *rest]
+        assert policy.s_jumped.count == 1
+
+    def test_launches_behind_an_unlaunched_head_all_jump(self):
+        policy = make_policy("cluster.Priority")
+        queue = [Job(1, 0, 8, 10, 10), Job(2, 1, 2, 10, 10, priority=9),
+                 Job(3, 2, 1, 10, 10)]
+        assert policy.pick(queue, 4, 0, {}) == queue[1:]
+        assert policy.s_jumped.count == 2
 
 
 class TestArrivalStress:
