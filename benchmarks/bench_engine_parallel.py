@@ -122,14 +122,14 @@ def test_eng2_lookahead_drives_epoch_count(benchmark, report, save_csv):
 
         def setup(self):
             if self.initiator:
-                self.send("io", Event())
+                self.port("io").send(Event())
 
         def on_token(self, event):
             self.received.add()
             if self.initiator and self.received.count >= self.quota:
                 self.primary_ok_to_end()
                 return
-            self.send("io", event)
+            self.port("io").send(event)
 
     def run():
         table = ResultTable(["latency_ns", "lookahead_ns", "epochs"],
@@ -380,7 +380,7 @@ def _fabric_machine(psim, *, components=FABRIC_COMPONENTS, ticks=3,
             self.checksum.add(acc % 1_000_003)
             self.done.add()
             if self.emit:
-                self.send("ring_out", Event())
+                self.port("ring_out").send(Event())
             if self.done.count < self.ticks:
                 self.schedule(1000, self._tick)
 

@@ -24,14 +24,14 @@ class _Pinger(Component):
         self.register_as_primary()
 
     def setup(self):
-        self.send("io", Event())
+        self.port("io").send(Event())
 
     def on_event(self, event):
         self.count += 1
         if self.count >= self.limit:
             self.primary_ok_to_end()
         else:
-            self.send("io", event)
+            self.port("io").send(event)
 
 
 def pingpong_machine(n_events):

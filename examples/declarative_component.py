@@ -30,11 +30,11 @@ class Meter(Component):
         self._inflight += 1
         self.s_requests.add()
         self.s_bytes.add(event.size)
-        self.send("mem", event)
+        self.port("mem").send(event)
 
     def on_mem(self, event):
         self._inflight -= 1
-        self.send("cpu", event)
+        self.port("cpu").send(event)
 
 
 def machine() -> ConfigGraph:

@@ -156,4 +156,4 @@ class NodePool(Component):
         self._energy_j += joules
         self.s_energy.add(joules)
         self.s_node_busy_ps.add(len(alloc) * job.runtime_ps)
-        self._ports["sched"].endpoint.send(JobCompletion(job, node_ids=alloc))
+        self.port("sched").send(JobCompletion(job, node_ids=alloc))

@@ -241,8 +241,7 @@ class Scheduler(Component):
         self._dispatch()
 
     # ``on_completion`` and ``_dispatch`` run on every completion (and
-    # ``_dispatch`` on every arrival): each reads ``sim.now`` once and
-    # sends through the port endpoints, not the by-name component API.
+    # ``_dispatch`` on every arrival): each reads ``sim.now`` once.
     def on_completion(self, event: JobCompletion) -> None:
         now = self.sim.now
         job = event.job
@@ -250,9 +249,9 @@ class Scheduler(Component):
         self._free += job.nodes
         job.end_ps = now
         self.s_completed.add()
-        report = self._ports.get("report")  # None: no report port
-        if report is not None and report.endpoint is not None:
-            report.endpoint.send(JobReport(job))
+        report = self.port("report")
+        if report.connected:
+            report.send(JobReport(job))
         self._dispatch()
         self._maybe_done()
 
@@ -267,7 +266,7 @@ class Scheduler(Component):
         picked = self.policy.pick(queue, free, now, running)
         if not picked:
             return
-        launch = self._ports["pool"].endpoint.send
+        launch = self.port("pool").send
         for job in picked:
             job.start_ps = now
             free -= job.nodes
@@ -282,8 +281,9 @@ class Scheduler(Component):
         if (self._stream_done and not self._queue and not self._running
                 and not self._exit_sent):
             self._exit_sent = True
-            if self.port_connected("report"):
+            report = self.port("report")
+            if report.connected:
                 # Lets a primary collector keep the run alive until the
                 # reports ahead of this sentinel drain off the link.
-                self.send("report", JobReport(None, last=True))
+                report.send(JobReport(None, last=True))
             self.primary_ok_to_end()

@@ -199,11 +199,11 @@ class JobSource(Component):
         self._emitted += 1
         self.s_emitted.add()
         self.s_nodes_requested.add(job.nodes)
-        self._ports["out"].endpoint.send(JobArrival(job))
+        self.port("out").send(JobArrival(job))
         self._arm()
 
     def _finish_stream(self) -> None:
         if not self._done:
             self._done = True
-            self.send("out", JobArrival(None, last=True))
+            self.port("out").send(JobArrival(None, last=True))
             self.primary_ok_to_end()

@@ -118,7 +118,7 @@ def _check_required_ports(instances: Dict[str, Component]) -> None:
                 ok = any(spec.matches(name) and p.connected
                          for name, p in comp._ports.items())
             else:
-                ok = comp.port_connected(spec.name)
+                ok = comp.port(spec.name).connected
             if not ok:
                 raise ConfigError(
                     f"component {comp.name!r} ({type(comp).__name__}): "

@@ -356,7 +356,11 @@ class Component(_Declarative):
     # ports
     # ------------------------------------------------------------------
     def port(self, name: str) -> Port:
-        """Fetch (creating on first use) the named port."""
+        """Fetch (creating on first use) the named port.
+
+        The one way to send: ``self.port(name).send(event,
+        extra_delay)``; test an optional port with ``.connected``.
+        """
         try:
             return self._ports[name]
         except KeyError:
@@ -381,31 +385,6 @@ class Component(_Declarative):
             handler = self._event_checked(port_name, handler)
         port.bind(handler)
         return port
-
-    def send(self, port_name: str, event: Event, extra_delay: SimTime = 0) -> SimTime:
-        """Send ``event`` out of ``port_name``; returns the delivery time."""
-        try:
-            endpoint = self._ports[port_name].endpoint
-        except KeyError:
-            endpoint = None
-        if endpoint is None:
-            raise LinkError(
-                f"component {self.name!r}: send on unconnected port {port_name!r}"
-            )
-        return endpoint.send(event, extra_delay)
-
-    def port_connected(self, port_name: str) -> bool:
-        port = self._ports.get(port_name)
-        return port is not None and port.connected
-
-    def link_latency(self, port_name: str) -> SimTime:
-        """Latency of the link attached to ``port_name``."""
-        port = self._ports.get(port_name)
-        if port is None or port.endpoint is None:
-            raise LinkError(
-                f"component {self.name!r}: port {port_name!r} is not connected"
-            )
-        return port.endpoint.latency
 
     def _install_event_checks(self) -> None:
         """Wrap handlers of event-typed declared ports with isinstance

@@ -9,7 +9,7 @@ lookahead equal to the smallest latency of any partition-crossing link
 (see :mod:`repro.core.parallel`).
 
 A :class:`Link` joins two :class:`Port` objects.  Components call
-``self.send(port_name, event)``; delivery happens at
+``self.port(name).send(event, extra_delay)``; delivery happens at
 ``now + link.latency + extra_delay`` by invoking the handler the
 receiving port had bound when the event was sent.
 """
@@ -36,15 +36,22 @@ class Port:
     """A named attachment point on a component.
 
     Created lazily by :meth:`Component.port`; joined to a peer by
-    :meth:`Simulation.connect`.  An event carries the handler its port
-    had bound when the event was *sent*: the queue entry holds that
-    handler itself, so a delivery is one call with no port in between.
-    Every library model therefore binds its handlers in ``__init__``;
-    a port with no handler holds a stub that raises :class:`LinkError`
-    naming the port.
+    :meth:`Simulation.connect`.  ``port.send(event, extra_delay=0)`` is
+    the one way a component sends: once a link is wired it *is* the
+    link endpoint's bound ``send`` (returns the delivery time; a
+    negative ``extra_delay`` raises :class:`LinkError`), before that a
+    stub raising :class:`LinkError` naming the component and the port.
+    A port is never replaced, so a model may hold it, or its ``send``
+    once wired, anywhere.  An event carries the handler its port had
+    bound when the event was *sent*: the queue entry holds that handler
+    itself, so a delivery is one call with no port in between.  Every
+    library model therefore binds its handlers in ``__init__``; a port
+    with no handler holds a stub that raises :class:`LinkError` naming
+    the port.
     """
 
-    __slots__ = ("component", "name", "endpoint", "handler", "__weakref__")
+    __slots__ = ("component", "name", "endpoint", "handler", "send",
+                 "__weakref__")
 
     def __init__(self, component: "Component", name: str):
         self.component = component
@@ -53,6 +60,8 @@ class Port:
         #: What an event arriving here runs: the bound handler, or the
         #: stub raising LinkError.  Assign through :meth:`bind`.
         self.handler: Callable[[Event], None] = self._unhandled
+        #: The stub raising LinkError until :meth:`_wire` rebinds it.
+        self.send: Callable[..., SimTime] = self._unconnected
 
     def bind(self, handler: Optional[Callable[[Event], None]]) -> None:
         """Make ``handler`` this port's handler (None: back to the stub).
@@ -78,6 +87,14 @@ class Port:
         raise LinkError(
             f"event arrived at port {self.full_name()!r} but no handler is registered"
         )
+
+    def _unconnected(self, event: Event, extra_delay: SimTime = 0) -> SimTime:
+        raise LinkError(f"component {self.component.name!r}: "
+                        f"send on unconnected port {self.name!r}")
+
+    def _wire(self, endpoint: "LinkEndpoint") -> None:
+        self.endpoint = endpoint
+        self.send = endpoint.send
 
     @property
     def connected(self) -> bool:
@@ -211,8 +228,8 @@ class Link:
         end_b = LinkEndpoint(link, port_b, sim_b if sim_b is not None else sim_a)
         end_a.peer_port = port_b
         end_b.peer_port = port_a
-        port_a.endpoint = end_a
-        port_b.endpoint = end_b
+        port_a._wire(end_a)
+        port_b._wire(end_b)
         link.endpoints = [end_a, end_b]
         return link
 
@@ -228,7 +245,7 @@ class Link:
         link = Link(name, latency)
         end = LinkEndpoint(link, port, sim)
         end.peer_port = port
-        port.endpoint = end
+        port._wire(end)
         link.endpoints = [end]
         return link
 

@@ -105,12 +105,14 @@ class SharedBus(Component):
         return self._bus_free - self.now
 
     def _make_upstream_handler(self, port_index: int):
+        mem_port = self.port("mem")
+
         def handler(event):
             assert isinstance(event, MemRequest)
             self._route[event.req_id] = port_index
             event.src_port = port_index
             delay = self._occupy(event.size)
-            self.send("mem", event, extra_delay=delay)
+            mem_port.send(event, delay)
 
         return handler
 
@@ -122,4 +124,4 @@ class SharedBus(Component):
                 f"{self.name}: response id={event.req_id} has no return route"
             )
         delay = self._occupy(64)  # response carries one line
-        self.send(f"cpu{port_index}", event, extra_delay=delay)
+        self.port(f"cpu{port_index}").send(event, delay)

@@ -309,15 +309,15 @@ class Cache(Component):
             self.s_hits.add()
             if self.array.take_prefetched(event.addr):
                 self.s_prefetch_hits.add()
-            self.send("cpu", MemResponse(event, level=self.level_name),
-                      extra_delay=self.hit_latency)
+            self.port("cpu").send(MemResponse(event, level=self.level_name),
+                                  self.hit_latency)
             return
         self.s_misses.add()
         if writeback is not None:
             self.s_writebacks.add()
-            self.send("mem", MemRequest(writeback, self.array.line_size,
-                                        is_write=True),
-                      extra_delay=self.hit_latency)
+            self.port("mem").send(MemRequest(writeback, self.array.line_size,
+                                             is_write=True),
+                                  self.hit_latency)
         if len(self._outstanding) >= self.max_mshrs:
             self.s_queued.add()
             self._blocked.append(event)
@@ -330,13 +330,14 @@ class Cache(Component):
                            self.array.line_size, is_write=False,
                            req_id=event.req_id)
         self._outstanding[event.req_id] = event
-        self.send("mem", fetch, extra_delay=self.hit_latency)
+        self.port("mem").send(fetch, self.hit_latency)
 
     def _issue_prefetches(self, miss_addr: int) -> None:
         """Next-N-line stream prefetch after a demand miss."""
         if not self.prefetch_depth:
             return
         base = self.array.block_addr(miss_addr)
+        send = self.port("mem").send
         for k in range(1, self.prefetch_depth + 1):
             target = base + k * self.array.line_size
             if self.array.probe(target):
@@ -344,7 +345,7 @@ class Cache(Component):
             fetch = MemRequest(target, self.array.line_size, is_write=False)
             self._prefetch_ids.add(fetch.req_id)
             self.s_prefetches.add()
-            self.send("mem", fetch, extra_delay=self.hit_latency)
+            send(fetch, self.hit_latency)
 
     def on_response(self, event) -> None:
         assert isinstance(event, MemResponse)
@@ -355,12 +356,13 @@ class Cache(Component):
             writeback = self.array.install(event.addr, prefetched=True)
             if writeback is not None:
                 self.s_writebacks.add()
-                self.send("mem", MemRequest(writeback, self.array.line_size,
-                                            is_write=True))
+                self.port("mem").send(MemRequest(writeback,
+                                                 self.array.line_size,
+                                                 is_write=True))
             return
         original = self._outstanding.pop(event.req_id, None)
         if original is None:
             return  # e.g. response to an evicted writeback fetch
-        self.send("cpu", MemResponse(original, level=event.level))
+        self.port("cpu").send(MemResponse(original, level=event.level))
         if self._blocked:
             self._issue_miss(self._blocked.pop(0))

@@ -307,6 +307,8 @@ class CoherentBusComponent(Component):
             self.set_handler(f"cache{i}", self._make_handler(i))
 
     def _make_handler(self, cache_id: int):
+        cache_port = self.port(f"cache{cache_id}")
+
         def handler(event):
             assert isinstance(event, MemRequest)
             if event.is_write:
@@ -320,8 +322,7 @@ class CoherentBusComponent(Component):
                 delay += (self.c2c_latency if outcome.supplied_by == "cache"
                           else self.memory_latency)
             self.s_transactions.add()
-            self.send(f"cache{cache_id}", MemResponse(event, level="bus"),
-                      extra_delay=delay)
+            cache_port.send(MemResponse(event, level="bus"), delay)
 
         return handler
 
@@ -363,11 +364,10 @@ class CoherentCache(Component):
         self.hit_latency = p.find_time("hit_latency", "2ns")
 
     def on_setup(self) -> None:
-        bus_port = self._ports.get("bus")
-        if bus_port is None or bus_port.endpoint is None \
-                or bus_port.endpoint.peer_port is None:
+        endpoint = self.port("bus").endpoint
+        if endpoint is None or endpoint.peer_port is None:
             raise RuntimeError(f"{self.name}: 'bus' port must be connected")
-        peer = bus_port.endpoint.peer_port.component
+        peer = endpoint.peer_port.component
         if not isinstance(peer, CoherentBusComponent):
             raise RuntimeError(
                 f"{self.name}: 'bus' must connect to a memory.CoherentBus"
@@ -388,12 +388,12 @@ class CoherentCache(Component):
             else:
                 protocol.read(self.cache_id, event.addr)
             self.s_hits.add()
-            self.send("cpu", MemResponse(event, level="L1"),
-                      extra_delay=self.hit_latency)
+            self.port("cpu").send(MemResponse(event, level="L1"),
+                                  self.hit_latency)
         else:
             self.s_misses.add()
-            self.send("bus", event, extra_delay=self.hit_latency)
+            self.port("bus").send(event, self.hit_latency)
 
     def on_bus_response(self, event) -> None:
         assert isinstance(event, MemResponse)
-        self.send("cpu", event)
+        self.port("cpu").send(event)

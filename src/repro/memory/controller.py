@@ -133,11 +133,12 @@ class MemController(Component):
         arrival = self.now + self.frontend_latency
         self.sched.submit(arrival, event.addr, event.size, event.is_write,
                           payload=event)
+        send = self.port("cpu").send
         for completion, payload in self.sched.drain_until(arrival):
             assert isinstance(payload, MemRequest)
             self.s_latency.add(completion - self.now)
-            self.send("cpu", MemResponse(payload, level="dram"),
-                      extra_delay=max(0, completion - self.now))
+            send(MemResponse(payload, level="dram"),
+                 max(0, completion - self.now))
 
     def on_finish(self) -> None:
         self.s_reordered.add(self.sched.reordered - self.s_reordered.count)

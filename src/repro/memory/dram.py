@@ -256,8 +256,8 @@ class MainMemory(Component):
                                   event.is_write)
         (self.s_writes if event.is_write else self.s_reads).add()
         self.s_latency.add(done - self.now)
-        self.send("cpu", MemResponse(event, level="dram"),
-                  extra_delay=max(0, done - self.now))
+        self.port("cpu").send(MemResponse(event, level="dram"),
+                              max(0, done - self.now))
 
     def on_finish(self) -> None:
         self.s_row_hits.add(self.model.stats.row_hits - self.s_row_hits.count)
@@ -279,5 +279,5 @@ class SimpleMemory(Component):
     def on_request(self, event) -> None:
         assert isinstance(event, MemRequest)
         self.s_requests.add()
-        self.send("cpu", MemResponse(event, level="memory"),
-                  extra_delay=self.latency)
+        self.port("cpu").send(MemResponse(event, level="memory"),
+                              self.latency)

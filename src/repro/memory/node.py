@@ -63,9 +63,8 @@ class NodeMemory(Component):
     def _make_handler(self, port_index: int):
         from ..processor.core import BulkMemRequest, BulkMemResponse
 
-        # The closure holds its Port and sends through its endpoint,
-        # read per send: links are wired after this handler is built,
-        # and a request arrives only over a wired one.
+        # The closure holds its Port: links are wired after this
+        # handler is built, and ``core_port.send`` follows the wiring.
         core_port = self.port(f"core{port_index}")
         sim = self.sim
 
@@ -76,8 +75,7 @@ class NodeMemory(Component):
             done = self.bulk_completion(now, nbytes, event.accesses)
             self.s_bytes.add(nbytes)
             self.s_requests.add()
-            core_port.endpoint.send(BulkMemResponse(event.req_id),
-                                    max(0, done - now))
+            core_port.send(BulkMemResponse(event.req_id), max(0, done - now))
 
         return handler
 

@@ -79,7 +79,7 @@ class Nic(Component):
         self._tx_free = start + transfer
         self.s_sent.add()
         self.s_bytes_sent.add(size)
-        self._ports["net"].endpoint.send(event, self._tx_free - now)
+        self.port("net").send(event, self._tx_free - now)
 
     def on_deliver(self, event) -> None:
         """Fabric delivered a message: eject and hand to the endpoint."""
@@ -93,4 +93,4 @@ class Nic(Component):
         self._rx_free = start + transfer
         self.s_received.add()
         done = self._rx_free + self.recv_overhead
-        self._ports["cpu"].endpoint.send(event, done - now)
+        self.port("cpu").send(event, done - now)

@@ -16,8 +16,8 @@ Routing functions:
 * **crossbar** — direct output port.
 
 Every kind but dragonfly routes on the destination alone, so
-``on_message`` memoizes ``dest -> (out port, is_local, link endpoint)``
-per router (``_routes``; a hop sends through the held endpoint), and
+``on_message`` memoizes ``dest -> (out port, is_local, port.send)``
+per router (``_routes``; a hop sends through the held ``send``), and
 for every kind ``size -> transfer time`` at the router's one link
 bandwidth (``_transfer``; ``bytes_time`` is a pure function of size
 and bandwidth).  Neither memo is checkpointed: a restored router
@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.component import Component, port, stat, state
-from ..core.link import LinkError
 from ..core.registry import register
 from ..core.units import SimTime, bytes_time
 from .message import NetMessage
@@ -101,8 +100,8 @@ class Router(Component):
 
     _port_free = state(dict, doc="output port -> time it next frees up")
     _routes = state(dict, save=False,
-                    doc="dest endpoint -> (out port, is_local, its link "
-                        "endpoint), memoized route() results (not "
+                    doc="dest endpoint -> (out port, is_local, its "
+                        "port's send), memoized route() results (not "
                         "dragonfly)")
     _transfer = state(dict, save=False,
                       doc="message size -> serialisation time at "
@@ -275,17 +274,15 @@ class Router(Component):
         hop = self._routes.get(dest)
         if hop is None:
             out_port = self.route(dest, event)
-            port = self._ports.get(out_port)
-            if port is None or port.endpoint is None:
-                raise LinkError(f"component {self.name!r}: send on "
-                                f"unconnected port {out_port!r}")
-            hop = (out_port, out_port.startswith("local"), port.endpoint)
+            # an unconnected port's send is the stub raising LinkError
+            hop = (out_port, out_port.startswith("local"),
+                   self.port(out_port).send)
             # Dragonfly routing writes per-message state (via_done) and
             # Valiant draws from the RNG, so only the other kinds, whose
             # route depends on the destination alone, are memoized.
             if self.kind != "dragonfly":
                 self._routes[dest] = hop
-        out_port, is_local, endpoint = hop
+        out_port, is_local, send = hop
         now = self.sim.now
         start = now + self.hop_latency
         free = self._port_free.get(out_port, 0)
@@ -304,4 +301,4 @@ class Router(Component):
             self.s_delivered.add()
         else:
             self.s_forwarded.add()
-        endpoint.send(event, done - now)
+        send(event, done - now)

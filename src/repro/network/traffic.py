@@ -121,8 +121,8 @@ class PatternEndpoint(Component):
     def _emit(self, _payload=None) -> None:
         dest = self._dest()
         if dest is not None:
-            self.send("nic", NetMessage(self.endpoint_id, dest, self.size,
-                                        tag=self.pattern))
+            self.port("nic").send(NetMessage(self.endpoint_id, dest,
+                                             self.size, tag=self.pattern))
             self.s_sent.add()
         self._sent += 1
         if self._sent < self.count:

@@ -257,8 +257,8 @@ class MixCore(Component):
         # so that block's DRAM latency does not depend on whether the
         # memory was declared (and set up) before this core.  Without a
         # co-located node memory the core is latency-free on DRAM.
-        port = self._ports["mem"]
-        peer = port.endpoint.peer_port if port.endpoint is not None else None
+        endpoint = self.port("mem").endpoint
+        peer = endpoint.peer_port if endpoint is not None else None
         if peer is not None:
             dram = getattr(peer.component, "dram", None)
             if isinstance(dram, DRAMModel):
@@ -267,8 +267,7 @@ class MixCore(Component):
 
     # -- block state machine ------------------------------------------------
     # The three handlers below run once per block each, the whole of a
-    # design point's run: they read ``sim.now`` once and send through
-    # the ``mem`` endpoint rather than the by-name component API.
+    # design point's run: they read ``sim.now`` once.
     def _start_block(self, now: SimTime) -> None:
         remaining = self.total_instructions - self._retired
         if remaining <= 0:
@@ -285,11 +284,10 @@ class MixCore(Component):
         compute_done_delay = (timing.compute_ps + timing.cache_stall_ps
                               + timing.dram_latency_ps)
         self._pending_compute_done = now + compute_done_delay
-        # no endpoint: no node memory, the latency-only timer path
-        endpoint = self._ports["mem"].endpoint
-        if timing.dram_bytes and endpoint is not None:
-            endpoint.send(BulkMemRequest(timing.dram_bytes,
-                                         timing.dram_accesses))
+        # unconnected: no node memory, the latency-only timer path
+        mem = self.port("mem")
+        if timing.dram_bytes and mem.connected:
+            mem.send(BulkMemRequest(timing.dram_bytes, timing.dram_accesses))
         else:
             self.schedule(compute_done_delay, self._finish_block, None)
 
@@ -385,7 +383,7 @@ class TrafficGenerator(Component):
         self._inflight[request.req_id] = self.now
         self._issued += 1
         self.s_issued.add()
-        self.send("mem", request)
+        self.port("mem").send(request)
 
     def on_response(self, event) -> None:
         assert isinstance(event, MemResponse)

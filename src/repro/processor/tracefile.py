@@ -172,7 +172,7 @@ class TraceReplayCore(Component):
         self._inflight[request.req_id] = self.now
         self._issued += 1
         self.s_issued.add()
-        self.send("mem", request)
+        self.port("mem").send(request)
         return True
 
     def on_response(self, event) -> None:

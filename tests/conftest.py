@@ -41,7 +41,7 @@ class PingPong(Component):
 
     def setup(self):
         if self.initiator:
-            self.send("io", Token(value=1))
+            self.port("io").send(Token(value=1))
 
     def on_token(self, event):
         assert isinstance(event, Token)
@@ -51,7 +51,7 @@ class PingPong(Component):
         if self.initiator and self.received.count >= self.quota:
             self.primary_ok_to_end()
             return
-        self.send("io", Token(value=event.value + 1, hops=event.hops + 1))
+        self.port("io").send(Token(value=event.value + 1, hops=event.hops + 1))
 
 
 @register("testlib.Clocked")
@@ -107,7 +107,23 @@ class Source(Component):
         self.schedule(self.period, self._emit)
 
     def _emit(self, _payload):
-        self.send("out", Token(value=self.sent.count))
+        self.port("out").send(Token(value=self.sent.count))
+        self.sent.add()
+        if self.sent.count < self.count:
+            self.schedule(self.period, self._emit)
+
+
+@register("testlib.HeldSource")
+class HeldSource(Source):
+    """A :class:`Source` that holds its ``out`` Port from ``__init__``,
+    before any link is wired, and sends through the held Port."""
+
+    def __init__(self, sim, name, params=None):
+        super().__init__(sim, name, params)
+        self.out_port = self.port("out")
+
+    def _emit(self, _payload):
+        self.out_port.send(Token(value=self.sent.count))
         self.sent.add()
         if self.sent.count < self.count:
             self.schedule(self.period, self._emit)

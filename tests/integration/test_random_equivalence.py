@@ -30,8 +30,9 @@ class Forwarder(Component):
     def on_event(self, event):
         self.forwarded.add()
         for i in range(self.n_outs):
-            if self.port_connected(f"out{i}"):
-                self.send(f"out{i}", event.clone())
+            out = self.port(f"out{i}")
+            if out.connected:
+                out.send(event.clone())
 
 
 @st.composite

@@ -41,7 +41,7 @@ class Relay(Component):
         self.schedule(1000, self._fire)
 
     def _fire(self, _):
-        self.send("out", UnpicklableEvent())
+        self.port("out").send(UnpicklableEvent())
 
 
 def paper_style_graph():
@@ -363,7 +363,7 @@ class BigSender(Component):
         self.schedule(1000, self._fire)
 
     def _fire(self, _):
-        self.send("out", Blob(bytes(_BIG_FRAME_BYTES)))
+        self.port("out").send(Blob(bytes(_BIG_FRAME_BYTES)))
 
 
 def _inode(fd):

@@ -48,7 +48,7 @@ class Echo(Component):
         self._seen += 1
         self._log.append(self.now)
         self.s_pings.add()
-        self.send("io", Pong())
+        self.port("io").send(Pong())
 
 
 class TestPortSpec:
@@ -267,7 +267,7 @@ class TestBuilderValidation:
             out = port("sends garbage", required=False)
 
             def on_setup(self):
-                self.send("out", NetMessage(src=0, dest=0, size=8))
+                self.port("out").send(NetMessage(src=0, dest=0, size=8))
 
         sim = Simulation(seed=1)
         sim.validate_events = True

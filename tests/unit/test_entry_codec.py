@@ -247,8 +247,8 @@ class Shipper(Component):
 
     def setup(self):
         for i, event in enumerate(shipment()):
-            self.schedule(1000 * (i + 1), lambda _, e=event: self.send("out",
-                                                                        e))
+            self.schedule(1000 * (i + 1),
+                          lambda _, e=event: self.port("out").send(e))
 
 
 class Collector(Component):
@@ -286,8 +286,8 @@ class TwinSender(Component):
     def setup(self):
         event = OneSlot()
         event.only = [1, 2]
-        self.schedule(1000, lambda _: (self.send("a", event),
-                                       self.send("b", event)))
+        self.schedule(1000, lambda _: (self.port("a").send(event),
+                                       self.port("b").send(event)))
 
 
 class TwinCollector(Component):

@@ -3,7 +3,9 @@
 A link send pushes ``(time, priority, seq, handler, event)`` where
 ``handler`` is the receiving port's bound handler itself, so a delivery
 is one call with no port frame in between.  These tests pin what that
-must not change: the error each misuse raises, the labels observers
+must not change: the error each misuse raises, delivery through a
+``Port`` held since ``__init__`` (over a local link, a cross-rank link,
+after a restore and under the causal tracer), the labels observers
 and replays see, validation of sends made in ``setup()``, the queue's
 sole ownership of ``seq``, bit-identical checkpoint resume when the
 handlers are per-index closures (which do not pickle by value), and the
@@ -23,7 +25,7 @@ from repro.core.eventqueue import HeapEventQueue
 from repro.core.link import LinkError, port_of
 from repro.memory.events import MemRequest
 from repro.obs import attribute_event
-from tests.conftest import Sink, Source, Token
+from tests.conftest import HeldSource, Sink, Source, Token
 from tests.unit.test_ckpt import OLD_SCHEMA_REFUSED, stamp_schema
 from tests.unit.test_determinism import RecordingQueue, mixed_graph
 
@@ -34,10 +36,11 @@ class Lonely(Component):
     out = port("never connected", required=False)
 
 
-def _stub_graph(latency: str = "10ns") -> ConfigGraph:
+def _stub_graph(latency: str = "10ns",
+                source: str = "testlib.Source") -> ConfigGraph:
     """A source whose tokens go to the sink's handler-less ``loop`` port."""
     graph = ConfigGraph("stub")
-    graph.component("src", "testlib.Source", {"count": 3, "period": "1ns"})
+    graph.component("src", source, {"count": 3, "period": "1ns"})
     graph.component("sink", "testlib.Sink", {})
     graph.link("src", "out", "sink", "loop", latency=latency)
     return graph
@@ -48,36 +51,44 @@ def _stub_graph(latency: str = "10ns") -> ConfigGraph:
 # ----------------------------------------------------------------------
 
 def _send_unknown(sim):
-    Lonely(sim, "a").send("nope", Token())
+    Lonely(sim, "a").port("nope").send(Token())
 
 
 def _send_unconnected(sim):
-    Lonely(sim, "a").send("out", Token())
+    Lonely(sim, "a").port("out").send(Token())
+
+
+def _send_held_unconnected(sim):
+    # held from __init__, sent on without a link ever being wired
+    HeldSource(sim, "a", Params({}))._emit(None)
 
 
 def _send_negative_delay(sim):
     src = Source(sim, "a", Params({}))
     sink = Sink(sim, "b", Params({}))
     sim.connect(src, "out", sink, "in", latency="1ns")
-    src.send("out", Token(), extra_delay=-1)
+    src.port("out").send(Token(), extra_delay=-1)
 
 
 @pytest.mark.parametrize("misuse, match", [
     (_send_unknown, "component 'a': send on unconnected port 'nope'"),
     (_send_unconnected, "component 'a': send on unconnected port 'out'"),
+    (_send_held_unconnected,
+     "component 'a': send on unconnected port 'out'"),
     (_send_negative_delay, "extra_delay must be non-negative"),
-], ids=["unknown-port", "unconnected-port", "negative-extra-delay"])
+], ids=["unknown-port", "unconnected-port", "held-unconnected-port",
+        "negative-extra-delay"])
 def test_send_misuse_raises_link_error(misuse, match):
     with pytest.raises(LinkError, match=match):
         misuse(Simulation(seed=1))
 
 
-def _deliver_local(tmp_path):
-    build(_stub_graph(), seed=1).run()
+def _deliver_local(tmp_path, source):
+    build(_stub_graph(source=source), seed=1).run()
 
 
-def _deliver_cross_rank(tmp_path):
-    graph = _stub_graph()
+def _deliver_cross_rank(tmp_path, source):
+    graph = _stub_graph(source=source)
     graph.get_component("src").rank = 0
     graph.get_component("sink").rank = 1
     psim = build_parallel(graph, 2, seed=1, backend="processes")
@@ -88,23 +99,89 @@ def _deliver_cross_rank(tmp_path):
         psim.close()
 
 
-def _deliver_restored(tmp_path):
+def _deliver_restored(tmp_path, source, cut="5ns"):
     from repro.ckpt import restore, snapshot
 
-    sim = build(_stub_graph(), seed=1)
+    sim = build(_stub_graph(source=source), seed=1)
     # The first token leaves at 1 ns and is due at 11 ns.
-    sim.run(max_time="5ns", finalize=False)
+    sim.run(max_time=cut, finalize=False)
     assert sim.pending_events
     resumed = restore(snapshot(sim, tmp_path / "stub"))
     resumed.run()
 
 
-@pytest.mark.parametrize("deliver", [
-    _deliver_local, _deliver_cross_rank, _deliver_restored,
-], ids=["local-link", "cross-rank-processes", "restored-record"])
-def test_delivery_to_port_without_handler_names_it(deliver, tmp_path):
+def _deliver_sent_after_restore(tmp_path, source):
+    # Cut before the first token leaves: every send is made by the
+    # restored source, so a stale Port would send into the dead run.
+    _deliver_restored(tmp_path, source, cut="500ps")
+
+
+_DELIVERIES = {"local-link": _deliver_local,
+               "cross-rank-processes": _deliver_cross_rank,
+               "restored-record": _deliver_restored,
+               "sent-after-restore": _deliver_sent_after_restore}
+
+
+@pytest.mark.parametrize("deliver, source", [
+    pytest.param(deliver, source, id=prefix + key)
+    for prefix, source in (("", "testlib.Source"),
+                           ("held-port-", "testlib.HeldSource"))
+    for key, deliver in _DELIVERIES.items()])
+def test_delivery_to_port_without_handler_names_it(deliver, source,
+                                                   tmp_path):
+    """Each token ends at a handler-less port, so the error shows it
+    was delivered; ``held-port-`` sources send through the Port they
+    hold from ``__init__``."""
     with pytest.raises(LinkError, match="port 'sink.loop' but no handler"):
-        deliver(tmp_path)
+        deliver(tmp_path, source)
+
+
+@pytest.mark.parametrize("source", ["testlib.Source", "testlib.HeldSource"])
+def test_cross_rank_sends_arrive_on_the_peer_rank(source):
+    """A cross-rank send goes to the rank outbox (``set_remote``), so
+    the sink counts every token on its own rank; a send pushed onto the
+    sender's heap would run the sink's handler on the wrong rank."""
+    graph = ConfigGraph("cross")
+    graph.component("src", source, {"count": 3, "period": "1ns"})
+    graph.component("sink", "testlib.Sink", {})
+    graph.link("src", "out", "sink", "in", latency="10ns")
+    graph.get_component("src").rank = 0
+    graph.get_component("sink").rank = 1
+    psim = build_parallel(graph, 2, seed=1, backend="processes")
+    try:
+        psim.run()
+        stats = psim.stat_values()
+    finally:
+        psim.close()
+    assert (stats["src.sent"], stats["sink.received"]) == (3, 3)
+
+
+def test_causal_tracer_records_sends_through_a_held_port(tmp_path):
+    """The tracer wraps each endpoint with ``set_remote``; a Port held
+    before the wrap still sends through it, so every token's cause is
+    the source's emit event."""
+    from repro.obs import CausalCapture
+    from repro.obs.critpath import load_causal
+
+    graph = ConfigGraph("held")
+    graph.component("src", "testlib.HeldSource",
+                    {"count": 4, "period": "1ns"})
+    graph.component("sink", "testlib.Sink", {})
+    graph.link("src", "out", "sink", "in", latency="10ns")
+    sim = build(graph, seed=1)
+    capture = CausalCapture(tmp_path / "m.jsonl")
+    capture.attach(sim)
+    sim.run()
+    capture.close()
+    assert sim.component("sink").received.count == 4
+    causal = load_causal(tmp_path / "m.jsonl")
+    tokens = [node for node in causal.nodes
+              if causal.component_of(node)[0] == "sink"]
+    assert len(tokens) == 4
+    for node in tokens:
+        cause = causal.nodes[node][2]
+        assert cause is not None, node
+        assert causal.component_of((0, cause))[0] == "src"
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +194,7 @@ class TestEntryCarriesHandler:
         src = Source(sim, "src", Params({}))
         sink = Sink(sim, "sink", Params({}))
         sim.connect(src, "out", sink, "in", latency="1ns")
-        src.send("out", Token())
+        src.port("out").send(Token())
         (entry,) = sim._queue._heap
         assert entry[3] is sink.port("in").handler
         assert port_of(entry[3]) is sink.port("in")
@@ -170,9 +247,9 @@ class TestSeqOwnership:
         sink = Sink(sim, "sink", Params({}))
         sim.connect(src, "out", sink, "in", latency="1ns")
         sim._queue.restore_records([], 100)
-        src.send("out", Token())
+        src.port("out").send(Token())
         sim.schedule_callback(1, lambda _payload: None)
-        src.send("out", Token())
+        src.port("out").send(Token())
         assert sorted(entry[2] for entry in sim._queue._heap) == \
             [100, 101, 102]
 
@@ -185,7 +262,7 @@ class _SetupSender(Component):
     out = port("sends a wrong-typed event from setup", required=False)
 
     def on_setup(self):
-        self.send("out", Token())
+        self.port("out").send(Token())
 
 
 class _ChunkSink(Component):

@@ -144,7 +144,7 @@ class TestRouting:
             "endpoint_id": 0, "n_endpoints": 8, "count": 0}))
         sim.connect(src, "nic", ep, "nic", latency="1ns")
         sim.setup()
-        src.send("nic", NetMessage(0, 5, 64))  # dest 5 != 3
+        src.port("nic").send(NetMessage(0, 5, 64))  # dest 5 != 3
         with pytest.raises(RuntimeError, match="misrouted"):
             sim.run()
 
@@ -238,8 +238,8 @@ def _routers(sim):
 
 
 class TestRouteMemo:
-    """``on_message`` memoizes ``dest -> (out port, is_local, link
-    endpoint)`` for every kind whose route depends on the destination
+    """``on_message`` memoizes ``dest -> (out port, is_local, its
+    port's send)`` for every kind whose route depends on the destination
     alone."""
 
     @pytest.mark.parametrize("builder,n,kwargs,kinds", [
@@ -266,9 +266,9 @@ class TestRouteMemo:
             for dest, hop in router._routes.items():
                 port = router.route(dest)
                 assert hop == (port, port.startswith("local"),
-                               router.port(port).endpoint), (
+                               router.port(port).send), (
                     router.name, dest)
-                assert hop[2] is not None
+                assert router.port(port).connected
 
     @pytest.mark.parametrize("routing", ["minimal", "valiant"])
     def test_dragonfly_never_memoizes(self, routing):

@@ -22,7 +22,7 @@ def build_chain(host, rank_of, n_stages, n_tokens, latency="5ns"):
 
         def on_event(self, event):
             self.forwarded.add()
-            self.send("out", event)
+            self.port("out").send(event)
 
     def sim_for(i):
         if isinstance(host, ParallelSimulation):

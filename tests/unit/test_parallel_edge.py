@@ -81,7 +81,7 @@ class TestEdgeCases:
 
         class EagerSender(Component):
             def setup(self):
-                self.send("out", Event())
+                self.port("out").send(Event())
 
         psim = ParallelSimulation(2, seed=1)
         sender = EagerSender(psim.rank_sim(0), "eager")

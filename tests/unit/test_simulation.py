@@ -201,8 +201,9 @@ class TestLinks:
         sim = Simulation()
         comp = Component(sim, "c")
         sim.setup()
-        with pytest.raises(LinkError):
-            comp.send("nowhere", Event())
+        with pytest.raises(LinkError, match="component 'c': send on "
+                                            "unconnected port 'nowhere'"):
+            comp.port("nowhere").send(Event())
 
     def test_double_connect_rejected(self):
         sim = Simulation()
@@ -222,7 +223,7 @@ class TestLinks:
         a, b = Component(sim, "a"), Component(sim, "b")
         sim.connect(a, "out", b, "in", latency="1ns")
         sim.setup()
-        a.send("out", Event())
+        a.port("out").send(Event())
         with pytest.raises(LinkError):
             sim.run()
 
@@ -232,7 +233,7 @@ class TestLinks:
         src = Component(sim, "src")
         sim.connect(src, "out", sink, "in", latency="10ns")
         sim.setup()
-        when = src.port("out").endpoint.send(Event(), extra_delay=5000)
+        when = src.port("out").send(Event(), extra_delay=5000)
         assert when == 15_000
         sim.run()
         assert sink.arrival_times == [15_000]
@@ -247,26 +248,17 @@ class TestLinks:
                 self.set_handler("loop", self.on_loop)
 
             def setup(self):
-                self.send("loop", Token())
+                self.port("loop").send(Token())
 
             def on_loop(self, event):
                 self.times.append(self.now)
                 if len(self.times) < 3:
-                    self.send("loop", event)
+                    self.port("loop").send(event)
 
         echo = Echo(sim, "echo")
         sim.self_link(echo, "loop", latency="7ns")
         sim.run()
         assert echo.times == [7000, 14000, 21000]
-
-    def test_link_latency_query(self):
-        sim = Simulation()
-        a, b = Component(sim, "a"), Component(sim, "b")
-        sim.connect(a, "p", b, "q", latency="42ns")
-        assert a.link_latency("p") == 42_000
-        assert b.link_latency("q") == 42_000
-        with pytest.raises(LinkError):
-            a.link_latency("other")
 
 
 class TestClocks:
