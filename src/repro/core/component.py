@@ -85,15 +85,74 @@ _IMPERATIVE = {
 }
 
 
+def _compile_declare(cls: type) -> Callable[[Any, StatisticGroup, str], None]:
+    """``cls``'s construction function, compiled once per class.
+
+    ``_declare(self, stats, prefix)`` brings the declarations alive on
+    a new instance in straight-line code, one attribute store each:
+    declared state with a default first, in declaration order, so the
+    first instance puts every key into the class's shared-key table and
+    no instance goes dict-backed later (docs/COMPONENTS.md); declared
+    statistics next, registered into ``stats`` under
+    ``<prefix><name>`` (the ``self.s_hits`` fast-access idiom); declared
+    typed parameters last, each through its Params accessor, so the
+    subclass body sees ``self.<param>`` already set.  ``choices`` are
+    checked only where declared.  Every value is a plain attribute
+    store: reading ``self.__dict__`` would make CPython trade the
+    instance's inline attribute values for a real dict, and every
+    attribute access of the run would pay for it.
+    """
+    namespace: Dict[str, Any] = {}
+    lines = ["def _declare(self, stats, prefix):"]
+
+    def bind(value: Any) -> str:
+        name = f"_{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def store(attr: str, expr: str) -> None:
+        lines.append(f"    self.{attr} = {expr}")
+
+    for attr, spec in cls._state_specs.items():
+        if spec.factory is not None:
+            store(attr, f"{bind(spec.factory)}()")
+        elif spec.has_default:
+            store(attr, bind(spec.default))
+    for attr, spec in cls._stat_specs.items():
+        make = bind(getattr(StatisticGroup, spec.kind))
+        kwargs = f", **{bind(spec.kwargs)}" if spec.kwargs else ""
+        store(attr, f"{make}(stats, prefix + {spec.name!r}{kwargs})")
+    if cls._param_specs:
+        lines.append("    params = self.params")
+    for attr, spec in cls._param_specs.items():
+        parse = (f"{bind(spec._find)}(params, {spec.name!r}, "
+                 f"{bind(spec.default)})")
+        if spec.choices is None:
+            store(attr, parse)
+            continue
+        lines += [f"    value = {parse}",
+                  f"    if value not in {bind(spec.choices)}:",
+                  f"        raise {bind(spec.choice_error)}(value)"]
+        store(attr, "value")
+    lines.append("    return None")
+    code = compile("\n".join(lines),
+                   f"<declare {cls.__module__}.{cls.__qualname__}>", "exec")
+    exec(code, namespace)
+    declare = namespace["_declare"]
+    declare.__qualname__ = f"{cls.__qualname__}._declare"
+    return declare
+
+
 class _Declarative:
     """What :class:`Component` and :class:`SubComponent` share.
 
     Class creation collects the declared-spec tables, refuses the
-    imperative protocol and checks statistic names; construction
-    (:meth:`_declare`) registers declared statistics, parses declared
-    parameters and fills declared slots; the checkpoint, telemetry and
-    lifecycle protocols are written once here.  A subcomponent is
-    simply a declarative model without ports or slots.
+    imperative protocol, checks statistic names and compiles the
+    class's ``_declare`` (:func:`_compile_declare`), which construction
+    calls to set declared state, register declared statistics and parse
+    declared parameters; a component then fills its declared slots.  The
+    checkpoint, telemetry and lifecycle protocols are written once here.
+    A subcomponent is simply a declarative model without ports or slots.
     """
 
     #: Attributes the wiring layer owns, one set per base: a restore
@@ -115,12 +174,10 @@ class _Declarative:
         cls._stat_specs = specs["stats"]
         cls._param_specs = specs["params"]
         cls._slot_specs = specs["slots"]
-        cls._state_defaults = tuple(
-            (attr, spec.factory, spec.default)
-            for attr, spec in cls._state_specs.items() if spec.has_default)
-        cls._stat_makers = tuple(
-            (attr, getattr(StatisticGroup, spec.kind), spec.name, spec.kwargs)
-            for attr, spec in cls._stat_specs.items())
+        cls._declare = _compile_declare(cls)
+        cls._port_handlers = tuple(
+            (spec.name, attr) for spec in cls._port_specs.values()
+            if (attr := spec.handler_attr(cls)) is not None)
         cls._state_skip = cls._ENGINE_OWNED | {
             attr for attr, spec in cls._state_specs.items() if not spec.save
         }
@@ -146,43 +203,6 @@ class _Declarative:
                     f"{cls.__name__}: gauge state {spec.attr!r} collides "
                     f"with a declared statistic of the same name"
                 )
-
-    def _declare(self, stats: StatisticGroup, prefix: str) -> None:
-        """Bring the declarations alive on a new instance.
-
-        Declared state with a default is set first, in declaration
-        order, so the first instance puts every key into the class's
-        shared-key table and no instance goes dict-backed later
-        (docs/COMPONENTS.md).  Declared statistics register into
-        ``stats`` under ``<prefix><name>`` next, preserving the
-        ``self.s_hits`` fast-access idiom.  Declared typed
-        parameters parse next, so the subclass body (and slot
-        subcomponents) see ``self.<param>`` already set.  Declared
-        slots resolve last, through the registry: the selected type
-        name is the slot-named Params key and the subcomponent receives
-        the ``<slot>.``-scoped sub-params.  Every value is stored with
-        ``setattr``: reading ``self.__dict__`` would make CPython trade
-        the instance's inline attribute values for a real dict, and
-        every attribute access of the run would pay for it.
-        """
-        cls = type(self)
-        for attr, factory, default in cls._state_defaults:
-            setattr(self, attr, default if factory is None else factory())
-        for attr, make, name, kwargs in cls._stat_makers:
-            setattr(self, attr, make(stats, prefix + name, **kwargs))
-        params = self.params
-        for attr, spec in cls._param_specs.items():
-            setattr(self, attr, spec.parse(params))
-        for attr, spec in cls._slot_specs.items():
-            type_name = spec.configured_type(params)
-            if type_name is None:
-                continue
-            params.accept(attr)
-            from .registry import resolve
-
-            sub_cls = resolve(type_name)
-            spec.check(type_name, sub_cls)
-            setattr(self, attr, sub_cls(self, attr, params.scoped(attr)))
 
     def _filled_slots(self) -> List[Tuple[str, "SubComponent"]]:
         """``(slot, subcomponent)`` for every filled slot, in order."""
@@ -343,14 +363,38 @@ class Component(_Declarative):
         self.stats = StatisticGroup()
         self._ports: Dict[str, Port] = {}
         self._declare(self.stats, "")
+        cls = type(self)
+        if cls._slot_specs:
+            self._fill_slots()
         # Declared scalar ports bind their handlers (decorator, explicit
         # name, or on_<port> convention); indexed families are bound by
         # the subclass, which knows the index range.
-        for spec in type(self)._port_specs.values():
-            handler = spec.resolve_handler(self)
-            if handler is not None:
-                self.set_handler(spec.name, handler)
+        for port_name, attr in cls._port_handlers:
+            handler = getattr(self, attr, None)
+            if handler is None:
+                raise SpecError(
+                    f"{cls.__name__}: port {port_name!r} names handler "
+                    f"{attr!r} which does not exist")
+            self.set_handler(port_name, handler)
         sim._register_component(self)
+
+    def _fill_slots(self) -> None:
+        """Resolve each declared slot through the registry and fill it.
+
+        The selected type name is the slot-named Params key; the
+        subcomponent receives the ``<slot>.``-scoped sub-params.
+        """
+        from .registry import resolve
+
+        params = self.params
+        for attr, spec in type(self)._slot_specs.items():
+            type_name = spec.configured_type(params)
+            if type_name is None:
+                continue
+            params.accept(attr)
+            sub_cls = resolve(type_name)
+            spec.check(type_name, sub_cls)
+            setattr(self, attr, sub_cls(self, attr, params.scoped(attr)))
 
     # ------------------------------------------------------------------
     # ports
@@ -477,15 +521,17 @@ class Component(_Declarative):
         their ``on_setup`` first, so the parent's hook may already rely
         on a fully initialised policy.
         """
-        for _, sub in self._filled_slots():
-            sub.on_setup()
+        if type(self)._slot_specs:
+            for _, sub in self._filled_slots():
+                sub.on_setup()
         self.on_setup()
 
     def finish(self) -> None:
         """Called once when the run ends.  Override :meth:`on_finish`."""
         self.on_finish()
-        for _, sub in self._filled_slots():
-            sub.on_finish()
+        if type(self)._slot_specs:
+            for _, sub in self._filled_slots():
+                sub.on_finish()
 
     def debug(self, message: str) -> None:
         """Engine-level debug trace, gated on the simulation's verbosity."""

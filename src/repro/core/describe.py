@@ -125,26 +125,21 @@ class PortSpec:
         return port_name == self.name
 
     # -- engine-side API ------------------------------------------------
-    def resolve_handler(self, component: Any) -> Optional[Callable]:
-        """The bound receive handler on ``component``, if declared.
+    def handler_attr(self, cls: type) -> Optional[str]:
+        """The name of ``cls``'s receive handler for this port, if any.
 
-        Resolution order: an explicit/decorator-recorded handler name,
-        then the ``on_<port>`` naming convention.  Indexed families
-        return None — their per-index closures are bound by the
-        subclass with ``Component.set_handler``.
+        Resolution order: an explicit/decorator-recorded handler name
+        (checked when an instance binds it), then the ``on_<port>``
+        naming convention.  Indexed families return None — their
+        per-index closures are bound by the subclass with
+        ``Component.set_handler``.
         """
         if self.indexed:
             return None
         if self.handler_name is not None:
-            fn = getattr(component, self.handler_name, None)
-            if fn is None:
-                raise SpecError(
-                    f"{type(component).__name__}: port {self.name!r} names "
-                    f"handler {self.handler_name!r} which does not exist"
-                )
-            return fn
-        fn = getattr(component, f"on_{self.name}", None)
-        return fn if callable(fn) else None
+            return self.handler_name
+        attr = f"on_{self.name}"
+        return attr if callable(getattr(cls, attr, None)) else None
 
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
         if obj is None:
@@ -414,14 +409,11 @@ class ParamSpec:
         if self.name is None:
             self.name = attr
 
-    def parse(self, params: Any) -> Any:
-        """Fetch + type this parameter from a Params instance."""
-        value = self._find(params, self.name, self.default)
-        if self.choices is not None and value not in self.choices:
-            raise ParamError(
-                f"parameter {self.name!r}={value!r} not one of "
-                f"{list(self.choices)}")
-        return value
+    def choice_error(self, value: Any) -> ParamError:
+        """The error for a configured ``value`` outside ``choices``."""
+        return ParamError(
+            f"parameter {self.name!r}={value!r} not one of "
+            f"{list(self.choices)}")
 
     def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
         # Construction assigns the parsed value, which shadows this

@@ -46,17 +46,19 @@ class Params(Mapping[str, Any]):
     def __init__(self, data: Optional[Mapping[str, Any]] = None, *, scope: str = ""):
         self._data: Dict[str, Any] = dict(data or {})
         self._scope = scope
-        self._consumed: Set[str] = set()
+        #: keys read so far, as a dict of key -> None: a dict of strings
+        #: is not tracked by the cyclic collector, a set always is
+        self._consumed: Dict[str, None] = {}
         self._parent: Optional["Params"] = None
         self._finalized = False
 
     # -- Mapping protocol -------------------------------------------------
     def __getitem__(self, key: str) -> Any:
         value = self._data[key]
-        self._consumed.add(key)
+        self._consumed[key] = None
         parent = self._parent
         if parent is not None and key in parent._data:
-            parent._consumed.add(key)
+            parent._consumed[key] = None
         return value
 
     def __iter__(self) -> Iterator[str]:
@@ -71,10 +73,10 @@ class Params(Mapping[str, Any]):
     # -- core find --------------------------------------------------------
     def _fetch(self, key: str, default: Any, required: bool) -> Any:
         if key in self._data:
-            self._consumed.add(key)
+            self._consumed[key] = None
             parent = self._parent
             if parent is not None and key in parent._data:
-                parent._consumed.add(key)
+                parent._consumed[key] = None
             return self._data[key]
         if required and default is _MISSING:
             where = f" in scope {self._scope!r}" if self._scope else ""
@@ -171,7 +173,7 @@ class Params(Mapping[str, Any]):
         # Scoping counts as consumption of the parent keys.
         for k in self._data:
             if k.startswith(dotted):
-                self._consumed.add(k)
+                self._consumed[k] = None
         scope = f"{self._scope}.{prefix}" if self._scope else prefix
         return Params(sub, scope=scope)
 
@@ -201,14 +203,14 @@ class Params(Mapping[str, Any]):
         description but each router kind reads only its slice."""
         for key in keys:
             if key in self._data:
-                self._consumed.add(key)
+                self._consumed[key] = None
                 parent = self._parent
                 if parent is not None and key in parent._data:
-                    parent._consumed.add(key)
+                    parent._consumed[key] = None
 
     def unused_keys(self) -> Set[str]:
         """Keys never fetched through any ``find*`` accessor."""
-        return set(self._data) - self._consumed
+        return set(self._data).difference(self._consumed)
 
     def finalize_check(self, owner: str = "") -> Set[str]:
         """Warn (once) about configured keys that were never read.

@@ -470,6 +470,70 @@ class TestWorkerFaults:
             backend.close()
 
 
+class TestWorkerExit:
+    """A worker ends after its ``finish`` reply, or on EOF of its
+    control pipe when the run never got that far."""
+
+    def test_worker_ends_after_its_finish_reply(self):
+        psim = ParallelSimulation(2, seed=1, backend="processes")
+        Sink(psim.rank_sim(0), "a")
+        Sink(psim.rank_sim(1), "b")
+        psim.setup()
+        backend = make_backend("processes", psim)
+        backend.start()
+        proc = backend._procs[1]
+        try:
+            backend.finalize()
+            # before close(): the worker ended on its own
+            proc.join(timeout=5)
+            assert proc.exitcode == 0
+        finally:
+            backend.close()
+
+    def test_a_finished_run_reaps_its_worker_and_closes_every_fd(self):
+        psim = ParallelSimulation(2, seed=1, backend="processes")
+        src = Source(psim.rank_sim(0), "src",
+                     Params({"count": 3, "period": "1ns"}))
+        sink = Sink(psim.rank_sim(1), "sink")
+        psim.connect(src, "out", sink, "in", latency="2ns")
+        seen = {}
+
+        def capture(info):
+            backend = psim._backend
+            seen.setdefault("proc", backend._procs[1])
+            seen.setdefault("fds", _open_fds(backend._exchange))
+
+        psim.add_epoch_observer(capture)
+        psim.run()
+        assert psim.rank_sim(1).component("sink").received.value() == 3
+        assert psim._backend is None
+        assert seen["proc"].exitcode == 0
+        assert _still_open(seen["fds"]) == []
+
+    def test_a_run_that_raises_mid_epoch_ends_its_worker_through_eof(self):
+        """No ``finish`` is sent: closing the control pipe ends it."""
+        seen = {}
+
+        class Exploder(Component):
+            def setup(self):
+                self.schedule(1000, self._boom)
+
+            def _boom(self, _):
+                backend = psim._backend
+                seen.update(proc=backend._procs[1],
+                            fds=_open_fds(backend._exchange))
+                raise RuntimeError("model bug")
+
+        psim = ParallelSimulation(2, seed=1, backend="processes")
+        Exploder(psim.rank_sim(0), "x")
+        Sink(psim.rank_sim(1), "s")
+        with pytest.raises(RuntimeError, match="model bug"):
+            psim.run()
+        assert psim._backend is None
+        assert seen["proc"].exitcode == 0  # not terminated by close()
+        assert _still_open(seen["fds"]) == []
+
+
 class TestCleanupOnFailure:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_failed_run_releases_backend(self, backend):

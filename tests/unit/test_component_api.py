@@ -69,6 +69,24 @@ class TestPortSpec:
         comp = Dec(sim, "d")
         assert comp.port("data").handler is not None
 
+    def test_a_named_handler_that_does_not_exist_fails_construction(self):
+        """The class may define it later (a base declares, a subclass
+        implements), so the check runs when an instance binds it."""
+
+        class Base(Component):
+            data = port("in", handler="on_data_ready")
+
+        class Impl(Base):
+            def on_data_ready(self, event):
+                pass
+
+        sim = Simulation(seed=1)
+        assert Impl(sim, "ok").port("data").handler is not None
+        with pytest.raises(SpecError, match=r"Base: port 'data' names "
+                                            r"handler 'on_data_ready' which "
+                                            r"does not exist"):
+            Base(sim, "bad")
+
     def test_indexed_family_matches_numbered_names(self):
         class Fan(Component):
             out = port("fanout", name="out<i>", required=False)
