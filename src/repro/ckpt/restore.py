@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from ..core import units
 from ..core.clock import _ArbiterTickEvent
 from ..core.component import Component
+from ..core.event import PRIORITY_EVENT
 from ..core.kernel import kernel_run
 from ..core.link import Port, port_of
 from ..core.parallel import ParallelSimulation
@@ -218,11 +219,10 @@ def _restore_parallel_exact(root: Path, manifest: Dict[str, Any], graph, *,
         # the exchange, exactly as in the uninterrupted run.
         ranks = {name: sim.rank for sim in psim._sims
                  for name in sim._components}
-        for (time, priority, link_id, comp_name, _port, send_seq,
-             event) in pending:
+        for (time, link_id, comp_name, _port, send_seq, event) in pending:
             dest = ranks[comp_name]
             psim._sync.pending.setdefault(dest, []).append(
-                (time, priority, link_id, dest, send_seq, event))
+                (time, link_id, dest, send_seq, event))
     psim.checkpoint_lineage = _lineage(root, manifest, psim.num_ranks, "exact")
     return psim
 
@@ -233,16 +233,15 @@ def _deliver_pending(sims: List[Simulation], pending: List[Tuple]) -> None:
     At an epoch boundary the pending set is exactly what the next
     epoch's exchange would deliver, and that delivery is the *first*
     push into each destination queue of the resumed run.  Pushing here,
-    per destination in the exchange sort order ``(time, priority,
-    link_id, send_seq)``, therefore assigns the same sequence numbers
-    the uninterrupted run would have — the resume stays bit-identical.
+    per destination in the exchange sort order ``(time, link_id,
+    send_seq)``, therefore assigns the same sequence numbers the
+    uninterrupted run would have — the resume stays bit-identical.
     """
     comps: Dict[str, Component] = {}
     for sim in sims:
         comps.update(sim._components)
     by_rank: Dict[int, List[Tuple]] = {}
-    for (time, priority, link_id, comp_name, port_name, send_seq,
-         event) in pending:
+    for (time, link_id, comp_name, port_name, send_seq, event) in pending:
         comp = comps.get(comp_name)
         if comp is None:
             raise CheckpointError(
@@ -250,13 +249,13 @@ def _deliver_pending(sims: List[Simulation], pending: List[Tuple]) -> None:
                 f"{comp_name!r}")
         port = comp.port(port_name)
         by_rank.setdefault(comp.sim.rank, []).append(
-            (time, priority, link_id, send_seq, port, event))
+            (time, link_id, send_seq, port, event))
     for rank in sorted(by_rank):
         entries = by_rank[rank]
-        entries.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-        queue = entries[0][4].component.sim._queue
-        for (time, priority, _link, _seq, port, event) in entries:
-            queue.push(time, priority, port.handler, event)
+        entries.sort(key=lambda e: (e[0], e[1], e[2]))
+        queue = entries[0][3].component.sim._queue
+        for (time, _link, _seq, port, event) in entries:
+            queue.push(time, PRIORITY_EVENT, port.handler, event)
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +349,7 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
     if manifest.get("parallel_file"):
         pstate = read_shard(root / manifest["parallel_file"]["file"],
                             expect=manifest["parallel_file"])
-        for (time, priority, link_id, comp_name, port_name, send_seq,
+        for (time, link_id, comp_name, port_name, send_seq,
              event) in load_refs(pstate["pending_blob"], sims):
             comp = comps.get(comp_name)
             if comp is None:
@@ -359,7 +358,8 @@ def _restore_repartition(root: Path, manifest: Dict[str, Any], graph,
                     f"{comp_name!r}")
             port = comp.port(port_name)
             merged[comp.sim.rank].append(
-                (time, priority, 1, link_id, send_seq, port.handler, event))
+                (time, PRIORITY_EVENT, 1, link_id, send_seq, port.handler,
+                 event))
 
     for sim in sims:
         entries = merged[sim.rank]

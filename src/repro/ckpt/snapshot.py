@@ -1,4 +1,4 @@
-"""Snapshot writing: the ``repro-ckpt/5`` on-disk format.
+"""Snapshot writing: the ``repro-ckpt/6`` on-disk format.
 
 A snapshot is a directory::
 
@@ -38,7 +38,7 @@ from .state import (CheckpointError, capture_rank_state, capture_sim_state,
                     dump_refs)
 
 #: the one snapshot format written and read; bump on incompatible changes
-SNAPSHOT_SCHEMA = "repro-ckpt/5"
+SNAPSHOT_SCHEMA = "repro-ckpt/6"
 
 MANIFEST_NAME = "MANIFEST.json"
 PARALLEL_NAME = "parallel.pkl"
@@ -191,7 +191,7 @@ def snapshot_parallel(psim: ParallelSimulation, path: Union[str, Path],
     pending = psim._sync.export_pending(psim._cross_links)
     parallel_state = {
         "pending_blob": dump_refs(psim._sims, pending),
-        "engine_stats": [dict(sim.engine_stats.all()) for sim in psim._sims],
+        "engine_stats": [sim.engine_stats.all() for sim in psim._sims],
         "engine": {
             "total_epochs": psim.total_epochs,
             "total_remote_events": psim.total_remote_events,

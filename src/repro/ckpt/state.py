@@ -138,7 +138,7 @@ def build_ref_table(sims: Sequence[Simulation]) -> Dict[int, Tuple]:
                 if endpoint is not None:
                     table[id(endpoint)] = ("lep", name, pname)
                     table[id(endpoint.link)] = ("linkobj", name, pname)
-            for sname, stat in comp.stats.all().items():
+            for sname, stat in comp.stats.items():
                 table[id(stat)] = ("stat", name, sname)
         counts: Dict[str, int] = {}
         for clock in sim._clocks:
@@ -147,7 +147,7 @@ def build_ref_table(sims: Sequence[Simulation]) -> Dict[int, Tuple]:
             table[id(clock)] = ("clock", clock.name, ordinal)
         for key, arbiter in sim._arbiters.items():
             table[id(arbiter)] = ("arb",) + tuple(key)
-        for sname, stat in sim.engine_stats.all().items():
+        for sname, stat in sim.engine_stats.items():
             table[id(stat)] = ("estat", sname)
     return table
 
@@ -235,7 +235,7 @@ def make_resolver(sims: Sequence[Simulation],
             if kind == "hdl":
                 return comps[ref[1]].port(ref[2]).handler
             if kind == "stat":
-                return comps[ref[1]].stats.all()[ref[2]]
+                return comps[ref[1]].stats[ref[2]]
             if kind == "clock":
                 return clock_groups[(ref[1], ref[2])]
             if kind == "lep":
@@ -252,7 +252,7 @@ def make_resolver(sims: Sequence[Simulation],
                 return DROPPED  # chain records are re-armed, not restored
             if kind == "estat":
                 sim = hinted if hinted is not None else sims[0]
-                stat = sim.engine_stats.all().get(ref[1])
+                stat = sim.engine_stats.get(ref[1])
                 return stat if stat is not None else DROPPED
             if kind == "simobj":
                 if hinted is not None:
@@ -318,9 +318,9 @@ def capture_sim_state(sim: Simulation,
         # Statistic objects pickle by value in the meta payload, which
         # snapshots their numbers; identity-preserving references inside
         # component state live in the linked blob instead.
-        "stats": {name: dict(comp.stats.all())
+        "stats": {name: comp.stats.all()
                   for name, comp in sim._components.items()},
-        "engine_stats": dict(sim.engine_stats.all()),
+        "engine_stats": sim.engine_stats.all(),
     }
     linked = {
         "components": {name: comp.capture_state()
@@ -392,9 +392,8 @@ def restore_sim_state(sim: Simulation, state: Dict[str, Any]) -> Dict[str, Any]:
 def _adopt_group(group, stats: Dict[str, Any]) -> None:
     """Adopt captured statistic values into ``group`` in place,
     registering the ones the rebuilt group lacks."""
-    current = group.all()
     for name, remote in stats.items():
-        local = current.get(name)
+        local = group.get(name)
         if local is None:
             group._register(name, remote)
         else:

@@ -286,27 +286,27 @@ class EventTable:
         return cls(found)
 
     def flatten(self, entries: List[Tuple]) -> List[Tuple]:
-        """Outbox entries in wire form: ``(time, priority, link_id,
-        dest_rank, send_seq, class_index, slot_values)``."""
+        """Outbox entries in wire form: ``(time, link_id, dest_rank,
+        send_seq, class_index, slot_values)``."""
         index = self._index
         flat = []
         append = flat.append
         #: id(event) -> the position of its first entry
         sent: Dict[int, int] = {}
-        for time, priority, link_id, dest, seq, event in entries:
+        for time, link_id, dest, seq, event in entries:
             at = sent.setdefault(id(event), len(flat))
             if at != len(flat):
-                append((time, priority, link_id, dest, seq, _REPEAT, at))
+                append((time, link_id, dest, seq, _REPEAT, at))
                 continue
             codec = index.get(type(event))
             if codec is not None:
                 try:
-                    append((time, priority, link_id, dest, seq, codec[0],
+                    append((time, link_id, dest, seq, codec[0],
                             codec[1](event)))
                     continue
                 except AttributeError:  # an unassigned slot
                     pass
-            append((time, priority, link_id, dest, seq, 0, event))
+            append((time, link_id, dest, seq, 0, event))
         return flat
 
     def rebuild(self, flat: List[Tuple]) -> List[Tuple]:
@@ -314,16 +314,16 @@ class EventTable:
         rebuild = self._rebuild
         entries: List[Tuple] = []
         append = entries.append
-        for time, priority, link_id, dest, seq, index, values in flat:
-            append((time, priority, link_id, dest, seq,
-                    entries[values][5] if index == _REPEAT
+        for time, link_id, dest, seq, index, values in flat:
+            append((time, link_id, dest, seq,
+                    entries[values][4] if index == _REPEAT
                     else rebuild[index](values)))
         return entries
 
 
 def encode_entries(entries: List[Tuple], table: EventTable) -> bytes:
-    """Outbox entries ``(time, priority, link_id, dest_rank, send_seq,
-    event)`` as one length-prefixed batch pickle of their wire form."""
+    """Outbox entries ``(time, link_id, dest_rank, send_seq, event)``
+    as one length-prefixed batch pickle of their wire form."""
     if not entries:
         return _EMPTY_BATCH
     blob = pickle.dumps(table.flatten(entries), pickle.HIGHEST_PROTOCOL)

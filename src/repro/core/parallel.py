@@ -254,11 +254,11 @@ class ParallelSimulation:
                 "remote_sends": es.counter("sync.remote_sends"),
             })
         self._epoch_observers: List[Callable[[EpochInfo], None]] = []
-        # outboxes[src_rank][dest_rank] = list of (time, priority, link_id,
+        # outboxes[src_rank][dest_rank] = list of (time, link_id,
         # dest_rank, send_seq, event) — batched per destination so each
         # epoch flushes one batch per receiving rank (one frame under
         # the processes backend) instead of per-event sends.
-        self._outboxes: List[List[List[Tuple[SimTime, int, int, int, int, Event]]]] = [
+        self._outboxes: List[List[List[Tuple[SimTime, int, int, int, Event]]]] = [
             [[] for _ in range(num_ranks)] for _ in range(num_ranks)
         ]
         # One mutable cell per source rank so sender closures bump the
@@ -348,10 +348,10 @@ class ParallelSimulation:
         append = self._outboxes[src_rank][dest_rank].append
         seq_cell = self._send_seq[src_rank]
 
-        def sender(when: SimTime, priority: int, event: Event) -> None:
+        def sender(when: SimTime, event: Event) -> None:
             seq = seq_cell[0]
             seq_cell[0] = seq + 1
-            append((when, priority, link_id, dest_rank, seq, event))
+            append((when, link_id, dest_rank, seq, event))
 
         return sender
 
@@ -695,7 +695,7 @@ class ParallelSimulation:
         """
         merged: Dict[str, Any] = {}
         for sim in self._sims:
-            for name, stat in sim.engine_stats.all().items():
+            for name, stat in sim.engine_stats.items():
                 if name not in merged:
                     merged[name] = stat.copy_empty()
                 merged[name].merge(stat)

@@ -540,7 +540,7 @@ class Simulation:
         """All statistics, flat-keyed ``<component>.<stat>`` -> Statistic."""
         out: Dict[str, Any] = {}
         for comp in self._components.values():
-            for stat_name, stat in comp.stats.all().items():
+            for stat_name, stat in comp.stats.items():
                 out[f"{comp.name}.{stat_name}"] = stat
         return out
 

@@ -18,9 +18,9 @@ kernels execute.  It is SST's barrier-epoch protocol:
   ``min`` of those bounds, so the window runs to ``min(bounds) - 1`` —
   never narrower than ``gmin + lookahead - 1``.
 * **exchange** — cross-rank sends accumulate as outbox entries
-  ``(time, priority, link_id, dest_rank, send_seq, event)``; before
-  each epoch they are sorted on the global deterministic key
-  ``(time, priority, link_id, send_seq)`` and split per destination
+  ``(time, link_id, dest_rank, send_seq, event)``; before each epoch
+  they are sorted on the global deterministic key
+  ``(time, link_id, send_seq)`` and split per destination
   rank, so the receiving queue's tie-breaking is independent of rank
   execution order — and therefore of the execution backend.
 """
@@ -35,8 +35,9 @@ from .units import SimTime
 _INF = float("inf")
 
 #: One cross-rank send in flight:
-#: ``(time, priority, link_id, dest_rank, send_seq, event)``.
-OutboxEntry = Tuple[SimTime, int, int, int, int, Any]
+#: ``(time, link_id, dest_rank, send_seq, event)``.  Every link event
+#: has priority ``PRIORITY_EVENT``, so the entry does not carry it.
+OutboxEntry = Tuple[SimTime, int, int, int, Any]
 
 
 class ConservativeSync:
@@ -119,7 +120,7 @@ class ConservativeSync:
         """Queue cross-rank sends awaiting delivery."""
         pending = self.pending
         for entry in entries:
-            dest = entry[3]
+            dest = entry[2]
             bucket = pending.get(dest)
             if bucket is None:
                 pending[dest] = [entry]
@@ -179,8 +180,8 @@ class ConservativeSync:
     def exchange(self, num_ranks: int) -> Tuple[List[List[OutboxEntry]], int]:
         """Deterministically order pending sends, split per destination.
 
-        Entries are sorted on the global ``(time, priority, link_id,
-        send_seq)`` key inside each destination list, so the receiving
+        Entries are sorted on the global ``(time, link_id, send_seq)``
+        key inside each destination list, so the receiving
         queue assigns local sequence numbers in a backend-independent
         order.  Sorting each destination bucket separately is equivalent
         to the historical sort-then-split of one flat list: splitting is
@@ -194,7 +195,7 @@ class ConservativeSync:
             return deliveries, 0
         exchanged = 0
         for dest, bucket in self.pending.items():
-            bucket.sort(key=lambda e: (e[0], e[1], e[2], e[4]))
+            bucket.sort(key=lambda e: (e[0], e[1], e[3]))
             deliveries[dest] = bucket
             exchanged += len(bucket)
             # sorted by (time, ...): the first entry is the earliest
@@ -235,15 +236,14 @@ class ConservativeSync:
         epoch's exchange would deliver.  Link ids are partition-local,
         so each entry also names its target ``(component, port)`` —
         identity that survives restoring onto a different rank count.
-        Returns tuples ``(time, priority, link_id, dest_component,
-        dest_port, send_seq, event)``.
+        Returns tuples ``(time, link_id, dest_component, dest_port,
+        send_seq, event)``.
         """
         exported: List[Tuple] = []
         for dest_rank, bucket in sorted(self.pending.items()):
-            for (time, priority, link_id, dest, send_seq, event) in bucket:
+            for (time, link_id, dest, send_seq, event) in bucket:
                 xlink = cross_links[link_id]
                 port = xlink.port_b if dest == xlink.rank_b else xlink.port_a
-                exported.append((time, priority, link_id,
-                                 port.component.name, port.name,
-                                 send_seq, event))
+                exported.append((time, link_id, port.component.name,
+                                 port.name, send_seq, event))
         return exported

@@ -249,7 +249,7 @@ class AppRank(Component):
 
         real_rng = self._rng
         saved = {name: stat.state_dict()
-                 for name, stat in self.stats.all().items()}
+                 for name, stat in self.stats.items()}
         self._rng = np.random.default_rng(0)
         self._program = self.program()
         for _ in range(self._phases_done):
@@ -258,7 +258,7 @@ class AppRank(Component):
             except StopIteration:  # pragma: no cover - defensive
                 break
         for name, snap in saved.items():
-            self.stats.all()[name].load_state(snap)
+            self.stats[name].load_state(snap)
         self._rng = real_rng
 
     def _noisy(self, duration_ps: SimTime) -> SimTime:

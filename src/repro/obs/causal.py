@@ -22,17 +22,18 @@ untouched, and the only hot-path cost when tracing is an interned-table
 lookup plus a list append per event (see ``benchmarks/bench_engine_causal.py``,
 ENG-6).
 
-Shard layout (schema ``repro-causal/1``), one file per rank at
+Shard layout (schema ``repro-causal/2``), one file per rank at
 ``<base>.causal.rank<k>``:
 
 * ``causal_start`` — rank identity plus the cross-rank link table.
 * ``causal_nodes`` — batched rows ``[seq, time_ps, priority, cause,
   comp, evt]`` (``comp``/``evt`` index the tables in ``causal_end``).
 * ``causal_send`` — batched rows ``[cause, link_id, send_seq,
-  deliver_ps, priority]`` for cross-rank sends leaving this rank.
+  deliver_ps]`` for cross-rank sends leaving this rank.
 * ``causal_recv`` — batched rows ``[seq, link_id, send_seq,
-  deliver_ps, priority]`` for cross-rank arrivals (``seq`` is the
-  local node the arrival became).
+  deliver_ps]`` for cross-rank arrivals (``seq`` is the local node the
+  arrival became).  Link events all have priority ``PRIORITY_EVENT``,
+  so neither row carries one.
 * ``causal_end`` — totals plus the interned ``components``
   (``[name, class]`` pairs) and ``events`` (class names) tables.
 
@@ -60,13 +61,14 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..core.event import PRIORITY_EVENT
 from ..core.link import port_of
 from ..core.parallel import ParallelSimulation
 from ..core.simulation import Simulation
 from .profiler import attribute_event
 
 #: schema tag stamped on every causal shard's start record
-CAUSAL_SCHEMA = "repro-causal/1"
+CAUSAL_SCHEMA = "repro-causal/2"
 
 #: rows buffered before a batch record is written
 _FLUSH_ROWS = 4096
@@ -241,9 +243,9 @@ class CausalTracer:
             self.flush()
 
     def on_cross_recv(self, seq: int, link_id: int, send_seq: int,
-                      when, priority: int) -> None:
+                      when) -> None:
         """Record a cross-rank arrival that became local node ``seq``."""
-        self._recvs.append([seq, link_id, send_seq, when, priority])
+        self._recvs.append([seq, link_id, send_seq, when])
         if len(self._recvs) >= _FLUSH_ROWS:
             self.flush()
 
@@ -274,9 +276,8 @@ class CausalTracer:
                 if endpoint is None or endpoint._remote_send is not None:
                     continue
 
-                def traced(when, priority, event, *,
-                           _peer=endpoint.peer_port):
-                    push(when, priority, _peer.handler, event)
+                def traced(when, event, *, _peer=endpoint.peer_port):
+                    push(when, PRIORITY_EVENT, _peer.handler, event)
 
                 endpoint.set_remote(traced)
                 self._wrapped.append((endpoint, None))
@@ -297,11 +298,9 @@ class CausalTracer:
             if original is None:
                 continue
 
-            def traced(when, priority, event, *, _orig=original,
-                       _link_id=link_id):
-                sends.append([cell[0], _link_id, seq_cell[0],
-                              when, priority])
-                _orig(when, priority, event)
+            def traced(when, event, *, _orig=original, _link_id=link_id):
+                sends.append([cell[0], _link_id, seq_cell[0], when])
+                _orig(when, event)
 
             endpoint.set_remote(traced)
             self._wrapped.append((endpoint, original))

@@ -43,7 +43,7 @@ class CausalGraph:
     base: Path
     #: (rank, seq) -> [time_ps, priority, cause_seq|None, comp_idx, evt_idx]
     nodes: Dict[NodeId, list] = field(default_factory=dict)
-    #: (src_rank, send_seq) -> [cause_seq|None, link_id, deliver_ps, priority]
+    #: (src_rank, send_seq) -> [cause_seq|None, link_id, deliver_ps]
     sends: Dict[Tuple[int, int], list] = field(default_factory=dict)
     #: (rank, seq) -> (link_id, send_seq) for cross-rank arrivals
     recvs: Dict[NodeId, Tuple[int, int]] = field(default_factory=dict)
@@ -100,12 +100,12 @@ def load_causal(base: Union[str, Path]) -> CausalGraph:
                         graph.nodes[(rank, row[0])] = row[1:]
                 elif kind == "causal_send":
                     for row in record.get("rows", ()):
-                        # row = [cause, link_id, send_seq, when, priority]
+                        # row = [cause, link_id, send_seq, when]
                         graph.sends[(rank, row[2])] = [row[0], row[1],
-                                                       row[3], row[4]]
+                                                       row[3]]
                 elif kind == "causal_recv":
                     for row in record.get("rows", ()):
-                        # row = [seq, link_id, send_seq, when, priority]
+                        # row = [seq, link_id, send_seq, when]
                         graph.recvs[(rank, row[0])] = (row[1], row[2])
                 elif kind == "causal_start":
                     for link_id, info in record.get("links", {}).items():

@@ -87,7 +87,7 @@ def run_conformance(make_graph: Callable[[], ConfigGraph],
                 raise ConformanceError(
                     f"{comp.name}.{attr}: slot holds {type(sub).__name__}, "
                     f"not a SubComponent")
-            registered = comp.stats.all()
+            registered = comp.stats
             for sattr, sspec in type(sub)._stat_specs.items():
                 key = f"{attr}.{sspec.name}"
                 if registered.get(key) is not getattr(sub, sattr):

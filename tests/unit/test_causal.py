@@ -134,7 +134,7 @@ class TestCaptureLifecycle:
         records = [json.loads(line) for line in
                    shard.read_text().splitlines()]
         assert records[0]["kind"] == "causal_start"
-        assert records[0]["schema"] == "repro-causal/1"
+        assert records[0]["schema"] == "repro-causal/2"
         assert records[-1]["kind"] == "causal_end"
         nodes = sum(len(r["rows"]) for r in records
                     if r["kind"] == "causal_nodes")

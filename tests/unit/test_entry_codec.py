@@ -147,9 +147,8 @@ def payloads():
         max_leaves=6)
 
 
-headers = st.tuples(st.integers(0, 1 << 62), st.integers(0, 99),
-                    st.integers(0, 1000), st.integers(0, 7),
-                    st.integers(0, 1 << 40))
+headers = st.tuples(st.integers(0, 1 << 62), st.integers(0, 1000),
+                    st.integers(0, 7), st.integers(0, 1 << 40))
 
 
 @st.composite
@@ -160,7 +159,7 @@ def entries(draw):
              for _ in range(draw(st.integers(0, 8)))]
     if batch:
         for i in draw(st.lists(st.integers(0, len(batch) - 1), max_size=3)):
-            batch.append(draw(headers) + (batch[i][5],))
+            batch.append(draw(headers) + (batch[i][4],))
     return batch
 
 
@@ -168,7 +167,7 @@ def sharing(batch):
     """For each entry, the position of the first entry carrying the
     same event object."""
     first = {}
-    return [first.setdefault(id(entry[5]), i) for i, entry in enumerate(batch)]
+    return [first.setdefault(id(entry[4]), i) for i, entry in enumerate(batch)]
 
 
 class TestEventTable:
@@ -178,16 +177,16 @@ class TestEventTable:
         blob = encode_entries(batch, TABLE)
         out, offset = decode_entries(blob, 0, TABLE)
         assert offset == len(blob)
-        assert [entry[:5] for entry in out] == [entry[:5] for entry in batch]
-        assert [tree(entry[5]) for entry in out] == \
-            [tree(entry[5]) for entry in batch]
+        assert [entry[:4] for entry in out] == [entry[:4] for entry in batch]
+        assert [tree(entry[4]) for entry in out] == \
+            [tree(entry[4]) for entry in batch]
         # an event object sent twice arrives as one object
         assert sharing(out) == sharing(batch)
         # The empty table decodes its own batches the same way.
         plain, _ = decode_entries(encode_entries(batch, EventTable()), 0,
                                   EventTable())
-        assert [tree(entry[5]) for entry in plain] == \
-            [tree(entry[5]) for entry in batch]
+        assert [tree(entry[4]) for entry in plain] == \
+            [tree(entry[4]) for entry in batch]
 
     @settings(max_examples=100, deadline=None)
     @given(batch=entries())
@@ -198,22 +197,22 @@ class TestEventTable:
         back to its first entry."""
         for i, (entry, wire, first) in enumerate(
                 zip(batch, TABLE.flatten(batch), sharing(batch))):
-            event = entry[5]
+            event = entry[4]
             if first != i:
-                assert wire[5:] == (_REPEAT, first)
+                assert wire[4:] == (_REPEAT, first)
                 continue
             flattened = type(event) in FLATTENED and all(
                 hasattr(event, name) for name in SLOTS[type(event)])
-            assert (wire[5] != 0) is flattened
-            assert (wire[6] is event) is not flattened
+            assert (wire[4] != 0) is flattened
+            assert (wire[5] is event) is not flattened
 
     def test_hooks_run_when_pickled_whole(self):
         event = WithHooks()
         event.x = 7
         HOOK_CALLS.clear()
         (out,), _ = decode_entries(
-            encode_entries([(1, 2, 3, 0, 4, event)], TABLE), 0, TABLE)
-        assert out[5].x == 7
+            encode_entries([(1, 3, 0, 4, event)], TABLE), 0, TABLE)
+        assert out[4].x == 7
         assert HOOK_CALLS == [{"x": 7}]
 
     def test_empty_batch_is_a_bare_length(self):

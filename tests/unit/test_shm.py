@@ -122,21 +122,21 @@ class TestEntryBatch:
         """Slotted scalars, a nested dict payload and an int beyond 64
         bits all survive one batch, with the entry headers intact."""
         entries = [
-            (1000, 50, 3, 1, 7, MemRequest(addr=64, req_id=1, is_write=True,
+            (1000, 3, 1, 7, MemRequest(addr=64, req_id=1, is_write=True,
                                            src_port=None)),
-            (1000, 50, 3, 0, 8, DictPayload({"k": [1, 2], "n": {"x": True}})),
-            (2500, 40, 9, 1, 9, MemRequest(addr=1 << 80, req_id=2,
+            (1000, 3, 0, 8, DictPayload({"k": [1, 2], "n": {"x": True}})),
+            (2500, 9, 1, 9, MemRequest(addr=1 << 80, req_id=2,
                                            phase="x" * 300)),
         ]
         blob = encode_entries(entries, EventTable())
         out, offset = decode_entries(blob, 0, EventTable())
         assert offset == len(blob)
-        assert [e[:5] for e in out] == [e[:5] for e in entries]
-        assert type(out[0][5]) is MemRequest
-        assert (out[0][5].addr, out[0][5].is_write, out[0][5].src_port) == \
+        assert [e[:4] for e in out] == [e[:4] for e in entries]
+        assert type(out[0][4]) is MemRequest
+        assert (out[0][4].addr, out[0][4].is_write, out[0][4].src_port) == \
             (64, True, None)
-        assert out[1][5].table == {"k": [1, 2], "n": {"x": True}}
-        assert (out[2][5].addr, out[2][5].phase) == (1 << 80, "x" * 300)
+        assert out[1][4].table == {"k": [1, 2], "n": {"x": True}}
+        assert (out[2][4].addr, out[2][4].phase) == (1 << 80, "x" * 300)
 
     def test_empty_entries(self):
         blob = encode_entries([], EventTable())
@@ -145,8 +145,8 @@ class TestEntryBatch:
 
 class TestStepFrame:
     def test_roundtrip_with_outbox(self):
-        outbox = [[], [(10, 50, 1, 1, 0, MemRequest(addr=8, req_id=3))],
-                  [(10, 50, 2, 2, 1, DictPayload({"z": 1}))]]
+        outbox = [[], [(10, 1, 1, 0, MemRequest(addr=8, req_id=3))],
+                  [(10, 2, 2, 1, DictPayload({"z": 1}))]]
         step = RankStep(wall_seconds=0.25, events=42, outbox=outbox,
                         next_time=999, primaries_pending=1,
                         last_event_time=998, now=1000)
@@ -155,8 +155,8 @@ class TestStepFrame:
                 out.primaries_pending, out.last_event_time, out.now) == \
             (0.25, 42, 999, 1, 998, 1000)
         assert [len(b) for b in out.outbox] == [0, 1, 1]
-        assert out.outbox[1][0][:5] == (10, 50, 1, 1, 0)
-        assert out.outbox[2][0][5].table == {"z": 1}
+        assert out.outbox[1][0][:4] == (10, 1, 1, 0)
+        assert out.outbox[2][0][4].table == {"z": 1}
 
     def test_roundtrip_drained_rank(self):
         step = RankStep(wall_seconds=0.0, events=0, outbox=[],
@@ -170,8 +170,8 @@ class TestStepFrame:
         """A step frame is the 48-byte header and the flattened outbox
         batch, nothing after it."""
         assert _STEP_META.size == 48
-        entries = [(10, 50, 1, 1, 0, MemRequest(addr=8, req_id=3)),
-                   (12, 50, 1, 1, 1, DictPayload({"z": 1}))]
+        entries = [(10, 1, 1, 0, MemRequest(addr=8, req_id=3)),
+                   (12, 1, 1, 1, DictPayload({"z": 1}))]
         for outbox, flat in (([], []), ([[], entries], entries)):
             step = RankStep(wall_seconds=0.5, events=7, outbox=outbox,
                             next_time=3, primaries_pending=0,
