@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..core.component import Component, param, port, stat, state
+from ..core.component import Component, param, port, stat
 from ..core.registry import register
 from .events import JobReport
 
@@ -38,9 +38,6 @@ class SLOStats(Component):
     capacity = param(16, doc="machine node count (utilization basis)")
     slowdown_tau = param("10s", kind="time",
                          doc="bounded-slowdown runtime floor")
-
-    _utilization = state(0.0, gauge=True, doc="busy / (capacity * span)")
-    _makespan_ps = state(0, gauge=True, doc="last end - first submit")
 
     s_jobs = stat.counter("jobs", doc="job reports received")
     s_wait = stat.accumulator("wait_ps", doc="per-job queue wait")
@@ -73,14 +70,26 @@ class SLOStats(Component):
         self.s_submit.add(job.submit_ps)
         self.s_end.add(job.end_ps)
         self.s_busy.add(job.nodes * runtime)
-        self._makespan_ps = int(self.s_end.maximum - self.s_submit.minimum)
-        self._utilization = self._compute_utilization()
+
+    def _span(self) -> float:
+        """Last end - first submit; 0 before the first job."""
+        return (self.s_end.maximum - self.s_submit.minimum
+                if self.s_jobs.count else 0)
 
     def _compute_utilization(self) -> float:
-        span = self.s_end.maximum - self.s_submit.minimum
+        span = self._span()
         if span <= 0 or not self.capacity:
             return 0.0
         return self.s_busy.count / (self.capacity * span)
+
+    def telemetry_gauges(self) -> Dict[str, float]:
+        """Utilization (busy / (capacity * span)) and makespan (last
+        end - first submit), derived from the statistics when sampled
+        rather than kept per report; both read 0 before the first job."""
+        out = super().telemetry_gauges()
+        out["_utilization"] = self._compute_utilization()
+        out["_makespan_ps"] = float(int(self._span()))
+        return out
 
     def manifest_summary(self) -> Dict[str, Any]:
         """SLO roll-up for the run manifest.
@@ -90,7 +99,7 @@ class SLOStats(Component):
         synchronized across process backends; statistics are).
         """
         jobs = self.s_jobs.count
-        span = (self.s_end.maximum - self.s_submit.minimum) if jobs else 0
+        span = self._span()
         return {
             "jobs": int(jobs),
             "mean_wait_s": self.s_wait.mean / PS_PER_S,

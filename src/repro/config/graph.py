@@ -100,8 +100,7 @@ class ConfigGraph:
             raise ConfigError(f"duplicate component name {name!r}")
         if not type_name:
             raise ConfigError(f"component {name!r}: type name must be non-empty")
-        comp = ConfigComponent(name=name, type_name=type_name,
-                               params=dict(params or {}), rank=rank, weight=weight)
+        comp = ConfigComponent(name, type_name, dict(params or {}), rank, weight)
         self._components[name] = comp
         return comp
 

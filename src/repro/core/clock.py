@@ -78,36 +78,46 @@ class Clock:
     """A recurring tick source bound to one handler.
 
     Created via :meth:`Simulation.register_clock`, which validates the
-    period and phase and picks the arbiter.  ``cycle`` counts handler
-    invocations since registration (while inactive the count does *not*
-    advance — it is a tick count, not wall time).  The clock is a
-    passive member: its arbiter owns the queue event and calls the
-    handler.  ``handler``, ``cycle`` and ``next_tick_time`` are
-    read-only; while the arbiter runs a lockstep plan the last two are
-    derived from its shared state.  Observers see each member tick with
-    the clock itself as the handler (``clock:<name>``, see
-    :func:`repro.core.tracelog.describe_handler`).
+    period and phase, picks the arbiter and passes the first due time;
+    construction joins the arbiter.  A clock holds only its own state:
+    ``sim``, ``period`` and ``priority`` are read through the arbiter.
+    ``cycle`` counts handler invocations since registration (while
+    inactive the count does *not* advance — it is a tick count, not
+    wall time).  The clock is a passive member: its arbiter owns the
+    queue event and calls the handler.  ``handler``, ``cycle`` and
+    ``next_tick_time`` are read-only; while the arbiter runs a lockstep
+    plan the last two are derived from its shared state.  Observers see
+    each member tick with the clock itself as the handler
+    (``clock:<name>``, see :func:`repro.core.tracelog.describe_handler`).
     """
 
-    __slots__ = ("sim", "name", "period", "_handler", "priority", "_cycle",
-                 "active", "_next_tick", "_arbiter", "_in_arbiter", "_index")
+    __slots__ = ("name", "_handler", "_cycle", "active", "_next_tick",
+                 "_arbiter", "_index", "_in_arbiter")
 
-    def __init__(self, sim: "Simulation", name: str, period: SimTime,
-                 handler: ClockHandler, priority: int, phase: SimTime,
+    def __init__(self, name: str, handler: ClockHandler, due: SimTime,
                  arbiter: "ClockArbiter"):
-        self.sim = sim
         self.name = name
-        self.period = period
         self._handler = handler
-        self.priority = priority
         self._cycle = 0
         self.active = True
-        self._next_tick = sim.now + phase + period
+        self._next_tick = due
         self._arbiter = arbiter
-        self._in_arbiter = False
         #: position in the arbiter's lockstep plan (valid while one exists)
         self._index = 0
-        arbiter.add(self)
+        self._in_arbiter = True
+        # Join the arbiter; the chain needs arming only when this member
+        # is due before the live chain event (or there is none).
+        if arbiter._plan is not None:
+            arbiter._dissolve()
+        arbiter._members.append(self)
+        scheduled = arbiter._scheduled_time
+        if scheduled is None or due < scheduled:
+            arbiter._ensure_scheduled(due)
+
+    # A clock's class (simulation, period, priority) is its arbiter's.
+    sim = property(attrgetter("_arbiter.sim"))
+    period = property(attrgetter("_arbiter.period"))
+    priority = property(attrgetter("_arbiter.priority"))
 
     @property
     def handler(self) -> ClockHandler:
@@ -237,14 +247,6 @@ class ClockArbiter:
     @property
     def active_members(self) -> int:
         return sum(1 for clock in self._members if clock.active)
-
-    def add(self, clock: Clock) -> None:
-        """Register a new member (called from ``Clock.__init__``)."""
-        if self._plan is not None:
-            self._dissolve()
-        self._members.append(clock)
-        clock._in_arbiter = True
-        self._ensure_scheduled(clock._next_tick)
 
     def rejoin(self, clock: Clock) -> None:
         """Re-arm for a reactivated member (O(1) amortised).

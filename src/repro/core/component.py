@@ -51,7 +51,7 @@ from .describe import (ParamSpec, PortSpec, SlotSpec, SpecError,  # noqa: F401
 from .event import PRIORITY_CLOCK, PRIORITY_EVENT, Event
 from .link import LinkError, Port, port_of
 from .params import Params
-from .statistics import StatisticGroup
+from .statistics import Accumulator, Counter, StatisticGroup
 from .units import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -85,6 +85,11 @@ _IMPERATIVE = {
 }
 
 
+#: Statistic kinds that ``_declare`` registers inline (a histogram's
+#: bins are a list, so it goes through ``StatisticGroup.histogram``).
+_INLINE_STATS = {"counter": Counter, "accumulator": Accumulator}
+
+
 def _compile_declare(cls: type) -> Callable[[Any, StatisticGroup, str], None]:
     """``cls``'s construction function, compiled once per class.
 
@@ -94,9 +99,11 @@ def _compile_declare(cls: type) -> Callable[[Any, StatisticGroup, str], None]:
     first instance puts every key into the class's shared-key table and
     no instance goes dict-backed later (docs/COMPONENTS.md); declared
     statistics next, registered into ``stats`` under
-    ``<prefix><name>`` (the ``self.s_hits`` fast-access idiom); declared
-    typed parameters last, each through its Params accessor, so the
-    subclass body sees ``self.<param>`` already set.  ``choices`` are
+    ``<prefix><name>`` (the ``self.s_hits`` fast-access idiom), counters
+    and accumulators inline: a name already registered with the same
+    type is shared, another type raises ``StatisticGroup.retyped``;
+    declared typed parameters last, each through its Params accessor,
+    so the subclass body sees ``self.<param>`` already set.  ``choices`` are
     checked only where declared.  Every value is a plain attribute
     store: reading ``self.__dict__`` would make CPython trade the
     instance's inline attribute values for a real dict, and every
@@ -119,9 +126,27 @@ def _compile_declare(cls: type) -> Callable[[Any, StatisticGroup, str], None]:
         elif spec.has_default:
             store(attr, bind(spec.default))
     for attr, spec in cls._stat_specs.items():
-        make = bind(getattr(StatisticGroup, spec.kind))
-        kwargs = f", **{bind(spec.kwargs)}" if spec.kwargs else ""
-        store(attr, f"{make}(stats, prefix + {spec.name!r}{kwargs})")
+        kind = _INLINE_STATS.get(spec.kind)
+        if kind is None or spec.kwargs:
+            make = bind(getattr(StatisticGroup, spec.kind))
+            kwargs = f", **{bind(spec.kwargs)}" if spec.kwargs else ""
+            store(attr, f"{make}(stats, prefix + {spec.name!r}{kwargs})")
+            continue
+        # StatisticGroup._register inlined, the collector built without
+        # its __init__ frames: the slots a fresh one holds, stored here.
+        fresh = kind("").state_dict()
+        del fresh["name"]
+        kind = bind(kind)
+        lines += [f"    name = prefix + {spec.name!r}",
+                  "    stat = stats.get(name)",
+                  "    if stat is None:",
+                  f"        stat = stats[name] = {bind(object.__new__)}({kind})",
+                  "        stat.name = name"]
+        lines += [f"        stat.{slot} = {bind(value)}"
+                  for slot, value in fresh.items()]
+        lines += [f"    elif type(stat) is not {kind}:",
+                  f"        raise {bind(StatisticGroup.retyped)}(name)"]
+        store(attr, "stat")
     if cls._param_specs:
         lines.append("    params = self.params")
     for attr, spec in cls._param_specs.items():

@@ -31,7 +31,7 @@ from .eventqueue import HeapEventQueue
 from .kernel import NO_LIMIT, dispatch, kernel_run
 from .link import Link, LinkError, Port
 from .statistics import StatisticGroup
-from .units import SimTime
+from .units import SimTime, freq_to_period
 
 
 class SimulationError(RuntimeError):
@@ -257,20 +257,19 @@ class Simulation:
         or a negative phase raises ``ValueError`` before any arbiter is
         created.
         """
-        period = units.freq_to_period(freq) if not isinstance(freq, int) else freq
+        period = freq if isinstance(freq, int) else freq_to_period(freq)
         if period <= 0:
             raise ValueError(f"clock {name!r}: period must be positive")
         if phase < 0:
             raise ValueError(f"clock {name!r}: phase must be non-negative")
-        residue = (self.now + phase) % period
+        start = self.now + phase
+        residue = start % period
         key = (period, priority, residue)
         arbiter = self._arbiters.get(key)
         if arbiter is None:
-            arbiter = ClockArbiter(self, period, priority,
-                                   name=f"{period}ps/p{priority}/r{residue}")
-            self._arbiters[key] = arbiter
-        clock = Clock(self, name, period, handler, priority=priority,
-                      phase=phase, arbiter=arbiter)
+            arbiter = self._arbiters[key] = ClockArbiter(
+                self, period, priority, f"{period}ps/p{priority}/r{residue}")
+        clock = Clock(name, handler, start + period, arbiter)
         self._clocks.append(clock)
         return clock
 

@@ -324,10 +324,15 @@ class StatisticGroup(dict):
         existing = self.get(name)
         if existing is not None:
             if type(existing) is not type(stat):
-                raise ValueError(f"statistic {name!r} re-registered with a different type")
+                raise self.retyped(name)
             return existing
         self[name] = stat
         return stat
+
+    @staticmethod
+    def retyped(name: str) -> ValueError:
+        """The error for ``name`` registered again with another type."""
+        return ValueError(f"statistic {name!r} re-registered with a different type")
 
     def all(self) -> Dict[str, Statistic]:
         """A plain-dict copy, for callers that keep or pickle it."""

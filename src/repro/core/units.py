@@ -158,31 +158,25 @@ def parse_freq_hz(value: Union[str, int, float], default_unit: str = "hz") -> fl
     return hz
 
 
+@lru_cache(maxsize=4096, typed=True)
 def freq_to_period(value: Union[str, int, float]) -> SimTime:
     """Convert a frequency string to an integer period in picoseconds.
 
     Frequencies that do not divide 1e12 ps evenly are rounded to the
-    nearest picosecond (a 3 GHz clock gets a 333 ps period).  The
-    string path is memoized like :func:`parse_time`'s: every clocked
-    component of a build registers one of the same few frequencies.
+    nearest picosecond (a 3 GHz clock gets a 333 ps period).  Memoized
+    like :func:`parse_time`'s string path: every clocked component of a
+    build registers one of the same few frequencies, and a cache hit
+    runs no Python frame.  The memo is ``typed``, so ``True`` never
+    hits the entry of ``1`` and is refused as before.
 
     >>> freq_to_period("1GHz")
     1000
     """
-    if isinstance(value, str):
-        return _str_period(value)
-    return _period(value)
-
-
-def _period(value: Union[str, int, float]) -> SimTime:
     hz = parse_freq_hz(value)
     period = int(round(PS_PER_SEC / hz))
     if period <= 0:
         raise UnitError(f"frequency {value!r} exceeds the 1 ps core resolution")
     return period
-
-
-_str_period = lru_cache(maxsize=4096)(_period)
 
 
 def parse_size_bytes(value: Union[str, int, float]) -> int:

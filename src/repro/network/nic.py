@@ -46,6 +46,8 @@ class Nic(Component):
     _rx_time = state(dict, save=False,
                      doc="message size -> ejection time, memoized "
                          "bytes_time()")
+    _net = state(save=False, doc="the net Port, held for on_send")
+    _cpu = state(save=False, doc="the cpu Port, held for on_deliver")
 
     s_sent = stat.counter(doc="messages injected")
     s_received = stat.counter(doc="messages ejected")
@@ -55,6 +57,8 @@ class Nic(Component):
 
     def __init__(self, sim, name, params=None):
         super().__init__(sim, name, params)
+        self._net = self.port("net")
+        self._cpu = self.port("cpu")
         p = self.params
         self.injection_bw = p.find_bandwidth("injection_bandwidth", "3.2GB/s")
         self.ejection_bw = p.find_bandwidth(
@@ -79,7 +83,7 @@ class Nic(Component):
         self._tx_free = start + transfer
         self.s_sent.add()
         self.s_bytes_sent.add(size)
-        self.port("net").send(event, self._tx_free - now)
+        self._net.send(event, self._tx_free - now)
 
     def on_deliver(self, event) -> None:
         """Fabric delivered a message: eject and hand to the endpoint."""
@@ -93,4 +97,4 @@ class Nic(Component):
         self._rx_free = start + transfer
         self.s_received.add()
         done = self._rx_free + self.recv_overhead
-        self.port("cpu").send(event, done - now)
+        self._cpu.send(event, done - now)

@@ -28,7 +28,7 @@ import pytest
 
 from repro.ckpt import restore, snapshot
 from repro.config import ConfigGraph, build, build_parallel
-from repro.core import Component, param, register, stat
+from repro.core import Component, Params, Simulation, param, register, stat
 
 
 @register("testlib.GcTicker")
@@ -152,6 +152,41 @@ class TestCollectionsPerBuild:
         assert len(sim.components) == 1_000
         # about 25 more belong to the machine (simulation, queue, arbiter)
         assert added <= 6 * 1_000 + 100, added / 1_000
+
+    def test_a_ticker_construction_runs_eleven_python_frames(self):
+        """Python frames entered by one warm ``GcTicker`` construction,
+        counted with ``sys.setprofile`` (C calls are not ``call``
+        events).  Registering the clock enters
+        ``Simulation.register_clock`` and ``Clock.__init__`` only: the
+        frequency is a cache hit and the chain is already armed.  The
+        counter is registered inside ``_declare``.  Before both were
+        inlined a construction entered 18 frames."""
+        sim = Simulation(seed=1)
+        for i in range(3):  # arbiter, class caches, frequency cache
+            GcTicker(sim, f"warm{i}", Params({"lcg_seed": i + 1}))
+        params = Params({"lcg_seed": 7})
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            GcTicker(sim, "probe", params)
+        finally:
+            sys.setprofile(None)
+        assert sorted(calls) == sorted([
+            "__init__",             # GcTicker
+            "__init__",             # Component
+            "_declare",             # compiled per class
+            "find_int", "_fetch",   # lcg_seed
+            "find_int", "_fetch",   # ticks
+            "register_clock",       # Component
+            "register_clock",       # Simulation
+            "__init__",             # Clock, joins the arbiter
+            "_register_component",
+        ]), calls
 
     @pytest.mark.parametrize("run", [False, True], ids=["built", "run"])
     def test_a_dropped_machine_is_reclaimed(self, run):

@@ -215,6 +215,25 @@ class TestClusterPipeline:
         assert 0 < slo["utilization"] <= 1
         assert slo["p95_bounded_slowdown"] >= 1
 
+    def test_slo_gauges_are_derived_on_read(self):
+        """``SLOStats`` keeps no per-report gauge state: makespan and
+        utilization are derived from its statistics when sampled, with
+        the values the per-report update wrote, and read 0 before the
+        first job (where the accumulators still hold +-inf)."""
+        sim = build(cluster_graph(jobs=120), seed=7)
+        slo = sim.component("slo")
+        assert slo.telemetry_gauges() == {"_utilization": 0.0,
+                                          "_makespan_ps": 0.0}
+        assert not {"_utilization", "_makespan_ps"} & \
+            slo.capture_state().keys()
+        for cut in ("50ms", "150ms", "400ms"):
+            sim.run(max_time=cut, finalize=False)
+            assert slo.s_jobs.count > 0
+            span = slo.s_end.maximum - slo.s_submit.minimum
+            assert slo.telemetry_gauges() == {
+                "_utilization": slo.s_busy.count / (16 * span),
+                "_makespan_ps": float(int(span))}
+
 
 class TestClusterCheckpoint:
     def test_snapshot_mid_backfill_restores_bit_identical(self, tmp_path):

@@ -304,6 +304,7 @@ class TestClockNaming:
                 self.register_clock("1GHz", self.t1)
                 self.register_clock("2GHz", self.t2)
                 self.register_clock("3GHz", self.t3, name="fast")
+                self.register_clock(1000, self.t1)  # takes index 3
 
             def t1(self, c):
                 return True
@@ -316,8 +317,8 @@ class TestClockNaming:
 
         sim = Simulation(seed=1)
         TwoClocks(sim, "tc")
-        names = {clk.name for clk in sim._clocks}
-        assert {"tc.clock", "tc.clock1", "tc.fast"} <= names
+        names = [clk.name for clk in sim._clocks]
+        assert names == ["tc.clock", "tc.clock1", "tc.fast", "tc.clock3"]
 
 
 class TestParamsDiagnostics:

@@ -8,7 +8,10 @@ each, with the ``choices`` check written out as it was.  For every
 registered component and subcomponent class, and for Hypothesis-drawn
 synthetic classes, both must leave the same attribute names in the same
 order, equal values, and the same statistics registered in the same
-order, or raise the same error.
+order, or raise the same error.  Counters and accumulators are
+registered inline by the compiled form; a group may already hold the
+name (a same-type entry is shared, another type is refused), and the
+drawn classes meet both.
 """
 
 from __future__ import annotations
@@ -67,10 +70,14 @@ def bare(cls, params: Params):
     return obj, stats, ""
 
 
-def outcome(declare, cls, data):
-    """Run ``declare`` on a bare instance: its attributes, in order,
-    its statistic group, and the error it raised (type and text)."""
+def outcome(declare, cls, data, registered=()):
+    """Run ``declare`` on a bare instance whose group already holds the
+    ``registered`` ``(name, kind)`` statistics (unprefixed): its
+    attributes, in order, its statistic group, and the error it raised
+    (type and text)."""
     obj, stats, prefix = bare(cls, Params(data))
+    for name, kind in registered:
+        getattr(stats, kind)(prefix + name)
     error = None
     try:
         declare(obj, stats, prefix)
@@ -92,9 +99,10 @@ def same_value(a, b) -> bool:
         return repr(a) == repr(b)
 
 
-def assert_same(cls, data) -> None:
-    got, got_stats, got_error = outcome(cls._declare, cls, data)
-    want, want_stats, want_error = outcome(reference_declare, cls, data)
+def assert_same(cls, data, registered=()) -> None:
+    got, got_stats, got_error = outcome(cls._declare, cls, data, registered)
+    want, want_stats, want_error = outcome(reference_declare, cls, data,
+                                           registered)
     assert got_error == want_error
     assert list(got) == list(want), "attribute order differs"
     for attr in want:
@@ -172,6 +180,41 @@ def test_a_value_outside_choices_keeps_its_message():
         "parameter 'mode'='warp' not one of ['fast', 'slow']"
 
 
+class _Counted(Component):
+    s_hits = stat.counter(doc="hits")
+    s_lat = stat.accumulator("latency_ps", doc="latencies")
+
+
+class _CountedSlot(SubComponent):
+    s_hits = stat.counter(doc="hits")
+
+
+@pytest.mark.parametrize("cls", [_Counted, _CountedSlot])
+def test_a_name_registered_with_the_same_type_is_shared(cls):
+    """Inline registration shares a same-type entry, under the
+    subcomponent's ``<slot>.`` prefix too, and leaves it untouched."""
+    obj, stats, prefix = bare(cls, Params({}))
+    hits = stats.counter(prefix + "hits")
+    hits.add(5)
+    cls._declare(obj, stats, prefix)
+    assert obj.s_hits is hits and hits.count == 5
+    assert_same(cls, {}, [("hits", "counter")])
+
+
+@pytest.mark.parametrize("kind, registered", [
+    ("counter", "accumulator"), ("accumulator", "counter"),
+    ("counter", "histogram")])
+def test_a_name_registered_with_another_type_is_refused(kind, registered):
+    cls = type("Retyped", (Component,), {"s_x": getattr(stat, kind)("x")})
+    obj, stats, prefix = bare(cls, Params({}))
+    getattr(stats, registered)("x")
+    with pytest.raises(ValueError) as exc:
+        cls._declare(obj, stats, prefix)
+    assert exc.value.args[0] == \
+        "statistic 'x' re-registered with a different type"
+    assert_same(cls, {}, [("x", registered)])
+
+
 # ----------------------------------------------------------------------
 # synthetic classes
 # ----------------------------------------------------------------------
@@ -236,7 +279,9 @@ _OUTSIDE = {"int": "99999", "str": "zzz", "float": "-7.5", "bool": "no",
 @st.composite
 def synthetic(draw):
     """A Component or SubComponent subclass (and maybe a subclass of
-    it that re-declares some of its attributes), plus Params data."""
+    it that re-declares some of its attributes), Params data, and the
+    statistics its group holds before construction: some of the
+    declared names, each as a counter, accumulator or histogram."""
     base = draw(st.sampled_from([Component, SubComponent]))
     names = draw(st.lists(_names, min_size=1, max_size=10, unique=True))
     ns, data = {}, {}
@@ -270,13 +315,17 @@ def synthetic(draw):
             if attr not in ns:
                 declare_one(attr, sub_ns)
         cls = type("SynthSub", (cls,), sub_ns)
-    return cls, data
+    declared = sorted({spec.name for spec in cls._stat_specs.values()})
+    registered = [
+        (name, draw(st.sampled_from(["counter", "accumulator", "histogram"])))
+        for name in declared if draw(st.integers(0, 3)) == 0]
+    return cls, data, registered
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(synthetic())
 def test_synthetic_class_declares_as_the_loop_did(drawn):
-    cls, data = drawn
-    assert_same(cls, data)
+    cls, data, registered = drawn
+    assert_same(cls, data, registered)
     assert_fresh_factories(cls, data)

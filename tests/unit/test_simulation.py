@@ -296,6 +296,61 @@ class TestClocks:
         # Ticks at 1ns,2ns; cancelled at 2.5ns; resumes aligned: 6,7,8ns.
         assert ticks == [1000, 2000, 6000, 7000, 8000]
 
+    def test_registration_picks_the_arbiter_by_residue(self):
+        """Registered at ``now`` = 250 ps, a clock joins the class of
+        its ``(now + phase) % period`` residue; period, priority and sim
+        read through that arbiter."""
+        sim = Simulation()
+        ticks = []
+        origin = sim.register_clock(1000, lambda c: ticks.append(
+            ("origin", sim.now)), name="origin")
+        late = {}
+
+        def register_late(_):
+            late["r250"] = sim.register_clock(
+                1000, lambda c: ticks.append(("r250", sim.now)),
+                name="r250")
+            late["r0"] = sim.register_clock(
+                1000, lambda c: ticks.append(("r0", sim.now)),
+                name="r0", phase=750)
+            late["prio"] = sim.register_clock(
+                "1GHz", lambda c: None, name="prio",
+                priority=PRIORITY_CLOCK + 1, phase=750)
+
+        sim.schedule_callback(250, register_late)
+        sim.run(max_time=3300)
+        arbiters = sim._arbiters
+        assert set(arbiters) == {(1000, PRIORITY_CLOCK, 0),
+                                 (1000, PRIORITY_CLOCK, 250),
+                                 (1000, PRIORITY_CLOCK + 1, 0)}
+        assert late["r0"]._arbiter is origin._arbiter
+        assert late["r250"]._arbiter is arbiters[(1000, PRIORITY_CLOCK, 250)]
+        assert late["prio"]._arbiter is arbiters[(1000, PRIORITY_CLOCK + 1, 0)]
+        for clock in [origin, *late.values()]:
+            assert clock.period == 1000 and clock.sim is sim
+        assert origin.priority == late["r0"].priority == PRIORITY_CLOCK
+        assert late["prio"].priority == PRIORITY_CLOCK + 1
+        assert ticks == [("origin", 1000), ("r250", 1250),
+                         ("origin", 2000), ("r0", 2000), ("r250", 2250),
+                         ("origin", 3000), ("r0", 3000), ("r250", 3250)]
+
+    def test_cancel_and_reactivate_realign_an_offset_clock(self):
+        """A clock on the 250 ps residue keeps its phase across a
+        cancel and reactivate, and re-arms a chain that went quiet."""
+        sim = Simulation()
+        ticks, clocks = [], []
+
+        def register(_):
+            clocks.append(sim.register_clock(
+                1000, lambda c: ticks.append((c, sim.now)), name="c"))
+
+        sim.schedule_callback(250, register)
+        sim.schedule_callback(2500, lambda _: clocks[0].cancel())
+        sim.schedule_callback(4600, lambda _: clocks[0].reactivate())
+        sim.run(max_time=7000)
+        assert ticks == [(1, 1250), (2, 2250), (3, 5250), (4, 6250)]
+        assert clocks[0].next_tick_time == 7250
+
     def test_phase_offsets_first_tick(self):
         sim = Simulation()
         times = []

@@ -85,6 +85,13 @@ class TestFrequency:
         with pytest.raises(UnitError):
             units.freq_to_period("10THz")  # sub-ps period
 
+    def test_memo_keeps_types_apart(self):
+        """Numbers share the memo with strings; ``True`` is not ``1``."""
+        assert units.freq_to_period(1) == units.PS_PER_SEC
+        assert units.freq_to_period(2e9) == units.freq_to_period("2GHz")
+        with pytest.raises(UnitError):
+            units.freq_to_period(True)
+
 
 class TestSizes:
     def test_kb_is_binary(self):
