@@ -1,4 +1,4 @@
-"""Snapshot writing: the ``repro-ckpt/7`` on-disk format.
+"""Snapshot writing: the ``repro-ckpt/8`` on-disk format.
 
 A snapshot is a directory::
 
@@ -38,7 +38,7 @@ from .state import (CheckpointError, capture_rank_state, capture_sim_state,
                     dump_refs)
 
 #: the one snapshot format written and read; bump on incompatible changes
-SNAPSHOT_SCHEMA = "repro-ckpt/7"
+SNAPSHOT_SCHEMA = "repro-ckpt/8"
 
 MANIFEST_NAME = "MANIFEST.json"
 PARALLEL_NAME = "parallel.pkl"

@@ -42,19 +42,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .clock import Clock, ClockHandler
 from .describe import (ParamSpec, PortSpec, SlotSpec, SpecError,  # noqa: F401
                        StateSpec, StatSpec, collect_specs, param, port, slot,
                        state, stat)
 from .event import PRIORITY_CLOCK, PRIORITY_EVENT, Event
 from .link import LinkError, Port, port_of
-from .params import Params
+from .params import CONVERTERS, Params
 from .statistics import Accumulator, Counter, StatisticGroup
 from .units import SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from .simulation import Simulation
 
 
@@ -102,8 +102,9 @@ def _compile_declare(cls: type) -> Callable[[Any, StatisticGroup, str], None]:
     ``<prefix><name>`` (the ``self.s_hits`` fast-access idiom), counters
     and accumulators inline: a name already registered with the same
     type is shared, another type raises ``StatisticGroup.retyped``;
-    declared typed parameters last, each through its Params accessor,
-    so the subclass body sees ``self.<param>`` already set.  ``choices`` are
+    declared typed parameters last, each fetched inline and parsed by
+    one call to its kind's converter (``params.CONVERTERS``), so the
+    subclass body sees ``self.<param>`` already set.  ``choices`` are
     checked only where declared.  Every value is a plain attribute
     store: reading ``self.__dict__`` would make CPython trade the
     instance's inline attribute values for a real dict, and every
@@ -148,17 +149,27 @@ def _compile_declare(cls: type) -> Callable[[Any, StatisticGroup, str], None]:
                   f"        raise {bind(StatisticGroup.retyped)}(name)"]
         store(attr, "stat")
     if cls._param_specs:
-        lines.append("    params = self.params")
+        lines += ["    params = self.params",
+                  "    data = params._data",
+                  "    consumed = params._consumed"]
     for attr, spec in cls._param_specs.items():
-        parse = (f"{bind(spec._find)}(params, {spec.name!r}, "
-                 f"{bind(spec.default)})")
-        if spec.choices is None:
-            store(attr, parse)
-            continue
-        lines += [f"    value = {parse}",
-                  f"    if value not in {bind(spec.choices)}:",
-                  f"        raise {bind(spec.choice_error)}(value)"]
+        # Params._fetch inlined; the declared default is never missing
+        key = repr(spec.name)
+        lines += [f"    if {key} in data:",
+                  f"        consumed[{key}] = None",
+                  f"        value = data[{key}]",
+                  "    else:",
+                  f"        value = {bind(spec.default)}",
+                  f"    value = {bind(CONVERTERS[spec.kind])}({key}, value)"]
+        if spec.choices is not None:
+            lines += [f"    if value not in {bind(spec.choices)}:",
+                      f"        raise {bind(spec.choice_error)}(value)"]
         store(attr, "value")
+    if cls._param_specs:
+        # a defaults overlay (Params.with_defaults) marks its parent too
+        names = tuple(spec.name for spec in cls._param_specs.values())
+        lines += ["    if params._parent is not None:",
+                  f"        params.accept(*{bind(names)})"]
     lines.append("    return None")
     code = compile("\n".join(lines),
                    f"<declare {cls.__module__}.{cls.__qualname__}>", "exec")
@@ -247,9 +258,14 @@ class _Declarative:
         return self.name
 
     @property
-    def rng(self) -> np.random.Generator:
-        """Deterministic random stream (seeded by name + sim seed)."""
+    def rng(self) -> "np.random.Generator":
+        """Deterministic random stream (seeded by name + sim seed).
+
+        numpy is imported when the first stream is made, so a run whose
+        models never draw never loads it."""
         if self._rng is None:
+            import numpy as np
+
             self._rng = np.random.default_rng(
                 stable_seed(self._seed_name, self.sim.seed))
         return self._rng

@@ -49,7 +49,7 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Dict, Optional, Type
 
-from .params import ParamError, Params
+from .params import CONVERTERS, ParamError
 
 _MISSING = object()
 
@@ -350,34 +350,19 @@ stat = _StatFactory()
 # typed constructor parameters
 # ----------------------------------------------------------------------
 
-#: ``kind`` -> Params accessor used to parse a declared parameter.
-_PARAM_ACCESSORS = {
-    "str": "find_str",
-    "int": "find_int",
-    "float": "find_float",
-    "bool": "find_bool",
-    "time": "find_time",
-    "period": "find_period",
-    "freq": "find_freq_hz",
-    "size": "find_size_bytes",
-    "bandwidth": "find_bandwidth",
-}
-
-
 class ParamSpec:
     """A declared, typed constructor parameter.
 
     Construction (of a component or a subcomponent) parses every
     declared parameter out of the instance's
-    :class:`~repro.core.params.Params` with the accessor matching
-    ``kind`` and assigns the result to ``self.<attr>`` before the
-    subclass body runs.  ``choices`` both validates the configured
-    value and exports the parameter as a sweep dimension through
-    :func:`sweep_axes`.
+    :class:`~repro.core.params.Params` with the converter of its
+    ``kind`` (``params.CONVERTERS``) and assigns the result to
+    ``self.<attr>`` before the subclass body runs.  ``choices`` both
+    validates the configured value and exports the parameter as a sweep
+    dimension through :func:`sweep_axes`.
     """
 
-    __slots__ = ("attr", "name", "doc", "default", "kind", "choices",
-                 "_find")
+    __slots__ = ("attr", "name", "doc", "default", "kind", "choices")
 
     def __init__(self, default: Any, *, kind: Optional[str] = None,
                  choices: Optional[tuple] = None, doc: str = "",
@@ -391,18 +376,16 @@ class ParamSpec:
                 kind = "float"
             else:
                 kind = "str"
-        if kind not in _PARAM_ACCESSORS:
+        if kind not in CONVERTERS:
             raise SpecError(
                 f"param(): unknown kind {kind!r} "
-                f"(one of {sorted(_PARAM_ACCESSORS)})")
+                f"(one of {sorted(CONVERTERS)})")
         self.attr: Optional[str] = None
         self.name = name
         self.doc = doc
         self.default = default
         self.kind = kind
         self.choices = tuple(choices) if choices is not None else None
-        #: the accessor, resolved once per declaration, not per instance
-        self._find = getattr(Params, _PARAM_ACCESSORS[kind])
 
     def __set_name__(self, owner: type, attr: str) -> None:
         self.attr = attr

@@ -34,8 +34,6 @@ import time as _wall_time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from . import units
 from .backends import (BACKENDS, ExecutionBackend, RankStep, make_backend,
                        outbox_count)
@@ -231,12 +229,10 @@ class ParallelSimulation:
         self.partition_strategy: Optional[str] = None
         # Every rank shares the base seed (component streams key off it,
         # which is what makes sequential/parallel statistics identical)
-        # but receives a distinct engine-level stream via seed-sequence
-        # spawn — see Simulation.engine_rng.
-        rank_seeds = np.random.SeedSequence(seed).spawn(num_ranks)
+        # but derives a distinct engine-level stream from its rank — see
+        # Simulation.rank_seed.
         self._sims = [
             Simulation(seed=seed, rank=r, num_ranks=num_ranks,
-                       rank_seed=int(rank_seeds[r].generate_state(1)[0]),
                        verbose=verbose)
             for r in range(num_ranks)
         ]

@@ -11,7 +11,7 @@ common way a silent misconfiguration is caught.
 from __future__ import annotations
 
 import warnings
-from typing import Any, Dict, Iterator, Mapping, Optional, Set
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Set
 
 from . import units
 from .units import SimTime
@@ -31,6 +31,90 @@ class UnusedParamsWarning(UserWarning):
     silently no-oping."""
 
 
+def _as_str(key: str, value: Any) -> str:
+    return str(value)
+
+
+def _as_int(key: str, value: Any) -> int:
+    if type(value) is int:
+        return value
+    try:
+        return int(str(value), 0) if isinstance(value, str) else int(value)
+    except (TypeError, ValueError):
+        raise ParamError(f"parameter {key!r}={value!r} is not an integer") from None
+
+
+def _as_float(key: str, value: Any) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParamError(f"parameter {key!r}={value!r} is not a float") from None
+
+
+_TRUE = frozenset({"1", "true", "yes", "on", "t", "y"})
+_FALSE = frozenset({"0", "false", "no", "off", "f", "n"})
+
+
+def _as_bool(key: str, value: Any) -> bool:
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if text in _TRUE:
+        return True
+    if text in _FALSE:
+        return False
+    raise ParamError(f"parameter {key!r}={value!r} is not a boolean")
+
+
+def _unit_converter(parse: Callable[[Any], Any]) -> Callable[[str, Any], Any]:
+    def convert(key: str, value: Any) -> Any:
+        try:
+            return parse(value)
+        except units.UnitError as exc:
+            raise ParamError(f"parameter {key!r}: {exc}") from None
+    return convert
+
+
+#: ``(key, raw value) -> typed value`` for each declared-parameter kind
+#: (:func:`repro.core.describe.param`); the matching ``find_*`` accessor
+#: applies the same function to the value it fetched
+CONVERTERS: Dict[str, Callable[[str, Any], Any]] = {
+    "str": _as_str,
+    "int": _as_int,
+    "float": _as_float,
+    "bool": _as_bool,
+    "time": _unit_converter(units.parse_time),
+    "period": _unit_converter(units.freq_to_period),
+    "freq": _unit_converter(units.parse_freq_hz),
+    "size": _unit_converter(units.parse_size_bytes),
+    "bandwidth": _unit_converter(units.parse_bandwidth),
+}
+
+
+def _accessor(kind: str, name: str, doc: str = "") -> Callable[..., Any]:
+    """A typed ``find_*`` accessor: fetch ``key`` as ``Params._fetch``
+    does and parse it with the ``kind``'s converter.  The fetch is
+    written out here so a configured key costs one Python frame plus
+    the converter's."""
+    convert = CONVERTERS[kind]
+
+    def find(self: "Params", key: str, default: Any = _MISSING) -> Any:
+        data = self._data
+        if key in data:
+            self._consumed[key] = None
+            parent = self._parent
+            if parent is not None and key in parent._data:
+                parent._consumed[key] = None
+            return convert(key, data[key])
+        if default is _MISSING:
+            raise self._missing(key)
+        return convert(key, default)
+    find.__name__ = name
+    find.__qualname__ = f"Params.{name}"
+    find.__doc__ = doc or None
+    return find
+
+
 class Params(Mapping[str, Any]):
     """Flat parameter dictionary with typed, unit-aware accessors.
 
@@ -44,7 +128,11 @@ class Params(Mapping[str, Any]):
     """
 
     def __init__(self, data: Optional[Mapping[str, Any]] = None, *, scope: str = ""):
-        self._data: Dict[str, Any] = dict(data or {})
+        #: the configured values; a dict is wrapped as it is (a built
+        #: component's Params reads its ConfigComponent's dict), any
+        #: other mapping is copied once.  Params never writes its data.
+        self._data: Dict[str, Any] = (data if isinstance(data, dict)
+                                      else dict(data or {}))
         self._scope = scope
         #: keys read so far, as a dict of key -> None: a dict of strings
         #: is not tracked by the cyclic collector, a set always is
@@ -71,95 +159,47 @@ class Params(Mapping[str, Any]):
         return f"Params({self._data!r})"
 
     # -- core find --------------------------------------------------------
-    def _fetch(self, key: str, default: Any, required: bool) -> Any:
+    def _fetch(self, key: str, default: Any) -> Any:
         if key in self._data:
             self._consumed[key] = None
             parent = self._parent
             if parent is not None and key in parent._data:
                 parent._consumed[key] = None
             return self._data[key]
-        if required and default is _MISSING:
-            where = f" in scope {self._scope!r}" if self._scope else ""
-            raise ParamError(f"required parameter {key!r} not found{where}")
+        if default is _MISSING:
+            raise self._missing(key)
         return default
+
+    def _missing(self, key: str) -> ParamError:
+        where = f" in scope {self._scope!r}" if self._scope else ""
+        return ParamError(f"required parameter {key!r} not found{where}")
 
     def find(self, key: str, default: Any = _MISSING) -> Any:
         """Fetch a raw value; raises :class:`ParamError` if absent and no default."""
-        value = self._fetch(key, default, required=True)
-        return None if value is _MISSING else value
+        return self._fetch(key, default)
 
-    def find_str(self, key: str, default: Any = _MISSING) -> str:
-        value = self._fetch(key, default, required=True)
-        return str(value)
-
-    def find_int(self, key: str, default: Any = _MISSING) -> int:
-        value = self._fetch(key, default, required=True)
-        if type(value) is int:
-            return value
-        try:
-            return int(str(value), 0) if isinstance(value, str) else int(value)
-        except (TypeError, ValueError):
-            raise ParamError(f"parameter {key!r}={value!r} is not an integer") from None
-
-    def find_float(self, key: str, default: Any = _MISSING) -> float:
-        value = self._fetch(key, default, required=True)
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ParamError(f"parameter {key!r}={value!r} is not a float") from None
-
-    _TRUE = {"1", "true", "yes", "on", "t", "y"}
-    _FALSE = {"0", "false", "no", "off", "f", "n"}
-
-    def find_bool(self, key: str, default: Any = _MISSING) -> bool:
-        value = self._fetch(key, default, required=True)
-        if isinstance(value, bool):
-            return value
-        text = str(value).strip().lower()
-        if text in self._TRUE:
-            return True
-        if text in self._FALSE:
-            return False
-        raise ParamError(f"parameter {key!r}={value!r} is not a boolean")
+    find_str = _accessor("str", "find_str")
+    find_int = _accessor("int", "find_int")
+    find_float = _accessor("float", "find_float")
+    find_bool = _accessor("bool", "find_bool")
 
     # -- unit-aware finds ---------------------------------------------------
     def find_time(self, key: str, default: Any = _MISSING, default_unit: str = "ps") -> SimTime:
         """Fetch a latency/delay as integer picoseconds (e.g. ``"10ns"``)."""
-        value = self._fetch(key, default, required=True)
+        value = self._fetch(key, default)
         try:
             return units.parse_time(value, default_unit=default_unit)
         except units.UnitError as exc:
             raise ParamError(f"parameter {key!r}: {exc}") from None
 
-    def find_period(self, key: str, default: Any = _MISSING) -> SimTime:
-        """Fetch a clock frequency and return its period in picoseconds."""
-        value = self._fetch(key, default, required=True)
-        try:
-            return units.freq_to_period(value)
-        except units.UnitError as exc:
-            raise ParamError(f"parameter {key!r}: {exc}") from None
-
-    def find_freq_hz(self, key: str, default: Any = _MISSING) -> float:
-        value = self._fetch(key, default, required=True)
-        try:
-            return units.parse_freq_hz(value)
-        except units.UnitError as exc:
-            raise ParamError(f"parameter {key!r}: {exc}") from None
-
-    def find_size_bytes(self, key: str, default: Any = _MISSING) -> int:
-        value = self._fetch(key, default, required=True)
-        try:
-            return units.parse_size_bytes(value)
-        except units.UnitError as exc:
-            raise ParamError(f"parameter {key!r}: {exc}") from None
-
-    def find_bandwidth(self, key: str, default: Any = _MISSING) -> float:
-        """Fetch a bandwidth in bytes/second (e.g. ``"3.2GB/s"``)."""
-        value = self._fetch(key, default, required=True)
-        try:
-            return units.parse_bandwidth(value)
-        except units.UnitError as exc:
-            raise ParamError(f"parameter {key!r}: {exc}") from None
+    find_period = _accessor(
+        "period", "find_period",
+        "Fetch a clock frequency and return its period in picoseconds.")
+    find_freq_hz = _accessor("freq", "find_freq_hz")
+    find_size_bytes = _accessor("size", "find_size_bytes")
+    find_bandwidth = _accessor(
+        "bandwidth", "find_bandwidth",
+        'Fetch a bandwidth in bytes/second (e.g. ``"3.2GB/s"``).')
 
     # -- structure ----------------------------------------------------------
     def scoped(self, prefix: str) -> "Params":

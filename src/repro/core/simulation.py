@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import time as _wall_time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple, Union)
 
 from . import units
 from .clock import Clock, ClockArbiter, ClockHandler, _ArbiterTickEvent
@@ -32,6 +31,9 @@ from .kernel import NO_LIMIT, dispatch, kernel_run
 from .link import Link, LinkError, Port
 from .statistics import StatisticGroup
 from .units import SimTime, freq_to_period
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SimulationError(RuntimeError):
@@ -74,15 +76,6 @@ class Simulation:
         Base seed for all per-component random streams.
     rank, num_ranks:
         Identity within a parallel run; ``(0, 1)`` for sequential.
-    rank_seed:
-        Seed of this rank's *engine-level* random stream
-        (:attr:`engine_rng`).  Defaults to the ``rank``-th child of
-        ``numpy.random.SeedSequence(seed).spawn(num_ranks)``, so every
-        rank of a parallel run draws a distinct, collision-free stream.
-        Component streams are unaffected — they key off the base
-        ``seed`` and the component name (see
-        :func:`~repro.core.component.stable_seed`), which is what keeps
-        sequential and parallel statistics bit-identical.
     verbose:
         Enables :meth:`Component.debug` tracing.
 
@@ -92,18 +85,13 @@ class Simulation:
     """
 
     def __init__(self, *, seed: int = 1, rank: int = 0,
-                 num_ranks: int = 1, rank_seed: Optional[int] = None,
-                 verbose: bool = False):
+                 num_ranks: int = 1, verbose: bool = False):
         self.now: SimTime = 0
         self.seed = seed
         self.rank = rank
         self.num_ranks = num_ranks
-        if rank_seed is None:
-            children = np.random.SeedSequence(seed).spawn(max(num_ranks, rank + 1))
-            rank_seed = int(children[rank].generate_state(1)[0])
-        #: distinct per-rank engine RNG seed (seed-sequence spawn)
-        self.rank_seed = rank_seed
-        self._engine_rng: Optional[np.random.Generator] = None
+        self._rank_seed: Optional[int] = None
+        self._engine_rng: Optional["np.random.Generator"] = None
         self.verbose = verbose
         #: wrap event-typed port handlers with isinstance checks
         #: (``build(validate_events=True)``); set before setup()
@@ -509,7 +497,28 @@ class Simulation:
         return self._queue.peek_time()
 
     @property
-    def engine_rng(self) -> np.random.Generator:
+    def rank_seed(self) -> int:
+        """Seed of this rank's engine-level stream (:attr:`engine_rng`).
+
+        The ``rank``-th child of
+        ``numpy.random.SeedSequence(seed).spawn(num_ranks)``, so every
+        rank of a parallel run draws a distinct, collision-free stream.
+        Derived on first read: numpy is imported only by a run that
+        asks for it.  Component streams are unaffected — they key off
+        the base ``seed`` and the component name (see
+        :func:`~repro.core.component.stable_seed`), which is what keeps
+        sequential and parallel statistics bit-identical.
+        """
+        if self._rank_seed is None:
+            import numpy as np
+
+            children = np.random.SeedSequence(self.seed).spawn(
+                max(self.num_ranks, self.rank + 1))
+            self._rank_seed = int(children[self.rank].generate_state(1)[0])
+        return self._rank_seed
+
+    @property
+    def engine_rng(self) -> "np.random.Generator":
         """Engine-level random stream, distinct per parallel rank.
 
         Seeded from :attr:`rank_seed` (a seed-sequence spawn of the base
@@ -521,6 +530,8 @@ class Simulation:
         statistics identical.
         """
         if self._engine_rng is None:
+            import numpy as np
+
             self._engine_rng = np.random.default_rng(self.rank_seed)
         return self._engine_rng
 

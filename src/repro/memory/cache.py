@@ -20,9 +20,7 @@ functional array plus latency/queueing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.component import Component, port, stat, state
 from ..core.registry import register
@@ -59,6 +57,12 @@ class CacheArray:
     ``access`` returns ``(hit, writeback_addr)`` where ``writeback_addr``
     is the block address of a dirty victim when the access caused an
     eviction of modified data (None otherwise).
+
+    Each set is a Python list of the block numbers it holds, least
+    recently used first; a set starts empty and a miss in a full set
+    evicts its head.  Dirty and prefetched state are sets of resident
+    block numbers.  Addresses may be numpy integers (trace arrays); every
+    address handed back is a plain ``int``.
     """
 
     def __init__(self, size_bytes: int, line_size: int = 64, ways: int = 8,
@@ -81,56 +85,56 @@ class CacheArray:
         _check_power_of_two(self.n_sets, "number of sets")
         self._line_shift = line_size.bit_length() - 1
         self._set_mask = self.n_sets - 1
-        # tag == -1 means invalid.
-        self._tags = np.full((self.n_sets, ways), -1, dtype=np.int64)
-        self._dirty = np.zeros((self.n_sets, ways), dtype=bool)
-        # Higher stamp = more recently used.
-        self._stamps = np.zeros((self.n_sets, ways), dtype=np.int64)
-        self._prefetched = np.zeros((self.n_sets, ways), dtype=bool)
-        self._tick = 0
+        #: per set, its resident blocks, most recently used last
+        self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
+        #: resident blocks holding modified data
+        self._dirty: Set[int] = set()
+        #: resident blocks a prefetch filled and no demand access touched
+        self._prefetched: Set[int] = set()
         self.stats = CacheStats()
 
-    def _locate(self, addr: int) -> Tuple[int, int]:
-        block = addr >> self._line_shift
-        return block & self._set_mask, block >> (self.n_sets.bit_length() - 1)
-
     def block_addr(self, addr: int) -> int:
-        return (addr >> self._line_shift) << self._line_shift
+        return (int(addr) >> self._line_shift) << self._line_shift
+
+    def _fill(self, row: List[int], block: int) -> Optional[int]:
+        """Make ``block`` the most recent line of ``row``, evicting the
+        least recent one from a full set; returns a dirty victim's
+        address."""
+        writeback = None
+        if len(row) == self.ways:
+            victim = row.pop(0)
+            self._prefetched.discard(victim)
+            if victim in self._dirty:
+                self._dirty.remove(victim)
+                writeback = victim << self._line_shift
+                self.stats.writebacks += 1
+        row.append(block)
+        return writeback
 
     def access(self, addr: int, is_write: bool = False) -> Tuple[bool, Optional[int]]:
         """One reference.  Allocates on miss; returns (hit, writeback_addr)."""
-        set_idx, tag = self._locate(addr)
-        self._tick += 1
-        self.stats.accesses += 1
-        row_tags = self._tags[set_idx]
-        hits = np.nonzero(row_tags == tag)[0]
-        if hits.size:
-            way = int(hits[0])
-            self._stamps[set_idx, way] = self._tick
+        block = int(addr) >> self._line_shift
+        row = self._sets[block & self._set_mask]
+        stats = self.stats
+        stats.accesses += 1
+        if block in row:
+            if row[-1] != block:
+                row.remove(block)
+                row.append(block)
             if is_write:
-                self._dirty[set_idx, way] = True
-            self.stats.hits += 1
+                self._dirty.add(block)
+            stats.hits += 1
             return True, None
-        # Miss: pick the LRU way (invalid lines have stamp 0 and lose ties
-        # deterministically by lowest way index).
-        self.stats.misses += 1
-        way = int(np.argmin(self._stamps[set_idx]))
-        writeback = None
-        victim_tag = int(row_tags[way])
-        if victim_tag != -1 and self._dirty[set_idx, way]:
-            victim_block = (victim_tag << (self.n_sets.bit_length() - 1)) | set_idx
-            writeback = victim_block << self._line_shift
-            self.stats.writebacks += 1
-        self._tags[set_idx, way] = tag
-        self._dirty[set_idx, way] = is_write
-        self._stamps[set_idx, way] = self._tick
-        self._prefetched[set_idx, way] = False
+        stats.misses += 1
+        writeback = self._fill(row, block)
+        if is_write:
+            self._dirty.add(block)
         return False, writeback
 
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no stats, no LRU update)."""
-        set_idx, tag = self._locate(addr)
-        return bool((self._tags[set_idx] == tag).any())
+        block = int(addr) >> self._line_shift
+        return block in self._sets[block & self._set_mask]
 
     def install(self, addr: int, prefetched: bool = True) -> Optional[int]:
         """Fill a line without demand-access accounting (prefetch fill).
@@ -138,56 +142,42 @@ class CacheArray:
         Returns a dirty victim's block address when the fill evicted
         modified data.  No-op if the line is already present.
         """
-        set_idx, tag = self._locate(addr)
-        if (self._tags[set_idx] == tag).any():
+        block = int(addr) >> self._line_shift
+        row = self._sets[block & self._set_mask]
+        if block in row:
             return None
-        self._tick += 1
-        way = int(np.argmin(self._stamps[set_idx]))
-        writeback = None
-        victim_tag = int(self._tags[set_idx, way])
-        if victim_tag != -1 and self._dirty[set_idx, way]:
-            victim_block = (victim_tag << (self.n_sets.bit_length() - 1)) | set_idx
-            writeback = victim_block << self._line_shift
-            self.stats.writebacks += 1
-        self._tags[set_idx, way] = tag
-        self._dirty[set_idx, way] = False
-        self._stamps[set_idx, way] = self._tick
-        self._prefetched[set_idx, way] = prefetched
+        writeback = self._fill(row, block)
+        if prefetched:
+            self._prefetched.add(block)
         return writeback
 
     def take_prefetched(self, addr: int) -> bool:
         """True (and clears the flag) if the line was brought in by a
         prefetch and this is its first demand touch."""
-        set_idx, tag = self._locate(addr)
-        hits = np.nonzero(self._tags[set_idx] == tag)[0]
-        if not hits.size:
-            return False
-        way = int(hits[0])
-        if self._prefetched[set_idx, way]:
-            self._prefetched[set_idx, way] = False
+        block = int(addr) >> self._line_shift
+        if block in self._prefetched:
+            self._prefetched.remove(block)
             return True
         return False
 
     def invalidate(self, addr: int) -> bool:
         """Drop a block if present; returns whether it was present."""
-        set_idx, tag = self._locate(addr)
-        hits = np.nonzero(self._tags[set_idx] == tag)[0]
-        if not hits.size:
+        block = int(addr) >> self._line_shift
+        row = self._sets[block & self._set_mask]
+        if block not in row:
             return False
-        way = int(hits[0])
-        self._tags[set_idx, way] = -1
-        self._dirty[set_idx, way] = False
-        self._stamps[set_idx, way] = 0
-        self._prefetched[set_idx, way] = False
+        row.remove(block)
+        self._dirty.discard(block)
+        self._prefetched.discard(block)
         return True
 
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines dropped."""
-        dirty = int(self._dirty.sum())
-        self._tags.fill(-1)
-        self._dirty.fill(False)
-        self._stamps.fill(0)
-        self._prefetched.fill(False)
+        dirty = len(self._dirty)
+        for row in self._sets:
+            row.clear()
+        self._dirty.clear()
+        self._prefetched.clear()
         return dirty
 
     def reset_stats(self) -> None:

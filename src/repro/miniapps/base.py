@@ -244,13 +244,17 @@ class AppRank(Component):
         saved, a scratch RNG and fresh stat values stand in while
         fast-forwarding, and the real values are re-applied afterwards —
         the resumed run continues the real random stream bit-exactly.
+        A rank that never drew (``_rng`` still None) replays with None
+        too: its program cannot draw before the captured phase, and the
+        re-homing of a processes run's ranks imports no numpy.
         """
-        import numpy as np
-
         real_rng = self._rng
         saved = {name: stat.state_dict()
                  for name, stat in self.stats.items()}
-        self._rng = np.random.default_rng(0)
+        if real_rng is not None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(0)
         self._program = self.program()
         for _ in range(self._phases_done):
             try:

@@ -20,11 +20,12 @@ so the same workload library drives both the analytic and trace paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from .mix import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,11 @@ class TraceSpec:
         )
 
     def generate(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``n`` references -> (addresses int64, is_write bool), vectorised."""
+        """``n`` references -> (addresses int64, is_write bool), vectorised.
+
+        numpy is imported here, by the first trace a run generates."""
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         choices = np.empty(n, dtype=np.int64)
         selector = rng.random(n)

@@ -11,6 +11,7 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -571,6 +572,34 @@ class TestRankSeeds:
         c = ParallelSimulation(3, seed=12)
         assert ([a.rank_sim(r).rank_seed for r in range(3)]
                 != [c.rank_sim(r).rank_seed for r in range(3)])
+
+    @given(seed=st.integers(0, 2**32 - 1), num_ranks=st.integers(1, 8),
+           data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lazy_rank_seed_matches_the_spawn_formula(self, seed, num_ranks,
+                                                      data):
+        """``rank_seed`` is derived on first read from the same
+        seed-sequence spawn the constructors used to run eagerly, so a
+        rank's seed and its engine-stream draws are unchanged."""
+        rank = data.draw(st.integers(0, num_ranks - 1))
+        spawned = np.random.SeedSequence(seed).spawn(num_ranks)[rank]
+        expected = int(spawned.generate_state(1)[0])
+        psim = ParallelSimulation(num_ranks, seed=seed)
+        direct = Simulation(seed=seed, rank=rank, num_ranks=num_ranks)
+        assert psim.rank_sim(rank).rank_seed == direct.rank_seed == expected
+        reference = np.random.default_rng(expected).random(4)
+        assert list(direct.engine_rng.random(4)) == list(reference)
+        assert list(psim.rank_sim(rank).engine_rng.random(4)) == list(
+            reference)
+
+    def test_rank_seed_is_derived_not_set(self):
+        sim = Simulation(seed=3, rank=2, num_ranks=2)  # rank past the count
+        children = np.random.SeedSequence(3).spawn(3)
+        assert sim.rank_seed == int(children[2].generate_state(1)[0])
+        with pytest.raises(AttributeError):
+            sim.rank_seed = 7
+        with pytest.raises(TypeError):
+            Simulation(seed=3, rank_seed=7)
 
     def test_base_seed_shared_for_component_streams(self):
         """Component RNG streams key off the *base* seed, which is what

@@ -1,12 +1,13 @@
 """Tests for cache models: functional arrays, hierarchies, the component."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Params, Simulation
 from repro.memory import (Cache, CacheArray, CacheHierarchy, LevelSpec,
                           MemRequest, MemResponse, SimpleMemory)
+from repro.memory.cache import CacheStats
 from repro.processor import TrafficGenerator
 
 
@@ -319,3 +320,170 @@ class TestPrefetcher:
         # Memory saw demand misses + prefetches.
         assert values["mem.requests"] == pytest.approx(
             values["l1.misses"] + values["l1.prefetches"])
+
+
+class NumpyCacheArray:
+    """The numpy form ``CacheArray`` had before it moved to per-set
+    lists: tag, dirty, stamp and prefetched arrays of ``(sets, ways)``,
+    LRU by the lowest stamp, invalid ways holding tag -1 and stamp 0.
+    The reference of the differential property below."""
+
+    def __init__(self, size_bytes, line_size=64, ways=8):
+        import numpy as np
+
+        self.np = np
+        self.n_sets = size_bytes // line_size // ways
+        self._line_shift = line_size.bit_length() - 1
+        self._set_mask = self.n_sets - 1
+        self._tags = np.full((self.n_sets, ways), -1, dtype=np.int64)
+        self._dirty = np.zeros((self.n_sets, ways), dtype=bool)
+        self._stamps = np.zeros((self.n_sets, ways), dtype=np.int64)
+        self._prefetched = np.zeros((self.n_sets, ways), dtype=bool)
+        self._tick = 0
+        self.stats = CacheStats()
+
+    def _locate(self, addr):
+        block = addr >> self._line_shift
+        return block & self._set_mask, block >> (self.n_sets.bit_length() - 1)
+
+    def block_addr(self, addr):
+        return (addr >> self._line_shift) << self._line_shift
+
+    def _victim(self, set_idx):
+        way = int(self.np.argmin(self._stamps[set_idx]))
+        writeback = None
+        victim_tag = int(self._tags[set_idx, way])
+        if victim_tag != -1 and self._dirty[set_idx, way]:
+            victim_block = ((victim_tag << (self.n_sets.bit_length() - 1))
+                            | set_idx)
+            writeback = victim_block << self._line_shift
+            self.stats.writebacks += 1
+        return way, writeback
+
+    def _way(self, set_idx, tag):
+        hits = self.np.nonzero(self._tags[set_idx] == tag)[0]
+        return int(hits[0]) if hits.size else None
+
+    def access(self, addr, is_write=False):
+        set_idx, tag = self._locate(addr)
+        self._tick += 1
+        self.stats.accesses += 1
+        way = self._way(set_idx, tag)
+        if way is not None:
+            self._stamps[set_idx, way] = self._tick
+            if is_write:
+                self._dirty[set_idx, way] = True
+            self.stats.hits += 1
+            return True, None
+        self.stats.misses += 1
+        way, writeback = self._victim(set_idx)
+        self._tags[set_idx, way] = tag
+        self._dirty[set_idx, way] = is_write
+        self._stamps[set_idx, way] = self._tick
+        self._prefetched[set_idx, way] = False
+        return False, writeback
+
+    def probe(self, addr):
+        set_idx, tag = self._locate(addr)
+        return bool((self._tags[set_idx] == tag).any())
+
+    def install(self, addr, prefetched=True):
+        set_idx, tag = self._locate(addr)
+        if (self._tags[set_idx] == tag).any():
+            return None
+        self._tick += 1
+        way, writeback = self._victim(set_idx)
+        self._tags[set_idx, way] = tag
+        self._dirty[set_idx, way] = False
+        self._stamps[set_idx, way] = self._tick
+        self._prefetched[set_idx, way] = prefetched
+        return writeback
+
+    def take_prefetched(self, addr):
+        set_idx, tag = self._locate(addr)
+        way = self._way(set_idx, tag)
+        if way is None or not self._prefetched[set_idx, way]:
+            return False
+        self._prefetched[set_idx, way] = False
+        return True
+
+    def invalidate(self, addr):
+        set_idx, tag = self._locate(addr)
+        way = self._way(set_idx, tag)
+        if way is None:
+            return False
+        self._tags[set_idx, way] = -1
+        self._dirty[set_idx, way] = False
+        self._stamps[set_idx, way] = 0
+        self._prefetched[set_idx, way] = False
+        return True
+
+    def flush(self):
+        dirty = int(self._dirty.sum())
+        self._tags.fill(-1)
+        self._dirty.fill(False)
+        self._stamps.fill(0)
+        self._prefetched.fill(False)
+        return dirty
+
+
+#: drawn uniformly: mostly accesses, prefetch fills often enough to be
+#: evicted untouched, a flush rarely enough that sets fill up
+_CACHE_OPS = ("access",) * 8 + ("install",) * 3 + ("take_prefetched",) * 3 \
+    + ("invalidate", "probe", "block_addr", "flush")
+
+
+@st.composite
+def _cache_trace(draw):
+    line_size = draw(st.sampled_from([16, 64]))
+    ways = draw(st.sampled_from([1, 2, 4, 8]))
+    n_sets = draw(st.sampled_from([1, 2, 4, 16]))
+    # a few sets, each with a couple more tags than it has ways, so
+    # references collide: hits, misses and evictions of every kind
+    sets = st.sampled_from(sorted({0, n_sets // 2, n_sets - 1}))
+    tags = st.integers(0, ways + 2)
+    offsets = st.integers(0, line_size - 1)
+    addrs = st.builds(lambda s, t, o: ((t * n_sets + s) * line_size) + o,
+                      sets, tags, offsets)
+    write_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    ops = draw(st.lists(st.tuples(
+        st.sampled_from(_CACHE_OPS), addrs,
+        st.floats(0, 1, exclude_max=True), st.booleans(), st.booleans()),
+        min_size=20, max_size=300))
+    return line_size, ways, n_sets, write_share, ops
+
+
+class TestCacheArrayMatchesNumpyForm:
+    @given(_cache_trace())
+    @settings(max_examples=120, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                      Phase.shrink])
+    def test_every_result_and_counter_matches(self, trace):
+        """Every operation returns what the numpy form returns, victims
+        and flush counts included, with the same ``CacheStats``; numpy
+        integer addresses come back as plain ``int``."""
+        import numpy as np
+
+        line_size, ways, n_sets, write_share, ops = trace
+        size = line_size * ways * n_sets
+        lists = CacheArray(size, line_size=line_size, ways=ways)
+        reference = NumpyCacheArray(size, line_size=line_size, ways=ways)
+        for op, addr, roll, as_numpy, flag in ops:
+            if as_numpy:
+                addr = np.int64(addr)  # what a trace array hands in
+            if op == "access":
+                args = (addr, roll < write_share)
+            elif op == "install":
+                args = (addr, flag)
+            elif op == "flush":
+                args = ()
+            else:
+                args = (addr,)
+            got = getattr(lists, op)(*args)
+            want = getattr(reference, op)(*args)
+            assert got == want, (op, args)
+            returned = got[1] if op == "access" else got
+            if op in ("access", "install", "block_addr") \
+                    and returned is not None:
+                assert type(returned) is int, (op, type(returned))
+            assert lists.stats == reference.stats

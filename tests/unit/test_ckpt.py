@@ -118,7 +118,7 @@ class TestSequentialCheckpoint:
         sim.run(max_time="50ns", finalize=False)
         path = snapshot(sim, tmp_path / "snap")
         info = snapshot_info(path)
-        assert info["schema"] == "repro-ckpt/7"
+        assert info["schema"] == "repro-ckpt/8"
         assert info["mode"] == "sequential"
         assert info["num_ranks"] == 1
         assert info["sim_time_ps"] == sim.now
@@ -327,7 +327,7 @@ class TestSnapshotValidation:
     @pytest.mark.parametrize("schema", ["repro-ckpt/1", "repro-ckpt/2",
                                         "repro-ckpt/3", "repro-ckpt/4",
                                         "repro-ckpt/5", "repro-ckpt/6",
-                                        "repro-ckpt/999"])
+                                        "repro-ckpt/7", "repro-ckpt/999"])
     def test_wrong_schema_rejected(self, tmp_path, capsys, schema, surface):
         """Any schema but the engine's is refused before a shard is
         unpickled (this shard is not even a pickle), with one
@@ -621,7 +621,7 @@ class TestCkptCli:
         capsys.readouterr()
         assert main(["ckpt", "info", str(snaps[0])]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["schema"] == "repro-ckpt/7" and info["intact"]
+        assert info["schema"] == "repro-ckpt/8" and info["intact"]
         stats_json = tmp_path / "final.json"
         assert main(["ckpt", "resume", str(snaps[0]),
                      "--stats-json", str(stats_json)]) == 0

@@ -31,6 +31,15 @@ from repro.core.registry import load_all_libraries, registered_types, resolve
 from repro.core.statistics import Statistic, StatisticGroup
 
 
+#: ``kind`` -> the Params accessor the reference parses a declared
+#: parameter with (the compiled form calls the kind's converter directly)
+ACCESSORS = {"str": Params.find_str, "int": Params.find_int,
+             "float": Params.find_float, "bool": Params.find_bool,
+             "time": Params.find_time, "period": Params.find_period,
+             "freq": Params.find_freq_hz, "size": Params.find_size_bytes,
+             "bandwidth": Params.find_bandwidth}
+
+
 def reference_declare(obj, stats: StatisticGroup, prefix: str) -> None:
     """The loop form of ``_declare`` (without the slot fill, which both
     forms share): interprets the class's spec tables per instance."""
@@ -44,7 +53,7 @@ def reference_declare(obj, stats: StatisticGroup, prefix: str) -> None:
         setattr(obj, attr, make(stats, prefix + spec.name, **spec.kwargs))
     params = obj.params
     for attr, spec in cls._param_specs.items():
-        value = spec._find(params, spec.name, spec.default)
+        value = ACCESSORS[spec.kind](params, spec.name, spec.default)
         if spec.choices is not None and value not in spec.choices:
             raise ParamError(
                 f"parameter {spec.name!r}={value!r} not one of "
@@ -251,10 +260,10 @@ def _param_decl(draw):
     choices = None
     if draw(st.booleans()):
         spec = param(default, kind=kind)
-        parsed = spec._find(Params({}), "p", default)
+        parsed = ACCESSORS[kind](Params({}), "p", default)
         choices = (parsed,)
         if draw(st.booleans()):
-            other = spec._find(Params({"p": configured}), "p", None)
+            other = ACCESSORS[kind](Params({"p": configured}), "p", None)
             choices = (parsed, other)
     spec = param(default, kind=kind, choices=choices)
     # configured: absent, a value of the kind, or one outside choices
